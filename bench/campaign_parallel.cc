@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "apps/common/bug_campaign.h"
+#include "apps/common/campaign_driver.h"
 #include "bench_args.h"
 
 namespace {
@@ -25,10 +25,13 @@ double RunOnce(int workers, size_t* bugs_out) {
   auto start = std::chrono::steady_clock::now();
   // Exhaustive mode: every worker count executes the identical scenario set
   // (no early exit), so this measures throughput, not luck.
-  std::vector<lfi::FoundBug> bugs =
-      lfi::RunFullCampaign({.workers = workers, .exhaustive = true});
+  auto outcome = lfi::CampaignDriver({.system = "all",
+                                     .mode = lfi::CampaignMode::kTable1,
+                                     .exhaustive = true,
+                                     .workers = workers})
+                     .Run();
   auto end = std::chrono::steady_clock::now();
-  *bugs_out = bugs.size();
+  *bugs_out = outcome ? outcome->bugs.size() : 0;
   return std::chrono::duration<double>(end - start).count();
 }
 

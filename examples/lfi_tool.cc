@@ -99,7 +99,6 @@
 #include "analysis/callsite_analyzer.h"
 #include "apps/bfs/bfs.h"
 #include "apps/bind/bind.h"
-#include "apps/common/bug_campaign.h"
 #include "apps/common/campaign_driver.h"
 #include "apps/common/campaign_spec.h"
 #include "apps/git/git.h"
@@ -194,7 +193,7 @@ struct ToolOptions {
   uint64_t backoff_ms = 50;
   uint64_t job_timeout_ms = 0;
   std::string failpoints;
-  // --cold-start: fresh target per job (the warm-pool ablation baseline).
+  // --cold-start: fresh target per job (the pools' fresh-instance policy).
   bool cold_start = false;
   bool json = false;
   // --format: encoding for journals the command writes. nullopt = the

@@ -17,7 +17,6 @@
 
 #include "apps/bfs/bfs.h"
 #include "apps/bind/bind.h"
-#include "apps/common/bug_campaign.h"
 #include "apps/common/shard_supervisor.h"
 #include "apps/common/warm_targets.h"
 #include "apps/git/git.h"
@@ -49,18 +48,17 @@ const FaultProfile& CachedLibxmlProfile() {
 }
 
 // --- Table 1 job lists ------------------------------------------------------
-// The job runners themselves live in apps/common/warm_targets.cc: one shared
-// core per workload, wrapped either cold (construct-run-destroy) or warm
-// (snapshot/reset pools). Builders receive the campaign's ExecutionLayer so
-// self-contained jobs (job.explore) plug into the same warm pools.
+// The job runners themselves live in apps/common/warm_targets.cc. Builders
+// receive the campaign's ExecutionLayer so self-contained jobs (job.run) plug
+// into its pools too.
 
-std::vector<CampaignJob> GitTable1Jobs(bool exhaustive, ExecutionLayer& exec) {
+std::vector<CampaignJob> GitTable1Jobs(bool exhaustive, const ExecutionLayer& exec) {
   (void)exhaustive;
   (void)exec;
   return AnalyzerJobs(GitBinary().image(), CachedLibcProfile());
 }
 
-std::vector<CampaignJob> MysqlTable1Jobs(bool exhaustive, ExecutionLayer& exec) {
+std::vector<CampaignJob> MysqlTable1Jobs(bool exhaustive, const ExecutionLayer& exec) {
   (void)exhaustive;
   (void)exec;
   const FaultProfile& profile = CachedLibcProfile();
@@ -86,7 +84,7 @@ std::vector<CampaignJob> MysqlTable1Jobs(bool exhaustive, ExecutionLayer& exec) 
   return jobs;
 }
 
-std::vector<CampaignJob> BindTable1Jobs(bool exhaustive, ExecutionLayer& exec) {
+std::vector<CampaignJob> BindTable1Jobs(bool exhaustive, const ExecutionLayer& exec) {
   (void)exhaustive;
 
   // Analyzer scenarios against both library profiles.
@@ -103,13 +101,13 @@ std::vector<CampaignJob> BindTable1Jobs(bool exhaustive, ExecutionLayer& exec) {
     job.scenario = MakeCallCountScenario("malloc", k, 0, kENOMEM);
     job.label = StrFormat("malloc #%llu = NULL in dst_lib_init", (unsigned long long)k);
     job.seed = k;
-    job.explore = exec.bind_dst_runner();
+    job.run = exec.phase_runner();
     jobs.push_back(std::move(job));
   }
   return jobs;
 }
 
-std::vector<CampaignJob> PbftTable1Jobs(bool exhaustive, ExecutionLayer& exec) {
+std::vector<CampaignJob> PbftTable1Jobs(bool exhaustive, const ExecutionLayer& exec) {
   // Phase 1: analyzer scenarios against replica 0 (shutdown checkpoint bug).
   std::vector<CampaignJob> jobs = AnalyzerJobs(PbftBinary().image(), CachedLibcProfile());
 
@@ -140,13 +138,13 @@ std::vector<CampaignJob> PbftTable1Jobs(bool exhaustive, ExecutionLayer& exec) {
         StrFormat("random sendto/recvfrom faults, seed %llu", (unsigned long long)seed);
     job.seed = seed;
     job.skip_when_saturated = !exhaustive;
-    job.explore = exec.pbft_distributed_runner();
+    job.run = exec.phase_runner();
     jobs.push_back(std::move(job));
   }
   return jobs;
 }
 
-std::vector<CampaignJob> BfsTable1Jobs(bool exhaustive, ExecutionLayer& exec) {
+std::vector<CampaignJob> BfsTable1Jobs(bool exhaustive, const ExecutionLayer& exec) {
   // Phase 1: analyzer scenarios against the server's libc call sites (the
   // unchecked durability-barrier fopen surfaces here).
   std::vector<CampaignJob> jobs = AnalyzerJobs(BfsBinary().image(), CachedLibcProfile());
@@ -159,7 +157,7 @@ std::vector<CampaignJob> BfsTable1Jobs(bool exhaustive, ExecutionLayer& exec) {
     job.label = StrFormat("partial send/recv over vnet, seed %llu", (unsigned long long)seed);
     job.seed = seed;
     job.skip_when_saturated = !exhaustive;
-    job.explore = exec.bfs_mux_runner();
+    job.run = exec.phase_runner();
     jobs.push_back(std::move(job));
   }
   return jobs;
@@ -167,16 +165,13 @@ std::vector<CampaignJob> BfsTable1Jobs(bool exhaustive, ExecutionLayer& exec) {
 
 // --- the system table -------------------------------------------------------
 
-// Everything system-specific the driver needs, in one row per target. This
-// is the one copy of the dispatch lfi_tool and bug_campaign.cc used to
-// repeat as parallel if-chains.
+// Everything system-specific the driver needs beyond the ExecutionLayer's
+// pools, in one row per target.
 struct SystemEntry {
   const char* name;
   const AppBinary& (*binary)();
   std::vector<const FaultProfile*> (*profiles)();
-  JobResult (*table1_runner)(const CampaignJob&);   // default workload, cold
-  JobResult (*explore_runner)(const CampaignJob&);  // exploration workload, cold
-  std::vector<CampaignJob> (*table1_jobs)(bool exhaustive, ExecutionLayer& exec);
+  std::vector<CampaignJob> (*table1_jobs)(bool exhaustive, const ExecutionLayer& exec);
   size_t table1_max_bugs;  // historical fuzz cutoff; 0 = run everything
 };
 
@@ -186,11 +181,11 @@ std::vector<const FaultProfile*> LibcAndLibxml() {
 }
 
 const SystemEntry kSystems[] = {
-    {"git", GitBinary, LibcOnly, RunGitJob, RunGitJob, GitTable1Jobs, 0},
-    {"mysql", MysqlBinary, LibcOnly, RunMysqlJob, RunMysqlJob, MysqlTable1Jobs, 0},
-    {"bind", BindBinary, LibcAndLibxml, RunBindJob, RunBindJob, BindTable1Jobs, 0},
-    {"pbft", PbftBinary, LibcOnly, RunPbftJob, RunPbftExploreJob, PbftTable1Jobs, 2},
-    {"bfs", BfsBinary, LibcOnly, RunBfsJob, RunBfsExploreJob, BfsTable1Jobs, 0},
+    {"git", GitBinary, LibcOnly, GitTable1Jobs, 0},
+    {"mysql", MysqlBinary, LibcOnly, MysqlTable1Jobs, 0},
+    {"bind", BindBinary, LibcAndLibxml, BindTable1Jobs, 0},
+    {"pbft", PbftBinary, LibcOnly, PbftTable1Jobs, 2},
+    {"bfs", BfsBinary, LibcOnly, BfsTable1Jobs, 0},
 };
 
 const SystemEntry* FindSystem(const std::string& name) {
@@ -303,17 +298,23 @@ CampaignOutcome FromExploration(ExplorationResult result, const CampaignSpec& sp
   return outcome;
 }
 
-}  // namespace
-
-CampaignEngine::ResultRunner SystemJobRunner(const std::string& system,
-                                             bool explore_workload) {
-  EnsureStockTriggersRegistered();
-  const SystemEntry* entry = FindSystem(system);
-  if (entry == nullptr) {
-    return nullptr;
+// Runs `source` -- dealt down to this process's shard when the spec names
+// one -- on the engine through the execution layer's pools.
+CampaignOutcome RunSource(const CampaignEngine& engine, ScenarioSource& source,
+                          const CampaignSpec& spec, const ExecutionLayer& exec) {
+  ExplorationResult result;
+  if (spec.shard_index != CampaignSpec::kNoShard) {
+    ShardSource sharded(source, spec.shard_index, spec.shard_count);
+    result = engine.Run(sharded, exec.runner());
+  } else {
+    result = engine.Run(source, exec.runner());
   }
-  return explore_workload ? entry->explore_runner : entry->table1_runner;
+  CampaignOutcome outcome = FromExploration(std::move(result), spec);
+  outcome.pool = exec.pool_stats();
+  return outcome;
 }
+
+}  // namespace
 
 std::optional<CampaignOutcome> CampaignDriver::Run(std::string* error) {
   auto fail = [&](std::string message) -> std::optional<CampaignOutcome> {
@@ -399,18 +400,12 @@ std::optional<CampaignOutcome> CampaignDriver::RunTable1(std::string* error) {
   }
 
   const SystemEntry* entry = FindSystem(spec_.system);
-  // The execution layer (warm pools unless --cold-start) must outlive the
-  // engine run: jobs built below capture its runners.
   ExecutionLayer exec(spec_.system, /*explore_workload=*/false, spec_.cold_start);
   std::vector<CampaignJob> jobs = entry->table1_jobs(spec_.exhaustive, exec);
   size_t max_bugs = spec_.exhaustive ? 0 : entry->table1_max_bugs;
   CampaignEngine engine(EngineOptions(spec_, max_bugs));
   ExhaustiveSource source(std::move(jobs));
-  if (spec_.shard_index != CampaignSpec::kNoShard) {
-    ShardSource sharded(source, spec_.shard_index, spec_.shard_count);
-    return FromExploration(engine.Run(sharded, exec.runner()), spec_);
-  }
-  return FromExploration(engine.Run(source, exec.runner()), spec_);
+  return RunSource(engine, source, spec_, exec);
 }
 
 std::optional<CampaignOutcome> CampaignDriver::RunExplore(std::string* error) {
@@ -424,13 +419,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunExplore(std::string* error) {
   ExploreInputs inputs = BuildExploreInputs(*entry);
   CampaignEngine engine(EngineOptions(spec_, /*max_bugs=*/0));
   ExecutionLayer exec(spec_.system, /*explore_workload=*/true, spec_.cold_start);
-  auto run = [&](ScenarioSource& source) -> CampaignOutcome {
-    if (spec_.shard_index != CampaignSpec::kNoShard) {
-      ShardSource sharded(source, spec_.shard_index, spec_.shard_count);
-      return FromExploration(engine.Run(sharded, exec.runner()), spec_);
-    }
-    return FromExploration(engine.Run(source, exec.runner()), spec_);
-  };
+  auto run = [&](ScenarioSource& source) { return RunSource(engine, source, spec_, exec); };
   switch (spec_.strategy) {
     case ExploreStrategy::kExhaustive: {
       std::vector<CampaignJob> jobs;
@@ -538,11 +527,15 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
     return std::nullopt;
   }
   std::string system = journal->Meta("system", "");
-  bool explore_workload = journal->Meta("command", "explore") != "campaign";
-  CampaignEngine::ResultRunner runner = SystemJobRunner(system, explore_workload);
-  if (!runner) {
+  if (FindSystem(system) == nullptr) {
     return fail("journal names unknown system '" + system + "'");
   }
+  // Replay runs through the pools of the recorded campaign's workload, like
+  // any other job: warm by default, one fresh instance per job under
+  // --cold-start.
+  bool explore_workload = journal->Meta("command", "explore") != "campaign";
+  ExecutionLayer exec(system, explore_workload, spec_.cold_start);
+  CampaignEngine::ResultRunner runner = exec.runner();
 
   // Which journaled injections to replay: every record that injected, or
   // the one the selector picks ("record" or "record:injection").
@@ -642,6 +635,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
     outcome.replays.push_back(std::move(replay));
   }
   outcome.ok = outcome.replays_reproduced == outcome.replays_expected;
+  outcome.pool = exec.pool_stats();
   return outcome;
 }
 
@@ -824,17 +818,8 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
         replay.pop_front();
         // The engine's fold, continued across the rewrite: the recomputed
         // feedback equals the recorded copy, so the bytes do not change.
-        RunFeedback feedback;
         if (!record.gated) {
-          for (const FoundBug& bug : record.result.bugs) {
-            feedback.new_bug |= fold.bugs.insert(bug).second;
-          }
-          feedback.injections = record.result.injections;
-          feedback.fingerprint = record.result.fingerprint;
-          feedback.new_blocks = record.result.coverage.NewlyCoveredVersus(fold.coverage);
-          fold.coverage.Absorb(record.result.coverage);
-          ++fold.scenarios_run;
-          record.feedback = feedback;
+          record.feedback = fold.Add(record.result);
         }
         if (!merged.Append(record)) {
           return fail("journal append failed rewriting " + spec_.journal_path +
@@ -842,7 +827,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
         }
         ++fold.records;
         fold.next_stream_index = record.stream_index + 1;
-        master.OnFeedback(jobs[i], feedback);
+        master.OnFeedback(jobs[i], record.feedback);
       }
       continue;
     }
@@ -951,11 +936,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
   if (!merged.Finalize(error)) {
     return std::nullopt;
   }
-  CampaignOutcome outcome;
-  outcome.bugs = {fold.bugs.begin(), fold.bugs.end()};
-  outcome.coverage = std::move(fold.coverage);
-  outcome.scenarios_run = fold.scenarios_run;
-  outcome.journal_path = spec_.journal_path;
+  CampaignOutcome outcome = FromExploration(fold.TakeResult(), spec_);
   outcome.metadata = spec_.ToJournalMeta();
   outcome.shards = std::move(shard_stats);
   return outcome;

@@ -15,9 +15,6 @@
 // processes (set_tool_path) or in-process, and the per-shard journals are
 // then merged (core/journal.h MergeJournals) into spec.journal_path as a
 // valid, resumable single-process journal.
-//
-// The historical RunGitCampaign/.../ExplorePbftCampaign/ResumeCampaign free
-// functions (bug_campaign.h) are one-line wrappers over this driver.
 
 #ifndef LFI_APPS_COMMON_CAMPAIGN_DRIVER_H_
 #define LFI_APPS_COMMON_CAMPAIGN_DRIVER_H_
@@ -29,6 +26,7 @@
 #include "apps/common/campaign_spec.h"
 #include "core/campaign_engine.h"
 #include "core/journal.h"
+#include "core/warm_pool.h"
 
 namespace lfi {
 
@@ -65,6 +63,9 @@ struct CampaignOutcome {
   size_t replays_reproduced = 0;
   // False only when replay mode failed to reproduce an expected crash site.
   bool ok = true;
+  // Single-process table1/explore/replay: the main pool's counters (builds
+  // == runs under cold_start). Zero for orchestrated runs.
+  WarmPool::Stats pool;
 };
 
 class CampaignDriver {

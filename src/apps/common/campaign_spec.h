@@ -61,7 +61,7 @@ bool IsCampaignSystem(const std::string& name);
 struct CampaignSpec {
   static constexpr size_t kNoShard = static_cast<size_t>(-1);
 
-  std::string system;  // "git"|"mysql"|"bind"|"pbft"|"bfs", or "all" (table1 only)
+  std::string system = {};  // "git"|"mysql"|"bind"|"pbft"|"bfs", or "all" (table1 only)
   CampaignMode mode = CampaignMode::kExplore;
   ExploreStrategy strategy = ExploreStrategy::kExhaustive;
   // Table 1 mode: run every generated scenario instead of stopping the fuzz
@@ -73,7 +73,7 @@ struct CampaignSpec {
   int workers = 1;     // engine worker pool; <= 0 = one per hardware thread
   // Journal artifact: written by table1/explore runs, read (and continued /
   // replayed) by resume/replay. Required when shard_count > 1.
-  std::string journal_path;
+  std::string journal_path = {};
   // With journal_path: replay an existing journal first and continue where
   // it stopped (kResume sets this implicitly after reading the header).
   bool resume = false;
@@ -99,7 +99,7 @@ struct CampaignSpec {
   size_t epoch_index = kNoEpoch;
   // Epoch children: path of the frontier snapshot (FrontierState XML) the
   // child reseeds its source from before running. Never journaled.
-  std::string frontier_path;
+  std::string frontier_path = {};
   bool json = false;  // machine-readable reporting (CLI presentation hint)
   // --- supervision policy (apps/common/shard_supervisor.h) -----------------
   // Execution environment, never campaign identity: none of these enter
@@ -119,17 +119,17 @@ struct CampaignSpec {
   // abandoned and reported as a deterministic FoundBug kind "hang"
   // (CampaignEngine::Options::job_timeout_ms). 0 = off.
   uint64_t job_timeout_ms = 0;
-  // Ablation knob: run every job against a freshly built target (the paper's
-  // fresh-process-per-test model) instead of the default warm snapshot/reset
-  // pools (apps/common/warm_targets.h). Execution environment, never campaign
-  // identity -- warm and cold runs produce byte-identical journals, so this
-  // is not in ToJournalMeta; it IS on the spec wire so spawned shard children
-  // inherit the choice.
+  // Pool policy: run every job against a freshly built target (the paper's
+  // fresh-process-per-test model) instead of resetting and reusing pooled
+  // instances (core/warm_pool.h, WarmPool::Policy). Execution environment,
+  // never campaign identity -- warm and cold runs produce byte-identical
+  // journals, so this is not in ToJournalMeta; it IS on the spec wire so
+  // spawned shard children inherit the choice.
   bool cold_start = false;
   // Failpoint schedule (util/failpoint.h spec syntax) armed by the driver
   // and inherited by spawned children over the spec wire format. Chaos
   // testing only; stripped from supervisor respawns.
-  std::string failpoints;
+  std::string failpoints = {};
   // On-disk encoding for journals this campaign creates (fresh runs, shard
   // artifacts, the merged journal). Reads auto-detect, and resume keeps the
   // existing file's encoding, so this is an artifact preference -- never
@@ -137,7 +137,7 @@ struct CampaignSpec {
   JournalFormat format = JournalFormat::kExtent;
   // Replay mode: "record[:injection]" selecting one journaled injection;
   // empty replays every record that injected.
-  std::string replay_selector;
+  std::string replay_selector = {};
   size_t abort_after_records = 0;  // kill-and-resume test hook (engine)
 
   bool operator==(const CampaignSpec&) const = default;

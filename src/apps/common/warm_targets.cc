@@ -35,8 +35,6 @@ void MoveLogInto(JobResult* result, TestController& controller) {
   }
 }
 
-}  // namespace
-
 // --- runner cores ------------------------------------------------------------
 
 JobResult RunGitJobOn(MiniGit& git, const CampaignJob& job) {
@@ -233,108 +231,7 @@ JobResult RunBfsMuxJobOn(BfsCluster& cluster, const CampaignJob& job) {
   return result;
 }
 
-// --- cold one-shot runners ---------------------------------------------------
-
-JobResult RunGitJob(const CampaignJob& job) {
-  VirtualFs fs;
-  VirtualNet net;
-  MiniGit git(&fs, &net, "/repo");
-  return RunGitJobOn(git, job);
-}
-
-JobResult RunMysqlJob(const CampaignJob& job) {
-  VirtualFs fs;
-  VirtualNet net;
-  MiniMysql mysql(&fs, &net, "/mysql");
-  return RunMysqlJobOn(mysql, job);
-}
-
-JobResult RunBindJob(const CampaignJob& job) {
-  VirtualFs fs;
-  VirtualNet net;
-  MiniBind bind(&fs, &net, "/etc/bind");
-  return RunBindJobOn(bind, job);
-}
-
-JobResult RunBindDstJob(const CampaignJob& job) {
-  VirtualFs fs;
-  VirtualNet net;
-  MiniBind bind(&fs, &net, "/etc/bind");
-  return RunBindDstJobOn(bind, job);
-}
-
-namespace {
-
-JobResult RunPbftJobWith(const CampaignJob& job, int requests, int max_ticks) {
-  VirtualFs fs;
-  VirtualNet net;
-  PbftConfig pbft_config;
-  PbftCluster cluster(&fs, &net, pbft_config);
-  if (!cluster.Start()) {
-    return JobResult{};
-  }
-  return RunPbftJobOn(cluster, job, requests, max_ticks);
-}
-
-BfsConfig BfsConfigFor(int rounds) {
-  BfsConfig config;
-  config.rounds = rounds;
-  return config;
-}
-
-JobResult RunBfsJobWith(const CampaignJob& job, int rounds, int max_ticks) {
-  VirtualFs fs;
-  VirtualNet net;
-  BfsCluster cluster(&fs, &net, BfsConfigFor(rounds));
-  if (!cluster.Start()) {
-    return JobResult{};
-  }
-  return RunBfsJobOn(cluster, job, max_ticks);
-}
-
-}  // namespace
-
-JobResult RunPbftJob(const CampaignJob& job) {
-  return RunPbftJobWith(job, /*requests=*/8, /*max_ticks=*/2000);
-}
-
-JobResult RunPbftExploreJob(const CampaignJob& job) {
-  return RunPbftJobWith(job, /*requests=*/20, /*max_ticks=*/3000);
-}
-
-JobResult RunPbftDistributedJob(const CampaignJob& job) {
-  VirtualFs fs;
-  VirtualNet net;
-  PbftConfig pbft_config;
-  pbft_config.debug_build = false;
-  PbftCluster cluster(&fs, &net, pbft_config);
-  if (!cluster.Start()) {
-    return JobResult{};
-  }
-  return RunPbftDistributedJobOn(cluster, job);
-}
-
-JobResult RunBfsJob(const CampaignJob& job) {
-  return RunBfsJobWith(job, /*rounds=*/2, /*max_ticks=*/600);
-}
-
-JobResult RunBfsExploreJob(const CampaignJob& job) {
-  return RunBfsJobWith(job, /*rounds=*/3, /*max_ticks=*/900);
-}
-
-JobResult RunBfsMuxJob(const CampaignJob& job) {
-  VirtualFs fs;
-  VirtualNet net;
-  BfsCluster cluster(&fs, &net, BfsConfigFor(/*rounds=*/2));
-  if (!cluster.Start()) {
-    return JobResult{};
-  }
-  return RunBfsMuxJobOn(cluster, job);
-}
-
 // --- warm targets ------------------------------------------------------------
-
-namespace {
 
 // One warm instance: the target plus its private virtual environment, frozen
 // at the post-setup snapshot point, replaying the shared core per job.
@@ -371,13 +268,21 @@ class SnapshotWarmTarget : public WarmTarget {
   typename App::Snapshot app_snapshot_;
 };
 
-std::unique_ptr<PbftCluster> BuildStartedCluster(VirtualFs* fs, VirtualNet* net,
-                                                 bool debug_build) {
-  PbftConfig config;
-  config.debug_build = debug_build;
-  auto cluster = std::make_unique<PbftCluster>(fs, net, config);
+std::unique_ptr<PbftCluster> BuildStartedCluster(VirtualFs* fs, VirtualNet* net) {
+  auto cluster = std::make_unique<PbftCluster>(fs, net, PbftConfig{});
   // Start() binds the replica and client sockets; with no interposer
-  // installed it cannot fail, matching the cold runners' disarmed bring-up.
+  // installed it cannot fail.
+  cluster->Start();
+  return cluster;
+}
+
+std::unique_ptr<BfsCluster> BuildStartedBfsCluster(VirtualFs* fs, VirtualNet* net,
+                                                   int rounds) {
+  BfsConfig config;
+  config.rounds = rounds;
+  auto cluster = std::make_unique<BfsCluster>(fs, net, config);
+  // Same disarmed-bring-up contract as pbft: no interposer is installed yet,
+  // so socket setup, volume format, and lease-key derivation cannot fail.
   cluster->Start();
   return cluster;
 }
@@ -427,9 +332,7 @@ WarmPool::Factory BindDstWarmFactory() {
 WarmPool::Factory PbftWarmFactory(int requests, int max_ticks) {
   return [requests, max_ticks] {
     return std::make_unique<SnapshotWarmTarget<PbftCluster>>(
-        [](VirtualFs* fs, VirtualNet* net) {
-          return BuildStartedCluster(fs, net, /*debug_build=*/false);
-        },
+        BuildStartedCluster,
         [requests, max_ticks](PbftCluster& cluster, const CampaignJob& job) {
           return RunPbftJobOn(cluster, job, requests, max_ticks);
         });
@@ -438,26 +341,10 @@ WarmPool::Factory PbftWarmFactory(int requests, int max_ticks) {
 
 WarmPool::Factory PbftDistributedWarmFactory() {
   return [] {
-    return std::make_unique<SnapshotWarmTarget<PbftCluster>>(
-        [](VirtualFs* fs, VirtualNet* net) {
-          return BuildStartedCluster(fs, net, /*debug_build=*/false);
-        },
-        RunPbftDistributedJobOn);
+    return std::make_unique<SnapshotWarmTarget<PbftCluster>>(BuildStartedCluster,
+                                                             RunPbftDistributedJobOn);
   };
 }
-
-namespace {
-
-std::unique_ptr<BfsCluster> BuildStartedBfsCluster(VirtualFs* fs, VirtualNet* net,
-                                                   int rounds) {
-  auto cluster = std::make_unique<BfsCluster>(fs, net, BfsConfigFor(rounds));
-  // Same disarmed-bring-up contract as pbft: no interposer is installed yet,
-  // so socket setup, volume format, and lease-key derivation cannot fail.
-  cluster->Start();
-  return cluster;
-}
-
-}  // namespace
 
 WarmPool::Factory BfsWarmFactory(int rounds, int max_ticks) {
   return [rounds, max_ticks] {
@@ -484,47 +371,38 @@ WarmPool::Factory BfsMuxWarmFactory() {
 // --- ExecutionLayer ----------------------------------------------------------
 
 ExecutionLayer::ExecutionLayer(const std::string& system, bool explore_workload,
-                               bool cold_start)
-    : cold_start_(cold_start) {
-  if (cold_start_) {
-    if (system == "git") {
-      runner_ = RunGitJob;
-    } else if (system == "mysql") {
-      runner_ = RunMysqlJob;
-    } else if (system == "bind") {
-      runner_ = RunBindJob;
-      bind_dst_runner_ = RunBindDstJob;
-    } else if (system == "pbft") {
-      runner_ = explore_workload ? RunPbftExploreJob : RunPbftJob;
-      pbft_distributed_runner_ = RunPbftDistributedJob;
-    } else if (system == "bfs") {
-      runner_ = explore_workload ? RunBfsExploreJob : RunBfsJob;
-      bfs_mux_runner_ = RunBfsMuxJob;
-    }
-    return;
-  }
+                               bool cold_start) {
+  WarmPool::Factory main;
+  WarmPool::Factory phase;
   if (system == "git") {
-    pool_ = std::make_unique<WarmPool>(GitWarmFactory());
+    main = GitWarmFactory();
   } else if (system == "mysql") {
-    pool_ = std::make_unique<WarmPool>(MysqlWarmFactory());
+    main = MysqlWarmFactory();
   } else if (system == "bind") {
-    pool_ = std::make_unique<WarmPool>(BindWarmFactory());
-    bind_dst_pool_ = std::make_unique<WarmPool>(BindDstWarmFactory());
-    bind_dst_runner_ = bind_dst_pool_->AsRunner();
+    main = BindWarmFactory();
+    phase = BindDstWarmFactory();
   } else if (system == "pbft") {
-    pool_ = std::make_unique<WarmPool>(explore_workload ? PbftWarmFactory(20, 3000)
-                                                        : PbftWarmFactory(8, 2000));
-    pbft_distributed_pool_ = std::make_unique<WarmPool>(PbftDistributedWarmFactory());
-    pbft_distributed_runner_ = pbft_distributed_pool_->AsRunner();
+    main = explore_workload ? PbftWarmFactory(20, 3000) : PbftWarmFactory(8, 2000);
+    phase = PbftDistributedWarmFactory();
   } else if (system == "bfs") {
-    pool_ = std::make_unique<WarmPool>(explore_workload ? BfsWarmFactory(3, 900)
-                                                        : BfsWarmFactory(2, 600));
-    bfs_mux_pool_ = std::make_unique<WarmPool>(BfsMuxWarmFactory());
-    bfs_mux_runner_ = bfs_mux_pool_->AsRunner();
+    main = explore_workload ? BfsWarmFactory(3, 900) : BfsWarmFactory(2, 600);
+    phase = BfsMuxWarmFactory();
   }
-  if (pool_ != nullptr) {
-    runner_ = pool_->AsRunner();
+  WarmPool::Policy policy = cold_start ? WarmPool::Policy::kFresh : WarmPool::Policy::kReuse;
+  if (main) {
+    pool_ = std::make_unique<WarmPool>(std::move(main), policy);
   }
+  if (phase) {
+    phase_pool_ = std::make_unique<WarmPool>(std::move(phase), policy);
+  }
+}
+
+CampaignEngine::ResultRunner ExecutionLayer::runner() const {
+  return pool_ != nullptr ? pool_->AsRunner() : nullptr;
+}
+
+CampaignEngine::ResultRunner ExecutionLayer::phase_runner() const {
+  return phase_pool_ != nullptr ? phase_pool_->AsRunner() : nullptr;
 }
 
 WarmPool::Stats ExecutionLayer::pool_stats() const {

@@ -1,22 +1,23 @@
-// Per-system job execution: shared runner cores, warm-target factories, and
-// the ExecutionLayer that picks warm pools or cold one-shot runners.
+// Per-system job execution: target factories and the ExecutionLayer that
+// serves a campaign's jobs through WarmPools built from them.
 //
 // Every workload the campaign driver dispatches exists in exactly one copy --
-// a *runner core* operating on an already-constructed target (`RunGitJobOn`,
-// `RunPbftJobOn`, ...). The cold runners wrap a core in construct-run-destroy
-// (one fresh target per job, the paper's fresh-process-per-test model); the
-// warm targets wrap the same core in construct-once + snapshot + restore
-// (core/warm_pool.h). Because both paths execute the identical core against a
-// target in the identical post-setup state, bugs, coverage, fingerprints, and
-// journal bytes cannot diverge between them.
+// a *runner core* operating on an already-constructed target (git's test
+// suite, pbft's request workload, ...), private to warm_targets.cc. A factory
+// constructs the target, runs its injection-disarmed setup, snapshots it
+// (core/warm_pool.h), and serves jobs through the core. The pool's policy
+// decides whether an instance is reset and reused after a job or destroyed
+// and the next job gets a fresh one; the core, and the post-setup state it
+// starts from, are the same either way, so bugs, coverage, fingerprints, and
+// journal bytes cannot diverge between the two.
 //
-// Snapshot points (== the state a cold runner hands to the workload):
+// Snapshot points (== the state a job's workload starts from):
 //   git, mysql, bind:  after application construction. Everything else --
 //       the mysql errmsg write + Startup(), git's test suite, bind's zone
 //       loading -- happens inside the faulted workload, so it must re-run
 //       per job.
-//   pbft:  after cluster construction *and* Start() (socket bring-up), which
-//       the cold runners also perform before installing the interposer.
+//   pbft, bfs:  after cluster construction *and* Start() (socket bring-up,
+//       key derivation), before any interposer is installed.
 
 #ifndef LFI_APPS_COMMON_WARM_TARGETS_H_
 #define LFI_APPS_COMMON_WARM_TARGETS_H_
@@ -29,96 +30,54 @@
 
 namespace lfi {
 
-class MiniGit;
-class MiniMysql;
-class MiniBind;
-class PbftCluster;
-class BfsCluster;
-
-// --- runner cores (one per workload kind) ----------------------------------
-
-JobResult RunGitJobOn(MiniGit& git, const CampaignJob& job);
-JobResult RunMysqlJobOn(MiniMysql& mysql, const CampaignJob& job);
-JobResult RunBindJobOn(MiniBind& bind, const CampaignJob& job);
-JobResult RunBindDstJobOn(MiniBind& bind, const CampaignJob& job);
-// `requests`/`max_ticks` size the workload (8/2000 for the Table 1 campaign,
-// 20/3000 for exploration -- enough to cross the checkpoint interval).
-JobResult RunPbftJobOn(PbftCluster& cluster, const CampaignJob& job, int requests,
-                       int max_ticks);
-JobResult RunPbftDistributedJobOn(PbftCluster& cluster, const CampaignJob& job);
-// `max_ticks` bounds the multi-client workload (600 for the Table 1
-// campaign, 900 for exploration's longer scripts). Runs the consistency
-// oracle's remount audit after every non-crashed injected run.
-JobResult RunBfsJobOn(BfsCluster& cluster, const CampaignJob& job, int max_ticks);
-// The partial-transfer phase: arms the vnet partial-send/recv fault sites
-// (seed-derived probabilities) instead of a library-fault scenario, so the
-// connection mux's recovery paths are exercised end to end.
-JobResult RunBfsMuxJobOn(BfsCluster& cluster, const CampaignJob& job);
-
-// --- cold one-shot runners (construct, run, destroy) ------------------------
-// The replay path and the --cold-start ablation run these; they are also the
-// fallback semantics the warm pool must be byte-identical to.
-
-JobResult RunGitJob(const CampaignJob& job);
-JobResult RunMysqlJob(const CampaignJob& job);
-JobResult RunBindJob(const CampaignJob& job);
-JobResult RunBindDstJob(const CampaignJob& job);
-JobResult RunPbftJob(const CampaignJob& job);
-JobResult RunPbftExploreJob(const CampaignJob& job);
-JobResult RunPbftDistributedJob(const CampaignJob& job);
-JobResult RunBfsJob(const CampaignJob& job);
-JobResult RunBfsExploreJob(const CampaignJob& job);
-JobResult RunBfsMuxJob(const CampaignJob& job);
-
-// --- warm-target factories ---------------------------------------------------
-// One factory per (system, workload kind): constructs the target, runs its
-// injection-disarmed setup, snapshots, and serves jobs through the shared
-// core. Handed to WarmPool.
+// --- target factories ----------------------------------------------------------
+// One factory per (system, workload kind), handed to WarmPool.
 
 WarmPool::Factory GitWarmFactory();
 WarmPool::Factory MysqlWarmFactory();
 WarmPool::Factory BindWarmFactory();
+// The dst_lib_init malloc sweep (bind's Table 1 second phase).
 WarmPool::Factory BindDstWarmFactory();
+// `requests`/`max_ticks` size the workload (8/2000 for the Table 1 campaign,
+// 20/3000 for exploration -- enough to cross the checkpoint interval).
 WarmPool::Factory PbftWarmFactory(int requests, int max_ticks);
+// Distributed random sendto/recvfrom faults across every replica (pbft's
+// Table 1 second phase).
 WarmPool::Factory PbftDistributedWarmFactory();
+// `rounds`/`max_ticks` size the multi-client workload (2/600 for the Table 1
+// campaign, 3/900 for exploration's longer scripts). Runs the consistency
+// oracle's remount audit after every non-crashed injected run.
 WarmPool::Factory BfsWarmFactory(int rounds, int max_ticks);
+// Partial-transfer faults on the vnet fabric (bfs's Table 1 second phase):
+// arms seed-derived partial-send/recv probabilities instead of a
+// library-fault scenario, so the connection mux's recovery paths run.
 WarmPool::Factory BfsMuxWarmFactory();
 
 // --- the execution layer -----------------------------------------------------
-// Owns the campaign's warm pools (lifetime: one engine run -- shard and epoch
+// Owns a campaign's pools (lifetime: one engine run -- shard and epoch
 // children each build their own) and hands out the ResultRunners the engine
-// and the Table 1 job builders plug in. With `cold_start` (the ablation knob,
-// spec attribute cold-start) every runner is the one-shot cold function
-// instead, so `lfi_tool --cold-start` byte-compares against the default.
+// and the Table 1 job builders plug in. `cold_start` (spec attribute
+// cold-start) builds the same pools under WarmPool::Policy::kFresh, so
+// `lfi_tool --cold-start` byte-compares against the default.
 class ExecutionLayer {
  public:
   ExecutionLayer(const std::string& system, bool explore_workload, bool cold_start);
 
-  // The campaign-wide runner for `system`'s default (or exploration) workload.
-  const CampaignEngine::ResultRunner& runner() const { return runner_; }
-  // Self-contained-job runners (empty unless `system` defines them): the
-  // bind dst_lib_init sweep and the distributed pbft fuzz phase.
-  const CampaignEngine::ResultRunner& bind_dst_runner() const { return bind_dst_runner_; }
-  const CampaignEngine::ResultRunner& pbft_distributed_runner() const {
-    return pbft_distributed_runner_;
-  }
-  const CampaignEngine::ResultRunner& bfs_mux_runner() const { return bfs_mux_runner_; }
+  // The campaign-wide runner for `system`'s default (or exploration)
+  // workload; empty for an unknown system.
+  CampaignEngine::ResultRunner runner() const;
+  // The runner of `system`'s self-contained Table 1 second-phase jobs (bind's
+  // dst sweep, pbft's distributed fuzz, bfs's partial transfers); empty for
+  // git and mysql.
+  CampaignEngine::ResultRunner phase_runner() const;
 
-  bool cold_start() const { return cold_start_; }
-  // Main-pool counters (zeroes under cold_start): how much bring-up the warm
-  // layer actually amortized.
+  // Main-pool counters: how much bring-up the pool amortized (builds == runs
+  // under cold_start).
   WarmPool::Stats pool_stats() const;
 
  private:
-  bool cold_start_;
   std::unique_ptr<WarmPool> pool_;
-  std::unique_ptr<WarmPool> bind_dst_pool_;
-  std::unique_ptr<WarmPool> pbft_distributed_pool_;
-  std::unique_ptr<WarmPool> bfs_mux_pool_;
-  CampaignEngine::ResultRunner runner_;
-  CampaignEngine::ResultRunner bind_dst_runner_;
-  CampaignEngine::ResultRunner pbft_distributed_runner_;
-  CampaignEngine::ResultRunner bfs_mux_runner_;
+  std::unique_ptr<WarmPool> phase_pool_;
 };
 
 }  // namespace lfi

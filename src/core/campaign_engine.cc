@@ -164,15 +164,17 @@ class JournalHook {
 
 // Runs one job, under a wall-clock watchdog when Options::job_timeout_ms is
 // set. A job past its budget is a target hung under an injected fault: the
-// worker thread is abandoned (it owns copies of everything it touches, so
-// detaching is safe) and the job reports a deterministic "hang" bug -- site
-// and fingerprint derive from the label alone, so the resulting journal
-// record is identical however long the wait actually took.
+// worker thread is abandoned and the job reports a deterministic "hang" bug
+// -- site and fingerprint derive from the label alone, so the resulting
+// journal record is identical however long the wait actually took. Detaching
+// is safe because the thread owns copies of the job and the runner, and a
+// runner must keep alive whatever it touches: a WarmPool runner shares the
+// pool's state, so a late finisher never reaches a destroyed pool.
 JobResult ExecuteJob(const CampaignJob& job, const CampaignEngine::ResultRunner& runner,
                      const CampaignEngine::Options& options) {
   if (options.job_timeout_ms == 0) {
     FailpointFired("engine.job.run");  // hang-action failpoints park here
-    return job.explore ? job.explore(job) : runner(job);
+    return job.run ? job.run(job) : runner(job);
   }
   struct Watch {
     std::mutex mu;
@@ -193,7 +195,7 @@ JobResult ExecuteJob(const CampaignJob& job, const CampaignEngine::ResultRunner&
         return;
       }
     }
-    JobResult result = job.explore ? job.explore(job) : runner(job);
+    JobResult result = job.run ? job.run(job) : runner(job);
     std::lock_guard<std::mutex> lock(watch->mu);
     watch->result = std::move(result);
     watch->done = true;
@@ -247,38 +249,15 @@ std::optional<FoundBug> FoundBug::Parse(const std::string& xml, std::string* err
   return ParseXmlElement<FoundBug>(xml, error);
 }
 
-bool BugSink::Report(const FoundBug& bug) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bugs_.insert(bug).second;
-}
-
-void BugSink::Report(const std::vector<FoundBug>& bugs) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const FoundBug& bug : bugs) {
-    bugs_.insert(bug);
-  }
-}
-
-size_t BugSink::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bugs_.size();
-}
-
-std::vector<FoundBug> BugSink::Sorted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {bugs_.begin(), bugs_.end()};
-}
-
 ExplorationResult CampaignEngine::RunOrdered(const std::vector<CampaignJob>& jobs,
                                              const ResultRunner& runner,
-                                             ScenarioSource* source) const {
+                                             ScenarioSource& source) const {
   // Completed jobs park their results here until every lower-index job has
   // finished; the cursor then folds them into the result in job order. That
   // ordered merge -- not the execution order -- decides dedup winners, the
   // max_bugs cutoff, and what each job newly covered, which is what makes N
   // workers bit-identical to one.
-  ExplorationResult out;
-  std::set<FoundBug> bugs;
+  CampaignFold fold;
   std::vector<std::optional<JobResult>> pending(jobs.size());
   size_t cursor = 0;
   std::mutex merge_mu;
@@ -298,27 +277,17 @@ ExplorationResult CampaignEngine::RunOrdered(const std::vector<CampaignJob>& job
       const CampaignJob& job = jobs[cursor];
       RunFeedback feedback;
       bool gated = job.skip_when_saturated && options_.max_bugs != 0 &&
-                   bugs.size() >= options_.max_bugs;
+                   fold.bugs.size() >= options_.max_bugs;
       if (!gated) {
-        JobResult& merged = *pending[cursor];
-        for (const FoundBug& bug : merged.bugs) {
-          feedback.new_bug |= bugs.insert(bug).second;
-        }
-        feedback.injections = merged.injections;
-        feedback.fingerprint = merged.fingerprint;
-        feedback.new_blocks = merged.coverage.NewlyCoveredVersus(out.coverage);
-        out.coverage.Absorb(merged.coverage);
-        ++out.scenarios_run;
+        feedback = fold.Add(*pending[cursor]);
       }
-      if (options_.max_bugs != 0 && bugs.size() >= options_.max_bugs) {
+      if (options_.max_bugs != 0 && fold.bugs.size() >= options_.max_bugs) {
         saturated.store(true, std::memory_order_release);
       }
       if (journal != nullptr && cursor >= journal->replay_count()) {
         journal->Append(job, gated, *pending[cursor], feedback, cursor, options_.epoch);
       }
-      if (source != nullptr) {
-        source->OnFeedback(job, feedback);
-      }
+      source.OnFeedback(job, feedback);
       pending[cursor].reset();  // the cursor never revisits a merged slot
       ++cursor;
     }
@@ -348,25 +317,7 @@ ExplorationResult CampaignEngine::RunOrdered(const std::vector<CampaignJob>& job
   if (journal != nullptr) {
     journal->Finish();
   }
-  out.bugs = {bugs.begin(), bugs.end()};
-  return out;
-}
-
-std::vector<FoundBug> CampaignEngine::Run(const std::vector<CampaignJob>& jobs,
-                                          const JobRunner& runner) const {
-  ResultRunner adapted = [&runner](const CampaignJob& job) {
-    JobResult result;
-    result.bugs = job.run ? job.run(job) : runner(job);
-    return result;
-  };
-  return RunOrdered(jobs, adapted, nullptr).bugs;
-}
-
-std::vector<FoundBug> CampaignEngine::Run(const std::vector<CampaignJob>& jobs) const {
-  return Run(jobs, [](const CampaignJob& job) -> std::vector<FoundBug> {
-    throw std::logic_error("CampaignJob '" + job.label +
-                           "' has no runner and none was passed to Run()");
-  });
+  return fold.TakeResult();
 }
 
 ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner& runner) const {
@@ -386,11 +337,10 @@ ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner
         jobs.push_back(std::move(job));
       }
     }
-    return RunOrdered(jobs, runner, &source);
+    return RunOrdered(jobs, runner, source);
   }
 
-  ExplorationResult out;
-  std::set<FoundBug> bugs;
+  CampaignFold fold;
   // Written only between batches, read by the workers of the *next* batch:
   // the advisory skip is deterministic because it depends solely on fully
   // merged batches, never on intra-batch completion order.
@@ -450,23 +400,15 @@ ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner
     });
 
     // The deterministic merge point: job order decides dedup winners, the
-    // max_bugs cutoff, and -- new versus the batch API -- what each job
-    // newly covered, since the cumulative map grows in job order too.
+    // max_bugs cutoff, and what each job newly covered, since the cumulative
+    // map grows in job order too.
     for (size_t index = 0; index < batch.size(); ++index) {
       const CampaignJob& job = batch[index];
       RunFeedback feedback;
       bool gated = job.skip_when_saturated && options_.max_bugs != 0 &&
-                   bugs.size() >= options_.max_bugs;
+                   fold.bugs.size() >= options_.max_bugs;
       if (!gated) {
-        JobResult& result = results[index];
-        for (const FoundBug& bug : result.bugs) {
-          feedback.new_bug |= bugs.insert(bug).second;
-        }
-        feedback.injections = result.injections;
-        feedback.fingerprint = result.fingerprint;
-        feedback.new_blocks = result.coverage.NewlyCoveredVersus(out.coverage);
-        out.coverage.Absorb(result.coverage);
-        ++out.scenarios_run;
+        feedback = fold.Add(results[index]);
       }
       if (journal != nullptr && stream_base + index >= journal->replay_count()) {
         journal->Append(job, gated, results[index], feedback, stream_base + index, epoch);
@@ -478,7 +420,7 @@ ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner
       }
     }
     stream_base += batch.size();
-    if (options_.max_bugs != 0 && bugs.size() >= options_.max_bugs) {
+    if (options_.max_bugs != 0 && fold.bugs.size() >= options_.max_bugs) {
       saturated = true;
     }
     if (epoch_len != 0 && ++batches_this_epoch >= epoch_len) {
@@ -489,15 +431,7 @@ ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner
   if (journal != nullptr) {
     journal->Finish();
   }
-  out.bugs = {bugs.begin(), bugs.end()};
-  return out;
-}
-
-ExplorationResult CampaignEngine::Run(ScenarioSource& source) const {
-  return Run(source, [](const CampaignJob& job) -> JobResult {
-    throw std::logic_error("CampaignJob '" + job.label +
-                           "' has no explore runner and none was passed to Run()");
-  });
+  return fold.TakeResult();
 }
 
 std::vector<CampaignJob> AnalyzerJobs(const Image& binary, const FaultProfile& profile,

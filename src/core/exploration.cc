@@ -23,6 +23,27 @@ void ScenarioSource::OnFeedback(const CampaignJob& job, const RunFeedback& feedb
   (void)feedback;
 }
 
+RunFeedback CampaignFold::Add(const JobResult& result) {
+  RunFeedback feedback;
+  for (const FoundBug& bug : result.bugs) {
+    feedback.new_bug |= bugs.insert(bug).second;
+  }
+  feedback.injections = result.injections;
+  feedback.fingerprint = result.fingerprint;
+  feedback.new_blocks = result.coverage.NewlyCoveredVersus(coverage);
+  coverage.Absorb(result.coverage);
+  ++scenarios_run;
+  return feedback;
+}
+
+ExplorationResult CampaignFold::TakeResult() {
+  ExplorationResult result;
+  result.bugs = {bugs.begin(), bugs.end()};
+  result.coverage = std::move(coverage);
+  result.scenarios_run = scenarios_run;
+  return result;
+}
+
 // --- RunFeedback XML --------------------------------------------------------
 
 void RunFeedback::AppendXml(XmlNode* parent) const {

@@ -67,6 +67,24 @@ struct RunFeedback {
                                           std::string* error = nullptr);
 };
 
+// The campaign's deterministic merge fold -- the one copy the engine, journal
+// merges, and the epoch orchestrator all run. Crash sites dedup first report
+// wins (later duplicates keep the original `injected` attribution), and each
+// executed job's feedback is computed against the coverage of every job
+// folded before it, so folding the same results in the same order yields the
+// same bug list, coverage, and feedback wherever the fold runs.
+struct CampaignFold {
+  std::set<FoundBug> bugs;
+  CoverageMap coverage;
+  size_t scenarios_run = 0;
+
+  // Folds one executed (non-gated) job and returns the feedback it earned.
+  RunFeedback Add(const JobResult& result);
+
+  // The campaign result so far; moves the cumulative coverage out.
+  ExplorationResult TakeResult();
+};
+
 // A pull-based producer of campaign jobs. NextBatch() returning an empty
 // vector ends the campaign. The engine calls OnFeedback() once per merged
 // job, in job order, after the job's batch completed -- a source never

@@ -497,24 +497,14 @@ bool MergeRecordsInto(CampaignJournal& output, const std::vector<CampaignJournal
     }
   }
 
-  // The engine's merge fold, continued from `fold`: crash-site
-  // first-report-wins in stream order, and feedback recomputed against the
-  // cumulative coverage (each input recorded feedback against its
-  // shard-local state, which is stale in the merged stream).
+  // The engine's merge fold, continued from `fold`: feedback is recomputed
+  // against the cumulative coverage (each input recorded feedback against
+  // its shard-local state, which is stale in the merged stream).
   for (const Keyed& entry : keyed) {
     JournalRecord record = *entry.record;
     record.stream_index = entry.stream_index;
     if (!record.gated) {
-      RunFeedback feedback;
-      for (const FoundBug& bug : record.result.bugs) {
-        feedback.new_bug |= fold->bugs.insert(bug).second;
-      }
-      feedback.injections = record.result.injections;
-      feedback.fingerprint = record.result.fingerprint;
-      feedback.new_blocks = record.result.coverage.NewlyCoveredVersus(fold->coverage);
-      fold->coverage.Absorb(record.result.coverage);
-      ++fold->scenarios_run;
-      record.feedback = std::move(feedback);
+      record.feedback = fold->Add(record.result);
     }
     if (!output.Append(record)) {
       return fail("merge append failed: disk full or I/O error");
@@ -643,10 +633,7 @@ std::optional<ExplorationResult> MergeJournals(const std::vector<std::string>& i
   if (!MergeRecordsInto(merged, journals, &fold, error)) {
     return std::nullopt;
   }
-  ExplorationResult out;
-  out.bugs = {fold.bugs.begin(), fold.bugs.end()};
-  out.coverage = std::move(fold.coverage);
-  out.scenarios_run = fold.scenarios_run;
+  ExplorationResult out = fold.TakeResult();
   if (!merged.Finalize(error)) {
     return std::nullopt;
   }

@@ -247,15 +247,12 @@ struct MergeInputStats {
 };
 
 // The engine-fold state an incremental merge carries between calls: the
-// crash-site dedup set, the cumulative coverage, and how far the merged
-// stream has grown. A distributed coverage-guided campaign merges one
+// campaign fold (crash-site dedup set, cumulative coverage) plus how far the
+// merged stream has grown. A distributed coverage-guided campaign merges one
 // epoch's shard journals per call, so folding from this state -- instead of
 // re-folding from record zero like one-shot MergeJournals -- keeps the
 // per-epoch cost proportional to the epoch, not the campaign so far.
-struct MergeFoldState {
-  std::set<FoundBug> bugs;
-  CoverageMap coverage;
-  size_t scenarios_run = 0;
+struct MergeFoldState : CampaignFold {
   size_t records = 0;            // records merged so far
   size_t next_stream_index = 0;  // smallest stream index a new record may claim
 };

@@ -2,27 +2,33 @@
 
 namespace lfi {
 
-std::unique_ptr<WarmTarget> WarmPool::Checkout() {
+WarmPool::WarmPool(Factory factory, Policy policy)
+    : state_(std::make_shared<State>()) {
+  state_->factory = std::move(factory);
+  state_->policy = policy;
+}
+
+WarmPool::Stats WarmPool::stats() const {
+  std::lock_guard<std::mutex> lock(state_->mu);
+  return state_->stats;
+}
+
+std::unique_ptr<WarmTarget> WarmPool::State::Checkout() {
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!idle_.empty()) {
-      std::unique_ptr<WarmTarget> instance = std::move(idle_.back());
-      idle_.pop_back();
+    std::lock_guard<std::mutex> lock(mu);
+    if (!idle.empty()) {
+      std::unique_ptr<WarmTarget> instance = std::move(idle.back());
+      idle.pop_back();
       return instance;
     }
-    ++stats_.builds;
+    ++stats.builds;
   }
   // Build outside the lock: bring-up is the expensive part this pool exists
   // to amortize, and other workers should not serialize behind it.
-  return factory_();
+  return factory();
 }
 
-void WarmPool::Checkin(std::unique_ptr<WarmTarget> instance) {
-  std::lock_guard<std::mutex> lock(mu_);
-  idle_.push_back(std::move(instance));
-}
-
-JobResult WarmPool::RunJob(const CampaignJob& job) {
+JobResult WarmPool::State::RunJob(const CampaignJob& job) {
   std::unique_ptr<WarmTarget> instance = Checkout();
   JobResult result;
   try {
@@ -31,24 +37,19 @@ JobResult WarmPool::RunJob(const CampaignJob& job) {
     // The harness absorbs expected failures (SimCrash is caught inside
     // RunTest); anything that still unwinds leaves the instance in an
     // unknown state, so it must not be re-pooled.
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.runs;
-    ++stats_.dropped;
+    std::lock_guard<std::mutex> lock(mu);
+    ++stats.runs;
+    stats.dropped += policy == Policy::kReuse ? 1 : 0;
     throw;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.runs;
-  }
-  if (instance->Reset()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.resets;
-    }
-    Checkin(std::move(instance));
-  } else {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.dropped;
+  bool reusable = policy == Policy::kReuse && instance->Reset();
+  std::lock_guard<std::mutex> lock(mu);
+  ++stats.runs;
+  if (reusable) {
+    ++stats.resets;
+    idle.push_back(std::move(instance));
+  } else if (policy == Policy::kReuse) {
+    ++stats.dropped;
   }
   return result;
 }

@@ -13,13 +13,13 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/bfs/bfs.h"
 #include "apps/common/campaign_driver.h"
 #include "apps/common/campaign_spec.h"
+#include "campaign_test_util.h"
 #include "core/runtime.h"
 #include "core/stock_triggers.h"
 #include "util/errno_codes.h"
@@ -186,16 +186,6 @@ TEST_F(BfsTest, InodeDeferBugCorruptsSilently) {
 }
 
 // --- the campaign driver's equivalence bar, for bfs -------------------------
-
-std::string TempPath(const char* name) { return ::testing::TempDir() + name; }
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
 
 void RemoveEpochArtifacts(const std::string& journal, size_t shards) {
   std::remove(journal.c_str());

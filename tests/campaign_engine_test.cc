@@ -1,5 +1,5 @@
 // The parallel campaign engine: serial equivalence, deterministic merges,
-// concurrent dedup, and per-scenario seed reproducibility.
+// the max_bugs gate, and per-scenario seed reproducibility.
 
 #include <gtest/gtest.h>
 
@@ -10,11 +10,12 @@
 #include <thread>
 #include <vector>
 
-#include "apps/common/bug_campaign.h"
 #include "apps/git/git.h"
+#include "campaign_test_util.h"
 #include "core/analysis_cache.h"
 #include "core/campaign_engine.h"
 #include "core/controller.h"
+#include "core/exploration.h"
 #include "core/stock_triggers.h"
 #include "util/errno_codes.h"
 #include "util/work_queue.h"
@@ -24,14 +25,20 @@
 namespace lfi {
 namespace {
 
-void ExpectSameBugs(const std::vector<FoundBug>& a, const std::vector<FoundBug>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].system, b[i].system) << i;
-    EXPECT_EQ(a[i].kind, b[i].kind) << i;
-    EXPECT_EQ(a[i].where, b[i].where) << i;
-    EXPECT_EQ(a[i].injected, b[i].injected) << i;
+// Streams `jobs` through an engine with `options`, every job on `runner`.
+std::vector<FoundBug> RunJobs(std::vector<CampaignJob> jobs, CampaignEngine::Options options,
+                              const CampaignEngine::ResultRunner& runner) {
+  ExhaustiveSource source(std::move(jobs));
+  return CampaignEngine(options).Run(source, runner).bugs;
+}
+
+// Labelled jobs "job-0" .. "job-<count-1>".
+std::vector<CampaignJob> LabelledJobs(int count) {
+  std::vector<CampaignJob> jobs(count);
+  for (int i = 0; i < count; ++i) {
+    jobs[i].label = "job-" + std::to_string(i);
   }
+  return jobs;
 }
 
 // --- worker pool ----------------------------------------------------------
@@ -71,37 +78,6 @@ TEST(WorkerPool, StealingDrainsImbalancedQueues) {
   EXPECT_EQ(done.load(), 32);
 }
 
-// --- BugSink dedup under concurrent merges --------------------------------
-
-TEST(BugSink, DedupsConcurrentOverlappingMerges) {
-  constexpr int kThreads = 8;
-  constexpr int kSites = 64;
-  BugSink sink;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&sink, t] {
-      for (int round = 0; round < 50; ++round) {
-        for (int site = 0; site < kSites; ++site) {
-          // Every thread reports every site, with a thread-specific
-          // attribution: exactly one per site may survive.
-          sink.Report(FoundBug{"sys", "SIGSEGV", "site-" + std::to_string(site),
-                               "thread-" + std::to_string(t)});
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  std::vector<FoundBug> bugs = sink.Sorted();
-  ASSERT_EQ(bugs.size(), static_cast<size_t>(kSites));
-  std::set<std::string> sites;
-  for (const FoundBug& bug : bugs) {
-    sites.insert(bug.where);
-  }
-  EXPECT_EQ(sites.size(), static_cast<size_t>(kSites));
-}
-
 // --- deterministic job-order merge ----------------------------------------
 
 TEST(CampaignEngine, JobOrderDecidesDedupWinnerRegardlessOfCompletionOrder) {
@@ -109,20 +85,15 @@ TEST(CampaignEngine, JobOrderDecidesDedupWinnerRegardlessOfCompletionOrder) {
   // job 1 finishes first -- but the job-order merge must still attribute the
   // bug to job 0, exactly like the serial loop would.
   for (int workers : {1, 2, 8}) {
-    std::vector<CampaignJob> jobs;
-    for (int i = 0; i < 2; ++i) {
-      CampaignJob job;
-      job.label = "job-" + std::to_string(i);
-      job.run = [i](const CampaignJob& self) {
-        if (i == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        }
-        return std::vector<FoundBug>{{"sys", "SIGSEGV", "shared-site", self.label}};
-      };
-      jobs.push_back(std::move(job));
-    }
-    CampaignEngine engine({.workers = workers});
-    std::vector<FoundBug> bugs = engine.Run(jobs);
+    std::vector<FoundBug> bugs =
+        RunJobs(LabelledJobs(2), {.workers = workers}, [](const CampaignJob& job) {
+          if (job.label == "job-0") {
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          }
+          JobResult result;
+          result.bugs.push_back({"sys", "SIGSEGV", "shared-site", job.label});
+          return result;
+        });
     ASSERT_EQ(bugs.size(), 1u) << "workers=" << workers;
     EXPECT_EQ(bugs[0].injected, "job-0") << "workers=" << workers;
   }
@@ -133,19 +104,16 @@ TEST(CampaignEngine, MaxBugsGatesSaturableJobsDeterministically) {
   // After the first two bugs the gated jobs must contribute nothing, no
   // matter how many workers raced ahead.
   for (int workers : {1, 4}) {
-    std::vector<CampaignJob> jobs;
-    for (int i = 0; i < 10; ++i) {
-      CampaignJob job;
-      job.label = "job-" + std::to_string(i);
-      job.skip_when_saturated = i >= 2;
-      job.run = [i](const CampaignJob& self) {
-        return std::vector<FoundBug>{
-            {"sys", "SIGSEGV", "site-" + std::to_string(i), self.label}};
-      };
-      jobs.push_back(std::move(job));
+    std::vector<CampaignJob> jobs = LabelledJobs(10);
+    for (int i = 2; i < 10; ++i) {
+      jobs[i].skip_when_saturated = true;
     }
-    CampaignEngine engine({.workers = workers, .max_bugs = 2});
-    std::vector<FoundBug> bugs = engine.Run(jobs);
+    std::vector<FoundBug> bugs =
+        RunJobs(std::move(jobs), {.workers = workers, .max_bugs = 2}, [](const CampaignJob& job) {
+          JobResult result;
+          result.bugs.push_back({"sys", "SIGSEGV", "site-" + job.label.substr(4), job.label});
+          return result;
+        });
     ASSERT_EQ(bugs.size(), 2u) << "workers=" << workers;
     EXPECT_EQ(bugs[0].where, "site-0");
     EXPECT_EQ(bugs[1].where, "site-1");
@@ -154,17 +122,21 @@ TEST(CampaignEngine, MaxBugsGatesSaturableJobsDeterministically) {
 
 // --- campaign equivalence: parallel == serial baseline --------------------
 
+std::vector<FoundBug> Table1Bugs(const char* system, int workers) {
+  return RunSpec({.system = system, .mode = CampaignMode::kTable1, .workers = workers}).bugs;
+}
+
 TEST(CampaignEngine, PbftCampaignIdenticalAcrossWorkerCounts) {
-  std::vector<FoundBug> serial = RunPbftCampaign({.workers = 1});
+  std::vector<FoundBug> serial = Table1Bugs("pbft", 1);
   ASSERT_EQ(serial.size(), 2u);
-  ExpectSameBugs(serial, RunPbftCampaign({.workers = 2}));
-  ExpectSameBugs(serial, RunPbftCampaign({.workers = 8}));
+  ExpectSameBugs(serial, Table1Bugs("pbft", 2));
+  ExpectSameBugs(serial, Table1Bugs("pbft", 8));
 }
 
 TEST(CampaignEngine, FullCampaignIdenticalAcrossWorkerCounts) {
-  std::vector<FoundBug> serial = RunFullCampaign({.workers = 1});
+  std::vector<FoundBug> serial = Table1Bugs("all", 1);
   EXPECT_EQ(serial.size(), 12u);
-  ExpectSameBugs(serial, RunFullCampaign({.workers = 4}));
+  ExpectSameBugs(serial, Table1Bugs("all", 4));
 }
 
 // --- per-scenario seed reproducibility ------------------------------------
@@ -197,30 +169,30 @@ std::vector<FoundBug> RunSeededRandomCampaign(int workers) {
     job.scenario = RandomScenarioWithoutDeclaredSeed();
     job.label = "trial-" + std::to_string(i);
     job.seed = i + 1;
-    job.run = [](const CampaignJob& self) {
-      VirtualFs fs;
-      VirtualNet net;
-      VirtualLibc libc(&fs, &net, "seed-app");
-      fs.WriteFile("/f", std::string(64, 'x'));
-      TestController controller(self.scenario, SeededOptions(self.seed));
-      TestOutcome outcome = controller.RunTest(&libc, [&] {
-        int fd = libc.Open("/f", kORdOnly);
-        char buf[1];
-        for (int i = 0; i < 24; ++i) {
-          libc.Read(fd, buf, 1);
-        }
-        libc.Close(fd);
-        return true;
-      });
-      // Encode the injection trace length so the comparison below is
-      // sensitive to every single trigger decision.
-      return std::vector<FoundBug>{
-          {"seedtest", "injections", self.label, std::to_string(outcome.injections)}};
-    };
     jobs.push_back(std::move(job));
   }
-  CampaignEngine engine({.workers = workers});
-  return engine.Run(jobs);
+  return RunJobs(std::move(jobs), {.workers = workers}, [](const CampaignJob& self) {
+    VirtualFs fs;
+    VirtualNet net;
+    VirtualLibc libc(&fs, &net, "seed-app");
+    fs.WriteFile("/f", std::string(64, 'x'));
+    TestController controller(self.scenario, SeededOptions(self.seed));
+    TestOutcome outcome = controller.RunTest(&libc, [&] {
+      int fd = libc.Open("/f", kORdOnly);
+      char buf[1];
+      for (int i = 0; i < 24; ++i) {
+        libc.Read(fd, buf, 1);
+      }
+      libc.Close(fd);
+      return true;
+    });
+    // Encode the injection trace length so the comparison below is
+    // sensitive to every single trigger decision.
+    JobResult result;
+    result.bugs.push_back(
+        {"seedtest", "injections", self.label, std::to_string(outcome.injections)});
+    return result;
+  });
 }
 
 TEST(CampaignEngine, SeedsMakeRandomScenariosReproducibleAcrossWorkerCounts) {

@@ -9,14 +9,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "apps/common/bug_campaign.h"
 #include "apps/common/campaign_driver.h"
 #include "apps/common/campaign_spec.h"
+#include "campaign_test_util.h"
 #include "core/exploration.h"
 #include "core/journal.h"
 #include "core/scenario.h"
@@ -26,16 +24,6 @@
 
 namespace lfi {
 namespace {
-
-std::string TempPath(const char* name) { return ::testing::TempDir() + name; }
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
 
 // The driver refuses to clobber existing artifacts, so tests must clear a
 // previous run's journal plus its per-shard files to stay re-runnable.
@@ -320,11 +308,11 @@ TEST(ShardedCampaign, MergeIsOrderInvariantAndMatchesSingleProcess) {
 
   // The merged journal is a valid resumable campaign: resume replays it to
   // the same result without re-executing (and without touching the bytes).
-  auto resumed = ResumeCampaign(merged_path, /*workers=*/2, &error);
-  ASSERT_TRUE(resumed.has_value()) << error;
-  EXPECT_EQ(resumed->bugs, single_outcome->bugs);
-  EXPECT_EQ(resumed->coverage.hits(), single_outcome->coverage.hits());
-  EXPECT_EQ(resumed->scenarios_run, single_outcome->scenarios_run);
+  CampaignOutcome resumed =
+      RunSpec({.mode = CampaignMode::kResume, .workers = 2, .journal_path = merged_path});
+  EXPECT_EQ(resumed.bugs, single_outcome->bugs);
+  EXPECT_EQ(resumed.coverage.hits(), single_outcome->coverage.hits());
+  EXPECT_EQ(resumed.scenarios_run, single_outcome->scenarios_run);
   EXPECT_EQ(ReadFile(merged_path), single_bytes);
 
   // A killed orchestration leaves finished shard journals behind; re-running
@@ -423,20 +411,6 @@ TEST(ShardedCampaign, MergeRejectsMismatchedCampaignIdentity) {
 }
 
 // --- driver modes beyond explore --------------------------------------------
-
-// The wrappers route through the driver; spot-check that a driven table1
-// campaign still reproduces the historical bug list (campaign_test.cc pins
-// the full Table 1 content).
-TEST(CampaignDriver, Table1SpecMatchesWrapper) {
-  CampaignSpec spec;
-  spec.system = "git";
-  spec.mode = CampaignMode::kTable1;
-  std::string error;
-  auto outcome = CampaignDriver(spec).Run(&error);
-  ASSERT_TRUE(outcome.has_value()) << error;
-  EXPECT_EQ(outcome->bugs, RunGitCampaign());
-  EXPECT_FALSE(outcome->bugs.empty());
-}
 
 TEST(CampaignDriver, ReplayModeReproducesJournaledCrashes) {
   EnsureStockTriggersRegistered();

@@ -7,10 +7,14 @@
 
 #include <set>
 
-#include "apps/common/bug_campaign.h"
+#include "campaign_test_util.h"
 
 namespace lfi {
 namespace {
+
+std::vector<FoundBug> Table1Bugs(const char* system) {
+  return RunSpec({.system = system, .mode = CampaignMode::kTable1}).bugs;
+}
 
 std::set<std::string> Kinds(const std::vector<FoundBug>& bugs) {
   std::set<std::string> out;
@@ -21,7 +25,7 @@ std::set<std::string> Kinds(const std::vector<FoundBug>& bugs) {
 }
 
 TEST(Campaign, GitFindsItsFiveBugs) {
-  auto bugs = RunGitCampaign();
+  auto bugs = Table1Bugs("git");
   EXPECT_EQ(bugs.size(), 5u) << [&] {
     std::string s;
     for (const auto& b : bugs) {
@@ -38,7 +42,7 @@ TEST(Campaign, GitFindsItsFiveBugs) {
 }
 
 TEST(Campaign, MysqlFindsItsTwoBugs) {
-  auto bugs = RunMysqlCampaign();
+  auto bugs = Table1Bugs("mysql");
   ASSERT_EQ(bugs.size(), 2u) << [&] {
     std::string s;
     for (const auto& b : bugs) {
@@ -61,7 +65,7 @@ TEST(Campaign, MysqlFindsItsTwoBugs) {
 }
 
 TEST(Campaign, BindFindsItsTwoBugs) {
-  auto bugs = RunBindCampaign();
+  auto bugs = Table1Bugs("bind");
   ASSERT_EQ(bugs.size(), 2u) << [&] {
     std::string s;
     for (const auto& b : bugs) {
@@ -84,7 +88,7 @@ TEST(Campaign, BindFindsItsTwoBugs) {
 }
 
 TEST(Campaign, PbftFindsItsTwoBugs) {
-  auto bugs = RunPbftCampaign();
+  auto bugs = Table1Bugs("pbft");
   ASSERT_EQ(bugs.size(), 2u) << [&] {
     std::string s;
     for (const auto& b : bugs) {
@@ -107,7 +111,7 @@ TEST(Campaign, PbftFindsItsTwoBugs) {
 }
 
 TEST(Campaign, FullCampaignFindsTwelveBugs) {
-  auto bugs = RunFullCampaign();
+  auto bugs = Table1Bugs("all");
   EXPECT_EQ(bugs.size(), 12u);
   // The twelfth bug beyond the paper's eleven is bfs's unchecked-fopen
   // superblock crash.

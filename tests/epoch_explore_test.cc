@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +20,7 @@
 #include "apps/common/campaign_driver.h"
 #include "apps/common/campaign_spec.h"
 #include "apps/git/git.h"
+#include "campaign_test_util.h"
 #include "core/analysis_cache.h"
 #include "core/campaign_engine.h"
 #include "core/exploration.h"
@@ -34,16 +34,6 @@
 
 namespace lfi {
 namespace {
-
-std::string TempPath(const char* name) { return ::testing::TempDir() + name; }
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
 
 // The driver refuses to clobber an existing merged journal, so tests clear
 // the journal plus every per-epoch artifact a previous run may have left.

@@ -8,8 +8,8 @@
 #include <string>
 #include <vector>
 
-#include "apps/common/bug_campaign.h"
 #include "apps/git/git.h"
+#include "campaign_test_util.h"
 #include "core/campaign_engine.h"
 #include "core/controller.h"
 #include "core/exploration.h"
@@ -22,16 +22,6 @@
 
 namespace lfi {
 namespace {
-
-void ExpectSameBugs(const std::vector<FoundBug>& a, const std::vector<FoundBug>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].system, b[i].system) << i;
-    EXPECT_EQ(a[i].kind, b[i].kind) << i;
-    EXPECT_EQ(a[i].where, b[i].where) << i;
-    EXPECT_EQ(a[i].injected, b[i].injected) << i;
-  }
-}
 
 // --- ExhaustiveSource streaming -------------------------------------------
 
@@ -90,7 +80,9 @@ TEST(InjectionLogReplay, ReplayedScenarioReproducesTheCrashSiteThroughTheEngine)
   CampaignJob job;
   job.scenario = replay;
   job.label = "replay";
-  job.explore = [](const CampaignJob& self) {
+  ExhaustiveSource source({job});
+  CampaignEngine engine;
+  ExplorationResult result = engine.Run(source, [](const CampaignJob& self) {
     JobResult result;
     VirtualFs fs;
     VirtualNet net;
@@ -107,10 +99,7 @@ TEST(InjectionLogReplay, ReplayedScenarioReproducesTheCrashSiteThroughTheEngine)
     }
     result.injections = outcome.injections;
     return result;
-  };
-  ExhaustiveSource source({job});
-  CampaignEngine engine;
-  ExplorationResult result = engine.Run(source);
+  });
   ASSERT_EQ(result.bugs.size(), 1u);
   EXPECT_EQ(result.bugs[0].where, crash_where);
 }
@@ -118,45 +107,37 @@ TEST(InjectionLogReplay, ReplayedScenarioReproducesTheCrashSiteThroughTheEngine)
 // --- seed reproducibility at 1/2/8 workers --------------------------------
 
 TEST(Exploration, RandomSweepReproducibleAcrossWorkerCounts) {
-  ExploreConfig config;
-  config.strategy = ExploreStrategy::kRandom;
-  config.budget = 24;
-  config.seed = 7;
-
-  config.workers = 1;
-  ExplorationResult one = ExploreMysqlCampaign(config);
+  CampaignSpec spec{.system = "mysql", .strategy = ExploreStrategy::kRandom, .budget = 24,
+                    .seed = 7};
+  CampaignOutcome one = RunSpec(spec);
   EXPECT_EQ(one.scenarios_run, 24u);
 
-  ExpectSameBugs(one.bugs, ExploreMysqlCampaign(config).bugs);  // rerun: bit-stable
-  config.workers = 2;
-  ExpectSameBugs(one.bugs, ExploreMysqlCampaign(config).bugs);
-  config.workers = 8;
-  ExplorationResult eight = ExploreMysqlCampaign(config);
+  ExpectSameBugs(one.bugs, RunSpec(spec).bugs);  // rerun: bit-stable
+  spec.workers = 2;
+  ExpectSameBugs(one.bugs, RunSpec(spec).bugs);
+  spec.workers = 8;
+  CampaignOutcome eight = RunSpec(spec);
   ExpectSameBugs(one.bugs, eight.bugs);
   // The whole observation stream, not just the bug list, must match.
   EXPECT_EQ(one.coverage.hits(), eight.coverage.hits());
 }
 
 TEST(Exploration, CoverageGuidedReproducibleAcrossWorkerCounts) {
-  ExploreConfig config;
-  config.strategy = ExploreStrategy::kCoverage;
-  config.budget = 12;
-  config.seed = 3;
-
-  config.workers = 1;
-  ExplorationResult one = ExplorePbftCampaign(config);
-  config.workers = 2;
-  ExpectSameBugs(one.bugs, ExplorePbftCampaign(config).bugs);
-  config.workers = 8;
+  CampaignSpec spec{.system = "pbft", .strategy = ExploreStrategy::kCoverage, .budget = 12,
+                    .seed = 3};
+  CampaignOutcome one = RunSpec(spec);
+  spec.workers = 2;
+  ExpectSameBugs(one.bugs, RunSpec(spec).bugs);
+  spec.workers = 8;
   // Journaling the run must not perturb it: same bugs, same coverage, one
   // journal record per scheduled scenario (tests/journal_test.cc covers the
   // resume/replay/shard workflows in depth).
-  config.journal_path = ::testing::TempDir() + "exploration_journaled.xml";
-  std::remove(config.journal_path.c_str());
-  ExplorationResult eight = ExplorePbftCampaign(config);
+  spec.journal_path = TempPath("exploration_journaled.xml");
+  std::remove(spec.journal_path.c_str());
+  CampaignOutcome eight = RunSpec(spec);
   ExpectSameBugs(one.bugs, eight.bugs);
   EXPECT_EQ(one.coverage.hits(), eight.coverage.hits());
-  auto journal = CampaignJournal::Load(config.journal_path);
+  auto journal = CampaignJournal::Load(spec.journal_path);
   ASSERT_TRUE(journal.has_value());
   EXPECT_EQ(journal->records().size(), eight.scenarios_run);
 }
@@ -164,17 +145,14 @@ TEST(Exploration, CoverageGuidedReproducibleAcrossWorkerCounts) {
 // --- the acceptance bar: coverage-guided >= exhaustive on pbft -------------
 
 TEST(Exploration, CoverageGuidedCoversAtLeastExhaustiveOnPbft) {
-  ExploreConfig exhaustive_config;
-  exhaustive_config.strategy = ExploreStrategy::kExhaustive;
-  ExplorationResult exhaustive = ExplorePbftCampaign(exhaustive_config);
+  CampaignOutcome exhaustive = RunSpec({.system = "pbft"});
   ASSERT_GT(exhaustive.scenarios_run, 0u);
 
   // Same budget as the exhaustive list: the guided strategy must never do
   // worse than the paper's one-shot generation.
-  ExploreConfig guided_config;
-  guided_config.strategy = ExploreStrategy::kCoverage;
-  guided_config.budget = exhaustive.scenarios_run;
-  ExplorationResult guided = ExplorePbftCampaign(guided_config);
+  CampaignSpec guided_spec{.system = "pbft", .strategy = ExploreStrategy::kCoverage,
+                           .budget = exhaustive.scenarios_run};
+  CampaignOutcome guided = RunSpec(guided_spec);
   EXPECT_GE(guided.coverage.ComputeStats().covered_recovery_blocks,
             exhaustive.coverage.ComputeStats().covered_recovery_blocks);
 
@@ -182,21 +160,13 @@ TEST(Exploration, CoverageGuidedCoversAtLeastExhaustiveOnPbft) {
   // sites (whose recovery paths the static classification never flags) and
   // mutations of fruitful scenarios reach recovery blocks the exhaustive
   // strategy cannot, at any budget.
-  guided_config.budget = 16;
-  ExplorationResult wider = ExplorePbftCampaign(guided_config);
+  guided_spec.budget = 16;
+  CampaignOutcome wider = RunSpec(guided_spec);
   EXPECT_GT(wider.coverage.ComputeStats().covered_recovery_blocks,
             exhaustive.coverage.ComputeStats().covered_recovery_blocks);
   // 16 > the number of distinct sites, so the exploit (mutation) queue must
   // have produced the overflow scenarios.
   EXPECT_EQ(wider.scenarios_run, 16u);
-}
-
-// Campaigns through the streamed pipeline still match the serial baseline at
-// every worker count (the ported Table 1 harnesses kept their contract).
-TEST(Exploration, PortedPbftCampaignStillIdenticalAcrossWorkerCounts) {
-  std::vector<FoundBug> serial = RunPbftCampaign({.workers = 1});
-  ASSERT_EQ(serial.size(), 2u);
-  ExpectSameBugs(serial, RunPbftCampaign({.workers = 8}));
 }
 
 }  // namespace

@@ -8,12 +8,12 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/common/campaign_driver.h"
 #include "apps/common/campaign_spec.h"
+#include "campaign_test_util.h"
 #include "core/campaign_engine.h"
 #include "core/extent_journal.h"
 #include "core/journal.h"
@@ -40,15 +40,6 @@ std::string NastyString(Rng& rng) {
 }
 
 const int kErrnoPool[] = {0, kEIO, kENOMEM, kEINTR, 7, 123};
-
-std::string TempPath(const char* name) { return ::testing::TempDir() + name; }
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 Scenario RandomScenario(Rng& rng) {
   Scenario scenario;

@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "apps/common/bug_campaign.h"
+#include "campaign_test_util.h"
 #include "core/controller.h"
 #include "core/runtime.h"
 #include "core/scenario.h"
@@ -193,18 +193,13 @@ struct LookupModeDefaults {
   ~LookupModeDefaults() { Runtime::SetLookupModeDefaults(false, false); }
 };
 
+std::vector<FoundBug> Table1Bugs(const std::string& system, int workers = 1) {
+  return RunSpec({.system = system, .mode = CampaignMode::kTable1, .workers = workers}).bugs;
+}
+
 std::vector<FoundBug> RunCampaignInMode(const std::string& system, int mode) {
   LookupModeDefaults defaults(mode);
-  if (system == "git") {
-    return RunGitCampaign();
-  }
-  if (system == "mysql") {
-    return RunMysqlCampaign();
-  }
-  if (system == "bind") {
-    return RunBindCampaign();
-  }
-  return RunPbftCampaign();
+  return Table1Bugs(system);
 }
 
 std::string Render(const std::vector<FoundBug>& bugs) {
@@ -229,17 +224,14 @@ TEST(FastPath, CampaignBugListsAreBitIdenticalAcrossLookupModes) {
 TEST(FastPath, ExplorationCoverageIsBitIdenticalAcrossLookupModes) {
   auto explore = [](int mode) {
     LookupModeDefaults defaults(mode);
-    ExploreConfig config;
-    config.strategy = ExploreStrategy::kCoverage;
-    config.budget = 24;
-    config.seed = 7;
-    return ExplorePbftCampaign(config);
+    return RunSpec(
+        {.system = "pbft", .strategy = ExploreStrategy::kCoverage, .budget = 24, .seed = 7});
   };
-  ExplorationResult interned = explore(0);
+  CampaignOutcome interned = explore(0);
   auto interned_stats = interned.coverage.ComputeStats();
   EXPECT_GT(interned_stats.covered_blocks, 0u);
   for (int mode : {1, 2}) {
-    ExplorationResult other = explore(mode);
+    CampaignOutcome other = explore(mode);
     EXPECT_EQ(Render(other.bugs), Render(interned.bugs)) << ModeName(mode);
     EXPECT_EQ(other.scenarios_run, interned.scenarios_run) << ModeName(mode);
     EXPECT_EQ(other.coverage.hits(), interned.coverage.hits()) << ModeName(mode);
@@ -252,14 +244,10 @@ TEST(FastPath, ExplorationCoverageIsBitIdenticalAcrossLookupModes) {
 }
 
 TEST(FastPath, InternedCampaignIsBitIdenticalAtOneTwoEightWorkers) {
-  CampaignConfig serial;
-  serial.workers = 1;
-  std::string baseline = Render(RunFullCampaign(serial));
+  std::string baseline = Render(Table1Bugs("all"));
   EXPECT_FALSE(baseline.empty());
   for (int workers : {2, 8}) {
-    CampaignConfig config;
-    config.workers = workers;
-    EXPECT_EQ(Render(RunFullCampaign(config)), baseline) << workers << " workers";
+    EXPECT_EQ(Render(Table1Bugs("all", workers)), baseline) << workers << " workers";
   }
 }
 

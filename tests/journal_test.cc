@@ -11,8 +11,9 @@
 #include <string>
 #include <vector>
 
-#include "apps/common/bug_campaign.h"
 #include "apps/common/campaign_spec.h"
+#include "apps/common/warm_targets.h"
+#include "campaign_test_util.h"
 #include "core/campaign_engine.h"
 #include "core/exploration.h"
 #include "core/injection_log.h"
@@ -43,16 +44,13 @@ std::string NastyString(Rng& rng) {
 
 const int kErrnoPool[] = {0, kEIO, kENOMEM, kEINTR, 7, 123};  // named + fallback-coded
 
-std::string TempPath(const char* name) { return ::testing::TempDir() + name; }
-
-void ExpectSameBugs(const std::vector<FoundBug>& a, const std::vector<FoundBug>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].system, b[i].system) << i;
-    EXPECT_EQ(a[i].kind, b[i].kind) << i;
-    EXPECT_EQ(a[i].where, b[i].where) << i;
-    EXPECT_EQ(a[i].injected, b[i].injected) << i;
-  }
+// The journaled coverage-guided pbft exploration most tests below run.
+CampaignSpec PbftCoverageSpec(const std::string& journal, size_t budget = 12) {
+  return {.system = "pbft",
+          .strategy = ExploreStrategy::kCoverage,
+          .budget = budget,
+          .seed = 3,
+          .journal_path = journal};
 }
 
 // --- property-style XML round trips ----------------------------------------
@@ -437,13 +435,7 @@ TEST(CampaignJournal, KillAndResumeIsBitIdenticalAtAnyWorkerCount) {
   std::string full_path = TempPath("journal_full.xml");
   std::remove(full_path.c_str());
 
-  ExploreConfig config;
-  config.strategy = ExploreStrategy::kCoverage;
-  config.budget = 12;
-  config.seed = 3;
-  config.workers = 1;
-  config.journal_path = full_path;
-  ExplorationResult uninterrupted = ExplorePbftCampaign(config);
+  CampaignOutcome uninterrupted = RunSpec(PbftCoverageSpec(full_path));
   ASSERT_FALSE(uninterrupted.bugs.empty());
 
   std::string error;
@@ -471,11 +463,10 @@ TEST(CampaignJournal, KillAndResumeIsBitIdenticalAtAnyWorkerCount) {
         out << "<record label=\"torn";
       }
 
-      ExploreConfig resume_config = config;
-      resume_config.workers = workers;
-      resume_config.journal_path = partial_path;
-      resume_config.resume = true;
-      ExplorationResult resumed = ExplorePbftCampaign(resume_config);
+      CampaignSpec resume_spec = PbftCoverageSpec(partial_path);
+      resume_spec.workers = workers;
+      resume_spec.resume = true;
+      CampaignOutcome resumed = RunSpec(resume_spec);
 
       ExpectSameBugs(uninterrupted.bugs, resumed.bugs);
       EXPECT_EQ(uninterrupted.coverage.hits(), resumed.coverage.hits());
@@ -488,25 +479,18 @@ TEST(CampaignJournal, KillAndResumeIsBitIdenticalAtAnyWorkerCount) {
   }
 }
 
-// The ResumeCampaign entry point reconstructs the whole configuration from
-// the journal header alone (what `lfi_tool resume` runs).
-TEST(CampaignJournal, ResumeCampaignReadsConfigFromHeader) {
+// Resume mode reconstructs the whole configuration from the journal header
+// alone (what `lfi_tool resume` runs).
+TEST(CampaignJournal, ResumeReadsConfigFromHeader) {
   EnsureStockTriggersRegistered();
   std::string path = TempPath("journal_header_resume.xml");
   std::remove(path.c_str());
+  CampaignOutcome uninterrupted = RunSpec(PbftCoverageSpec(path));
 
-  ExploreConfig config;
-  config.strategy = ExploreStrategy::kCoverage;
-  config.budget = 12;
-  config.seed = 3;
-  config.journal_path = path;
-  ExplorationResult uninterrupted = ExplorePbftCampaign(config);
-
-  std::string error;
-  auto resumed = ResumeCampaign(path, /*workers=*/2, &error);
-  ASSERT_TRUE(resumed.has_value()) << error;
-  ExpectSameBugs(uninterrupted.bugs, resumed->bugs);
-  EXPECT_EQ(uninterrupted.coverage.hits(), resumed->coverage.hits());
+  CampaignOutcome resumed =
+      RunSpec({.mode = CampaignMode::kResume, .workers = 2, .journal_path = path});
+  ExpectSameBugs(uninterrupted.bugs, resumed.bugs);
+  EXPECT_EQ(uninterrupted.coverage.hits(), resumed.coverage.hits());
 }
 
 // Resuming a journal recorded under a different campaign identity must be
@@ -516,28 +500,22 @@ TEST(CampaignJournal, ResumeRejectsMismatchedCampaignIdentity) {
   std::string path = TempPath("journal_mismatch.xml");
   std::remove(path.c_str());
 
-  ExploreConfig config;
-  config.strategy = ExploreStrategy::kCoverage;
-  config.budget = 8;
-  config.seed = 3;
-  config.journal_path = path;
-  ExplorePbftCampaign(config);
+  RunSpec(PbftCoverageSpec(path, /*budget=*/8));
 
-  ExploreConfig different = config;
+  CampaignSpec different = PbftCoverageSpec(path, /*budget=*/8);
   different.seed = 4;
   different.resume = true;
-  EXPECT_THROW(ExplorePbftCampaign(different), std::runtime_error);
+  EXPECT_THROW(RunSpec(different), std::runtime_error);
 }
 
-// The batch-API/campaign path (RunOrdered) journals and resumes too.
+// The open-loop merge path (RunOrdered) journals and resumes too.
 TEST(CampaignJournal, GitCampaignJournalsAndResumes) {
   EnsureStockTriggersRegistered();
   std::string path = TempPath("journal_git_campaign.xml");
   std::remove(path.c_str());
 
-  CampaignConfig config;
-  config.journal_path = path;
-  std::vector<FoundBug> uninterrupted = RunGitCampaign(config);
+  std::vector<FoundBug> uninterrupted =
+      RunSpec({.system = "git", .mode = CampaignMode::kTable1, .journal_path = path}).bugs;
   ASSERT_FALSE(uninterrupted.empty());
 
   std::string error;
@@ -552,58 +530,91 @@ TEST(CampaignJournal, GitCampaignJournalsAndResumes) {
   for (size_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(partial.Append(full->records()[i]));
   }
-  auto resumed = ResumeCampaign(partial_path, /*workers=*/2, &error);
-  ASSERT_TRUE(resumed.has_value()) << error;
-  ExpectSameBugs(uninterrupted, resumed->bugs);
+  CampaignOutcome resumed =
+      RunSpec({.mode = CampaignMode::kResume, .workers = 2, .journal_path = partial_path});
+  ExpectSameBugs(uninterrupted, resumed.bugs);
 }
 
 // --- disk-only replay -------------------------------------------------------
 
 // Every journaled record that exposed a bug must reproduce its crash site
 // from the journal alone: fresh process state, scenario rebuilt with the
-// stock call-count trigger from the serialized injection log.
+// stock call-count trigger from the serialized injection log. Each record's
+// last injection (the one the run died on) is replayed alone.
 TEST(CampaignJournal, ReplayReproducesEveryJournaledCrashSiteFromDisk) {
   EnsureStockTriggersRegistered();
   std::string path = TempPath("journal_replay.xml");
   std::remove(path.c_str());
-
-  ExploreConfig config;
-  config.strategy = ExploreStrategy::kCoverage;
-  config.budget = 12;
-  config.seed = 3;
-  config.journal_path = path;
-  ExplorationResult result = ExplorePbftCampaign(config);
-  ASSERT_FALSE(result.bugs.empty());
+  ASSERT_FALSE(RunSpec(PbftCoverageSpec(path)).bugs.empty());
 
   std::string error;
   auto journal = CampaignJournal::Load(path, &error);
   ASSERT_TRUE(journal.has_value()) << error;
-  CampaignEngine::ResultRunner runner = SystemJobRunner(journal->Meta("system"));
-  ASSERT_TRUE(runner != nullptr);
-
   size_t bug_records = 0;
-  for (const JournalRecord& record : journal->records()) {
+  for (size_t i = 0; i < journal->records().size(); ++i) {
+    const JournalRecord& record = journal->records()[i];
     if (record.result.bugs.empty()) {
       continue;
     }
     ASSERT_FALSE(record.result.log.empty()) << record.label;
     ++bug_records;
-    CampaignJob job;
-    job.scenario = record.result.log.ReplayScenario(record.result.log.size() - 1);
-    job.label = "replay " + record.label;
-    job.seed = record.seed;
-    JobResult replayed = runner(job);
-    ASSERT_FALSE(replayed.bugs.empty()) << record.label;
-    bool reproduced = false;
-    for (const FoundBug& want : record.result.bugs) {
-      for (const FoundBug& got : replayed.bugs) {
-        reproduced |= want.system == got.system && want.kind == got.kind &&
-                      want.where == got.where;
-      }
-    }
-    EXPECT_TRUE(reproduced) << record.label;
+    CampaignOutcome replayed =
+        RunSpec({.mode = CampaignMode::kReplay,
+                 .journal_path = path,
+                 .replay_selector = StrFormat("%zu:%zu", i, record.result.log.size() - 1)});
+    ASSERT_EQ(replayed.replays.size(), 1u) << record.label;
+    EXPECT_TRUE(replayed.replays[0].crashed) << record.label;
+    EXPECT_TRUE(replayed.replays[0].reproduced) << record.label;
   }
   EXPECT_GT(bug_records, 0u);
+}
+
+// Replay runs through the recorded workload's pools: warm by default, one
+// fresh instance per job under cold_start -- with identical outcomes. A
+// journal naming a system this build does not know is refused.
+TEST(CampaignJournal, ReplayIsIdenticalWarmAndColdAndRefusesUnknownSystems) {
+  EnsureStockTriggersRegistered();
+  for (const char* system : {"pbft", "bfs"}) {
+    SCOPED_TRACE(system);
+    std::string path = TempPath(StrFormat("journal_replay_pool_%s.lfij", system));
+    std::remove(path.c_str());
+    RunSpec({.system = system,
+             .strategy = ExploreStrategy::kCoverage,
+             .budget = 32,
+             .seed = 1,
+             .journal_path = path});
+
+    CampaignSpec replay{.mode = CampaignMode::kReplay, .journal_path = path};
+    CampaignOutcome warm = RunSpec(replay);
+    replay.cold_start = true;
+    CampaignOutcome cold = RunSpec(replay);
+    EXPECT_GT(warm.replays_expected, 0u);
+    EXPECT_EQ(warm.replays_reproduced, warm.replays_expected);
+    EXPECT_EQ(cold.replays_reproduced, cold.replays_expected);
+    EXPECT_GT(warm.pool.resets, 0u);
+    EXPECT_EQ(cold.pool.builds, cold.pool.runs);
+    EXPECT_EQ(cold.pool.resets, 0u);
+    ASSERT_EQ(warm.replays.size(), cold.replays.size());
+    for (size_t i = 0; i < warm.replays.size(); ++i) {
+      const ReplayOutcome& w = warm.replays[i];
+      const ReplayOutcome& c = cold.replays[i];
+      EXPECT_EQ(std::tie(w.record, w.injection, w.function, w.call_number, w.crashed, w.where,
+                         w.recorded_bug, w.distributed, w.informational, w.reproduced),
+                std::tie(c.record, c.injection, c.function, c.call_number, c.crashed, c.where,
+                         c.recorded_bug, c.distributed, c.informational, c.reproduced))
+          << "replay " << i;
+    }
+  }
+
+  std::string path = TempPath("journal_replay_unknown.lfij");
+  std::remove(path.c_str());
+  CampaignJournal journal;
+  std::string error;
+  ASSERT_TRUE(journal.Create(path, {{"command", "explore"}, {"system", "zfs"}}, &error)) << error;
+  ASSERT_TRUE(journal.Finalize(&error)) << error;
+  auto refused = CampaignDriver({.mode = CampaignMode::kReplay, .journal_path = path}).Run(&error);
+  EXPECT_FALSE(refused.has_value());
+  EXPECT_EQ(error, "journal names unknown system 'zfs'");
 }
 
 // --- JournalSource: seeding and sharding ------------------------------------
@@ -613,17 +624,13 @@ TEST(JournalSource, ReseedsACampaignAndShardsItLosslessly) {
   std::string path = TempPath("journal_source.xml");
   std::remove(path.c_str());
 
-  ExploreConfig config;
-  config.strategy = ExploreStrategy::kCoverage;
-  config.budget = 12;
-  config.seed = 3;
-  config.journal_path = path;
-  ExplorationResult original = ExplorePbftCampaign(config);
+  CampaignOutcome original = RunSpec(PbftCoverageSpec(path));
 
   std::string error;
   auto journal = CampaignJournal::Load(path, &error);
   ASSERT_TRUE(journal.has_value()) << error;
-  CampaignEngine::ResultRunner runner = SystemJobRunner("pbft");
+  ExecutionLayer exec("pbft", /*explore_workload=*/true, /*cold_start=*/false);
+  CampaignEngine::ResultRunner runner = exec.runner();
 
   // Re-running the journaled scenarios through the same harness reproduces
   // the original campaign's results.
@@ -665,7 +672,7 @@ TEST(JournalSource, ReseedsACampaignAndShardsItLosslessly) {
 // `lfi_tool journal doctor` flags a campaign identity that names a system
 // this build cannot re-run. The decision surface it consults lives here in
 // the library: a bfs identity must round-trip through a journal header into
-// a valid spec and resolve a job runner, while an unknown system must fail
+// a valid spec and resolve a pool runner, while an unknown system must fail
 // all three -- the doctor's unknown-system issue and resume/replay's refusal
 // key off exactly these checks.
 TEST(CampaignJournal, DoctorIdentitySurfaceRecognizesBfsAndRefusesUnknown) {
@@ -691,12 +698,12 @@ TEST(CampaignJournal, DoctorIdentitySurfaceRecognizesBfsAndRefusesUnknown) {
   EXPECT_EQ(parsed->system, "bfs");
   EXPECT_EQ(parsed->Validate(), "");
   EXPECT_TRUE(IsCampaignSystem("bfs"));
-  EXPECT_TRUE(SystemJobRunner("bfs") != nullptr);
+  EXPECT_TRUE(ExecutionLayer("bfs", true, false).runner() != nullptr);
 
   // An identity naming a system this build does not know: not a member, no
   // runner, and a spec parsed from it does not validate as runnable.
   EXPECT_FALSE(IsCampaignSystem("zfs"));
-  EXPECT_TRUE(SystemJobRunner("zfs") == nullptr);
+  EXPECT_TRUE(ExecutionLayer("zfs", true, false).runner() == nullptr);
   JournalMetadata unknown = spec.ToJournalMeta();
   for (auto& [key, value] : unknown) {
     if (key == "system") {

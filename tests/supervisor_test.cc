@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "apps/common/campaign_driver.h"
 #include "apps/common/campaign_spec.h"
 #include "apps/common/shard_supervisor.h"
+#include "campaign_test_util.h"
 #include "core/campaign_engine.h"
 #include "core/exploration.h"
 #include "core/journal.h"
@@ -28,16 +28,6 @@
 
 namespace lfi {
 namespace {
-
-std::string TempPath(const char* name) { return ::testing::TempDir() + name; }
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
 
 // The failpoint registry is a process-global; every test that arms it (or
 // runs a spec that does) restores the disarmed, unscoped state -- Clear also

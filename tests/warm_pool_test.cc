@@ -1,24 +1,28 @@
 // Warm-instance job execution (core/warm_pool.h, apps/common/warm_targets.h):
-// virtual-environment snapshots round-trip bit-exactly, a warm target serves
-// repeated jobs indistinguishably from cold construct-run-destroy execution,
-// the pool survives crashed jobs and discards non-restorable instances, and
-// -- the acceptance bar -- whole campaigns run warm produce bugs, coverage,
-// and journal *bytes* identical to the --cold-start ablation at any worker
-// or shard count. Also pins the streamed ScenarioFingerprint to the SHA-1 of
-// the materialized XML it replaced.
+// virtual-environment snapshots round-trip bit-exactly, a reset target
+// serves repeated jobs indistinguishably from a fresh instance of the same
+// factory, the pool survives crashed jobs, discards non-restorable
+// instances, and outlives its abandoned jobs, and -- the acceptance bar --
+// whole campaigns run warm produce bugs, coverage, and journal *bytes*
+// identical to the --cold-start policy at any worker or shard count. Also
+// pins the streamed ScenarioFingerprint to the SHA-1 of the materialized XML
+// it replaced.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/common/campaign_driver.h"
 #include "apps/common/campaign_spec.h"
 #include "apps/common/warm_targets.h"
+#include "campaign_test_util.h"
 #include "core/campaign_engine.h"
+#include "core/exploration.h"
 #include "core/scenario.h"
 #include "core/warm_pool.h"
 #include "util/sha1.h"
@@ -30,24 +34,8 @@
 namespace lfi {
 namespace {
 
-std::string TempPath(const char* name) { return ::testing::TempDir() + name; }
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
-}
-
 void ExpectSameOutcome(const CampaignOutcome& a, const CampaignOutcome& b) {
-  ASSERT_EQ(a.bugs.size(), b.bugs.size());
-  for (size_t i = 0; i < a.bugs.size(); ++i) {
-    EXPECT_EQ(a.bugs[i].system, b.bugs[i].system) << i;
-    EXPECT_EQ(a.bugs[i].kind, b.bugs[i].kind) << i;
-    EXPECT_EQ(a.bugs[i].where, b.bugs[i].where) << i;
-    EXPECT_EQ(a.bugs[i].injected, b.bugs[i].injected) << i;
-  }
+  ExpectSameBugs(a.bugs, b.bugs);
   CoverageMap::Stats sa = a.coverage.ComputeStats();
   CoverageMap::Stats sb = b.coverage.ComputeStats();
   EXPECT_EQ(sa.covered_recovery_blocks, sb.covered_recovery_blocks);
@@ -56,10 +44,7 @@ void ExpectSameOutcome(const CampaignOutcome& a, const CampaignOutcome& b) {
 }
 
 void ExpectSameResult(const JobResult& warm, const JobResult& cold) {
-  ASSERT_EQ(warm.bugs.size(), cold.bugs.size());
-  for (size_t i = 0; i < warm.bugs.size(); ++i) {
-    EXPECT_EQ(warm.bugs[i], cold.bugs[i]) << i;
-  }
+  ExpectSameBugs(warm.bugs, cold.bugs);
   EXPECT_EQ(warm.fingerprint, cold.fingerprint);
   EXPECT_EQ(warm.injections, cold.injections);
   CoverageMap::Stats sw = warm.coverage.ComputeStats();
@@ -202,9 +187,15 @@ TEST(ScenarioTest, FingerprintMatchesMaterializedXml) {
   }
 }
 
-// --- warm targets against their cold runners --------------------------------
+// --- reset targets against fresh instances ---------------------------------
 
-TEST(WarmTarget, GitServesRepeatedJobsIdenticallyToColdRuns) {
+// The cold-start reference: a fresh instance from the same factory, run once
+// and never reset.
+JobResult RunFresh(const WarmPool::Factory& factory, const CampaignJob& job) {
+  return factory()->Run(job);
+}
+
+TEST(WarmTarget, GitServesRepeatedJobsIdenticallyToFreshInstances) {
   CampaignJob clean;
   clean.label = "clean run";
   clean.seed = 3;
@@ -212,8 +203,8 @@ TEST(WarmTarget, GitServesRepeatedJobsIdenticallyToColdRuns) {
   crash.scenario = MakeCallCountScenario("opendir", 1, 0, 0);
   crash.label = "opendir=NULL";
   crash.seed = 3;
-  JobResult cold_clean = RunGitJob(clean);
-  JobResult cold_crash = RunGitJob(crash);
+  JobResult cold_clean = RunFresh(GitWarmFactory(), clean);
+  JobResult cold_crash = RunFresh(GitWarmFactory(), crash);
   ASSERT_FALSE(cold_crash.bugs.empty());
 
   auto target = GitWarmFactory()();
@@ -234,18 +225,19 @@ TEST(WarmTarget, AllSystemsRoundTripACleanJob) {
   struct Case {
     const char* name;
     WarmPool::Factory factory;
-    JobResult (*cold)(const CampaignJob&);
   };
   std::vector<Case> cases;
-  cases.push_back({"git", GitWarmFactory(), RunGitJob});
-  cases.push_back({"mysql", MysqlWarmFactory(), RunMysqlJob});
-  cases.push_back({"bind", BindWarmFactory(), RunBindJob});
-  cases.push_back({"bind-dst", BindDstWarmFactory(), RunBindDstJob});
-  cases.push_back({"pbft", PbftWarmFactory(8, 2000), RunPbftJob});
-  cases.push_back({"pbft-dist", PbftDistributedWarmFactory(), RunPbftDistributedJob});
+  cases.push_back({"git", GitWarmFactory()});
+  cases.push_back({"mysql", MysqlWarmFactory()});
+  cases.push_back({"bind", BindWarmFactory()});
+  cases.push_back({"bind-dst", BindDstWarmFactory()});
+  cases.push_back({"pbft", PbftWarmFactory(8, 2000)});
+  cases.push_back({"pbft-dist", PbftDistributedWarmFactory()});
+  cases.push_back({"bfs", BfsWarmFactory(2, 600)});
+  cases.push_back({"bfs-mux", BfsMuxWarmFactory()});
   for (Case& c : cases) {
     SCOPED_TRACE(c.name);
-    JobResult cold = c.cold(job);
+    JobResult cold = RunFresh(c.factory, job);
     auto target = c.factory();
     ExpectSameResult(target->Run(job), cold);
     ASSERT_TRUE(target->Reset());
@@ -258,9 +250,16 @@ TEST(WarmTarget, AllSystemsRoundTripACleanJob) {
 
 class StubTarget : public WarmTarget {
  public:
-  StubTarget(int id, bool reset_ok) : id_(id), reset_ok_(reset_ok) {}
+  StubTarget(int id, bool reset_ok, int run_ms = 0, std::atomic<int>* destroyed = nullptr)
+      : id_(id), reset_ok_(reset_ok), run_ms_(run_ms), destroyed_(destroyed) {}
+  ~StubTarget() override {
+    if (destroyed_ != nullptr) {
+      ++*destroyed_;
+    }
+  }
   JobResult Run(const CampaignJob& job) override {
     (void)job;
+    std::this_thread::sleep_for(std::chrono::milliseconds(run_ms_));
     JobResult result;
     result.fingerprint = StrFormat("instance-%d", id_);
     return result;
@@ -270,6 +269,8 @@ class StubTarget : public WarmTarget {
  private:
   int id_;
   bool reset_ok_;
+  int run_ms_;
+  std::atomic<int>* destroyed_;
 };
 
 TEST(WarmPoolDiscipline, SequentialJobsReuseOneInstance) {
@@ -302,74 +303,96 @@ TEST(WarmPoolDiscipline, FailedResetDropsTheInstanceAndRebuildsCold) {
   EXPECT_EQ(stats.dropped, 3u);
 }
 
+TEST(WarmPoolDiscipline, FreshPolicyBuildsPerJobAndNeverResets) {
+  int built = 0;
+  WarmPool pool([&] { return std::make_unique<StubTarget>(built++, /*reset_ok=*/true); },
+                WarmPool::Policy::kFresh);
+  CampaignJob job;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(pool.RunJob(job).fingerprint, StrFormat("instance-%d", i));
+  }
+  WarmPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.builds, 3u);
+  EXPECT_EQ(stats.runs, 3u);
+  EXPECT_EQ(stats.resets, 0u);
+  EXPECT_EQ(stats.dropped, 0u);
+}
+
+// The engine's watchdog abandons a hung job on a detached thread. That job
+// may finish after the campaign -- and the pool its runner came from -- is
+// gone; checking its instance back in must not touch freed memory.
+TEST(WarmPoolDiscipline, AbandonedJobOutlivesItsPool) {
+  std::atomic<int> destroyed{0};
+  auto pool = std::make_unique<WarmPool>([&] {
+    return std::make_unique<StubTarget>(0, /*reset_ok=*/true, /*run_ms=*/100, &destroyed);
+  });
+  CampaignJob job;
+  job.label = "sleeper";
+  ExhaustiveSource source({job});
+  CampaignEngine engine({.job_timeout_ms = 10, .system = "stub"});
+  ExplorationResult result = engine.Run(source, pool->AsRunner());
+  ASSERT_EQ(result.bugs.size(), 1u);
+  EXPECT_EQ(result.bugs[0].kind, "hang");
+  pool.reset();
+  // The late finisher resets its instance and re-pools it into the state the
+  // runner shares; the instance dies with the runner's last copy.
+  for (int i = 0; i < 500 && destroyed.load() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(destroyed.load(), 1);
+}
+
 // --- the acceptance bar: warm campaigns == cold campaigns, byte for byte ----
 
 CampaignSpec ExploreSpec(const std::string& system, const std::string& journal,
                          int workers, bool cold_start) {
-  CampaignSpec spec;
-  spec.system = system;
-  spec.mode = CampaignMode::kExplore;
-  spec.strategy = ExploreStrategy::kExhaustive;
-  spec.budget = 24;
-  spec.seed = 7;
-  spec.workers = workers;
-  spec.journal_path = journal;
-  spec.cold_start = cold_start;
-  return spec;
-}
-
-std::optional<CampaignOutcome> RunDriver(CampaignSpec spec, std::string* error) {
-  CampaignDriver driver(std::move(spec));
-  return driver.Run(error);
+  return {.system = system,
+          .budget = 24,
+          .seed = 7,
+          .workers = workers,
+          .journal_path = journal,
+          .cold_start = cold_start};
 }
 
 TEST(WarmCampaign, ExploreMatchesColdStartByteForByteOnAllSystems) {
   for (const char* system : {"git", "mysql", "bind", "pbft"}) {
     SCOPED_TRACE(system);
-    std::string error;
-    std::string cold_path = TempPath(StrFormat("warm_%s_cold.lfij", system).c_str());
+    std::string cold_path = TempPath(StrFormat("warm_%s_cold.lfij", system));
     std::remove(cold_path.c_str());
-    auto cold = RunDriver(ExploreSpec(system, cold_path, 1, /*cold_start=*/true), &error);
-    ASSERT_TRUE(cold.has_value()) << error;
+    CampaignOutcome cold = RunSpec(ExploreSpec(system, cold_path, 1, /*cold_start=*/true));
+    EXPECT_EQ(cold.pool.builds, cold.pool.runs);
     std::string cold_bytes = ReadFile(cold_path);
 
     for (int workers : {1, 2, 8}) {
-      std::string path =
-          TempPath(StrFormat("warm_%s_w%d.lfij", system, workers).c_str());
+      std::string path = TempPath(StrFormat("warm_%s_w%d.lfij", system, workers));
       std::remove(path.c_str());
-      auto warm = RunDriver(ExploreSpec(system, path, workers, /*cold_start=*/false),
-                            &error);
-      ASSERT_TRUE(warm.has_value()) << error;
-      ExpectSameOutcome(*cold, *warm);
+      CampaignOutcome warm = RunSpec(ExploreSpec(system, path, workers, /*cold_start=*/false));
+      ExpectSameOutcome(cold, warm);
       EXPECT_EQ(ReadFile(path), cold_bytes) << "workers=" << workers;
     }
   }
 }
 
 TEST(WarmCampaign, Table1MatchesColdStartIncludingSelfContainedJobs) {
-  // bind and pbft exercise the self-contained job.explore runners (the
+  // bind and pbft exercise the self-contained job.run runners (the
   // dst_lib_init malloc sweep and the distributed fuzz phase), which plug
-  // into their own warm pools.
+  // into their own pools.
   for (const char* system : {"bind", "pbft"}) {
     SCOPED_TRACE(system);
-    std::string error;
-    std::string cold_path = TempPath(StrFormat("warm_t1_%s_cold.lfij", system).c_str());
-    std::string warm_path = TempPath(StrFormat("warm_t1_%s_warm.lfij", system).c_str());
+    std::string cold_path = TempPath(StrFormat("warm_t1_%s_cold.lfij", system));
+    std::string warm_path = TempPath(StrFormat("warm_t1_%s_warm.lfij", system));
     std::remove(cold_path.c_str());
     std::remove(warm_path.c_str());
-    CampaignSpec spec;
-    spec.system = system;
-    spec.mode = CampaignMode::kTable1;
-    spec.journal_path = cold_path;
-    spec.cold_start = true;
-    auto cold = RunDriver(spec, &error);
-    ASSERT_TRUE(cold.has_value()) << error;
+    CampaignSpec spec{.system = system,
+                      .mode = CampaignMode::kTable1,
+                      .journal_path = cold_path,
+                      .cold_start = true};
+    CampaignOutcome cold = RunSpec(spec);
     spec.journal_path = warm_path;
     spec.cold_start = false;
     spec.workers = 4;
-    auto warm = RunDriver(spec, &error);
-    ASSERT_TRUE(warm.has_value()) << error;
-    ExpectSameOutcome(*cold, *warm);
+    CampaignOutcome warm = RunSpec(spec);
+    ExpectSameOutcome(cold, warm);
     EXPECT_EQ(ReadFile(warm_path), ReadFile(cold_path));
   }
 }
@@ -379,17 +402,14 @@ TEST(WarmCampaign, EpochShardedExploreMatchesColdStart) {
   // of warm pools: every shard child builds its own pools, and the merged
   // journal still byte-compares against the cold single-process run.
   auto epoch_spec = [](const std::string& journal, size_t shards, bool cold_start) {
-    CampaignSpec spec;
-    spec.system = "pbft";
-    spec.mode = CampaignMode::kExplore;
-    spec.strategy = ExploreStrategy::kCoverage;
-    spec.budget = 32;
-    spec.seed = 7;
-    spec.epoch_len = 2;
-    spec.journal_path = journal;
-    spec.shard_count = shards;
-    spec.cold_start = cold_start;
-    return spec;
+    return CampaignSpec{.system = "pbft",
+                        .strategy = ExploreStrategy::kCoverage,
+                        .budget = 32,
+                        .seed = 7,
+                        .journal_path = journal,
+                        .shard_count = shards,
+                        .epoch_len = 2,
+                        .cold_start = cold_start};
   };
   auto remove_artifacts = [](const std::string& journal, size_t shards) {
     std::remove(journal.c_str());
@@ -400,18 +420,15 @@ TEST(WarmCampaign, EpochShardedExploreMatchesColdStart) {
       }
     }
   };
-  std::string error;
   std::string cold_path = TempPath("warm_epoch_cold.lfij");
   remove_artifacts(cold_path, 0);
-  auto cold = RunDriver(epoch_spec(cold_path, 1, /*cold_start=*/true), &error);
-  ASSERT_TRUE(cold.has_value()) << error;
+  CampaignOutcome cold = RunSpec(epoch_spec(cold_path, 1, /*cold_start=*/true));
   std::string cold_bytes = ReadFile(cold_path);
 
   std::string warm_path = TempPath("warm_epoch_4shard.lfij");
   remove_artifacts(warm_path, 4);
-  auto warm = RunDriver(epoch_spec(warm_path, 4, /*cold_start=*/false), &error);
-  ASSERT_TRUE(warm.has_value()) << error;
-  ExpectSameOutcome(*cold, *warm);
+  CampaignOutcome warm = RunSpec(epoch_spec(warm_path, 4, /*cold_start=*/false));
+  ExpectSameOutcome(cold, warm);
   EXPECT_EQ(ReadFile(warm_path), cold_bytes);
 }
 
