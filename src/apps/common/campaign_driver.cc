@@ -531,10 +531,12 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
     return fail("journal names unknown system '" + system + "'");
   }
   // Replay runs through the pools of the recorded campaign's workload, like
-  // any other job: warm by default, one fresh instance per job under
-  // --cold-start.
+  // any other job, but always under the fresh-instance policy: each record is
+  // reproduced on a newly built target, as a logged scenario is replayed in a
+  // fresh process, so no replay can inherit another's state. Its cost is
+  // bring-up per record whether or not --cold-start is given.
   bool explore_workload = journal->Meta("command", "explore") != "campaign";
-  ExecutionLayer exec(system, explore_workload, spec_.cold_start);
+  ExecutionLayer exec(system, explore_workload, /*cold_start=*/true);
   CampaignEngine::ResultRunner runner = exec.runner();
 
   // Which journaled injections to replay: every record that injected, or

@@ -64,7 +64,8 @@ struct CampaignOutcome {
   // False only when replay mode failed to reproduce an expected crash site.
   bool ok = true;
   // Single-process table1/explore/replay: the main pool's counters (builds
-  // == runs under cold_start). Zero for orchestrated runs.
+  // == runs under cold_start and always for replay). Zero for orchestrated
+  // runs.
   WarmPool::Stats pool;
 };
 

@@ -124,7 +124,8 @@ struct CampaignSpec {
   // instances (core/warm_pool.h, WarmPool::Policy). Execution environment,
   // never campaign identity -- warm and cold runs produce byte-identical
   // journals, so this is not in ToJournalMeta; it IS on the spec wire so
-  // spawned shard children inherit the choice.
+  // spawned shard children inherit the choice. Replay always builds fresh
+  // instances, so it ignores this.
   bool cold_start = false;
   // Failpoint schedule (util/failpoint.h spec syntax) armed by the driver
   // and inherited by spawned children over the spec wire format. Chaos

@@ -569,10 +569,10 @@ TEST(CampaignJournal, ReplayReproducesEveryJournaledCrashSiteFromDisk) {
   EXPECT_GT(bug_records, 0u);
 }
 
-// Replay runs through the recorded workload's pools: warm by default, one
-// fresh instance per job under cold_start -- with identical outcomes. A
+// Replay runs through the recorded workload's pools under the fresh-instance
+// policy, with or without cold_start, and reproduces every expected crash. A
 // journal naming a system this build does not know is refused.
-TEST(CampaignJournal, ReplayIsIdenticalWarmAndColdAndRefusesUnknownSystems) {
+TEST(CampaignJournal, ReplayBuildsAFreshInstancePerRecordAndRefusesUnknownSystems) {
   EnsureStockTriggersRegistered();
   for (const char* system : {"pbft", "bfs"}) {
     SCOPED_TRACE(system);
@@ -585,18 +585,19 @@ TEST(CampaignJournal, ReplayIsIdenticalWarmAndColdAndRefusesUnknownSystems) {
              .journal_path = path});
 
     CampaignSpec replay{.mode = CampaignMode::kReplay, .journal_path = path};
-    CampaignOutcome warm = RunSpec(replay);
+    CampaignOutcome plain = RunSpec(replay);
     replay.cold_start = true;
     CampaignOutcome cold = RunSpec(replay);
-    EXPECT_GT(warm.replays_expected, 0u);
-    EXPECT_EQ(warm.replays_reproduced, warm.replays_expected);
-    EXPECT_EQ(cold.replays_reproduced, cold.replays_expected);
-    EXPECT_GT(warm.pool.resets, 0u);
-    EXPECT_EQ(cold.pool.builds, cold.pool.runs);
-    EXPECT_EQ(cold.pool.resets, 0u);
-    ASSERT_EQ(warm.replays.size(), cold.replays.size());
-    for (size_t i = 0; i < warm.replays.size(); ++i) {
-      const ReplayOutcome& w = warm.replays[i];
+    EXPECT_GT(plain.replays_expected, 0u);
+    for (const CampaignOutcome* outcome : {&plain, &cold}) {
+      EXPECT_EQ(outcome->replays_reproduced, outcome->replays_expected);
+      EXPECT_EQ(outcome->pool.builds, outcome->replays.size());
+      EXPECT_EQ(outcome->pool.runs, outcome->replays.size());
+      EXPECT_EQ(outcome->pool.resets, 0u);
+    }
+    ASSERT_EQ(plain.replays.size(), cold.replays.size());
+    for (size_t i = 0; i < plain.replays.size(); ++i) {
+      const ReplayOutcome& w = plain.replays[i];
       const ReplayOutcome& c = cold.replays[i];
       EXPECT_EQ(std::tie(w.record, w.injection, w.function, w.call_number, w.crashed, w.where,
                          w.recorded_bug, w.distributed, w.informational, w.reproduced),
