@@ -82,7 +82,7 @@ int main() {
                   report.site.enclosing.c_str(), report.site.offset,
                   outcome.crash_where.c_str());
       if (report.site.function == "opendir") {
-        std::printf("         log: %s", outcome.log_text.c_str());
+        std::printf("         log: %s", controller.runtime()->log().ToString().c_str());
       }
     }
   }

@@ -42,9 +42,8 @@
 //   lfi_tool resume <journal> [--workers W] [--shards N] [--json]
 //                                            continue a killed journaled
 //                                            campaign bit-identically;
-//                                            --shards N re-enters epoch
-//                                            orchestration for epoch-
-//                                            synchronized journals
+//                                            --shards N continues it as a
+//                                            multi-process orchestration
 //   lfi_tool replay <journal> [record[:injection]] [--json]
 //                                            re-inject a journaled injection
 //                                            from disk alone and check it
@@ -401,7 +400,6 @@ lfi::CampaignSpec SpecFromOptions(lfi::CampaignMode mode, const std::string& sys
   spec.shard_index = options.shard_index;
   spec.shard_count = options.shard_count;
   spec.epoch_len = options.epoch_len;
-  spec.json = options.json;
   spec.format = options.format.value_or(lfi::JournalFormat::kExtent);
   spec.abort_after_records = options.abort_after;
   spec.child_timeout_ms = options.child_timeout_ms;
@@ -555,8 +553,8 @@ int PrintReplayOutcome(const lfi::CampaignOutcome& outcome, bool json) {
 // Runs a spec through the driver and prints its outcome in the shape the
 // subcommand historically used. `command` names the subcommand in JSON
 // output ("campaign", "explore", "shard", "resume", "replay").
-int RunSpec(const char* command, lfi::CampaignSpec spec, const std::string& tool_path) {
-  bool json = spec.json;
+int RunSpec(const char* command, lfi::CampaignSpec spec, bool json,
+            const std::string& tool_path) {
   lfi::CampaignDriver driver(std::move(spec));
   driver.set_tool_path(tool_path);
   std::string error;
@@ -1161,7 +1159,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "shard needs --shards N (N >= 2)\n");
       return Usage();
     }
-    return RunSpec(cmd.c_str(), std::move(spec), tool_path);
+    return RunSpec(cmd.c_str(), std::move(spec), options.json, tool_path);
   }
   if (cmd == "resume" && args.size() >= 2) {
     ToolOptions options;
@@ -1170,7 +1168,7 @@ int main(int argc, char** argv) {
     }
     lfi::CampaignSpec spec = SpecFromOptions(lfi::CampaignMode::kResume, "", options);
     spec.journal_path = args[1];
-    return RunSpec("resume", std::move(spec), tool_path);
+    return RunSpec("resume", std::move(spec), options.json, tool_path);
   }
   if (cmd == "replay" && args.size() >= 2) {
     // The optional positional selector must precede any options.
@@ -1187,7 +1185,7 @@ int main(int argc, char** argv) {
     lfi::CampaignSpec spec = SpecFromOptions(lfi::CampaignMode::kReplay, "", options);
     spec.journal_path = args[1];
     spec.replay_selector = selector;
-    return RunSpec("replay", std::move(spec), tool_path);
+    return RunSpec("replay", std::move(spec), options.json, tool_path);
   }
   if (cmd == "merge" && args.size() >= 3) {
     return RunMergeCommand(args, 1);
@@ -1236,7 +1234,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bad spec %s: %s\n", args[1].c_str(), error.c_str());
       return 1;
     }
-    return RunSpec("run-spec", std::move(*spec), tool_path);
+    return RunSpec("run-spec", std::move(*spec), /*json=*/false, tool_path);
   }
   return Usage();
 }

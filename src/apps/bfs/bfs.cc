@@ -1180,6 +1180,7 @@ int BfsCluster::RunWorkload(int max_ticks) {
       }
     } catch (const SimCrash& crash) {
       crashed_ = true;
+      crash_kind_ = crash.kind();
       crash_reason_ = crash.what();
       break;
     }
@@ -1193,7 +1194,7 @@ std::string BfsCluster::CheckConsistency() {
 }
 
 BfsCluster::Snapshot BfsCluster::TakeSnapshot() const {
-  Snapshot snapshot{server_->TakeSnapshot(), {}, oracle_, crashed_, crash_reason_};
+  Snapshot snapshot{server_->TakeSnapshot(), {}, oracle_, crashed_, crash_kind_, crash_reason_};
   for (const auto& client : clients_) {
     snapshot.clients.push_back(client->TakeSnapshot());
   }
@@ -1214,6 +1215,7 @@ bool BfsCluster::Restore(const Snapshot& snapshot) {
   }
   oracle_ = snapshot.oracle;
   crashed_ = snapshot.crashed;
+  crash_kind_ = snapshot.crash_kind;
   crash_reason_ = snapshot.crash_reason;
   return true;
 }

@@ -43,6 +43,7 @@
 
 #include "apps/common/app_binary.h"
 #include "coverage/coverage.h"
+#include "vlib/sim_crash.h"
 #include "vlib/virtual_libc.h"
 
 namespace lfi {
@@ -324,6 +325,7 @@ class BfsCluster {
   bool AllClientsDone() const;
 
   bool crashed() const { return crashed_; }
+  CrashKind crash_kind() const { return crash_kind_; }
   const std::string& crash_reason() const { return crash_reason_; }
 
   // Runs the remount audit and returns the oldest inconsistency between the
@@ -335,6 +337,7 @@ class BfsCluster {
     std::vector<BfsClient::Snapshot> clients;
     BfsOracle oracle;
     bool crashed = false;
+    CrashKind crash_kind = CrashKind::kSegfault;
     std::string crash_reason;
   };
   Snapshot TakeSnapshot() const;
@@ -348,6 +351,7 @@ class BfsCluster {
   std::unique_ptr<BfsServer> server_;
   std::vector<std::unique_ptr<BfsClient>> clients_;
   bool crashed_ = false;
+  CrashKind crash_kind_ = CrashKind::kSegfault;
   std::string crash_reason_;
 };
 

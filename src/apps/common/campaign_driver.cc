@@ -3,15 +3,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
-#include <stdexcept>
-#include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <sys/wait.h>
-#include <unistd.h>
 #define LFI_HAVE_FORK 1
 #endif
 
@@ -207,10 +204,12 @@ std::vector<std::string> SiteFunctions(const std::vector<CallSiteReport>& report
 
 // Engine options for a (possibly journaled) spec; the journal header is the
 // spec's identity, so `lfi_tool resume` can rebuild the spec from the file.
-CampaignEngine::Options EngineOptions(const CampaignSpec& spec, size_t max_bugs) {
+CampaignEngine::Options EngineOptions(const CampaignSpec& spec, const SystemEntry& entry) {
   CampaignEngine::Options options;
   options.workers = spec.workers;
-  options.max_bugs = max_bugs;
+  // The historical fuzz cutoff applies to Table 1's non-exhaustive runs only.
+  options.max_bugs =
+      spec.mode == CampaignMode::kTable1 && !spec.exhaustive ? entry.table1_max_bugs : 0;
   options.journal_path = spec.journal_path;
   options.resume = spec.resume;
   options.journal_format = spec.format;
@@ -231,46 +230,98 @@ CampaignEngine::Options EngineOptions(const CampaignSpec& spec, size_t max_bugs)
   return options;
 }
 
-bool FileExists(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f != nullptr) {
-    std::fclose(f);
-  }
-  return f != nullptr;
-}
-
-// The analyzer inputs an exploration strategy consumes: every library's call
-// site reports concatenated in profile order (deterministic, so plan report
-// indices are stable across processes), plus one profile to look functions
-// up in -- a combined view when the system links several libraries (profiles
-// never share function names here; if they did, the first library would win,
-// matching link order).
-struct ExploreInputs {
+// A spec's scenario source, next to the analyzer inputs a strategy borrows:
+// every library's call-site reports concatenated in profile order
+// (deterministic, so plan report indices are stable across processes), plus
+// one profile to look functions up in -- a combined view when the system
+// links several libraries (profiles never share function names here; if they
+// did, the first library would win, matching link order).
+struct SpecSource {
   std::vector<const FaultProfile*> profiles;
   std::vector<CallSiteReport> reports;
   FaultProfile combined{"combined"};
-  bool use_combined = false;
+  std::unique_ptr<ScenarioSource> source;
+  CoverageGuidedSource* coverage = nullptr;  // the coverage strategy's source, else null
 
-  const FaultProfile& lookup() const { return use_combined ? combined : *profiles.front(); }
+  const FaultProfile& lookup() const { return profiles.size() > 1 ? combined : *profiles.front(); }
 };
 
-ExploreInputs BuildExploreInputs(const SystemEntry& entry) {
-  ExploreInputs inputs;
-  inputs.profiles = entry.profiles();
-  for (const FaultProfile* profile : inputs.profiles) {
+// The one place a spec becomes a scenario source: the Table 1 job list or an
+// exploration strategy. An epoch shard child's coverage source reseeds the
+// frontier the orchestrator exported at the epoch boundary and re-derives
+// the epoch's job stream open-loop. nullptr + *error on an unreadable
+// frontier snapshot.
+std::unique_ptr<SpecSource> MakeSpecSource(const CampaignSpec& spec, const SystemEntry& entry,
+                                           const ExecutionLayer& exec, std::string* error) {
+  auto made = std::make_unique<SpecSource>();
+  if (spec.mode == CampaignMode::kTable1) {
+    made->source = std::make_unique<ExhaustiveSource>(entry.table1_jobs(spec.exhaustive, exec));
+    return made;
+  }
+  made->profiles = entry.profiles();
+  for (const FaultProfile* profile : made->profiles) {
     const std::vector<CallSiteReport>& cached =
         AnalysisCache::Instance().Reports(entry.binary().image(), *profile);
-    inputs.reports.insert(inputs.reports.end(), cached.begin(), cached.end());
+    made->reports.insert(made->reports.end(), cached.begin(), cached.end());
   }
-  if (inputs.profiles.size() > 1) {
-    for (auto it = inputs.profiles.rbegin(); it != inputs.profiles.rend(); ++it) {
+  if (made->profiles.size() > 1) {
+    for (auto it = made->profiles.rbegin(); it != made->profiles.rend(); ++it) {
       for (const auto& [name, fn] : (*it)->functions()) {
-        inputs.combined.AddFunction(fn);
+        made->combined.AddFunction(fn);
       }
     }
-    inputs.use_combined = true;
   }
-  return inputs;
+  size_t budget = spec.budget != 0 ? spec.budget : 64;
+  switch (spec.strategy) {
+    case ExploreStrategy::kExhaustive: {
+      std::vector<CampaignJob> jobs;
+      for (const FaultProfile* profile : made->profiles) {
+        for (CampaignJob& job : AnalyzerJobs(entry.binary().image(), *profile)) {
+          jobs.push_back(std::move(job));
+        }
+      }
+      made->source = std::make_unique<ExhaustiveSource>(std::move(jobs), spec.budget);
+      return made;
+    }
+    case ExploreStrategy::kRandom:
+      made->source = std::make_unique<RandomSweepSource>(
+          made->lookup(), SiteFunctions(made->reports), budget, spec.seed);
+      return made;
+    case ExploreStrategy::kCoverage:
+      break;
+  }
+  CoverageGuidedSource::Options options;
+  options.budget = budget;
+  options.seed = spec.seed;
+  std::optional<FrontierState> frontier;
+  if (spec.epoch_index != kNoEpoch) {
+    // The schedule limit is where the epoch ends in the unsharded stream; a
+    // frontier that runs dry earlier stops earlier, exactly like the
+    // single-process run's early epoch flush.
+    std::ifstream in(spec.frontier_path);
+    std::string xml((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    std::string parse_error;
+    if (!xml.empty()) {
+      frontier = FrontierState::Parse(xml, &parse_error);
+    }
+    if (!frontier) {
+      if (error != nullptr) {
+        *error = xml.empty() ? "cannot read frontier snapshot " + spec.frontier_path
+                             : "bad frontier snapshot " + spec.frontier_path + ": " + parse_error;
+      }
+      return nullptr;
+    }
+    options.open_loop = true;
+    options.schedule_limit =
+        frontier->scheduled + spec.epoch_len * CampaignEngine::Options::kDefaultBatchSize;
+  }
+  auto coverage = std::make_unique<CoverageGuidedSource>(made->reports, made->lookup(), options);
+  if (frontier) {
+    coverage->ImportFrontier(*frontier);
+  }
+  made->coverage = coverage.get();
+  made->source = std::move(coverage);
+  return made;
 }
 
 // Points the process-wide AnalysisCache at the campaign's persistent
@@ -289,43 +340,29 @@ void ConfigureAnalysisCacheDir(const std::string& journal_path) {
 #endif
 }
 
-CampaignOutcome FromExploration(ExplorationResult result, const CampaignSpec& spec) {
+// Reports `message` through the optional error out-parameter.
+std::optional<CampaignOutcome> Fail(std::string* error, std::string message) {
+  if (error != nullptr) {
+    *error = std::move(message);
+  }
+  return std::nullopt;
+}
+
+CampaignOutcome FromExploration(ExplorationResult result, std::string journal_path) {
   CampaignOutcome outcome;
   outcome.bugs = std::move(result.bugs);
   outcome.coverage = std::move(result.coverage);
   outcome.scenarios_run = result.scenarios_run;
-  outcome.journal_path = spec.journal_path;
-  return outcome;
-}
-
-// Runs `source` -- dealt down to this process's shard when the spec names
-// one -- on the engine through the execution layer's pools.
-CampaignOutcome RunSource(const CampaignEngine& engine, ScenarioSource& source,
-                          const CampaignSpec& spec, const ExecutionLayer& exec) {
-  ExplorationResult result;
-  if (spec.shard_index != CampaignSpec::kNoShard) {
-    ShardSource sharded(source, spec.shard_index, spec.shard_count);
-    result = engine.Run(sharded, exec.runner());
-  } else {
-    result = engine.Run(source, exec.runner());
-  }
-  CampaignOutcome outcome = FromExploration(std::move(result), spec);
-  outcome.pool = exec.pool_stats();
+  outcome.journal_path = std::move(journal_path);
   return outcome;
 }
 
 }  // namespace
 
 std::optional<CampaignOutcome> CampaignDriver::Run(std::string* error) {
-  auto fail = [&](std::string message) -> std::optional<CampaignOutcome> {
-    if (error != nullptr) {
-      *error = std::move(message);
-    }
-    return std::nullopt;
-  };
   std::string invalid = spec_.Validate();
   if (!invalid.empty()) {
-    return fail(std::move(invalid));
+    return Fail(error, std::move(invalid));
   }
   // Chaos hooks, armed before anything fallible runs. The spec carries the
   // schedule over the wire to spawned children (Arm replaces the whole set,
@@ -335,7 +372,7 @@ std::optional<CampaignOutcome> CampaignDriver::Run(std::string* error) {
   if (!spec_.failpoints.empty()) {
     std::string fp_error;
     if (!Failpoints::Instance().Arm(spec_.failpoints, &fp_error)) {
-      return fail("bad failpoint spec: " + fp_error);
+      return Fail(error, "bad failpoint spec: " + fp_error);
     }
   }
   if (spec_.shard_index != CampaignSpec::kNoShard) {
@@ -344,39 +381,32 @@ std::optional<CampaignOutcome> CampaignDriver::Run(std::string* error) {
             ? StrFormat("epoch%zu.shard%zu", spec_.epoch_index, spec_.shard_index)
             : StrFormat("shard%zu", spec_.shard_index));
     if (FailpointFired("child.start")) {
-      return fail("failpoint child.start fired");
+      return Fail(error, "failpoint child.start fired");
     }
   }
   EnsureStockTriggersRegistered();
   try {
-    bool orchestrates = spec_.shard_count > 1 && spec_.shard_index == CampaignSpec::kNoShard &&
-                        (spec_.mode == CampaignMode::kTable1 || spec_.mode == CampaignMode::kExplore);
-    if (orchestrates) {
-      if (spec_.mode == CampaignMode::kExplore && spec_.strategy == ExploreStrategy::kCoverage) {
-        // Validate guaranteed epoch_len != 0 for this combination.
-        return RunEpochOrchestration(error);
-      }
-      return RunShardOrchestration(error);
-    }
     switch (spec_.mode) {
       case CampaignMode::kTable1:
-        return RunTable1(error);
       case CampaignMode::kExplore:
-        return RunExplore(error);
+        // Several shards and none of them named: this process orchestrates.
+        return spec_.shard_count > 1 && spec_.shard_index == CampaignSpec::kNoShard
+                   ? RunEpochOrchestration(error)
+                   : RunCampaign(error);
       case CampaignMode::kResume:
         return RunResume(error);
       case CampaignMode::kReplay:
         return RunReplay(error);
     }
-    return fail("unreachable campaign mode");
+    return Fail(error, "unreachable campaign mode");
   } catch (const std::exception& e) {
     // The engine throws on unusable journals (divergence, I/O); surface it
     // as a CLI-friendly error instead of tearing down the process.
-    return fail(e.what());
+    return Fail(error, e.what());
   }
 }
 
-std::optional<CampaignOutcome> CampaignDriver::RunTable1(std::string* error) {
+std::optional<CampaignOutcome> CampaignDriver::RunCampaign(std::string* error) {
   if (spec_.system == "all") {
     // The per-system engines share no job stream, so one journal cannot cover the
     // union campaign (Validate already refused a journal path).
@@ -400,75 +430,23 @@ std::optional<CampaignOutcome> CampaignDriver::RunTable1(std::string* error) {
   }
 
   const SystemEntry* entry = FindSystem(spec_.system);
-  ExecutionLayer exec(spec_.system, /*explore_workload=*/false, spec_.cold_start);
-  std::vector<CampaignJob> jobs = entry->table1_jobs(spec_.exhaustive, exec);
-  size_t max_bugs = spec_.exhaustive ? 0 : entry->table1_max_bugs;
-  CampaignEngine engine(EngineOptions(spec_, max_bugs));
-  ExhaustiveSource source(std::move(jobs));
-  return RunSource(engine, source, spec_, exec);
-}
-
-std::optional<CampaignOutcome> CampaignDriver::RunExplore(std::string* error) {
-  auto fail = [&](std::string message) -> std::optional<CampaignOutcome> {
-    if (error != nullptr) {
-      *error = std::move(message);
-    }
+  ExecutionLayer exec(spec_.system, spec_.mode == CampaignMode::kExplore, spec_.cold_start);
+  std::unique_ptr<SpecSource> source = MakeSpecSource(spec_, *entry, exec, error);
+  if (source == nullptr) {
     return std::nullopt;
-  };
-  const SystemEntry* entry = FindSystem(spec_.system);
-  ExploreInputs inputs = BuildExploreInputs(*entry);
-  CampaignEngine engine(EngineOptions(spec_, /*max_bugs=*/0));
-  ExecutionLayer exec(spec_.system, /*explore_workload=*/true, spec_.cold_start);
-  auto run = [&](ScenarioSource& source) { return RunSource(engine, source, spec_, exec); };
-  switch (spec_.strategy) {
-    case ExploreStrategy::kExhaustive: {
-      std::vector<CampaignJob> jobs;
-      for (const FaultProfile* profile : inputs.profiles) {
-        for (CampaignJob& job : AnalyzerJobs(entry->binary().image(), *profile)) {
-          jobs.push_back(std::move(job));
-        }
-      }
-      ExhaustiveSource source(std::move(jobs), spec_.budget);
-      return run(source);
-    }
-    case ExploreStrategy::kRandom: {
-      RandomSweepSource source(inputs.lookup(), SiteFunctions(inputs.reports),
-                               spec_.budget != 0 ? spec_.budget : 64, spec_.seed);
-      return run(source);
-    }
-    case ExploreStrategy::kCoverage: {
-      CoverageGuidedSource::Options options;
-      options.budget = spec_.budget != 0 ? spec_.budget : 64;
-      options.seed = spec_.seed;
-      std::optional<FrontierState> frontier;
-      if (spec_.epoch_index != kNoEpoch) {
-        // Epoch shard child: reseed the frontier the orchestrator exported
-        // at the epoch boundary and re-derive the epoch's job stream
-        // open-loop. The schedule limit is where the epoch ends in the
-        // unsharded stream; a frontier that runs dry earlier stops earlier,
-        // exactly like the single-process run's early epoch flush.
-        std::ifstream in(spec_.frontier_path);
-        std::string xml((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-        if (xml.empty()) {
-          return fail("cannot read frontier snapshot " + spec_.frontier_path);
-        }
-        std::string frontier_error;
-        frontier = FrontierState::Parse(xml, &frontier_error);
-        if (!frontier) {
-          return fail("bad frontier snapshot " + spec_.frontier_path + ": " + frontier_error);
-        }
-        options.open_loop = true;
-        options.schedule_limit =
-            frontier->scheduled + spec_.epoch_len * CampaignEngine::Options::kDefaultBatchSize;
-      }
-      CoverageGuidedSource source(inputs.reports, inputs.lookup(), options);
-      if (frontier) {
-        source.ImportFrontier(*frontier);
-      }
-      return run(source);
-    }
   }
-  return CampaignOutcome{};
+  CampaignEngine engine(EngineOptions(spec_, *entry));
+  ExplorationResult result;
+  if (spec_.shard_index != CampaignSpec::kNoShard) {
+    // A shard child runs only its deal of the stream.
+    ShardSource sharded(*source->source, spec_.shard_index, spec_.shard_count);
+    result = engine.Run(sharded, exec.runner());
+  } else {
+    result = engine.Run(*source->source, exec.runner());
+  }
+  CampaignOutcome outcome = FromExploration(std::move(result), spec_.journal_path);
+  outcome.pool = exec.pool_stats();
+  return outcome;
 }
 
 std::optional<CampaignOutcome> CampaignDriver::RunResume(std::string* error) {
@@ -483,21 +461,13 @@ std::optional<CampaignOutcome> CampaignDriver::RunResume(std::string* error) {
   recorded->workers = spec_.workers;
   recorded->journal_path = spec_.journal_path;
   recorded->resume = true;
-  // `resume --shards N` resumes a merged epoch-synchronized journal as a
-  // distributed campaign again (the journal's identity doesn't record the
-  // shard count -- it is an execution choice, not part of the identity).
-  if (spec_.shard_count > 1 && recorded->epoch_len == 0) {
-    if (error != nullptr) {
-      *error = "--shards on resume applies to epoch-synchronized (epoch-len) campaigns; "
-               "this journal resumes single-process";
-    }
-    return std::nullopt;
-  }
+  // `resume --shards N` resumes a journal as a distributed campaign again
+  // (the journal's identity doesn't record the shard count -- it is an
+  // execution choice, not part of the identity).
   recorded->shard_count = spec_.shard_count;
   // Resume never re-encodes: the engine keeps appending in whatever format
   // the file already uses.
   recorded->format = journal->format();
-  recorded->json = spec_.json;
   recorded->abort_after_records = spec_.abort_after_records;
   // Supervision policy is environment, not identity: the resuming run's
   // flags win, and a resume never inherits the killed run's failpoints.
@@ -516,19 +486,13 @@ std::optional<CampaignOutcome> CampaignDriver::RunResume(std::string* error) {
 }
 
 std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
-  auto fail = [&](std::string message) -> std::optional<CampaignOutcome> {
-    if (error != nullptr) {
-      *error = std::move(message);
-    }
-    return std::nullopt;
-  };
   auto journal = CampaignJournal::Load(spec_.journal_path, error);
   if (!journal) {
     return std::nullopt;
   }
   std::string system = journal->Meta("system", "");
   if (FindSystem(system) == nullptr) {
-    return fail("journal names unknown system '" + system + "'");
+    return Fail(error, "journal names unknown system '" + system + "'");
   }
   // Replay runs through the pools of the recorded campaign's workload, like
   // any other job, but always under the fresh-instance policy: each record is
@@ -555,21 +519,21 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
     auto record = ParseInt(parts[0]);
     if (!record || parts.size() > 2 || *record < 0 ||
         static_cast<size_t>(*record) >= records.size()) {
-      return fail(StrFormat("bad record selector '%s' (journal has %zu records)",
-                            spec_.replay_selector.c_str(), records.size()));
+      return Fail(error, StrFormat("bad record selector '%s' (journal has %zu records)",
+                                   spec_.replay_selector.c_str(), records.size()));
     }
     const InjectionLog& log = records[*record].result.log;
     if (log.empty()) {
-      return fail(StrFormat("record %lld injected nothing; nothing to replay",
-                            static_cast<long long>(*record)));
+      return Fail(error, StrFormat("record %lld injected nothing; nothing to replay",
+                                   static_cast<long long>(*record)));
     }
     size_t injection = log.size() - 1;
     bool whole_record = parts.size() != 2;
     if (parts.size() == 2) {
       auto parsed = ParseInt(parts[1]);
       if (!parsed || *parsed < 0 || static_cast<size_t>(*parsed) >= log.size()) {
-        return fail(StrFormat("record %lld has %zu injection(s)",
-                              static_cast<long long>(*record), log.size()));
+        return Fail(error, StrFormat("record %lld has %zu injection(s)",
+                                     static_cast<long long>(*record), log.size()));
       }
       injection = static_cast<size_t>(*parsed);
     }
@@ -641,58 +605,6 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
   return outcome;
 }
 
-std::optional<CampaignOutcome> CampaignDriver::RunShardOrchestration(std::string* error) {
-  auto fail = [&](std::string message) -> std::optional<CampaignOutcome> {
-    if (error != nullptr) {
-      *error = std::move(message);
-    }
-    return std::nullopt;
-  };
-  // Refuse to clobber artifacts before any shard spends work (the engine
-  // applies the same rule per shard journal).
-  if (FileExists(spec_.journal_path)) {
-    return fail("journal " + spec_.journal_path +
-                " already exists; resume it to continue the campaign, or delete it to "
-                "start fresh");
-  }
-  ConfigureAnalysisCacheDir(spec_.journal_path);
-
-  std::vector<CampaignSpec> children;
-  std::vector<std::string> shard_paths;
-  for (size_t shard = 0; shard < spec_.shard_count; ++shard) {
-    CampaignSpec child = spec_;
-    child.shard_index = shard;
-    child.journal_path = spec_.ShardJournalPath(shard);
-    child.json = false;
-    child.abort_after_records = 0;
-    // A leftover shard journal is a killed orchestration's completed work:
-    // resume it instead of discarding it. Finished shards replay entirely
-    // from disk; a journal recorded under a different campaign identity
-    // makes the child's engine refuse, which surfaces as the shard failing.
-    child.resume = FileExists(child.journal_path);
-    shard_paths.push_back(child.journal_path);
-    children.push_back(std::move(child));
-  }
-
-  // Every shard sees at most the whole budget's job stream, so the budget
-  // is the (conservative) per-child job bound the derived deadline uses.
-  if (!RunShardChildren(children, spec_.budget, error)) {
-    return std::nullopt;
-  }
-
-  JournalMetadata metadata;
-  std::vector<MergeInputStats> stats;
-  auto merged =
-      MergeJournals(shard_paths, spec_.journal_path, error, &metadata, &stats, spec_.format);
-  if (!merged) {
-    return std::nullopt;
-  }
-  CampaignOutcome outcome = FromExploration(std::move(*merged), spec_);
-  outcome.metadata = std::move(metadata);
-  outcome.shards = std::move(stats);
-  return outcome;
-}
-
 bool CampaignDriver::RunShardChildren(const std::vector<CampaignSpec>& children,
                                       size_t jobs_hint, std::string* error) {
   ShardSupervisor::Options options;
@@ -716,12 +628,6 @@ bool CampaignDriver::RunShardChildren(const std::vector<CampaignSpec>& children,
 }
 
 std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string* error) {
-  auto fail = [&](std::string message) -> std::optional<CampaignOutcome> {
-    if (error != nullptr) {
-      *error = std::move(message);
-    }
-    return std::nullopt;
-  };
   const size_t batch_size = CampaignEngine::Options::kDefaultBatchSize;
 
   // Resume loads the merged journal (possibly torn by a kill) and replays
@@ -737,25 +643,30 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
     for (const auto& [key, value] : spec_.ToJournalMeta()) {
       std::string recorded = journal->Meta(key, "");
       if (recorded != value) {
-        return fail("journal " + spec_.journal_path + " records a campaign with " + key +
-                    "='" + recorded + "', not '" + value + "'; resuming it would diverge");
+        return Fail(error, "journal " + spec_.journal_path + " records a campaign with " + key +
+                           "='" + recorded + "', not '" + value + "'; resuming it would diverge");
       }
     }
     loaded = journal->records();
     format = journal->format();
-  } else if (FileExists(spec_.journal_path)) {
-    return fail("journal " + spec_.journal_path +
-                " already exists; resume it to continue the campaign, or delete it to "
-                "start fresh");
+  } else if (std::filesystem::exists(spec_.journal_path)) {
+    return Fail(error, "journal " + spec_.journal_path +
+                       " already exists; resume it to continue the campaign, or delete it to "
+                       "start fresh");
   }
   ConfigureAnalysisCacheDir(spec_.journal_path);
 
+  // The master enumerates the campaign's stream exactly as the
+  // single-process engine would; its jobs never run here.
   const SystemEntry* entry = FindSystem(spec_.system);
-  ExploreInputs inputs = BuildExploreInputs(*entry);
-  CoverageGuidedSource::Options master_options;
-  master_options.budget = spec_.budget != 0 ? spec_.budget : 64;
-  master_options.seed = spec_.seed;
-  CoverageGuidedSource master(inputs.reports, inputs.lookup(), master_options);
+  ExecutionLayer exec(spec_.system, spec_.mode == CampaignMode::kExplore, spec_.cold_start);
+  std::unique_ptr<SpecSource> master = MakeSpecSource(spec_, *entry, exec, error);
+  if (master == nullptr) {
+    return std::nullopt;
+  }
+  // Without epoch_len the whole stream is one epoch: no frontier hand-off,
+  // and records stay unstamped like the single-process run's.
+  const bool epochs = spec_.epoch_len != 0;
 
   // The merged journal is written exactly the way the single-process
   // --epoch-len run writes its own: the same header (no shard keys), records
@@ -773,9 +684,11 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
   std::vector<MergeInputStats> shard_stats(spec_.shard_count);
   std::vector<std::set<FoundBug>> shard_bugs(spec_.shard_count);
   for (size_t shard = 0; shard < spec_.shard_count; ++shard) {
-    shard_stats[shard].path = spec_.journal_path + StrFormat(".epoch*.shard%zu", shard);
+    shard_stats[shard].path = epochs ? spec_.journal_path + StrFormat(".epoch*.shard%zu", shard)
+                                     : spec_.ShardJournalPath(shard);
     shard_stats[shard].shard_index = shard;
   }
+  size_t scheduled = 0;  // stream position of the next enumerated job
 
   for (size_t epoch = 0;; ++epoch) {
     // The epoch's schedule is a pure function of the frontier: snapshot it
@@ -783,145 +696,142 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
     // as the single-process engine would -- up to epoch_len batches, ending
     // early if the frontier runs dry (feedback for these jobs arrives only
     // after the epoch merges, so enumeration is open-loop by construction).
-    FrontierState frontier = master.ExportFrontier();
+    std::optional<FrontierState> frontier;
+    if (epochs) {
+      frontier = master->coverage->ExportFrontier();
+    }
     std::vector<CampaignJob> jobs;
-    size_t batches = 0;
-    while (batches < spec_.epoch_len) {
-      std::vector<CampaignJob> next = master.NextBatch(batch_size);
+    for (size_t batches = 0; !epochs || batches < spec_.epoch_len; ++batches) {
+      std::vector<CampaignJob> next = master->source->NextBatch(batch_size);
       if (next.empty()) {
         break;
       }
-      ++batches;
       for (CampaignJob& job : next) {
+        // ShardSource stamps the same drain position in every child.
+        if (job.stream_index == CampaignJob::kNoStreamIndex) {
+          job.stream_index = scheduled;
+        }
+        ++scheduled;
         jobs.push_back(std::move(job));
       }
     }
     if (jobs.empty()) {
       break;  // frontier exhausted or budget reached: the campaign is over
     }
+    const size_t epoch_stamp = epochs ? epoch : kNoEpoch;
 
-    if (replay.size() >= jobs.size()) {
-      // The merged journal fully covers this epoch: replay it. Loaded
-      // records substitute for child work, and the master receives the
-      // epoch's feedback exactly as if the epoch had just merged.
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        const JournalRecord& record = replay[i];
-        if (record.label != jobs[i].label || record.stream_index != jobs[i].stream_index ||
-            record.epoch != epoch) {
-          return fail(StrFormat(
-              "journal %s does not align with the regenerated stream at record %zu "
-              "('%s' where the frontier schedules '%s'); it was not recorded by this spec",
-              spec_.journal_path.c_str(), fold.records + i, record.label.c_str(),
-              jobs[i].label.c_str()));
-        }
-      }
+    std::vector<JournalRecord> merged_records;
+    const bool live = replay.size() < jobs.size();
+    if (!live) {
+      // The merged journal fully covers this epoch: its loaded records
+      // substitute for child work, folded as the epoch's merge folded them
+      // (the recomputed feedback equals the recorded copy, so the bytes do
+      // not change).
       for (size_t i = 0; i < jobs.size(); ++i) {
         JournalRecord record = std::move(replay.front());
         replay.pop_front();
-        // The engine's fold, continued across the rewrite: the recomputed
-        // feedback equals the recorded copy, so the bytes do not change.
         if (!record.gated) {
           record.feedback = fold.Add(record.result);
         }
         if (!merged.Append(record)) {
-          return fail("journal append failed rewriting " + spec_.journal_path +
-                      ": disk full or I/O error");
+          return Fail(error, "journal append failed rewriting " + spec_.journal_path +
+                             ": disk full or I/O error");
         }
         ++fold.records;
         fold.next_stream_index = record.stream_index + 1;
-        master.OnFeedback(jobs[i], record.feedback);
+        merged_records.push_back(std::move(record));
       }
-      continue;
-    }
-    // The first epoch the merged journal does not fully cover runs live. Its
-    // partial records (the kill's torn tail) are discarded: the sealed
-    // per-epoch shard journals are the durable copy the epoch is rebuilt
-    // from, and a shard whose journal already completed replays it from disk
-    // without re-executing anything.
-    replay.clear();
+    } else {
+      // The first epoch the merged journal does not fully cover runs live.
+      // Its partial records (the kill's torn tail) are discarded: the sealed
+      // shard journals are the durable copy the epoch is rebuilt from, and a
+      // shard whose journal already completed replays it from disk without
+      // re-executing anything.
+      replay.clear();
 
-    // The frontier export is tmp+rename like every artifact a child (or a
-    // resumed orchestrator) may read: a crash mid-write must never leave a
-    // half-written snapshot where a complete one is expected.
-    std::string frontier_path = spec_.EpochFrontierPath(epoch);
-    {
-      std::string tmp_path = frontier_path + ".tmp";
-      std::ofstream out(tmp_path);
-      out << frontier.ToXml();
-      bool ok = out.good();
-      out.close();
-      if (FailpointFired("frontier.write")) {
-        ok = false;
+      // The frontier export is tmp+rename like every artifact a child (or a
+      // resumed orchestrator) may read: a crash mid-write must never leave a
+      // half-written snapshot where a complete one is expected.
+      std::string frontier_path;
+      if (epochs) {
+        frontier_path = spec_.EpochFrontierPath(epoch);
+        std::string tmp_path = frontier_path + ".tmp";
+        std::ofstream out(tmp_path);
+        out << frontier->ToXml();
+        bool ok = out.good();
+        out.close();
+        if (FailpointFired("frontier.write")) {
+          ok = false;
+        }
+        if (!ok || std::rename(tmp_path.c_str(), frontier_path.c_str()) != 0) {
+          return Fail(error, "cannot write frontier snapshot " + frontier_path);
+        }
       }
-      if (!ok || std::rename(tmp_path.c_str(), frontier_path.c_str()) != 0) {
-        return fail("cannot write frontier snapshot " + frontier_path);
+
+      std::vector<CampaignSpec> children;
+      for (size_t shard = 0; shard < spec_.shard_count; ++shard) {
+        CampaignSpec child = spec_;
+        child.shard_index = shard;
+        child.epoch_index = epoch_stamp;
+        child.journal_path =
+            epochs ? spec_.EpochShardJournalPath(epoch, shard) : spec_.ShardJournalPath(shard);
+        child.frontier_path = frontier_path;
+        child.abort_after_records = 0;
+        // A leftover shard journal is a killed orchestration's completed
+        // work: resume it (a complete one replays wholly from disk).
+        child.resume = std::filesystem::exists(child.journal_path);
+        children.push_back(std::move(child));
       }
-    }
-
-    std::vector<CampaignSpec> children;
-    for (size_t shard = 0; shard < spec_.shard_count; ++shard) {
-      CampaignSpec child = spec_;
-      child.shard_index = shard;
-      child.epoch_index = epoch;
-      child.journal_path = spec_.EpochShardJournalPath(epoch, shard);
-      child.frontier_path = frontier_path;
-      child.json = false;
-      child.abort_after_records = 0;
-      // A leftover epoch-shard journal is a killed orchestration's completed
-      // work: resume it (a complete one replays wholly from disk).
-      child.resume = FileExists(child.journal_path);
-      children.push_back(std::move(child));
-    }
-    if (!RunShardChildren(children, jobs.size(), error)) {
-      return std::nullopt;
-    }
-
-    std::vector<CampaignJournal> epoch_journals;
-    for (const CampaignSpec& child : children) {
-      auto journal = CampaignJournal::Load(child.journal_path, error);
-      if (!journal) {
+      if (!RunShardChildren(children, jobs.size(), error)) {
         return std::nullopt;
       }
-      epoch_journals.push_back(std::move(*journal));
+
+      std::vector<CampaignJournal> shard_journals;
+      for (const CampaignSpec& child : children) {
+        auto journal = CampaignJournal::Load(child.journal_path, error);
+        if (!journal) {
+          return std::nullopt;
+        }
+        shard_journals.push_back(std::move(*journal));
+      }
+      if (!MergeRecordsInto(merged, shard_journals, &fold, error, &merged_records)) {
+        return std::nullopt;
+      }
+      for (size_t shard = 0; shard < shard_journals.size(); ++shard) {
+        MergeInputStats& stats = shard_stats[shard];
+        stats.records += shard_journals[shard].records().size();
+        for (const JournalRecord& record : shard_journals[shard].records()) {
+          stats.scenarios_run += record.gated ? 0 : 1;
+          shard_bugs[shard].insert(record.result.bugs.begin(), record.result.bugs.end());
+        }
+        stats.bugs = shard_bugs[shard].size();
+      }
     }
-    std::vector<JournalRecord> merged_records;
-    if (!MergeRecordsInto(merged, epoch_journals, &fold, error, &merged_records)) {
-      return std::nullopt;
-    }
+
+    // Either way the epoch must be exactly what the master scheduled.
     if (merged_records.size() != jobs.size()) {
-      return fail(StrFormat("epoch %zu merged %zu records but the frontier scheduled %zu "
-                            "jobs; a shard child diverged from the schedule",
-                            epoch, merged_records.size(), jobs.size()));
+      return Fail(error, StrFormat("epoch %zu merged %zu records but the master scheduled %zu "
+                                   "jobs; a shard child diverged from the schedule",
+                                   epoch, merged_records.size(), jobs.size()));
     }
     for (size_t i = 0; i < jobs.size(); ++i) {
-      if (merged_records[i].label != jobs[i].label ||
-          merged_records[i].stream_index != jobs[i].stream_index) {
-        return fail(StrFormat("epoch %zu record %zu is '%s' where the frontier scheduled "
-                              "'%s'; a shard child diverged from the schedule",
-                              epoch, i, merged_records[i].label.c_str(),
-                              jobs[i].label.c_str()));
+      const JournalRecord& record = merged_records[i];
+      if (record.label != jobs[i].label || record.stream_index != jobs[i].stream_index ||
+          record.epoch != epoch_stamp) {
+        return Fail(error,
+                    StrFormat("epoch %zu record %zu of %s is '%s' where the master scheduled "
+                              "'%s'; %s diverged from this spec",
+                              epoch, i, spec_.journal_path.c_str(), record.label.c_str(),
+                              jobs[i].label.c_str(), live ? "a shard child" : "the journal"));
       }
-    }
-    for (size_t shard = 0; shard < epoch_journals.size(); ++shard) {
-      MergeInputStats& stats = shard_stats[shard];
-      stats.records += epoch_journals[shard].records().size();
-      for (const JournalRecord& record : epoch_journals[shard].records()) {
-        if (!record.gated) {
-          ++stats.scenarios_run;
-        }
-        for (const FoundBug& bug : record.result.bugs) {
-          shard_bugs[shard].insert(bug);
-        }
-      }
-      stats.bugs = shard_bugs[shard].size();
     }
     // The epoch boundary: the whole epoch's feedback reaches the master
-    // frontier at once, in stream order -- exactly the single-process
-    // engine's deferred epoch flush.
+    // source at once, in stream order -- exactly the single-process engine's
+    // deferred epoch flush.
     for (size_t i = 0; i < jobs.size(); ++i) {
-      master.OnFeedback(jobs[i], merged_records[i].feedback);
+      master->source->OnFeedback(jobs[i], merged_records[i].feedback);
     }
-    appended_live += merged_records.size();
+    appended_live += live ? merged_records.size() : 0;
     if (spec_.abort_after_records != 0 && appended_live >= spec_.abort_after_records) {
       // The kill-and-resume test hook, mirroring the engine's: die without
       // finalizing. The sealed shard journals plus the merged journal's
@@ -931,14 +841,14 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
   }
 
   if (!replay.empty()) {
-    return fail(StrFormat("journal %s has %zu records past the regenerated stream's end; "
-                          "it was not recorded by this spec",
-                          spec_.journal_path.c_str(), replay.size()));
+    return Fail(error, StrFormat("journal %s has %zu records past the regenerated stream's end; "
+                                 "it was not recorded by this spec",
+                                 spec_.journal_path.c_str(), replay.size()));
   }
   if (!merged.Finalize(error)) {
     return std::nullopt;
   }
-  CampaignOutcome outcome = FromExploration(fold.TakeResult(), spec_);
+  CampaignOutcome outcome = FromExploration(fold.TakeResult(), spec_.journal_path);
   outcome.metadata = spec_.ToJournalMeta();
   outcome.shards = std::move(shard_stats);
   return outcome;
@@ -954,11 +864,7 @@ std::optional<CampaignOutcome> MergeCampaignJournals(const std::vector<std::stri
   if (!merged) {
     return std::nullopt;
   }
-  CampaignOutcome outcome;
-  outcome.bugs = std::move(merged->bugs);
-  outcome.coverage = std::move(merged->coverage);
-  outcome.scenarios_run = merged->scenarios_run;
-  outcome.journal_path = output_path;
+  CampaignOutcome outcome = FromExploration(std::move(*merged), output_path);
   outcome.metadata = std::move(metadata);
   outcome.shards = std::move(stats);
   return outcome;

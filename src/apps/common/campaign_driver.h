@@ -8,13 +8,19 @@
 // per-shard/per-replay accounting -- whatever the mode.
 //
 // Multi-process campaigns are a property of the spec, not separate wiring:
-// a spec with shard_count > 1 and no shard_index makes Run() orchestrate --
-// every shard executes the same deterministic spec with shard=i/N (dealt by
-// scenario fingerprint, core/exploration.h ShardSource) into
-// spec.ShardJournalPath(i), either as spawned `lfi_tool run-spec` child
-// processes (set_tool_path) or in-process, and the per-shard journals are
-// then merged (core/journal.h MergeJournals) into spec.journal_path as a
-// valid, resumable single-process journal.
+// a spec with shard_count > 1 and no shard_index makes Run() orchestrate,
+// always through one loop, the epoch protocol (docs/architecture.md). Per
+// epoch, the orchestrator enumerates the epoch's jobs from a master copy of
+// the spec's source; every shard executes the same deterministic spec with
+// shard=i/N (dealt by scenario fingerprint, core/exploration.h ShardSource),
+// either as spawned `lfi_tool run-spec` child processes (set_tool_path) or
+// in-process; and the shard journals are merged (core/journal.h
+// MergeRecordsInto) into spec.journal_path, a valid, resumable
+// single-process journal. Coverage-guided exploration runs epoch_len
+// batches per epoch and hands children a frontier snapshot. An open-loop
+// spec (table1 --exhaustive, explore exhaustive|random) is the one-epoch
+// case: its whole stream is one epoch, children write
+// spec.ShardJournalPath(i), and records carry no epoch stamp.
 
 #ifndef LFI_APPS_COMMON_CAMPAIGN_DRIVER_H_
 #define LFI_APPS_COMMON_CAMPAIGN_DRIVER_H_
@@ -87,15 +93,13 @@ class CampaignDriver {
   std::optional<CampaignOutcome> Run(std::string* error = nullptr);
 
  private:
-  std::optional<CampaignOutcome> RunTable1(std::string* error);
-  std::optional<CampaignOutcome> RunExplore(std::string* error);
+  // Single-process table1/explore: the spec's source on one engine.
+  std::optional<CampaignOutcome> RunCampaign(std::string* error);
   std::optional<CampaignOutcome> RunResume(std::string* error);
   std::optional<CampaignOutcome> RunReplay(std::string* error);
-  std::optional<CampaignOutcome> RunShardOrchestration(std::string* error);
-  // Epoch-synchronized distributed coverage-guided exploration (the spec has
-  // shard_count > 1, the coverage strategy, and epoch_len > 0): runs the
-  // spawn -> merge -> reseed loop docs/architecture.md specifies, producing a
-  // merged journal byte-identical to the single-process --epoch-len run.
+  // The one orchestrator (shard_count > 1): runs the spawn -> merge -> reseed
+  // loop docs/architecture.md specifies, one epoch per loop iteration,
+  // producing a merged journal byte-identical to the single-process run.
   std::optional<CampaignOutcome> RunEpochOrchestration(std::string* error);
   // Runs one child campaign per spec under the ShardSupervisor
   // (apps/common/shard_supervisor.h): exec'd `lfi_tool run-spec` processes

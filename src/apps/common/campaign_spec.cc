@@ -212,9 +212,6 @@ void CampaignSpec::AppendXml(XmlNode* parent) const {
   if (!frontier_path.empty()) {
     node->SetAttr("frontier", frontier_path);
   }
-  if (json) {
-    node->SetAttr("json", "true");
-  }
   if (child_timeout_ms != 0) {
     node->SetAttr("child-timeout-ms", StrFormat("%llu", static_cast<unsigned long long>(
                                                             child_timeout_ms)));
@@ -287,7 +284,6 @@ std::optional<CampaignSpec> CampaignSpec::FromNode(const XmlNode& node, std::str
     spec.epoch_index = SizeFromString(*epoch);
   }
   spec.frontier_path = node.AttrOr("frontier", "");
-  spec.json = node.AttrOr("json", "false") == "true";
   spec.child_timeout_ms = SeedFromString(node.AttrOr("child-timeout-ms", "0"));
   spec.max_retries = SizeFromString(node.AttrOr("max-retries", "2"));
   spec.backoff_ms = SeedFromString(node.AttrOr("backoff-ms", "50"));

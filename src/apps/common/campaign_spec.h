@@ -100,7 +100,6 @@ struct CampaignSpec {
   // Epoch children: path of the frontier snapshot (FrontierState XML) the
   // child reseeds its source from before running. Never journaled.
   std::string frontier_path = {};
-  bool json = false;  // machine-readable reporting (CLI presentation hint)
   // --- supervision policy (apps/common/shard_supervisor.h) -----------------
   // Execution environment, never campaign identity: none of these enter
   // ToJournalMeta, so a journal recorded under any timeout/retry/failpoint
@@ -160,7 +159,7 @@ struct CampaignSpec {
   // Journal identity: the header a journaled run of this spec records
   // (matching the historical key order, so old journals still resume), and
   // the inverse `lfi_tool resume` uses. Environment-only fields (workers,
-  // json, abort hook) are deliberately not part of the identity.
+  // abort hook) are deliberately not part of the identity.
   JournalMetadata ToJournalMeta() const;
   static std::optional<CampaignSpec> FromJournalMeta(const JournalMetadata& meta,
                                                      std::string* error = nullptr);

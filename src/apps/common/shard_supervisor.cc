@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <thread>
 
@@ -38,14 +39,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-bool PathExists(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f != nullptr) {
-    std::fclose(f);
-  }
-  return f != nullptr;
-}
-
 // What a respawned attempt actually runs: the journal left by the failed
 // attempt is salvage, not garbage -- resume it (torn-tail recovery discards
 // at most the record/extent being written when the child died, and a
@@ -54,7 +47,7 @@ bool PathExists(const std::string& path) {
 CampaignSpec RespawnSpec(const CampaignSpec& spec) {
   CampaignSpec fresh = spec;
   fresh.failpoints.clear();
-  fresh.resume = PathExists(fresh.journal_path);
+  fresh.resume = std::filesystem::exists(fresh.journal_path);
   return fresh;
 }
 

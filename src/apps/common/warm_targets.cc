@@ -124,7 +124,8 @@ JobResult RunPbftJobOn(PbftCluster& cluster, const CampaignJob& job, int request
     result.bugs.push_back(
         {"pbft", CrashKindName(outcome.crash_kind), outcome.crash_where, job.label});
   } else if (cluster.crashed()) {
-    result.bugs.push_back({"pbft", "SIGSEGV", cluster.crash_reason(), job.label});
+    result.bugs.push_back(
+        {"pbft", CrashKindName(cluster.crash_kind()), cluster.crash_reason(), job.label});
   }
   result.coverage = cluster.Coverage();
   result.fingerprint = OutcomeFingerprint(controller, outcome);
@@ -144,7 +145,8 @@ JobResult RunPbftDistributedJobOn(PbftCluster& cluster, const CampaignJob& job) 
   }
   cluster.RunWorkload(/*requests=*/30, /*max_ticks=*/4000);
   if (cluster.crashed()) {
-    result.bugs.push_back({"pbft", "SIGSEGV", cluster.crash_reason(), job.label});
+    result.bugs.push_back(
+        {"pbft", CrashKindName(cluster.crash_kind()), cluster.crash_reason(), job.label});
   }
   result.coverage = cluster.Coverage();
   for (const auto& runtime : runtimes) {
@@ -184,7 +186,8 @@ JobResult RunBfsJobOn(BfsCluster& cluster, const CampaignJob& job, int max_ticks
     result.bugs.push_back(
         {"bfs", CrashKindName(outcome.crash_kind), outcome.crash_where, job.label});
   } else if (cluster.crashed()) {
-    result.bugs.push_back({"bfs", "SIGSEGV", cluster.crash_reason(), job.label});
+    result.bugs.push_back(
+        {"bfs", CrashKindName(cluster.crash_kind()), cluster.crash_reason(), job.label});
   } else if (outcome.injections > 0) {
     // The faults were absorbed and every client got its answers; the oracle
     // decides whether the store still matches the acknowledged history.
@@ -215,7 +218,8 @@ JobResult RunBfsMuxJobOn(BfsCluster& cluster, const CampaignJob& job) {
   uint64_t faults = (net->partial_send_count() - sends_before) +
                     (net->partial_recv_count() - recvs_before);
   if (cluster.crashed()) {
-    result.bugs.push_back({"bfs", "SIGSEGV", cluster.crash_reason(), job.label});
+    result.bugs.push_back(
+        {"bfs", CrashKindName(cluster.crash_kind()), cluster.crash_reason(), job.label});
   } else if (faults > 0) {
     std::string inconsistency = cluster.CheckConsistency();
     if (!inconsistency.empty()) {

@@ -812,6 +812,7 @@ PbftCluster::Snapshot PbftCluster::TakeSnapshot() const {
   }
   snapshot.client = client_->TakeSnapshot();
   snapshot.crashed = crashed_;
+  snapshot.crash_kind = crash_kind_;
   snapshot.crash_reason = crash_reason_;
   snapshot.crashed_replica = crashed_replica_;
   return snapshot;
@@ -827,6 +828,7 @@ bool PbftCluster::Restore(const Snapshot& snapshot) {
   }
   ok = client_->Restore(snapshot.client) && ok;
   crashed_ = snapshot.crashed;
+  crash_kind_ = snapshot.crash_kind;
   crash_reason_ = snapshot.crash_reason;
   crashed_replica_ = snapshot.crashed_replica;
   return ok;
@@ -844,6 +846,7 @@ int PbftCluster::RunWorkload(int requests, int max_ticks) {
         r->Step();
       } catch (const SimCrash& crash) {
         crashed_ = true;
+        crash_kind_ = crash.kind();
         crash_reason_ = crash.what();
         crashed_replica_ = r->id();
         return false;

@@ -31,6 +31,7 @@
 
 #include "apps/common/app_binary.h"
 #include "coverage/coverage.h"
+#include "vlib/sim_crash.h"
 #include "vlib/virtual_libc.h"
 
 namespace lfi {
@@ -249,6 +250,7 @@ class PbftCluster {
 
   // True when any replica crashed out of the event loop (SimCrash recorded).
   bool crashed() const { return crashed_; }
+  CrashKind crash_kind() const { return crash_kind_; }
   const std::string& crash_reason() const { return crash_reason_; }
   int crashed_replica() const { return crashed_replica_; }
 
@@ -260,6 +262,7 @@ class PbftCluster {
     std::vector<PbftReplica::Snapshot> replicas;
     PbftClient::Snapshot client;
     bool crashed = false;
+    CrashKind crash_kind = CrashKind::kSegfault;
     std::string crash_reason;
     int crashed_replica = -1;
   };
@@ -272,6 +275,7 @@ class PbftCluster {
   std::vector<std::unique_ptr<PbftReplica>> replicas_;
   std::unique_ptr<PbftClient> client_;
   bool crashed_ = false;
+  CrashKind crash_kind_ = CrashKind::kSegfault;
   std::string crash_reason_;
   int crashed_replica_ = -1;
 };

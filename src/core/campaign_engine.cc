@@ -5,6 +5,8 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -37,13 +39,7 @@ class JournalHook {
     auto hook = std::unique_ptr<JournalHook>(new JournalHook());
     hook->abort_after_ = options.abort_after_records;
     std::string error;
-    bool exists = [&] {
-      std::FILE* f = std::fopen(options.journal_path.c_str(), "rb");
-      if (f != nullptr) {
-        std::fclose(f);
-      }
-      return f != nullptr;
-    }();
+    bool exists = std::filesystem::exists(options.journal_path);
     if (options.resume && exists) {
       auto loaded = CampaignJournal::Load(options.journal_path, &error);
       if (!loaded) {
@@ -249,103 +245,21 @@ std::optional<FoundBug> FoundBug::Parse(const std::string& xml, std::string* err
   return ParseXmlElement<FoundBug>(xml, error);
 }
 
-ExplorationResult CampaignEngine::RunOrdered(const std::vector<CampaignJob>& jobs,
-                                             const ResultRunner& runner,
-                                             ScenarioSource& source) const {
-  // Completed jobs park their results here until every lower-index job has
-  // finished; the cursor then folds them into the result in job order. That
-  // ordered merge -- not the execution order -- decides dedup winners, the
-  // max_bugs cutoff, and what each job newly covered, which is what makes N
-  // workers bit-identical to one.
-  CampaignFold fold;
-  std::vector<std::optional<JobResult>> pending(jobs.size());
-  size_t cursor = 0;
-  std::mutex merge_mu;
-  std::atomic<bool> saturated{false};
-
-  std::unique_ptr<JournalHook> journal = JournalHook::Open(options_);
-  if (journal != nullptr) {
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      journal->CheckAligned(i, jobs[i]);
-    }
-  }
-
-  auto deliver = [&](size_t index, JobResult result) {
-    std::lock_guard<std::mutex> lock(merge_mu);
-    pending[index] = std::move(result);
-    while (cursor < jobs.size() && pending[cursor].has_value()) {
-      const CampaignJob& job = jobs[cursor];
-      RunFeedback feedback;
-      bool gated = job.skip_when_saturated && options_.max_bugs != 0 &&
-                   fold.bugs.size() >= options_.max_bugs;
-      if (!gated) {
-        feedback = fold.Add(*pending[cursor]);
-      }
-      if (options_.max_bugs != 0 && fold.bugs.size() >= options_.max_bugs) {
-        saturated.store(true, std::memory_order_release);
-      }
-      if (journal != nullptr && cursor >= journal->replay_count()) {
-        journal->Append(job, gated, *pending[cursor], feedback, cursor, options_.epoch);
-      }
-      source.OnFeedback(job, feedback);
-      pending[cursor].reset();  // the cursor never revisits a merged slot
-      ++cursor;
-    }
-  };
-
-  WorkerPool::ParallelFor(options_.workers, jobs.size(), [&](size_t index, int worker) {
-    (void)worker;
-    const CampaignJob& job = jobs[index];
-    // Journal replay: jobs inside the replay prefix take their recorded
-    // result from disk instead of executing.
-    if (journal != nullptr) {
-      if (const JournalRecord* record = journal->Replay(index)) {
-        deliver(index, record->result);
-        return;
-      }
-    }
-    // Advisory fast-path: once saturated, gated jobs skip execution. The
-    // merge-side gate above is the authoritative (deterministic) one; this
-    // only avoids wasted work, since late results are discarded anyway.
-    if (job.skip_when_saturated && saturated.load(std::memory_order_acquire)) {
-      deliver(index, {});
-      return;
-    }
-    deliver(index, ExecuteJob(job, runner, options_));
-  });
-
-  if (journal != nullptr) {
-    journal->Finish();
-  }
-  return fold.TakeResult();
-}
-
 ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner& runner) const {
-  const size_t batch_size = options_.batch_size == 0 ? 8 : options_.batch_size;
-
+  // An open-loop source schedules nothing from feedback, so it is the
+  // one-batch case: drained by one unbounded pull, with no barrier between
+  // its jobs. A feedback source yields batch_size jobs per batch.
+  size_t batch_size = options_.batch_size == 0 ? 8 : options_.batch_size;
   if (!source.needs_feedback()) {
-    // Open-loop source: nothing it schedules depends on what ran, so drain
-    // it up front and run everything through the eager merge -- no batch
-    // barriers, and saturation skips take effect mid-flight.
-    std::vector<CampaignJob> jobs;
-    while (true) {
-      std::vector<CampaignJob> batch = source.NextBatch(batch_size);
-      if (batch.empty()) {
-        break;
-      }
-      for (CampaignJob& job : batch) {
-        jobs.push_back(std::move(job));
-      }
-    }
-    return RunOrdered(jobs, runner, source);
+    batch_size = std::numeric_limits<size_t>::max();
   }
 
   CampaignFold fold;
-  // Written only between batches, read by the workers of the *next* batch:
-  // the advisory skip is deterministic because it depends solely on fully
-  // merged batches, never on intra-batch completion order.
-  bool saturated = false;
-
+  std::mutex merge_mu;
+  // Set at the merge point once max_bugs bugs merged. Gated jobs that see it
+  // skip execution -- advisory only: a job skipped this way is always gated
+  // at the merge, since bugs never shrink.
+  std::atomic<bool> saturated{false};
   std::unique_ptr<JournalHook> journal = JournalHook::Open(options_);
   size_t stream_base = 0;  // global index of this batch's first job
 
@@ -354,9 +268,10 @@ ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner
   // epoch's feedback, in job order, only once epoch_len batches merged or the
   // source ran dry. Delivery can refill the source's queues (mutations of
   // fruitful runs), so a dry NextBatch only ends the campaign after the
-  // pending epoch flushed and the source stayed dry.
+  // pending epoch flushed and the source stayed dry. Without epochs, records
+  // carry the run's fixed stamp (Options::epoch).
   const size_t epoch_len = options_.epoch_len;
-  size_t epoch = epoch_len == 0 ? kNoEpoch : 0;
+  size_t epoch = epoch_len == 0 ? options_.epoch : 0;
   size_t batches_this_epoch = 0;
   std::vector<std::pair<CampaignJob, RunFeedback>> deferred;
   auto flush_epoch = [&] {
@@ -382,47 +297,61 @@ ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner
         journal->CheckAligned(stream_base + index, batch[index]);
       }
     }
-    std::vector<JobResult> results(batch.size());
+
+    // Completed jobs park their results here until every lower-index job
+    // has finished; the cursor then folds them in job order. That ordered
+    // merge -- not the execution order -- decides dedup winners, the
+    // max_bugs cutoff, and what each job newly covered (the cumulative map
+    // grows in job order too), which is what makes N workers bit-identical
+    // to one. Feedback reaches the source from here, under the merge lock.
+    std::vector<std::optional<JobResult>> pending(batch.size());
+    size_t cursor = 0;
+    auto deliver = [&](size_t index, JobResult result) {
+      std::lock_guard<std::mutex> lock(merge_mu);
+      pending[index] = std::move(result);
+      for (; cursor < batch.size() && pending[cursor].has_value(); ++cursor) {
+        const CampaignJob& job = batch[cursor];
+        const size_t merge_index = stream_base + cursor;
+        RunFeedback feedback;
+        bool gated = job.skip_when_saturated && options_.max_bugs != 0 &&
+                     fold.bugs.size() >= options_.max_bugs;
+        if (!gated) {
+          feedback = fold.Add(*pending[cursor]);
+        }
+        if (options_.max_bugs != 0 && fold.bugs.size() >= options_.max_bugs) {
+          saturated.store(true, std::memory_order_release);
+        }
+        if (journal != nullptr && merge_index >= journal->replay_count()) {
+          journal->Append(job, gated, *pending[cursor], feedback, merge_index, epoch);
+        }
+        if (epoch_len == 0) {
+          source.OnFeedback(job, feedback);
+        } else {
+          deferred.emplace_back(job, std::move(feedback));
+        }
+        pending[cursor].reset();  // the cursor never revisits a merged slot
+      }
+    };
+
     WorkerPool::ParallelFor(options_.workers, batch.size(), [&](size_t index, int worker) {
       (void)worker;
       const CampaignJob& job = batch[index];
-      // Journal replay: recorded results substitute for execution.
+      // Journal replay: jobs inside the replay prefix take their recorded
+      // result from disk instead of executing.
       if (journal != nullptr) {
         if (const JournalRecord* record = journal->Replay(stream_base + index)) {
-          results[index] = record->result;
+          deliver(index, record->result);
           return;
         }
       }
-      if (job.skip_when_saturated && saturated) {
-        return;  // merge-side gate below is the authoritative one
+      if (job.skip_when_saturated && saturated.load(std::memory_order_acquire)) {
+        deliver(index, {});
+        return;
       }
-      results[index] = ExecuteJob(job, runner, options_);
+      deliver(index, ExecuteJob(job, runner, options_));
     });
 
-    // The deterministic merge point: job order decides dedup winners, the
-    // max_bugs cutoff, and what each job newly covered, since the cumulative
-    // map grows in job order too.
-    for (size_t index = 0; index < batch.size(); ++index) {
-      const CampaignJob& job = batch[index];
-      RunFeedback feedback;
-      bool gated = job.skip_when_saturated && options_.max_bugs != 0 &&
-                   fold.bugs.size() >= options_.max_bugs;
-      if (!gated) {
-        feedback = fold.Add(results[index]);
-      }
-      if (journal != nullptr && stream_base + index >= journal->replay_count()) {
-        journal->Append(job, gated, results[index], feedback, stream_base + index, epoch);
-      }
-      if (epoch_len == 0) {
-        source.OnFeedback(job, feedback);
-      } else {
-        deferred.emplace_back(job, std::move(feedback));
-      }
-    }
     stream_base += batch.size();
-    if (options_.max_bugs != 0 && fold.bugs.size() >= options_.max_bugs) {
-      saturated = true;
-    }
     if (epoch_len != 0 && ++batches_this_epoch >= epoch_len) {
       flush_epoch();
     }

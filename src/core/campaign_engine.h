@@ -14,8 +14,9 @@
 // Runtime::Options threads to the triggers, so an N-worker run returns a bug
 // list bit-identical to the 1-worker (serial) baseline. A feedback-driven
 // source gets per-job RunFeedback -- the bugs, the injection fingerprint,
-// and the coverage blocks that run covered for the first time -- after each
-// merged batch, before it schedules the next one. The batch size is
+// and the coverage blocks that run covered for the first time -- as each
+// job merges, and schedules its next batch once the current one merged;
+// an open-loop source is the one-batch case of the same loop. The batch size is
 // independent of the worker count, so the same seed + strategy produces a
 // bit-identical bug list at any parallelism.
 
@@ -146,10 +147,10 @@ class CampaignEngine {
 
     int workers = 1;      // <= 0: one worker per hardware thread
     size_t max_bugs = 0;  // 0 = run everything; else gate skip_when_saturated jobs
-    // Jobs pulled from a ScenarioSource per batch. Part of the determinism
-    // contract: feedback reaches the source after each merged batch, so the
-    // batch size -- never the worker count -- decides what a feedback-driven
-    // strategy knows when it schedules the next jobs.
+    // Jobs pulled from a feedback-driven ScenarioSource per batch. Part of
+    // the determinism contract: the source schedules its next batch only
+    // after the current one merged, so the batch size -- never the worker
+    // count -- decides what the strategy knows when it schedules.
     size_t batch_size = kDefaultBatchSize;
     // Non-empty: persist every merged job -- scenario, injection log,
     // fingerprint, bugs, coverage delta -- to an append-only campaign
@@ -207,26 +208,21 @@ class CampaignEngine {
   explicit CampaignEngine(Options options) : options_(options) {}
 
   // Pulls batches of Options::batch_size jobs from `source` until it is
-  // exhausted, runs each batch on the worker pool (job.run when set,
-  // `runner` otherwise), merges results in job order, and hands the source
-  // per-job RunFeedback after each merged batch. Open-loop sources
-  // (needs_feedback() false) skip the batch barriers entirely: the source
-  // is drained up front and everything runs through one eager job-order
-  // merge. The merge decides dedup winners -- which scenario gets the
-  // `injected` attribution for a shared crash site -- and the max_bugs
-  // gate. Deterministic for any worker count: batch boundaries, merge
-  // order, and feedback order depend only on the source and the batch size.
+  // exhausted -- an open-loop source (needs_feedback() false) is drained
+  // into one batch -- and runs each batch on the worker pool (job.run when
+  // set, `runner` otherwise). Results merge eagerly in job order as the
+  // completion cursor advances, and each merged job's RunFeedback reaches
+  // the source at once (or at the epoch boundary, with epoch_len). The
+  // merge decides dedup winners -- which scenario gets the `injected`
+  // attribution for a shared crash site -- and the max_bugs gate, whose
+  // saturation skips take effect mid-batch. Deterministic for any worker
+  // count: batch boundaries, merge order, and feedback order depend only on
+  // the source and the batch size.
   ExplorationResult Run(ScenarioSource& source, const ResultRunner& runner) const;
 
   const Options& options() const { return options_; }
 
  private:
-  // The open-loop merge: runs `jobs` on the pool, folds results eagerly as
-  // the completion cursor advances (saturation skips take effect
-  // mid-flight), and delivers RunFeedback to `source` in job order.
-  ExplorationResult RunOrdered(const std::vector<CampaignJob>& jobs,
-                               const ResultRunner& runner, ScenarioSource& source) const;
-
   Options options_;
 };
 

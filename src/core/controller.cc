@@ -20,7 +20,6 @@ TestOutcome TestController::RunTest(VirtualLibc* libc, const Workload& workload)
   libc->set_interposer(previous);
 
   outcome.injections = runtime_->log().size();
-  outcome.log_text = runtime_->log().ToString();
   return outcome;
 }
 

@@ -32,7 +32,6 @@ struct TestOutcome {
   CrashKind crash_kind = CrashKind::kSegfault;  // valid when status == kCrash
   std::string crash_where;
   size_t injections = 0;
-  std::string log_text;
 
   bool crashed() const { return status == ExitStatus::kCrash; }
 };

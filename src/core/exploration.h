@@ -4,7 +4,7 @@
 // and runs the list. A ScenarioSource generalizes that: it yields
 // CampaignJobs on demand and receives RunFeedback -- newly covered recovery
 // blocks (CoverageMap::NewlyCoveredVersus), the injection-log fingerprint,
-// bug/no-bug -- after every merged batch, so what ran can steer what runs
+// bug/no-bug -- as each job merges, so what ran can steer what runs
 // next. Three strategies ship:
 //
 //   ExhaustiveSource      the paper's §7.1 behaviour: a prebuilt job list
@@ -87,8 +87,9 @@ struct CampaignFold {
 
 // A pull-based producer of campaign jobs. NextBatch() returning an empty
 // vector ends the campaign. The engine calls OnFeedback() once per merged
-// job, in job order, after the job's batch completed -- a source never
-// observes feedback for a batch it is still producing.
+// job, in job order, from whichever worker thread advanced the merge (under
+// the engine's merge lock, so calls never overlap), and never while
+// NextBatch() runs: the next batch is pulled only once the last one merged.
 class ScenarioSource {
  public:
   virtual ~ScenarioSource() = default;
@@ -100,8 +101,8 @@ class ScenarioSource {
   virtual void OnFeedback(const CampaignJob& job, const RunFeedback& feedback);
 
   // False (the default) declares the source open-loop: its schedule never
-  // depends on feedback, so the engine may drain it up front and run
-  // everything in one barrier-free pass. Feedback is still delivered.
+  // depends on feedback, so the engine drains it into one batch. Feedback
+  // is still delivered.
   virtual bool needs_feedback() const { return false; }
 };
 

@@ -1,5 +1,11 @@
 #include "core/injection_log.h"
 
+#include <map>
+#include <memory>
+#include <set>
+#include <tuple>
+#include <utility>
+
 #include "util/errno_codes.h"
 #include "util/string_util.h"
 
@@ -69,27 +75,43 @@ Scenario InjectionLog::ReplayScenario(size_t index) const {
 }
 
 Scenario InjectionLog::FullReplayScenario() const {
+  // One (trigger, association) pair per logged (function, retval, errno),
+  // its call-count trigger listing every logged call of that outcome.
+  // Same-function associations form a disjunction over disjoint call sets,
+  // so exactly the logged calls fire with their logged outcomes, and a
+  // capped livelock record (Runtime::kMaxInjectionsPerRun injections of one
+  // call) replays with one set lookup per call. A (function, call) logged
+  // twice -- only a multi-process log can -- keeps its first outcome.
   Scenario scenario;
-  // One (trigger, association) pair per logged injection: triggers within an
-  // association are a conjunction, but same-function associations form a
-  // disjunction, and the call-count trigger reads the authoritative boundary
-  // count, so exactly the logged call of each function fires its own pair.
+  std::map<std::tuple<std::string, int64_t, int>, size_t> group_of;  // -> trigger index
+  std::vector<TriggerDecl> triggers;
+  std::vector<FunctionAssoc> assocs;
+  std::set<std::pair<std::string, uint64_t>> claimed;
   for (const InjectionRecord& r : records_) {
-    TriggerDecl decl;
-    decl.id = StrFormat("replay-%llu", static_cast<unsigned long long>(r.sequence));
-    decl.class_name = "CallCountTrigger";
-    auto args = std::make_unique<XmlNode>("args");
-    args->AddChild("count")->set_text(
+    if (!claimed.insert({r.function, r.call_number}).second) {
+      continue;
+    }
+    auto [it, fresh] = group_of.emplace(std::make_tuple(r.function, r.retval, r.errno_value),
+                                        triggers.size());
+    if (fresh) {
+      TriggerDecl decl;
+      decl.id = StrFormat("replay-%llu", static_cast<unsigned long long>(r.sequence));
+      decl.class_name = "CallCountTrigger";
+      decl.args = std::make_shared<XmlNode>("args");
+      triggers.push_back(std::move(decl));
+      FunctionAssoc assoc;
+      assoc.function = r.function;
+      assoc.retval = r.retval;
+      assoc.errno_value = r.errno_value;
+      assoc.triggers.push_back(TriggerRef{triggers.back().id, false});
+      assocs.push_back(std::move(assoc));
+    }
+    triggers[it->second].args->AddChild("count")->set_text(
         StrFormat("%llu", static_cast<unsigned long long>(r.call_number)));
-    decl.args = std::shared_ptr<XmlNode>(args.release());
-
-    FunctionAssoc assoc;
-    assoc.function = r.function;
-    assoc.retval = r.retval;
-    assoc.errno_value = r.errno_value;
-    assoc.triggers.push_back(TriggerRef{decl.id, false});
-    scenario.AddTrigger(std::move(decl));
-    scenario.AddFunction(std::move(assoc));
+  }
+  for (size_t i = 0; i < triggers.size(); ++i) {
+    scenario.AddTrigger(std::move(triggers[i]));
+    scenario.AddFunction(std::move(assocs[i]));
   }
   return scenario;
 }

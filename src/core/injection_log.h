@@ -57,8 +57,9 @@ class InjectionLog {
   // call number, using the stock call-count trigger.
   Scenario ReplayScenario(size_t index) const;
 
-  // A scenario that re-injects the run's whole fault sequence, one
-  // call-count trigger per record. Re-injecting the full set pins every
+  // A scenario that re-injects the run's whole fault sequence: each logged
+  // call fails again, through one call-count trigger per logged
+  // (function, retval, errno). Re-injecting the full set pins every
   // divergence point, so the replayed execution tracks the original call
   // for call -- required to reproduce outcomes that are a property of the
   // sequence (a consistency corruption built up across several survived

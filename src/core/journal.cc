@@ -370,39 +370,6 @@ bool CampaignJournal::Finalize(std::string* error) {
   return true;  // nothing open: finalizing a read-only journal is a no-op
 }
 
-// --- JournalSource ----------------------------------------------------------
-
-JournalSource::JournalSource(const CampaignJournal& journal, Options options) {
-  if (options.shard_count == 0 || options.shard_index >= options.shard_count) {
-    throw std::invalid_argument("JournalSource: shard_index must be < shard_count");
-  }
-  // Deal in record order so shards partition the stream deterministically:
-  // the union of all shards is exactly the journal's scenario sequence.
-  size_t dealt = 0;
-  for (const JournalRecord& record : journal.records()) {
-    if (record.gated && !options.include_gated) {
-      continue;
-    }
-    size_t slot = dealt++ % options.shard_count;
-    if (slot != options.shard_index) {
-      continue;
-    }
-    CampaignJob job;
-    job.scenario = record.scenario;
-    job.label = record.label;
-    job.seed = record.seed;
-    jobs_.push_back(std::move(job));
-  }
-}
-
-std::vector<CampaignJob> JournalSource::NextBatch(size_t max_jobs) {
-  std::vector<CampaignJob> out;
-  while (next_ < jobs_.size() && out.size() < max_jobs) {
-    out.push_back(jobs_[next_++]);
-  }
-  return out;
-}
-
 // --- MergeJournals ----------------------------------------------------------
 
 namespace {
@@ -532,8 +499,7 @@ std::optional<ExplorationResult> MergeJournals(const std::vector<std::string>& i
   if (inputs.empty()) {
     return fail("merge needs at least one input journal");
   }
-  if (std::FILE* f = std::fopen(output_path.c_str(), "rb")) {
-    std::fclose(f);
+  if (std::filesystem::exists(output_path)) {
     return fail("merge output " + output_path +
                 " already exists; delete it or merge to a fresh path");
   }
@@ -660,8 +626,7 @@ bool ConvertJournal(const std::string& input_path, const std::string& output_pat
     }
     return false;
   };
-  if (std::FILE* f = std::fopen(output_path.c_str(), "rb")) {
-    std::fclose(f);
+  if (std::filesystem::exists(output_path)) {
     return fail("convert output " + output_path +
                 " already exists; delete it or convert to a fresh path");
   }

@@ -19,9 +19,9 @@
 //            scenario (InjectionLog::ReplayScenario) that reproduces the
 //            crash from disk alone, in the spirit of the R2-style replay
 //            the paper cites (lfi_tool replay).
-//   shard    A JournalSource streams the recorded scenarios back as a
-//            ScenarioSource, optionally dealing them round-robin across
-//            shards, so one campaign's journal can seed or split another.
+//   merge    The shard journals of a multi-process campaign interleave by
+//            recorded stream index back into the single-process journal
+//            (MergeRecordsInto / MergeJournals).
 //
 // Two on-disk encodings carry the same records (JournalFormat,
 // auto-detected from the file's first bytes; `lfi_tool journal convert`
@@ -205,34 +205,6 @@ class CampaignJournal {
   };
   std::unique_ptr<std::FILE, FileCloser> out_;          // XML append stream
   std::unique_ptr<ExtentJournalWriter> extent_out_;     // extent append stream
-};
-
-// Streams a journal's recorded scenarios back as campaign jobs (label, seed,
-// scenario -- results are NOT replayed; the jobs run live through whatever
-// runner the engine is given), so one campaign's journal can seed another
-// campaign or be split across processes. Open-loop: feedback is ignored.
-class JournalSource : public ScenarioSource {
- public:
-  struct Options {
-    // Deal records round-robin across `shard_count` shards and stream only
-    // those belonging to `shard_index`. The default streams everything.
-    size_t shard_index = 0;
-    size_t shard_count = 1;
-    // Gated records never executed in the recording run; streaming them
-    // re-runs scenarios the original campaign skipped.
-    bool include_gated = false;
-  };
-
-  explicit JournalSource(const CampaignJournal& journal) : JournalSource(journal, Options()) {}
-  JournalSource(const CampaignJournal& journal, Options options);
-
-  std::vector<CampaignJob> NextBatch(size_t max_jobs) override;
-
-  size_t size() const { return jobs_.size(); }
-
- private:
-  std::vector<CampaignJob> jobs_;
-  size_t next_ = 0;
 };
 
 // --- merging ----------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <atomic>
 
 #include "util/string_util.h"
+#include "vlib/sim_crash.h"
 #include "vlib/virtual_libc.h"
 
 namespace lfi {
@@ -150,6 +151,14 @@ InjectionDecision Runtime::Dispatch(VirtualLibc* libc, const std::string& functi
     record.stack = libc->stack().frames();
     record.process = libc->process_name();
     log_.Record(std::move(record));
+    if (injections_ >= kMaxInjectionsPerRun) {
+      const StackFrame* frame = libc->stack().top();
+      throw SimCrash(CrashKind::kHang,
+                     frame == nullptr
+                         ? "livelock under injected faults: " + function
+                         : StrFormat("livelock under injected faults: %s@%s+0x%x",
+                                     function.c_str(), frame->function.c_str(), frame->offset));
+    }
 
     decision.inject = true;
     decision.retval = assoc.spec.retval;

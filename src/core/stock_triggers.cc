@@ -1,5 +1,7 @@
 #include "core/stock_triggers.h"
 
+#include <algorithm>
+
 #include "core/distributed.h"
 #include "util/string_util.h"
 #include "vlib/virtual_libc.h"
@@ -115,10 +117,18 @@ bool ProgramStateTrigger::Eval(VirtualLibc* libc, const std::string& lib_func_na
 // --- CallCountTrigger -------------------------------------------------------------
 
 void CallCountTrigger::Init(const XmlNode* init_data) {
-  if (init_data != nullptr) {
-    if (auto v = ParseInt(init_data->ChildText("count"))) {
-      target_ = static_cast<uint64_t>(*v);
+  if (init_data == nullptr) {
+    return;
+  }
+  std::vector<uint64_t> targets;
+  for (const XmlNode* count : init_data->Children("count")) {
+    if (auto v = ParseInt(Trim(count->text()))) {
+      targets.push_back(static_cast<uint64_t>(*v));
     }
+  }
+  if (!targets.empty()) {
+    std::sort(targets.begin(), targets.end());
+    targets_ = std::move(targets);
   }
 }
 
@@ -128,7 +138,7 @@ bool CallCountTrigger::Eval(VirtualLibc* libc, const std::string& lib_func_name,
   // "An injection should occur exactly on the n-th call to a function": the
   // boundary count is authoritative, so the trigger is exact even when it is
   // short-circuited away on some calls.
-  return libc->CallCount(lib_func_name) == target_;
+  return std::binary_search(targets_.begin(), targets_.end(), libc->CallCount(lib_func_name));
 }
 
 // --- SingletonTrigger ----------------------------------------------------------------

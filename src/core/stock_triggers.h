@@ -5,8 +5,9 @@
 //                          this is the trigger the call-site analyzer emits.
 //   ProgramStateTrigger -- fires when a relation over application globals
 //                          holds (e.g. numConnections == maxConnections).
-//   CallCountTrigger    -- fires exactly on the n-th evaluation; the building
-//                          block of deterministic failure replay.
+//   CallCountTrigger    -- fires exactly on the n-th evaluation (or on each
+//                          of several listed ordinals); the building block
+//                          of deterministic failure replay.
 //   SingletonTrigger    -- fires exactly once; composed at the end of a
 //                          conjunction it caps a scenario at one injection.
 //   RandomTrigger       -- fires with a configurable probability.
@@ -63,7 +64,8 @@ DECLARE_TRIGGER(CallCountTrigger) {
   bool Eval(VirtualLibc* libc, const std::string& lib_func_name, const ArgSpan& args) override;
 
  private:
-  uint64_t target_ = 1;  // 1-based call ordinal to fire on
+  // Sorted 1-based call ordinals to fire on, one per <count> argument.
+  std::vector<uint64_t> targets_ = {1};
 };
 
 DECLARE_TRIGGER(SingletonTrigger) {

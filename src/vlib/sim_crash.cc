@@ -12,6 +12,8 @@ const char* CrashKindName(CrashKind kind) {
       return "assertion failure";
     case CrashKind::kDoubleUnlock:
       return "double mutex unlock";
+    case CrashKind::kHang:
+      return "hang";
   }
   return "?";
 }

@@ -22,6 +22,7 @@ enum class CrashKind {
   kAbort,         // abort(), e.g. from a failed assertion deep in a library
   kAssert,        // application-level assertion failure
   kDoubleUnlock,  // unlocking a mutex that is not held
+  kHang,          // livelock: the run hit Runtime's per-run injection cap
 };
 
 const char* CrashKindName(CrashKind kind);

@@ -145,7 +145,13 @@ std::optional<int64_t> VirtualLibc::Intercept(FunctionId function,
   }
   ++call_counts_[function];
   in_interposer_ = true;
-  InjectionDecision decision = interposer_->OnCall(this, function, ArgSpan(args));
+  InjectionDecision decision;
+  try {
+    decision = interposer_->OnCall(this, function, ArgSpan(args));
+  } catch (...) {
+    in_interposer_ = false;  // the interposer may end the run (SimCrash)
+    throw;
+  }
   in_interposer_ = false;
   if (!decision.inject) {
     return std::nullopt;

@@ -65,7 +65,6 @@ CampaignSpec RandomSpec(Rng& rng) {
       spec.shard_index = rng.NextBelow(spec.shard_count);
     }
   }
-  spec.json = rng.Chance(0.5);
   if (rng.Chance(0.2)) {
     spec.replay_selector = StrFormat("%zu:%zu", rng.NextBelow(20), rng.NextBelow(4));
   }
@@ -373,6 +372,83 @@ TEST(ShardedCampaign, MoreShardsThanScenariosLeavesValidEmptyShardJournals) {
   EXPECT_EQ(sharded_outcome->bugs, single_outcome->bugs);
   EXPECT_EQ(ReadFile(merged_path), ReadFile(single_path));
 }
+
+// Sharded Table 1 is the same one-epoch orchestration: bfs's exhaustive job
+// list, including the self-contained partial-transfer phase, merges to the
+// single-process journal's bytes.
+TEST(ShardedCampaign, Table1ExhaustiveAtThreeShardsMatchesSingleProcess) {
+  EnsureStockTriggersRegistered();
+  std::string single_path = TempPath("spec_t1_single.lfij");
+  std::string merged_path = TempPath("spec_t1_merged.lfij");
+  RemoveCampaignArtifacts(single_path);
+  RemoveCampaignArtifacts(merged_path, /*shards=*/3);
+
+  CampaignSpec spec{.system = "bfs", .mode = CampaignMode::kTable1, .exhaustive = true};
+  CampaignSpec single = spec;
+  single.journal_path = single_path;
+  CampaignOutcome single_outcome = RunSpec(single);
+  CampaignSpec sharded = spec;
+  sharded.journal_path = merged_path;
+  sharded.shard_count = 3;
+  CampaignOutcome sharded_outcome = RunSpec(sharded);
+
+  ExpectSameBugs(single_outcome.bugs, sharded_outcome.bugs);
+  EXPECT_EQ(ReadFile(merged_path), ReadFile(single_path));
+  ASSERT_EQ(sharded_outcome.shards.size(), 3u);
+  EXPECT_EQ(sharded_outcome.shards[1].path, sharded.ShardJournalPath(1));
+
+  // The phase jobs ran through the phase runner (the vnet partial-transfer
+  // harness fingerprints its runs "mux:<faults>"), not the main workload.
+  std::string error;
+  auto journal = CampaignJournal::Load(merged_path, &error);
+  ASSERT_TRUE(journal.has_value()) << error;
+  size_t phase_jobs = 0;
+  for (const JournalRecord& record : journal->records()) {
+    EXPECT_EQ(record.epoch, kNoEpoch);
+    if (StartsWith(record.label, "partial send/recv over vnet")) {
+      ++phase_jobs;
+      EXPECT_TRUE(StartsWith(record.result.fingerprint, "mux:")) << record.label;
+    }
+  }
+  EXPECT_EQ(phase_jobs, 12u);
+}
+
+#if defined(__unix__) || defined(__APPLE__)
+
+// An open-loop orchestration killed after it merged (before the merged
+// journal's tail was sealed) resumes with `resume --shards 4`: the finished
+// shard journals replay from disk and the merged bytes equal the unkilled
+// run's.
+TEST(ShardedCampaign, KilledOpenLoopOrchestrationResumesByteIdentical) {
+  EnsureStockTriggersRegistered();
+  std::string full_path = TempPath("spec_kill_full.lfij");
+  std::string killed_path = TempPath("spec_kill_killed.lfij");
+  RemoveCampaignArtifacts(full_path, /*shards=*/4);
+  RemoveCampaignArtifacts(killed_path, /*shards=*/4);
+
+  CampaignSpec spec{.system = "pbft", .strategy = ExploreStrategy::kRandom, .budget = 24,
+                    .seed = 5, .shard_count = 4};
+  CampaignSpec full = spec;
+  full.journal_path = full_path;
+  CampaignOutcome full_outcome = RunSpec(full);
+
+  CampaignSpec killed = spec;
+  killed.journal_path = killed_path;
+  killed.abort_after_records = 1;
+  EXPECT_EXIT(RunSpec(killed), ::testing::ExitedWithCode(3), "");
+  // 24 records: the first 16-record extent is sealed, the rest torn away.
+  std::string error;
+  auto torn = CampaignJournal::Load(killed_path, &error);
+  ASSERT_TRUE(torn.has_value()) << error;
+  EXPECT_LT(torn->records().size(), 24u);
+
+  CampaignOutcome resumed = RunSpec(
+      {.mode = CampaignMode::kResume, .journal_path = killed_path, .shard_count = 4});
+  ExpectSameBugs(full_outcome.bugs, resumed.bugs);
+  EXPECT_EQ(ReadFile(killed_path), ReadFile(full_path));
+}
+
+#endif  // defined(__unix__) || defined(__APPLE__)
 
 // Merging journals from different campaigns must be refused, not silently
 // interleaved.

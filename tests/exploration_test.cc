@@ -169,5 +169,54 @@ TEST(Exploration, CoverageGuidedCoversAtLeastExhaustiveOnPbft) {
   EXPECT_EQ(wider.scenarios_run, 16u);
 }
 
+// --- persistent-EINTR livelock ---------------------------------------------
+
+// A call-stack trigger fails every read at a site whose (correct) retry loop
+// retries EINTR forever. Runtime's injection cap ends that run as a
+// deterministic hang at the retrying site, so both campaigns complete with
+// the same journal at 1 and 4 workers, and the capped record replays.
+TEST(Exploration, PersistentEintrLivelockEndsAsAHangAtTheRetrySite) {
+  struct Case {
+    CampaignSpec spec;
+    std::string where;
+  };
+  const Case cases[] = {
+      {{.system = "git", .strategy = ExploreStrategy::kCoverage, .budget = 212, .seed = 1},
+       "livelock under injected faults: read@read_object+0x100"},
+      {{.system = "bind", .strategy = ExploreStrategy::kCoverage, .budget = 128, .seed = 7},
+       "livelock under injected faults: read@load_zone+0x48"},
+  };
+  for (const Case& c : cases) {
+    std::string bytes[2];
+    for (int i = 0; i < 2; ++i) {
+      CampaignSpec spec = c.spec;
+      spec.workers = i == 0 ? 1 : 4;
+      spec.journal_path = TempPath("exploration_livelock_" + spec.system + std::to_string(i));
+      std::remove(spec.journal_path.c_str());
+      CampaignOutcome outcome = RunSpec(spec);
+      size_t hangs = 0;
+      for (const FoundBug& bug : outcome.bugs) {
+        if (bug.kind == "hang") {
+          ++hangs;
+          EXPECT_EQ(bug.where, c.where);
+        }
+      }
+      EXPECT_EQ(hangs, 1u) << spec.system;
+      bytes[i] = ReadFile(spec.journal_path);
+    }
+    EXPECT_EQ(bytes[0], bytes[1]) << c.spec.system;
+
+    CampaignOutcome replayed = RunSpec({.mode = CampaignMode::kReplay,
+                                        .journal_path = TempPath("exploration_livelock_" +
+                                                                 c.spec.system + "0")});
+    EXPECT_TRUE(replayed.ok) << c.spec.system;
+    bool hang_replayed = false;
+    for (const ReplayOutcome& replay : replayed.replays) {
+      hang_replayed |= replay.reproduced && replay.where == c.where;
+    }
+    EXPECT_TRUE(hang_replayed) << c.spec.system;
+  }
+}
+
 }  // namespace
 }  // namespace lfi

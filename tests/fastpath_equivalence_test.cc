@@ -162,7 +162,7 @@ TEST(FastPath, InjectionLogsAreBitIdenticalAcrossLookupModes) {
     fs.MkDir("/d");
     fs.WriteFile("/d/f", "0123456789");
     TestController controller(*scenario, ModeOptions(mode));
-    TestOutcome outcome = controller.RunTest(&libc, [&] {
+    controller.RunTest(&libc, [&] {
       char buf[4];
       VMutex m{"m", 0};
       int fd = libc.Open("/d/f", kORdOnly);
@@ -174,7 +174,7 @@ TEST(FastPath, InjectionLogsAreBitIdenticalAcrossLookupModes) {
       libc.Close(fd);  // 2nd close: injected (EBADF already, still recorded)
       return true;
     });
-    return outcome.log_text;
+    return controller.runtime()->log().ToString();
   };
 
   std::string interned = drive(0);

@@ -1,8 +1,8 @@
 // The persistent campaign journal: XML round trips for every serialized
 // artifact (property-style, over randomized values including attribute
 // escaping edge cases), journal file append/load/torn-tail semantics, the
-// kill-and-resume determinism contract, disk-only replay of journaled
-// injections, and JournalSource seeding/sharding.
+// kill-and-resume determinism contract, and disk-only replay of journaled
+// injections.
 
 #include <gtest/gtest.h>
 
@@ -377,52 +377,6 @@ TEST(CampaignJournal, TornTailAfterSelfClosingHeaderIsDropped) {
   EXPECT_TRUE(loaded->records().empty());
 }
 
-// shards > records: the empty shard still streams (zero jobs) and a
-// journaled engine run over it still writes a valid header-only journal
-// that loads and reopens downstream.
-TEST(JournalSource, EmptyShardYieldsAValidHeaderOnlyJournal) {
-  EnsureStockTriggersRegistered();
-  Rng rng(12);
-  std::string path = TempPath("journal_empty_shard_src.xml");
-  CampaignJournal journal;
-  ASSERT_TRUE(journal.Create(path, {{"command", "explore"}, {"system", "git"}}));
-  ASSERT_TRUE(journal.Append(MakeRecord(rng, "only-record")));
-  std::string error;
-  ASSERT_TRUE(journal.Finalize(&error)) << error;
-  auto loaded = CampaignJournal::Load(path, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-
-  JournalSource::Options options;
-  options.shard_index = 3;
-  options.shard_count = 8;  // > 1 record: this shard is empty
-  JournalSource source(*loaded, options);
-  EXPECT_EQ(source.size(), 0u);
-
-  std::string shard_path = TempPath("journal_empty_shard_out.xml");
-  std::remove(shard_path.c_str());
-  CampaignEngine::Options engine_options;
-  engine_options.journal_path = shard_path;
-  engine_options.journal_meta = {{"command", "explore"}, {"system", "git"},
-                                 {"shard", "3"},         {"shards", "8"}};
-  CampaignEngine engine(engine_options);
-  ExplorationResult result =
-      engine.Run(source, [](const CampaignJob&) { return JobResult{}; });
-  EXPECT_EQ(result.scenarios_run, 0u);
-
-  auto shard_journal = CampaignJournal::Load(shard_path, &error);
-  ASSERT_TRUE(shard_journal.has_value()) << error;
-  EXPECT_TRUE(shard_journal->records().empty());
-  EXPECT_EQ(shard_journal->Meta("shard"), "3");
-  // And the empty artifact merges (alone or with siblings) without fuss.
-  std::string merged_path = TempPath("journal_empty_shard_merged.xml");
-  std::remove(merged_path.c_str());
-  auto merged = MergeJournals({shard_path, path}, merged_path, &error);
-  ASSERT_TRUE(merged.has_value()) << error;
-  auto merged_journal = CampaignJournal::Load(merged_path, &error);
-  ASSERT_TRUE(merged_journal.has_value()) << error;
-  EXPECT_EQ(merged_journal->records().size(), 1u);
-}
-
 // --- kill-and-resume determinism (the acceptance bar) ----------------------
 
 // Runs the coverage-guided pbft exploration journaled, simulates a kill
@@ -508,7 +462,7 @@ TEST(CampaignJournal, ResumeRejectsMismatchedCampaignIdentity) {
   EXPECT_THROW(RunSpec(different), std::runtime_error);
 }
 
-// The open-loop merge path (RunOrdered) journals and resumes too.
+// An open-loop source (one drained batch) journals and resumes too.
 TEST(CampaignJournal, GitCampaignJournalsAndResumes) {
   EnsureStockTriggersRegistered();
   std::string path = TempPath("journal_git_campaign.xml");
@@ -616,56 +570,6 @@ TEST(CampaignJournal, ReplayBuildsAFreshInstancePerRecordAndRefusesUnknownSystem
   auto refused = CampaignDriver({.mode = CampaignMode::kReplay, .journal_path = path}).Run(&error);
   EXPECT_FALSE(refused.has_value());
   EXPECT_EQ(error, "journal names unknown system 'zfs'");
-}
-
-// --- JournalSource: seeding and sharding ------------------------------------
-
-TEST(JournalSource, ReseedsACampaignAndShardsItLosslessly) {
-  EnsureStockTriggersRegistered();
-  std::string path = TempPath("journal_source.xml");
-  std::remove(path.c_str());
-
-  CampaignOutcome original = RunSpec(PbftCoverageSpec(path));
-
-  std::string error;
-  auto journal = CampaignJournal::Load(path, &error);
-  ASSERT_TRUE(journal.has_value()) << error;
-  ExecutionLayer exec("pbft", /*explore_workload=*/true, /*cold_start=*/false);
-  CampaignEngine::ResultRunner runner = exec.runner();
-
-  // Re-running the journaled scenarios through the same harness reproduces
-  // the original campaign's results.
-  JournalSource reseed(*journal);
-  EXPECT_EQ(reseed.size(), 12u);
-  CampaignEngine engine;
-  ExplorationResult rerun = engine.Run(reseed, runner);
-  ExpectSameBugs(original.bugs, rerun.bugs);
-  EXPECT_EQ(original.coverage.hits(), rerun.coverage.hits());
-
-  // Sharding: two half-streams whose union covers exactly the recorded
-  // scenario sequence and finds the same crash sites.
-  std::set<std::tuple<std::string, std::string, std::string>> full_sites;
-  for (const FoundBug& bug : original.bugs) {
-    full_sites.insert({bug.system, bug.kind, bug.where});
-  }
-  std::set<std::tuple<std::string, std::string, std::string>> shard_sites;
-  size_t shard_jobs = 0;
-  for (size_t shard = 0; shard < 2; ++shard) {
-    JournalSource::Options options;
-    options.shard_index = shard;
-    options.shard_count = 2;
-    JournalSource source(*journal, options);
-    shard_jobs += source.size();
-    ExplorationResult result = engine.Run(source, runner);
-    for (const FoundBug& bug : result.bugs) {
-      shard_sites.insert({bug.system, bug.kind, bug.where});
-    }
-  }
-  EXPECT_EQ(shard_jobs, 12u);
-  EXPECT_EQ(shard_sites, full_sites);
-
-  EXPECT_THROW(JournalSource(*journal, JournalSource::Options{2, 2, false}),
-               std::invalid_argument);
 }
 
 // --- the doctor's campaign-identity surface ---------------------------------

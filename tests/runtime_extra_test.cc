@@ -136,6 +136,49 @@ TEST_F(RuntimeExtraTest, ReplayScenarioOutOfRangeIsEmpty) {
   EXPECT_TRUE(replay.functions().empty());
 }
 
+TEST_F(RuntimeExtraTest, InjectionCapEndsARetryLoopAsAHangThatReplays) {
+  // Every read fails with EINTR and the workload retries forever: the
+  // injection that reaches the cap ends the run as a hang, and the libc
+  // intercepts again afterwards.
+  Scenario s = MustParse(R"(
+<scenario>
+  <trigger id="always" class="RandomTrigger"><args><probability>1.0</probability></args></trigger>
+  <function name="read" return="-1" errno="EINTR"><reftrigger ref="always"/></function>
+</scenario>)");
+  auto retry_forever = [&] {
+    int fd = libc_.Open("/d/f", kORdOnly);
+    char buf[4];
+    while (libc_.Read(fd, buf, sizeof buf) < 0 && libc_.verrno() == kEINTR) {
+    }
+    return true;
+  };
+  TestController controller(s);
+  TestOutcome outcome = controller.RunTest(&libc_, retry_forever);
+  EXPECT_EQ(outcome.status, ExitStatus::kCrash);
+  EXPECT_EQ(outcome.crash_kind, CrashKind::kHang);
+  EXPECT_STREQ(CrashKindName(outcome.crash_kind), "hang");
+  EXPECT_EQ(outcome.injections, Runtime::kMaxInjectionsPerRun);
+  EXPECT_EQ(outcome.crash_where, "livelock under injected faults: read");
+
+  // The full replay collapses the capped log into one association whose
+  // call-count trigger lists every failed call, and hits the cap again.
+  Scenario replay = controller.runtime()->log().FullReplayScenario();
+  EXPECT_EQ(replay.functions().size(), 1u);
+  TestController replayer(replay);
+  TestOutcome replayed = replayer.RunTest(&libc_, retry_forever);
+  EXPECT_EQ(replayed.crash_kind, CrashKind::kHang);
+  EXPECT_EQ(replayed.crash_where, outcome.crash_where);
+
+  TestController once(MustParse(R"(
+<scenario>
+  <trigger id="first" class="CallCountTrigger"><args><count>1</count></args></trigger>
+  <function name="close" return="-1" errno="EIO"><reftrigger ref="first"/></function>
+</scenario>)"));
+  EXPECT_EQ(once.RunTest(&libc_, [&] { return libc_.Close(libc_.Open("/d/f", kORdOnly)) == -1; })
+                .status,
+            ExitStatus::kNormal);
+}
+
 TEST_F(RuntimeExtraTest, ControllerRunsAreIndependent) {
   // Each RunTest builds a fresh runtime: singleton state does not leak
   // between tests, and call counts restart.
