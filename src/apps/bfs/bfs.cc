@@ -12,7 +12,10 @@
 namespace lfi {
 namespace {
 
-uint32_t Site(const char* name) { return BfsBinary().SiteOffset(name); }
+template <SiteName kName>
+uint32_t Site() {
+  return CachedSiteOffset<BfsBinary, kName>();
+}
 
 // Lease-key derivation: server and client independently stretch the client's
 // port identity into a shared request token by iterated hashing. Like pbft's
@@ -360,12 +363,12 @@ BfsServer::BfsServer(VirtualFs* fs, VirtualNet* net, const BfsConfig& config)
 bool BfsServer::Start() {
   {
     ScopedFrame frame(&libc_.stack(), kModule, "server_init");
-    frame.set_offset(Site("bfs.server.socket"));
+    frame.set_offset(Site<"bfs.server.socket">());
     fd_ = libc_.Socket();
     if (fd_ < 0) {
       return false;
     }
-    frame.set_offset(Site("bfs.server.bind"));
+    frame.set_offset(Site<"bfs.server.bind">());
     if (libc_.BindSocket(fd_, kBfsServerPort) == -1) {
       return false;
     }
@@ -394,7 +397,7 @@ void BfsServer::Step() {
     for (int budget = 0; budget < 256; ++budget) {
       char buf[2048];
       int src_port = -1;
-      frame.set_offset(Site("bfs.server.recvfrom"));
+      frame.set_offset(Site<"bfs.server.recvfrom">());
       long n = libc_.RecvFrom(fd_, buf, sizeof(buf), &src_port);
       if (n < 0) {
         if (libc_.verrno() == kEAGAIN) {
@@ -426,7 +429,7 @@ bool BfsServer::SendFrame(int dst_port, const std::string& payload) {
   size_t off = 0;
   int failures = 0;
   while (off < wire.size()) {
-    frame.set_offset(Site("bfs.server.sendto"));
+    frame.set_offset(Site<"bfs.server.sendto">());
     long n = libc_.SendTo(fd_, wire.data() + off, wire.size() - off, dst_port);
     if (n < 0) {
       coverage_.Hit("bfs.send.err_retry");
@@ -640,14 +643,14 @@ std::string BfsServer::OpUnlink(int64_t seq, const std::string& name) {
   {
     ScopedFrame frame(&libc_.stack(), kModule, "remove_file");
     for (size_t blk = 0; blk < nblocks; ++blk) {
-      frame.set_offset(Site("bfs.unlink.blocks"));
+      frame.set_offset(Site<"bfs.unlink.blocks">());
       if (libc_.Unlink(BlockPath(ino, blk)) != 0) {
         // Orphaned data block: harmless (nothing references it), collected
         // by the next format.
         coverage_.Hit("bfs.unlink.orphan");
       }
     }
-    frame.set_offset(Site("bfs.unlink.unlink"));
+    frame.set_offset(Site<"bfs.unlink.unlink">());
     inode_gone = libc_.Unlink(InodePath(ino)) == 0;
   }
   nd.used = false;
@@ -680,15 +683,15 @@ std::string BfsServer::OpClose(int64_t seq, int handle) {
 bool BfsServer::WriteBlock(size_t ino, size_t blk, const std::string& data) {
   for (int attempt = 0; attempt < 2; ++attempt) {
     ScopedFrame frame(&libc_.stack(), kModule, "write_block");
-    frame.set_offset(Site("bfs.block.fopen"));
+    frame.set_offset(Site<"bfs.block.fopen">());
     VFile* f = libc_.FOpen(BlockPath(ino, blk), "w");
     if (f == nullptr) {
       coverage_.Hit("bfs.block.err_open");
       continue;
     }
-    frame.set_offset(Site("bfs.block.fwrite"));
+    frame.set_offset(Site<"bfs.block.fwrite">());
     unsigned long wrote = libc_.FWrite(data.data(), data.size(), f);
-    frame.set_offset(Site("bfs.block.fclose"));
+    frame.set_offset(Site<"bfs.block.fclose">());
     libc_.FClose(f);
     if (wrote == data.size()) {
       if (attempt > 0) {
@@ -706,16 +709,16 @@ bool BfsServer::WriteBlock(size_t ino, size_t blk, const std::string& data) {
 std::optional<std::string> BfsServer::ReadBlock(size_t ino, size_t blk, size_t want) {
   for (int attempt = 0; attempt < 2; ++attempt) {
     ScopedFrame frame(&libc_.stack(), kModule, "read_block");
-    frame.set_offset(Site("bfs.read.fopen"));
+    frame.set_offset(Site<"bfs.read.fopen">());
     VFile* f = libc_.FOpen(BlockPath(ino, blk), "r");
     if (f == nullptr) {
       coverage_.Hit("bfs.read.err_open");
       continue;
     }
     char buf[kBfsBlockSize];
-    frame.set_offset(Site("bfs.read.fread"));
+    frame.set_offset(Site<"bfs.read.fread">());
     unsigned long n = libc_.FRead(buf, want, f);
-    frame.set_offset(Site("bfs.read.fclose"));
+    frame.set_offset(Site<"bfs.read.fclose">());
     libc_.FClose(f);
     if (n == want) {
       if (attempt > 0) {
@@ -735,15 +738,15 @@ bool BfsServer::WriteInode(size_t ino) {
               : StrFormat("!free|0|%u", Crc32(""));
   std::string record = payload + StrFormat("|%u", Crc32(payload));
   ScopedFrame frame(&libc_.stack(), kModule, "write_inode");
-  frame.set_offset(Site("bfs.inode.fopen"));
+  frame.set_offset(Site<"bfs.inode.fopen">());
   VFile* f = libc_.FOpen(InodePath(ino), "w");
   if (f == nullptr) {
     coverage_.Hit("bfs.inode.err_open");
     return false;
   }
-  frame.set_offset(Site("bfs.inode.fwrite"));
+  frame.set_offset(Site<"bfs.inode.fwrite">());
   unsigned long wrote = libc_.FWrite(record.data(), record.size(), f);
-  frame.set_offset(Site("bfs.inode.fclose"));
+  frame.set_offset(Site<"bfs.inode.fclose">());
   libc_.FClose(f);
   if (wrote != record.size()) {
     coverage_.Hit("bfs.inode.err_short");
@@ -767,15 +770,15 @@ void BfsServer::SyncMeta() {
   }
   ++generation_;
   std::string record = SuperRecord();
-  frame.set_offset(Site("bfs.meta.fopen"));
+  frame.set_offset(Site<"bfs.meta.fopen">());
   VFile* f = libc_.FOpen("/bfs/super", "w");
   if (f == nullptr) {
     coverage_.Hit("bfs.sync.err_open");
     return;
   }
-  frame.set_offset(Site("bfs.meta.fwrite"));
+  frame.set_offset(Site<"bfs.meta.fwrite">());
   unsigned long wrote = libc_.FWrite(record.data(), record.size(), f);
-  frame.set_offset(Site("bfs.meta.fclose"));
+  frame.set_offset(Site<"bfs.meta.fclose">());
   libc_.FClose(f);
   if (wrote != record.size()) {
     coverage_.Hit("bfs.sync.err_short");
@@ -787,13 +790,13 @@ void BfsServer::FlushSuper() {
   coverage_.Hit("bfs.fsync.body");
   ++generation_;
   std::string record = SuperRecord();
-  frame.set_offset(Site("bfs.super.fopen"));
+  frame.set_offset(Site<"bfs.super.fopen">());
   // BUG (Table 1): the durability barrier never checks fopen -- an injected
   // failure hands FWrite a NULL stream and the server segfaults mid-FSYNC.
   VFile* f = libc_.FOpen("/bfs/super", "w");
-  frame.set_offset(Site("bfs.super.fwrite"));
+  frame.set_offset(Site<"bfs.super.fwrite">());
   libc_.FWrite(record.data(), record.size(), f);
-  frame.set_offset(Site("bfs.super.fclose"));
+  frame.set_offset(Site<"bfs.super.fclose">());
   libc_.FClose(f);
 }
 

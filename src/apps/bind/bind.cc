@@ -1,5 +1,6 @@
 #include "apps/bind/bind.h"
 
+#include <array>
 #include <cstring>
 
 #include "util/errno_codes.h"
@@ -9,7 +10,10 @@
 namespace lfi {
 namespace {
 
-uint32_t Site(const char* name) { return BindBinary().SiteOffset(name); }
+template <SiteName kName>
+uint32_t Site() {
+  return CachedSiteOffset<BindBinary, kName>();
+}
 
 }  // namespace
 
@@ -103,7 +107,7 @@ void MiniBind::RegisterCoverageBlocks() {
 bool MiniBind::LoadZone(const std::string& path) {
   ScopedFrame frame(&libc_.stack(), kModule, "load_zone");
   coverage_.Hit("bind.zone.body");
-  frame.set_offset(Site("bind.zone.open"));
+  frame.set_offset(Site<"bind.zone.open">());
   int fd = libc_.Open(path, kORdOnly);
   if (fd < 0) {
     coverage_.Hit("bind.zone.err_open");
@@ -112,7 +116,7 @@ bool MiniBind::LoadZone(const std::string& path) {
   std::string data;
   char buf[512];
   while (true) {
-    frame.set_offset(Site("bind.zone.read"));
+    frame.set_offset(Site<"bind.zone.read">());
     long n = libc_.Read(fd, buf, sizeof buf);
     if (n < 0) {
       if (libc_.verrno() == kEINTR) {
@@ -127,7 +131,7 @@ bool MiniBind::LoadZone(const std::string& path) {
     }
     data.append(buf, static_cast<size_t>(n));
   }
-  frame.set_offset(Site("bind.zone.close"));
+  frame.set_offset(Site<"bind.zone.close">());
   if (libc_.Close(fd) == -1) {
     coverage_.Hit("bind.zone.err_close");
     return false;
@@ -144,13 +148,13 @@ bool MiniBind::LoadZone(const std::string& path) {
 bool MiniBind::StartServer(int port) {
   ScopedFrame frame(&libc_.stack(), kModule, "start_server");
   coverage_.Hit("bind.server.body");
-  frame.set_offset(Site("bind.server.socket"));
+  frame.set_offset(Site<"bind.server.socket">());
   server_fd_ = libc_.Socket();
   if (server_fd_ < 0) {
     coverage_.Hit("bind.server.err_socket");
     return false;
   }
-  frame.set_offset(Site("bind.server.bind"));
+  frame.set_offset(Site<"bind.server.bind">());
   if (libc_.BindSocket(server_fd_, port) == -1) {
     coverage_.Hit("bind.server.err_bind");
     return false;
@@ -178,7 +182,7 @@ int MiniBind::PumpQueries() {
   while (true) {
     char buf[512];
     int src_port = -1;
-    frame.set_offset(Site("bind.server.recvfrom"));
+    frame.set_offset(Site<"bind.server.recvfrom">());
     long n = libc_.RecvFrom(server_fd_, buf, sizeof buf, &src_port);
     if (n < 0) {
       if (libc_.verrno() == kEAGAIN) {
@@ -197,7 +201,7 @@ int MiniBind::PumpQueries() {
     } else {
       reply = "FORMERR";
     }
-    frame.set_offset(Site("bind.server.sendto"));
+    frame.set_offset(Site<"bind.server.sendto">());
     long sent = libc_.SendTo(server_fd_, reply.data(), reply.size(), src_port);
     if (sent < 0) {
       coverage_.Hit("bind.pump.err_send");
@@ -210,12 +214,12 @@ int MiniBind::PumpQueries() {
 std::string MiniBind::HandleStatsRequest() {
   ScopedFrame frame(&libc_.stack(), kModule, "statschannel_render");
   coverage_.Hit("bind.stats.body");
-  frame.set_offset(Site("bind.stats.newwriter"));
+  frame.set_offset(Site<"bind.stats.newwriter">());
   VXmlWriter* writer = libc_.XmlNewTextWriterDoc();
   // BUG (Table 1): the writer is not checked. When xmlNewTextWriterDoc
   // fails while a user retrieves statistics over HTTP, the server crashes
   // (statschannel.c).
-  frame.set_offset(Site("bind.stats.writeelem"));
+  frame.set_offset(Site<"bind.stats.writeelem">());
   libc_.XmlWriterWriteElement(writer, "queries", StrFormat("%llu", (unsigned long long)queries_served_));
   libc_.XmlWriterWriteElement(writer, "nxdomain", StrFormat("%llu", (unsigned long long)nxdomain_count_));
   libc_.XmlWriterWriteElement(writer, "zones", StrFormat("%zu", zone_.size()));
@@ -226,8 +230,17 @@ bool MiniBind::DstLibInit() {
   ScopedFrame frame(&libc_.stack(), kModule, "dst_lib_init");
   coverage_.Hit("bind.dst.body");
   dst_tables_.clear();
+  // The numbered malloc sites, resolved once like every other call site.
+  static const std::array<uint32_t, kDstAllocations> kDstSites = [] {
+    std::array<uint32_t, kDstAllocations> sites{};
+    for (int i = 0; i < kDstAllocations; ++i) {
+      sites[static_cast<size_t>(i)] =
+          BindBinary().SiteOffset(StrFormat("bind.dst.malloc%02d", i));
+    }
+    return sites;
+  }();
   for (int i = 0; i < kDstAllocations; ++i) {
-    frame.set_offset(Site(StrFormat("bind.dst.malloc%02d", i).c_str()));
+    frame.set_offset(kDstSites[static_cast<size_t>(i)]);
     void* table = libc_.Malloc(128 + static_cast<unsigned long>(i) * 16);
     if (table == nullptr) {
       // The return IS checked -- but the recovery is wrong (Table 1,
@@ -261,7 +274,7 @@ int MiniBind::CleanJournalFiles() {
     if (!EndsWith(name, ".jnl")) {
       continue;
     }
-    frame.set_offset(Site("bind.journal.unlink"));
+    frame.set_offset(Site<"bind.journal.unlink">());
     if (libc_.Unlink(confdir_ + "/" + name) == -1) {
       coverage_.Hit("bind.journal.err_unlink");
       continue;

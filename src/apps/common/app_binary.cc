@@ -9,7 +9,7 @@
 
 namespace lfi {
 
-uint32_t AppBinary::SiteOffset(const std::string& site_name) const {
+uint32_t AppBinary::SiteOffset(std::string_view site_name) const {
   auto it = site_offsets_.find(site_name);
   return it == site_offsets_.end() ? 0xffffffffu : it->second;
 }
@@ -51,7 +51,7 @@ AppBinary AppBinaryBuilder::Build() {
 
   Rng rng(filler_seed_);
   std::string asm_text = StrFormat("module %s\n", module_name_.c_str());
-  std::map<std::string, uint32_t> offsets;
+  AppBinary::SiteOffsets offsets;
   size_t instr_count = 0;  // every emitted instruction line is 8 bytes
   int label_counter = 0;
   bool need_helper = false;

@@ -11,14 +11,24 @@
 // analyzer reports are exactly the offsets the call-stack triggers match at
 // run time. The table is also the ground truth for the Table 4 accuracy
 // evaluation.
+//
+// Call sites run millions of times per campaign, so each static call site
+// resolves its name once (CachedSiteOffset, below) and afterwards only reads
+// a uint32_t. The module and function names an app pushes through
+// ScopedFrame must have static storage duration (vlib/call_stack.h): string
+// literals and the apps' kModule constants.
 
 #ifndef LFI_APPS_COMMON_APP_BINARY_H_
 #define LFI_APPS_COMMON_APP_BINARY_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "image/image.h"
@@ -56,7 +66,9 @@ struct CallSiteSpec {
 class AppBinary {
  public:
   AppBinary() = default;
-  AppBinary(Image image, std::map<std::string, uint32_t> site_offsets,
+  using SiteOffsets = std::map<std::string, uint32_t, std::less<>>;
+
+  AppBinary(Image image, SiteOffsets site_offsets,
             std::vector<CallSiteSpec> sites)
       : image_(std::move(image)),
         site_offsets_(std::move(site_offsets)),
@@ -66,7 +78,7 @@ class AppBinary {
   const std::vector<CallSiteSpec>& sites() const { return sites_; }
 
   // Byte offset of the named call site; 0xffffffff when unknown.
-  uint32_t SiteOffset(const std::string& site_name) const;
+  uint32_t SiteOffset(std::string_view site_name) const;
 
   const CallSiteSpec* FindSite(const std::string& site_name) const;
 
@@ -76,9 +88,30 @@ class AppBinary {
 
  private:
   Image image_;
-  std::map<std::string, uint32_t> site_offsets_;
+  SiteOffsets site_offsets_;
   std::vector<CallSiteSpec> sites_;
 };
+
+// A call-site name as a template argument: CachedSiteOffset<Binary, "x.y">
+// is its own function, so each name gets its own function-local static.
+template <size_t N>
+struct SiteName {
+  constexpr SiteName(const char (&name)[N]) { std::copy_n(name, N, chars); }
+  constexpr std::string_view view() const { return {chars, N - 1}; }
+  char chars[N];
+};
+
+// Offset of call site `kName` in the binary `Binary()` returns, resolved on
+// first use; every later call is one static read. Apps wrap it as
+//   template <SiteName kName> uint32_t Site() {
+//     return CachedSiteOffset<MyBinary, kName>();
+//   }
+// and mark a call site with frame.set_offset(Site<"my.site">()).
+template <const AppBinary& (*Binary)(), SiteName kName>
+uint32_t CachedSiteOffset() {
+  static const uint32_t offset = Binary().SiteOffset(kName.view());
+  return offset;
+}
 
 // Builds the binary from a site table. Filler instructions and the check
 // patterns are emitted deterministically; `filler_seed` varies inter-site

@@ -9,7 +9,10 @@
 namespace lfi {
 namespace {
 
-uint32_t Site(const char* name) { return GitBinary().SiteOffset(name); }
+template <SiteName kName>
+uint32_t Site() {
+  return CachedSiteOffset<GitBinary, kName>();
+}
 
 }  // namespace
 
@@ -153,13 +156,13 @@ std::optional<std::string> MiniGit::WriteObject(const std::string& type,
   if (!libc_.fs()->DirExists(dir)) {
     libc_.fs()->MkDir(dir);
   }
-  frame.set_offset(Site("git.write_object.open"));
+  frame.set_offset(Site<"git.write_object.open">());
   int fd = libc_.Open(ObjectPath(id), kOWrOnly | kOCreate | kOTrunc);
   if (fd < 0) {
     coverage_.Hit("git.write_object.err_open");
     return std::nullopt;
   }
-  frame.set_offset(Site("git.write_object.write"));
+  frame.set_offset(Site<"git.write_object.write">());
   long n = libc_.Write(fd, payload.data(), payload.size());
   if (n < 0 || static_cast<size_t>(n) != payload.size()) {
     coverage_.Hit("git.write_object.err_write");
@@ -167,7 +170,7 @@ std::optional<std::string> MiniGit::WriteObject(const std::string& type,
     libc_.Unlink(ObjectPath(id));
     return std::nullopt;
   }
-  frame.set_offset(Site("git.write_object.close"));
+  frame.set_offset(Site<"git.write_object.close">());
   if (libc_.Close(fd) == -1) {
     coverage_.Hit("git.write_object.err_close");
     return std::nullopt;
@@ -183,7 +186,7 @@ std::optional<std::string> MiniGit::ReadObject(const std::string& id, std::strin
     coverage_.Hit("git.read_object.err_open");
     return std::nullopt;
   }
-  frame.set_offset(Site("git.read_object.open"));
+  frame.set_offset(Site<"git.read_object.open">());
   int fd = libc_.Open(ObjectPath(id), kORdOnly);
   if (fd < 0) {
     coverage_.Hit("git.read_object.err_open");
@@ -192,7 +195,7 @@ std::optional<std::string> MiniGit::ReadObject(const std::string& id, std::strin
   std::string payload;
   char buf[256];
   while (true) {
-    frame.set_offset(Site("git.read_object.read"));
+    frame.set_offset(Site<"git.read_object.read">());
     long n = libc_.Read(fd, buf, sizeof buf);
     if (n < 0) {
       if (libc_.verrno() == kEINTR) {
@@ -207,7 +210,7 @@ std::optional<std::string> MiniGit::ReadObject(const std::string& id, std::strin
     }
     payload.append(buf, static_cast<size_t>(n));
   }
-  frame.set_offset(Site("git.read_object.close"));
+  frame.set_offset(Site<"git.read_object.close">());
   libc_.Close(fd);
 
   size_t nul = payload.find('\0');
@@ -234,21 +237,21 @@ bool MiniGit::Add(const std::string& path, const std::string& content) {
   ScopedFrame frame(&libc_.stack(), kModule, "write_index");
   static const CoverageMap::BlockId kBlkGitIndexBody = CoverageMap::InternBlock("git.index.body");
   coverage_.Hit(kBlkGitIndexBody);
-  frame.set_offset(Site("git.index.open"));
+  frame.set_offset(Site<"git.index.open">());
   int fd = libc_.Open(repo_root_ + "/.git/index", kOWrOnly | kOCreate | kOAppend);
   if (fd < 0) {
     coverage_.Hit("git.index.err_open");
     return false;
   }
   std::string line = path + " " + *id + "\n";
-  frame.set_offset(Site("git.index.write"));
+  frame.set_offset(Site<"git.index.write">());
   long n = libc_.Write(fd, line.data(), line.size());
   if (n < 0) {
     coverage_.Hit("git.index.err_write");
     libc_.Close(fd);
     return false;
   }
-  frame.set_offset(Site("git.index.close"));
+  frame.set_offset(Site<"git.index.close">());
   libc_.Close(fd);
   return true;
 }
@@ -257,13 +260,13 @@ std::optional<std::string> MiniGit::Commit(const std::string& message) {
   coverage_.Hit("git.commit.body");
   // Tree = current index content.
   ScopedFrame frame(&libc_.stack(), kModule, "read_index");
-  frame.set_offset(Site("git.index.read_open"));
+  frame.set_offset(Site<"git.index.read_open">());
   int fd = libc_.Open(repo_root_ + "/.git/index", kORdOnly);
   std::string index_data;
   if (fd >= 0) {
     char buf[256];
     while (true) {
-      frame.set_offset(Site("git.index.read"));
+      frame.set_offset(Site<"git.index.read">());
       long n = libc_.Read(fd, buf, sizeof buf);
       if (n <= 0) {
         break;
@@ -294,14 +297,14 @@ std::optional<std::string> MiniGit::Commit(const std::string& message) {
     ScopedFrame ref_frame(&libc_.stack(), kModule, "update_ref");
     static const CoverageMap::BlockId kBlkGitRefBody = CoverageMap::InternBlock("git.ref.body");
     coverage_.Hit(kBlkGitRefBody);
-    ref_frame.set_offset(Site("git.ref.open"));
+    ref_frame.set_offset(Site<"git.ref.open">());
     int ref_fd = libc_.Open(repo_root_ + "/.git/refs/heads/master", kOWrOnly | kOCreate | kOTrunc);
     if (ref_fd < 0) {
       coverage_.Hit("git.ref.err_open");
       coverage_.Hit("git.commit.err_ref");
       return std::nullopt;
     }
-    ref_frame.set_offset(Site("git.ref.write"));
+    ref_frame.set_offset(Site<"git.ref.write">());
     long n = libc_.Write(ref_fd, commit_id->data(), commit_id->size());
     if (n < 0) {
       coverage_.Hit("git.ref.err_write");
@@ -309,7 +312,7 @@ std::optional<std::string> MiniGit::Commit(const std::string& message) {
       libc_.Close(ref_fd);
       return std::nullopt;
     }
-    ref_frame.set_offset(Site("git.ref.close"));
+    ref_frame.set_offset(Site<"git.ref.close">());
     libc_.Close(ref_fd);
   }
   RunHook("post-commit");
@@ -320,21 +323,21 @@ std::optional<std::string> MiniGit::HeadCommit() {
   ScopedFrame frame(&libc_.stack(), kModule, "resolve_ref");
   coverage_.Hit("git.resolve_ref.body");
   char target[128];
-  frame.set_offset(Site("git.resolve_ref.readlink"));
+  frame.set_offset(Site<"git.resolve_ref.readlink">());
   long n = libc_.ReadLink(repo_root_ + "/.git/HEAD", target, sizeof target);
   if (n < 0) {
     coverage_.Hit("git.resolve_ref.err_link");
     return std::nullopt;
   }
   std::string ref_path = repo_root_ + "/.git/" + std::string(target, static_cast<size_t>(n));
-  frame.set_offset(Site("git.ref.read_open"));
+  frame.set_offset(Site<"git.ref.read_open">());
   int fd = libc_.Open(ref_path, kORdOnly);
   if (fd < 0) {
     coverage_.Hit("git.resolve_ref.err_open");
     return std::nullopt;  // unborn branch
   }
   char buf[64];
-  frame.set_offset(Site("git.ref.read"));
+  frame.set_offset(Site<"git.ref.read">());
   long r = libc_.Read(fd, buf, sizeof buf);
   libc_.Close(fd);
   if (r < 0) {
@@ -348,11 +351,11 @@ std::vector<std::string> MiniGit::ListBranches() {
   ScopedFrame frame(&libc_.stack(), kModule, "list_branches");
   coverage_.Hit("git.branches.body");
   std::vector<std::string> out;
-  frame.set_offset(Site("git.branches.opendir"));
+  frame.set_offset(Site<"git.branches.opendir">());
   VDir* dir = libc_.OpenDir(repo_root_ + "/.git/refs/heads");
   // BUG (Table 1): `dir` is not checked; a failed opendir (ENOMEM, EMFILE)
   // hands readdir a NULL pointer and the process segfaults.
-  frame.set_offset(Site("git.branches.readdir"));
+  frame.set_offset(Site<"git.branches.readdir">());
   while (const char* entry = libc_.ReadDir(dir)) {
     out.emplace_back(entry);
   }
@@ -368,20 +371,20 @@ bool MiniGit::CreateBranch(const std::string& name) {
   ScopedFrame frame(&libc_.stack(), kModule, "update_ref");
   static const CoverageMap::BlockId kBlkGitRefBody = CoverageMap::InternBlock("git.ref.body");
   coverage_.Hit(kBlkGitRefBody);
-  frame.set_offset(Site("git.ref.open"));
+  frame.set_offset(Site<"git.ref.open">());
   int fd = libc_.Open(repo_root_ + "/.git/refs/heads/" + name, kOWrOnly | kOCreate | kOTrunc);
   if (fd < 0) {
     coverage_.Hit("git.ref.err_open");
     return false;
   }
-  frame.set_offset(Site("git.ref.write"));
+  frame.set_offset(Site<"git.ref.write">());
   long n = libc_.Write(fd, head->data(), head->size());
   if (n < 0) {
     coverage_.Hit("git.ref.err_write");
     libc_.Close(fd);
     return false;
   }
-  frame.set_offset(Site("git.ref.close"));
+  frame.set_offset(Site<"git.ref.close">());
   libc_.Close(fd);
   return true;
 }
@@ -409,7 +412,7 @@ std::optional<MergeResult> MiniGit::Merge(const std::string& base_id, const std:
     return std::nullopt;
   }
   ScopedFrame frame(&libc_.stack(), kModule, "xdl_do_merge");
-  return XMerge3(&libc_, &frame, Site("git.xmerge.malloc567"), Site("git.xmerge.malloc571"),
+  return XMerge3(&libc_, &frame, Site<"git.xmerge.malloc567">(), Site<"git.xmerge.malloc571">(),
                  SplitLines(*base), SplitLines(*ours), SplitLines(*theirs));
 }
 
@@ -423,7 +426,7 @@ std::optional<std::string> MiniGit::PatienceDiffBlobs(const std::string& id_a,
     return std::nullopt;
   }
   ScopedFrame frame(&libc_.stack(), kModule, "patience_diff");
-  return RenderDiff(PatienceDiff(&libc_, &frame, Site("git.xpatience.malloc191"), SplitLines(*a),
+  return RenderDiff(PatienceDiff(&libc_, &frame, Site<"git.xpatience.malloc191">(), SplitLines(*a),
                                  SplitLines(*b)));
 }
 
@@ -433,13 +436,13 @@ void MiniGit::RunHook(const std::string& hook_name) {
   ++hook_runs_;
 
   // The child command starts from a scrubbed environment...
-  frame.set_offset(Site("git.hook.unsetenv"));
+  frame.set_offset(Site<"git.hook.unsetenv">());
   if (libc_.UnsetEnv("GIT_DIR") == -1) {
     return;
   }
   // ...and BUG (Table 1): the setenv return is not checked. On failure the
   // "external command" below runs with an incomplete environment.
-  frame.set_offset(Site("git.hook.setenv"));
+  frame.set_offset(Site<"git.hook.setenv">());
   libc_.SetEnv("GIT_DIR", repo_root_ + "/.git", 1);
 
   // The external command: appends a line to $GIT_DIR/hooks.log. With GIT_DIR
@@ -448,16 +451,16 @@ void MiniGit::RunHook(const std::string& hook_name) {
   const char* dir = libc_.GetEnv("GIT_DIR");
   std::string target = dir != nullptr ? std::string(dir) + "/hooks.log"
                                       : repo_root_ + "/.git/refs/heads/master";
-  frame.set_offset(Site("git.hook.open"));
+  frame.set_offset(Site<"git.hook.open">());
   int fd = libc_.Open(target, kOWrOnly | kOCreate | kOAppend);
   if (fd < 0) {
     coverage_.Hit("git.hook.err_open");
     return;
   }
   std::string line = StrFormat("hook %s run %d\n", hook_name.c_str(), hook_runs_);
-  frame.set_offset(Site("git.hook.write"));
+  frame.set_offset(Site<"git.hook.write">());
   libc_.Write(fd, line.data(), line.size());
-  frame.set_offset(Site("git.hook.close"));
+  frame.set_offset(Site<"git.hook.close">());
   libc_.Close(fd);
 }
 
@@ -465,14 +468,14 @@ bool MiniGit::Fsck() {
   coverage_.Hit("git.fsck.body");
   for (const std::string& branch : ListBranches()) {
     ScopedFrame frame(&libc_.stack(), kModule, "resolve_ref");
-    frame.set_offset(Site("git.ref.read_open"));
+    frame.set_offset(Site<"git.ref.read_open">());
     int fd = libc_.Open(repo_root_ + "/.git/refs/heads/" + branch, kORdOnly);
     if (fd < 0) {
       coverage_.Hit("git.fsck.err_missing");
       return false;
     }
     char buf[64];
-    frame.set_offset(Site("git.ref.read"));
+    frame.set_offset(Site<"git.ref.read">());
     long n = libc_.Read(fd, buf, sizeof buf);
     libc_.Close(fd);
     if (n != 40) {

@@ -7,7 +7,10 @@
 namespace lfi {
 namespace {
 
-uint32_t Site(const char* name) { return HttpdBinary().SiteOffset(name); }
+template <SiteName kName>
+uint32_t Site() {
+  return CachedSiteOffset<HttpdBinary, kName>();
+}
 
 }  // namespace
 
@@ -52,7 +55,7 @@ void MiniHttpd::InstallDefaultSite() {
 
 std::string MiniHttpd::ServeStatic(const std::string& path) {
   ScopedFrame frame(&libc_.stack(), kModule, "default_handler");
-  frame.set_offset(Site("httpd.static.open"));
+  frame.set_offset(Site<"httpd.static.open">());
   int fd = libc_.Open(path, kORdOnly);
   if (fd < 0) {
     return "404 Not Found";
@@ -60,7 +63,7 @@ std::string MiniHttpd::ServeStatic(const std::string& path) {
   std::string body;
   char buf[256];
   while (true) {
-    frame.set_offset(Site("httpd.static.read"));
+    frame.set_offset(Site<"httpd.static.read">());
     long n = libc_.AprFileRead(fd, buf, sizeof buf);
     if (n < 0) {
       libc_.Close(fd);
@@ -71,14 +74,14 @@ std::string MiniHttpd::ServeStatic(const std::string& path) {
     }
     body.append(buf, static_cast<size_t>(n));
   }
-  frame.set_offset(Site("httpd.static.close"));
+  frame.set_offset(Site<"httpd.static.close">());
   libc_.Close(fd);
   return body;
 }
 
 std::string MiniHttpd::ServePhp(const std::string& path, const RequestRec& request) {
   ScopedFrame frame(&libc_.stack(), kModule, "php_handler");
-  frame.set_offset(Site("httpd.php.open"));
+  frame.set_offset(Site<"httpd.php.open">());
   int fd = libc_.Open(path, kORdOnly);
   if (fd < 0) {
     return "404 Not Found";
@@ -86,14 +89,14 @@ std::string MiniHttpd::ServePhp(const std::string& path, const RequestRec& reque
   std::string script;
   char buf[128];
   while (true) {
-    frame.set_offset(Site("httpd.php.read"));
+    frame.set_offset(Site<"httpd.php.read">());
     long n = libc_.AprFileRead(fd, buf, sizeof buf);
     if (n <= 0) {
       break;
     }
     script.append(buf, static_cast<size_t>(n));
   }
-  frame.set_offset(Site("httpd.php.close"));
+  frame.set_offset(Site<"httpd.php.close">());
   libc_.Close(fd);
 
   // "Execute" the script: compute-bound work, few library calls.
@@ -108,15 +111,15 @@ std::string MiniHttpd::ServeExtModule(const RequestRec& request) {
   // Dynamically-loaded module: its frames carry the mod_ext module name, so
   // call-stack triggers scoped to httpd-core exclude it.
   ScopedFrame frame(&libc_.stack(), kExtModule, "ext_handler");
-  frame.set_offset(Site("httpd.ext.open"));
+  frame.set_offset(Site<"httpd.ext.open">());
   int fd = libc_.Open(docroot_ + request.uri, kORdOnly);
   if (fd < 0) {
     return "404 Not Found";
   }
   char buf[64];
-  frame.set_offset(Site("httpd.ext.read"));
+  frame.set_offset(Site<"httpd.ext.read">());
   long n = libc_.AprFileRead(fd, buf, sizeof buf);
-  frame.set_offset(Site("httpd.ext.close"));
+  frame.set_offset(Site<"httpd.ext.close">());
   libc_.Close(fd);
   return n >= 0 ? "ext ok" : "ext error";
 }
@@ -128,7 +131,7 @@ std::string MiniHttpd::ProcessRequest(const RequestRec& request) {
   ++requests_served_;
 
   // The accept/request mutex: part of each request's library-call mix.
-  frame.set_offset(Site("httpd.lock"));
+  frame.set_offset(Site<"httpd.lock">());
   libc_.MutexLock(&accept_mutex_);
   std::string response;
   if (StartsWith(request.uri, "/ext/")) {
@@ -138,7 +141,7 @@ std::string MiniHttpd::ProcessRequest(const RequestRec& request) {
   } else {
     response = ServeStatic(docroot_ + request.uri);
   }
-  frame.set_offset(Site("httpd.unlock"));
+  frame.set_offset(Site<"httpd.unlock">());
   libc_.MutexUnlock(&accept_mutex_);
   return response;
 }

@@ -9,7 +9,10 @@
 namespace lfi {
 namespace {
 
-uint32_t Site(const char* name) { return MysqlBinary().SiteOffset(name); }
+template <SiteName kName>
+uint32_t Site() {
+  return CachedSiteOffset<MysqlBinary, kName>();
+}
 
 }  // namespace
 
@@ -89,7 +92,7 @@ bool MiniMysql::Startup() {
   ScopedFrame frame(&libc_.stack(), kModule, "read_errmsg");
   coverage_.Hit("mysql.errmsg.body");
 
-  frame.set_offset(Site("mysql.errmsg.open"));
+  frame.set_offset(Site<"mysql.errmsg.open">());
   int fd = libc_.Open(datadir_ + "/share/errmsg.sys", kORdOnly);
   if (fd < 0) {
     // Bug #25097 was fixed: a *missing* errmsg.sys is reported cleanly.
@@ -99,7 +102,7 @@ bool MiniMysql::Startup() {
   }
 
   char buf[4096];
-  frame.set_offset(Site("mysql.errmsg.read"));
+  frame.set_offset(Site<"mysql.errmsg.read">());
   long n = libc_.Read(fd, buf, sizeof buf);
   if (n < 0) {
     // BUG (#53393): the error is logged, but initialization is skipped and
@@ -111,7 +114,7 @@ bool MiniMysql::Startup() {
     errmsg_.messages = &errmsg_storage_;
     errmsg_.initialized = true;
   }
-  frame.set_offset(Site("mysql.errmsg.close"));
+  frame.set_offset(Site<"mysql.errmsg.close">());
   libc_.Close(fd);
 
   // Prime the startup banner: formats message 0 through the table. When the
@@ -134,7 +137,7 @@ int MiniMysql::MiCreate(const std::string& table) {
   ScopedFrame frame(&libc_.stack(), kModule, "mi_create");
   coverage_.Hit("mysql.mi_create.body");
 
-  frame.set_offset(Site("mysql.mi_create.lock"));
+  frame.set_offset(Site<"mysql.mi_create.lock">());
   if (libc_.MutexLock(&create_mutex_) != 0) {
     return -1;
   }
@@ -142,7 +145,7 @@ int MiniMysql::MiCreate(const std::string& table) {
   int fds[kMiCreateSegments];
   int opened = 0;
   for (int i = 0; i < kMiCreateSegments; ++i) {
-    frame.set_offset(Site("mysql.mi_create.open"));
+    frame.set_offset(Site<"mysql.mi_create.open">());
     fds[i] = libc_.Open(TablePath(table, i), kOWrOnly | kOCreate | kOTrunc);
     if (fds[i] < 0) {
       coverage_.Hit("mysql.mi_create.err_open");
@@ -154,7 +157,7 @@ int MiniMysql::MiCreate(const std::string& table) {
     }
     ++opened;
     std::string header = StrFormat("MYI\1 segment %d of %s\n", i, table.c_str());
-    frame.set_offset(Site("mysql.mi_create.write"));
+    frame.set_offset(Site<"mysql.mi_create.write">());
     long n = libc_.Write(fds[i], header.data(), header.size());
     if (n < 0) {
       coverage_.Hit("mysql.mi_create.err_write");
@@ -167,7 +170,7 @@ int MiniMysql::MiCreate(const std::string& table) {
   }
 
   // Normal flow: creation is done, release the creation mutex...
-  frame.set_offset(Site("mysql.mi_create.unlock"));
+  frame.set_offset(Site<"mysql.mi_create.unlock">());
   libc_.MutexUnlock(&create_mutex_);
 
   // ...then flush/close the segments. BUG (#53268): a failed close jumps to
@@ -175,7 +178,7 @@ int MiniMysql::MiCreate(const std::string& table) {
   // including the mutex the normal flow just released. Double unlock.
   bool failed = false;
   for (int i = 0; i < kMiCreateSegments; ++i) {
-    frame.set_offset(Site("mysql.mi_create.close"));
+    frame.set_offset(Site<"mysql.mi_create.close">());
     if (libc_.Close(fds[i]) == -1) {
       failed = true;
       break;
@@ -203,16 +206,16 @@ bool MiniMysql::MergeBig() {
     if (!libc_.fs()->FileExists(path)) {
       libc_.fs()->WriteFile(path, StrFormat("source table %d\n", i));
     }
-    frame.set_offset(Site("mysql.merge.open"));
+    frame.set_offset(Site<"mysql.merge.open">());
     int fd = libc_.Open(path, kORdOnly);
     if (fd < 0) {
       coverage_.Hit("mysql.merge.err_scan");
       return false;
     }
     char buf[64];
-    frame.set_offset(Site("mysql.merge.read"));
+    frame.set_offset(Site<"mysql.merge.read">());
     libc_.Read(fd, buf, sizeof buf);
-    frame.set_offset(Site("mysql.merge.close"));
+    frame.set_offset(Site<"mysql.merge.close">());
     if (libc_.Close(fd) == -1) {
       coverage_.Hit("mysql.merge.err_scan");
       return false;
@@ -234,7 +237,7 @@ bool MiniMysql::OltpInit(int rows) {
     data += row;
   }
   libc_.fs()->WriteFile(datadir_ + "/oltp.MYD", std::move(data));
-  frame.set_offset(Site("mysql.oltp.open"));
+  frame.set_offset(Site<"mysql.oltp.open">());
   oltp_fd_ = libc_.Open(datadir_ + "/oltp.MYD", kORdWr);
   if (oltp_fd_ < 0) {
     return false;
@@ -248,19 +251,19 @@ std::optional<std::string> MiniMysql::OltpRead(int key) {
     return std::nullopt;
   }
   ScopedFrame frame(&libc_.stack(), kModule, "oltp_row");
-  frame.set_offset(Site("mysql.oltp.fcntl"));
+  frame.set_offset(Site<"mysql.oltp.fcntl">());
   if (libc_.Fcntl(oltp_fd_, kFGetLk, key) == -1) {
     coverage_.Hit("mysql.oltp.err_lock");
     return std::nullopt;
   }
-  frame.set_offset(Site("mysql.oltp.lseek"));
+  frame.set_offset(Site<"mysql.oltp.lseek">());
   if (libc_.Lseek(oltp_fd_, static_cast<long>(key) * static_cast<long>(kRowWidth), kSeekSet) <
       0) {
     coverage_.Hit("mysql.oltp.err_io");
     return std::nullopt;
   }
   char buf[kRowWidth];
-  frame.set_offset(Site("mysql.oltp.read"));
+  frame.set_offset(Site<"mysql.oltp.read">());
   long n = libc_.Read(oltp_fd_, buf, kRowWidth);
   if (n < 0) {
     coverage_.Hit("mysql.oltp.err_io");
@@ -274,12 +277,12 @@ bool MiniMysql::OltpWrite(int key, const std::string& value) {
     return false;
   }
   ScopedFrame frame(&libc_.stack(), kModule, "oltp_row");
-  frame.set_offset(Site("mysql.oltp.fcntl"));
+  frame.set_offset(Site<"mysql.oltp.fcntl">());
   if (libc_.Fcntl(oltp_fd_, kFSetLk, key) == -1) {
     coverage_.Hit("mysql.oltp.err_lock");
     return false;
   }
-  frame.set_offset(Site("mysql.oltp.lseek"));
+  frame.set_offset(Site<"mysql.oltp.lseek">());
   if (libc_.Lseek(oltp_fd_, static_cast<long>(key) * static_cast<long>(kRowWidth), kSeekSet) <
       0) {
     coverage_.Hit("mysql.oltp.err_io");
@@ -288,7 +291,7 @@ bool MiniMysql::OltpWrite(int key, const std::string& value) {
   std::string row = value;
   row.resize(kRowWidth - 1, ' ');
   row += "\n";
-  frame.set_offset(Site("mysql.oltp.write"));
+  frame.set_offset(Site<"mysql.oltp.write">());
   long n = libc_.Write(oltp_fd_, row.data(), row.size());
   if (n < 0) {
     coverage_.Hit("mysql.oltp.err_io");

@@ -10,9 +10,30 @@
 namespace lfi {
 namespace {
 
-uint32_t Site(const char* name) { return PbftBinary().SiteOffset(name); }
+template <SiteName kName>
+uint32_t Site() {
+  return CachedSiteOffset<PbftBinary, kName>();
+}
 
-std::string Digest(const std::string& payload) { return Sha1::HexDigest(payload).substr(0, 16); }
+std::string Digest(std::string_view payload) { return Sha1::HexDigest(payload).substr(0, 16); }
+
+// Numeric wire fields -- views, sequence numbers, replica ids, ports,
+// timestamps -- are non-negative and small in every honest message. A field
+// that does not parse, or parses outside [0, kMaxWireNumber], marks a
+// truncated or garbled datagram, and the message is dropped whole. The cap
+// also keeps view and port arithmetic clear of overflow.
+constexpr int64_t kMaxWireNumber = int64_t{1} << 30;
+
+std::optional<int64_t> WireNumber(std::string_view field) {
+  std::optional<int64_t> v = ParseInt(field);
+  if (!v || *v < 0 || *v > kMaxWireNumber) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+// printf precision for a "%.*s" argument.
+int Len(std::string_view s) { return static_cast<int>(s.size()); }
 
 // Session-key derivation (the authenticators of the PBFT paper): both ends
 // of a node pair stretch the pair identity into a shared MAC key by iterated
@@ -114,12 +135,12 @@ PbftReplica::SeqState& PbftReplica::Seq(int64_t seq) { return log_[seq]; }
 
 bool PbftReplica::Start() {
   ScopedFrame frame(&libc_.stack(), kModule, "replica_init");
-  frame.set_offset(Site("pbft.replica.socket"));
+  frame.set_offset(Site<"pbft.replica.socket">());
   fd_ = libc_.Socket();
   if (fd_ < 0) {
     return false;
   }
-  frame.set_offset(Site("pbft.replica.bind"));
+  frame.set_offset(Site<"pbft.replica.bind">());
   if (libc_.BindSocket(fd_, kPbftBasePort + id_) != 0) {
     return false;
   }
@@ -136,7 +157,7 @@ bool PbftReplica::Start() {
 
 void PbftReplica::SendTo(int port, const std::string& msg) {
   ScopedFrame frame(&libc_.stack(), kModule, "send_message");
-  frame.set_offset(Site("pbft.replica.sendto"));
+  frame.set_offset(Site<"pbft.replica.sendto">());
   // Fire-and-forget (release build): result intentionally unchecked.
   libc_.SendTo(fd_, msg.data(), msg.size(), port);
 }
@@ -163,7 +184,7 @@ void PbftReplica::Step() {
     for (int budget = 0; budget < 256; ++budget) {
       char buf[2048];
       int src_port = -1;
-      frame.set_offset(Site("pbft.replica.recvfrom"));
+      frame.set_offset(Site<"pbft.replica.recvfrom">());
       long n = libc_.RecvFrom(fd_, buf, sizeof buf, &src_port);
       if (n < 0) {
         if (libc_.verrno() == kEAGAIN) {
@@ -188,7 +209,7 @@ void PbftReplica::Step() {
       if (session_keys_.find(src_port) == session_keys_.end()) {
         continue;
       }
-      HandleMessage(std::string(buf, static_cast<size_t>(n)), src_port);
+      HandleMessage(std::string_view(buf, static_cast<size_t>(n)), src_port);
       if (halted_) {
         return;
       }
@@ -216,28 +237,38 @@ void PbftReplica::Step() {
   }
 }
 
-void PbftReplica::HandleMessage(const std::string& msg, int src_port) {
-  std::vector<std::string> parts = Split(msg, '|');
-  if (parts.empty()) {
-    return;
-  }
-  const std::string& type = parts[0];
-  if (type == "REQ" && parts.size() >= 4) {
-    bool forwarded = parts.size() >= 5 && parts[4] == "1";
-    OnRequest(parts[2], static_cast<int>(*ParseInt(parts[3])), forwarded);
-  } else if (type == "PP" && parts.size() >= 5) {
-    OnPrePrepare(static_cast<int>(*ParseInt(parts[1])), *ParseInt(parts[2]), parts[3], parts[4]);
-  } else if (type == "P" && parts.size() >= 5) {
-    OnPrepare(static_cast<int>(*ParseInt(parts[1])), *ParseInt(parts[2]), parts[3],
-              static_cast<int>(*ParseInt(parts[4])), src_port);
-  } else if (type == "C" && parts.size() >= 5) {
-    OnCommit(static_cast<int>(*ParseInt(parts[1])), *ParseInt(parts[2]), parts[3],
-             static_cast<int>(*ParseInt(parts[4])), src_port);
-  } else if (type == "FETCH" && parts.size() >= 3) {
+void PbftReplica::HandleMessage(std::string_view msg, int src_port) {
+  // The fields are views into the receive buffer; no message is copied
+  // before it is understood.
+  std::string_view parts[5];
+  size_t count = SplitViews(msg, '|', parts);
+  std::string_view type = parts[0];
+  if (type == "REQ" && count >= 4) {
+    auto client_port = WireNumber(parts[3]);
+    if (client_port) {
+      bool forwarded = count >= 5 && parts[4] == "1";
+      OnRequest(parts[2], static_cast<int>(*client_port), forwarded);
+    }
+  } else if (type == "PP" && count >= 5) {
+    auto view = WireNumber(parts[1]);
+    auto seq = WireNumber(parts[2]);
+    if (view && seq) {
+      OnPrePrepare(static_cast<int>(*view), *seq, parts[3], parts[4]);
+    }
+  } else if ((type == "P" || type == "C") && count >= 5) {
+    auto view = WireNumber(parts[1]);
+    auto seq = WireNumber(parts[2]);
+    auto replica = WireNumber(parts[4]);
+    if (view && seq && replica) {
+      auto phase = type == "P" ? &PbftReplica::OnPrepare : &PbftReplica::OnCommit;
+      (this->*phase)(static_cast<int>(*view), *seq, parts[3], static_cast<int>(*replica),
+                     src_port);
+    }
+  } else if (type == "FETCH" && count >= 3) {
     // Missing-message retrieval (PBFT's message/state-transfer mechanism):
     // answer with the pre-prepare if we hold the payload.
-    auto seq = ParseInt(parts[1]);
-    auto requester = ParseInt(parts[2]);
+    auto seq = WireNumber(parts[1]);
+    auto requester = WireNumber(parts[2]);
     if (seq && requester) {
       if (*seq <= low_watermark_) {
         SendStateTo(kPbftBasePort + static_cast<int>(*requester));
@@ -250,20 +281,27 @@ void PbftReplica::HandleMessage(const std::string& msg, int src_port) {
         }
       }
     }
-  } else if (type == "STATE" && parts.size() >= 4) {
-    auto executed = ParseInt(parts[1]);
-    auto view = ParseInt(parts[3]);
+  } else if (type == "STATE" && count >= 4) {
+    auto executed = WireNumber(parts[1]);
+    auto view = WireNumber(parts[3]);
     if (executed && view) {
       OnStateTransfer(*executed, parts[2], static_cast<int>(*view));
     }
-  } else if (type == "VC" && parts.size() >= 3) {
-    OnViewChange(static_cast<int>(*ParseInt(parts[1])), static_cast<int>(*ParseInt(parts[2])));
-  } else if (type == "NV" && parts.size() >= 3) {
-    OnNewView(static_cast<int>(*ParseInt(parts[1])), parts[2]);
+  } else if (type == "VC" && count >= 3) {
+    auto view = WireNumber(parts[1]);
+    auto replica = WireNumber(parts[2]);
+    if (view && replica) {
+      OnViewChange(static_cast<int>(*view), static_cast<int>(*replica));
+    }
+  } else if (type == "NV" && count >= 3) {
+    auto view = WireNumber(parts[1]);
+    if (view) {
+      OnNewView(static_cast<int>(*view), parts[2]);
+    }
   }
 }
 
-void PbftReplica::OnRequest(const std::string& payload, int client_port, bool forwarded) {
+void PbftReplica::OnRequest(std::string_view payload, int client_port, bool forwarded) {
   std::string digest = Digest(payload);
   if (executed_digests_.count(digest) != 0) {
     // Duplicate of an executed request: re-send the cached reply.
@@ -277,7 +315,7 @@ void PbftReplica::OnRequest(const std::string& payload, int client_port, bool fo
   if (!is_primary()) {
     if (!forwarded) {
       // Client broadcast: relay to the primary and start suspecting it.
-      std::string fwd = StrFormat("REQ|0|%s|%d|1", payload.c_str(), client_port);
+      std::string fwd = StrFormat("REQ|0|%.*s|%d|1", Len(payload), payload.data(), client_port);
       SendTo(kPbftBasePort + (view_ % config_.n), fwd);
     }
     return;
@@ -299,7 +337,7 @@ void PbftReplica::OnRequest(const std::string& payload, int client_port, bool fo
   st.pre_prepared = true;
   st.prepares.insert(id_);
   Multicast(StrFormat("PP|%d|%lld|%s|%s", view_, static_cast<long long>(seq), digest.c_str(),
-                      payload.c_str()));
+                      st.request->c_str()));
 }
 
 void PbftReplica::CatchUpView(int view) {
@@ -323,7 +361,7 @@ void PbftReplica::SendStateTo(int port) {
                          checkpoint_digest_.c_str(), view_));
 }
 
-void PbftReplica::OnStateTransfer(int64_t executed, const std::string& digest, int view) {
+void PbftReplica::OnStateTransfer(int64_t executed, std::string_view digest, int view) {
   // Checkpoint-based state transfer: adopt a peer's stable checkpoint when it
   // is ahead of ours (the real protocol verifies 2f+1 checkpoint signatures;
   // the simulation trusts its honest replicas).
@@ -342,8 +380,8 @@ void PbftReplica::OnStateTransfer(int64_t executed, const std::string& digest, i
   idle_ticks_ = 0;
 }
 
-void PbftReplica::OnPrePrepare(int view, int64_t seq, const std::string& digest,
-                               const std::string& payload) {
+void PbftReplica::OnPrePrepare(int view, int64_t seq, std::string_view digest,
+                               std::string_view payload) {
   CatchUpView(view);
   if (view != view_ || seq <= low_watermark_) {
     return;
@@ -365,12 +403,12 @@ void PbftReplica::OnPrePrepare(int view, int64_t seq, const std::string& digest,
   if (seq > next_seq_) {
     next_seq_ = seq;
   }
-  Multicast(StrFormat("P|%d|%lld|%s|%d", view_, static_cast<long long>(seq), digest.c_str(),
-                      id_));
+  Multicast(StrFormat("P|%d|%lld|%.*s|%d", view_, static_cast<long long>(seq), Len(digest),
+                      digest.data(), id_));
   OnPrepare(view_, seq, digest, id_, -1);
 }
 
-void PbftReplica::OnPrepare(int view, int64_t seq, const std::string& digest, int replica,
+void PbftReplica::OnPrepare(int view, int64_t seq, std::string_view digest, int replica,
                             int src_port) {
   CatchUpView(view);
   if (seq <= low_watermark_) {
@@ -396,13 +434,13 @@ void PbftReplica::OnPrepare(int view, int64_t seq, const std::string& digest, in
   // prepared(m, v, n): 2f prepares matching the pre-prepare.
   if (static_cast<int>(st.prepares.size()) >= 2 * config_.f && st.commits.count(id_) == 0) {
     st.commits.insert(id_);
-    Multicast(StrFormat("C|%d|%lld|%s|%d", view_, static_cast<long long>(seq), digest.c_str(),
-                        id_));
+    Multicast(StrFormat("C|%d|%lld|%.*s|%d", view_, static_cast<long long>(seq), Len(digest),
+                        digest.data(), id_));
     OnCommit(view, seq, digest, id_, -1);
   }
 }
 
-void PbftReplica::OnCommit(int view, int64_t seq, const std::string& digest, int replica,
+void PbftReplica::OnCommit(int view, int64_t seq, std::string_view digest, int replica,
                            int src_port) {
   CatchUpView(view);
   if (seq <= low_watermark_) {
@@ -448,12 +486,12 @@ void PbftReplica::TryExecute() {
     state_digest_ = Digest(state_digest_ + st.digest);
     // Request payload: "<timestamp>#<client_port>#<op>" (the client id is
     // part of the request, as in PBFT).
-    std::vector<std::string> fields = Split(*st.request, '#');
-    if (fields.size() >= 2) {
-      auto port = ParseInt(fields[1]);
+    std::string_view fields[2];
+    if (SplitViews(*st.request, '#', fields) >= 2) {
+      auto port = WireNumber(fields[1]);
       if (port) {
-        std::string reply = StrFormat("REPLY|%d|%s|%d|%s", view_, fields[0].c_str(), id_,
-                                      state_digest_.c_str());
+        std::string reply = StrFormat("REPLY|%d|%.*s|%d|%s", view_, Len(fields[0]),
+                                      fields[0].data(), id_, state_digest_.c_str());
         SendTo(static_cast<int>(*port), reply);
         reply_cache_[st.digest] = {static_cast<int>(*port), reply};
       }
@@ -470,7 +508,7 @@ void PbftReplica::MaybeCheckpoint() {
   ScopedFrame frame(&libc_.stack(), kModule, "save_checkpoint");
   coverage_.Hit("pbft.checkpoint.body");
   std::string path = StrFormat("/pbft/replica%d.ckpt", id_);
-  frame.set_offset(Site("pbft.checkpoint.fopen"));
+  frame.set_offset(Site<"pbft.checkpoint.fopen">());
   VFile* f = libc_.FOpen(path, "w");
   if (f == nullptr) {
     // Periodic checkpoints check their fopen; retried next interval.
@@ -479,9 +517,9 @@ void PbftReplica::MaybeCheckpoint() {
   }
   std::string record = StrFormat("%lld %s\n", static_cast<long long>(executed_count_),
                                  state_digest_.c_str());
-  frame.set_offset(Site("pbft.checkpoint.fwrite"));
+  frame.set_offset(Site<"pbft.checkpoint.fwrite">());
   unsigned long written = libc_.FWrite(record.data(), record.size(), f);
-  frame.set_offset(Site("pbft.checkpoint.fclose"));
+  frame.set_offset(Site<"pbft.checkpoint.fclose">());
   libc_.FClose(f);
   if (written == record.size()) {
     low_watermark_ = executed_count_;
@@ -556,7 +594,7 @@ void PbftReplica::BecomePrimaryOfNewView() {
   }
 }
 
-void PbftReplica::OnNewView(int view, const std::string& carried) {
+void PbftReplica::OnNewView(int view, std::string_view carried) {
   if (view <= view_ - 1 || view % config_.n == id_) {
     return;
   }
@@ -567,15 +605,16 @@ void PbftReplica::OnNewView(int view, const std::string& carried) {
     view_change_sent_ = false;
     idle_ticks_ = 0;
   }
-  for (const std::string& entry : Split(carried, ';')) {
-    if (entry.empty()) {
+  // Entries "seq:digest:payload", each ';'-terminated.
+  while (!carried.empty()) {
+    size_t end = carried.find(';');
+    std::string_view entry = carried.substr(0, end);
+    carried.remove_prefix(end == std::string_view::npos ? carried.size() : end + 1);
+    std::string_view fields[3];
+    if (SplitViews(entry, ':', fields) < 3) {
       continue;
     }
-    std::vector<std::string> fields = Split(entry, ':');
-    if (fields.size() < 3) {
-      continue;
-    }
-    auto seq = ParseInt(fields[0]);
+    auto seq = WireNumber(fields[0]);
     if (seq) {
       OnPrePrepare(view_, *seq, fields[1], fields[2]);
     }
@@ -620,15 +659,15 @@ void PbftReplica::Shutdown() {
   ScopedFrame frame(&libc_.stack(), kModule, "shutdown_checkpoint");
   coverage_.Hit("pbft.shutdown.body");
   std::string path = StrFormat("/pbft/replica%d.final", id_);
-  frame.set_offset(Site("pbft.shutdown.fopen"));
+  frame.set_offset(Site<"pbft.shutdown.fopen">());
   VFile* f = libc_.FOpen(path, "w");
   // BUG (Table 1): the fopen result is not checked before writing the final
   // checkpoint; an injected failure hands fwrite a NULL stream.
   std::string record = StrFormat("final %lld %s\n", static_cast<long long>(executed_count_),
                                  state_digest_.c_str());
-  frame.set_offset(Site("pbft.shutdown.fwrite"));
+  frame.set_offset(Site<"pbft.shutdown.fwrite">());
   libc_.FWrite(record.data(), record.size(), f);
-  frame.set_offset(Site("pbft.shutdown.fclose"));
+  frame.set_offset(Site<"pbft.shutdown.fclose">());
   libc_.FClose(f);
 }
 
@@ -732,11 +771,13 @@ void PbftClient::Step() {
     if (session_keys_.find(src_port) == session_keys_.end()) {
       continue;
     }
-    std::vector<std::string> parts = Split(std::string(buf, static_cast<size_t>(n)), '|');
-    if (parts.size() >= 4 && parts[0] == "REPLY") {
-      auto ts = ParseInt(parts[2]);
-      if (ts && *ts == timestamp_) {
-        reply_votes_.insert(static_cast<int>(*ParseInt(parts[3])));
+    std::string_view parts[4];
+    size_t count = SplitViews(std::string_view(buf, static_cast<size_t>(n)), '|', parts);
+    if (count >= 4 && parts[0] == "REPLY") {
+      auto ts = WireNumber(parts[2]);
+      auto replica = WireNumber(parts[3]);
+      if (ts && replica && *ts == timestamp_) {
+        reply_votes_.insert(static_cast<int>(*replica));
         if (static_cast<int>(reply_votes_.size()) >= config_.f + 1) {
           ++completed_;
           outstanding_ = false;

@@ -27,6 +27,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/common/app_binary.h"
@@ -98,17 +99,18 @@ class PbftReplica {
 
   void Multicast(const std::string& msg);
   void SendTo(int port, const std::string& msg);
-  void HandleMessage(const std::string& msg, int src_port);
-  void OnRequest(const std::string& payload, int client_port, bool forwarded);
-  void OnPrePrepare(int view, int64_t seq, const std::string& digest,
-                    const std::string& payload);
-  void OnPrepare(int view, int64_t seq, const std::string& digest, int replica, int src_port);
-  void OnCommit(int view, int64_t seq, const std::string& digest, int replica, int src_port);
+  // Parses one datagram in place (string_views into the receive buffer) and
+  // dispatches it; truncated or garbled messages are dropped.
+  void HandleMessage(std::string_view msg, int src_port);
+  void OnRequest(std::string_view payload, int client_port, bool forwarded);
+  void OnPrePrepare(int view, int64_t seq, std::string_view digest, std::string_view payload);
+  void OnPrepare(int view, int64_t seq, std::string_view digest, int replica, int src_port);
+  void OnCommit(int view, int64_t seq, std::string_view digest, int replica, int src_port);
   void CatchUpView(int view);
   void SendStateTo(int port);
-  void OnStateTransfer(int64_t executed, const std::string& digest, int view);
+  void OnStateTransfer(int64_t executed, std::string_view digest, int view);
   void OnViewChange(int view, int replica);
-  void OnNewView(int view, const std::string& carried);
+  void OnNewView(int view, std::string_view carried);
   void TryExecute();
   void MaybeCheckpoint();
   void StartViewChange();

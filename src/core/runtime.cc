@@ -148,16 +148,16 @@ InjectionDecision Runtime::Dispatch(VirtualLibc* libc, const std::string& functi
     record.errno_value = assoc.spec.errno_value;
     record.trigger_ids = std::move(fired_ids);
     record.call_number = call_number;
-    record.stack = libc->stack().frames();
+    record.stack = libc->stack().Capture();
     record.process = libc->process_name();
     log_.Record(std::move(record));
     if (injections_ >= kMaxInjectionsPerRun) {
-      const StackFrame* frame = libc->stack().top();
+      const LiveFrame* frame = libc->stack().top();
       throw SimCrash(CrashKind::kHang,
                      frame == nullptr
                          ? "livelock under injected faults: " + function
                          : StrFormat("livelock under injected faults: %s@%s+0x%x",
-                                     function.c_str(), frame->function.c_str(), frame->offset));
+                                     function.c_str(), frame->function, frame->offset));
     }
 
     decision.inject = true;

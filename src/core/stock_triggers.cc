@@ -43,11 +43,11 @@ bool CallStackTrigger::Eval(VirtualLibc* libc, const std::string& lib_func_name,
   // Every declared frame must match some active frame.
   for (const FrameSpec& spec : frames_) {
     bool matched = false;
-    for (const StackFrame& frame : stack) {
-      if (!spec.module.empty() && frame.module != spec.module) {
+    for (const LiveFrame& frame : stack) {
+      if (!spec.module.empty() && std::string_view(frame.module) != spec.module) {
         continue;
       }
-      if (!spec.function.empty() && frame.function != spec.function) {
+      if (!spec.function.empty() && std::string_view(frame.function) != spec.function) {
         continue;
       }
       if (spec.has_offset && frame.offset != spec.offset) {

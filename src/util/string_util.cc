@@ -1,9 +1,9 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 
 namespace lfi {
 
@@ -17,6 +17,22 @@ std::vector<std::string> Split(std::string_view s, char sep) {
       return out;
     }
     out.emplace_back(s.substr(start, pos - start));
+    start = pos + 1;
+  }
+}
+
+size_t SplitViews(std::string_view s, char sep, std::span<std::string_view> out) {
+  size_t count = 0;
+  size_t start = 0;
+  while (true) {
+    size_t pos = s.find(sep, start);
+    if (count < out.size()) {
+      out[count] = s.substr(start, pos == std::string_view::npos ? pos : pos - start);
+    }
+    ++count;
+    if (pos == std::string_view::npos) {
+      return count;
+    }
     start = pos + 1;
   }
 }
@@ -61,33 +77,45 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 
 std::optional<int64_t> ParseInt(std::string_view s) {
   s = Trim(s);
-  if (s.empty()) {
-    return std::nullopt;
+  // An embedded NUL ends the number, as it would for a C-string parse.
+  s = s.substr(0, s.find('\0'));
+  bool negative = !s.empty() && s[0] == '-';
+  if (!s.empty() && (s[0] == '-' || s[0] == '+')) {
+    s.remove_prefix(1);
   }
-  std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
   int base = 10;
-  size_t skip = (s[0] == '-' || s[0] == '+') ? 1 : 0;
-  if (s.size() > skip + 2 && s[skip] == '0' && (s[skip + 1] == 'x' || s[skip + 1] == 'X')) {
+  if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
     base = 16;
+    s.remove_prefix(2);
   }
-  long long v = std::strtoll(buf.c_str(), &end, base);
-  if (errno != 0 || end == buf.c_str() || *end != '\0') {
+  // from_chars takes no sign or whitespace, so "+-1", "- 1" and "0x-1" fail
+  // here exactly as they do for strtoll.
+  uint64_t magnitude = 0;
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), magnitude, base);
+  if (ec != std::errc() || end != s.data() + s.size()) {
     return std::nullopt;
   }
-  return static_cast<int64_t>(v);
+  constexpr uint64_t kMaxPositive = static_cast<uint64_t>(INT64_MAX);
+  if (magnitude > kMaxPositive + (negative ? 1 : 0)) {
+    return std::nullopt;  // outside int64_t, where strtoll reports ERANGE
+  }
+  return negative ? static_cast<int64_t>(0 - magnitude) : static_cast<int64_t>(magnitude);
 }
 
 std::string StrFormat(const char* fmt, ...) {
+  // One pass into a stack buffer covers nearly every call; only longer
+  // output pays for a second pass straight into the result.
+  char small[256];
   va_list ap;
   va_start(ap, fmt);
   va_list ap2;
   va_copy(ap2, ap);
-  int n = std::vsnprintf(nullptr, 0, fmt, ap);
+  int n = std::vsnprintf(small, sizeof small, fmt, ap);
   va_end(ap);
   std::string out;
-  if (n > 0) {
+  if (n > 0 && static_cast<size_t>(n) < sizeof small) {
+    out.assign(small, static_cast<size_t>(n));
+  } else if (n > 0) {
     out.resize(static_cast<size_t>(n));
     std::vsnprintf(out.data(), out.size() + 1, fmt, ap2);
   }

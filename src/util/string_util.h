@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,6 +14,10 @@ namespace lfi {
 
 // Splits `s` on `sep`, keeping empty fields.
 std::vector<std::string> Split(std::string_view s, char sep);
+
+// Split without copies: stores the first out.size() fields as views into `s`
+// and returns the total field count (what Split(s, sep).size() would be).
+size_t SplitViews(std::string_view s, char sep, std::span<std::string_view> out);
 
 // Splits on any run of whitespace, dropping empty fields.
 std::vector<std::string> SplitWhitespace(std::string_view s);
@@ -23,8 +28,10 @@ std::string_view Trim(std::string_view s);
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 
-// Parses a signed integer in decimal, or hex when prefixed with 0x. Returns
-// nullopt on any malformed input (no partial parses).
+// Parses a signed integer in decimal, or hex when prefixed with 0x (after an
+// optional sign); surrounding whitespace is ignored. Accepts exactly what
+// strtoll accepts over the whole trimmed input, without allocating. Returns
+// nullopt on any malformed or out-of-range input (no partial parses).
 std::optional<int64_t> ParseInt(std::string_view s);
 
 // printf-style formatting into a std::string.

@@ -14,7 +14,7 @@ void VirtualNet::Unbind(int port) { queues_.erase(port); }
 
 bool VirtualNet::IsBound(int port) const { return queues_.count(port) != 0; }
 
-long VirtualNet::Send(int src_port, int dst_port, const std::string& payload) {
+long VirtualNet::Send(int src_port, int dst_port, std::string payload) {
   auto it = queues_.find(dst_port);
   if (it == queues_.end()) {
     ++dropped_;
@@ -24,19 +24,18 @@ long VirtualNet::Send(int src_port, int dst_port, const std::string& payload) {
     ++dropped_;
     return static_cast<long>(payload.size());
   }
-  std::string delivered_payload = payload;
   if (partial_send_probability_ > 0.0 && payload.size() >= 2 &&
       rng_.Chance(partial_send_probability_)) {
     // Strict prefix: the wire accepted k bytes, the rest never left the host.
     size_t k = 1 + static_cast<size_t>(rng_.NextBelow(payload.size() - 1));
-    delivered_payload.resize(k);
+    payload.resize(k);
     ++partial_sends_;
   }
-  long accepted = static_cast<long>(delivered_payload.size());
+  long accepted = static_cast<long>(payload.size());
   if (tick_delivery_) {
-    staged_.emplace_back(dst_port, Datagram{src_port, std::move(delivered_payload)});
+    staged_.emplace_back(dst_port, Datagram{src_port, std::move(payload)});
   } else {
-    it->second.push_back(Datagram{src_port, std::move(delivered_payload)});
+    it->second.push_back(Datagram{src_port, std::move(payload)});
   }
   ++delivered_;
   return accepted;

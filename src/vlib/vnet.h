@@ -36,8 +36,9 @@ class VirtualNet {
 
   // Delivers `payload` to `dst_port`. Returns bytes accepted (always the
   // payload size unless the destination is unbound or physical loss fires).
-  // An unbound destination silently drops, like UDP.
-  long Send(int src_port, int dst_port, const std::string& payload);
+  // An unbound destination silently drops, like UDP. Takes the payload by
+  // value so a caller that built it can move it onto the wire uncopied.
+  long Send(int src_port, int dst_port, std::string payload);
 
   // Pops the next datagram for `port`; false when the queue is empty.
   bool Receive(int port, Datagram* out);

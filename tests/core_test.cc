@@ -376,6 +376,68 @@ TEST_F(CoreTest, CallStackTriggerMatchesAnyActiveFrame) {
   libc_.set_interposer(nullptr);
 }
 
+TEST_F(CoreTest, CallStackTriggerMatchesModuleFunctionAndOffsetAlike) {
+  Scenario s = MustParse(R"(
+<scenario>
+  <trigger id="site" class="CallStackTrigger">
+    <args><frame><module>myapp</module><function>load_config</function><offset>40</offset></frame></args>
+  </trigger>
+  <function name="read" return="-1" errno="EIO"><reftrigger ref="site"/></function>
+</scenario>)");
+  Runtime runtime(s);
+  libc_.set_interposer(&runtime);
+  int fd = libc_.Open("/d/f", kORdOnly);
+  char buf[1];
+  struct Case {
+    const char* module;
+    const char* function;
+    uint32_t offset;
+    long want;
+  };
+  for (const Case& c : {Case{"myapp", "load_config", 0x40, -1}, Case{"other", "load_config", 0x40, 1},
+                        Case{"myapp", "load_cfg", 0x40, 1}, Case{"myapp", "load_config", 0x48, 1}}) {
+    ScopedFrame frame(&libc_.stack(), c.module, c.function);
+    frame.set_offset(c.offset);
+    EXPECT_EQ(libc_.Read(fd, buf, 1), c.want) << c.module << " " << c.function << " " << c.offset;
+  }
+  libc_.set_interposer(nullptr);
+}
+
+TEST_F(CoreTest, InjectionRecordOwnsItsStackAfterFramesUnwind) {
+  Scenario s = MustParse(R"(
+<scenario>
+  <trigger id="site" class="CallStackTrigger">
+    <args><frame><function>parse_config_section</function><offset>24</offset></frame></args>
+  </trigger>
+  <function name="read" return="-1" errno="EIO"><reftrigger ref="site"/></function>
+</scenario>)");
+  Runtime runtime(s);
+  libc_.set_interposer(&runtime);
+  int fd = libc_.Open("/d/f", kORdOnly);
+  {
+    // Heap-allocated names (longer than any small-string buffer) that die
+    // right after the frames do: the record must hold copies, not pointers
+    // into them, or ASan flags the reads below.
+    std::string module = "config-loader-module";
+    std::string outer_fn = "load_configuration_files";
+    std::string inner_fn = "parse_config_section";
+    ScopedFrame outer(&libc_.stack(), module.c_str(), outer_fn.c_str());
+    outer.set_offset(0x10);
+    {
+      ScopedFrame inner(&libc_.stack(), module.c_str(), inner_fn.c_str());
+      inner.set_offset(0x24);
+      char buf[1];
+      EXPECT_EQ(libc_.Read(fd, buf, 1), -1);
+    }
+  }
+  libc_.set_interposer(nullptr);
+  EXPECT_TRUE(libc_.stack().empty());
+  ASSERT_EQ(runtime.log().size(), 1u);
+  std::vector<StackFrame> want = {{"config-loader-module", "load_configuration_files", 0x10},
+                                  {"config-loader-module", "parse_config_section", 0x24}};
+  EXPECT_EQ(runtime.log().records()[0].stack, want);
+}
+
 TEST_F(CoreTest, ProgramStateTriggerComparesGlobal) {
   Scenario s = MustParse(R"(
 <scenario>

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cstdlib>
+#include <optional>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/errno_codes.h"
 #include "util/rng.h"
@@ -64,9 +70,101 @@ TEST(StringUtil, ParseIntRejectsGarbage) {
   EXPECT_FALSE(ParseInt("1 2").has_value());
 }
 
+// The strtoll-based parse ParseInt must agree with: trim, pick base 16 on a
+// (signed) 0x/0X prefix with at least one character after it, and accept
+// only a full, in-range conversion.
+std::optional<int64_t> ReferenceParseInt(std::string_view s) {
+  s = Trim(s);
+  if (s.empty()) {
+    return std::nullopt;
+  }
+  std::string buf(s);
+  char* end = nullptr;
+  errno = 0;
+  int base = 10;
+  size_t skip = (s[0] == '-' || s[0] == '+') ? 1 : 0;
+  if (s.size() > skip + 2 && s[skip] == '0' && (s[skip + 1] == 'x' || s[skip + 1] == 'X')) {
+    base = 16;
+  }
+  long long v = std::strtoll(buf.c_str(), &end, base);
+  if (errno != 0 || end == buf.c_str() || *end != '\0') {
+    return std::nullopt;
+  }
+  return static_cast<int64_t>(v);
+}
+
+TEST(StringUtil, ParseIntMatchesStrtollTable) {
+  const std::vector<std::string> table = {
+      "", " ", "0", "-0", "+0", "7", "+7", "-7", "+-1", "-+1", "--1", "++1", "-", "+",
+      "0x", "0X", "-0x", "+0x", "0x1f", "0X1F", "-0x10", "+0xff", "0x-1", "0x+1", "0x 1",
+      "0xg", "0x0x1", "00x1", "0b1", "1e3", " 42", "42 ", "\t42\n", " -42\t", "4 2", "- 4",
+      "12x", "x12", "abc", "0x7fffffffffffffff", "0x8000000000000000", "-0x8000000000000000",
+      "-0x8000000000000001", "9223372036854775807", "9223372036854775808",
+      "-9223372036854775808", "-9223372036854775809", "99999999999999999999", "007",
+      "-007", "0x00000000000000001", std::string("5\0", 2), std::string("5\0x", 3),
+      std::string(" \0 5", 4), std::string("0x\0" "1", 4), "\v\f12\r"};
+  for (const std::string& s : table) {
+    EXPECT_EQ(ParseInt(s), ReferenceParseInt(s)) << '"' << s << '"';
+  }
+}
+
+TEST(StringUtil, ParseIntMatchesStrtollRandom) {
+  // Short strings over an alphabet dense in the characters the parse cares
+  // about, so signs, prefixes and whitespace collide often.
+  const std::string alphabet = "0123456789abcdefxX+- \t\n9fFg";
+  Rng rng(20260);
+  for (int i = 0; i < 200000; ++i) {
+    std::string s;
+    size_t len = rng.NextBelow(8);
+    for (size_t j = 0; j < len; ++j) {
+      s += alphabet[rng.NextBelow(alphabet.size())];
+    }
+    ASSERT_EQ(ParseInt(s), ReferenceParseInt(s)) << '"' << s << '"';
+  }
+  // Long digit runs straddling the int64_t boundary, in both bases.
+  for (int i = 0; i < 20000; ++i) {
+    bool hex = rng.Chance(0.5);
+    std::string s = rng.Chance(0.5) ? "-" : (rng.Chance(0.5) ? "+" : "");
+    s += hex ? "0x" : "";
+    size_t len = hex ? 14 + rng.NextBelow(5) : 17 + rng.NextBelow(4);
+    for (size_t j = 0; j < len; ++j) {
+      s += "0123456789abcdef"[rng.NextBelow(hex ? 16 : 10)];
+    }
+    ASSERT_EQ(ParseInt(s), ReferenceParseInt(s)) << '"' << s << '"';
+  }
+}
+
 TEST(StringUtil, StrFormat) {
   EXPECT_EQ(StrFormat("%s=%d", "x", 5), "x=5");
   EXPECT_EQ(StrFormat("%06x", 0xa9), "0000a9");
+}
+
+TEST(StringUtil, StrFormatExactAcrossStackBufferBoundary) {
+  // StrFormat formats into a 256-byte stack buffer and only takes a second
+  // pass for output that does not fit (256 bytes and up, with the NUL).
+  for (size_t len : {size_t{0}, size_t{1}, size_t{255}, size_t{256}, size_t{257}, size_t{4096}}) {
+    std::string want;
+    for (size_t i = 0; i < len; ++i) {
+      want += static_cast<char>('a' + i % 26);
+    }
+    EXPECT_EQ(StrFormat("%s", want.c_str()), want) << len;
+    if (len >= 2) {
+      // Mixed conversions landing on the same length.
+      std::string tail = want.substr(2);
+      EXPECT_EQ(StrFormat("%c%d%s", 'a', 1, tail.c_str()), "a1" + tail) << len;
+    }
+  }
+}
+
+TEST(StringUtil, SplitViewsMatchesSplit) {
+  for (std::string_view s : {"", "|", "a", "a|b", "a||b|", "|x|y|z|w|v"}) {
+    std::vector<std::string> want = Split(s, '|');
+    std::string_view got[3];
+    ASSERT_EQ(SplitViews(s, '|', got), want.size()) << s;
+    for (size_t i = 0; i < want.size() && i < 3; ++i) {
+      EXPECT_EQ(got[i], want[i]) << s << " field " << i;
+    }
+  }
 }
 
 TEST(StringUtil, Join) {
