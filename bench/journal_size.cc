@@ -1,16 +1,16 @@
-// Journal encoding cost: bytes/record and load time, XML vs extent.
+// Journal encoding cost: bytes/record, extent vs its XML rendering, and the
+// extent load time.
 //
-// Runs one pbft random exploration journaled in the extent encoding (the
-// default), tiles its records into a ~1k-record journal (pbft's random
-// scenario space saturates at a few hundred uniques; million-record
-// campaigns are this shape repeated), converts that artifact to the XML
-// debug encoding (conversion is bit-equivalent to a live XML-mode run, see
-// extent_journal_test.cc), and measures what `lfi_tool journal info` pays
-// on each: file size per record and full-load wall time (header + every
-// record + cumulative coverage -- the info/resume/merge read path). The
-// acceptance bars from the extent journal work are enforced as the exit
-// status: the extent encoding must be at least 5x smaller per record and at
-// least 10x faster to load than XML.
+// Runs one pbft random exploration journaled, tiles its records into a
+// ~1k-record journal (pbft's random scenario space saturates at a few
+// hundred uniques; million-record campaigns are this shape repeated), and
+// measures the file size per record against the `lfi_tool journal dump`
+// rendering of the same journal -- byte for byte what the retired XML
+// encoding wrote -- plus the full-load wall time `lfi_tool journal info`
+// pays (header + every record: the info/resume/merge read path). The
+// extent encoding must be at least 5x smaller per record than the XML
+// rendering; that bar is the exit status. The load time is reported only:
+// with no XML reader left there is nothing to compare it against.
 //
 //   bench_journal_size [records] [seed] [reps] [--json [path]]
 //   (defaults: 1000; 5; 5)
@@ -25,6 +25,7 @@
 #include <string>
 
 #include "apps/common/campaign_driver.h"
+#include "apps/common/journal_inspect.h"
 #include "bench_args.h"
 #include "core/journal.h"
 #include "util/string_util.h"
@@ -86,10 +87,8 @@ int main(int argc, char** argv) {
 
   std::string campaign_path = "BENCH_journal-campaign.lfij";
   std::string extent_path = "BENCH_journal-extent.lfij";
-  std::string xml_path = "BENCH_journal-xml.xml";
   std::remove(campaign_path.c_str());
   std::remove(extent_path.c_str());
-  std::remove(xml_path.c_str());
 
   lfi::CampaignSpec spec;
   spec.system = "pbft";
@@ -117,8 +116,7 @@ int main(int argc, char** argv) {
   // the result is a plausible `target`-record campaign artifact.
   {
     lfi::CampaignJournal big;
-    if (!big.Create(extent_path, campaign->metadata(), &error,
-                    lfi::JournalFormat::kExtent)) {
+    if (!big.Create(extent_path, campaign->metadata(), &error)) {
       std::fprintf(stderr, "create failed: %s\n", error.c_str());
       return 1;
     }
@@ -135,56 +133,48 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (!lfi::ConvertJournal(extent_path, xml_path, lfi::JournalFormat::kXml, &error)) {
-    std::fprintf(stderr, "convert failed: %s\n", error.c_str());
+  auto xml = lfi::DumpJournal(extent_path, &error);
+  if (!xml) {
+    std::fprintf(stderr, "dump failed: %s\n", error.c_str());
     return 1;
   }
 
   size_t extent_records = 0;
-  size_t xml_records = 0;
   size_t extent_bytes = FileSize(extent_path);
-  size_t xml_bytes = FileSize(xml_path);
+  size_t xml_bytes = xml->size();
   double extent_ms = LoadMs(extent_path, reps, &extent_records);
-  double xml_ms = LoadMs(xml_path, reps, &xml_records);
-  if (extent_records != target || xml_records != target) {
-    std::fprintf(stderr, "record count mismatch: extent %zu, xml %zu, want %zu\n",
-                 extent_records, xml_records, target);
+  if (extent_records != target) {
+    std::fprintf(stderr, "record count mismatch: extent %zu, want %zu\n", extent_records,
+                 target);
     return 1;
   }
 
   double extent_per_record = static_cast<double>(extent_bytes) / target;
   double xml_per_record = static_cast<double>(xml_bytes) / target;
   double size_ratio = xml_per_record / extent_per_record;
-  double load_ratio = xml_ms / extent_ms;
 
   std::printf("journal encoding cost: pbft random explore, %zu records (campaign %.0f ms)\n\n",
               target, campaign_ms);
   std::printf("%-8s %-12s %-14s %-12s\n", "format", "bytes", "bytes/record", "load ms");
-  std::printf("%-8s %-12zu %-14.1f %-12.2f\n", "xml", xml_bytes, xml_per_record, xml_ms);
+  std::printf("%-8s %-12zu %-14.1f %-12s\n", "xml dump", xml_bytes, xml_per_record, "-");
   std::printf("%-8s %-12zu %-14.1f %-12.2f\n", "extent", extent_bytes, extent_per_record,
               extent_ms);
-  std::printf("\nextent vs xml: %.1fx smaller, %.1fx faster to load\n", size_ratio,
-              load_ratio);
+  std::printf("\nextent vs xml dump: %.1fx smaller\n", size_ratio);
 
   if (args.enabled) {
     std::ofstream out(args.path);
     out << lfi::StrFormat(
         "{\"bench\":\"journal_size\",\"records\":%zu,\"seed\":%llu,\"reps\":%d,"
-        "\"xml\":{\"bytes\":%zu,\"bytes_per_record\":%.1f,\"load_ms\":%.2f},"
+        "\"xml_dump\":{\"bytes\":%zu,\"bytes_per_record\":%.1f},"
         "\"extent\":{\"bytes\":%zu,\"bytes_per_record\":%.1f,\"load_ms\":%.2f},"
-        "\"size_ratio\":%.2f,\"load_ratio\":%.2f}\n",
-        target, (unsigned long long)seed, reps, xml_bytes, xml_per_record, xml_ms,
-        extent_bytes, extent_per_record, extent_ms, size_ratio, load_ratio);
+        "\"size_ratio\":%.2f}\n",
+        target, (unsigned long long)seed, reps, xml_bytes, xml_per_record, extent_bytes,
+        extent_per_record, extent_ms, size_ratio);
     std::printf("wrote %s\n", args.path.c_str());
   }
 
   if (size_ratio < 5.0) {
     std::fprintf(stderr, "FAIL: extent journal is only %.1fx smaller (need 5x)\n", size_ratio);
-    return 1;
-  }
-  if (load_ratio < 10.0) {
-    std::fprintf(stderr, "FAIL: extent journal loads only %.1fx faster (need 10x)\n",
-                 load_ratio);
     return 1;
   }
   return 0;

@@ -36,7 +36,7 @@
 //                                            journals into PATH (coverage
 //                                            strategy: epoch-synchronized,
 //                                            needs --epoch-len K)
-//   lfi_tool merge <out.xml> <in.xml...> [--json]
+//   lfi_tool merge <out.lfij> <in.lfij...> [--json]
 //                                            merge shard journals into one
 //                                            resumable campaign journal
 //   lfi_tool resume <journal> [--workers W] [--shards N] [--json]
@@ -54,10 +54,9 @@
 //                                            exits nonzero if stream indexes
 //                                            fail to advance or epochs
 //                                            overlap/regress
-//   lfi_tool journal convert <in> <out> [--format xml|extent]
-//                                            rewrite a journal in the other
-//                                            encoding (default) or the named
-//                                            one, losslessly
+//   lfi_tool journal dump <path>             print a journal as XML (header
+//                                            and every record) for reading
+//                                            by eye
 //   lfi_tool journal doctor <path> [--repair] [--json]
 //                                            diagnose a journal artifact:
 //                                            torn tails, stale/missing extent
@@ -83,15 +82,13 @@
 // itself; see src/util/failpoint.h for the spec syntax). None of these enter
 // the campaign identity.
 //
-// Journal-writing subcommands accept --format xml|extent to pick the on-disk
-// encoding of journals they create (docs/journal-format.md); the default is
-// the binary extent format, with XML kept as the debug/interchange encoding.
-// Reads always auto-detect.
+// Journals have one on-disk encoding, the binary extent format
+// (docs/journal-format.md); the journal subcommands are thin printers over
+// src/apps/common/journal_inspect.h.
 
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -100,6 +97,7 @@
 #include "apps/bind/bind.h"
 #include "apps/common/campaign_driver.h"
 #include "apps/common/campaign_spec.h"
+#include "apps/common/journal_inspect.h"
 #include "apps/git/git.h"
 #include "apps/httpd/httpd.h"
 #include "apps/mysql/mysql.h"
@@ -146,22 +144,19 @@ int Usage() {
                "  lfi_tool profile <library.self>\n"
                "  lfi_tool analyze <app.self> <library.self> [function]\n"
                "  lfi_tool campaign {git|mysql|bind|pbft|bfs|all} [workers] [--workers W]\n"
-               "                    [--exhaustive] [--journal PATH] [--format xml|extent]\n"
-               "                    [--json]\n"
+               "                    [--exhaustive] [--journal PATH] [--json]\n"
                "  lfi_tool explore {git|mysql|bind|pbft|bfs} [--strategy "
                "exhaustive|random|coverage]\n"
                "                   [--budget N] [--seed S] [--workers W] [--journal PATH]\n"
-               "                   [--format xml|extent] [--shard I/N] [--shards N]\n"
-               "                   [--epoch-len K] [--json]\n"
+               "                   [--shard I/N] [--shards N] [--epoch-len K] [--json]\n"
                "  lfi_tool shard {git|mysql|bind|pbft|bfs} --shards N --journal PATH\n"
                "                 [--strategy exhaustive|random|coverage] [--budget N]\n"
-               "                 [--seed S] [--workers W] [--epoch-len K]\n"
-               "                 [--format xml|extent] [--json]\n"
-               "  lfi_tool merge <out> <in...> [--format xml|extent] [--json]\n"
+               "                 [--seed S] [--workers W] [--epoch-len K] [--json]\n"
+               "  lfi_tool merge <out> <in...> [--json]\n"
                "  lfi_tool resume <journal> [--workers W] [--shards N] [--json]\n"
                "  lfi_tool replay <journal> [record[:injection]] [--json]\n"
                "  lfi_tool journal info <path> [--json]\n"
-               "  lfi_tool journal convert <in> <out> [--format xml|extent]\n"
+               "  lfi_tool journal dump <path>\n"
                "  lfi_tool journal doctor <path> [--repair] [--json]\n"
                "  lfi_tool run-spec <spec.xml>\n"
                "campaign subcommands also accept supervision options:\n"
@@ -195,10 +190,6 @@ struct ToolOptions {
   // --cold-start: fresh target per job (the pools' fresh-instance policy).
   bool cold_start = false;
   bool json = false;
-  // --format: encoding for journals the command writes. nullopt = the
-  // default (extent for fresh journals; merge/convert derive theirs from
-  // their inputs).
-  std::optional<lfi::JournalFormat> format;
 };
 
 // Parses args[start..] into `out`. Returns false (after printing the
@@ -304,17 +295,6 @@ bool ParseToolOptions(const std::vector<std::string>& args, size_t start, ToolOp
       }
       out->shard_index = static_cast<size_t>(*index);
       out->shard_count = static_cast<size_t>(*count);
-    } else if (args[i] == "--format") {
-      const std::string* v = value("--format");
-      if (v == nullptr) {
-        return false;
-      }
-      auto format = lfi::ParseJournalFormat(*v);
-      if (!format) {
-        std::fprintf(stderr, "unknown journal format '%s' (xml|extent)\n", v->c_str());
-        return false;
-      }
-      out->format = *format;
     } else if (args[i] == "--child-timeout-ms") {
       const std::string* v = value("--child-timeout-ms");
       if (v == nullptr) {
@@ -400,7 +380,6 @@ lfi::CampaignSpec SpecFromOptions(lfi::CampaignMode mode, const std::string& sys
   spec.shard_index = options.shard_index;
   spec.shard_count = options.shard_count;
   spec.epoch_len = options.epoch_len;
-  spec.format = options.format.value_or(lfi::JournalFormat::kExtent);
   spec.abort_after_records = options.abort_after;
   spec.child_timeout_ms = options.child_timeout_ms;
   spec.max_retries = options.max_retries;
@@ -613,7 +592,7 @@ int RunMergeCommand(const std::vector<std::string>& args, size_t start) {
     return Usage();
   }
   std::string error;
-  auto outcome = lfi::MergeCampaignJournals(inputs, args[start], &error, options.format);
+  auto outcome = lfi::MergeCampaignJournals(inputs, args[start], &error);
   if (!outcome) {
     std::fprintf(stderr, "merge failed: %s\n", error.c_str());
     return 1;
@@ -629,419 +608,131 @@ int RunMergeCommand(const std::vector<std::string>& args, size_t start) {
   return 0;
 }
 
-int RunJournalConvertCommand(const std::string& input, const std::string& output,
-                             const ToolOptions& options) {
-  std::string error;
-  size_t records = 0;
-  lfi::JournalFormat written = lfi::JournalFormat::kExtent;
-  if (!lfi::ConvertJournal(input, output, options.format, &error, &records, &written)) {
-    std::fprintf(stderr, "convert failed: %s\n", error.c_str());
-    return 1;
-  }
-  if (options.json) {
-    std::printf(
-        "{\"command\":\"journal-convert\",\"input\":\"%s\",\"output\":\"%s\","
-        "\"format\":\"%s\",\"records\":%zu}\n",
-        lfi::JsonEscape(input).c_str(), lfi::JsonEscape(output).c_str(),
-        lfi::JournalFormatName(written), records);
-  } else {
-    std::printf("wrote %s (%s, %zu record(s))\n", output.c_str(),
-                lfi::JournalFormatName(written), records);
-  }
-  return 0;
-}
-
-// One epoch of an epoch-synchronized journal, as `journal info` reports it:
-// how many records the epoch merged and what it contributed beyond every
-// earlier epoch (first-seen bugs, newly covered blocks).
-struct EpochInfoRow {
-  size_t epoch = 0;
-  size_t records = 0;
-  size_t gated = 0;
-  size_t bugs = 0;                 // bugs first exposed in this epoch
-  size_t new_recovery_blocks = 0;  // recovery blocks first covered here
-  size_t new_blocks = 0;           // blocks first covered here
-};
-
-// Walks the records once, building the per-epoch breakdown and validating
-// the epoch wire invariants (journal.h JournalRecord::epoch): stream indexes
-// strictly advance and epochs never regress or interleave, so every epoch
-// owns a disjoint stream-index range. Returns false (after printing the
-// offending record) on violation -- a journal that fails here was merged
-// from overlapping shard artifacts and must not be trusted.
-bool BuildEpochBreakdown(const std::string& path, const lfi::CampaignJournal& journal,
-                         std::vector<EpochInfoRow>* rows) {
-  std::set<lfi::FoundBug> seen_bugs;
-  lfi::CoverageMap cumulative;
-  lfi::CoverageMap::Stats prior = cumulative.ComputeStats();
-  auto close_row = [&](EpochInfoRow* row) {
-    lfi::CoverageMap::Stats now = cumulative.ComputeStats();
-    row->new_recovery_blocks = now.covered_recovery_blocks - prior.covered_recovery_blocks;
-    row->new_blocks = now.covered_blocks - prior.covered_blocks;
-    prior = now;
-    rows->push_back(*row);
-  };
-  EpochInfoRow row;
-  bool open = false;
-  size_t prev_stream = lfi::JournalRecord::kNoStreamIndex;
-  size_t prev_epoch = lfi::kNoEpoch;
-  for (size_t i = 0; i < journal.records().size(); ++i) {
-    const lfi::JournalRecord& record = journal.records()[i];
-    if (record.stream_index != lfi::JournalRecord::kNoStreamIndex) {
-      if (prev_stream != lfi::JournalRecord::kNoStreamIndex &&
-          record.stream_index <= prev_stream) {
-        std::fprintf(stderr,
-                     "invalid journal %s: record %zu stream index %zu does not advance past "
-                     "%zu (overlapping or reordered shard records)\n",
-                     path.c_str(), i, record.stream_index, prev_stream);
-        return false;
-      }
-      prev_stream = record.stream_index;
-    }
-    if (record.epoch != lfi::kNoEpoch && prev_epoch != lfi::kNoEpoch &&
-        record.epoch < prev_epoch) {
-      std::fprintf(stderr,
-                   "invalid journal %s: record %zu regresses to epoch %zu after epoch %zu\n",
-                   path.c_str(), i, record.epoch, prev_epoch);
-      return false;
-    }
-    if (record.epoch == lfi::kNoEpoch && prev_epoch != lfi::kNoEpoch) {
-      std::fprintf(stderr,
-                   "invalid journal %s: record %zu has no epoch after epoch-stamped records\n",
-                   path.c_str(), i);
-      return false;
-    }
-    if (record.epoch == lfi::kNoEpoch) {
-      continue;  // ordinary journal record; no breakdown row
-    }
-    prev_epoch = record.epoch;
-    if (open && record.epoch != row.epoch) {
-      close_row(&row);
-      row = EpochInfoRow();
-      open = false;
-    }
-    if (!open) {
-      row.epoch = record.epoch;
-      open = true;
-    }
-    ++row.records;
-    if (record.gated) {
-      ++row.gated;
-      continue;
-    }
-    for (const lfi::FoundBug& bug : record.result.bugs) {
-      if (seen_bugs.insert(bug).second) {
-        ++row.bugs;
-      }
-    }
-    cumulative.Absorb(record.result.coverage);
-  }
-  if (open) {
-    close_row(&row);
-  }
-  return true;
-}
-
 int RunJournalInfoCommand(const std::string& path, const ToolOptions& options) {
   std::string error;
-  auto journal = lfi::CampaignJournal::Load(path, &error);
-  if (!journal) {
+  auto info = lfi::InspectJournal(path, &error);
+  if (!info) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  size_t gated = 0;
-  size_t injections = 0;
-  std::set<lfi::FoundBug> bugs;
-  lfi::CoverageMap coverage;
-  for (const lfi::JournalRecord& record : journal->records()) {
-    if (record.gated) {
-      ++gated;
-      continue;
-    }
-    injections += record.result.injections;
-    bugs.insert(record.result.bugs.begin(), record.result.bugs.end());
-    coverage.Absorb(record.result.coverage);
-  }
-  std::vector<lfi::FoundBug> sorted(bugs.begin(), bugs.end());
-  std::vector<EpochInfoRow> epochs;
-  if (!BuildEpochBreakdown(path, *journal, &epochs)) {
+  if (!info->violation.empty()) {
+    std::fprintf(stderr, "invalid journal %s: %s\n", path.c_str(), info->violation.c_str());
     return 1;
   }
   if (options.json) {
     std::string meta_json = "{";
-    for (size_t i = 0; i < journal->metadata().size(); ++i) {
+    for (size_t i = 0; i < info->meta.size(); ++i) {
       if (i > 0) {
         meta_json += ",";
       }
-      meta_json += lfi::StrFormat("\"%s\":\"%s\"",
-                                  lfi::JsonEscape(journal->metadata()[i].first).c_str(),
-                                  lfi::JsonEscape(journal->metadata()[i].second).c_str());
+      meta_json += lfi::StrFormat("\"%s\":\"%s\"", lfi::JsonEscape(info->meta[i].first).c_str(),
+                                  lfi::JsonEscape(info->meta[i].second).c_str());
     }
     meta_json += "}";
     std::string epochs_json = "[";
-    for (size_t i = 0; i < epochs.size(); ++i) {
+    for (size_t i = 0; i < info->epochs.size(); ++i) {
+      const lfi::EpochSummary& row = info->epochs[i];
       if (i > 0) {
         epochs_json += ",";
       }
       epochs_json += lfi::StrFormat(
           "{\"epoch\":%zu,\"records\":%zu,\"gated\":%zu,\"new_bugs\":%zu,"
           "\"new_recovery_blocks\":%zu,\"new_blocks\":%zu}",
-          epochs[i].epoch, epochs[i].records, epochs[i].gated, epochs[i].bugs,
-          epochs[i].new_recovery_blocks, epochs[i].new_blocks);
+          row.epoch, row.records, row.gated, row.new_bugs, row.new_recovery_blocks,
+          row.new_blocks);
     }
     epochs_json += "]";
     std::printf(
         "{\"command\":\"journal-info\",\"path\":\"%s\",\"meta\":%s,"
         "\"records\":%zu,\"gated\":%zu,\"scenarios_run\":%zu,\"injections\":%zu,"
         "\"coverage\":%s,\"epochs\":%s,\"bugs\":%s,\"count\":%zu}\n",
-        lfi::JsonEscape(path).c_str(), meta_json.c_str(), journal->records().size(), gated,
-        journal->records().size() - gated, injections, CoverageJson(coverage).c_str(),
-        epochs_json.c_str(), BugsJson(sorted).c_str(), sorted.size());
+        lfi::JsonEscape(path).c_str(), meta_json.c_str(), info->records, info->gated,
+        info->records - info->gated, info->injections, CoverageJson(info->coverage).c_str(),
+        epochs_json.c_str(), BugsJson(info->bugs).c_str(), info->bugs.size());
   } else {
     std::printf("journal %s\n", path.c_str());
-    for (const auto& [key, value] : journal->metadata()) {
+    for (const auto& [key, value] : info->meta) {
       std::printf("  %-12s %s\n", key.c_str(), value.c_str());
     }
-    lfi::CoverageMap::Stats stats = coverage.ComputeStats();
-    std::printf("%zu record(s) (%zu gated), %zu injection(s)\n", journal->records().size(),
-                gated, injections);
+    lfi::CoverageMap::Stats stats = info->coverage.ComputeStats();
+    std::printf("%zu record(s) (%zu gated), %zu injection(s)\n", info->records, info->gated,
+                info->injections);
     std::printf("recovery blocks covered: %zu/%zu   blocks covered: %zu/%zu\n",
                 stats.covered_recovery_blocks, stats.recovery_blocks, stats.covered_blocks,
                 stats.total_blocks);
-    if (!epochs.empty()) {
+    if (!info->epochs.empty()) {
       std::printf("%-7s %-9s %-7s %-9s %-20s %s\n", "epoch", "records", "gated", "new bugs",
                   "new recovery blocks", "new blocks");
-      for (const EpochInfoRow& row : epochs) {
+      for (const lfi::EpochSummary& row : info->epochs) {
         std::printf("%-7zu %-9zu %-7zu %-9zu %-20zu %zu\n", row.epoch, row.records, row.gated,
-                    row.bugs, row.new_recovery_blocks, row.new_blocks);
+                    row.new_bugs, row.new_recovery_blocks, row.new_blocks);
       }
     }
-    PrintBugTable(sorted);
+    PrintBugTable(info->bugs);
   }
   return 0;
 }
 
-// --- journal doctor ---------------------------------------------------------
-
-// One defect `journal doctor` diagnosed. Repairable defects (torn tails,
-// stale footers, orphaned artifacts) are fixed by --repair; invariant
-// violations are not -- a journal merged from overlapping shard artifacts
-// cannot be mechanically un-merged.
-struct DoctorIssue {
-  std::string kind;
-  std::string detail;
-  bool repairable = false;
-  bool repaired = false;
-};
-
-std::optional<uint64_t> FileSizeBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    return std::nullopt;
-  }
-  return static_cast<uint64_t>(in.tellg());
-}
-
-bool FileExists(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return in.good();
-}
-
-// Sibling artifacts a sharded/epoch campaign writes next to its merged
-// journal. Once the merged journal is finalized they are dead weight -- the
-// merge consumed them -- so the doctor reports them as orphans (and --repair
-// removes them). While the journal is torn/unfinalized they may still feed a
-// recovery and are left alone. Scans are contiguous-from-zero, matching how
-// the orchestrator numbers shards and epochs.
-std::vector<std::string> FindSiblingArtifacts(const std::string& journal_path) {
-  constexpr size_t kScanLimit = 256;  // shards or epochs; far above any real run
-  std::vector<std::string> found;
-  auto probe = [&](const std::string& path) {
-    if (FileExists(path)) {
-      found.push_back(path);
-      return true;
-    }
-    return false;
-  };
-  probe(journal_path + ".tmp");
-  probe(journal_path + ".spec");
-  for (size_t shard = 0; shard < kScanLimit; ++shard) {
-    std::string base = lfi::StrFormat("%s.shard%zu", journal_path.c_str(), shard);
-    bool any = probe(base);
-    any |= probe(base + ".spec");
-    any |= probe(base + ".tmp");
-    if (!any) {
-      break;
-    }
-  }
-  for (size_t epoch = 0; epoch < kScanLimit; ++epoch) {
-    std::string prefix = lfi::StrFormat("%s.epoch%zu", journal_path.c_str(), epoch);
-    bool any = probe(prefix + ".frontier");
-    any |= probe(prefix + ".frontier.tmp");
-    for (size_t shard = 0; shard < kScanLimit; ++shard) {
-      std::string base = lfi::StrFormat("%s.shard%zu", prefix.c_str(), shard);
-      bool shard_any = probe(base);
-      shard_any |= probe(base + ".spec");
-      shard_any |= probe(base + ".tmp");
-      if (!shard_any) {
-        break;
-      }
-      any = true;
-    }
-    if (!any) {
-      break;
-    }
-  }
-  return found;
-}
-
 int RunJournalDoctorCommand(const std::string& path, bool repair, const ToolOptions& options) {
   std::string error;
-  auto size = FileSizeBytes(path);
-  if (!size) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  auto journal = lfi::CampaignJournal::Load(path, &error);
-  if (!journal) {
+  auto report = lfi::DiagnoseJournal(path, repair, &error);
+  if (!report) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-
-  std::vector<DoctorIssue> issues;
-  bool invariant_violation = false;
-  // A sealed extent journal's footer legitimately lives past intact_bytes
-  // (the truncation point appends continue from), so bytes past it are a
-  // torn tail only when the footer was NOT valid -- any garbage appended
-  // after a valid footer invalidates it, forcing the scan path here.
-  bool torn = journal->sealed() ? journal->format() == lfi::JournalFormat::kXml &&
-                                      *size > journal->intact_bytes()
-                                : *size > journal->intact_bytes();
-  if (torn) {
-    issues.push_back({"torn-tail",
-                      lfi::StrFormat("%llu byte(s) past the last %s boundary",
-                                     static_cast<unsigned long long>(*size) -
-                                         static_cast<unsigned long long>(
-                                             journal->intact_bytes()),
-                                     journal->format() == lfi::JournalFormat::kExtent
-                                         ? "sealed extent"
-                                         : "complete record"),
-                      /*repairable=*/true});
+  if (!report->violation.empty()) {
+    std::fprintf(stderr, "invalid journal %s: %s\n", path.c_str(), report->violation.c_str());
   }
-  if (!journal->sealed()) {
-    issues.push_back({"stale-footer",
-                      "extent footer missing or invalid (journal was not finalized); "
-                      "records were recovered by scan",
-                      /*repairable=*/true});
-  }
-  std::vector<EpochInfoRow> epochs;
-  if (!BuildEpochBreakdown(path, *journal, &epochs)) {
-    invariant_violation = true;
-    issues.push_back({"invariant-violation",
-                      "stream-index/epoch invariants violated (details above); the "
-                      "journal was merged from overlapping or reordered shard artifacts",
-                      /*repairable=*/false});
-  }
-  // The campaign identity must name a system this build can re-run: resume
-  // and replay both dispatch on it, so a journal whose header names anything
-  // else (a typo, or a journal from a newer build) is dead on arrival. A
-  // journal with no "system" key at all is not campaign-shaped (merge
-  // fixtures, hand-written artifacts) and is left alone.
-  std::string recorded_system = journal->Meta("system", "");
-  if (!recorded_system.empty() && !lfi::IsCampaignSystem(recorded_system)) {
-    invariant_violation = true;
-    std::string known;
-    for (const std::string& name : lfi::CampaignSystemNames()) {
-      known += (known.empty() ? "" : "|") + name;
-    }
-    issues.push_back({"unknown-system",
-                      lfi::StrFormat("campaign identity names system '%s', which this build "
-                                     "cannot re-run (%s); resume and replay will refuse it",
-                                     recorded_system.c_str(), known.c_str()),
-                      /*repairable=*/false});
-  }
-  // Orphan detection only applies to a finalized journal: a torn one may
-  // still need its siblings to finish recovering.
-  std::vector<std::string> orphans;
-  if ((journal->sealed() || repair) && !invariant_violation) {
-    orphans = FindSiblingArtifacts(path);
-  }
-  if (!orphans.empty()) {
-    std::string detail = lfi::StrFormat("%zu stale sibling artifact(s):", orphans.size());
-    for (const std::string& orphan : orphans) {
-      detail += " " + orphan;
-    }
-    issues.push_back({"orphaned-artifacts", detail, /*repairable=*/true});
-  }
-
-  size_t repaired = 0;
-  if (repair && !invariant_violation) {
-    bool needs_reseal = torn || !journal->sealed();
-    if (needs_reseal) {
-      // OpenAppend truncates the torn tail (and the old footer); Finalize
-      // reseals. The record set is exactly what Load recovered.
-      if (!journal->OpenAppend(path, &error) || !journal->Finalize(&error)) {
-        std::fprintf(stderr, "repair failed: %s\n", error.c_str());
-        return 1;
-      }
-    }
-    for (const std::string& orphan : orphans) {
-      std::remove(orphan.c_str());
-    }
-    for (DoctorIssue& issue : issues) {
-      if (issue.repairable) {
-        issue.repaired = true;
-        ++repaired;
-      }
-    }
-  }
-
-  bool healthy = issues.empty();
   if (options.json) {
     std::string issues_json = "[";
-    for (size_t i = 0; i < issues.size(); ++i) {
+    for (size_t i = 0; i < report->issues.size(); ++i) {
+      const lfi::DoctorIssue& issue = report->issues[i];
       if (i > 0) {
         issues_json += ",";
       }
       issues_json += lfi::StrFormat(
           "{\"kind\":\"%s\",\"detail\":\"%s\",\"repairable\":%s,\"repaired\":%s}",
-          lfi::JsonEscape(issues[i].kind).c_str(), lfi::JsonEscape(issues[i].detail).c_str(),
-          issues[i].repairable ? "true" : "false", issues[i].repaired ? "true" : "false");
+          lfi::JsonEscape(issue.kind).c_str(), lfi::JsonEscape(issue.detail).c_str(),
+          issue.repairable ? "true" : "false", issue.repaired ? "true" : "false");
     }
     issues_json += "]";
     std::printf(
-        "{\"command\":\"journal-doctor\",\"path\":\"%s\",\"format\":\"%s\","
+        "{\"command\":\"journal-doctor\",\"path\":\"%s\",\"format\":\"extent\","
         "\"records\":%zu,\"intact_bytes\":%zu,\"file_bytes\":%llu,\"sealed\":%s,"
         "\"issues\":%s,\"healthy\":%s,\"repaired\":%zu}\n",
-        lfi::JsonEscape(path).c_str(), lfi::JournalFormatName(journal->format()),
-        journal->records().size(), journal->intact_bytes(),
-        static_cast<unsigned long long>(*size), journal->sealed() ? "true" : "false",
-        issues_json.c_str(), healthy ? "true" : "false", repaired);
+        lfi::JsonEscape(path).c_str(), report->records, report->intact_bytes,
+        static_cast<unsigned long long>(report->file_bytes), report->sealed ? "true" : "false",
+        issues_json.c_str(), report->healthy() ? "true" : "false", report->repaired);
   } else {
-    std::printf("journal %s: %s, %zu record(s), %llu byte(s) (%zu intact)\n", path.c_str(),
-                lfi::JournalFormatName(journal->format()), journal->records().size(),
-                static_cast<unsigned long long>(*size), journal->intact_bytes());
-    for (const DoctorIssue& issue : issues) {
+    std::printf("journal %s: extent, %zu record(s), %llu byte(s) (%zu intact)\n", path.c_str(),
+                report->records, static_cast<unsigned long long>(report->file_bytes),
+                report->intact_bytes);
+    for (const lfi::DoctorIssue& issue : report->issues) {
       std::printf("  %s: %s%s\n", issue.kind.c_str(), issue.detail.c_str(),
-                  issue.repaired        ? " [repaired]"
+                  issue.repaired     ? " [repaired]"
                   : issue.repairable ? " [repairable: rerun with --repair]"
                                      : " [NOT repairable]");
     }
-    if (healthy) {
+    if (report->healthy()) {
       std::printf("healthy\n");
-    } else if (repaired == issues.size()) {
-      std::printf("%zu issue(s) repaired\n", repaired);
+    } else if (report->repaired == report->issues.size()) {
+      std::printf("%zu issue(s) repaired\n", report->repaired);
     } else {
-      std::printf("%zu issue(s) found\n", issues.size());
+      std::printf("%zu issue(s) found\n", report->issues.size());
     }
   }
-  if (invariant_violation) {
-    return 4;
+  return report->ExitCode();
+}
+
+int RunJournalDumpCommand(const std::string& path) {
+  std::string error;
+  auto text = lfi::DumpJournal(path, &error);
+  if (!text) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 1;
   }
-  if (healthy || (repair && repaired == issues.size())) {
-    return 0;
-  }
-  return 3;
+  std::fwrite(text->data(), 1, text->size(), stdout);
+  return 0;
 }
 
 }  // namespace
@@ -1197,12 +888,8 @@ int main(int argc, char** argv) {
     }
     return RunJournalInfoCommand(args[2], options);
   }
-  if (cmd == "journal" && args.size() >= 4 && args[1] == "convert") {
-    ToolOptions options;
-    if (!ParseToolOptions(args, 4, &options)) {
-      return Usage();
-    }
-    return RunJournalConvertCommand(args[2], args[3], options);
+  if (cmd == "journal" && args.size() == 3 && args[1] == "dump") {
+    return RunJournalDumpCommand(args[2]);
   }
   if (cmd == "journal" && args.size() >= 3 && args[1] == "doctor") {
     // --repair is doctor-only; strip it before the shared option parser.

@@ -212,7 +212,6 @@ CampaignEngine::Options EngineOptions(const CampaignSpec& spec, const SystemEntr
       spec.mode == CampaignMode::kTable1 && !spec.exhaustive ? entry.table1_max_bugs : 0;
   options.journal_path = spec.journal_path;
   options.resume = spec.resume;
-  options.journal_format = spec.format;
   options.abort_after_records = spec.abort_after_records;
   // An epoch shard child's whole run lies inside one already-scheduled epoch
   // (the frontier snapshot fixed the schedule), so the engine runs it
@@ -465,9 +464,6 @@ std::optional<CampaignOutcome> CampaignDriver::RunResume(std::string* error) {
   // (the journal's identity doesn't record the shard count -- it is an
   // execution choice, not part of the identity).
   recorded->shard_count = spec_.shard_count;
-  // Resume never re-encodes: the engine keeps appending in whatever format
-  // the file already uses.
-  recorded->format = journal->format();
   recorded->abort_after_records = spec_.abort_after_records;
   // Supervision policy is environment, not identity: the resuming run's
   // flags win, and a resume never inherits the killed run's failpoints.
@@ -634,7 +630,6 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
   // its complete epochs through the loop below; a fresh run refuses to
   // clobber an existing artifact.
   std::vector<JournalRecord> loaded;
-  JournalFormat format = spec_.format;
   if (spec_.resume) {
     auto journal = CampaignJournal::Load(spec_.journal_path, error);
     if (!journal) {
@@ -648,7 +643,6 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
       }
     }
     loaded = journal->records();
-    format = journal->format();
   } else if (std::filesystem::exists(spec_.journal_path)) {
     return Fail(error, "journal " + spec_.journal_path +
                        " already exists; resume it to continue the campaign, or delete it to "
@@ -675,7 +669,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
   // records unchanged reseals extents at the same boundaries, so the rewrite
   // is bit-identical and cleanly discards any torn tail the kill left.
   CampaignJournal merged;
-  if (!merged.Create(spec_.journal_path, spec_.ToJournalMeta(), error, format)) {
+  if (!merged.Create(spec_.journal_path, spec_.ToJournalMeta(), error)) {
     return std::nullopt;
   }
   MergeFoldState fold;
@@ -798,13 +792,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
         return std::nullopt;
       }
       for (size_t shard = 0; shard < shard_journals.size(); ++shard) {
-        MergeInputStats& stats = shard_stats[shard];
-        stats.records += shard_journals[shard].records().size();
-        for (const JournalRecord& record : shard_journals[shard].records()) {
-          stats.scenarios_run += record.gated ? 0 : 1;
-          shard_bugs[shard].insert(record.result.bugs.begin(), record.result.bugs.end());
-        }
-        stats.bugs = shard_bugs[shard].size();
+        AccountMergeInput(shard_journals[shard], &shard_bugs[shard], &shard_stats[shard]);
       }
     }
 
@@ -856,11 +844,10 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
 
 std::optional<CampaignOutcome> MergeCampaignJournals(const std::vector<std::string>& inputs,
                                                      const std::string& output_path,
-                                                     std::string* error,
-                                                     std::optional<JournalFormat> format) {
+                                                     std::string* error) {
   JournalMetadata metadata;
   std::vector<MergeInputStats> stats;
-  auto merged = MergeJournals(inputs, output_path, error, &metadata, &stats, format);
+  auto merged = MergeJournals(inputs, output_path, error, &metadata, &stats);
   if (!merged) {
     return std::nullopt;
   }

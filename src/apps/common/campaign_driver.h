@@ -117,11 +117,10 @@ class CampaignDriver {
 };
 
 // Merges journals through MergeJournals and reports the result as a
-// CampaignOutcome (`lfi_tool merge`). `format` picks the output encoding;
-// nullopt keeps the first input's.
-std::optional<CampaignOutcome> MergeCampaignJournals(
-    const std::vector<std::string>& inputs, const std::string& output_path,
-    std::string* error = nullptr, std::optional<JournalFormat> format = std::nullopt);
+// CampaignOutcome (`lfi_tool merge`).
+std::optional<CampaignOutcome> MergeCampaignJournals(const std::vector<std::string>& inputs,
+                                                     const std::string& output_path,
+                                                     std::string* error = nullptr);
 
 }  // namespace lfi
 

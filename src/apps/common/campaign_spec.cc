@@ -232,9 +232,6 @@ void CampaignSpec::AppendXml(XmlNode* parent) const {
   if (!failpoints.empty()) {
     node->SetAttr("failpoints", failpoints);
   }
-  if (format != JournalFormat::kExtent) {
-    node->SetAttr("format", JournalFormatName(format));
-  }
   if (!replay_selector.empty()) {
     node->SetAttr("selector", replay_selector);
   }
@@ -290,11 +287,6 @@ std::optional<CampaignSpec> CampaignSpec::FromNode(const XmlNode& node, std::str
   spec.job_timeout_ms = SeedFromString(node.AttrOr("job-timeout-ms", "0"));
   spec.cold_start = node.AttrOr("cold-start", "false") == "true";
   spec.failpoints = node.AttrOr("failpoints", "");
-  auto format = ParseJournalFormat(node.AttrOr("format", "extent"));
-  if (!format) {
-    return fail("unknown journal format '" + node.AttrOr("format", "") + "' (xml|extent)");
-  }
-  spec.format = *format;
   spec.replay_selector = node.AttrOr("selector", "");
   spec.abort_after_records = SizeFromString(node.AttrOr("abort-after", "0"));
   return spec;
@@ -371,6 +363,8 @@ std::optional<CampaignSpec> CampaignSpec::FromJournalMeta(const JournalMetadata&
   }
   return spec;
 }
+
+std::string SpecWirePath(const std::string& journal_path) { return journal_path + ".spec"; }
 
 std::string CampaignSpec::ShardJournalPath(size_t shard) const {
   return journal_path + StrFormat(".shard%zu", shard);

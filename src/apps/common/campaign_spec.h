@@ -130,10 +130,7 @@ struct CampaignSpec {
   // and inherited by spawned children over the spec wire format. Chaos
   // testing only; stripped from supervisor respawns.
   std::string failpoints = {};
-  // On-disk encoding for journals this campaign creates (fresh runs, shard
-  // artifacts, the merged journal). Reads auto-detect, and resume keeps the
-  // existing file's encoding, so this is an artifact preference -- never
-  // part of the campaign identity (not in ToJournalMeta).
+  // Always kExtent (see JournalFormat); not on the spec wire.
   JournalFormat format = JournalFormat::kExtent;
   // Replay mode: "record[:injection]" selecting one journaled injection;
   // empty replays every record that injected.
@@ -173,6 +170,10 @@ struct CampaignSpec {
   std::string EpochShardJournalPath(size_t epoch, size_t shard) const;
   std::string EpochFrontierPath(size_t epoch) const;
 };
+
+// Where the shard supervisor writes a child's serialized spec before exec'ing
+// `lfi_tool run-spec` on it: "<child journal_path>.spec".
+std::string SpecWirePath(const std::string& journal_path);
 
 }  // namespace lfi
 

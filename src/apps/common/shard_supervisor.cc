@@ -139,7 +139,7 @@ bool ShardSupervisor::Run(const std::vector<CampaignSpec>& children, std::string
     if (!options_.tool_path.empty()) {
       // Exec mode: the spec file is the wire format. Rewritten per attempt
       // (a respawn's spec differs: resume on, failpoints off).
-      state.spec_file = spec.journal_path + ".spec";
+      state.spec_file = SpecWirePath(spec.journal_path);
       std::ofstream out(state.spec_file);
       out << spec.ToXml();
       if (!out.good()) {

@@ -68,11 +68,8 @@ class JournalHook {
                                "delete it to start fresh");
     }
     // Fresh journal; a resume of a never-created file (killed before the
-    // header was written) degenerates to the same thing. journal_format only
-    // applies here -- the resume path above inherits whatever encoding the
-    // existing file uses.
-    if (!hook->journal_.Create(options.journal_path, options.journal_meta, &error,
-                               options.journal_format)) {
+    // header was written) degenerates to the same thing.
+    if (!hook->journal_.Create(options.journal_path, options.journal_meta, &error)) {
       throw std::runtime_error(error);
     }
     return hook;
@@ -225,25 +222,6 @@ void FoundBug::AppendXml(XmlNode* parent) const {
 }
 
 std::string FoundBug::ToXml() const { return ToXmlElement(*this); }
-
-std::optional<FoundBug> FoundBug::FromNode(const XmlNode& node, std::string* error) {
-  if (node.name() != "bug") {
-    if (error != nullptr) {
-      *error = "bug element must be <bug>";
-    }
-    return std::nullopt;
-  }
-  FoundBug bug;
-  bug.system = node.AttrOr("system", "");
-  bug.kind = node.AttrOr("kind", "");
-  bug.where = node.AttrOr("where", "");
-  bug.injected = node.AttrOr("injected", "");
-  return bug;
-}
-
-std::optional<FoundBug> FoundBug::Parse(const std::string& xml, std::string* error) {
-  return ParseXmlElement<FoundBug>(xml, error);
-}
 
 ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner& runner) const {
   // An open-loop source schedules nothing from feedback, so it is the

@@ -53,20 +53,13 @@ using JournalMetadata = std::vector<std::pair<std::string, std::string>>;
 // resumed orchestrator can reconstruct the schedule.
 inline constexpr size_t kNoEpoch = static_cast<size_t>(-1);
 
-// On-disk encoding of a campaign journal. Both encodings carry the same
-// records and metadata and are freely convertible (`lfi_tool journal
-// convert`); readers auto-detect the encoding from the file's first bytes,
-// so the format is a property of the artifact, never of the campaign
-// identity. kExtent (core/extent_journal.h, docs/journal-format.md) is the
-// default for new journals; kXml is kept as the human-readable debug and
-// interchange encoding.
+// The one on-disk journal encoding (core/extent_journal.h,
+// docs/journal-format.md). Nothing selects an encoding; the enum and the
+// fields of this type survive only because campaign_bench/traced.cc still
+// names them, and go at the next change to the benchmark.
 enum class JournalFormat {
   kExtent,  // binary: CRC-checked, optionally compressed extents + footer index
-  kXml,     // the original append-only XML stream
 };
-
-const char* JournalFormatName(JournalFormat format);
-std::optional<JournalFormat> ParseJournalFormat(const std::string& name);
 
 // A bug exposed by the campaign, deduplicated by crash site: two injections
 // crashing at the same place in the same system are one bug (Table 1 counts
@@ -81,12 +74,10 @@ struct FoundBug {
   }
   bool operator==(const FoundBug& o) const = default;
 
-  // XML round trip (<bug system kind where injected/>), used by campaign
-  // journal records.
+  // XML rendering (<bug system kind where injected/>), used by
+  // `lfi_tool journal dump`.
   void AppendXml(XmlNode* parent) const;
   std::string ToXml() const;
-  static std::optional<FoundBug> FromNode(const XmlNode& node, std::string* error = nullptr);
-  static std::optional<FoundBug> Parse(const std::string& xml, std::string* error = nullptr);
 };
 
 // Everything one job's run reports back to the streaming engine: the bugs it
@@ -169,9 +160,7 @@ class CampaignEngine {
     // strategy, budget, seed). On resume the loaded header wins; a mismatch
     // with these values is an error.
     JournalMetadata journal_meta = {};
-    // On-disk encoding for a *fresh* journal. Resume keeps whatever encoding
-    // the existing file uses (auto-detected on load), so this never forks a
-    // journal's format mid-campaign.
+    // Always kExtent (see JournalFormat).
     JournalFormat journal_format = JournalFormat::kExtent;
     // Test hook for the kill-and-resume contract: exit the process (no
     // destructors, mid-campaign) right after this many records have been

@@ -62,27 +62,6 @@ void RunFeedback::AppendXml(XmlNode* parent) const {
 
 std::string RunFeedback::ToXml() const { return ToXmlElement(*this); }
 
-std::optional<RunFeedback> RunFeedback::FromNode(const XmlNode& node, std::string* error) {
-  if (node.name() != "feedback") {
-    if (error != nullptr) {
-      *error = "feedback element must be <feedback>";
-    }
-    return std::nullopt;
-  }
-  RunFeedback feedback;
-  feedback.new_bug = node.AttrOr("new-bug", "false") == "true";
-  feedback.injections = static_cast<size_t>(node.IntAttr("injections").value_or(0));
-  feedback.fingerprint = node.AttrOr("fingerprint", "");
-  for (const XmlNode* block : node.Children("newblock")) {
-    feedback.new_blocks.push_back(block->AttrOr("id", ""));
-  }
-  return feedback;
-}
-
-std::optional<RunFeedback> RunFeedback::Parse(const std::string& xml, std::string* error) {
-  return ParseXmlElement<RunFeedback>(xml, error);
-}
-
 // --- FrontierState XML ------------------------------------------------------
 
 namespace {

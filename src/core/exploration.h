@@ -55,16 +55,12 @@ struct RunFeedback {
 
   bool operator==(const RunFeedback& o) const = default;
 
-  // XML round trip (<feedback> with one <newblock> per new block), used by
-  // campaign journal records. On resume the engine recomputes feedback from
-  // the replayed coverage deltas; the serialized copy exists so a journal is
+  // XML rendering (<feedback> with one <newblock> per new block), used by
+  // `lfi_tool journal dump`. On resume the engine recomputes feedback from
+  // the replayed coverage deltas; the journaled copy exists so a journal is
   // self-describing for offline mining.
   void AppendXml(XmlNode* parent) const;
   std::string ToXml() const;
-  static std::optional<RunFeedback> FromNode(const XmlNode& node,
-                                             std::string* error = nullptr);
-  static std::optional<RunFeedback> Parse(const std::string& xml,
-                                          std::string* error = nullptr);
 };
 
 // The campaign's deterministic merge fold -- the one copy the engine, journal

@@ -204,7 +204,7 @@ void EncodeResult(const JobResult& result, ByteWriter* w, StringPool* pool) {
     PutPooled(record.process, w, pool);
   }
   // Coverage: the record's own map in name-sorted order (the same
-  // determinism rule as the XML encoding). Block names repeat across an
+  // determinism rule as the XML rendering). Block names repeat across an
   // extent's records, so after the first record they are back-references --
   // the coverage-delta encoding that makes extents small.
   std::vector<CoverageMap::BlockInfo> blocks = result.coverage.SortedBlocks();

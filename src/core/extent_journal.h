@@ -1,7 +1,8 @@
-// The binary extent encoding of the campaign journal.
+// The binary extent encoding of the campaign journal, its only on-disk form.
 //
-// XML journals (core/journal.h) parse the whole file to answer anything and
-// spend most of their bytes re-spelling coverage block names; million-record
+// An XML stream (the journal's original encoding, still what `lfi_tool
+// journal dump` renders) must be parsed whole to answer anything and spends
+// most of its bytes re-spelling coverage block names; million-record
 // campaigns need better. This encoding borrows the extent idea from the
 // DataSeries structured-data format (Anderson et al., HP Labs; see
 // docs/journal-format.md for the inline citation and the full byte-level
@@ -74,8 +75,8 @@ struct ExtentJournalData {
   bool footer_valid = false;
 };
 
-// Does the buffer start like an extent journal? (The file-format dispatch
-// CampaignJournal::Parse uses; XML journals start with '<'.)
+// Does the buffer start with the extent journal magic? (CampaignJournal::Parse
+// rejects anything that does not.)
 bool IsExtentJournal(std::string_view bytes);
 
 // Parses a whole extent journal from memory. Uses the footer index when the

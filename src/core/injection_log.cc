@@ -144,55 +144,4 @@ void InjectionLog::AppendXml(XmlNode* parent) const {
 
 std::string InjectionLog::ToXml() const { return ToXmlElement(*this); }
 
-std::optional<InjectionLog> InjectionLog::FromNode(const XmlNode& node, std::string* error) {
-  auto fail = [&](std::string message) -> std::optional<InjectionLog> {
-    if (error != nullptr) {
-      *error = std::move(message);
-    }
-    return std::nullopt;
-  };
-  if (node.name() != "log") {
-    return fail("injection log element must be <log>");
-  }
-  InjectionLog log;
-  for (const XmlNode* inj : node.Children("injection")) {
-    InjectionRecord r;
-    auto sequence = inj->IntAttr("sequence");
-    auto retval = inj->IntAttr("retval");
-    auto call = inj->IntAttr("call");
-    r.function = inj->AttrOr("function", "");
-    if (!sequence || !retval || !call || r.function.empty()) {
-      return fail("<injection> requires sequence, function, retval, and call");
-    }
-    r.sequence = static_cast<uint64_t>(*sequence);
-    r.retval = *retval;
-    r.call_number = static_cast<uint64_t>(*call);
-    std::string err = inj->AttrOr("errno", "");
-    if (!err.empty()) {
-      auto e = ErrnoFromName(err);
-      if (!e) {
-        return fail("unknown errno '" + err + "' in injection log");
-      }
-      r.errno_value = *e;
-    }
-    r.process = inj->AttrOr("process", "");
-    for (const XmlNode* trigger : inj->Children("trigger")) {
-      r.trigger_ids.push_back(trigger->AttrOr("id", ""));
-    }
-    for (const XmlNode* frame : inj->Children("frame")) {
-      StackFrame f;
-      f.module = frame->AttrOr("module", "");
-      f.function = frame->AttrOr("function", "");
-      f.offset = static_cast<uint32_t>(frame->IntAttr("offset").value_or(0));
-      r.stack.push_back(std::move(f));
-    }
-    log.Record(std::move(r));
-  }
-  return log;
-}
-
-std::optional<InjectionLog> InjectionLog::Parse(const std::string& xml, std::string* error) {
-  return ParseXmlElement<InjectionLog>(xml, error);
-}
-
 }  // namespace lfi

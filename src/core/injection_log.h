@@ -6,8 +6,8 @@
 // match injections to observed program behaviour; ReplayScenario() turns a
 // record into a deterministic call-count-based scenario that reproduces
 // exactly that injection (the paper points at R2-style replay for the same
-// purpose). The log round-trips through XML (ToXml/Parse) so campaign
-// journal records can replay an injection from disk alone.
+// purpose). Campaign journal records carry the log, so an injection replays
+// from disk alone; ToXml renders it for `lfi_tool journal dump`.
 
 #ifndef LFI_CORE_INJECTION_LOG_H_
 #define LFI_CORE_INJECTION_LOG_H_
@@ -69,13 +69,9 @@ class InjectionLog {
 
   // Serializes as a <log> child of `parent` (one <injection> element per
   // record, triggers and stack frames as children); ToXml() wraps the same
-  // element in a document. FromNode/Parse are the exact inverses.
+  // element in a document.
   void AppendXml(XmlNode* parent) const;
   std::string ToXml() const;
-  static std::optional<InjectionLog> FromNode(const XmlNode& node,
-                                              std::string* error = nullptr);
-  static std::optional<InjectionLog> Parse(const std::string& xml,
-                                           std::string* error = nullptr);
 
   bool operator==(const InjectionLog& o) const { return records_ == o.records_; }
 

@@ -7,7 +7,6 @@
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <tuple>
 
 #include "core/extent_journal.h"
@@ -21,10 +20,6 @@ namespace {
 // ParseInt's int64 range would reject; hex keeps the round trip exact.
 std::string SeedToString(uint64_t seed) {
   return StrFormat("0x%llx", static_cast<unsigned long long>(seed));
-}
-
-uint64_t SeedFromString(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 0);
 }
 
 }  // namespace
@@ -62,105 +57,19 @@ void JournalRecord::AppendXml(XmlNode* parent) const {
 
 std::string JournalRecord::ToXml() const { return ToXmlElement(*this); }
 
-std::optional<JournalRecord> JournalRecord::FromNode(const XmlNode& node, std::string* error) {
-  auto fail = [&](std::string message) -> std::optional<JournalRecord> {
-    if (error != nullptr) {
-      *error = std::move(message);
-    }
-    return std::nullopt;
-  };
-  if (node.name() != "record") {
-    return fail("journal record element must be <record>");
-  }
-  JournalRecord record;
-  record.label = node.AttrOr("label", "");
-  record.seed = SeedFromString(node.AttrOr("seed", "0"));
-  if (auto index = node.IntAttr("index"); index.has_value() && *index >= 0) {
-    record.stream_index = static_cast<size_t>(*index);
-  }
-  if (auto epoch = node.IntAttr("epoch"); epoch.has_value() && *epoch >= 0) {
-    record.epoch = static_cast<size_t>(*epoch);
-  }
-  record.gated = node.AttrOr("gated", "false") == "true";
-  const XmlNode* scenario_node = node.Child("scenario");
-  if (scenario_node == nullptr) {
-    return fail("journal record '" + record.label + "' is missing its <scenario>");
-  }
-  auto scenario = Scenario::FromNode(*scenario_node, error);
-  if (!scenario) {
-    return std::nullopt;
-  }
-  record.scenario = std::move(*scenario);
-  if (record.gated) {
-    return record;
-  }
-  const XmlNode* result_node = node.Child("result");
-  if (result_node == nullptr) {
-    return fail("journal record '" + record.label + "' is missing its <result>");
-  }
-  record.result.fingerprint = result_node->AttrOr("fingerprint", "");
-  record.result.injections =
-      static_cast<size_t>(result_node->IntAttr("injections").value_or(0));
-  for (const XmlNode* bug_node : result_node->Children("bug")) {
-    auto bug = FoundBug::FromNode(*bug_node, error);
-    if (!bug) {
-      return std::nullopt;
-    }
-    record.result.bugs.push_back(std::move(*bug));
-  }
-  if (const XmlNode* log_node = result_node->Child("log")) {
-    auto log = InjectionLog::FromNode(*log_node, error);
-    if (!log) {
-      return std::nullopt;
-    }
-    record.result.log = std::move(*log);
-  }
-  if (const XmlNode* coverage_node = result_node->Child("coverage")) {
-    auto coverage = CoverageMap::FromNode(*coverage_node, error);
-    if (!coverage) {
-      return std::nullopt;
-    }
-    record.result.coverage = std::move(*coverage);
-  }
-  if (const XmlNode* feedback_node = node.Child("feedback")) {
-    auto feedback = RunFeedback::FromNode(*feedback_node, error);
-    if (!feedback) {
-      return std::nullopt;
-    }
-    record.feedback = std::move(*feedback);
-  }
-  return record;
-}
-
 // --- CampaignJournal --------------------------------------------------------
-
-const char* JournalFormatName(JournalFormat format) {
-  return format == JournalFormat::kXml ? "xml" : "extent";
-}
-
-std::optional<JournalFormat> ParseJournalFormat(const std::string& name) {
-  if (name == "extent") {
-    return JournalFormat::kExtent;
-  }
-  if (name == "xml") {
-    return JournalFormat::kXml;
-  }
-  return std::nullopt;
-}
 
 CampaignJournal::CampaignJournal() = default;
 CampaignJournal::CampaignJournal(CampaignJournal&&) = default;
 CampaignJournal& CampaignJournal::operator=(CampaignJournal&&) = default;
 
 CampaignJournal::~CampaignJournal() {
-  if (extent_out_ != nullptr && extent_out_->open()) {
-    extent_out_->Finalize(nullptr);
+  if (writable()) {
+    out_->Finalize(nullptr);
   }
 }
 
-bool CampaignJournal::writable() const {
-  return out_ != nullptr || (extent_out_ != nullptr && extent_out_->open());
-}
+bool CampaignJournal::writable() const { return out_ != nullptr && out_->open(); }
 
 std::optional<CampaignJournal> CampaignJournal::Load(const std::string& path,
                                                      std::string* error) {
@@ -178,196 +87,63 @@ std::optional<CampaignJournal> CampaignJournal::Load(const std::string& path,
 
 std::optional<CampaignJournal> CampaignJournal::Parse(std::string_view text,
                                                       std::string* error) {
-  auto fail = [&](std::string message) -> std::optional<CampaignJournal> {
+  if (!IsExtentJournal(text)) {
     if (error != nullptr) {
-      *error = std::move(message);
+      *error = "not a campaign journal: the file does not start with the extent magic \"" +
+               std::string(kExtentFileMagic) + "\" (XML journals are no longer read)";
     }
     return std::nullopt;
-  };
-
-  // Encoding dispatch: extent journals declare themselves in their first
-  // four bytes; anything else is treated as the XML stream.
-  if (IsExtentJournal(text)) {
-    auto data = ParseExtentJournal(text, error);
-    if (!data) {
-      return std::nullopt;
-    }
-    CampaignJournal journal;
-    journal.format_ = JournalFormat::kExtent;
-    journal.meta_ = std::move(data->meta);
-    journal.records_ = std::move(data->records);
-    journal.extents_ = std::move(data->extents);
-    journal.intact_bytes_ = static_cast<size_t>(data->intact_bytes);
-    journal.sealed_ = data->footer_valid;
-    return journal;
   }
-
-  // A killed writer leaves at most one torn record at the tail. Everything
-  // through the last complete record (or, in a record-less journal, the
-  // header) is intact, because records are flushed whole; drop the rest.
-  // "</record>" cannot occur inside the kept content -- every attribute
-  // value and text run is XmlEscape()d, so a literal '<' never survives
-  // serialization.
-  size_t end = text.rfind("</record>");
-  if (end != std::string_view::npos) {
-    end += std::string_view("</record>").size();
-  } else if ((end = text.rfind("</journal>")) != std::string_view::npos) {
-    end += std::string_view("</journal>").size();
-  } else if ((end = text.find("/>")) != std::string_view::npos) {
-    // Self-closing (meta-less) header. The FIRST "/>" is the header's own
-    // terminator; searching from the back instead would latch onto a
-    // self-closing element inside a torn first record (a killed empty shard
-    // leaves exactly this shape) and keep unparseable garbage.
-    end += std::string_view("/>").size();
-  } else {
-    return fail("not a campaign journal (no header)");
+  auto data = ParseExtentJournal(text, error);
+  if (!data) {
+    return std::nullopt;
   }
-  if (end < text.size() && text[end] == '\n') {
-    ++end;  // keep the record's own trailing newline intact
-  }
-
-  // The file is a header element followed by record elements; wrap them in a
-  // synthetic root so the single-document XML parser takes the whole stream.
-  std::string wrapped = "<journal-file>\n";
-  wrapped.append(text.substr(0, end));
-  wrapped.append("\n</journal-file>\n");
-  XmlError xml_error;
-  auto doc = XmlParse(wrapped, &xml_error);
-  if (!doc || doc->root() == nullptr) {
-    return fail(StrFormat("journal parse error at line %d: %s", xml_error.line,
-                          xml_error.message.c_str()));
-  }
-
   CampaignJournal journal;
-  journal.format_ = JournalFormat::kXml;
-  const XmlNode* header = doc->root()->Child("journal");
-  if (header == nullptr) {
-    return fail("journal is missing its <journal> header");
-  }
-  int64_t version = header->IntAttr("version").value_or(0);
-  if (version != kVersion) {
-    return fail(StrFormat("unsupported journal version %lld (this build reads %d)",
-                          static_cast<long long>(version), kVersion));
-  }
-  for (const XmlNode* meta : header->Children("meta")) {
-    journal.meta_.emplace_back(meta->AttrOr("key", ""), meta->AttrOr("value", ""));
-  }
-  std::string record_error;
-  for (const XmlNode* child : doc->root()->Children("record")) {
-    auto record = JournalRecord::FromNode(*child, &record_error);
-    if (!record) {
-      return fail("journal record " + std::to_string(journal.records_.size()) + ": " +
-                  record_error);
-    }
-    journal.records_.push_back(std::move(*record));
-  }
-  journal.intact_bytes_ = end;
+  journal.meta_ = std::move(data->meta);
+  journal.records_ = std::move(data->records);
+  journal.extents_ = std::move(data->extents);
+  journal.intact_bytes_ = static_cast<size_t>(data->intact_bytes);
+  journal.sealed_ = data->footer_valid;
   return journal;
 }
 
 bool CampaignJournal::Create(const std::string& path, JournalMetadata meta,
-                             std::string* error, JournalFormat format) {
-  format_ = format;
+                             std::string* error, JournalFormat) {
   meta_ = std::move(meta);
-  if (format == JournalFormat::kExtent) {
-    extent_out_ = std::make_unique<ExtentJournalWriter>();
-    return extent_out_->Create(path, meta_, error);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    if (error != nullptr) {
-      *error = "cannot create journal " + path;
-    }
-    return false;
-  }
-  out_.reset(f);
-  XmlNode header("journal");
-  header.SetAttr("version", StrFormat("%d", kVersion));
-  for (const auto& [key, value] : meta_) {
-    XmlNode* m = header.AddChild("meta");
-    m->SetAttr("key", key);
-    m->SetAttr("value", value);
-  }
-  std::string text = header.ToString();
-  std::fwrite(text.data(), 1, text.size(), out_.get());
-  std::fflush(out_.get());
-  return true;
+  out_ = std::make_unique<ExtentJournalWriter>();
+  return out_->Create(path, meta_, error);
 }
 
 bool CampaignJournal::OpenAppend(const std::string& path, std::string* error) {
-  if (format_ == JournalFormat::kExtent) {
-    // The writer truncates the torn tail and any old footer itself; hand it
-    // the sealed-extent state Load() recovered.
-    ExtentJournalData loaded;
-    loaded.extents = extents_;
-    loaded.intact_bytes = intact_bytes_;
-    extent_out_ = std::make_unique<ExtentJournalWriter>();
-    return extent_out_->OpenAppend(path, loaded, error);
-  }
-  // Drop the torn tail a kill may have left: appending after garbage would
-  // leave an unparseable interior. intact_bytes_ came from Load()'s
-  // last-complete-record scan.
-  if (intact_bytes_ != 0) {
-    std::error_code ec;
-    if (std::filesystem::file_size(path, ec) > intact_bytes_ && !ec) {
-      std::filesystem::resize_file(path, intact_bytes_, ec);
-      if (ec) {
-        if (error != nullptr) {
-          *error = "cannot truncate torn journal tail in " + path + ": " + ec.message();
-        }
-        return false;
-      }
-    }
-  }
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  if (f == nullptr) {
-    if (error != nullptr) {
-      *error = "cannot append to journal " + path;
-    }
-    return false;
-  }
-  out_.reset(f);
-  return true;
+  // The writer truncates the torn tail and any old footer itself; hand it
+  // the sealed-extent state Load() recovered.
+  ExtentJournalData loaded;
+  loaded.extents = extents_;
+  loaded.intact_bytes = intact_bytes_;
+  out_ = std::make_unique<ExtentJournalWriter>();
+  return out_->OpenAppend(path, loaded, error);
 }
 
 bool CampaignJournal::Append(const JournalRecord& record) {
   if (FailpointFired("journal.append")) {
     return false;  // scripted I/O failure: the caller's disk-full path runs
   }
-  if (extent_out_ != nullptr && extent_out_->open()) {
-    return extent_out_->Append(record, nullptr);
-  }
-  if (out_ == nullptr) {
-    return false;
-  }
-  std::string text = record.ToXml();
-  bool ok = std::fwrite(text.data(), 1, text.size(), out_.get()) == text.size();
-  // One flush per record: the contract is that a kill loses at most the
-  // record being written, never an already-appended one.
-  return std::fflush(out_.get()) == 0 && ok;
+  return writable() && out_->Append(record, nullptr);
 }
 
 bool CampaignJournal::Finalize(std::string* error) {
-  if (writable() && FailpointFired("journal.finalize")) {
+  if (!writable()) {
+    return true;  // nothing open: finalizing a read-only journal is a no-op
+  }
+  if (FailpointFired("journal.finalize")) {
     if (error != nullptr) {
       *error = "failpoint journal.finalize fired";
     }
     return false;
   }
-  if (extent_out_ != nullptr && extent_out_->open()) {
-    bool ok = extent_out_->Finalize(error);
-    extent_out_.reset();
-    return ok;
-  }
-  if (out_ != nullptr) {
-    bool ok = std::fflush(out_.get()) == 0;
-    out_.reset();
-    if (!ok && error != nullptr) {
-      *error = "journal flush failed: disk full or I/O error";
-    }
-    return ok;
-  }
-  return true;  // nothing open: finalizing a read-only journal is a no-op
+  bool ok = out_->Finalize(error);
+  out_.reset();
+  return ok;
 }
 
 // --- MergeJournals ----------------------------------------------------------
@@ -393,7 +169,28 @@ bool IsShardKey(const std::string& key) {
   return false;
 }
 
+// The input's "shard" header key, or -1 when it has none.
+size_t ShardHeaderIndex(const CampaignJournal& journal) {
+  std::string shard_meta = journal.Meta("shard", "");
+  if (shard_meta.empty()) {
+    return static_cast<size_t>(-1);
+  }
+  return static_cast<size_t>(std::strtoull(shard_meta.c_str(), nullptr, 0));
+}
+
 }  // namespace
+
+void AccountMergeInput(const CampaignJournal& input, std::set<FoundBug>* seen_bugs,
+                       MergeInputStats* stats) {
+  for (const JournalRecord& record : input.records()) {
+    ++stats->records;
+    if (!record.gated) {
+      ++stats->scenarios_run;
+      seen_bugs->insert(record.result.bugs.begin(), record.result.bugs.end());
+    }
+  }
+  stats->bugs = seen_bugs->size();
+}
 
 bool MergeRecordsInto(CampaignJournal& output, const std::vector<CampaignJournal>& inputs,
                       MergeFoldState* fold, std::string* error,
@@ -421,11 +218,7 @@ bool MergeRecordsInto(CampaignJournal& output, const std::vector<CampaignJournal
   };
   std::vector<Keyed> keyed;
   for (const CampaignJournal& journal : inputs) {
-    size_t shard_index = static_cast<size_t>(-1);
-    std::string shard_meta = journal.Meta("shard", "");
-    if (!shard_meta.empty()) {
-      shard_index = static_cast<size_t>(std::strtoull(shard_meta.c_str(), nullptr, 0));
-    }
+    size_t shard_index = ShardHeaderIndex(journal);
     const std::vector<JournalRecord>& records = journal.records();
     for (size_t r = 0; r < records.size(); ++r) {
       bool recorded = records[r].stream_index != JournalRecord::kNoStreamIndex;
@@ -488,8 +281,7 @@ bool MergeRecordsInto(CampaignJournal& output, const std::vector<CampaignJournal
 std::optional<ExplorationResult> MergeJournals(const std::vector<std::string>& inputs,
                                                const std::string& output_path,
                                                std::string* error, JournalMetadata* metadata,
-                                               std::vector<MergeInputStats>* stats,
-                                               std::optional<JournalFormat> format) {
+                                               std::vector<MergeInputStats>* stats) {
   auto fail = [&](std::string message) -> std::optional<ExplorationResult> {
     if (error != nullptr) {
       *error = std::move(message);
@@ -562,23 +354,11 @@ std::optional<ExplorationResult> MergeJournals(const std::vector<std::string>& i
   if (stats != nullptr) {
     stats->clear();
     for (size_t i = 0; i < journals.size(); ++i) {
-      size_t shard_index = static_cast<size_t>(-1);
-      std::string shard_meta = journals[i].Meta("shard", "");
-      if (!shard_meta.empty()) {
-        shard_index = static_cast<size_t>(std::strtoull(shard_meta.c_str(), nullptr, 0));
-      }
       MergeInputStats input_stats;
       input_stats.path = inputs[i];
-      input_stats.shard_index = shard_index;
+      input_stats.shard_index = ShardHeaderIndex(journals[i]);
       std::set<FoundBug> input_bugs;
-      for (const JournalRecord& record : journals[i].records()) {
-        ++input_stats.records;
-        if (!record.gated) {
-          ++input_stats.scenarios_run;
-          input_bugs.insert(record.result.bugs.begin(), record.result.bugs.end());
-        }
-      }
-      input_stats.bugs = input_bugs.size();
+      AccountMergeInput(journals[i], &input_bugs, &input_stats);
       stats->push_back(std::move(input_stats));
     }
   }
@@ -590,9 +370,8 @@ std::optional<ExplorationResult> MergeJournals(const std::vector<std::string>& i
   // later resume would look for a complete one -- the final path either
   // does not exist or holds the fully finalized merge.
   CampaignJournal merged;
-  JournalFormat out_format = format.value_or(journals.front().format());
   std::string tmp_path = output_path + ".tmp";
-  if (!merged.Create(tmp_path, out_meta, error, out_format)) {
+  if (!merged.Create(tmp_path, out_meta, error)) {
     return std::nullopt;
   }
   MergeFoldState fold;
@@ -613,55 +392,6 @@ std::optional<ExplorationResult> MergeJournals(const std::vector<std::string>& i
     *metadata = std::move(out_meta);
   }
   return out;
-}
-
-// --- ConvertJournal ---------------------------------------------------------
-
-bool ConvertJournal(const std::string& input_path, const std::string& output_path,
-                    std::optional<JournalFormat> format, std::string* error,
-                    size_t* records, JournalFormat* written) {
-  auto fail = [&](std::string message) {
-    if (error != nullptr) {
-      *error = std::move(message);
-    }
-    return false;
-  };
-  if (std::filesystem::exists(output_path)) {
-    return fail("convert output " + output_path +
-                " already exists; delete it or convert to a fresh path");
-  }
-  auto journal = CampaignJournal::Load(input_path, error);
-  if (!journal) {
-    return false;
-  }
-  JournalFormat out_format = format.value_or(
-      journal->format() == JournalFormat::kXml ? JournalFormat::kExtent : JournalFormat::kXml);
-  // Same tmp+rename discipline as MergeJournals: the converted artifact
-  // appears at output_path only complete and finalized.
-  std::string tmp_path = output_path + ".tmp";
-  CampaignJournal out;
-  if (!out.Create(tmp_path, journal->metadata(), error, out_format)) {
-    return false;
-  }
-  for (const JournalRecord& record : journal->records()) {
-    if (!out.Append(record)) {
-      return fail("convert append failed writing " + output_path +
-                  ": disk full or I/O error");
-    }
-  }
-  if (!out.Finalize(error)) {
-    return false;
-  }
-  if (std::rename(tmp_path.c_str(), output_path.c_str()) != 0) {
-    return fail("cannot rename " + tmp_path + " into place as " + output_path);
-  }
-  if (records != nullptr) {
-    *records = journal->records().size();
-  }
-  if (written != nullptr) {
-    *written = out_format;
-  }
-  return true;
 }
 
 }  // namespace lfi

@@ -3,10 +3,10 @@
 // LFI's workflow (§2, §4.1) is built on durable artifacts -- XML fault
 // profiles, XML scenarios, and a test log developers mine after the run.
 // The CampaignJournal extends that to the whole campaign lifecycle: an
-// append-only XML file that records, for every job the engine merged, the
-// scenario that ran (Scenario::ToXml), the injection log and fingerprint,
-// the bugs it exposed, the coverage delta it contributed, and the feedback
-// the scenario source was given. Three workflows fall out of one format:
+// append-only file that records, for every job the engine merged, the
+// scenario that ran, the injection log and fingerprint, the bugs it
+// exposed, the coverage delta it contributed, and the feedback the scenario
+// source was given. Three workflows fall out of one format:
 //
 //   resume   CampaignEngine::Options{journal_path, resume=true} replays the
 //            journal through the engine's deterministic merge -- the source
@@ -23,30 +23,21 @@
 //            recorded stream index back into the single-process journal
 //            (MergeRecordsInto / MergeJournals).
 //
-// Two on-disk encodings carry the same records (JournalFormat,
-// auto-detected from the file's first bytes; `lfi_tool journal convert`
-// round-trips them losslessly):
-//
-//   kExtent  the default for new journals: a binary stream of CRC-checked,
-//            optionally compressed extents of up to 16 records each, closed
-//            by a footer index (core/extent_journal.h; byte-level spec in
-//            docs/journal-format.md). Extents are flushed whole, so a kill
-//            loses at most the extent being filled -- up to 16 records,
-//            which resume simply re-executes -- and recovery truncates to
-//            the last valid extent boundary.
-//   kXml     the debug/interchange encoding: a <journal version="1"> header
-//            element carrying campaign metadata (<meta key value/>),
-//            followed by one <record> element per merged job, appended and
-//            flushed one at a time. A kill loses at most the record being
-//            written; Load() drops a torn trailing record by truncating at
-//            the last complete one.
+// There is one on-disk encoding: a binary stream of CRC-checked, optionally
+// compressed extents of up to 16 records each, closed by a footer index
+// (core/extent_journal.h; byte-level spec in docs/journal-format.md).
+// Extents are flushed whole, so a kill loses at most the extent being
+// filled -- up to 16 records, which resume simply re-executes -- and
+// recovery truncates to the last valid extent boundary. Load() rejects any
+// file without the extent magic. For reading by eye, `lfi_tool journal
+// dump` renders a journal as XML through the AppendXml writers.
 
 #ifndef LFI_CORE_JOURNAL_H_
 #define LFI_CORE_JOURNAL_H_
 
-#include <cstdio>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -95,10 +86,10 @@ struct JournalRecord {
   JobResult result;
   RunFeedback feedback;
 
+  // XML rendering (<record> with the scenario, result and feedback as
+  // children), used by `lfi_tool journal dump`.
   void AppendXml(XmlNode* parent) const;
   std::string ToXml() const;
-  static std::optional<JournalRecord> FromNode(const XmlNode& node,
-                                               std::string* error = nullptr);
 };
 
 // One extent's entry in an extent journal's footer index: where its bytes
@@ -121,8 +112,6 @@ class ExtentJournalWriter;
 
 class CampaignJournal {
  public:
-  static constexpr int kVersion = 1;
-
   CampaignJournal();
   ~CampaignJournal();  // finalizes a still-open extent writer (best effort)
   CampaignJournal(CampaignJournal&&);
@@ -130,11 +119,10 @@ class CampaignJournal {
 
   // --- reading --------------------------------------------------------------
 
-  // Reads and parses a journal file, auto-detecting the encoding from the
-  // first bytes. Tolerates a torn tail (the kill-mid-write artifact):
-  // everything after the last complete record (XML) or sealed extent
-  // (extent format) is dropped. Fails on missing files, version mismatches,
-  // and malformed records.
+  // Reads and parses a journal file. Tolerates a torn tail (the
+  // kill-mid-write artifact): everything after the last sealed extent is
+  // dropped. Fails on missing files, bytes without the extent magic,
+  // version mismatches, and corrupt extents.
   static std::optional<CampaignJournal> Load(const std::string& path,
                                              std::string* error = nullptr);
 
@@ -148,44 +136,42 @@ class CampaignJournal {
     return MetaValue(meta_, key, def);
   }
   const std::vector<JournalRecord>& records() const { return records_; }
-  // The on-disk encoding this journal was loaded from / created with.
-  JournalFormat format() const { return format_; }
-  // Extent journals: the footer index (or its scan-recovered equivalent),
-  // one entry per sealed extent. Empty for XML journals.
+  // Always kExtent (see JournalFormat).
+  JournalFormat format() const { return JournalFormat::kExtent; }
+  // The footer index (or its scan-recovered equivalent), one entry per
+  // sealed extent.
   const std::vector<ExtentInfo>& extents() const { return extents_; }
   // Recovery introspection (`lfi_tool journal doctor`): how many bytes of
-  // the loaded file were intact (through the last complete record / sealed
-  // extent) -- anything past that is a torn tail a kill left behind.
+  // the loaded file were intact (through the last sealed extent, excluding
+  // any footer).
   size_t intact_bytes() const { return intact_bytes_; }
-  // Extent journals: the footer index was present and valid, i.e. the
-  // journal was finalized and not torn (false = recovered by scan). XML has
-  // no finalization marker and always reports true.
+  // The footer index was present and valid, i.e. the journal was finalized
+  // and not torn (false = recovered by scan).
   bool sealed() const { return sealed_; }
 
   // --- writing --------------------------------------------------------------
 
-  // Creates (truncating) `path` and writes the header in the requested
-  // encoding. The journal is then writable via Append().
+  // Creates (truncating) `path` and writes the file header. The journal is
+  // then writable via Append(). The JournalFormat parameter is ignored (see
+  // JournalFormat).
   bool Create(const std::string& path, JournalMetadata meta, std::string* error = nullptr,
-              JournalFormat format = JournalFormat::kExtent);
+              JournalFormat = JournalFormat::kExtent);
 
-  // Reopens a loaded journal's file for appending (resume), in whatever
-  // encoding the file already uses: loaded records stay readable as the
-  // replay prefix, new records land after them. The torn tail a kill left
-  // -- and, for extent journals, the old footer -- is truncated away first,
-  // so the file stays parseable after the resumed run appends past it.
+  // Reopens a loaded journal's file for appending (resume): loaded records
+  // stay readable as the replay prefix, new records land after them. The
+  // torn tail a kill left and the old footer are truncated away first, so
+  // the file stays parseable after the resumed run appends past it.
   bool OpenAppend(const std::string& path, std::string* error = nullptr);
 
-  // Serializes and appends one record. XML journals flush per record; the
-  // extent encoding buffers and flushes per sealed extent (every
-  // ExtentJournalWriter::kRecordsPerExtent records), so a kill loses at
-  // most the open extent. Requires Create()/OpenAppend().
+  // Serializes and appends one record. Records are buffered and flushed per
+  // sealed extent (every ExtentJournalWriter::kRecordsPerExtent records), so
+  // a kill loses at most the open extent. Requires Create()/OpenAppend().
   bool Append(const JournalRecord& record);
 
   // Completes a writable journal: seals the open extent, writes the footer
-  // index, flushes, and closes the write stream (no-op beyond a flush for
-  // XML). Called by the destructor as a best-effort fallback; campaigns
-  // that must surface I/O failures call it explicitly.
+  // index, flushes, and closes the write stream. Called by the destructor as
+  // a best-effort fallback; campaigns that must surface I/O failures call it
+  // explicitly.
   bool Finalize(std::string* error = nullptr);
 
   bool writable() const;
@@ -193,18 +179,12 @@ class CampaignJournal {
  private:
   JournalMetadata meta_;
   std::vector<JournalRecord> records_;
-  JournalFormat format_ = JournalFormat::kExtent;
   std::vector<ExtentInfo> extents_;
-  // How many bytes of the loaded file were intact (through the last
-  // complete record / sealed extent); OpenAppend truncates to this before
-  // appending.
+  // How many bytes of the loaded file were intact (through the last sealed
+  // extent); OpenAppend truncates to this before appending.
   size_t intact_bytes_ = 0;
   bool sealed_ = true;
-  struct FileCloser {
-    void operator()(std::FILE* f) const { std::fclose(f); }
-  };
-  std::unique_ptr<std::FILE, FileCloser> out_;          // XML append stream
-  std::unique_ptr<ExtentJournalWriter> extent_out_;     // extent append stream
+  std::unique_ptr<ExtentJournalWriter> out_;  // the append stream
 };
 
 // --- merging ----------------------------------------------------------------
@@ -217,6 +197,13 @@ struct MergeInputStats {
   size_t scenarios_run = 0;  // non-gated records
   size_t bugs = 0;           // crash sites deduplicated within this input
 };
+
+// The one per-input merge accounting: adds `input`'s records to `stats` and
+// its crash sites to `seen_bugs`, the input's distinct-bug set, which the
+// caller keeps across calls when one input arrives in several journals (a
+// shard's per-epoch artifacts).
+void AccountMergeInput(const CampaignJournal& input, std::set<FoundBug>* seen_bugs,
+                       MergeInputStats* stats);
 
 // The engine-fold state an incremental merge carries between calls: the
 // campaign fold (crash-site dedup set, cumulative coverage) plus how far the
@@ -263,27 +250,12 @@ bool MergeRecordsInto(CampaignJournal& output, const std::vector<CampaignJournal
 // run writes, and therefore resumable. Refuses to overwrite an existing
 // output file. Returns the merged campaign result (bugs, cumulative
 // coverage, scenarios run); `metadata`/`stats` receive the output header and
-// per-input accounting when non-null. `format` picks the output encoding;
-// nullopt writes whatever encoding the first input uses (inputs of mixed
-// encodings merge fine -- the format is not part of the campaign identity).
-std::optional<ExplorationResult> MergeJournals(
-    const std::vector<std::string>& inputs, const std::string& output_path,
-    std::string* error = nullptr, JournalMetadata* metadata = nullptr,
-    std::vector<MergeInputStats>* stats = nullptr,
-    std::optional<JournalFormat> format = std::nullopt);
-
-// --- converting -------------------------------------------------------------
-
-// Rewrites a journal in another encoding, preserving header metadata and
-// every record exactly -- converting back yields a byte-identical file (for
-// finalized inputs; recovery of a torn input drops its tail first, exactly
-// as Load does). `format` defaults to the opposite of the input's encoding.
-// Refuses to overwrite an existing output. On success fills `records` and
-// `written` (the record count and output encoding) when non-null.
-bool ConvertJournal(const std::string& input_path, const std::string& output_path,
-                    std::optional<JournalFormat> format = std::nullopt,
-                    std::string* error = nullptr, size_t* records = nullptr,
-                    JournalFormat* written = nullptr);
+// per-input accounting when non-null.
+std::optional<ExplorationResult> MergeJournals(const std::vector<std::string>& inputs,
+                                               const std::string& output_path,
+                                               std::string* error = nullptr,
+                                               JournalMetadata* metadata = nullptr,
+                                               std::vector<MergeInputStats>* stats = nullptr);
 
 }  // namespace lfi
 

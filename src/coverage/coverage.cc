@@ -162,37 +162,4 @@ void CoverageMap::AppendXml(XmlNode* parent) const {
 
 std::string CoverageMap::ToXml() const { return ToXmlElement(*this); }
 
-std::optional<CoverageMap> CoverageMap::FromNode(const XmlNode& node, std::string* error) {
-  auto fail = [&](std::string message) -> std::optional<CoverageMap> {
-    if (error != nullptr) {
-      *error = std::move(message);
-    }
-    return std::nullopt;
-  };
-  if (node.name() != "coverage") {
-    return fail("coverage element must be <coverage>");
-  }
-  CoverageMap map;
-  for (const XmlNode* block : node.Children("block")) {
-    std::string name = block->AttrOr("id", "");
-    if (name.empty()) {
-      return fail("<block> requires an id attribute");
-    }
-    bool recovery = block->AttrOr("recovery", "false") == "true";
-    int lines = static_cast<int>(block->IntAttr("lines").value_or(1));
-    BlockId id = InternBlock(name);
-    map.RegisterBlock(id, recovery, lines);
-    int64_t hit_count = block->IntAttr("hits").value_or(0);
-    if (hit_count > 0) {
-      map.EnsureBlock(id);
-      map.hits_[id] = static_cast<uint64_t>(hit_count);
-    }
-  }
-  return map;
-}
-
-std::optional<CoverageMap> CoverageMap::Parse(const std::string& xml, std::string* error) {
-  return ParseXmlElement<CoverageMap>(xml, error);
-}
-
 }  // namespace lfi

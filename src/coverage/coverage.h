@@ -131,15 +131,10 @@ class CoverageMap {
 
   // Serializes every known block (registration metadata + hit count) as a
   // <coverage> child of `parent`, sorted by block name so output never
-  // depends on process-wide interning order. FromNode/Parse invert it:
-  // Absorb(Parse(ToXml(m))) is exactly Absorb(m), which is how campaign
-  // journal records carry a job's coverage delta.
+  // depends on process-wide interning order (the `lfi_tool journal dump`
+  // rendering of a record's coverage delta).
   void AppendXml(XmlNode* parent) const;
   std::string ToXml() const;
-  static std::optional<CoverageMap> FromNode(const XmlNode& node,
-                                             std::string* error = nullptr);
-  static std::optional<CoverageMap> Parse(const std::string& xml,
-                                          std::string* error = nullptr);
 
  private:
   struct Block {

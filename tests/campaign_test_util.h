@@ -1,11 +1,13 @@
 // Helpers the campaign test suites share: scratch paths, whole-file reads,
-// bug-list comparison, and running a CampaignSpec through the driver.
+// finalized journal writes, bug-list comparison, and running a CampaignSpec
+// through the driver.
 
 #ifndef LFI_TESTS_CAMPAIGN_TEST_UTIL_H_
 #define LFI_TESTS_CAMPAIGN_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "apps/common/campaign_driver.h"
+#include "core/journal.h"
 
 namespace lfi {
 
@@ -24,6 +27,19 @@ inline std::string ReadFile(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
+}
+
+// Writes `records` into a finalized journal at `path`.
+inline void WriteJournal(const std::string& path, const JournalMetadata& meta,
+                         const std::vector<JournalRecord>& records) {
+  std::remove(path.c_str());
+  CampaignJournal journal;
+  std::string error;
+  ASSERT_TRUE(journal.Create(path, meta, &error)) << error;
+  for (const JournalRecord& record : records) {
+    ASSERT_TRUE(journal.Append(record));
+  }
+  ASSERT_TRUE(journal.Finalize(&error)) << error;
 }
 
 // Same bugs in the same order, attribution included.

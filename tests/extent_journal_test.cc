@@ -1,8 +1,8 @@
 // The binary extent journal (core/extent_journal.h, docs/journal-format.md):
-// property-style XML<->extent conversion round trips over randomized
+// property-style write -> load -> re-encode round trips over randomized
 // journals, torn-tail truncation at every byte offset, footer-index random
-// access vs the full scan, kill-and-resume bit-identity in extent mode at
-// several worker counts, and the LZ/varint primitives the format builds on.
+// access vs the full scan, kill-and-resume bit-identity at several worker
+// counts, and the LZ/varint primitives the format builds on.
 
 #include <gtest/gtest.h>
 
@@ -28,7 +28,7 @@ namespace lfi {
 namespace {
 
 // The same escaping edge cases journal_test.cc throws at the XML layer: the
-// conversion round trip must carry them through both encodings unchanged.
+// encoding must carry them through unchanged.
 const char* const kNastyStrings[] = {
     "plain",          "with space",       "quo\"te",        "apos'trophe",
     "amp&ersand",     "less<than",        "greater>than",   "comma,separated",
@@ -149,26 +149,13 @@ void ExpectRecordsEqual(const std::vector<JournalRecord>& got,
   }
 }
 
-// Writes `records` into a finalized journal at `path` in `format`.
-void WriteJournal(const std::string& path, const JournalMetadata& meta,
-                  const std::vector<JournalRecord>& records, JournalFormat format) {
-  std::remove(path.c_str());
-  CampaignJournal journal;
-  std::string error;
-  ASSERT_TRUE(journal.Create(path, meta, &error, format)) << error;
-  for (const JournalRecord& record : records) {
-    ASSERT_TRUE(journal.Append(record));
-  }
-  ASSERT_TRUE(journal.Finalize(&error)) << error;
-}
+// --- encoding round trips ---------------------------------------------------
 
-// --- conversion round trips -------------------------------------------------
-
-// The bit-equivalence contract: extent -> xml -> extent reproduces the exact
-// input bytes, the xml leg byte-matches a live XML-mode write of the same
-// records, and every field survives. Record counts straddle the 16-record
-// extent boundary (0, 1, partial, exact, multi-extent).
-TEST(ExtentJournal, ConvertRoundTripsByteIdentically) {
+// The bit-equivalence contract: write -> load returns every field of every
+// record and the header, and re-encoding the loaded journal reproduces the
+// exact input bytes. Record counts straddle the 16-record extent boundary
+// (0, 1, partial, exact, multi-extent).
+TEST(ExtentJournal, WriteLoadReencodeRoundTripsByteIdentically) {
   Rng rng(2026);
   for (size_t count : {size_t{0}, size_t{1}, size_t{7}, size_t{16}, size_t{41}}) {
     SCOPED_TRACE(count);
@@ -179,55 +166,21 @@ TEST(ExtentJournal, ConvertRoundTripsByteIdentically) {
       records.push_back(RandomRecord(rng, i));
     }
 
-    std::string extent_path = TempPath(StrFormat("ext_conv_%zu.lfij", count).c_str());
-    std::string xml_path = TempPath(StrFormat("ext_conv_%zu.xml", count).c_str());
-    std::string live_xml_path = TempPath(StrFormat("ext_conv_%zu_live.xml", count).c_str());
-    std::string back_path = TempPath(StrFormat("ext_conv_%zu_back.lfij", count).c_str());
-    std::remove(xml_path.c_str());
-    std::remove(back_path.c_str());
+    std::string path = TempPath(StrFormat("ext_roundtrip_%zu.lfij", count).c_str());
+    std::string again_path = TempPath(StrFormat("ext_roundtrip_%zu_again.lfij", count).c_str());
+    WriteJournal(path, meta, records);
+    ASSERT_TRUE(IsExtentJournal(ReadFile(path)));
 
-    WriteJournal(extent_path, meta, records, JournalFormat::kExtent);
-    ASSERT_TRUE(IsExtentJournal(ReadFile(extent_path)));
-
-    // extent -> xml: defaults to the opposite encoding, and matches what a
-    // live XML-mode run of the same records would have written.
     std::string error;
-    size_t converted = 0;
-    JournalFormat written = JournalFormat::kExtent;
-    ASSERT_TRUE(ConvertJournal(extent_path, xml_path, std::nullopt, &error, &converted,
-                               &written)) << error;
-    EXPECT_EQ(converted, count);
-    EXPECT_EQ(written, JournalFormat::kXml);
-    WriteJournal(live_xml_path, meta, records, JournalFormat::kXml);
-    EXPECT_EQ(ReadFile(xml_path), ReadFile(live_xml_path));
-
-    // xml -> extent: bit-identical to the original.
-    ASSERT_TRUE(ConvertJournal(xml_path, back_path, std::nullopt, &error)) << error;
-    EXPECT_EQ(ReadFile(back_path), ReadFile(extent_path));
-
-    // And both encodings load back to the same records and header.
-    auto loaded = CampaignJournal::Load(extent_path, &error);
+    auto loaded = CampaignJournal::Load(path, &error);
     ASSERT_TRUE(loaded.has_value()) << error;
-    EXPECT_EQ(loaded->format(), JournalFormat::kExtent);
+    EXPECT_TRUE(loaded->sealed());
     EXPECT_EQ(loaded->metadata(), meta);
     ExpectRecordsEqual(loaded->records(), records);
-    auto xml_loaded = CampaignJournal::Load(xml_path, &error);
-    ASSERT_TRUE(xml_loaded.has_value()) << error;
-    EXPECT_EQ(xml_loaded->format(), JournalFormat::kXml);
-    EXPECT_EQ(xml_loaded->metadata(), meta);
-    ExpectRecordsEqual(xml_loaded->records(), records);
-  }
-}
 
-// Converting onto an existing file must refuse, not clobber the artifact.
-TEST(ExtentJournal, ConvertRefusesToOverwrite) {
-  Rng rng(3);
-  std::string path = TempPath("ext_noclobber.lfij");
-  WriteJournal(path, {{"command", "explore"}}, {RandomRecord(rng, 0)},
-               JournalFormat::kExtent);
-  std::string error;
-  EXPECT_FALSE(ConvertJournal(path, path, std::nullopt, &error));
-  EXPECT_FALSE(error.empty());
+    WriteJournal(again_path, loaded->metadata(), loaded->records());
+    EXPECT_EQ(ReadFile(again_path), ReadFile(path));
+  }
 }
 
 // --- torn-tail recovery -----------------------------------------------------
@@ -244,7 +197,7 @@ TEST(ExtentJournal, TruncationAtEveryByteRecoversWholeExtentsOnly) {
     records.push_back(RandomRecord(rng, i));
   }
   std::string path = TempPath("ext_torn.lfij");
-  WriteJournal(path, meta, records, JournalFormat::kExtent);
+  WriteJournal(path, meta, records);
   std::string bytes = ReadFile(path);
 
   auto full = ParseExtentJournal(bytes);
@@ -296,7 +249,7 @@ TEST(ExtentJournal, AppendAfterTornTailRegrowsBitIdentically) {
     records.push_back(RandomRecord(rng, i));
   }
   std::string full_path = TempPath("ext_regrow_full.lfij");
-  WriteJournal(full_path, meta, records, JournalFormat::kExtent);
+  WriteJournal(full_path, meta, records);
   std::string bytes = ReadFile(full_path);
 
   // A spread of cuts: mid first extent, exactly at a boundary, mid second
@@ -349,7 +302,7 @@ TEST(ExtentJournal, FooterIndexRandomAccessEqualsFullScan) {
     records.push_back(RandomRecord(rng, i));
   }
   std::string path = TempPath("ext_index.lfij");
-  WriteJournal(path, meta, records, JournalFormat::kExtent);
+  WriteJournal(path, meta, records);
   std::string bytes = ReadFile(path);
 
   auto parsed = ParseExtentJournal(bytes);

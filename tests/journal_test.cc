@@ -1,8 +1,8 @@
-// The persistent campaign journal: XML round trips for every serialized
-// artifact (property-style, over randomized values including attribute
-// escaping edge cases), journal file append/load/torn-tail semantics, the
-// kill-and-resume determinism contract, and disk-only replay of journaled
-// injections.
+// The persistent campaign journal: XML round trips for the artifacts that
+// are still read back from XML (scenarios, fault profiles), journal file
+// append/load semantics, loud rejection of anything that is not an extent
+// journal, the kill-and-resume determinism contract, and disk-only replay of
+// journaled injections.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "apps/common/campaign_spec.h"
+#include "apps/common/journal_inspect.h"
 #include "apps/common/warm_targets.h"
 #include "campaign_test_util.h"
 #include "core/campaign_engine.h"
@@ -143,6 +144,8 @@ TEST(XmlRoundTrip, RandomFaultProfilesParseBackEqual) {
   }
 }
 
+// --- journal file semantics -------------------------------------------------
+
 InjectionLog RandomInjectionLog(Rng& rng) {
   InjectionLog log;
   size_t records = rng.NextBelow(4);
@@ -170,101 +173,6 @@ InjectionLog RandomInjectionLog(Rng& rng) {
   return log;
 }
 
-TEST(XmlRoundTrip, RandomInjectionLogsParseBackEqual) {
-  Rng rng(7);
-  for (int iteration = 0; iteration < 100; ++iteration) {
-    InjectionLog log = RandomInjectionLog(rng);
-    std::string xml = log.ToXml();
-    std::string error;
-    auto parsed = InjectionLog::Parse(xml, &error);
-    ASSERT_TRUE(parsed.has_value()) << error << "\n" << xml;
-    EXPECT_TRUE(*parsed == log) << xml;
-  }
-}
-
-// The satellite regression: {"a,b"} and {"a","b"} used to serialize to the
-// same comma-joined string. As a vector they must stay distinguishable.
-TEST(XmlRoundTrip, CommaBearingTriggerIdsStayUnambiguous) {
-  InjectionRecord joined;
-  joined.sequence = 1;
-  joined.function = "read";
-  joined.call_number = 1;
-  joined.trigger_ids = {"a,b"};
-  InjectionRecord split = joined;
-  split.trigger_ids = {"a", "b"};
-
-  InjectionLog log_joined;
-  log_joined.Record(joined);
-  InjectionLog log_split;
-  log_split.Record(split);
-  ASSERT_NE(log_joined.ToXml(), log_split.ToXml());
-
-  auto joined_back = InjectionLog::Parse(log_joined.ToXml());
-  auto split_back = InjectionLog::Parse(log_split.ToXml());
-  ASSERT_TRUE(joined_back && split_back);
-  EXPECT_EQ(joined_back->records()[0].trigger_ids, std::vector<std::string>{"a,b"});
-  EXPECT_EQ(split_back->records()[0].trigger_ids, (std::vector<std::string>{"a", "b"}));
-  // The human-readable line is unchanged for the common (comma-free) case.
-  EXPECT_NE(log_joined.ToString().find("triggers: a,b"), std::string::npos);
-}
-
-TEST(XmlRoundTrip, FoundBugAndRunFeedbackParseBackEqual) {
-  Rng rng(11);
-  for (int iteration = 0; iteration < 50; ++iteration) {
-    FoundBug bug{NastyString(rng), NastyString(rng), NastyString(rng), NastyString(rng)};
-    auto bug_back = FoundBug::Parse(bug.ToXml());
-    ASSERT_TRUE(bug_back.has_value()) << bug.ToXml();
-    EXPECT_TRUE(*bug_back == bug) << bug.ToXml();
-
-    RunFeedback feedback;
-    feedback.new_bug = rng.Chance(0.5);
-    feedback.injections = rng.NextBelow(10);
-    feedback.fingerprint = rng.Chance(0.5) ? NastyString(rng) : "";
-    size_t blocks = rng.NextBelow(3);
-    for (size_t i = 0; i < blocks; ++i) {
-      feedback.new_blocks.push_back(NastyString(rng));
-    }
-    auto feedback_back = RunFeedback::Parse(feedback.ToXml());
-    ASSERT_TRUE(feedback_back.has_value()) << feedback.ToXml();
-    EXPECT_TRUE(*feedback_back == feedback) << feedback.ToXml();
-  }
-}
-
-TEST(XmlRoundTrip, CoverageMapParseBackEqual) {
-  CoverageMap map;
-  map.RegisterBlock("app.normal", /*recovery=*/false, /*lines=*/3);
-  map.RegisterBlock("app.recovery", /*recovery=*/true, /*lines=*/7);
-  map.RegisterBlock("app.unhit", /*recovery=*/true, /*lines=*/2);
-  map.Hit("app.normal");
-  map.Hit("app.recovery");
-  map.Hit("app.recovery");
-
-  std::string error;
-  auto parsed = CoverageMap::Parse(map.ToXml(), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(parsed->hits(), map.hits());
-  CoverageMap::Stats want = map.ComputeStats();
-  CoverageMap::Stats got = parsed->ComputeStats();
-  EXPECT_EQ(got.total_blocks, want.total_blocks);
-  EXPECT_EQ(got.covered_blocks, want.covered_blocks);
-  EXPECT_EQ(got.recovery_blocks, want.recovery_blocks);
-  EXPECT_EQ(got.covered_recovery_blocks, want.covered_recovery_blocks);
-  EXPECT_EQ(got.total_lines, want.total_lines);
-  EXPECT_EQ(parsed->ToXml(), map.ToXml());
-
-  // The journal's actual use: absorbing a parsed map must equal absorbing
-  // the original (registrations and hit counts both carried over).
-  CoverageMap absorb_original;
-  absorb_original.Absorb(map);
-  CoverageMap absorb_parsed;
-  absorb_parsed.Absorb(*parsed);
-  EXPECT_EQ(absorb_parsed.hits(), absorb_original.hits());
-  EXPECT_EQ(absorb_parsed.ComputeStats().recovery_blocks,
-            absorb_original.ComputeStats().recovery_blocks);
-}
-
-// --- journal file semantics -------------------------------------------------
-
 JournalRecord MakeRecord(Rng& rng, const std::string& label) {
   JournalRecord record;
   record.label = label;
@@ -285,7 +193,7 @@ JournalRecord MakeRecord(Rng& rng, const std::string& label) {
 
 TEST(CampaignJournal, CreateAppendLoadRoundTrips) {
   Rng rng(5);
-  std::string path = TempPath("journal_roundtrip.xml");
+  std::string path = TempPath("journal_roundtrip.lfij");
   JournalMetadata meta = {{"command", "explore"}, {"system", "git"}, {"note", NastyString(rng)}};
 
   CampaignJournal journal;
@@ -329,52 +237,94 @@ TEST(CampaignJournal, CreateAppendLoadRoundTrips) {
   EXPECT_EQ(loaded->records()[4].label, "gated-job");
 }
 
-TEST(CampaignJournal, TornTrailingRecordIsDropped) {
-  Rng rng(6);
-  std::string path = TempPath("journal_torn.xml");
-  CampaignJournal journal;
-  // Torn-XML surgery below: this test is about the XML torn-tail scan, so
-  // pin the debug encoding (extent recovery is covered in extent_journal_test).
-  ASSERT_TRUE(journal.Create(path, {{"command", "explore"}, {"system", "git"}}, nullptr,
-                             JournalFormat::kXml));
-  ASSERT_TRUE(journal.Append(MakeRecord(rng, "complete-1")));
-  ASSERT_TRUE(journal.Append(MakeRecord(rng, "complete-2")));
-  {
-    // A kill mid-write leaves a half-serialized record at the tail.
-    std::ofstream out(path, std::ios::app | std::ios::binary);
-    out << "<record label=\"torn\" seed=\"0x1\">\n  <scenario>\n    <trigger id=\"x";
-  }
+// {"a,b"} and {"a","b"} used to serialize to the same comma-joined string.
+// As a vector they must stay distinguishable through a journal write and
+// load.
+TEST(CampaignJournal, CommaBearingTriggerIdsStayUnambiguous) {
+  InjectionRecord joined;
+  joined.sequence = 1;
+  joined.function = "read";
+  joined.call_number = 1;
+  joined.trigger_ids = {"a,b"};
+  InjectionRecord split = joined;
+  split.trigger_ids = {"a", "b"};
+
+  std::vector<JournalRecord> records(2);
+  records[0].result.log.Record(joined);
+  records[1].result.log.Record(split);
+  std::string path = TempPath("journal_comma_ids.lfij");
+  WriteJournal(path, {{"command", "explore"}}, records);
+
   std::string error;
   auto loaded = CampaignJournal::Load(path, &error);
   ASSERT_TRUE(loaded.has_value()) << error;
   ASSERT_EQ(loaded->records().size(), 2u);
-  EXPECT_EQ(loaded->records()[1].label, "complete-2");
-
-  // Header-only journals (killed before the first merge) load too.
-  std::string empty_path = TempPath("journal_headeronly.xml");
-  CampaignJournal header_only;
-  ASSERT_TRUE(header_only.Create(empty_path, {{"command", "explore"}}));
-  auto empty = CampaignJournal::Load(empty_path, &error);
-  ASSERT_TRUE(empty.has_value()) << error;
-  EXPECT_TRUE(empty->records().empty());
+  EXPECT_EQ(loaded->records()[0].result.log.records()[0].trigger_ids,
+            std::vector<std::string>{"a,b"});
+  EXPECT_EQ(loaded->records()[1].result.log.records()[0].trigger_ids,
+            (std::vector<std::string>{"a", "b"}));
+  // The human-readable line is unchanged for the common (comma-free) case.
+  InjectionLog log_joined;
+  log_joined.Record(joined);
+  EXPECT_NE(log_joined.ToString().find("triggers: a,b"), std::string::npos);
 }
 
-// A meta-less header is a self-closing element; a kill during the first
-// record used to defeat the torn-tail scan (the backwards "/>" search
-// latched onto a self-closing element inside the torn record and kept the
-// garbage). An empty shard journal killed mid-append is exactly this shape.
-TEST(CampaignJournal, TornTailAfterSelfClosingHeaderIsDropped) {
-  std::string path = TempPath("journal_metaless_torn.xml");
-  CampaignJournal journal;
-  ASSERT_TRUE(journal.Create(path, {}, nullptr, JournalFormat::kXml));
-  {
-    std::ofstream out(path, std::ios::app | std::ios::binary);
-    out << "<record label=\"torn\" seed=\"0x1\">\n  <scenario>\n    <trigger id=\"x\" />\n";
-  }
+// A journal killed before the first merge holds only its file header; it
+// loads as an empty journal.
+TEST(CampaignJournal, HeaderOnlyJournalLoads) {
+  std::string path = TempPath("journal_headeronly.lfij");
+  CampaignJournal header_only;
   std::string error;
-  auto loaded = CampaignJournal::Load(path, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_TRUE(loaded->records().empty());
+  ASSERT_TRUE(header_only.Create(path, {{"command", "explore"}}, &error)) << error;
+  auto empty = CampaignJournal::Load(path, &error);
+  ASSERT_TRUE(empty.has_value()) << error;
+  EXPECT_TRUE(empty->records().empty());
+  EXPECT_EQ(empty->Meta("command"), "explore");
+}
+
+// The three shapes the retired XML reader accepted -- a header-only XML
+// journal, a torn one, and junk in front of a self-closing header (which it
+// read as a valid empty journal) -- must all fail to load, naming the extent
+// magic. Every reader built on Load fails with them: `journal info`,
+// `journal doctor` (with and without --repair), resume and replay, each of
+// which `lfi_tool` reports as exit status 1 (a valid spec that failed to
+// run). None of them may touch the file.
+TEST(CampaignJournal, RejectsEveryNonExtentInputLoudly) {
+  const std::string header =
+      "<journal version=\"1\">\n  <meta key=\"command\" value=\"explore\" />\n"
+      "  <meta key=\"system\" value=\"pbft\" />\n  <meta key=\"strategy\" value=\"random\" "
+      "/>\n  <meta key=\"budget\" value=\"16\" />\n  <meta key=\"seed\" value=\"0x5\" />\n"
+      "</journal>\n";
+  const std::pair<const char*, std::string> shapes[] = {
+      {"header_only", header},
+      {"torn", header + "<record label=\"torn\" seed=\"0x1\">\n  <scenario>\n    <trigger id=\"x"},
+      {"junk", "junk bytes \x01\x02 here\n<journal version=\"1\"/>"},
+  };
+  for (const auto& [name, bytes] : shapes) {
+    SCOPED_TRACE(name);
+    std::string path = TempPath(StrFormat("journal_xml_%s.xml", name));
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    std::string error;
+    EXPECT_FALSE(CampaignJournal::Load(path, &error).has_value());
+    EXPECT_NE(error.find("\"LFIJ\""), std::string::npos) << error;
+    EXPECT_NE(error.find("XML journals are no longer read"), std::string::npos) << error;
+    EXPECT_FALSE(CampaignJournal::Parse(bytes).has_value());
+
+    EXPECT_FALSE(InspectJournal(path, &error).has_value());
+    EXPECT_FALSE(DiagnoseJournal(path, /*repair=*/false, &error).has_value());
+    EXPECT_FALSE(DiagnoseJournal(path, /*repair=*/true, &error).has_value());
+    for (CampaignMode mode : {CampaignMode::kResume, CampaignMode::kReplay}) {
+      CampaignSpec spec{.mode = mode, .journal_path = path};
+      ASSERT_EQ(spec.Validate(), "");
+      error.clear();
+      EXPECT_FALSE(CampaignDriver(spec).Run(&error).has_value());
+      EXPECT_NE(error.find("XML journals are no longer read"), std::string::npos) << error;
+    }
+    EXPECT_EQ(ReadFile(path), bytes);
+  }
 }
 
 // --- kill-and-resume determinism (the acceptance bar) ----------------------
@@ -386,7 +336,7 @@ TEST(CampaignJournal, TornTailAfterSelfClosingHeaderIsDropped) {
 // re-grown to the full record count.
 TEST(CampaignJournal, KillAndResumeIsBitIdenticalAtAnyWorkerCount) {
   EnsureStockTriggersRegistered();
-  std::string full_path = TempPath("journal_full.xml");
+  std::string full_path = TempPath("journal_full.lfij");
   std::remove(full_path.c_str());
 
   CampaignOutcome uninterrupted = RunSpec(PbftCoverageSpec(full_path));
@@ -401,7 +351,7 @@ TEST(CampaignJournal, KillAndResumeIsBitIdenticalAtAnyWorkerCount) {
     for (size_t keep : {size_t{0}, size_t{5}, size_t{11}}) {
       // The kill artifact: the first `keep` records, plus a torn tail.
       std::string partial_path =
-          TempPath(StrFormat("journal_partial_%d_%zu.xml", workers, keep).c_str());
+          TempPath(StrFormat("journal_partial_%d_%zu.lfij", workers, keep).c_str());
       {
         // Scoped: the journal must be closed (extent mode: sealed) before the
         // torn tail is appended and the resume below rewrites the file.
@@ -437,7 +387,7 @@ TEST(CampaignJournal, KillAndResumeIsBitIdenticalAtAnyWorkerCount) {
 // alone (what `lfi_tool resume` runs).
 TEST(CampaignJournal, ResumeReadsConfigFromHeader) {
   EnsureStockTriggersRegistered();
-  std::string path = TempPath("journal_header_resume.xml");
+  std::string path = TempPath("journal_header_resume.lfij");
   std::remove(path.c_str());
   CampaignOutcome uninterrupted = RunSpec(PbftCoverageSpec(path));
 
@@ -451,7 +401,7 @@ TEST(CampaignJournal, ResumeReadsConfigFromHeader) {
 // refused, not silently diverge.
 TEST(CampaignJournal, ResumeRejectsMismatchedCampaignIdentity) {
   EnsureStockTriggersRegistered();
-  std::string path = TempPath("journal_mismatch.xml");
+  std::string path = TempPath("journal_mismatch.lfij");
   std::remove(path.c_str());
 
   RunSpec(PbftCoverageSpec(path, /*budget=*/8));
@@ -465,7 +415,7 @@ TEST(CampaignJournal, ResumeRejectsMismatchedCampaignIdentity) {
 // An open-loop source (one drained batch) journals and resumes too.
 TEST(CampaignJournal, GitCampaignJournalsAndResumes) {
   EnsureStockTriggersRegistered();
-  std::string path = TempPath("journal_git_campaign.xml");
+  std::string path = TempPath("journal_git_campaign.lfij");
   std::remove(path.c_str());
 
   std::vector<FoundBug> uninterrupted =
@@ -478,7 +428,7 @@ TEST(CampaignJournal, GitCampaignJournalsAndResumes) {
   ASSERT_GT(full->records().size(), 4u);
 
   // Kill artifact: keep a 3-record prefix, then resume through the header.
-  std::string partial_path = TempPath("journal_git_partial.xml");
+  std::string partial_path = TempPath("journal_git_partial.lfij");
   CampaignJournal partial;
   ASSERT_TRUE(partial.Create(partial_path, full->metadata(), &error)) << error;
   for (size_t i = 0; i < 3; ++i) {
@@ -497,7 +447,7 @@ TEST(CampaignJournal, GitCampaignJournalsAndResumes) {
 // last injection (the one the run died on) is replayed alone.
 TEST(CampaignJournal, ReplayReproducesEveryJournaledCrashSiteFromDisk) {
   EnsureStockTriggersRegistered();
-  std::string path = TempPath("journal_replay.xml");
+  std::string path = TempPath("journal_replay.lfij");
   std::remove(path.c_str());
   ASSERT_FALSE(RunSpec(PbftCoverageSpec(path)).bugs.empty());
 
@@ -587,7 +537,7 @@ TEST(CampaignJournal, DoctorIdentitySurfaceRecognizesBfsAndRefusesUnknown) {
   spec.strategy = ExploreStrategy::kCoverage;
   spec.budget = 16;
   spec.seed = 9;
-  spec.journal_path = TempPath("journal_bfs_identity.xml");
+  spec.journal_path = TempPath("journal_bfs_identity.lfij");
   EXPECT_EQ(spec.Validate(), "");
 
   std::remove(spec.journal_path.c_str());
