@@ -7,10 +7,14 @@
 // of a random-strategy stream), children forked without exec, each running
 // the full CampaignDriver for its shard. The supervised arm has per-child
 // deadlines armed so the watchdog bookkeeping is actually exercised. The
-// bench asserts supervision costs < 2% wall-clock when the workload is
-// large enough for the comparison to be meaningful (>= 200 ms per rep);
-// below that floor the poll-interval quantum dominates and the number is
-// reported without gating.
+// bench asserts supervision costs < 2% wall-clock: the median, over reps,
+// of each rep's supervised/baseline ratio. A rep runs the campaign for
+// several seeds under both arms, interleaved seed by seed. The comparison
+// is only meaningful when each arm's share of a rep takes at least 200 ms,
+// and one seed's campaign is far below that (the random space saturates
+// near 216 jobs whatever the budget), so a rep whose arms still end below
+// the floor FAILS instead of going ungated. The bench sizes reps to about
+// twice the floor from the warm-up.
 //
 // It also runs one chaos schedule (a child crashed at epoch 0 with a retry)
 // and verifies the recovered merged journal is byte-identical to the
@@ -27,6 +31,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -69,9 +74,11 @@ void RemoveArtifacts(const std::string& base, size_t shards) {
   }
 }
 
-// The per-rep workload: the two dealt shards of one random-strategy pbft
+constexpr double kFloorMs = 200.0;  // below this the poll quantum dominates
+
+// One seed's workload: the two dealt shards of one random-strategy pbft
 // campaign, as child specs ready to run.
-std::vector<lfi::CampaignSpec> BuildChildren(size_t budget) {
+std::vector<lfi::CampaignSpec> BuildChildren(size_t budget, uint64_t seed) {
   std::vector<lfi::CampaignSpec> children;
   for (size_t shard = 0; shard < 2; ++shard) {
     lfi::CampaignSpec child;
@@ -79,7 +86,7 @@ std::vector<lfi::CampaignSpec> BuildChildren(size_t budget) {
     child.mode = lfi::CampaignMode::kExplore;
     child.strategy = lfi::ExploreStrategy::kRandom;
     child.budget = budget;
-    child.seed = 11;
+    child.seed = seed;
     child.workers = 1;
     child.shard_index = shard;
     child.shard_count = 2;
@@ -129,6 +136,33 @@ bool SupervisedRun(const std::vector<lfi::CampaignSpec>& children) {
   return supervisor.Run(children, &error);
 }
 
+// One seed's campaign under `arm`: its wall ms, or a negative value when a
+// child failed.
+double TimedSeed(bool (*arm)(const std::vector<lfi::CampaignSpec>&), size_t budget,
+                 uint64_t seed) {
+  auto start = std::chrono::steady_clock::now();
+  return arm(BuildChildren(budget, seed)) ? MsSince(start) : -1.0;
+}
+
+// One rep: both arms over seeds 11 .. 11+seeds-1, interleaved seed by seed
+// with the leading arm alternating, so the two sums see the same host
+// minute. False when a child failed.
+bool TimedRep(size_t budget, size_t seeds, double* supervised_ms, double* baseline_ms) {
+  *supervised_ms = 0.0;
+  *baseline_ms = 0.0;
+  for (size_t i = 0; i < seeds; ++i) {
+    for (int turn = 0; turn < 2; ++turn) {
+      bool supervised = (turn == 0) == (i % 2 == 0);
+      double ms = TimedSeed(supervised ? SupervisedRun : BaselineForkAndWait, budget, 11 + i);
+      if (ms < 0.0) {
+        return false;
+      }
+      *(supervised ? supervised_ms : baseline_ms) += ms;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -142,43 +176,50 @@ int main(int argc, char** argv) {
     budget = static_cast<size_t>(std::atoll(args.positional[1]));
   }
 
-  std::printf("shard supervision overhead: 2-shard pbft random campaign, budget %zu, "
-              "%zu rep(s) per arm\n\n",
-              budget, reps);
-
   // Warm the analysis caches (and the page cache) once so neither arm pays
-  // first-run costs; then alternate arms and compare best-of-reps -- on a
-  // loaded host per-rep child CPU swings by 20%+, and the minimum is the
-  // noise-resistant estimate of what each arm actually costs.
+  // first-run costs, then time one seed's baseline arm to size the reps.
   std::string error;
-  if (!BaselineForkAndWait(BuildChildren(budget)) || !SupervisedRun(BuildChildren(budget))) {
+  bool warm = TimedSeed(BaselineForkAndWait, budget, 11) >= 0.0 &&
+              TimedSeed(SupervisedRun, budget, 11) >= 0.0;
+  double one_seed_ms = warm ? TimedSeed(BaselineForkAndWait, budget, 11) : -1.0;
+  if (one_seed_ms < 0.0) {
     std::fprintf(stderr, "warmup failed\n");
     return 1;
   }
-  double baseline_ms = 0.0;
+  size_t seeds =
+      std::max<size_t>(1, static_cast<size_t>(std::ceil(2.0 * kFloorMs / one_seed_ms)));
+  std::printf("shard supervision overhead: 2-shard pbft random campaign, budget %zu, "
+              "%zu seed(s) per rep, %zu rep(s) per arm\n\n",
+              budget, seeds, reps);
+
+  // Each rep yields one supervised/baseline ratio and the overhead is the
+  // median ratio: the host's speed drifts within seconds (a rep's arms run
+  // back to back swing by 10% on a shared 4-vCPU VM), so only runs
+  // interleaved with each other compare like with like, and the median
+  // ignores the odd rep a load spike split.
+  double baseline_ms = 0.0;  // best rep of each arm, for the record
   double supervised_ms = 0.0;
+  std::vector<double> ratios;
   for (size_t rep = 0; rep < reps; ++rep) {
-    auto start = std::chrono::steady_clock::now();
-    if (!SupervisedRun(BuildChildren(budget))) {
-      std::fprintf(stderr, "supervised rep %zu failed\n", rep);
+    double supervised_rep = 0.0;
+    double baseline_rep = 0.0;
+    if (!TimedRep(budget, seeds, &supervised_rep, &baseline_rep)) {
+      std::fprintf(stderr, "rep %zu failed\n", rep);
       return 1;
     }
-    double supervised_rep = MsSince(start);
-    start = std::chrono::steady_clock::now();
-    if (!BaselineForkAndWait(BuildChildren(budget))) {
-      std::fprintf(stderr, "baseline rep %zu failed\n", rep);
-      return 1;
-    }
-    double baseline_rep = MsSince(start);
     baseline_ms = rep == 0 ? baseline_rep : std::min(baseline_ms, baseline_rep);
     supervised_ms = rep == 0 ? supervised_rep : std::min(supervised_ms, supervised_rep);
+    ratios.push_back(supervised_rep / baseline_rep);
   }
-  double overhead_pct = (supervised_ms - baseline_ms) / baseline_ms * 100.0;
-  bool gated = baseline_ms >= 200.0;  // below this the poll quantum dominates
+  std::sort(ratios.begin(), ratios.end());
+  double median_ratio = ratios.size() % 2 == 1
+                            ? ratios[ratios.size() / 2]
+                            : (ratios[ratios.size() / 2 - 1] + ratios[ratios.size() / 2]) / 2.0;
+  double overhead_pct = (median_ratio - 1.0) * 100.0;
+  bool above_floor = baseline_ms >= kFloorMs;
   std::printf("%-22s %10.1f ms/rep (best of %zu)\n", "fork + blocking wait", baseline_ms, reps);
   std::printf("%-22s %10.1f ms/rep (best of %zu)\n", "ShardSupervisor", supervised_ms, reps);
-  std::printf("%-22s %+10.2f %%%s\n\n", "overhead", overhead_pct,
-              gated ? "" : "  (below the 200 ms floor; not gated)");
+  std::printf("%-22s %+10.2f %% (median of %zu reps)\n\n", "overhead", overhead_pct, reps);
 
   // The recovery bar: a child crashed at epoch 0 and retried must converge
   // to the unfailed run's merged bytes.
@@ -216,18 +257,25 @@ int main(int argc, char** argv) {
   if (args.enabled) {
     std::ofstream out(args.path);
     out << lfi::StrFormat(
-        "{\"bench\":\"supervisor_overhead\",\"reps\":%zu,\"budget\":%zu,"
+        "{\"bench\":\"supervisor_overhead\",\"reps\":%zu,\"budget\":%zu,\"seeds\":%zu,"
         "\"baseline_ms\":%.1f,\"supervised_ms\":%.1f,\"overhead_pct\":%.2f,"
-        "\"gated\":%s,\"chaos_identical\":%s}\n",
-        reps, budget, baseline_ms, supervised_ms, overhead_pct, gated ? "true" : "false",
-        chaos_identical ? "true" : "false");
+        "\"above_floor\":%s,\"chaos_identical\":%s}\n",
+        reps, budget, seeds, baseline_ms, supervised_ms, overhead_pct,
+        above_floor ? "true" : "false", chaos_identical ? "true" : "false");
     std::printf("wrote %s\n", args.path.c_str());
   }
   if (!chaos_identical) {
     std::fprintf(stderr, "FAIL: chaos recovery diverged\n");
     return 1;
   }
-  if (gated && overhead_pct >= 2.0) {
+  if (!above_floor) {
+    std::fprintf(stderr,
+                 "FAIL: an arm's rep took %.1f ms, below the %.0f ms floor the 2%% bar "
+                 "needs\n",
+                 baseline_ms, kFloorMs);
+    return 1;
+  }
+  if (overhead_pct >= 2.0) {
     std::fprintf(stderr, "FAIL: supervision overhead %.2f%% >= 2%%\n", overhead_pct);
     return 1;
   }

@@ -73,7 +73,11 @@
 //                                            invariant violation
 //   lfi_tool run-spec <spec.xml>             run a serialized CampaignSpec
 //                                            (the shard orchestrator's
-//                                            parent->child wire format)
+//                                            parent->child wire format).
+//                                            Exit 78 when it refuses the
+//                                            spec (unparsable, invalid, or
+//                                            its journal records another
+//                                            campaign): never retried
 //
 // Campaign-shaped subcommands also accept the supervision options
 // --child-timeout-ms MS, --max-retries R, --backoff-ms MS (shard child
@@ -88,6 +92,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -98,6 +103,7 @@
 #include "apps/common/campaign_driver.h"
 #include "apps/common/campaign_spec.h"
 #include "apps/common/journal_inspect.h"
+#include "apps/common/shard_supervisor.h"
 #include "apps/git/git.h"
 #include "apps/httpd/httpd.h"
 #include "apps/mysql/mysql.h"
@@ -480,6 +486,12 @@ void PrintExplorationSummary(const char* command, const std::string& system,
     }
     std::printf("strategy %s, %zu scenario(s) run (budget %zu, seed %llu)\n", strategy,
                 outcome.scenarios_run, budget, (unsigned long long)seed);
+    if (outcome.shards.empty()) {
+      // Run-local accounting, deliberately absent from --json: skipped or
+      // not, the journal and the outcome are the same.
+      std::printf("jobs executed: %zu   proven inert (fault-free result reused): %zu\n",
+                  outcome.jobs_executed, outcome.jobs_proven_inert);
+    }
     std::printf("recovery blocks covered: %zu/%zu   blocks covered: %zu/%zu\n",
                 stats.covered_recovery_blocks, stats.recovery_blocks, stats.covered_blocks,
                 stats.total_blocks);
@@ -540,6 +552,9 @@ int RunSpec(const char* command, lfi::CampaignSpec spec, bool json,
   auto outcome = driver.Run(&error);
   if (!outcome) {
     std::fprintf(stderr, "%s failed: %s\n", command, error.c_str());
+    if (driver.refused() && std::strcmp(command, "run-spec") == 0) {
+      return lfi::kChildRefusedExitStatus;  // the supervisor must not retry
+    }
     return driver.spec().Validate().empty() ? 1 : 2;
   }
   switch (driver.spec().mode) {
@@ -919,7 +934,7 @@ int main(int argc, char** argv) {
     auto spec = lfi::CampaignSpec::Parse(xml, &error);
     if (!spec) {
       std::fprintf(stderr, "bad spec %s: %s\n", args[1].c_str(), error.c_str());
-      return 1;
+      return lfi::kChildRefusedExitStatus;
     }
     return RunSpec("run-spec", std::move(*spec), /*json=*/false, tool_path);
   }

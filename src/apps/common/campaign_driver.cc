@@ -352,6 +352,8 @@ CampaignOutcome FromExploration(ExplorationResult result, std::string journal_pa
   outcome.bugs = std::move(result.bugs);
   outcome.coverage = std::move(result.coverage);
   outcome.scenarios_run = result.scenarios_run;
+  outcome.jobs_executed = result.jobs_executed;
+  outcome.jobs_proven_inert = result.jobs_proven_inert;
   outcome.journal_path = std::move(journal_path);
   return outcome;
 }
@@ -359,8 +361,10 @@ CampaignOutcome FromExploration(ExplorationResult result, std::string journal_pa
 }  // namespace
 
 std::optional<CampaignOutcome> CampaignDriver::Run(std::string* error) {
+  refused_ = false;
   std::string invalid = spec_.Validate();
   if (!invalid.empty()) {
+    refused_ = true;
     return Fail(error, std::move(invalid));
   }
   // Chaos hooks, armed before anything fallible runs. The spec carries the
@@ -398,6 +402,9 @@ std::optional<CampaignOutcome> CampaignDriver::Run(std::string* error) {
         return RunReplay(error);
     }
     return Fail(error, "unreachable campaign mode");
+  } catch (const JournalRefusal& e) {
+    refused_ = true;
+    return Fail(error, e.what());
   } catch (const std::exception& e) {
     // The engine throws on unusable journals (divergence, I/O); surface it
     // as a CLI-friendly error instead of tearing down the process.
@@ -618,7 +625,13 @@ bool CampaignDriver::RunShardChildren(const std::vector<CampaignSpec>& children,
   ShardSupervisor supervisor(options,
                              [](const CampaignSpec& child, std::string* child_error) {
                                CampaignDriver driver(child);
-                               return driver.Run(child_error).has_value();
+                               if (driver.Run(child_error).has_value()) {
+                                 return true;
+                               }
+                               if (driver.refused()) {
+                                 throw ChildRefusal(*child_error);
+                               }
+                               return false;
                              });
   return supervisor.Run(children, error);
 }
@@ -638,12 +651,14 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
     for (const auto& [key, value] : spec_.ToJournalMeta()) {
       std::string recorded = journal->Meta(key, "");
       if (recorded != value) {
+        refused_ = true;
         return Fail(error, "journal " + spec_.journal_path + " records a campaign with " + key +
                            "='" + recorded + "', not '" + value + "'; resuming it would diverge");
       }
     }
     loaded = journal->records();
   } else if (std::filesystem::exists(spec_.journal_path)) {
+    refused_ = true;
     return Fail(error, "journal " + spec_.journal_path +
                        " already exists; resume it to continue the campaign, or delete it to "
                        "start fresh");

@@ -73,6 +73,12 @@ struct CampaignOutcome {
   // == runs under cold_start and always for replay). Zero for orchestrated
   // runs.
   WarmPool::Stats pool;
+  // Single-process table1/explore/resume: jobs handed to the runner, and
+  // jobs that took the fault-free baseline's result because they provably
+  // inject nothing (ExplorationResult). Never journaled, not in --json;
+  // zero for orchestrated runs.
+  size_t jobs_executed = 0;
+  size_t jobs_proven_inert = 0;
 };
 
 class CampaignDriver {
@@ -86,6 +92,12 @@ class CampaignDriver {
   void set_tool_path(std::string path) { tool_path_ = std::move(path); }
 
   const CampaignSpec& spec() const { return spec_; }
+
+  // True when the last Run() failed with a refusal that running the same
+  // spec again would repeat: the spec failed validation, or a journal on
+  // disk records a different campaign (or exists where a fresh one was
+  // asked for). The shard supervisor does not retry such a child.
+  bool refused() const { return refused_; }
 
   // Executes the spec. Returns nullopt with *error set on invalid specs,
   // unusable journals, or failed shard children; engine exceptions
@@ -114,6 +126,7 @@ class CampaignDriver {
 
   CampaignSpec spec_;
   std::string tool_path_;
+  bool refused_ = false;
 };
 
 // Merges journals through MergeJournals and reports the result as a

@@ -31,6 +31,8 @@ const char* ChildExitName(ChildExit exit) {
       return "timed-out";
     case ChildExit::kSpawnFailed:
       return "spawn-failed";
+    case ChildExit::kRefused:
+      return "refused";
   }
   return "?";
 }
@@ -49,6 +51,20 @@ CampaignSpec RespawnSpec(const CampaignSpec& spec) {
   fresh.failpoints.clear();
   fresh.resume = std::filesystem::exists(fresh.journal_path);
   return fresh;
+}
+
+// Calls `runner` in this process; a ChildRefusal becomes false with
+// *refused set and the refusal as the error.
+bool CallRunner(const ShardSupervisor::ChildRunner& runner, const CampaignSpec& spec,
+                std::string* error, bool* refused) {
+  *refused = false;
+  try {
+    return runner && runner(spec, error);
+  } catch (const ChildRefusal& refusal) {
+    *refused = true;
+    *error = refusal.what();
+    return false;
+  }
 }
 
 }  // namespace
@@ -174,12 +190,13 @@ bool ShardSupervisor::Run(const std::vector<CampaignSpec>& children, std::string
         Failpoints::Instance().Clear();
       }
       std::string child_error;
-      bool ok = runner_ && runner_(spec, &child_error);
+      bool refused = false;
+      bool ok = CallRunner(runner_, spec, &child_error, &refused);
       if (!ok) {
         std::fprintf(stderr, "shard %zu: %s\n", state.slot,
                      runner_ ? child_error.c_str() : "no in-process runner");
       }
-      std::_Exit(ok ? 0 : 1);
+      std::_Exit(ok ? 0 : refused ? kChildRefusedExitStatus : 1);
     }
     state.pid = pid;
     state.running = true;
@@ -191,11 +208,12 @@ bool ShardSupervisor::Run(const std::vector<CampaignSpec>& children, std::string
   };
 
   // A failed attempt either schedules a respawn (capped exponential
-  // backoff) or, past max_retries, marks the child permanently failed.
+  // backoff) or, past max_retries or on a refusal, marks the child
+  // permanently failed.
   std::string first_error;
   auto on_failure = [&](size_t shard, Supervised& state) {
     state.running = false;
-    if (state.attempts <= options_.max_retries) {
+    if (state.last_exit != ChildExit::kRefused && state.attempts <= options_.max_retries) {
       state.awaiting_restart = true;
       state.restart_at = Clock::now() + std::chrono::milliseconds(state.next_backoff_ms);
       std::fprintf(stderr,
@@ -273,6 +291,10 @@ bool ShardSupervisor::Run(const std::vector<CampaignSpec>& children, std::string
         } else if (WIFSIGNALED(status)) {
           state.last_exit = ChildExit::kSignaled;
           state.status = WTERMSIG(status);
+          on_failure(shard, state);
+        } else if (WIFEXITED(status) && WEXITSTATUS(status) == kChildRefusedExitStatus) {
+          state.last_exit = ChildExit::kRefused;
+          state.status = kChildRefusedExitStatus;
           on_failure(shard, state);
         } else {
           state.last_exit = ChildExit::kNonZero;
@@ -363,12 +385,15 @@ bool ShardSupervisor::Run(const std::vector<CampaignSpec>& children, std::string
   };
   std::vector<std::string> errors(children.size());
   std::vector<char> ok(children.size(), 1);
+  std::vector<char> refused(children.size(), 0);
   std::vector<std::thread> threads;
   threads.reserve(children.size());
   for (size_t shard = 0; shard < children.size(); ++shard) {
     threads.emplace_back([&, shard] {
-      if (!runner_ || !runner_(children[shard], &errors[shard])) {
+      bool child_refused = false;
+      if (!CallRunner(runner_, children[shard], &errors[shard], &child_refused)) {
         ok[shard] = 0;
+        refused[shard] = child_refused ? 1 : 0;
       }
     });
   }
@@ -381,8 +406,10 @@ bool ShardSupervisor::Run(const std::vector<CampaignSpec>& children, std::string
       Report report;
       report.shard = shard;
       report.attempts = 1;
-      report.last_exit = ok[shard] ? ChildExit::kClean : ChildExit::kNonZero;
-      report.status = ok[shard] ? 0 : 1;
+      report.last_exit = ok[shard]        ? ChildExit::kClean
+                         : refused[shard] ? ChildExit::kRefused
+                                          : ChildExit::kNonZero;
+      report.status = ok[shard] ? 0 : refused[shard] ? kChildRefusedExitStatus : 1;
       reports->push_back(report);
     }
   }
@@ -420,7 +447,8 @@ bool ShardSupervisor::RunFallback(const std::vector<CampaignSpec>& children,
     // by the degraded switch-over picks its sealed journal back up.
     CampaignSpec spec = RespawnSpec(children[shard]);
     std::string child_error;
-    bool ok = runner_(spec, &child_error);
+    bool refused = false;
+    bool ok = CallRunner(runner_, spec, &child_error, &refused);
     // The runner scopes the registry to the child it just ran; undo that so
     // the orchestrator's own (scopeless) evaluations stay unaffected.
     Failpoints::Instance().SetScope(saved_scope);
@@ -428,8 +456,10 @@ bool ShardSupervisor::RunFallback(const std::vector<CampaignSpec>& children,
       Report report;
       report.shard = shard;
       report.attempts = 1;
-      report.last_exit = ok ? ChildExit::kClean : ChildExit::kNonZero;
-      report.status = ok ? 0 : 1;
+      report.last_exit = ok        ? ChildExit::kClean
+                         : refused ? ChildExit::kRefused
+                                   : ChildExit::kNonZero;
+      report.status = ok ? 0 : refused ? kChildRefusedExitStatus : 1;
       report.ran_in_process = true;
       reports->push_back(report);
     }

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,20 @@ enum class ChildExit {
   kSignaled,     // killed by a signal (a crash)
   kTimedOut,     // exceeded its deadline; the supervisor SIGKILLed it
   kSpawnFailed,  // fork itself failed
+  kRefused,      // refused its spec deterministically; never retried
+};
+
+// Exit status of a child process that refused its spec: the spec failed
+// validation, or a journal on disk records a different campaign. Running
+// the same spec again gets the same refusal, so the supervisor fails that
+// child at its first attempt instead of backing off and respawning.
+inline constexpr int kChildRefusedExitStatus = 78;  // sysexits' EX_CONFIG
+
+// What a ChildRunner throws to report such a refusal (the child process
+// then exits with kChildRefusedExitStatus).
+class ChildRefusal : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 const char* ChildExitName(ChildExit exit);
@@ -82,6 +97,8 @@ class ShardSupervisor {
   // Runs one child campaign in the calling process: the body of a
   // fork-without-exec child, and the spawn-failure fallback. Must be
   // self-contained given the spec (CampaignDriver::Run is the one used).
+  // Returns false on a failure worth retrying; throws ChildRefusal on one
+  // that is not.
   using ChildRunner = std::function<bool(const CampaignSpec&, std::string*)>;
 
   ShardSupervisor(Options options, ChildRunner runner)

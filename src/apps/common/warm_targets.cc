@@ -29,9 +29,19 @@ std::string OutcomeFingerprint(TestController& controller, const TestOutcome& ou
 
 // The controller's runtime outlives RunTest, so the job's injection log can
 // be moved out instead of copied -- the controller dies with the core call.
-void MoveLogInto(JobResult* result, TestController& controller) {
-  if (controller.runtime() != nullptr) {
-    result->log = std::move(controller.runtime()->mutable_log());
+// A job that asks for call counts gets the runtime's count of every
+// function its scenario names.
+void TakeRuntimeInto(JobResult* result, TestController& controller, const CampaignJob& job) {
+  Runtime* runtime = controller.runtime();
+  if (runtime == nullptr) {
+    return;
+  }
+  result->log = std::move(runtime->mutable_log());
+  if (job.count_calls) {
+    CallCounts& counts = result->call_counts.emplace();
+    for (const FunctionAssoc& assoc : job.scenario.functions()) {
+      counts[assoc.function] = runtime->call_count(assoc.function);
+    }
   }
 }
 
@@ -54,7 +64,7 @@ JobResult RunGitJobOn(MiniGit& git, const CampaignJob& job) {
   result.coverage = std::move(git.coverage());
   result.fingerprint = OutcomeFingerprint(controller, outcome);
   result.injections = outcome.injections;
-  MoveLogInto(&result, controller);
+  TakeRuntimeInto(&result, controller, job);
   return result;
 }
 
@@ -76,7 +86,7 @@ JobResult RunMysqlJobOn(MiniMysql& mysql, const CampaignJob& job) {
   result.coverage = std::move(mysql.coverage());
   result.fingerprint = OutcomeFingerprint(controller, outcome);
   result.injections = outcome.injections;
-  MoveLogInto(&result, controller);
+  TakeRuntimeInto(&result, controller, job);
   return result;
 }
 
@@ -92,7 +102,7 @@ JobResult RunBindJobOn(MiniBind& bind, const CampaignJob& job) {
   result.coverage = std::move(bind.coverage());
   result.fingerprint = OutcomeFingerprint(controller, outcome);
   result.injections = outcome.injections;
-  MoveLogInto(&result, controller);
+  TakeRuntimeInto(&result, controller, job);
   return result;
 }
 
@@ -107,7 +117,7 @@ JobResult RunBindDstJobOn(MiniBind& bind, const CampaignJob& job) {
   result.coverage = std::move(bind.coverage());
   result.fingerprint = OutcomeFingerprint(controller, outcome);
   result.injections = outcome.injections;
-  MoveLogInto(&result, controller);
+  TakeRuntimeInto(&result, controller, job);
   return result;
 }
 
@@ -130,7 +140,7 @@ JobResult RunPbftJobOn(PbftCluster& cluster, const CampaignJob& job, int request
   result.coverage = cluster.Coverage();
   result.fingerprint = OutcomeFingerprint(controller, outcome);
   result.injections = outcome.injections;
-  MoveLogInto(&result, controller);
+  TakeRuntimeInto(&result, controller, job);
   return result;
 }
 
@@ -199,7 +209,7 @@ JobResult RunBfsJobOn(BfsCluster& cluster, const CampaignJob& job, int max_ticks
   result.coverage = cluster.Coverage();
   result.fingerprint = OutcomeFingerprint(controller, outcome);
   result.injections = outcome.injections;
-  MoveLogInto(&result, controller);
+  TakeRuntimeInto(&result, controller, job);
   return result;
 }
 

@@ -8,7 +8,9 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -29,9 +31,10 @@ namespace {
 class JournalHook {
  public:
   // Returns nullptr when Options carries no journal path. Throws
-  // std::runtime_error on unusable journals: create/open failures, corrupt
-  // files, or resuming a journal whose recorded campaign identity
-  // (journal_meta) differs from this run's.
+  // std::runtime_error on unusable journals (create/open failures, corrupt
+  // files), and its JournalRefusal subclass when resuming a journal whose
+  // recorded campaign identity (journal_meta) differs from this run's or
+  // starting fresh over an existing one.
   static std::unique_ptr<JournalHook> Open(const CampaignEngine::Options& options) {
     if (options.journal_path.empty()) {
       return nullptr;
@@ -48,9 +51,9 @@ class JournalHook {
       for (const auto& [key, value] : options.journal_meta) {
         std::string recorded = loaded->Meta(key, value);
         if (recorded != value) {
-          throw std::runtime_error("journal " + options.journal_path +
-                                   " records a campaign with " + key + "='" + recorded +
-                                   "', not '" + value + "'; resuming it would diverge");
+          throw JournalRefusal("journal " + options.journal_path +
+                               " records a campaign with " + key + "='" + recorded +
+                               "', not '" + value + "'; resuming it would diverge");
         }
       }
       hook->journal_ = std::move(*loaded);
@@ -63,9 +66,9 @@ class JournalHook {
       // Truncating an existing journal would silently destroy the artifact
       // resume needs -- the likeliest cause is re-running the original
       // command after a kill instead of `resume`.
-      throw std::runtime_error("journal " + options.journal_path +
-                               " already exists; resume it to continue the campaign, or "
-                               "delete it to start fresh");
+      throw JournalRefusal("journal " + options.journal_path +
+                           " already exists; resume it to continue the campaign, or "
+                           "delete it to start fresh");
     }
     // Fresh journal; a resume of a never-created file (killed before the
     // header was written) degenerates to the same thing.
@@ -156,17 +159,21 @@ class JournalHook {
 };
 
 // Runs one job, under a wall-clock watchdog when Options::job_timeout_ms is
-// set. A job past its budget is a target hung under an injected fault: the
-// worker thread is abandoned and the job reports a deterministic "hang" bug
-// -- site and fingerprint derive from the label alone, so the resulting
+// set, consulting the engine.job.run failpoint first when `job_failpoint`
+// (the fault-free baseline is not a campaign job and skips it). A job past
+// its budget is a target hung under an injected fault: the worker thread
+// is abandoned and the job reports a deterministic "hang" bug -- site and
+// fingerprint derive from the label alone, so the resulting
 // journal record is identical however long the wait actually took. Detaching
 // is safe because the thread owns copies of the job and the runner, and a
 // runner must keep alive whatever it touches: a WarmPool runner shares the
 // pool's state, so a late finisher never reaches a destroyed pool.
 JobResult ExecuteJob(const CampaignJob& job, const CampaignEngine::ResultRunner& runner,
-                     const CampaignEngine::Options& options) {
+                     const CampaignEngine::Options& options, bool job_failpoint = true) {
   if (options.job_timeout_ms == 0) {
-    FailpointFired("engine.job.run");  // hang-action failpoints park here
+    if (job_failpoint) {
+      FailpointFired("engine.job.run");  // hang-action failpoints park here
+    }
     return job.run ? job.run(job) : runner(job);
   }
   struct Watch {
@@ -177,8 +184,10 @@ JobResult ExecuteJob(const CampaignJob& job, const CampaignEngine::ResultRunner&
     JobResult result;
   };
   auto watch = std::make_shared<Watch>();
-  std::thread worker([watch, job, runner] {
-    FailpointFired("engine.job.run");  // hang-action failpoints park here
+  std::thread worker([watch, job, runner, job_failpoint] {
+    if (job_failpoint) {
+      FailpointFired("engine.job.run");  // hang-action failpoints park here
+    }
     {
       // A hang failpoint released after the watchdog fired (Failpoints::
       // Clear) must NOT run the job: its closure references engine state
@@ -211,6 +220,96 @@ JobResult ExecuteJob(const CampaignJob& job, const CampaignEngine::ResultRunner&
   return hung;
 }
 
+// Provably inert jobs (docs/architecture.md, "Provably inert jobs"): the
+// jobs of an open-loop batch whose scenarios cannot inject in the fault-free
+// run take that run's result instead of repeating it. One instance per
+// CampaignEngine::Run, so the baseline runs at most once per Run.
+class InertJobs {
+ public:
+  // Marks the jobs of `batch` from `first_live` on (past the journal replay
+  // prefix) that could be inert: not self-contained, and inert at zero
+  // calls. Only the first batch holding at least two of them is marked --
+  // two is break-even, since the baseline costs one run -- and the baseline
+  // counts every function they name.
+  void Plan(const std::vector<CampaignJob>& batch, size_t first_live) {
+    static const CallCounts kNoCalls;
+    candidates_.assign(batch.size(), false);
+    if (!functions_.empty()) {
+      return;  // an earlier batch owns the baseline
+    }
+    std::set<std::string> functions;
+    size_t count = 0;
+    for (size_t index = first_live; index < batch.size(); ++index) {
+      const CampaignJob& job = batch[index];
+      if (job.run || !ScenarioCannotInject(job.scenario, kNoCalls)) {
+        continue;
+      }
+      candidates_[index] = true;
+      ++count;
+      for (const FunctionAssoc& assoc : job.scenario.functions()) {
+        functions.insert(assoc.function);
+      }
+    }
+    if (count < 2 || functions.empty()) {
+      candidates_.assign(batch.size(), false);
+      return;
+    }
+    functions_.assign(functions.begin(), functions.end());
+  }
+
+  // The baseline's result when job `index` of the planned batch provably
+  // injects nothing; nullptr when it must run. The first candidate to ask
+  // runs the baseline on its worker; concurrent askers wait for it, so the
+  // answer never depends on scheduling.
+  const JobResult* Prove(size_t index, const CampaignJob& job,
+                         const CampaignEngine::ResultRunner& runner,
+                         const CampaignEngine::Options& options) {
+    if (!candidates_[index]) {
+      return nullptr;
+    }
+    std::call_once(baseline_once_, [&] {
+      baseline_ = RunBaseline(runner, options);
+      if (baseline_) {
+        counts_ = std::move(*baseline_->call_counts);
+        baseline_->call_counts.reset();  // out of band: never handed to a job
+      }
+    });
+    if (!baseline_ || !ScenarioCannotInject(job.scenario, counts_)) {
+      return nullptr;
+    }
+    return &*baseline_;
+  }
+
+ private:
+  // The fault-free run, on the campaign's runner and watchdog so its counts
+  // live in the jobs' count domain. Anything but a clean, counted,
+  // injection-free run disables the skip.
+  std::optional<JobResult> RunBaseline(const CampaignEngine::ResultRunner& runner,
+                                       const CampaignEngine::Options& options) const {
+    CampaignJob baseline;
+    baseline.scenario = MakeObserveScenario(functions_);
+    baseline.label = "fault-free baseline";
+    baseline.count_calls = true;
+    JobResult result;
+    try {
+      result = ExecuteJob(baseline, runner, options, /*job_failpoint=*/false);
+    } catch (...) {
+      return std::nullopt;
+    }
+    if (!result.call_counts || !result.bugs.empty() || result.injections != 0 ||
+        !result.log.empty() || !result.fingerprint.empty()) {
+      return std::nullopt;
+    }
+    return result;
+  }
+
+  std::vector<bool> candidates_;
+  std::vector<std::string> functions_;
+  std::once_flag baseline_once_;
+  std::optional<JobResult> baseline_;
+  CallCounts counts_;
+};
+
 }  // namespace
 
 void FoundBug::AppendXml(XmlNode* parent) const {
@@ -240,6 +339,9 @@ ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner
   std::atomic<bool> saturated{false};
   std::unique_ptr<JournalHook> journal = JournalHook::Open(options_);
   size_t stream_base = 0;  // global index of this batch's first job
+  InertJobs inert;
+  std::atomic<size_t> jobs_executed{0};
+  std::atomic<size_t> jobs_proven_inert{0};
 
   // Epoch mode (Options::epoch_len > 0): the source schedules open-loop
   // within an epoch -- feedback parks in `deferred` -- and receives the whole
@@ -270,11 +372,22 @@ ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner
       }
       break;
     }
+    size_t first_live = 0;  // batch index of the first job past the replay prefix
     if (journal != nullptr) {
       for (size_t index = 0; index < batch.size(); ++index) {
         journal->CheckAligned(stream_base + index, batch[index]);
       }
+      if (journal->replay_count() > stream_base) {
+        first_live = std::min(batch.size(), journal->replay_count() - stream_base);
+      }
     }
+    // Feedback-driven batches never skip: none of their jobs count as live.
+    // That includes an epoch shard child (Options::epoch set), which runs
+    // its slice of a feedback-driven schedule open-loop; its few call-count
+    // jobs sit at sites the workload keeps calling, so a baseline there is
+    // a wasted run.
+    const bool feedback_driven = source.needs_feedback() || options_.epoch != kNoEpoch;
+    inert.Plan(batch, feedback_driven ? batch.size() : first_live);
 
     // Completed jobs park their results here until every lower-index job
     // has finished; the cursor then folds them in job order. That ordered
@@ -282,12 +395,16 @@ ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner
     // max_bugs cutoff, and what each job newly covered (the cumulative map
     // grows in job order too), which is what makes N workers bit-identical
     // to one. Feedback reaches the source from here, under the merge lock.
-    std::vector<std::optional<JobResult>> pending(batch.size());
+    // A proven-inert job parks a pointer to the baseline's result, which
+    // outlives the batch, instead of a copy; every other job's result is
+    // owned by its slot.
+    std::vector<std::optional<JobResult>> owned(batch.size());
+    std::vector<const JobResult*> pending(batch.size(), nullptr);
     size_t cursor = 0;
-    auto deliver = [&](size_t index, JobResult result) {
+    auto deliver_shared = [&](size_t index, const JobResult* result) {
       std::lock_guard<std::mutex> lock(merge_mu);
-      pending[index] = std::move(result);
-      for (; cursor < batch.size() && pending[cursor].has_value(); ++cursor) {
+      pending[index] = result;
+      for (; cursor < batch.size() && pending[cursor] != nullptr; ++cursor) {
         const CampaignJob& job = batch[cursor];
         const size_t merge_index = stream_base + cursor;
         RunFeedback feedback;
@@ -307,8 +424,12 @@ ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner
         } else {
           deferred.emplace_back(job, std::move(feedback));
         }
-        pending[cursor].reset();  // the cursor never revisits a merged slot
+        owned[cursor].reset();  // the cursor never revisits a merged slot
       }
+    };
+    auto deliver = [&](size_t index, JobResult result) {
+      owned[index] = std::move(result);
+      deliver_shared(index, &*owned[index]);
     };
 
     WorkerPool::ParallelFor(options_.workers, batch.size(), [&](size_t index, int worker) {
@@ -326,6 +447,12 @@ ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner
         deliver(index, {});
         return;
       }
+      if (const JobResult* baseline = inert.Prove(index, job, runner, options_)) {
+        jobs_proven_inert.fetch_add(1, std::memory_order_relaxed);
+        deliver_shared(index, baseline);
+        return;
+      }
+      jobs_executed.fetch_add(1, std::memory_order_relaxed);
       deliver(index, ExecuteJob(job, runner, options_));
     });
 
@@ -338,7 +465,10 @@ ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner
   if (journal != nullptr) {
     journal->Finish();
   }
-  return fold.TakeResult();
+  ExplorationResult result = fold.TakeResult();
+  result.jobs_executed = jobs_executed.load();
+  result.jobs_proven_inert = jobs_proven_inert.load();
+  return result;
 }
 
 std::vector<CampaignJob> AnalyzerJobs(const Image& binary, const FaultProfile& profile,
@@ -381,6 +511,17 @@ Scenario MakeRandomScenario(const std::string& function, int64_t retval, int err
   assoc.errno_value = errno_value;
   assoc.triggers.push_back(TriggerRef{"rand", false});
   s.AddFunction(std::move(assoc));
+  return s;
+}
+
+Scenario MakeObserveScenario(const std::vector<std::string>& functions) {
+  Scenario s;
+  for (const std::string& function : functions) {
+    FunctionAssoc assoc;
+    assoc.function = function;
+    assoc.unused = true;
+    s.AddFunction(std::move(assoc));
+  }
   return s;
 }
 

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -93,6 +94,10 @@ struct JobResult {
   // recorded injection can be replayed from disk (InjectionLog::
   // ReplayScenario) without re-running the original campaign.
   InjectionLog log;
+  // Intercepted calls per scenario function, reported only for a job with
+  // CampaignJob::count_calls set (the engine's fault-free baseline); a
+  // runner that cannot count leaves it empty. Never journaled.
+  std::optional<CallCounts> call_counts;
 };
 
 // One schedulable unit: a scenario plus everything needed to attribute and
@@ -116,15 +121,31 @@ struct CampaignJob {
   // the bugs merged so far (in job order) reach the cap. Models the serial
   // campaigns' "keep fuzzing until N bugs" loops deterministically.
   bool skip_when_saturated = false;
+  // Asks the runner to report JobResult::call_counts.
+  bool count_calls = false;
 };
 
 // What a streamed run yields beyond the bug list: the union of every job's
 // coverage map and how many scenarios actually executed (gated jobs do not
-// count).
+// count). The last two split the jobs this run neither replayed from a
+// journal nor skipped at saturation: handed to the runner, or given the
+// fault-free baseline's result because they provably inject nothing (the
+// baseline run itself is neither).
 struct ExplorationResult {
   std::vector<FoundBug> bugs;
   CoverageMap coverage;
   size_t scenarios_run = 0;
+  size_t jobs_executed = 0;
+  size_t jobs_proven_inert = 0;
+};
+
+// What CampaignEngine::Run throws when it refuses a journal before running
+// anything: resuming a file that records a different campaign identity, or
+// starting fresh over an existing file. The same options always get the
+// same refusal.
+class JournalRefusal : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 class CampaignEngine {
@@ -207,6 +228,18 @@ class CampaignEngine {
   // saturation skips take effect mid-batch. Deterministic for any worker
   // count: batch boundaries, merge order, and feedback order depend only on
   // the source and the batch size.
+  //
+  // An open-loop batch with at least two jobs that could be inert (their
+  // scenarios inject nothing at zero calls, ScenarioCannotInject) runs a
+  // fault-free baseline once, through `runner` and the job watchdog: an
+  // observe-only scenario counting every function those jobs name. Each
+  // job the baseline's counts prove inert then takes a copy of the
+  // baseline's result instead of running; its merge, feedback and journal
+  // record are unchanged, because that copy is byte for byte what it would
+  // have produced. A baseline that hangs, throws, injects, finds a bug or
+  // reports no counts turns the skip off. Self-contained jobs (job.run),
+  // feedback-driven batches (epoch shard children's included) and journal
+  // replay never skip.
   ExplorationResult Run(ScenarioSource& source, const ResultRunner& runner) const;
 
   const Options& options() const { return options_; }
@@ -235,6 +268,11 @@ std::vector<CampaignJob> AnalyzerJobs(const Image& binary, const FaultProfile& p
 // (retval, errno) at `probability` on every call, stream seeded by `seed`.
 Scenario MakeRandomScenario(const std::string& function, int64_t retval, int errno_value,
                             double probability, uint64_t seed);
+
+// One observe-only (return="unused", trigger-less) association per function:
+// a scenario that injects nothing and makes the runtime count every call of
+// `functions`. The engine's fault-free baseline.
+Scenario MakeObserveScenario(const std::vector<std::string>& functions);
 
 // Fails the `count`-th call to `function` with (retval, errno): the
 // exhaustive-sweep building block (e.g. the BIND dst_lib_init malloc sweep).

@@ -62,6 +62,12 @@ DECLARE_TRIGGER(CallCountTrigger) {
  public:
   void Init(const XmlNode* init_data) override;
   bool Eval(VirtualLibc* libc, const std::string& lib_func_name, const ArgSpan& args) override;
+  // The ordinal Eval compares is the call's own count, which never exceeds
+  // the calls made: every listed ordinal past `max_evaluations` is out of
+  // reach.
+  bool CannotFire(uint64_t max_evaluations) const override {
+    return targets_.front() > max_evaluations;
+  }
 
  private:
   // Sorted 1-based call ordinals to fire on, one per <count> argument.

@@ -21,6 +21,7 @@
 #ifndef LFI_CORE_TRIGGER_H_
 #define LFI_CORE_TRIGGER_H_
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -28,6 +29,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/scenario.h"
 #include "vlib/interposer.h"
 #include "xml/xml.h"
 
@@ -57,7 +59,33 @@ class Trigger {
   // intercepted call's inline word-sized arguments.
   virtual bool Eval(VirtualLibc* libc, const std::string& lib_func_name,
                     const ArgSpan& args) = 0;
+
+  // Conservative static proof, asked of an Init()ed instance that has never
+  // been evaluated: true only when no Eval can vote yes in a run whose
+  // associated functions are intercepted at most `max_evaluations` times in
+  // total. False (the default) claims nothing. Only triggers whose verdict
+  // is a function of the call ordinal can prove anything.
+  virtual bool CannotFire(uint64_t max_evaluations) const {
+    (void)max_evaluations;
+    return false;
+  }
 };
+
+// Intercepted calls per function name in one run (Runtime::call_count).
+using CallCounts = std::map<std::string, uint64_t, std::less<>>;
+
+// True when `scenario` provably injects nothing in a run that intercepts
+// each function as often as `counts` says (absent = 0). An injecting
+// association is dead when one of its non-negated conjuncts CannotFire
+// within the summed counts of every function associated with that trigger
+// instance; short-circuiting only lowers a trigger's real evaluation count,
+// so the sum bounds it. The scenario is inert when every injecting
+// association is dead. Run with the counts of a fault-free run, this proves
+// that the scenario's run IS the fault-free run: until a first injection
+// the two are the same run, and the counts say that injection never comes.
+// That relies on trigger evaluation leaving the target untouched, which the
+// stock triggers guarantee.
+bool ScenarioCannotInject(const Scenario& scenario, const CallCounts& counts);
 
 class TriggerRegistry {
  public:

@@ -180,6 +180,61 @@ TEST(ShardSupervisor, RetriesExhaustThenFailLoudly) {
 
 #if defined(__unix__) || defined(__APPLE__)
 
+TEST(ShardSupervisor, RefusedChildFailsAtItsFirstAttempt) {
+  ShardSupervisor::Options options;
+  options.max_retries = 2;
+  options.backoff_ms = 1;
+  ShardSupervisor supervisor(options, [](const CampaignSpec&, std::string*) -> bool {
+    throw ChildRefusal("journal records another campaign");
+  });
+  std::vector<CampaignSpec> children(2);
+  children[0].journal_path = TempPath("supervisor_refused0.lfij");
+  children[1].journal_path = TempPath("supervisor_refused1.lfij");
+  std::string error;
+  std::vector<ShardSupervisor::Report> reports;
+  EXPECT_FALSE(supervisor.Run(children, &error, &reports));
+  EXPECT_NE(error.find("failed after 1 attempt(s): last attempt refused"), std::string::npos)
+      << error;
+  ASSERT_EQ(reports.size(), 2u);
+  for (const ShardSupervisor::Report& report : reports) {
+    EXPECT_EQ(report.attempts, 1u);
+    EXPECT_EQ(report.last_exit, ChildExit::kRefused);
+    EXPECT_EQ(report.status, kChildRefusedExitStatus);
+  }
+}
+
+// Stale shard artifacts of another seed: every child refuses to resume a
+// journal recording a different campaign, and nobody is respawned.
+TEST(ShardSupervisor, StaleShardArtifactsOfAnotherSeedAreNotRetried) {
+  std::string path = TempPath("supervisor_stale.lfij");
+  CampaignSpec spec;
+  spec.system = "pbft";
+  spec.mode = CampaignMode::kExplore;
+  spec.strategy = ExploreStrategy::kRandom;
+  spec.budget = 16;
+  spec.seed = 1;
+  spec.shard_count = 4;
+  spec.backoff_ms = 2000;  // a retry would show up as seconds of backoff
+  spec.journal_path = path;
+  auto remove_all = [&] {
+    std::remove(path.c_str());
+    for (size_t shard = 0; shard < 4; ++shard) {
+      std::remove(spec.ShardJournalPath(shard).c_str());
+    }
+  };
+  remove_all();
+  RunSpec(spec);
+  std::remove(path.c_str());  // keep only the seed-1 shard journals
+  spec.seed = 2;
+  std::string error;
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(CampaignDriver(spec).Run(&error).has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(1500));
+  EXPECT_NE(error.find("failed after 1 attempt(s): last attempt refused"), std::string::npos)
+      << error;
+  remove_all();
+}
+
 TEST(ShardSupervisor, DeadlineKillsHungChild) {
   ShardSupervisor::Options options;
   options.child_timeout_ms = 200;
