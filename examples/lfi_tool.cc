@@ -1,97 +1,15 @@
 // lfi_tool: the command-line face of the tool chain, operating on SimELF
 // binaries on disk exactly the way the released LFI operated on ELF files.
 //
-//   lfi_tool emit-libc <out.self>            write the libc binary to disk
-//   lfi_tool emit-app {git|bind|mysql|pbft|bfs|httpd} <out.self>
-//   lfi_tool disasm <binary.self>            disassembly listing
-//   lfi_tool profile <library.self>          fault profile XML to stdout
-//   lfi_tool analyze <app.self> <library.self> [function]
-//                                            call-site report + generated
-//                                            injection scenarios (C_not)
-//
-// Every campaign-shaped subcommand below is one CampaignSpec handed to one
-// CampaignDriver (src/apps/common); the tool only parses options and prints
-// the CampaignOutcome.
-//
-//   lfi_tool campaign {git|mysql|bind|pbft|bfs|all} [workers]
-//       [--workers W] [--exhaustive] [--journal PATH] [--json]
-//                                            the §7.1 bug campaign
-//   lfi_tool explore {git|mysql|bind|pbft|bfs}
-//       [--strategy exhaustive|random|coverage] [--budget N] [--seed S]
-//       [--workers W] [--journal PATH] [--shard I/N] [--shards N]
-//       [--epoch-len K] [--json]             feedback-driven exploration;
-//                                            --shard runs one dealt shard of
-//                                            the stream (manual multi-machine
-//                                            sharding); --shards N with the
-//                                            coverage strategy runs the
-//                                            epoch-synchronized distributed
-//                                            campaign (requires --epoch-len K
-//                                            merged batches per epoch)
-//   lfi_tool shard {git|mysql|bind|pbft|bfs} --shards N --journal PATH
-//       [--strategy exhaustive|random|coverage] [--budget N] [--seed S]
-//       [--workers W] [--epoch-len K] [--json]
-//                                            multi-process campaign: spawns N
-//                                            child lfi_tool processes, one
-//                                            per shard, then merges their
-//                                            journals into PATH (coverage
-//                                            strategy: epoch-synchronized,
-//                                            needs --epoch-len K)
-//   lfi_tool merge <out.lfij> <in.lfij...> [--json]
-//                                            merge shard journals into one
-//                                            resumable campaign journal
-//   lfi_tool resume <journal> [--workers W] [--shards N] [--json]
-//                                            continue a killed journaled
-//                                            campaign bit-identically;
-//                                            --shards N continues it as a
-//                                            multi-process orchestration
-//   lfi_tool replay <journal> [record[:injection]] [--json]
-//                                            re-inject a journaled injection
-//                                            from disk alone and check it
-//                                            reproduces the recorded crash
-//   lfi_tool journal info <path> [--json]    inspect a journal artifact,
-//                                            including a per-epoch breakdown
-//                                            for epoch-synchronized journals;
-//                                            exits nonzero if stream indexes
-//                                            fail to advance or epochs
-//                                            overlap/regress
-//   lfi_tool journal dump <path>             print a journal as XML (header
-//                                            and every record) for reading
-//                                            by eye
-//   lfi_tool journal doctor <path> [--repair] [--json]
-//                                            diagnose a journal artifact:
-//                                            torn tails, stale/missing extent
-//                                            footers, epoch invariant
-//                                            violations, a campaign identity
-//                                            naming an unknown target system,
-//                                            and orphaned shard/
-//                                            frontier artifacts. --repair
-//                                            truncates torn tails, reseals
-//                                            the footer, and removes orphans.
-//                                            Exit: 0 healthy/repaired, 1
-//                                            unreadable, 2 usage, 3
-//                                            repairable issues found, 4
-//                                            invariant violation
-//   lfi_tool run-spec <spec.xml>             run a serialized CampaignSpec
-//                                            (the shard orchestrator's
-//                                            parent->child wire format).
-//                                            Exit 78 when it refuses the
-//                                            spec (unparsable, invalid, or
-//                                            its journal records another
-//                                            campaign): never retried
-//
-// Campaign-shaped subcommands also accept the supervision options
-// --child-timeout-ms MS, --max-retries R, --backoff-ms MS (shard child
-// deadline/retry policy), --job-timeout-ms MS (per-job hang detection), and
-// --failpoints SPEC (deterministic fault injection into the orchestrator
-// itself; see src/util/failpoint.h for the spec syntax). None of these enter
-// the campaign identity.
-//
-// Journals have one on-disk encoding, the binary extent format
-// (docs/journal-format.md); the journal subcommands are thin printers over
-// src/apps/common/journal_inspect.h.
+// Run it without arguments for its usage. Every campaign-shaped subcommand
+// is one CampaignSpec handed to one CampaignDriver (src/apps/common): the
+// options are the flags of the spec's field table (campaign_spec.cc), and
+// this file only reads the positional arguments and prints outcomes. The
+// journal subcommands print what src/apps/common/journal_inspect.h returns.
+// README.md walks through the workflows.
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -149,269 +67,52 @@ int Usage() {
                "  lfi_tool disasm <binary.self>\n"
                "  lfi_tool profile <library.self>\n"
                "  lfi_tool analyze <app.self> <library.self> [function]\n"
-               "  lfi_tool campaign {git|mysql|bind|pbft|bfs|all} [workers] [--workers W]\n"
-               "                    [--exhaustive] [--journal PATH] [--json]\n"
-               "  lfi_tool explore {git|mysql|bind|pbft|bfs} [--strategy "
-               "exhaustive|random|coverage]\n"
-               "                   [--budget N] [--seed S] [--workers W] [--journal PATH]\n"
-               "                   [--shard I/N] [--shards N] [--epoch-len K] [--json]\n"
-               "  lfi_tool shard {git|mysql|bind|pbft|bfs} --shards N --journal PATH\n"
-               "                 [--strategy exhaustive|random|coverage] [--budget N]\n"
-               "                 [--seed S] [--workers W] [--epoch-len K] [--json]\n"
+               "  lfi_tool campaign {git|mysql|bind|pbft|bfs|all} [workers] [options]\n"
+               "  lfi_tool explore {git|mysql|bind|pbft|bfs} [options]\n"
+               "  lfi_tool shard {git|mysql|bind|pbft|bfs} --shards N --journal PATH [options]\n"
+               "  lfi_tool resume <journal> [options]\n"
+               "  lfi_tool replay <journal> [record[:injection]] [options]\n"
                "  lfi_tool merge <out> <in...> [--json]\n"
-               "  lfi_tool resume <journal> [--workers W] [--shards N] [--json]\n"
-               "  lfi_tool replay <journal> [record[:injection]] [--json]\n"
                "  lfi_tool journal info <path> [--json]\n"
                "  lfi_tool journal dump <path>\n"
                "  lfi_tool journal doctor <path> [--repair] [--json]\n"
-               "  lfi_tool run-spec <spec.xml>\n"
-               "campaign subcommands also accept supervision options:\n"
-               "  --child-timeout-ms MS --max-retries R --backoff-ms MS\n"
-               "  --job-timeout-ms MS --failpoints SPEC --cold-start\n");
+               "  lfi_tool run-spec <spec.xml>   (exit 78: spec refused, never retried)\n"
+               "options:\n"
+               "  --json                 machine-readable outcome\n"
+               "%s",
+               lfi::SpecFlagsUsage().c_str());
   return 2;
 }
 
-// Options shared by the campaign-shaped subcommands, parsed by the one
-// parser so every subcommand accepts the same spellings -- including --json
-// -- and rejects unknown options the same way. A bare integer is accepted as
-// the worker count (the historical `campaign <system> <workers>` form).
-struct ToolOptions {
-  int workers = 1;
-  lfi::ExploreStrategy strategy = lfi::ExploreStrategy::kExhaustive;
-  size_t budget = 0;
-  uint64_t seed = 1;
-  bool exhaustive = false;
-  std::string journal;
-  size_t shard_index = lfi::CampaignSpec::kNoShard;  // --shard I/N
-  size_t shard_count = 1;                            // --shard I/N or --shards N
-  size_t epoch_len = 0;    // --epoch-len K (epoch-synchronized coverage runs)
-  size_t abort_after = 0;  // undocumented test hook (CI kill-and-resume)
-  // Supervision policy (campaign_spec.h): shard child deadlines and
-  // retry/backoff, per-job hang detection, and deterministic failpoints.
-  uint64_t child_timeout_ms = 0;
-  size_t max_retries = 2;
-  uint64_t backoff_ms = 50;
-  uint64_t job_timeout_ms = 0;
-  std::string failpoints;
-  // --cold-start: fresh target per job (the pools' fresh-instance policy).
-  bool cold_start = false;
-  bool json = false;
-};
-
-// Parses args[start..] into `out`. Returns false (after printing the
-// offender) on unknown options or missing values.
-bool ParseToolOptions(const std::vector<std::string>& args, size_t start, ToolOptions* out) {
-  for (size_t i = start; i < args.size(); ++i) {
-    auto value = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "%s requires a value\n", flag);
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    if (args[i] == "--json") {
-      out->json = true;
-    } else if (args[i] == "--exhaustive") {
-      out->exhaustive = true;
-    } else if (args[i] == "--cold-start") {
-      out->cold_start = true;
-    } else if (args[i] == "--strategy") {
-      const std::string* v = value("--strategy");
-      if (v == nullptr) {
-        return false;
-      }
-      auto strategy = lfi::ParseExploreStrategy(*v);
-      if (!strategy) {
-        std::fprintf(stderr, "unknown strategy '%s'\n", v->c_str());
-        return false;
-      }
-      out->strategy = *strategy;
-    } else if (args[i] == "--budget") {
-      const std::string* v = value("--budget");
-      if (v == nullptr) {
-        return false;
-      }
-      auto parsed = lfi::ParseInt(*v);
-      if (!parsed || *parsed < 0) {
-        std::fprintf(stderr, "bad --budget value '%s'\n", v->c_str());
-        return false;
-      }
-      out->budget = static_cast<size_t>(*parsed);
-    } else if (args[i] == "--seed") {
-      const std::string* v = value("--seed");
-      if (v == nullptr) {
-        return false;
-      }
-      auto parsed = lfi::ParseInt(*v);
-      if (!parsed || *parsed < 0) {
-        std::fprintf(stderr, "bad --seed value '%s'\n", v->c_str());
-        return false;
-      }
-      out->seed = static_cast<uint64_t>(*parsed);
-    } else if (args[i] == "--workers") {
-      const std::string* v = value("--workers");
-      if (v == nullptr) {
-        return false;
-      }
-      auto parsed = lfi::ParseInt(*v);  // <= 0 is meaningful: one per hw thread
-      if (!parsed) {
-        std::fprintf(stderr, "bad --workers value '%s'\n", v->c_str());
-        return false;
-      }
-      out->workers = static_cast<int>(*parsed);
-    } else if (args[i] == "--journal") {
-      const std::string* v = value("--journal");
-      if (v == nullptr) {
-        return false;
-      }
-      out->journal = *v;
-    } else if (args[i] == "--shards") {
-      const std::string* v = value("--shards");
-      if (v == nullptr) {
-        return false;
-      }
-      auto parsed = lfi::ParseInt(*v);
-      if (!parsed || *parsed < 1) {
-        std::fprintf(stderr, "bad --shards value '%s'\n", v->c_str());
-        return false;
-      }
-      out->shard_count = static_cast<size_t>(*parsed);
-    } else if (args[i] == "--epoch-len") {
-      const std::string* v = value("--epoch-len");
-      if (v == nullptr) {
-        return false;
-      }
-      auto parsed = lfi::ParseInt(*v);
-      if (!parsed || *parsed < 1) {
-        std::fprintf(stderr, "bad --epoch-len value '%s'\n", v->c_str());
-        return false;
-      }
-      out->epoch_len = static_cast<size_t>(*parsed);
-    } else if (args[i] == "--shard") {
-      const std::string* v = value("--shard");
-      if (v == nullptr) {
-        return false;
-      }
-      std::vector<std::string> parts = lfi::Split(*v, '/');
-      auto index = parts.size() == 2 ? lfi::ParseInt(parts[0]) : std::nullopt;
-      auto count = parts.size() == 2 ? lfi::ParseInt(parts[1]) : std::nullopt;
-      if (!index || !count || *index < 0 || *count < 1 || *index >= *count) {
-        std::fprintf(stderr, "bad --shard value '%s' (want I/N with I < N)\n", v->c_str());
-        return false;
-      }
-      out->shard_index = static_cast<size_t>(*index);
-      out->shard_count = static_cast<size_t>(*count);
-    } else if (args[i] == "--child-timeout-ms") {
-      const std::string* v = value("--child-timeout-ms");
-      if (v == nullptr) {
-        return false;
-      }
-      auto parsed = lfi::ParseInt(*v);
-      if (!parsed || *parsed < 0) {
-        std::fprintf(stderr, "bad --child-timeout-ms value '%s'\n", v->c_str());
-        return false;
-      }
-      out->child_timeout_ms = static_cast<uint64_t>(*parsed);
-    } else if (args[i] == "--max-retries") {
-      const std::string* v = value("--max-retries");
-      if (v == nullptr) {
-        return false;
-      }
-      auto parsed = lfi::ParseInt(*v);
-      if (!parsed || *parsed < 0) {
-        std::fprintf(stderr, "bad --max-retries value '%s'\n", v->c_str());
-        return false;
-      }
-      out->max_retries = static_cast<size_t>(*parsed);
-    } else if (args[i] == "--backoff-ms") {
-      const std::string* v = value("--backoff-ms");
-      if (v == nullptr) {
-        return false;
-      }
-      auto parsed = lfi::ParseInt(*v);
-      if (!parsed || *parsed < 0) {
-        std::fprintf(stderr, "bad --backoff-ms value '%s'\n", v->c_str());
-        return false;
-      }
-      out->backoff_ms = static_cast<uint64_t>(*parsed);
-    } else if (args[i] == "--job-timeout-ms") {
-      const std::string* v = value("--job-timeout-ms");
-      if (v == nullptr) {
-        return false;
-      }
-      auto parsed = lfi::ParseInt(*v);
-      if (!parsed || *parsed < 0) {
-        std::fprintf(stderr, "bad --job-timeout-ms value '%s'\n", v->c_str());
-        return false;
-      }
-      out->job_timeout_ms = static_cast<uint64_t>(*parsed);
-    } else if (args[i] == "--failpoints") {
-      const std::string* v = value("--failpoints");
-      if (v == nullptr) {
-        return false;
-      }
-      out->failpoints = *v;
-    } else if (args[i] == "--abort-after") {
-      const std::string* v = value("--abort-after");
-      if (v == nullptr) {
-        return false;
-      }
-      auto parsed = lfi::ParseInt(*v);
-      if (!parsed || *parsed < 0) {
-        std::fprintf(stderr, "bad --abort-after value '%s'\n", v->c_str());
-        return false;
-      }
-      out->abort_after = static_cast<size_t>(*parsed);
-    } else if (auto workers = lfi::ParseInt(args[i])) {
-      out->workers = static_cast<int>(*workers);
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", args[i].c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-lfi::CampaignSpec SpecFromOptions(lfi::CampaignMode mode, const std::string& system,
-                                  const ToolOptions& options) {
-  lfi::CampaignSpec spec;
-  spec.system = system;
-  spec.mode = mode;
-  spec.strategy = options.strategy;
-  spec.exhaustive = options.exhaustive;
-  spec.budget = options.budget;
-  spec.seed = options.seed;
-  spec.workers = options.workers;
-  spec.journal_path = options.journal;
-  spec.shard_index = options.shard_index;
-  spec.shard_count = options.shard_count;
-  spec.epoch_len = options.epoch_len;
-  spec.abort_after_records = options.abort_after;
-  spec.child_timeout_ms = options.child_timeout_ms;
-  spec.max_retries = options.max_retries;
-  spec.backoff_ms = options.backoff_ms;
-  spec.job_timeout_ms = options.job_timeout_ms;
-  spec.failpoints = options.failpoints;
-  spec.cold_start = options.cold_start;
-  return spec;
+// Removes every `flag` after the subcommand name; true when there was one.
+bool TakeSwitch(std::vector<std::string>* args, const std::string& flag) {
+  auto kept_end = std::remove(args->begin() + 1, args->end(), flag);
+  bool found = kept_end != args->end();
+  args->erase(kept_end, args->end());
+  return found;
 }
 
 // --- outcome printing -------------------------------------------------------
 
+// item_json(item) for every item, comma-separated inside `brackets`.
+template <typename Items, typename Fn>
+std::string JsonList(const Items& items, Fn item_json, const char* brackets = "[]") {
+  std::string out(1, brackets[0]);
+  for (const auto& item : items) {
+    out += out.size() > 1 ? "," : "";
+    out += item_json(item);
+  }
+  return out + brackets[1];
+}
+
 // Machine-readable FoundBug records, one JSON object per bug.
 std::string BugsJson(const std::vector<lfi::FoundBug>& bugs) {
-  std::string out = "[";
-  for (size_t i = 0; i < bugs.size(); ++i) {
-    if (i > 0) {
-      out += ",";
-    }
-    out += lfi::StrFormat(
+  return JsonList(bugs, [](const lfi::FoundBug& bug) {
+    return lfi::StrFormat(
         "{\"system\":\"%s\",\"kind\":\"%s\",\"where\":\"%s\",\"injected\":\"%s\"}",
-        lfi::JsonEscape(bugs[i].system).c_str(), lfi::JsonEscape(bugs[i].kind).c_str(),
-        lfi::JsonEscape(bugs[i].where).c_str(), lfi::JsonEscape(bugs[i].injected).c_str());
-  }
-  out += "]";
-  return out;
+        lfi::JsonEscape(bug.system).c_str(), lfi::JsonEscape(bug.kind).c_str(),
+        lfi::JsonEscape(bug.where).c_str(), lfi::JsonEscape(bug.injected).c_str());
+  });
 }
 
 void PrintBugTable(const std::vector<lfi::FoundBug>& bugs) {
@@ -433,22 +134,14 @@ std::string CoverageJson(const lfi::CoverageMap& coverage) {
 }
 
 std::string ShardsJson(const std::vector<lfi::MergeInputStats>& shards) {
-  std::string out = "[";
-  for (size_t i = 0; i < shards.size(); ++i) {
-    if (i > 0) {
-      out += ",";
-    }
-    out += lfi::StrFormat(
+  return JsonList(shards, [](const lfi::MergeInputStats& shard) {
+    return lfi::StrFormat(
         "{\"shard\":%lld,\"journal\":\"%s\",\"records\":%zu,"
         "\"scenarios_run\":%zu,\"bugs\":%zu}",
-        shards[i].shard_index == static_cast<size_t>(-1)
-            ? -1LL
-            : static_cast<long long>(shards[i].shard_index),
-        lfi::JsonEscape(shards[i].path).c_str(), shards[i].records, shards[i].scenarios_run,
-        shards[i].bugs);
-  }
-  out += "]";
-  return out;
+        shard.shard_index == static_cast<size_t>(-1) ? -1LL
+                                                      : static_cast<long long>(shard.shard_index),
+        lfi::JsonEscape(shard.path).c_str(), shard.records, shard.scenarios_run, shard.bugs);
+  });
 }
 
 void PrintShardTable(const std::vector<lfi::MergeInputStats>& shards) {
@@ -461,9 +154,13 @@ void PrintShardTable(const std::vector<lfi::MergeInputStats>& shards) {
   }
 }
 
-void PrintExplorationSummary(const char* command, const std::string& system,
-                             const char* strategy, size_t budget, uint64_t seed,
+void PrintExplorationSummary(const char* command, const lfi::CampaignSpec& spec,
                              const lfi::CampaignOutcome& outcome, bool json) {
+  // Table 1 journals record no strategy or seed; resume and merge have
+  // always summarized them as strategy "campaign", seed 0.
+  bool table1 = spec.mode == lfi::CampaignMode::kTable1;
+  const char* strategy = table1 ? "campaign" : lfi::ExploreStrategyName(spec.strategy);
+  unsigned long long seed = table1 ? 0 : spec.seed;
   lfi::CoverageMap::Stats stats = outcome.coverage.ComputeStats();
   if (json) {
     std::string extra;
@@ -476,7 +173,7 @@ void PrintExplorationSummary(const char* command, const std::string& system,
         "{\"command\":\"%s\",\"system\":\"%s\",\"strategy\":\"%s\","
         "\"budget\":%zu,\"seed\":%llu,\"scenarios_run\":%zu,"
         "\"coverage\":%s,\"bugs\":%s,\"count\":%zu%s}\n",
-        command, lfi::JsonEscape(system).c_str(), strategy, budget, (unsigned long long)seed,
+        command, lfi::JsonEscape(spec.system).c_str(), strategy, spec.budget, seed,
         outcome.scenarios_run, CoverageJson(outcome.coverage).c_str(),
         BugsJson(outcome.bugs).c_str(), outcome.bugs.size(), extra.c_str());
   } else {
@@ -485,7 +182,7 @@ void PrintExplorationSummary(const char* command, const std::string& system,
       std::printf("merged journal: %s\n", outcome.journal_path.c_str());
     }
     std::printf("strategy %s, %zu scenario(s) run (budget %zu, seed %llu)\n", strategy,
-                outcome.scenarios_run, budget, (unsigned long long)seed);
+                outcome.scenarios_run, spec.budget, seed);
     if (outcome.shards.empty()) {
       // Run-local accounting, deliberately absent from --json: skipped or
       // not, the journal and the outcome are the same.
@@ -500,45 +197,48 @@ void PrintExplorationSummary(const char* command, const std::string& system,
 }
 
 int PrintReplayOutcome(const lfi::CampaignOutcome& outcome, bool json) {
-  std::string system = lfi::MetaValue(outcome.metadata, "system", "");
-  std::string replays_json = "[";
-  for (size_t i = 0; i < outcome.replays.size(); ++i) {
-    const lfi::ReplayOutcome& replay = outcome.replays[i];
-    if (json) {
-      if (i > 0) {
-        replays_json += ",";
-      }
-      replays_json += lfi::StrFormat(
+  if (json) {
+    std::string replays_json = JsonList(outcome.replays, [](const lfi::ReplayOutcome& replay) {
+      return lfi::StrFormat(
           "{\"record\":%zu,\"injection\":%zu,\"function\":\"%s\",\"call\":%llu,"
           "\"crashed\":%s,\"where\":\"%s\",\"reproduced\":%s}",
           replay.record, replay.injection, lfi::JsonEscape(replay.function).c_str(),
           static_cast<unsigned long long>(replay.call_number),
           replay.crashed ? "true" : "false", lfi::JsonEscape(replay.where).c_str(),
           replay.informational ? "null" : (replay.reproduced ? "true" : "false"));
-    } else {
-      std::printf("record %zu injection %zu: %s call %llu -> %s%s\n", replay.record,
-                  replay.injection, replay.function.c_str(),
-                  static_cast<unsigned long long>(replay.call_number),
-                  replay.crashed ? ("crash at " + replay.where).c_str() : "no crash",
-                  !replay.informational
-                      ? (replay.reproduced ? " [reproduced]" : " [MISMATCH]")
-                  : replay.distributed && replay.recorded_bug
-                      ? " [distributed record: informational]"
-                      : "");
-    }
-  }
-  replays_json += "]";
-  if (json) {
+    });
     std::printf(
         "{\"command\":\"replay\",\"system\":\"%s\",\"replays\":%s,"
         "\"expected\":%zu,\"reproduced\":%zu}\n",
-        lfi::JsonEscape(system).c_str(), replays_json.c_str(), outcome.replays_expected,
-        outcome.replays_reproduced);
-  } else {
-    std::printf("%zu/%zu recorded crash site(s) reproduced from disk\n",
-                outcome.replays_reproduced, outcome.replays_expected);
+        lfi::JsonEscape(lfi::MetaValue(outcome.metadata, "system", "")).c_str(),
+        replays_json.c_str(), outcome.replays_expected, outcome.replays_reproduced);
+    return outcome.ok ? 0 : 1;
   }
+  for (const lfi::ReplayOutcome& replay : outcome.replays) {
+    std::printf("record %zu injection %zu: %s call %llu -> %s%s\n", replay.record,
+                replay.injection, replay.function.c_str(),
+                static_cast<unsigned long long>(replay.call_number),
+                replay.crashed ? ("crash at " + replay.where).c_str() : "no crash",
+                !replay.informational ? (replay.reproduced ? " [reproduced]" : " [MISMATCH]")
+                : replay.distributed && replay.recorded_bug
+                    ? " [distributed record: informational]"
+                    : "");
+  }
+  std::printf("%zu/%zu recorded crash site(s) reproduced from disk\n",
+              outcome.replays_reproduced, outcome.replays_expected);
   return outcome.ok ? 0 : 1;
+}
+
+// resume and merge summarize the campaign their journal header records.
+int PrintJournalSummary(const char* command, const lfi::CampaignOutcome& outcome, bool json) {
+  std::string error;
+  auto identity = lfi::CampaignSpec::FromJournalMeta(outcome.metadata, &error);
+  if (!identity) {
+    std::fprintf(stderr, "%s failed: %s\n", command, error.c_str());
+    return 1;
+  }
+  PrintExplorationSummary(command, *identity, outcome, json);
+  return 0;
 }
 
 // Runs a spec through the driver and prints its outcome in the shape the
@@ -568,62 +268,17 @@ int RunSpec(const char* command, lfi::CampaignSpec spec, bool json,
       }
       return 0;
     case lfi::CampaignMode::kExplore:
-      PrintExplorationSummary(command, driver.spec().system,
-                              lfi::ExploreStrategyName(driver.spec().strategy),
-                              driver.spec().budget, driver.spec().seed, *outcome, json);
+      PrintExplorationSummary(command, driver.spec(), *outcome, json);
       return 0;
-    case lfi::CampaignMode::kResume: {
-      // The campaign identity comes from the journal header (that is the
-      // point of resume); "campaign" doubles as the strategy name for
-      // table1-mode journals, as it always has.
-      const lfi::JournalMetadata& meta = outcome->metadata;
-      std::string strategy =
-          lfi::MetaValue(meta, "strategy", lfi::MetaValue(meta, "command", "campaign"));
-      size_t budget = static_cast<size_t>(
-          std::strtoull(lfi::MetaValue(meta, "budget", "0").c_str(), nullptr, 0));
-      uint64_t seed = std::strtoull(lfi::MetaValue(meta, "seed", "0").c_str(), nullptr, 0);
-      PrintExplorationSummary(command, lfi::MetaValue(meta, "system", "?"), strategy.c_str(),
-                              budget, seed, *outcome, json);
-      return 0;
-    }
+    case lfi::CampaignMode::kResume:
+      return PrintJournalSummary(command, *outcome, json);
     case lfi::CampaignMode::kReplay:
       return PrintReplayOutcome(*outcome, json);
   }
   return 0;
 }
 
-int RunMergeCommand(const std::vector<std::string>& args, size_t start) {
-  std::vector<std::string> inputs;
-  ToolOptions options;
-  size_t i = start + 1;
-  for (; i < args.size() && !lfi::StartsWith(args[i], "--"); ++i) {
-    inputs.push_back(args[i]);
-  }
-  if (!ParseToolOptions(args, i, &options)) {
-    return Usage();
-  }
-  if (inputs.empty()) {
-    std::fprintf(stderr, "merge needs at least one input journal\n");
-    return Usage();
-  }
-  std::string error;
-  auto outcome = lfi::MergeCampaignJournals(inputs, args[start], &error);
-  if (!outcome) {
-    std::fprintf(stderr, "merge failed: %s\n", error.c_str());
-    return 1;
-  }
-  std::string strategy = lfi::MetaValue(
-      outcome->metadata, "strategy", lfi::MetaValue(outcome->metadata, "command", "campaign"));
-  size_t budget = static_cast<size_t>(
-      std::strtoull(lfi::MetaValue(outcome->metadata, "budget", "0").c_str(), nullptr, 0));
-  uint64_t seed =
-      std::strtoull(lfi::MetaValue(outcome->metadata, "seed", "0").c_str(), nullptr, 0);
-  PrintExplorationSummary("merge", lfi::MetaValue(outcome->metadata, "system", "?"),
-                          strategy.c_str(), budget, seed, *outcome, options.json);
-  return 0;
-}
-
-int RunJournalInfoCommand(const std::string& path, const ToolOptions& options) {
+int RunJournalInfoCommand(const std::string& path, bool json) {
   std::string error;
   auto info = lfi::InspectJournal(path, &error);
   if (!info) {
@@ -634,29 +289,21 @@ int RunJournalInfoCommand(const std::string& path, const ToolOptions& options) {
     std::fprintf(stderr, "invalid journal %s: %s\n", path.c_str(), info->violation.c_str());
     return 1;
   }
-  if (options.json) {
-    std::string meta_json = "{";
-    for (size_t i = 0; i < info->meta.size(); ++i) {
-      if (i > 0) {
-        meta_json += ",";
-      }
-      meta_json += lfi::StrFormat("\"%s\":\"%s\"", lfi::JsonEscape(info->meta[i].first).c_str(),
-                                  lfi::JsonEscape(info->meta[i].second).c_str());
-    }
-    meta_json += "}";
-    std::string epochs_json = "[";
-    for (size_t i = 0; i < info->epochs.size(); ++i) {
-      const lfi::EpochSummary& row = info->epochs[i];
-      if (i > 0) {
-        epochs_json += ",";
-      }
-      epochs_json += lfi::StrFormat(
+  if (json) {
+    std::string meta_json = JsonList(
+        info->meta,
+        [](const auto& entry) {
+          return lfi::StrFormat("\"%s\":\"%s\"", lfi::JsonEscape(entry.first).c_str(),
+                                lfi::JsonEscape(entry.second).c_str());
+        },
+        "{}");
+    std::string epochs_json = JsonList(info->epochs, [](const lfi::EpochSummary& row) {
+      return lfi::StrFormat(
           "{\"epoch\":%zu,\"records\":%zu,\"gated\":%zu,\"new_bugs\":%zu,"
           "\"new_recovery_blocks\":%zu,\"new_blocks\":%zu}",
           row.epoch, row.records, row.gated, row.new_bugs, row.new_recovery_blocks,
           row.new_blocks);
-    }
-    epochs_json += "]";
+    });
     std::printf(
         "{\"command\":\"journal-info\",\"path\":\"%s\",\"meta\":%s,"
         "\"records\":%zu,\"gated\":%zu,\"scenarios_run\":%zu,\"injections\":%zu,"
@@ -688,7 +335,7 @@ int RunJournalInfoCommand(const std::string& path, const ToolOptions& options) {
   return 0;
 }
 
-int RunJournalDoctorCommand(const std::string& path, bool repair, const ToolOptions& options) {
+int RunJournalDoctorCommand(const std::string& path, bool repair, bool json) {
   std::string error;
   auto report = lfi::DiagnoseJournal(path, repair, &error);
   if (!report) {
@@ -698,19 +345,13 @@ int RunJournalDoctorCommand(const std::string& path, bool repair, const ToolOpti
   if (!report->violation.empty()) {
     std::fprintf(stderr, "invalid journal %s: %s\n", path.c_str(), report->violation.c_str());
   }
-  if (options.json) {
-    std::string issues_json = "[";
-    for (size_t i = 0; i < report->issues.size(); ++i) {
-      const lfi::DoctorIssue& issue = report->issues[i];
-      if (i > 0) {
-        issues_json += ",";
-      }
-      issues_json += lfi::StrFormat(
+  if (json) {
+    std::string issues_json = JsonList(report->issues, [](const lfi::DoctorIssue& issue) {
+      return lfi::StrFormat(
           "{\"kind\":\"%s\",\"detail\":\"%s\",\"repairable\":%s,\"repaired\":%s}",
           lfi::JsonEscape(issue.kind).c_str(), lfi::JsonEscape(issue.detail).c_str(),
           issue.repairable ? "true" : "false", issue.repaired ? "true" : "false");
-    }
-    issues_json += "]";
+    });
     std::printf(
         "{\"command\":\"journal-doctor\",\"path\":\"%s\",\"format\":\"extent\","
         "\"records\":%zu,\"intact_bytes\":%zu,\"file_bytes\":%llu,\"sealed\":%s,"
@@ -739,17 +380,6 @@ int RunJournalDoctorCommand(const std::string& path, bool repair, const ToolOpti
   return report->ExitCode();
 }
 
-int RunJournalDumpCommand(const std::string& path) {
-  std::string error;
-  auto text = lfi::DumpJournal(path, &error);
-  if (!text) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
-  }
-  std::fwrite(text->data(), 1, text->size(), stdout);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -771,26 +401,19 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (cmd == "emit-app" && args.size() == 3) {
-    const lfi::AppBinary* binary = nullptr;
-    if (args[1] == "git") {
-      binary = &lfi::GitBinary();
-    } else if (args[1] == "bind") {
-      binary = &lfi::BindBinary();
-    } else if (args[1] == "mysql") {
-      binary = &lfi::MysqlBinary();
-    } else if (args[1] == "pbft") {
-      binary = &lfi::PbftBinary();
-    } else if (args[1] == "bfs") {
-      binary = &lfi::BfsBinary();
-    } else if (args[1] == "httpd") {
-      binary = &lfi::HttpdBinary();
-    } else {
+    const std::pair<const char*, const lfi::AppBinary& (*)()> kApps[] = {
+        {"git", lfi::GitBinary},   {"bind", lfi::BindBinary}, {"mysql", lfi::MysqlBinary},
+        {"pbft", lfi::PbftBinary}, {"bfs", lfi::BfsBinary},   {"httpd", lfi::HttpdBinary}};
+    auto app = std::find_if(std::begin(kApps), std::end(kApps),
+                            [&](const auto& entry) { return args[1] == entry.first; });
+    if (app == std::end(kApps)) {
       return Usage();
     }
-    if (!WriteFileBytes(args[2], binary->image().Serialize())) {
+    const lfi::AppBinary& binary = app->second();
+    if (!WriteFileBytes(args[2], binary.image().Serialize())) {
       return 1;
     }
-    std::printf("wrote %s (%zu call sites)\n", args[2].c_str(), binary->sites().size());
+    std::printf("wrote %s (%zu call sites)\n", args[2].c_str(), binary.sites().size());
     return 0;
   }
   if (cmd == "disasm" && args.size() == 2) {
@@ -845,83 +468,15 @@ int main(int argc, char** argv) {
 
   // --- campaign-shaped subcommands: spec parsing + one driver call ----------
 
-  if ((cmd == "campaign" || cmd == "explore" || cmd == "shard") && args.size() >= 2) {
-    ToolOptions options;
-    if (!ParseToolOptions(args, 2, &options)) {
-      return Usage();
-    }
-    lfi::CampaignMode mode =
-        cmd == "campaign" ? lfi::CampaignMode::kTable1 : lfi::CampaignMode::kExplore;
-    lfi::CampaignSpec spec = SpecFromOptions(mode, args[1], options);
-    if (cmd == "shard" && spec.shard_index != lfi::CampaignSpec::kNoShard) {
-      // Accepting --shard here would silently run one shard's fraction of
-      // the campaign into the merged-journal path and exit 0.
-      std::fprintf(stderr,
-                   "shard orchestrates every shard; use --shards N (run a single shard "
-                   "by hand with `explore --shard I/N`)\n");
-      return Usage();
-    }
-    if (cmd == "shard" && spec.shard_count < 2) {
-      std::fprintf(stderr, "shard needs --shards N (N >= 2)\n");
-      return Usage();
-    }
-    return RunSpec(cmd.c_str(), std::move(spec), options.json, tool_path);
-  }
-  if (cmd == "resume" && args.size() >= 2) {
-    ToolOptions options;
-    if (!ParseToolOptions(args, 2, &options)) {
-      return Usage();
-    }
-    lfi::CampaignSpec spec = SpecFromOptions(lfi::CampaignMode::kResume, "", options);
-    spec.journal_path = args[1];
-    return RunSpec("resume", std::move(spec), options.json, tool_path);
-  }
-  if (cmd == "replay" && args.size() >= 2) {
-    // The optional positional selector must precede any options.
-    std::string selector;
-    size_t start = 2;
-    if (args.size() >= 3 && !lfi::StartsWith(args[2], "--")) {
-      selector = args[2];
-      start = 3;
-    }
-    ToolOptions options;
-    if (!ParseToolOptions(args, start, &options)) {
-      return Usage();
-    }
-    lfi::CampaignSpec spec = SpecFromOptions(lfi::CampaignMode::kReplay, "", options);
-    spec.journal_path = args[1];
-    spec.replay_selector = selector;
-    return RunSpec("replay", std::move(spec), options.json, tool_path);
-  }
-  if (cmd == "merge" && args.size() >= 3) {
-    return RunMergeCommand(args, 1);
-  }
-  if (cmd == "journal" && args.size() >= 3 && args[1] == "info") {
-    ToolOptions options;
-    if (!ParseToolOptions(args, 3, &options)) {
-      return Usage();
-    }
-    return RunJournalInfoCommand(args[2], options);
-  }
   if (cmd == "journal" && args.size() == 3 && args[1] == "dump") {
-    return RunJournalDumpCommand(args[2]);
-  }
-  if (cmd == "journal" && args.size() >= 3 && args[1] == "doctor") {
-    // --repair is doctor-only; strip it before the shared option parser.
-    bool repair = false;
-    std::vector<std::string> rest;
-    for (size_t i = 3; i < args.size(); ++i) {
-      if (args[i] == "--repair") {
-        repair = true;
-      } else {
-        rest.push_back(args[i]);
-      }
+    std::string error;
+    auto text = lfi::DumpJournal(args[2], &error);
+    if (!text) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 1;
     }
-    ToolOptions options;
-    if (!ParseToolOptions(rest, 0, &options)) {
-      return Usage();
-    }
-    return RunJournalDoctorCommand(args[2], repair, options);
+    std::fwrite(text->data(), 1, text->size(), stdout);
+    return 0;
   }
   if (cmd == "run-spec" && args.size() == 2) {
     std::ifstream in(args[1]);
@@ -937,6 +492,82 @@ int main(int argc, char** argv) {
       return lfi::kChildRefusedExitStatus;
     }
     return RunSpec("run-spec", std::move(*spec), /*json=*/false, tool_path);
+  }
+  // Every other subcommand takes --json (and doctor --repair) anywhere, and
+  // the spec flags after its positional arguments.
+  bool json = TakeSwitch(&args, "--json");
+  bool doctor = cmd == "journal" && args.size() >= 3 && args[1] == "doctor";
+  bool repair = doctor && TakeSwitch(&args, "--repair");
+  lfi::CampaignSpec spec;
+  auto parse_flags = [&](size_t start) {
+    std::string error;
+    if (!lfi::ParseSpecFlags(args, start, &spec, &error)) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return false;
+    }
+    return true;
+  };
+
+  if ((cmd == "campaign" || cmd == "explore" || cmd == "shard") && args.size() >= 2) {
+    if (!parse_flags(2)) {
+      return Usage();
+    }
+    spec.system = args[1];
+    spec.mode = cmd == "campaign" ? lfi::CampaignMode::kTable1 : lfi::CampaignMode::kExplore;
+    if (cmd == "shard" && spec.shard_index != lfi::CampaignSpec::kNoShard) {
+      // Accepting --shard here would silently run one shard's fraction of
+      // the campaign into the merged-journal path and exit 0.
+      std::fprintf(stderr,
+                   "shard orchestrates every shard; use --shards N (run a single shard "
+                   "by hand with `explore --shard I/N`)\n");
+      return Usage();
+    }
+    if (cmd == "shard" && spec.shard_count < 2) {
+      std::fprintf(stderr, "shard needs --shards N (N >= 2)\n");
+      return Usage();
+    }
+    return RunSpec(cmd.c_str(), std::move(spec), json, tool_path);
+  }
+  if ((cmd == "resume" || cmd == "replay") && args.size() >= 2) {
+    // replay's optional positional selector must precede any options.
+    size_t start = 2;
+    if (cmd == "replay" && args.size() >= 3 && !lfi::StartsWith(args[2], "--")) {
+      spec.replay_selector = args[start++];
+    }
+    if (!parse_flags(start)) {
+      return Usage();
+    }
+    spec.mode = cmd == "resume" ? lfi::CampaignMode::kResume : lfi::CampaignMode::kReplay;
+    spec.journal_path = args[1];
+    return RunSpec(cmd.c_str(), std::move(spec), json, tool_path);
+  }
+  if (cmd == "merge" && args.size() >= 3) {
+    size_t start = 2;
+    while (start < args.size() && !lfi::StartsWith(args[start], "--")) {
+      ++start;
+    }
+    if (!parse_flags(start)) {
+      return Usage();
+    }
+    if (start == 2) {
+      std::fprintf(stderr, "merge needs at least one input journal\n");
+      return Usage();
+    }
+    std::string error;
+    auto outcome =
+        lfi::MergeCampaignJournals({args.begin() + 2, args.begin() + start}, args[1], &error);
+    if (!outcome) {
+      std::fprintf(stderr, "merge failed: %s\n", error.c_str());
+      return 1;
+    }
+    return PrintJournalSummary("merge", *outcome, json);
+  }
+  if (cmd == "journal" && args.size() >= 3 && (args[1] == "info" || doctor)) {
+    if (!parse_flags(3)) {
+      return Usage();
+    }
+    return doctor ? RunJournalDoctorCommand(args[2], repair, json)
+                  : RunJournalInfoCommand(args[2], json);
   }
   return Usage();
 }

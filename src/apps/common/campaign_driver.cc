@@ -49,15 +49,11 @@ const FaultProfile& CachedLibxmlProfile() {
 // receive the campaign's ExecutionLayer so self-contained jobs (job.run) plug
 // into its pools too.
 
-std::vector<CampaignJob> GitTable1Jobs(bool exhaustive, const ExecutionLayer& exec) {
-  (void)exhaustive;
-  (void)exec;
+std::vector<CampaignJob> GitTable1Jobs(bool /*exhaustive*/, const ExecutionLayer& /*exec*/) {
   return AnalyzerJobs(GitBinary().image(), CachedLibcProfile());
 }
 
-std::vector<CampaignJob> MysqlTable1Jobs(bool exhaustive, const ExecutionLayer& exec) {
-  (void)exhaustive;
-  (void)exec;
+std::vector<CampaignJob> MysqlTable1Jobs(bool /*exhaustive*/, const ExecutionLayer& /*exec*/) {
   const FaultProfile& profile = CachedLibcProfile();
 
   // Phase 1: analyzer-generated scenarios.
@@ -81,9 +77,7 @@ std::vector<CampaignJob> MysqlTable1Jobs(bool exhaustive, const ExecutionLayer& 
   return jobs;
 }
 
-std::vector<CampaignJob> BindTable1Jobs(bool exhaustive, const ExecutionLayer& exec) {
-  (void)exhaustive;
-
+std::vector<CampaignJob> BindTable1Jobs(bool /*exhaustive*/, const ExecutionLayer& exec) {
   // Analyzer scenarios against both library profiles.
   std::vector<CampaignJob> jobs = AnalyzerJobs(BindBinary().image(), CachedLibcProfile());
   for (CampaignJob& job : AnalyzerJobs(BindBinary().image(), CachedLibxmlProfile())) {
@@ -436,7 +430,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunCampaign(std::string* error) {
   }
 
   const SystemEntry* entry = FindSystem(spec_.system);
-  ExecutionLayer exec(spec_.system, spec_.mode == CampaignMode::kExplore, spec_.cold_start);
+  ExecutionLayer exec(spec_.system, spec_.mode, spec_.cold_start);
   std::unique_ptr<SpecSource> source = MakeSpecSource(spec_, *entry, exec, error);
   if (source == nullptr) {
     return std::nullopt;
@@ -464,22 +458,12 @@ std::optional<CampaignOutcome> CampaignDriver::RunResume(std::string* error) {
   if (!recorded) {
     return std::nullopt;
   }
-  recorded->workers = spec_.workers;
-  recorded->journal_path = spec_.journal_path;
+  // Identity from the journal, environment from this invocation: workers,
+  // the shard count (`resume --shards N` resumes a journal as a distributed
+  // campaign again), supervision policy -- a resume never inherits the
+  // killed run's failpoints -- and the journal path itself.
+  recorded->AdoptEnvironment(spec_);
   recorded->resume = true;
-  // `resume --shards N` resumes a journal as a distributed campaign again
-  // (the journal's identity doesn't record the shard count -- it is an
-  // execution choice, not part of the identity).
-  recorded->shard_count = spec_.shard_count;
-  recorded->abort_after_records = spec_.abort_after_records;
-  // Supervision policy is environment, not identity: the resuming run's
-  // flags win, and a resume never inherits the killed run's failpoints.
-  recorded->child_timeout_ms = spec_.child_timeout_ms;
-  recorded->max_retries = spec_.max_retries;
-  recorded->backoff_ms = spec_.backoff_ms;
-  recorded->job_timeout_ms = spec_.job_timeout_ms;
-  recorded->cold_start = spec_.cold_start;
-  recorded->failpoints = spec_.failpoints;
   CampaignDriver driver(*recorded);
   auto outcome = driver.Run(error);
   if (outcome) {
@@ -493,17 +477,19 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
   if (!journal) {
     return std::nullopt;
   }
-  std::string system = journal->Meta("system", "");
-  if (FindSystem(system) == nullptr) {
-    return Fail(error, "journal names unknown system '" + system + "'");
+  auto recorded = CampaignSpec::FromJournalMeta(journal->metadata(), error);
+  if (!recorded) {
+    return std::nullopt;
+  }
+  if (FindSystem(recorded->system) == nullptr) {
+    return Fail(error, "journal names unknown system '" + recorded->system + "'");
   }
   // Replay runs through the pools of the recorded campaign's workload, like
   // any other job, but always under the fresh-instance policy: each record is
   // reproduced on a newly built target, as a logged scenario is replayed in a
   // fresh process, so no replay can inherit another's state. Its cost is
   // bring-up per record whether or not --cold-start is given.
-  bool explore_workload = journal->Meta("command", "explore") != "campaign";
-  ExecutionLayer exec(system, explore_workload, /*cold_start=*/true);
+  ExecutionLayer exec(recorded->system, recorded->mode, /*cold_start=*/true);
   CampaignEngine::ResultRunner runner = exec.runner();
 
   // Which journaled injections to replay: every record that injected, or
@@ -519,28 +505,22 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
   const std::vector<JournalRecord>& records = journal->records();
   if (!spec_.replay_selector.empty()) {
     std::vector<std::string> parts = Split(spec_.replay_selector, ':');
-    auto record = ParseInt(parts[0]);
-    if (!record || parts.size() > 2 || *record < 0 ||
-        static_cast<size_t>(*record) >= records.size()) {
+    std::optional<uint64_t> record = ParseUint(parts[0]);
+    if (!record || parts.size() > 2 || *record >= records.size()) {
       return Fail(error, StrFormat("bad record selector '%s' (journal has %zu records)",
                                    spec_.replay_selector.c_str(), records.size()));
     }
     const InjectionLog& log = records[*record].result.log;
     if (log.empty()) {
-      return Fail(error, StrFormat("record %lld injected nothing; nothing to replay",
-                                   static_cast<long long>(*record)));
+      return Fail(error, StrFormat("record %llu injected nothing; nothing to replay",
+                                   static_cast<unsigned long long>(*record)));
     }
-    size_t injection = log.size() - 1;
-    bool whole_record = parts.size() != 2;
-    if (parts.size() == 2) {
-      auto parsed = ParseInt(parts[1]);
-      if (!parsed || *parsed < 0 || static_cast<size_t>(*parsed) >= log.size()) {
-        return Fail(error, StrFormat("record %lld has %zu injection(s)",
-                                     static_cast<long long>(*record), log.size()));
-      }
-      injection = static_cast<size_t>(*parsed);
+    std::optional<uint64_t> injection = parts.size() == 2 ? ParseUint(parts[1]) : log.size() - 1;
+    if (!injection || *injection >= log.size()) {
+      return Fail(error, StrFormat("record %llu has %zu injection(s)",
+                                   static_cast<unsigned long long>(*record), log.size()));
     }
-    targets.push_back({static_cast<size_t>(*record), injection, whole_record});
+    targets.push_back({*record, *injection, /*whole_record=*/parts.size() != 2});
   } else {
     for (size_t i = 0; i < records.size(); ++i) {
       if (!records[i].result.log.empty()) {
@@ -668,7 +648,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
   // The master enumerates the campaign's stream exactly as the
   // single-process engine would; its jobs never run here.
   const SystemEntry* entry = FindSystem(spec_.system);
-  ExecutionLayer exec(spec_.system, spec_.mode == CampaignMode::kExplore, spec_.cold_start);
+  ExecutionLayer exec(spec_.system, spec_.mode, spec_.cold_start);
   std::unique_ptr<SpecSource> master = MakeSpecSource(spec_, *entry, exec, error);
   if (master == nullptr) {
     return std::nullopt;

@@ -1,6 +1,11 @@
 #include "apps/common/campaign_spec.h"
 
-#include <cstdlib>
+#include <algorithm>
+#include <climits>
+#include <limits>
+#include <map>
+#include <string_view>
+#include <type_traits>
 
 #include "core/journal.h"
 #include "util/string_util.h"
@@ -8,77 +13,296 @@
 namespace lfi {
 namespace {
 
-std::string SeedToString(uint64_t seed) {
-  // Full-range uint64 (ParseInt's int64 range would reject the top bit); hex
-  // keeps the round trip exact and matches the journal header encoding.
-  return StrFormat("0x%llx", static_cast<unsigned long long>(seed));
+// --- name tables ------------------------------------------------------------
+// A value's first name is its canonical spelling. "campaign" is the
+// journal-header spelling of table1 mode, accepted so every journal resumes.
+
+constexpr std::pair<CampaignMode, const char*> kModeNames[] = {
+    {CampaignMode::kTable1, "table1"}, {CampaignMode::kExplore, "explore"},
+    {CampaignMode::kResume, "resume"}, {CampaignMode::kReplay, "replay"},
+    {CampaignMode::kTable1, "campaign"}};
+
+constexpr std::pair<ExploreStrategy, const char*> kStrategyNames[] = {
+    {ExploreStrategy::kExhaustive, "exhaustive"},
+    {ExploreStrategy::kRandom, "random"},
+    {ExploreStrategy::kCoverage, "coverage"}};
+
+template <typename Enum, size_t N>
+const char* NameOf(const std::pair<Enum, const char*> (&names)[N], Enum value) {
+  for (const auto& [known, name] : names) {
+    if (known == value) {
+      return name;
+    }
+  }
+  return "?";
 }
 
-uint64_t SeedFromString(const std::string& s) {
-  return std::strtoull(s.c_str(), nullptr, 0);
+template <typename Enum, size_t N>
+std::optional<Enum> ValueOf(const std::pair<Enum, const char*> (&names)[N],
+                            std::string_view name) {
+  for (const auto& [value, known] : names) {
+    if (name == known) {
+      return value;
+    }
+  }
+  return std::nullopt;
 }
 
-size_t SizeFromString(const std::string& s) {
-  return static_cast<size_t>(std::strtoull(s.c_str(), nullptr, 0));
+// --- value codecs -----------------------------------------------------------
+// One strict parser and one printer per value type. The command line, the
+// spec wire and the journal header all go through them, so every value one
+// of them accepts, the others accept too.
+
+bool ParseValue(std::string_view text, std::string* out) {
+  *out = std::string(text);
+  return true;
+}
+
+bool ParseValue(std::string_view text, bool* out) {
+  if (text != "true" && text != "false") {
+    return false;
+  }
+  *out = text == "true";
+  return true;
+}
+
+// <= 0 is a meaningful worker count (one per hardware thread).
+bool ParseValue(std::string_view text, int* out) {
+  bool negative = StartsWith(text, "-");
+  std::optional<uint64_t> magnitude = ParseUint(text.substr(negative ? 1 : 0));
+  if (!magnitude || *magnitude > uint64_t{INT_MAX} + (negative ? 1 : 0)) {
+    return false;
+  }
+  int64_t value = static_cast<int64_t>(*magnitude);
+  *out = static_cast<int>(negative ? -value : value);
+  return true;
+}
+
+template <typename T>
+  requires std::is_unsigned_v<T>
+bool ParseValue(std::string_view text, T* out) {
+  std::optional<uint64_t> value = ParseUint(text);
+  if (!value || *value > std::numeric_limits<T>::max()) {
+    return false;
+  }
+  *out = static_cast<T>(*value);
+  return true;
+}
+
+const auto& NamesOf(CampaignMode) { return kModeNames; }
+const auto& NamesOf(ExploreStrategy) { return kStrategyNames; }
+
+template <typename Enum>
+  requires std::is_enum_v<Enum>
+bool ParseValue(std::string_view text, Enum* out) {
+  std::optional<Enum> value = ValueOf(NamesOf(Enum{}), text);
+  if (!value) {
+    return false;
+  }
+  *out = *value;
+  return true;
+}
+
+std::string PrintValue(const std::string& value) { return value; }
+std::string PrintValue(bool value) { return value ? "true" : "false"; }
+std::string PrintValue(int value) { return StrFormat("%d", value); }
+
+template <typename Enum>
+  requires std::is_enum_v<Enum>
+std::string PrintValue(Enum value) {
+  return NameOf(NamesOf(value), value);
+}
+
+template <typename T>
+  requires std::is_unsigned_v<T>
+std::string PrintValue(T value) {
+  return StrFormat("%llu", static_cast<unsigned long long>(value));
+}
+
+// --- the field table --------------------------------------------------------
+
+using Printer = std::string (*)(const CampaignSpec&);
+using Parser = bool (*)(std::string_view, CampaignSpec*);
+
+// A field's value, type-erased: the codec above applied to one member.
+struct FieldOps {
+  Printer print;
+  Parser parse;
+  bool (*is_default)(const CampaignSpec&);  // equal to a default spec's value
+  void (*copy)(const CampaignSpec& from, CampaignSpec* to);
+};
+
+// `kMin` bounds unsigned fields from below; `kHex` prints them as 0x...
+// (the seed: full-range, and the encoding journals have always recorded).
+template <auto kMember, uint64_t kMin = 0, bool kHex = false>
+constexpr FieldOps Ops() {
+  using T = std::remove_cvref_t<decltype(std::declval<CampaignSpec&>().*kMember)>;
+  return {
+      [](const CampaignSpec& spec) {
+        if constexpr (kHex) {
+          return StrFormat("0x%llx", static_cast<unsigned long long>(spec.*kMember));
+        } else {
+          return PrintValue(spec.*kMember);
+        }
+      },
+      [](std::string_view text, CampaignSpec* spec) {
+        T value = spec->*kMember;
+        if (!ParseValue(text, &value)) {
+          return false;
+        }
+        if constexpr (std::is_unsigned_v<T> && !std::is_same_v<T, bool>) {
+          if (value < kMin) {
+            return false;
+          }
+        }
+        spec->*kMember = value;
+        return true;
+      },
+      [](const CampaignSpec& spec) { return spec.*kMember == CampaignSpec{}.*kMember; },
+      [](const CampaignSpec& from, CampaignSpec* to) { to->*kMember = from.*kMember; },
+  };
+}
+
+// When a field is written to the wire or the journal header; nullptr means
+// "when its value differs from a default-constructed spec's".
+using Presence = bool (*)(const CampaignSpec&);
+
+bool Always(const CampaignSpec&) { return true; }
+bool InExploreMode(const CampaignSpec& spec) { return spec.mode == CampaignMode::kExplore; }
+// Journal headers know two identities: Table 1 ("campaign") and explore.
+bool Table1Identity(const CampaignSpec& spec) { return spec.mode == CampaignMode::kTable1; }
+bool ExploreIdentity(const CampaignSpec& spec) { return spec.mode != CampaignMode::kTable1; }
+bool Sharded(const CampaignSpec& spec) { return spec.shard_index != CampaignSpec::kNoShard; }
+
+struct SpecField {
+  const char* attr;  // <campaignspec> attribute (and the field's name)
+  FieldOps ops;
+  const char* flag = nullptr;  // command-line flag
+  const char* arg = nullptr;   // the flag's value in usage; nullptr = a switch
+  const char* help = nullptr;  // usage text; nullptr = undocumented
+  Presence on_wire = nullptr;
+  // Journal header: key, presence, and position. The historical key order
+  // is not the wire order ("command" before "system", "epoch-len" before
+  // the shard keys), so each key carries its rank.
+  const char* meta = nullptr;
+  Presence in_meta = nullptr;
+  int meta_rank = 0;
+  // Identity comes from the journal on resume; everything else (the
+  // environment) from the resuming invocation.
+  bool identity = false;
+  Printer meta_print = nullptr;  // overrides ops.print in the header
+  Parser flag_parse = nullptr;   // overrides ops.parse on the command line
+};
+
+// The header spells table1 mode "campaign" and every other mode "explore".
+std::string CommandHeader(const CampaignSpec& spec) {
+  return spec.mode == CampaignMode::kTable1 ? "campaign" : "explore";
+}
+
+bool ParseShardFlag(std::string_view text, CampaignSpec* spec);
+
+// Wire order. `format` has one value and lives nowhere.
+const SpecField kFields[] = {
+    {.attr = "system", .ops = Ops<&CampaignSpec::system>(), .on_wire = Always,
+     .meta = "system", .in_meta = Always, .meta_rank = 1, .identity = true},
+    {.attr = "mode", .ops = Ops<&CampaignSpec::mode>(), .on_wire = Always,
+     .meta = "command", .in_meta = Always, .meta_rank = 0, .identity = true,
+     .meta_print = CommandHeader},
+    {.attr = "strategy", .ops = Ops<&CampaignSpec::strategy>(), .flag = "--strategy",
+     .arg = "NAME", .help = "explore: exhaustive | random | coverage",
+     .on_wire = InExploreMode, .meta = "strategy", .in_meta = ExploreIdentity,
+     .meta_rank = 3, .identity = true},
+    {.attr = "exhaustive", .ops = Ops<&CampaignSpec::exhaustive>(), .flag = "--exhaustive",
+     .help = "campaign: no historical fuzz cutoff (required to shard)", .meta = "exhaustive",
+     .in_meta = Table1Identity, .meta_rank = 2, .identity = true},
+    {.attr = "budget", .ops = Ops<&CampaignSpec::budget>(), .flag = "--budget", .arg = "N",
+     .help = "explore: scenarios to run (0 = the strategy's natural size)", .meta = "budget",
+     .in_meta = ExploreIdentity, .meta_rank = 4, .identity = true},
+    {.attr = "seed", .ops = Ops<&CampaignSpec::seed, 0, /*kHex=*/true>(), .flag = "--seed",
+     .arg = "S", .help = "explore: random selection and per-job seeds (uint64, 0x.. ok)",
+     .meta = "seed", .in_meta = ExploreIdentity, .meta_rank = 5, .identity = true},
+    {.attr = "workers", .ops = Ops<&CampaignSpec::workers>(), .flag = "--workers",
+     .arg = "W", .help = "engine workers; <= 0 = one per hardware thread"},
+    {.attr = "journal", .ops = Ops<&CampaignSpec::journal_path>(), .flag = "--journal",
+     .arg = "PATH", .help = "journal artifact (required to shard)"},
+    {.attr = "resume", .ops = Ops<&CampaignSpec::resume>()},
+    {.attr = "shard", .ops = Ops<&CampaignSpec::shard_index>(), .flag = "--shard",
+     .arg = "I/N", .help = "explore: run only shard I of N (merge the shards later)",
+     .meta = "shard", .meta_rank = 7, .identity = true, .flag_parse = ParseShardFlag},
+    // A shard artifact's header records its shard count, but resuming takes
+    // the count from the invocation (`resume --shards N`): environment.
+    {.attr = "shards", .ops = Ops<&CampaignSpec::shard_count, 1>(), .flag = "--shards",
+     .arg = "N", .help = "orchestrate N shard processes, then merge (resume too)",
+     .meta = "shards", .in_meta = Sharded, .meta_rank = 8},
+    {.attr = "epoch-len", .ops = Ops<&CampaignSpec::epoch_len, 1>(), .flag = "--epoch-len",
+     .arg = "K", .help = "coverage: merged batches per feedback epoch (required to shard)",
+     .meta = "epoch-len", .meta_rank = 6, .identity = true},
+    {.attr = "epoch", .ops = Ops<&CampaignSpec::epoch_index>(), .meta = "epoch",
+     .meta_rank = 9, .identity = true},
+    {.attr = "frontier", .ops = Ops<&CampaignSpec::frontier_path>()},
+    {.attr = "child-timeout-ms", .ops = Ops<&CampaignSpec::child_timeout_ms>(),
+     .flag = "--child-timeout-ms", .arg = "MS",
+     .help = "shard child deadline (0 = derived from --job-timeout-ms)"},
+    {.attr = "max-retries", .ops = Ops<&CampaignSpec::max_retries>(),
+     .flag = "--max-retries", .arg = "R", .help = "respawns per failed shard child"},
+    {.attr = "backoff-ms", .ops = Ops<&CampaignSpec::backoff_ms>(), .flag = "--backoff-ms",
+     .arg = "MS", .help = "first respawn delay (doubles per respawn)"},
+    {.attr = "job-timeout-ms", .ops = Ops<&CampaignSpec::job_timeout_ms>(),
+     .flag = "--job-timeout-ms", .arg = "MS",
+     .help = "per-job hang budget; a job past it is a \"hang\" bug (0 = off)"},
+    {.attr = "cold-start", .ops = Ops<&CampaignSpec::cold_start>(), .flag = "--cold-start",
+     .help = "fresh target per job instead of reset-and-reuse (same bytes)"},
+    {.attr = "failpoints", .ops = Ops<&CampaignSpec::failpoints>(), .flag = "--failpoints",
+     .arg = "SPEC", .help = "orchestrator fault schedule (src/util/failpoint.h)"},
+    {.attr = "selector", .ops = Ops<&CampaignSpec::replay_selector>()},
+    {.attr = "abort-after", .ops = Ops<&CampaignSpec::abort_after_records>(),
+     .flag = "--abort-after", .arg = "N"},
+};
+
+const SpecField* FindField(const char* SpecField::*column, std::string_view name) {
+  for (const SpecField& field : kFields) {
+    if (field.*column != nullptr && name == field.*column) {
+      return &field;
+    }
+  }
+  return nullptr;
+}
+
+const SpecField& Field(std::string_view attr) { return *FindField(&SpecField::attr, attr); }
+
+bool Holds(Presence presence, const SpecField& field, const CampaignSpec& spec) {
+  return presence != nullptr ? presence(spec) : !field.ops.is_default(spec);
+}
+
+// --shard I/N names the shard index and the shard count at once.
+bool ParseShardFlag(std::string_view text, CampaignSpec* spec) {
+  size_t slash = text.find('/');
+  return slash != std::string_view::npos &&
+         Field("shard").ops.parse(text.substr(0, slash), spec) &&
+         Field("shards").ops.parse(text.substr(slash + 1), spec);
+}
+
+std::nullopt_t Fail(std::string* error, std::string message) {
+  if (error != nullptr) {
+    *error = std::move(message);
+  }
+  return std::nullopt;
 }
 
 }  // namespace
 
-const char* CampaignModeName(CampaignMode mode) {
-  switch (mode) {
-    case CampaignMode::kTable1:
-      return "table1";
-    case CampaignMode::kExplore:
-      return "explore";
-    case CampaignMode::kResume:
-      return "resume";
-    case CampaignMode::kReplay:
-      return "replay";
-  }
-  return "?";
-}
+const char* CampaignModeName(CampaignMode mode) { return NameOf(kModeNames, mode); }
 
 std::optional<CampaignMode> ParseCampaignMode(const std::string& name) {
-  // "campaign" is the historical journal-header spelling of table1 mode;
-  // accepting it keeps pre-redesign journals resumable.
-  if (name == "table1" || name == "campaign") {
-    return CampaignMode::kTable1;
-  }
-  if (name == "explore") {
-    return CampaignMode::kExplore;
-  }
-  if (name == "resume") {
-    return CampaignMode::kResume;
-  }
-  if (name == "replay") {
-    return CampaignMode::kReplay;
-  }
-  return std::nullopt;
+  return ValueOf(kModeNames, name);
 }
 
 const char* ExploreStrategyName(ExploreStrategy strategy) {
-  switch (strategy) {
-    case ExploreStrategy::kExhaustive:
-      return "exhaustive";
-    case ExploreStrategy::kRandom:
-      return "random";
-    case ExploreStrategy::kCoverage:
-      return "coverage";
-  }
-  return "?";
+  return NameOf(kStrategyNames, strategy);
 }
 
 std::optional<ExploreStrategy> ParseExploreStrategy(const std::string& name) {
-  if (name == "exhaustive") {
-    return ExploreStrategy::kExhaustive;
-  }
-  if (name == "random") {
-    return ExploreStrategy::kRandom;
-  }
-  if (name == "coverage") {
-    return ExploreStrategy::kCoverage;
-  }
-  return std::nullopt;
+  return ValueOf(kStrategyNames, name);
 }
 
 const std::vector<std::string>& CampaignSystemNames() {
@@ -87,12 +311,7 @@ const std::vector<std::string>& CampaignSystemNames() {
 }
 
 bool IsCampaignSystem(const std::string& name) {
-  for (const std::string& known : CampaignSystemNames()) {
-    if (name == known) {
-      return true;
-    }
-  }
-  return false;
+  return std::ranges::find(CampaignSystemNames(), name) != CampaignSystemNames().end();
 }
 
 std::string CampaignSpec::Validate() const {
@@ -101,14 +320,12 @@ std::string CampaignSpec::Validate() const {
     if (journal_path.empty()) {
       return std::string(CampaignModeName(mode)) + " needs the journal path to operate on";
     }
-    if (shard_index != kNoShard) {
-      // A shard journal carries its own shard coordinates in the header;
-      // resume re-derives them from the artifact.
+    // A shard journal carries its own shard coordinates in the header;
+    // resume re-derives them from the artifact (its --shards N is how many
+    // processes continue the campaign).
+    if (shard_index != kNoShard || (shard_count > 1 && mode == CampaignMode::kReplay)) {
       return std::string(CampaignModeName(mode)) +
              " takes its shard coordinates from the journal header, not the spec";
-    }
-    if (shard_count > 1 && mode != CampaignMode::kResume) {
-      return "replay takes its shard coordinates from the journal header, not the spec";
     }
     return "";
   }
@@ -139,9 +356,6 @@ std::string CampaignSpec::Validate() const {
   if (system == "all" && !journal_path.empty()) {
     return "campaign all cannot be journaled (one engine per system, no single job stream); "
            "journal one system at a time";
-  }
-  if (shard_count == 0) {
-    return "shard count must be at least 1";
   }
   if (shard_index != kNoShard && shard_index >= shard_count) {
     return StrFormat("shard index %zu is out of range for %zu shard(s)", shard_index,
@@ -174,121 +388,29 @@ std::string CampaignSpec::Validate() const {
 
 void CampaignSpec::AppendXml(XmlNode* parent) const {
   XmlNode* node = parent->AddChild("campaignspec");
-  node->SetAttr("system", system);
-  node->SetAttr("mode", CampaignModeName(mode));
-  if (mode == CampaignMode::kExplore) {
-    node->SetAttr("strategy", ExploreStrategyName(strategy));
-  }
-  if (exhaustive) {
-    node->SetAttr("exhaustive", "true");
-  }
-  if (budget != 0) {
-    node->SetAttr("budget", StrFormat("%zu", budget));
-  }
-  if (seed != 1) {
-    node->SetAttr("seed", SeedToString(seed));
-  }
-  if (workers != 1) {
-    node->SetAttr("workers", StrFormat("%d", workers));
-  }
-  if (!journal_path.empty()) {
-    node->SetAttr("journal", journal_path);
-  }
-  if (resume) {
-    node->SetAttr("resume", "true");
-  }
-  if (shard_index != kNoShard) {
-    node->SetAttr("shard", StrFormat("%zu", shard_index));
-  }
-  if (shard_count != 1) {
-    node->SetAttr("shards", StrFormat("%zu", shard_count));
-  }
-  if (epoch_len != 0) {
-    node->SetAttr("epoch-len", StrFormat("%zu", epoch_len));
-  }
-  if (epoch_index != kNoEpoch) {
-    node->SetAttr("epoch", StrFormat("%zu", epoch_index));
-  }
-  if (!frontier_path.empty()) {
-    node->SetAttr("frontier", frontier_path);
-  }
-  if (child_timeout_ms != 0) {
-    node->SetAttr("child-timeout-ms", StrFormat("%llu", static_cast<unsigned long long>(
-                                                            child_timeout_ms)));
-  }
-  if (max_retries != 2) {
-    node->SetAttr("max-retries", StrFormat("%zu", max_retries));
-  }
-  if (backoff_ms != 50) {
-    node->SetAttr("backoff-ms", StrFormat("%llu", static_cast<unsigned long long>(backoff_ms)));
-  }
-  if (job_timeout_ms != 0) {
-    node->SetAttr("job-timeout-ms",
-                  StrFormat("%llu", static_cast<unsigned long long>(job_timeout_ms)));
-  }
-  if (cold_start) {
-    node->SetAttr("cold-start", "true");
-  }
-  if (!failpoints.empty()) {
-    node->SetAttr("failpoints", failpoints);
-  }
-  if (!replay_selector.empty()) {
-    node->SetAttr("selector", replay_selector);
-  }
-  if (abort_after_records != 0) {
-    node->SetAttr("abort-after", StrFormat("%zu", abort_after_records));
+  for (const SpecField& field : kFields) {
+    if (Holds(field.on_wire, field, *this)) {
+      node->SetAttr(field.attr, field.ops.print(*this));
+    }
   }
 }
 
 std::string CampaignSpec::ToXml() const { return ToXmlElement(*this); }
 
 std::optional<CampaignSpec> CampaignSpec::FromNode(const XmlNode& node, std::string* error) {
-  auto fail = [&](std::string message) -> std::optional<CampaignSpec> {
-    if (error != nullptr) {
-      *error = std::move(message);
-    }
-    return std::nullopt;
-  };
   if (node.name() != "campaignspec") {
-    return fail("campaign spec element must be <campaignspec>");
+    return Fail(error, "campaign spec element must be <campaignspec>");
   }
   CampaignSpec spec;
-  spec.system = node.AttrOr("system", "");
-  auto mode = ParseCampaignMode(node.AttrOr("mode", "explore"));
-  if (!mode) {
-    return fail("unknown campaign mode '" + node.AttrOr("mode", "") + "'");
+  for (const auto& [key, value] : node.attrs()) {
+    const SpecField* field = FindField(&SpecField::attr, key);
+    if (field == nullptr) {
+      return Fail(error, "unknown <campaignspec> attribute '" + key + "'");
+    }
+    if (!field->ops.parse(value, &spec)) {
+      return Fail(error, "bad <campaignspec> attribute " + key + "='" + value + "'");
+    }
   }
-  spec.mode = *mode;
-  auto strategy = ParseExploreStrategy(node.AttrOr("strategy", "exhaustive"));
-  if (!strategy) {
-    return fail("unknown strategy '" + node.AttrOr("strategy", "") + "'");
-  }
-  spec.strategy = *strategy;
-  spec.exhaustive = node.AttrOr("exhaustive", "false") == "true";
-  spec.budget = SizeFromString(node.AttrOr("budget", "0"));
-  spec.seed = SeedFromString(node.AttrOr("seed", "1"));
-  if (auto workers = node.IntAttr("workers")) {
-    spec.workers = static_cast<int>(*workers);
-  }
-  spec.journal_path = node.AttrOr("journal", "");
-  spec.resume = node.AttrOr("resume", "false") == "true";
-  if (auto shard = node.Attr("shard")) {
-    spec.shard_index = SizeFromString(*shard);
-  }
-  spec.shard_count = SizeFromString(node.AttrOr("shards", "1"));
-  spec.epoch_len = SizeFromString(node.AttrOr("epoch-len", "0"));
-  if (auto epoch = node.Attr("epoch")) {
-    spec.epoch_index = SizeFromString(*epoch);
-  }
-  spec.frontier_path = node.AttrOr("frontier", "");
-  spec.child_timeout_ms = SeedFromString(node.AttrOr("child-timeout-ms", "0"));
-  spec.max_retries = SizeFromString(node.AttrOr("max-retries", "2"));
-  spec.backoff_ms = SeedFromString(node.AttrOr("backoff-ms", "50"));
-  spec.job_timeout_ms = SeedFromString(node.AttrOr("job-timeout-ms", "0"));
-  spec.cold_start = node.AttrOr("cold-start", "false") == "true";
-  spec.failpoints = node.AttrOr("failpoints", "");
-  spec.replay_selector = node.AttrOr("selector", "");
-  spec.abort_after_records = SizeFromString(node.AttrOr("abort-after", "0"));
   return spec;
 }
 
@@ -297,71 +419,88 @@ std::optional<CampaignSpec> CampaignSpec::Parse(const std::string& xml, std::str
 }
 
 JournalMetadata CampaignSpec::ToJournalMeta() const {
-  JournalMetadata meta;
-  if (mode == CampaignMode::kTable1) {
-    // Historical key order and spellings: journals written before the spec
-    // existed resume against exactly this identity.
-    meta = {{"command", "campaign"},
-            {"system", system},
-            {"exhaustive", exhaustive ? "true" : "false"}};
-  } else {
-    meta = {{"command", "explore"},
-            {"system", system},
-            {"strategy", ExploreStrategyName(strategy)},
-            {"budget", StrFormat("%zu", budget)},
-            {"seed", SeedToString(seed)}};
-    if (epoch_len != 0) {
-      // Part of the identity: the epoch length decides the feedback
-      // schedule, so journals with different epoch-len are different
-      // campaigns (journal.cc's merge identity lists this key).
-      meta.emplace_back("epoch-len", StrFormat("%zu", epoch_len));
+  std::map<int, std::pair<std::string, std::string>> ranked;
+  for (const SpecField& field : kFields) {
+    if (field.meta != nullptr && Holds(field.in_meta, field, *this)) {
+      Printer print = field.meta_print != nullptr ? field.meta_print : field.ops.print;
+      ranked[field.meta_rank] = {field.meta, print(*this)};
     }
   }
-  if (shard_index != kNoShard) {
-    meta.emplace_back("shard", StrFormat("%zu", shard_index));
-    meta.emplace_back("shards", StrFormat("%zu", shard_count));
-  }
-  if (epoch_index != kNoEpoch) {
-    // Shard-artifact coordinate, like shard/shards: stripped on merge.
-    meta.emplace_back("epoch", StrFormat("%zu", epoch_index));
+  JournalMetadata meta;
+  for (auto& [rank, entry] : ranked) {
+    meta.push_back(std::move(entry));
   }
   return meta;
 }
 
 std::optional<CampaignSpec> CampaignSpec::FromJournalMeta(const JournalMetadata& meta,
                                                           std::string* error) {
-  auto fail = [&](std::string message) -> std::optional<CampaignSpec> {
-    if (error != nullptr) {
-      *error = std::move(message);
-    }
-    return std::nullopt;
-  };
   CampaignSpec spec;
-  auto mode = ParseCampaignMode(MetaValue(meta, "command", "explore"));
-  if (!mode || (*mode != CampaignMode::kTable1 && *mode != CampaignMode::kExplore)) {
-    return fail("journal records unknown command '" + MetaValue(meta, "command", "") + "'");
+  for (const SpecField& field : kFields) {
+    if (field.meta == nullptr) {
+      continue;
+    }
+    auto entry = std::find_if(meta.begin(), meta.end(),
+                              [&](const auto& key_value) { return key_value.first == field.meta; });
+    if (entry != meta.end() && !field.ops.parse(entry->second, &spec)) {
+      return Fail(error, "journal records bad " + entry->first + " '" + entry->second + "'");
+    }
   }
-  spec.mode = *mode;
-  spec.system = MetaValue(meta, "system", "");
-  spec.exhaustive = MetaValue(meta, "exhaustive", "false") == "true";
-  auto strategy = ParseExploreStrategy(MetaValue(meta, "strategy", "exhaustive"));
-  if (!strategy) {
-    return fail("journal records unknown strategy '" + MetaValue(meta, "strategy", "") + "'");
-  }
-  spec.strategy = *strategy;
-  spec.budget = SizeFromString(MetaValue(meta, "budget", "0"));
-  spec.seed = SeedFromString(MetaValue(meta, "seed", "1"));
-  spec.epoch_len = SizeFromString(MetaValue(meta, "epoch-len", "0"));
-  std::string shard = MetaValue(meta, "shard", "");
-  if (!shard.empty()) {
-    spec.shard_index = SizeFromString(shard);
-    spec.shard_count = SizeFromString(MetaValue(meta, "shards", "1"));
-  }
-  std::string epoch = MetaValue(meta, "epoch", "");
-  if (!epoch.empty()) {
-    spec.epoch_index = SizeFromString(epoch);
+  if (spec.mode != CampaignMode::kTable1 && spec.mode != CampaignMode::kExplore) {
+    return Fail(error, "journal records unknown command '" + MetaValue(meta, "command", "") + "'");
   }
   return spec;
+}
+
+void CampaignSpec::AdoptEnvironment(const CampaignSpec& invocation) {
+  for (const SpecField& field : kFields) {
+    if (!field.identity) {
+      field.ops.copy(invocation, this);
+    }
+  }
+}
+
+bool ParseSpecFlags(const std::vector<std::string>& args, size_t start, CampaignSpec* spec,
+                    std::string* error) {
+  auto fail = [&](std::string message) {
+    Fail(error, std::move(message));
+    return false;
+  };
+  for (size_t i = start; i < args.size(); ++i) {
+    const SpecField* field = FindField(&SpecField::flag, args[i]);
+    if (field == nullptr) {
+      // The historical `campaign <system> <workers>` form.
+      if (!Field("workers").ops.parse(args[i], spec)) {
+        return fail("unknown option '" + args[i] + "'");
+      }
+      continue;
+    }
+    std::string value = "true";  // a switch
+    if (field->arg != nullptr) {
+      if (i + 1 == args.size()) {
+        return fail(std::string(field->flag) + " requires a value");
+      }
+      value = args[++i];
+    }
+    if (!(field->flag_parse != nullptr ? field->flag_parse : field->ops.parse)(value, spec)) {
+      return fail(StrFormat("bad %s value '%s'", field->flag, value.c_str()));
+    }
+  }
+  return true;
+}
+
+std::string SpecFlagsUsage() {
+  std::string out;
+  for (const SpecField& field : kFields) {
+    if (field.help != nullptr) {
+      std::string synopsis = field.flag;
+      if (field.arg != nullptr) {
+        synopsis += std::string(" ") + field.arg;
+      }
+      out += StrFormat("  %-22s %s\n", synopsis.c_str(), field.help);
+    }
+  }
+  return out;
 }
 
 std::string SpecWirePath(const std::string& journal_path) { return journal_path + ".spec"; }

@@ -9,11 +9,14 @@
 // wiring, and lfi_tool's per-subcommand parsing collapses into this struct;
 // CampaignDriver (campaign_driver.h) executes it.
 //
-// Specs round-trip through the XML subsystem (<campaignspec .../>), which is
-// also the parent->child wire format of `lfi_tool shard`: the orchestrator
-// serializes one spec per shard and each child runs `lfi_tool run-spec`.
-// They equally round-trip through a campaign journal's header metadata, so
-// `resume` can rebuild the whole spec from the artifact alone.
+// One field table in campaign_spec.cc is the spec's schema. Each entry names
+// a field's CLI flag, its <campaignspec> attribute (the parent->child wire of
+// `lfi_tool shard`: the orchestrator serializes one spec per shard and each
+// child runs `lfi_tool run-spec`), its journal-header key, whether it is
+// campaign identity or execution environment, and the one strict parser and
+// printer for its value. ParseSpecFlags, ToXml/FromNode,
+// ToJournalMeta/FromJournalMeta (how `resume` rebuilds the whole spec from
+// the artifact alone), AdoptEnvironment and SpecFlagsUsage are loops over it.
 //
 // This header also owns the one copy of the name<->enum parse tables
 // (system, mode, strategy) that lfi_tool and the campaign library used to
@@ -145,7 +148,8 @@ struct CampaignSpec {
 
   // XML round trip (<campaignspec .../>): canonical -- defaults are omitted
   // and Parse(ToXml(s)) == s byte-stably. The shard orchestrator's wire
-  // format.
+  // format. The reader refuses unknown attributes and malformed values
+  // (trailing bytes, signs on unsigned fields, overflow).
   void AppendXml(XmlNode* parent) const;
   std::string ToXml() const;
   static std::optional<CampaignSpec> FromNode(const XmlNode& node,
@@ -155,11 +159,20 @@ struct CampaignSpec {
 
   // Journal identity: the header a journaled run of this spec records
   // (matching the historical key order, so old journals still resume), and
-  // the inverse `lfi_tool resume` uses. Environment-only fields (workers,
-  // abort hook) are deliberately not part of the identity.
+  // the inverse `lfi_tool resume` uses. Environment fields (workers,
+  // supervision policy, abort hook) are not part of the identity. The reader
+  // parses every known key as strictly as the wire reader, refuses commands
+  // other than table1 ("campaign") and explore, and ignores keys it does not
+  // know (free-form annotations that merges carry along).
   JournalMetadata ToJournalMeta() const;
   static std::optional<CampaignSpec> FromJournalMeta(const JournalMetadata& meta,
                                                      std::string* error = nullptr);
+
+  // Copies every environment field -- everything the journal identity does
+  // not record, shard count included -- from `invocation`: a resumed
+  // campaign is the journal's identity run under this invocation's
+  // environment.
+  void AdoptEnvironment(const CampaignSpec& invocation);
 
   // Canonical per-shard artifact path: "<journal_path>.shard<i>".
   std::string ShardJournalPath(size_t shard) const;
@@ -170,6 +183,16 @@ struct CampaignSpec {
   std::string EpochShardJournalPath(size_t epoch, size_t shard) const;
   std::string EpochFrontierPath(size_t epoch) const;
 };
+
+// Parses the command-line flags args[start..] into `spec` through the field
+// table; a bare integer is the worker count (the historical `campaign
+// <system> <workers>` form). Returns false with `error` set on an unknown
+// option, a missing value or a value the field's parser refuses.
+bool ParseSpecFlags(const std::vector<std::string>& args, size_t start, CampaignSpec* spec,
+                    std::string* error);
+
+// One usage line per documented flag, generated from the field table.
+std::string SpecFlagsUsage();
 
 // Where the shard supervisor writes a child's serialized spec before exec'ing
 // `lfi_tool run-spec` on it: "<child journal_path>.spec".

@@ -384,8 +384,8 @@ WarmPool::Factory BfsMuxWarmFactory() {
 
 // --- ExecutionLayer ----------------------------------------------------------
 
-ExecutionLayer::ExecutionLayer(const std::string& system, bool explore_workload,
-                               bool cold_start) {
+ExecutionLayer::ExecutionLayer(const std::string& system, CampaignMode mode, bool cold_start) {
+  bool explore = mode == CampaignMode::kExplore;
   WarmPool::Factory main;
   WarmPool::Factory phase;
   if (system == "git") {
@@ -396,10 +396,10 @@ ExecutionLayer::ExecutionLayer(const std::string& system, bool explore_workload,
     main = BindWarmFactory();
     phase = BindDstWarmFactory();
   } else if (system == "pbft") {
-    main = explore_workload ? PbftWarmFactory(20, 3000) : PbftWarmFactory(8, 2000);
+    main = explore ? PbftWarmFactory(20, 3000) : PbftWarmFactory(8, 2000);
     phase = PbftDistributedWarmFactory();
   } else if (system == "bfs") {
-    main = explore_workload ? BfsWarmFactory(3, 900) : BfsWarmFactory(2, 600);
+    main = explore ? BfsWarmFactory(3, 900) : BfsWarmFactory(2, 600);
     phase = BfsMuxWarmFactory();
   }
   WarmPool::Policy policy = cold_start ? WarmPool::Policy::kFresh : WarmPool::Policy::kReuse;

@@ -25,6 +25,7 @@
 #include <memory>
 #include <string>
 
+#include "apps/common/campaign_spec.h"
 #include "core/campaign_engine.h"
 #include "core/warm_pool.h"
 
@@ -56,15 +57,17 @@ WarmPool::Factory BfsMuxWarmFactory();
 // --- the execution layer -----------------------------------------------------
 // Owns a campaign's pools (lifetime: one engine run -- shard and epoch
 // children each build their own) and hands out the ResultRunners the engine
-// and the Table 1 job builders plug in. `cold_start` (spec attribute
-// cold-start) builds the same pools under WarmPool::Policy::kFresh, so
-// `lfi_tool --cold-start` byte-compares against the default.
+// and the Table 1 job builders plug in. `mode` picks the workload size:
+// pbft and bfs run a longer workload under kExplore than under kTable1.
+// `cold_start` (spec attribute cold-start) builds the same pools under
+// WarmPool::Policy::kFresh, so `lfi_tool --cold-start` byte-compares against
+// the default.
 class ExecutionLayer {
  public:
-  ExecutionLayer(const std::string& system, bool explore_workload, bool cold_start);
+  ExecutionLayer(const std::string& system, CampaignMode mode, bool cold_start);
 
-  // The campaign-wide runner for `system`'s default (or exploration)
-  // workload; empty for an unknown system.
+  // The campaign-wide runner for `system`'s workload in `mode`; empty for an
+  // unknown system.
   CampaignEngine::ResultRunner runner() const;
   // The runner of `system`'s self-contained Table 1 second-phase jobs (bind's
   // dst sweep, pbft's distributed fuzz, bfs's partial transfers); empty for

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -169,13 +168,9 @@ bool IsShardKey(const std::string& key) {
   return false;
 }
 
-// The input's "shard" header key, or -1 when it has none.
+// The input's "shard" header key, or -1 when it has none (or a malformed one).
 size_t ShardHeaderIndex(const CampaignJournal& journal) {
-  std::string shard_meta = journal.Meta("shard", "");
-  if (shard_meta.empty()) {
-    return static_cast<size_t>(-1);
-  }
-  return static_cast<size_t>(std::strtoull(shard_meta.c_str(), nullptr, 0));
+  return ParseUint(journal.Meta("shard", "")).value_or(static_cast<size_t>(-1));
 }
 
 }  // namespace

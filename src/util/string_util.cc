@@ -83,23 +83,28 @@ std::optional<int64_t> ParseInt(std::string_view s) {
   if (!s.empty() && (s[0] == '-' || s[0] == '+')) {
     s.remove_prefix(1);
   }
+  // ParseUint takes no sign or whitespace, so "+-1", "- 1" and "0x-1" fail
+  // here exactly as they do for strtoll.
+  std::optional<uint64_t> magnitude = ParseUint(s);
+  constexpr uint64_t kMaxPositive = static_cast<uint64_t>(INT64_MAX);
+  if (!magnitude || *magnitude > kMaxPositive + (negative ? 1 : 0)) {
+    return std::nullopt;  // malformed, or outside int64_t (strtoll's ERANGE)
+  }
+  return negative ? static_cast<int64_t>(0 - *magnitude) : static_cast<int64_t>(*magnitude);
+}
+
+std::optional<uint64_t> ParseUint(std::string_view s) {
   int base = 10;
   if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
     base = 16;
     s.remove_prefix(2);
   }
-  // from_chars takes no sign or whitespace, so "+-1", "- 1" and "0x-1" fail
-  // here exactly as they do for strtoll.
-  uint64_t magnitude = 0;
-  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), magnitude, base);
+  uint64_t value = 0;
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value, base);
   if (ec != std::errc() || end != s.data() + s.size()) {
     return std::nullopt;
   }
-  constexpr uint64_t kMaxPositive = static_cast<uint64_t>(INT64_MAX);
-  if (magnitude > kMaxPositive + (negative ? 1 : 0)) {
-    return std::nullopt;  // outside int64_t, where strtoll reports ERANGE
-  }
-  return negative ? static_cast<int64_t>(0 - magnitude) : static_cast<int64_t>(magnitude);
+  return value;
 }
 
 std::string StrFormat(const char* fmt, ...) {

@@ -34,6 +34,10 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 // nullopt on any malformed or out-of-range input (no partial parses).
 std::optional<int64_t> ParseInt(std::string_view s);
 
+// Parses the full uint64_t range in decimal, or hex when prefixed with 0x.
+// Strict: no sign, no whitespace, no trailing bytes, no overflow.
+std::optional<uint64_t> ParseUint(std::string_view s);
+
 // printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -1,5 +1,7 @@
 // The unified campaign API: CampaignSpec round trips (XML wire format and
-// journal-header identity), spec validation, the one name-table, ShardSource
+// journal-header identity), the spec schema (pinned wire and header bytes,
+// strict readers, the flag parser), spec validation, the one name-table,
+// ShardSource
 // dealing, and the multi-process acceptance bar -- merging N shard journals
 // in any input order yields a bit-identical merged journal (and the same bug
 // list and coverage as the unsharded run at equal total budget) that resumes
@@ -8,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -119,6 +122,315 @@ TEST(CampaignSpec, JournalMetaRoundTripsTheIdentity) {
       EXPECT_EQ(back->exhaustive, spec.exhaustive);
     }
   }
+}
+
+// --- the spec schema --------------------------------------------------------
+
+// The number of fields in an aggregate, counted by brace initialization.
+struct AnyField {
+  template <typename T>
+  operator T() const;
+};
+
+template <typename T, typename... Fields>
+constexpr size_t FieldCount() {
+  if constexpr (requires { T{Fields{}..., AnyField{}}; }) {
+    return FieldCount<T, Fields..., AnyField>();
+  } else {
+    return sizeof...(Fields);
+  }
+}
+
+// A new CampaignSpec field fails here until it is in the schema table
+// (campaign_spec.cc) and in EveryFieldOffDefault below.
+static_assert(FieldCount<CampaignSpec>() == 23);
+
+std::string MetaText(const JournalMetadata& meta) {
+  std::string text;
+  for (const auto& [key, value] : meta) {
+    text += key + "=" + value + ";";
+  }
+  return text;
+}
+
+std::vector<CampaignSpec> GoldenSpecs() {
+  std::vector<CampaignSpec> specs;
+  specs.push_back({.system = "git", .mode = CampaignMode::kTable1});
+  specs.push_back({.system = "bfs", .mode = CampaignMode::kTable1, .exhaustive = true,
+                   .journal_path = "t1.lfij", .shard_count = 3});
+  specs.push_back({.system = "pbft", .strategy = ExploreStrategy::kExhaustive});
+  specs.push_back({.system = "git", .strategy = ExploreStrategy::kRandom, .budget = 64,
+                   .seed = 7, .workers = 4, .journal_path = "git.lfij"});
+  specs.push_back({.system = "pbft", .strategy = ExploreStrategy::kCoverage, .budget = 16,
+                   .workers = 0});
+  specs.push_back({.system = "mysql", .strategy = ExploreStrategy::kRandom, .budget = 24,
+                   .seed = 5, .workers = -2, .journal_path = "m.lfij", .shard_index = 1,
+                   .shard_count = 4});
+  specs.push_back({.system = "pbft", .strategy = ExploreStrategy::kCoverage, .budget = 32,
+                   .seed = 7, .journal_path = "e.lfij.epoch3.shard1", .resume = true,
+                   .shard_index = 1, .shard_count = 4, .epoch_len = 2, .epoch_index = 3,
+                   .frontier_path = "e.lfij.epoch3.frontier"});
+  specs.push_back({.system = "bfs", .strategy = ExploreStrategy::kCoverage, .budget = 96,
+                   .journal_path = "b.lfij", .epoch_len = 4});
+  specs.push_back({.system = "bind", .strategy = ExploreStrategy::kRandom, .budget = 10,
+                   .journal_path = "s.lfij", .shard_count = 2, .child_timeout_ms = 60000,
+                   .max_retries = 0, .backoff_ms = 5, .job_timeout_ms = 250});
+  specs.push_back({.mode = CampaignMode::kReplay, .journal_path = "r & <q>.lfij",
+                   .cold_start = true, .failpoints = "epoch1.shard0:child.start=exit:9",
+                   .replay_selector = "14:0", .abort_after_records = 5});
+  specs.push_back({.system = "git", .strategy = ExploreStrategy::kRandom, .budget = 8,
+                   .seed = 0x8000000000000000ull});
+  return specs;
+}
+
+// Wire and header bytes of GoldenSpecs(), as the hand-written serializers
+// that preceded the field table wrote them: existing journals must keep
+// resuming, so neither encoding may change.
+TEST(SpecSchema, WireAndHeaderBytesArePinned) {
+  const std::pair<const char*, const char*> kWant[] = {
+    {"<campaignspec system=\"git\" mode=\"table1\" />\n",
+     "command=campaign;system=git;exhaustive=false;"},
+    {"<campaignspec system=\"bfs\" mode=\"table1\" exhaustive=\"true\" "
+     "journal=\"t1.lfij\" shards=\"3\" />\n",
+     "command=campaign;system=bfs;exhaustive=true;"},
+    {"<campaignspec system=\"pbft\" mode=\"explore\" strategy=\"exhaustive\" />\n",
+     "command=explore;system=pbft;strategy=exhaustive;budget=0;seed=0x1;"},
+    {"<campaignspec system=\"git\" mode=\"explore\" strategy=\"random\" "
+     "budget=\"64\" seed=\"0x7\" workers=\"4\" journal=\"git.lfij\" />\n",
+     "command=explore;system=git;strategy=random;budget=64;seed=0x7;"},
+    {"<campaignspec system=\"pbft\" mode=\"explore\" strategy=\"coverage\" "
+     "budget=\"16\" workers=\"0\" />\n",
+     "command=explore;system=pbft;strategy=coverage;budget=16;seed=0x1;"},
+    {"<campaignspec system=\"mysql\" mode=\"explore\" strategy=\"random\" "
+     "budget=\"24\" seed=\"0x5\" workers=\"-2\" journal=\"m.lfij\" shard=\"1\" "
+     "shards=\"4\" />\n",
+     "command=explore;system=mysql;strategy=random;budget=24;seed=0x5;shard=1;"
+     "shards=4;"},
+    {"<campaignspec system=\"pbft\" mode=\"explore\" strategy=\"coverage\" "
+     "budget=\"32\" seed=\"0x7\" journal=\"e.lfij.epoch3.shard1\" resume=\"true\" "
+     "shard=\"1\" shards=\"4\" epoch-len=\"2\" epoch=\"3\" "
+     "frontier=\"e.lfij.epoch3.frontier\" />\n",
+     "command=explore;system=pbft;strategy=coverage;budget=32;seed=0x7;epoch-len=2;"
+     "shard=1;shards=4;epoch=3;"},
+    {"<campaignspec system=\"bfs\" mode=\"explore\" strategy=\"coverage\" "
+     "budget=\"96\" journal=\"b.lfij\" epoch-len=\"4\" />\n",
+     "command=explore;system=bfs;strategy=coverage;budget=96;seed=0x1;epoch-len=4;"},
+    {"<campaignspec system=\"bind\" mode=\"explore\" strategy=\"random\" "
+     "budget=\"10\" journal=\"s.lfij\" shards=\"2\" child-timeout-ms=\"60000\" "
+     "max-retries=\"0\" backoff-ms=\"5\" job-timeout-ms=\"250\" />\n",
+     "command=explore;system=bind;strategy=random;budget=10;seed=0x1;"},
+    {"<campaignspec system=\"\" mode=\"replay\" journal=\"r &amp; &lt;q&gt;.lfij\" "
+     "cold-start=\"true\" failpoints=\"epoch1.shard0:child.start=exit:9\" "
+     "selector=\"14:0\" abort-after=\"5\" />\n",
+     "command=explore;system=;strategy=exhaustive;budget=0;seed=0x1;"},
+    {"<campaignspec system=\"git\" mode=\"explore\" strategy=\"random\" budget=\"8\" "
+     "seed=\"0x8000000000000000\" />\n",
+     "command=explore;system=git;strategy=random;budget=8;seed=0x8000000000000000;"},
+  };
+  std::vector<CampaignSpec> specs = GoldenSpecs();
+  ASSERT_EQ(specs.size(), std::size(kWant));
+  for (size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(specs[i].ToXml(), kWant[i].first) << "spec " << i;
+    EXPECT_EQ(MetaText(specs[i].ToJournalMeta()), kWant[i].second) << "spec " << i;
+    std::string error;
+    auto back = CampaignSpec::Parse(specs[i].ToXml(), &error);
+    ASSERT_TRUE(back.has_value()) << error;
+    EXPECT_TRUE(*back == specs[i]) << "spec " << i;
+  }
+}
+
+// Every field off its default. The mode stays explore, the one mode whose
+// wire carries the strategy; `format` has a single value.
+CampaignSpec EveryFieldOffDefault() {
+  return {.system = "bfs",
+          .strategy = ExploreStrategy::kCoverage,
+          .exhaustive = true,
+          .budget = 12,
+          .seed = 0x8000000000000001ull,
+          .workers = -3,
+          .journal_path = "a b&<c>.lfij",
+          .resume = true,
+          .shard_index = 1,
+          .shard_count = 3,
+          .epoch_len = 2,
+          .epoch_index = 4,
+          .frontier_path = "f.frontier",
+          .child_timeout_ms = 9000,
+          .max_retries = 0,
+          .backoff_ms = 7,
+          .job_timeout_ms = 250,
+          .cold_start = true,
+          .failpoints = "engine.record=error@3",
+          .replay_selector = "3:1",
+          .abort_after_records = 6};
+}
+
+// CLI argv -> spec -> wire -> spec is the identity: a field the table left
+// out would come back at its default and break ==.
+TEST(SpecSchema, EveryFieldRoundTripsThroughFlagsAndWire) {
+  const CampaignSpec want = EveryFieldOffDefault();
+  const std::vector<std::string> argv = {
+      "explore",     "bfs",        "--strategy",         "coverage", "--exhaustive",
+      "--budget",    "12",         "--seed",             "0x8000000000000001",
+      "--workers",   "-3",         "--journal",          "a b&<c>.lfij",
+      "--shard",     "1/3",        "--epoch-len",        "2",
+      "--child-timeout-ms",        "9000",               "--max-retries",    "0",
+      "--backoff-ms", "7",         "--job-timeout-ms",   "250",      "--cold-start",
+      "--failpoints", "engine.record=error@3",           "--abort-after",    "6"};
+  CampaignSpec parsed{.system = "bfs"};
+  std::string error;
+  ASSERT_TRUE(ParseSpecFlags(argv, 2, &parsed, &error)) << error;
+  // No flag sets these: replay's positional selector, the resume marker and
+  // the epoch child coordinates only travel on the wire.
+  parsed.resume = true;
+  parsed.epoch_index = 4;
+  parsed.frontier_path = "f.frontier";
+  parsed.replay_selector = "3:1";
+  auto wired = CampaignSpec::Parse(parsed.ToXml(), &error);
+  ASSERT_TRUE(wired.has_value()) << error;
+  EXPECT_TRUE(*wired == want) << wired->ToXml();
+
+  CampaignSpec table1{.system = "git", .mode = CampaignMode::kTable1};
+  EXPECT_TRUE(CampaignSpec::Parse(table1.ToXml()) == table1);
+}
+
+// Resume is the journal's identity run under the invocation's environment.
+TEST(SpecSchema, ResumeTakesIdentityFromTheJournalAndEnvironmentFromTheInvocation) {
+  CampaignSpec recorded = EveryFieldOffDefault();
+  CampaignSpec invocation{.mode = CampaignMode::kResume,
+                          .workers = 5,
+                          .journal_path = "j.lfij",
+                          .shard_count = 4,
+                          .child_timeout_ms = 1,
+                          .max_retries = 9,
+                          .backoff_ms = 1,
+                          .job_timeout_ms = 2,
+                          .cold_start = false,
+                          .abort_after_records = 3};
+  std::string error;
+  auto resumed = CampaignSpec::FromJournalMeta(recorded.ToJournalMeta(), &error);
+  ASSERT_TRUE(resumed.has_value()) << error;
+  resumed->AdoptEnvironment(invocation);
+
+  CampaignSpec want = invocation;
+  want.system = recorded.system;
+  want.mode = recorded.mode;
+  want.strategy = recorded.strategy;
+  want.budget = recorded.budget;
+  want.seed = recorded.seed;
+  want.epoch_len = recorded.epoch_len;
+  want.shard_index = recorded.shard_index;
+  want.epoch_index = recorded.epoch_index;
+  // `exhaustive` is identity too, but only a Table 1 header records it.
+  EXPECT_TRUE(*resumed == want) << resumed->ToXml();
+}
+
+TEST(SpecSchema, WireReaderRefusesMalformedSpecs) {
+  for (const char* attrs :
+       {"budget=\"12abc\"", "shard=\"x\" shards=\"2\"", "shards=\"-1\"", "workers=\"two\"",
+        "bogus=\"1\"", "budget=\"18446744073709551616\"", "budget=\"\"", "seed=\"-1\"",
+        "seed=\"0x\"", "cold-start=\"yes\"", "epoch-len=\"0\"", "shards=\"0\"",
+        "mode=\"bogus\"", "strategy=\"fast\"", "epoch=\"1.5\"", "workers=\"4294967296\""}) {
+    std::string xml = StrFormat("<campaignspec system=\"git\" mode=\"explore\" %s />", attrs);
+    std::string error;
+    EXPECT_FALSE(CampaignSpec::Parse(xml, &error).has_value()) << xml;
+    EXPECT_NE(error, "") << xml;
+  }
+  // The full unsigned range is not malformed.
+  auto top = CampaignSpec::Parse(
+      "<campaignspec system=\"git\" seed=\"0xffffffffffffffff\" "
+      "budget=\"18446744073709551615\" />");
+  ASSERT_TRUE(top.has_value());
+  EXPECT_EQ(top->seed, UINT64_MAX);
+  EXPECT_EQ(top->budget, SIZE_MAX);
+}
+
+TEST(SpecSchema, HeaderReaderRefusesHostileIdentities) {
+  CampaignSpec spec{.system = "pbft",
+                    .strategy = ExploreStrategy::kRandom,
+                    .budget = 16,
+                    .seed = 5,
+                    .shard_index = 1,
+                    .shard_count = 4};
+  const JournalMetadata good = spec.ToJournalMeta();
+  std::string error;
+  ASSERT_TRUE(CampaignSpec::FromJournalMeta(good, &error).has_value()) << error;
+  const std::pair<const char*, const char*> kHostile[] = {
+      {"budget", "12abc"},  {"shard", "x"},         {"shards", "-1"},
+      {"seed", "0x1g"},     {"seed", "18446744073709551616"},
+      {"command", "resume"}, {"command", "bogus"},  {"strategy", "fast"},
+      {"epoch-len", "0"},   {"exhaustive", "1"},    {"epoch", ""}};
+  for (const auto& [key, value] : kHostile) {
+    JournalMetadata bad = good;
+    auto it = std::find_if(bad.begin(), bad.end(), [&](const auto& kv) { return kv.first == key; });
+    if (it != bad.end()) {
+      it->second = value;
+    } else {
+      bad.emplace_back(key, value);
+    }
+    EXPECT_FALSE(CampaignSpec::FromJournalMeta(bad, &error).has_value()) << key << "=" << value;
+  }
+  // Keys the schema does not know are annotations: merges carry them along.
+  JournalMetadata annotated = good;
+  annotated.emplace_back("note", "anything");
+  auto back = CampaignSpec::FromJournalMeta(annotated, &error);
+  ASSERT_TRUE(back.has_value()) << error;
+  EXPECT_EQ(back->ToJournalMeta(), good);
+}
+
+// One parser per field: every seed a journal header records is a valid
+// --seed, in the header's hex spelling and in decimal.
+TEST(SpecSchema, EverySeedAJournalRecordsIsAValidSeedFlag) {
+  for (uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{INT64_MAX},
+                        uint64_t{0x8000000000000000ull}, uint64_t{UINT64_MAX}}) {
+    CampaignSpec recorded{.system = "git", .strategy = ExploreStrategy::kRandom, .seed = seed};
+    std::string header_seed = MetaValue(recorded.ToJournalMeta(), "seed", "");
+    for (const std::string& text : {header_seed, std::to_string(seed)}) {
+      CampaignSpec parsed;
+      std::string error;
+      ASSERT_TRUE(ParseSpecFlags({"--seed", text}, 0, &parsed, &error)) << error;
+      EXPECT_EQ(parsed.seed, seed) << text;
+    }
+  }
+}
+
+TEST(SpecSchema, FlagParserAcceptsTheHistoricalSpellingsAndRefusesTheRest) {
+  CampaignSpec spec;
+  std::string error;
+  ASSERT_TRUE(ParseSpecFlags({"4"}, 0, &spec, &error)) << error;  // `campaign git 4`
+  EXPECT_EQ(spec.workers, 4);
+  ASSERT_TRUE(ParseSpecFlags({"--workers", "0", "--shard", "0/1", "--shards", "1"}, 0, &spec,
+                             &error))
+      << error;
+  EXPECT_EQ(spec.workers, 0);
+  EXPECT_EQ(spec.shard_index, 0u);
+  EXPECT_EQ(spec.shard_count, 1u);
+
+  const std::vector<std::vector<std::string>> kRefused = {
+      {"--bogus"},        {"--json"},           {"--repair"},          {"--budget"},
+      {"--budget", "1x"}, {"--budget", "-1"},   {"--shards", "0"},     {"--epoch-len", "0"},
+      {"--shard", "1"},   {"--shard", "1/0"},   {"--shard", "a/2"},    {"--seed", "-1"},
+      {"--workers", "two"}, {"--cold-start", "--bogus"}, {"two"}};
+  for (const std::vector<std::string>& args : kRefused) {
+    CampaignSpec refused;
+    EXPECT_FALSE(ParseSpecFlags(args, 0, &refused, &error)) << args[0];
+    EXPECT_NE(error, "");
+  }
+  // The range check across fields stays in Validate.
+  CampaignSpec out_of_range{.system = "pbft", .journal_path = "j.lfij"};
+  ASSERT_TRUE(ParseSpecFlags({"--shard", "4/4"}, 0, &out_of_range, &error)) << error;
+  EXPECT_NE(out_of_range.Validate(), "");
+}
+
+TEST(SpecSchema, UsageListsEveryDocumentedFlag) {
+  std::string usage = SpecFlagsUsage();
+  for (const char* flag : {"--strategy", "--exhaustive", "--budget", "--seed", "--workers",
+                           "--journal", "--shard I/N", "--shards", "--epoch-len",
+                           "--child-timeout-ms", "--max-retries", "--backoff-ms",
+                           "--job-timeout-ms", "--cold-start", "--failpoints"}) {
+    EXPECT_NE(usage.find(flag), std::string::npos) << flag;
+  }
+  EXPECT_EQ(usage.find("--abort-after"), std::string::npos);  // a test hook
 }
 
 TEST(CampaignSpec, NameTablesRoundTrip) {

@@ -432,7 +432,7 @@ size_t ProveInertJobsOn(const std::string& system, ExploreStrategy strategy, uin
       functions.insert(assoc.function);
     }
   }
-  ExecutionLayer exec(system, /*explore_workload=*/true, /*cold_start=*/false);
+  ExecutionLayer exec(system, CampaignMode::kExplore, /*cold_start=*/false);
   CampaignEngine::ResultRunner runner = exec.runner();
   CampaignJob baseline_job;
   baseline_job.scenario = MakeObserveScenario({functions.begin(), functions.end()});

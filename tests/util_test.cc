@@ -70,6 +70,19 @@ TEST(StringUtil, ParseIntRejectsGarbage) {
   EXPECT_FALSE(ParseInt("1 2").has_value());
 }
 
+TEST(StringUtil, ParseUintIsStrictOverTheFullRange) {
+  EXPECT_EQ(ParseUint("0").value(), 0u);
+  EXPECT_EQ(ParseUint("007").value(), 7u);  // decimal, not octal
+  EXPECT_EQ(ParseUint("0X10").value(), 16u);
+  EXPECT_EQ(ParseUint("18446744073709551615").value(), UINT64_MAX);
+  EXPECT_EQ(ParseUint("0xffffffffffffffff").value(), UINT64_MAX);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "12abc", "0x", "0x-1", "1.5",
+                          "18446744073709551616", "0x10000000000000000"}) {
+    EXPECT_FALSE(ParseUint(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(ParseUint(std::string_view("5\0", 2)).has_value());
+}
+
 // The strtoll-based parse ParseInt must agree with: trim, pick base 16 on a
 // (signed) 0x/0X prefix with at least one character after it, and accept
 // only a full, in-range conversion.
