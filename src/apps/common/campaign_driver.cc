@@ -24,6 +24,7 @@
 #include "core/custom_triggers.h"
 #include "core/distributed.h"
 #include "core/exploration.h"
+#include "core/fork_server.h"
 #include "core/stock_triggers.h"
 #include "util/errno_codes.h"
 #include "util/failpoint.h"
@@ -484,14 +485,6 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
   if (FindSystem(recorded->system) == nullptr) {
     return Fail(error, "journal names unknown system '" + recorded->system + "'");
   }
-  // Replay runs through the pools of the recorded campaign's workload, like
-  // any other job, but always under the fresh-instance policy: each record is
-  // reproduced on a newly built target, as a logged scenario is replayed in a
-  // fresh process, so no replay can inherit another's state. Its cost is
-  // bring-up per record whether or not --cold-start is given.
-  ExecutionLayer exec(recorded->system, recorded->mode, /*cold_start=*/true);
-  CampaignEngine::ResultRunner runner = exec.runner();
-
   // Which journaled injections to replay: every record that injected, or
   // the one the selector picks ("record" or "record:injection").
   struct Target {
@@ -531,12 +524,9 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
     }
   }
 
-  CampaignOutcome outcome;
-  outcome.journal_path = spec_.journal_path;
-  outcome.metadata = journal->metadata();
-  for (const Target& target : targets) {
+  auto make_job = [&](size_t index) {
+    const Target& target = targets[index];
     const JournalRecord& record = records[target.record];
-    const InjectionRecord& injection = record.result.log.records()[target.injection];
     CampaignJob job;
     // Whole-record replays re-inject the full logged sequence: a survived
     // multi-injection run (the bfs consistency corruptions) only reproduces
@@ -547,7 +537,19 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
     job.label = StrFormat("replay %zu:%zu of %s", target.record, target.injection,
                           spec_.journal_path.c_str());
     job.seed = record.seed;
-    JobResult replayed = runner(job);
+    return job;
+  };
+
+  CampaignOutcome outcome;
+  outcome.journal_path = spec_.journal_path;
+  outcome.metadata = journal->metadata();
+  bool children_ok = true;
+  auto judge = [&](size_t index, ForkedResult forked) {
+    const Target& target = targets[index];
+    const JournalRecord& record = records[target.record];
+    const InjectionRecord& injection = record.result.log.records()[target.injection];
+    const JobResult& replayed = forked.result;
+    children_ok &= forked.failure.empty();
 
     // A record that exposed bugs must reproduce at least one of its crash
     // sites from disk alone; injection-only records just report what ran.
@@ -582,9 +584,24 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
     outcome.replays_expected += has_expectation ? 1 : 0;
     outcome.replays_reproduced += (has_expectation && match) ? 1 : 0;
     outcome.replays.push_back(std::move(replay));
-  }
-  outcome.ok = outcome.replays_reproduced == outcome.replays_expected;
-  outcome.pool = exec.pool_stats();
+  };
+
+  // Each record is reproduced in a fresh process, as the paper replays a
+  // logged scenario: a child forked from one post-setup target of the
+  // recorded workload (core/fork_server.h), or under --cold-start a child
+  // that builds its own. No replay inherits another's state, and a child
+  // that crashes or outlives job_timeout_ms fails only its own record. This
+  // thread is the process's only one here, as fork() requires.
+  ForkServerOptions fork_options;
+  fork_options.workers = spec_.workers;
+  fork_options.job_timeout_ms = spec_.job_timeout_ms;
+  fork_options.system = recorded->system;
+  fork_options.scope_prefix = "replay";
+  outcome.pool = RunForkServer(
+      WorkloadFactory(recorded->system, recorded->mode),
+      spec_.cold_start ? WarmPool::Policy::kFresh : WarmPool::Policy::kReuse, targets.size(),
+      make_job, judge, fork_options);
+  outcome.ok = children_ok && outcome.replays_reproduced == outcome.replays_expected;
   return outcome;
 }
 

@@ -42,8 +42,8 @@ struct ReplayOutcome {
   size_t injection = 0;  // injection index within the record's log
   std::string function;  // what was re-injected, for reporting
   uint64_t call_number = 0;
-  bool crashed = false;     // the re-run exposed a bug
-  std::string where;        // its crash site, when it did
+  bool crashed = false;     // the re-run exposed a bug, or its child failed
+  std::string where;        // its crash site (or how the child died), when it did
   bool recorded_bug = false;  // the journal record had exposed a bug
   bool distributed = false;   // the record's log spans several processes
   bool informational = false;  // no reproduction expectation (clean or
@@ -67,11 +67,12 @@ struct CampaignOutcome {
   std::vector<ReplayOutcome> replays;
   size_t replays_expected = 0;
   size_t replays_reproduced = 0;
-  // False only when replay mode failed to reproduce an expected crash site.
+  // False only when replay mode failed to reproduce an expected crash site
+  // or a replay child died, hung or sent an undecodable result.
   bool ok = true;
-  // Single-process table1/explore/replay: the main pool's counters (builds
-  // == runs under cold_start and always for replay). Zero for orchestrated
-  // runs.
+  // Single-process table1/explore: the main pool's counters (builds == runs
+  // under cold_start). Replay: the fork server's, builds 1 (the zygote) or
+  // == runs under cold_start. Zero for orchestrated runs.
   WarmPool::Stats pool;
   // Single-process table1/explore/resume: jobs handed to the runner, and
   // jobs that took the fault-free baseline's result because they provably

@@ -126,8 +126,10 @@ struct CampaignSpec {
   // instances (core/warm_pool.h, WarmPool::Policy). Execution environment,
   // never campaign identity -- warm and cold runs produce byte-identical
   // journals, so this is not in ToJournalMeta; it IS on the spec wire so
-  // spawned shard children inherit the choice. Replay always builds fresh
-  // instances, so it ignores this.
+  // spawned shard children inherit the choice. Replay runs every record in
+  // a forked child either way (core/fork_server.h): by default the child
+  // inherits one target built before the forks; under cold_start each child
+  // builds its own.
   bool cold_start = false;
   // Failpoint schedule (util/failpoint.h spec syntax) armed by the driver
   // and inherited by spawned children over the spec wire format. Chaos

@@ -382,24 +382,36 @@ WarmPool::Factory BfsMuxWarmFactory() {
   };
 }
 
+WarmPool::Factory WorkloadFactory(const std::string& system, CampaignMode mode) {
+  bool explore = mode == CampaignMode::kExplore;
+  if (system == "git") {
+    return GitWarmFactory();
+  }
+  if (system == "mysql") {
+    return MysqlWarmFactory();
+  }
+  if (system == "bind") {
+    return BindWarmFactory();
+  }
+  if (system == "pbft") {
+    return explore ? PbftWarmFactory(20, 3000) : PbftWarmFactory(8, 2000);
+  }
+  if (system == "bfs") {
+    return explore ? BfsWarmFactory(3, 900) : BfsWarmFactory(2, 600);
+  }
+  return nullptr;
+}
+
 // --- ExecutionLayer ----------------------------------------------------------
 
 ExecutionLayer::ExecutionLayer(const std::string& system, CampaignMode mode, bool cold_start) {
-  bool explore = mode == CampaignMode::kExplore;
-  WarmPool::Factory main;
+  WarmPool::Factory main = WorkloadFactory(system, mode);
   WarmPool::Factory phase;
-  if (system == "git") {
-    main = GitWarmFactory();
-  } else if (system == "mysql") {
-    main = MysqlWarmFactory();
-  } else if (system == "bind") {
-    main = BindWarmFactory();
+  if (system == "bind") {
     phase = BindDstWarmFactory();
   } else if (system == "pbft") {
-    main = explore ? PbftWarmFactory(20, 3000) : PbftWarmFactory(8, 2000);
     phase = PbftDistributedWarmFactory();
   } else if (system == "bfs") {
-    main = explore ? BfsWarmFactory(3, 900) : BfsWarmFactory(2, 600);
     phase = BfsMuxWarmFactory();
   }
   WarmPool::Policy policy = cold_start ? WarmPool::Policy::kFresh : WarmPool::Policy::kReuse;

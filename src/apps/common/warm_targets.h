@@ -54,6 +54,11 @@ WarmPool::Factory BfsWarmFactory(int rounds, int max_ticks);
 // library-fault scenario, so the connection mux's recovery paths run.
 WarmPool::Factory BfsMuxWarmFactory();
 
+// The factory of `system`'s campaign-wide workload in `mode` (the
+// ExecutionLayer's main pool, and what replay forks its children from);
+// empty for an unknown system.
+WarmPool::Factory WorkloadFactory(const std::string& system, CampaignMode mode);
+
 // --- the execution layer -----------------------------------------------------
 // Owns a campaign's pools (lifetime: one engine run -- shard and epoch
 // children each build their own) and hands out the ResultRunners the engine

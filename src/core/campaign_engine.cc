@@ -162,12 +162,10 @@ class JournalHook {
 // set, consulting the engine.job.run failpoint first when `job_failpoint`
 // (the fault-free baseline is not a campaign job and skips it). A job past
 // its budget is a target hung under an injected fault: the worker thread
-// is abandoned and the job reports a deterministic "hang" bug -- site and
-// fingerprint derive from the label alone, so the resulting
-// journal record is identical however long the wait actually took. Detaching
-// is safe because the thread owns copies of the job and the runner, and a
-// runner must keep alive whatever it touches: a WarmPool runner shares the
-// pool's state, so a late finisher never reaches a destroyed pool.
+// is abandoned and the job reports HangResult. Detaching is safe because
+// the thread owns copies of the job and the runner, and a runner must keep
+// alive whatever it touches: a WarmPool runner shares the pool's state, so
+// a late finisher never reaches a destroyed pool.
 JobResult ExecuteJob(const CampaignJob& job, const CampaignEngine::ResultRunner& runner,
                      const CampaignEngine::Options& options, bool job_failpoint = true) {
   if (options.job_timeout_ms == 0) {
@@ -213,11 +211,7 @@ JobResult ExecuteJob(const CampaignJob& job, const CampaignEngine::ResultRunner&
   watch->abandoned = true;
   lock.unlock();
   worker.detach();  // the hung run is leaked deliberately; kill on process exit
-  JobResult hung;
-  hung.bugs.push_back({options.system.empty() ? "campaign" : options.system, "hang",
-                       "unresponsive under injected fault: " + job.label, job.label});
-  hung.fingerprint = "hang!" + job.label;
-  return hung;
+  return HangResult(job.label, options.system);
 }
 
 // Provably inert jobs (docs/architecture.md, "Provably inert jobs"): the
@@ -321,6 +315,14 @@ void FoundBug::AppendXml(XmlNode* parent) const {
 }
 
 std::string FoundBug::ToXml() const { return ToXmlElement(*this); }
+
+JobResult HangResult(const std::string& label, const std::string& system) {
+  JobResult hung;
+  hung.bugs.push_back({system.empty() ? "campaign" : system, "hang",
+                       "unresponsive under injected fault: " + label, label});
+  hung.fingerprint = "hang!" + label;
+  return hung;
+}
 
 ExplorationResult CampaignEngine::Run(ScenarioSource& source, const ResultRunner& runner) const {
   // An open-loop source schedules nothing from feedback, so it is the

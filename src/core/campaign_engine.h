@@ -248,6 +248,14 @@ class CampaignEngine {
   Options options_;
 };
 
+// The deterministic result of a job that outlived its wall-clock budget
+// (Options::job_timeout_ms): one FoundBug of kind "hang" attributed to
+// `system` ("" falls back to "campaign"), whose site and fingerprint derive
+// from the job's `label` alone, so a record is identical however long the
+// wait actually took. The engine's watchdog and the fork server (core/
+// fork_server.h) both report a hung job this way.
+JobResult HangResult(const std::string& label, const std::string& system);
+
 // Runtime options carrying a job's deterministic seed.
 inline Runtime::Options SeededOptions(uint64_t seed) {
   Runtime::Options options;

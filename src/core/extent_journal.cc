@@ -464,6 +464,44 @@ std::optional<ExtentHeader> DecodeExtentHeader(std::string_view bytes, uint64_t 
 
 }  // namespace
 
+// --- standalone job results -------------------------------------------------
+
+std::string EncodeJobResult(const JobResult& result) {
+  ByteWriter w;
+  StringPool pool;
+  EncodeResult(result, &w, &pool);
+  w.PutU32(Crc32(w.buffer()));
+  return w.TakeBuffer();
+}
+
+std::optional<JobResult> DecodeJobResult(std::string_view bytes, std::string* error) {
+  auto fail = [&](std::string what) -> std::optional<JobResult> {
+    if (error != nullptr) {
+      *error = std::move(what);
+    }
+    return std::nullopt;
+  };
+  if (bytes.size() < 4) {
+    return fail("truncated job result");
+  }
+  std::string_view payload = bytes.substr(0, bytes.size() - 4);
+  ByteReader trailer(bytes.substr(payload.size()));
+  if (Crc32(payload) != trailer.GetU32()) {
+    return fail("job result checksum mismatch");
+  }
+  ByteReader reader(payload);
+  PoolReader pool(&reader);
+  JobResult result;
+  std::string decode_error;
+  if (!DecodeResult(&reader, &pool, &result, &decode_error)) {
+    return fail("bad job result: " + decode_error);
+  }
+  if (!reader.AtEnd()) {
+    return fail("trailing bytes after job result");
+  }
+  return result;
+}
+
 // --- reading ----------------------------------------------------------------
 
 bool IsExtentJournal(std::string_view bytes) {

@@ -93,6 +93,17 @@ std::optional<ExtentJournalData> ParseExtentJournal(std::string_view bytes,
 bool DecodeExtentRecords(std::string_view file_bytes, const ExtentInfo& extent,
                          std::vector<JournalRecord>* out, std::string* error = nullptr);
 
+// One JobResult on its own, outside any journal: the record codec's result
+// section over a fresh string pool, followed by a CRC-32 of those bytes (the
+// fork server's child-to-parent wire, core/fork_server.h). Carries every
+// journaled field; call_counts, which no journal carries, is dropped.
+std::string EncodeJobResult(const JobResult& result);
+
+// Decodes EncodeJobResult's bytes, treating them as hostile: nullopt with
+// *error on a checksum mismatch, a malformed or truncated result, or
+// trailing bytes. Never allocates more than the input can describe.
+std::optional<JobResult> DecodeJobResult(std::string_view bytes, std::string* error = nullptr);
+
 // The append-side writer. CampaignJournal owns one per writable extent
 // journal; Create/OpenAppend/Append/Finalize mirror its lifecycle.
 class ExtentJournalWriter {

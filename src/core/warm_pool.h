@@ -8,11 +8,16 @@
 // network fabric, libc-visible process state, application fields, coverage),
 // and Reset() rolls everything back bit-exactly between jobs.
 //
-// The pool is the only way a job reaches a target. Its policy decides what
-// happens between jobs: kReuse (the default) resets and re-pools the
-// instance; kFresh builds a fresh instance per job and destroys it after the
-// run without ever resetting it -- the paper's fresh-process-per-test model,
-// and the `--cold-start` ablation.
+// The pool is the only way an engine job reaches a target. Its policy
+// decides what happens between jobs: kReuse (the default) resets and
+// re-pools the instance; kFresh builds a fresh instance per job and destroys
+// it after the run without ever resetting it -- the `--cold-start` ablation.
+// The paper's fresh-process-per-test model itself is the fork server
+// (core/fork_server.h), which replay runs on: it takes the same Factory and
+// Policy, but forks one child per job from a single post-setup instance
+// (kReuse) or builds in each child (kFresh). It is not a third policy
+// because pools are called from engine worker threads, and fork() is only
+// safe from a single-threaded process.
 //
 // The correctness bar is strict: bugs, coverage, fingerprints, and campaign
 // journal *bytes* must be identical under both policies at any worker or

@@ -23,7 +23,8 @@
 //            scopeless entries fire in any process. The campaign driver
 //            scopes shard children "shard<I>" / "epoch<E>.shard<I>", so one
 //            spec string can script "shard 2 dies in epoch 1" and ride the
-//            spec wire format to every child untouched.
+//            spec wire format to every child untouched; replay scopes the
+//            child of its K-th replayed record "replay<K>".
 //
 // Arm() replaces the whole armed set (the spec string is the complete
 // schedule), so re-arming an inherited registry in a forked child is

@@ -2,13 +2,18 @@
 // property-style write -> load -> re-encode round trips over randomized
 // journals, torn-tail truncation at every byte offset, footer-index random
 // access vs the full scan, kill-and-resume bit-identity at several worker
-// counts, and the LZ/varint primitives the format builds on.
+// counts, the LZ/varint primitives the format builds on, and the standalone
+// JobResult codec read as hostile input.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/common/campaign_driver.h"
@@ -392,6 +397,126 @@ TEST(ExtentJournal, KillAndResumeBitIdenticalAcrossWorkerCounts) {
   }
 }
 
+// --- standalone job results (the fork server's pipe) -------------------------
+
+// Largest single operator-new request since the last reset: the hostile-input
+// cases below assert the decoder never sizes an allocation from a forged
+// count or length.
+std::atomic<size_t> largest_allocation{0};
+
+JobResult SampleResult(Rng& rng) {
+  JournalRecord record;
+  do {
+    record = RandomRecord(rng, 0);
+  } while (record.gated || record.result.log.empty());
+  record.result.bugs.push_back(FoundBug{"pbft", "hang", "unresponsive", record.label});
+  return std::move(record.result);
+}
+
+TEST(JobResultCodec, EveryFieldRoundTrips) {
+  Rng rng(31);
+  std::vector<JobResult> results = {JobResult{}};
+  for (int i = 0; i < 40; ++i) {
+    results.push_back(SampleResult(rng));
+  }
+  results.back().call_counts = CallCounts{{"fopen", 3}};
+  for (const JobResult& want : results) {
+    std::string bytes = EncodeJobResult(want);
+    std::string error;
+    std::optional<JobResult> got = DecodeJobResult(bytes, &error);
+    ASSERT_TRUE(got.has_value()) << error;
+    EXPECT_EQ(got->fingerprint, want.fingerprint);
+    EXPECT_EQ(got->injections, want.injections);
+    EXPECT_TRUE(got->bugs == want.bugs);
+    EXPECT_TRUE(got->log == want.log);
+    std::vector<CoverageMap::BlockInfo> got_blocks = got->coverage.SortedBlocks();
+    std::vector<CoverageMap::BlockInfo> want_blocks = want.coverage.SortedBlocks();
+    ASSERT_EQ(got_blocks.size(), want_blocks.size());
+    for (size_t b = 0; b < want_blocks.size(); ++b) {
+      EXPECT_EQ(std::tie(got_blocks[b].name, got_blocks[b].recovery, got_blocks[b].lines,
+                         got_blocks[b].hits),
+                std::tie(want_blocks[b].name, want_blocks[b].recovery, want_blocks[b].lines,
+                         want_blocks[b].hits));
+    }
+    EXPECT_FALSE(got->call_counts.has_value());  // out of band, never encoded
+    EXPECT_EQ(EncodeJobResult(*got), bytes);
+  }
+}
+
+TEST(JobResultCodec, TruncatedOrExtendedInputIsRejected) {
+  Rng rng(32);
+  std::string bytes = EncodeJobResult(SampleResult(rng));
+  for (size_t length = 0; length < bytes.size(); ++length) {
+    std::string error;
+    EXPECT_FALSE(DecodeJobResult(bytes.substr(0, length), &error).has_value()) << length;
+    EXPECT_FALSE(error.empty()) << length;
+  }
+  EXPECT_FALSE(DecodeJobResult(bytes + '\0').has_value());
+}
+
+TEST(JobResultCodec, BitFlippedInputIsRejected) {
+  Rng rng(33);
+  std::string bytes = EncodeJobResult(SampleResult(rng));
+  for (size_t offset = 0; offset < bytes.size(); ++offset) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[offset] = static_cast<char>(flipped[offset] ^ (1 << bit));
+      std::string error;
+      EXPECT_FALSE(DecodeJobResult(flipped, &error).has_value()) << offset << ":" << bit;
+      EXPECT_FALSE(error.empty());
+    }
+  }
+}
+
+// Forged payloads carry a valid checksum, so the decoder itself must refuse
+// them -- promptly, and without allocating for the counts they claim.
+TEST(JobResultCodec, ForgedHugeVarintsAreRejectedWithoutAllocating) {
+  auto seal = [](const ByteWriter& payload) {
+    ByteWriter sealed;
+    sealed.PutBytes(payload.buffer());
+    sealed.PutU32(Crc32(payload.buffer()));
+    return sealed.TakeBuffer();
+  };
+  const uint64_t huge = uint64_t{1} << 62;
+  std::vector<std::string> forged;
+  {
+    ByteWriter w;  // a new fingerprint string 2^62 bytes long
+    w.PutVarint(0);
+    w.PutVarint(huge);
+    forged.push_back(seal(w));
+  }
+  {
+    ByteWriter w;  // a back-reference far past the (empty) string pool
+    w.PutVarint(huge);
+    forged.push_back(seal(w));
+  }
+  for (int field = 0; field < 3; ++field) {
+    ByteWriter w;  // "" fingerprint, 0 injections, then 2^62 bugs, log records or blocks
+    w.PutVarint(0);
+    w.PutVarint(0);
+    w.PutVarint(0);
+    for (int before = 0; before < field; ++before) {
+      w.PutVarint(0);
+    }
+    w.PutVarint(huge);
+    forged.push_back(seal(w));
+  }
+  {
+    ByteWriter w;  // an 11-byte varint: longer than any 64-bit value
+    for (int i = 0; i < 11; ++i) {
+      w.PutU8(0xff);
+    }
+    forged.push_back(seal(w));
+  }
+  for (const std::string& bytes : forged) {
+    largest_allocation = 0;
+    std::string error;
+    EXPECT_FALSE(DecodeJobResult(bytes, &error).has_value());
+    EXPECT_FALSE(error.empty());
+    EXPECT_LT(largest_allocation.load(), size_t{1} << 20) << error;
+  }
+}
+
 // --- the primitives ----------------------------------------------------------
 
 TEST(BinaryIo, VarintAndZigZagRoundTrip) {
@@ -453,3 +578,19 @@ TEST(BinaryIo, LzRoundTripsRandomBuffers) {
 
 }  // namespace
 }  // namespace lfi
+
+// Records the largest request for JobResultCodec's allocation bound; every
+// other operator new/delete form forwards here. Out of line, so the compiler
+// never pairs a new-expression with the free() inside.
+[[gnu::noinline]] void* operator new(size_t size) {
+  size_t seen = lfi::largest_allocation.load(std::memory_order_relaxed);
+  while (size > seen &&
+         !lfi::largest_allocation.compare_exchange_weak(seen, size, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept { std::free(p); }

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "apps/common/campaign_spec.h"
@@ -24,6 +25,7 @@
 #include "coverage/coverage.h"
 #include "profiler/fault_profile.h"
 #include "util/errno_codes.h"
+#include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -473,10 +475,11 @@ TEST(CampaignJournal, ReplayReproducesEveryJournaledCrashSiteFromDisk) {
   EXPECT_GT(bug_records, 0u);
 }
 
-// Replay runs through the recorded workload's pools under the fresh-instance
-// policy, with or without cold_start, and reproduces every expected crash. A
-// journal naming a system this build does not know is refused.
-TEST(CampaignJournal, ReplayBuildsAFreshInstancePerRecordAndRefusesUnknownSystems) {
+// Replay forks one child per record from a zygote of the recorded workload:
+// one bring-up by default, one per record (built in each child) under
+// cold_start, with identical outcomes either way, and every expected crash
+// reproduced. A journal naming a system this build does not know is refused.
+TEST(CampaignJournal, ReplayForksAFreshProcessPerRecordAndRefusesUnknownSystems) {
   EnsureStockTriggersRegistered();
   for (const char* system : {"pbft", "bfs"}) {
     SCOPED_TRACE(system);
@@ -493,9 +496,10 @@ TEST(CampaignJournal, ReplayBuildsAFreshInstancePerRecordAndRefusesUnknownSystem
     replay.cold_start = true;
     CampaignOutcome cold = RunSpec(replay);
     EXPECT_GT(plain.replays_expected, 0u);
+    EXPECT_EQ(plain.pool.builds, 1u);
+    EXPECT_EQ(cold.pool.builds, cold.replays.size());
     for (const CampaignOutcome* outcome : {&plain, &cold}) {
       EXPECT_EQ(outcome->replays_reproduced, outcome->replays_expected);
-      EXPECT_EQ(outcome->pool.builds, outcome->replays.size());
       EXPECT_EQ(outcome->pool.runs, outcome->replays.size());
       EXPECT_EQ(outcome->pool.resets, 0u);
     }
@@ -520,6 +524,63 @@ TEST(CampaignJournal, ReplayBuildsAFreshInstancePerRecordAndRefusesUnknownSystem
   auto refused = CampaignDriver({.mode = CampaignMode::kReplay, .journal_path = path}).Run(&error);
   EXPECT_FALSE(refused.has_value());
   EXPECT_EQ(error, "journal names unknown system 'zfs'");
+}
+
+// A replay child that dies or outlives job_timeout_ms fails only its own
+// record: the record reads crashed, with a site naming the exit (or the
+// engine's deterministic hang), every other record replays exactly as in a
+// clean run, and the run is not ok. Failpoints reach child K under scope
+// "replay<K>". The deadline leaves the healthy records room to finish under
+// sanitizers.
+TEST(CampaignJournal, ReplayIsolatesACrashedOrHungChildToItsOwnRecord) {
+  EnsureStockTriggersRegistered();
+  std::string path = TempPath("journal_replay_isolation.lfij");
+  std::remove(path.c_str());
+  RunSpec({.system = "pbft",
+           .strategy = ExploreStrategy::kCoverage,
+           .budget = 16,
+           .seed = 1,
+           .journal_path = path});
+  CampaignSpec replay{.mode = CampaignMode::kReplay, .workers = 2, .journal_path = path};
+  CampaignOutcome clean = RunSpec(replay);
+  struct Disarm {  // the driver arms failpoints process-wide
+    ~Disarm() { Failpoints::Instance().Clear(); }
+  } disarm;
+  ASSERT_TRUE(clean.ok);
+  ASSERT_GE(clean.replays.size(), 2u);
+
+  struct Case {
+    const char* failpoints;
+    uint64_t job_timeout_ms;
+    size_t failed;
+    std::string where;
+  };
+  const std::string label0 = "replay " + std::to_string(clean.replays[0].record) + ":" +
+                             std::to_string(clean.replays[0].injection) + " of " + path;
+  for (const Case& c : {Case{"replay1:engine.job.run=exit:9", 0, 1,
+                             "child process exited with status 9"},
+                        Case{"replay0:engine.job.run=hang", 5000, 0,
+                             "unresponsive under injected fault: " + label0}}) {
+    SCOPED_TRACE(c.failpoints);
+    replay.failpoints = c.failpoints;
+    replay.job_timeout_ms = c.job_timeout_ms;
+    CampaignOutcome hurt = RunSpec(replay);
+    EXPECT_FALSE(hurt.ok);
+    ASSERT_EQ(hurt.replays.size(), clean.replays.size());
+    for (size_t i = 0; i < clean.replays.size(); ++i) {
+      const ReplayOutcome& want = clean.replays[i];
+      const ReplayOutcome& got = hurt.replays[i];
+      if (i == c.failed) {
+        EXPECT_TRUE(got.crashed);
+        EXPECT_EQ(got.where, c.where);
+        EXPECT_FALSE(got.reproduced);
+        continue;
+      }
+      EXPECT_EQ(std::tie(got.crashed, got.where, got.reproduced),
+                std::tie(want.crashed, want.where, want.reproduced))
+          << "replay " << i;
+    }
+  }
 }
 
 // --- the doctor's campaign-identity surface ---------------------------------
