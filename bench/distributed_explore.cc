@@ -168,8 +168,8 @@ int main(int argc, char** argv) {
     distributed.shard_count = shards;
 
     start = std::chrono::steady_clock::now();
-    // In-process shard children, one thread per shard: same artifacts as
-    // spawned `lfi_tool run-spec` processes, minus the exec/startup cost.
+    // Forked shard children, one process per shard: the same children
+    // `lfi_tool shard` runs.
     auto outcome = lfi::CampaignDriver(distributed).Run(&error);
     double total_ms = MsSince(start);
     if (!outcome) {

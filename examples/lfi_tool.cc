@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -21,7 +20,6 @@
 #include "apps/common/campaign_driver.h"
 #include "apps/common/campaign_spec.h"
 #include "apps/common/journal_inspect.h"
-#include "apps/common/shard_supervisor.h"
 #include "apps/git/git.h"
 #include "apps/httpd/httpd.h"
 #include "apps/mysql/mysql.h"
@@ -76,7 +74,6 @@ int Usage() {
                "  lfi_tool journal info <path> [--json]\n"
                "  lfi_tool journal dump <path>\n"
                "  lfi_tool journal doctor <path> [--repair] [--json]\n"
-               "  lfi_tool run-spec <spec.xml>   (exit 78: spec refused, never retried)\n"
                "options:\n"
                "  --json                 machine-readable outcome\n"
                "%s",
@@ -244,17 +241,12 @@ int PrintJournalSummary(const char* command, const lfi::CampaignOutcome& outcome
 // Runs a spec through the driver and prints its outcome in the shape the
 // subcommand historically used. `command` names the subcommand in JSON
 // output ("campaign", "explore", "shard", "resume", "replay").
-int RunSpec(const char* command, lfi::CampaignSpec spec, bool json,
-            const std::string& tool_path) {
+int RunSpec(const char* command, lfi::CampaignSpec spec, bool json) {
   lfi::CampaignDriver driver(std::move(spec));
-  driver.set_tool_path(tool_path);
   std::string error;
   auto outcome = driver.Run(&error);
   if (!outcome) {
     std::fprintf(stderr, "%s failed: %s\n", command, error.c_str());
-    if (driver.refused() && std::strcmp(command, "run-spec") == 0) {
-      return lfi::kChildRefusedExitStatus;  // the supervisor must not retry
-    }
     return driver.spec().Validate().empty() ? 1 : 2;
   }
   switch (driver.spec().mode) {
@@ -384,7 +376,6 @@ int RunJournalDoctorCommand(const std::string& path, bool repair, bool json) {
 
 int main(int argc, char** argv) {
   lfi::EnsureStockTriggersRegistered();
-  std::string tool_path = argv[0] != nullptr ? argv[0] : "";
   std::vector<std::string> args(argv + 1, argv + argc);
   if (args.empty()) {
     return Usage();
@@ -478,21 +469,6 @@ int main(int argc, char** argv) {
     std::fwrite(text->data(), 1, text->size(), stdout);
     return 0;
   }
-  if (cmd == "run-spec" && args.size() == 2) {
-    std::ifstream in(args[1]);
-    if (!in) {
-      std::fprintf(stderr, "cannot open spec %s\n", args[1].c_str());
-      return 1;
-    }
-    std::string xml((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    std::string error;
-    auto spec = lfi::CampaignSpec::Parse(xml, &error);
-    if (!spec) {
-      std::fprintf(stderr, "bad spec %s: %s\n", args[1].c_str(), error.c_str());
-      return lfi::kChildRefusedExitStatus;
-    }
-    return RunSpec("run-spec", std::move(*spec), /*json=*/false, tool_path);
-  }
   // Every other subcommand takes --json (and doctor --repair) anywhere, and
   // the spec flags after its positional arguments.
   bool json = TakeSwitch(&args, "--json");
@@ -526,7 +502,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "shard needs --shards N (N >= 2)\n");
       return Usage();
     }
-    return RunSpec(cmd.c_str(), std::move(spec), json, tool_path);
+    return RunSpec(cmd.c_str(), std::move(spec), json);
   }
   if ((cmd == "resume" || cmd == "replay") && args.size() >= 2) {
     // replay's optional positional selector must precede any options.
@@ -539,7 +515,7 @@ int main(int argc, char** argv) {
     }
     spec.mode = cmd == "resume" ? lfi::CampaignMode::kResume : lfi::CampaignMode::kReplay;
     spec.journal_path = args[1];
-    return RunSpec(cmd.c_str(), std::move(spec), json, tool_path);
+    return RunSpec(cmd.c_str(), std::move(spec), json);
   }
   if (cmd == "merge" && args.size() >= 3) {
     size_t start = 2;

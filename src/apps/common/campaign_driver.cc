@@ -362,9 +362,9 @@ std::optional<CampaignOutcome> CampaignDriver::Run(std::string* error) {
     refused_ = true;
     return Fail(error, std::move(invalid));
   }
-  // Chaos hooks, armed before anything fallible runs. The spec carries the
-  // schedule over the wire to spawned children (Arm replaces the whole set,
-  // so a forked child re-arming its inherited registry is idempotent);
+  // Chaos hooks, armed before anything fallible runs. Shard children get
+  // the schedule in their copy of the spec (Arm replaces the whole set, so
+  // a forked child re-arming its inherited registry is idempotent);
   // scope names this process so "epoch1.shard2:..." entries fire only in
   // the child they script.
   if (!spec_.failpoints.empty()) {
@@ -608,7 +608,6 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
 bool CampaignDriver::RunShardChildren(const std::vector<CampaignSpec>& children,
                                       size_t jobs_hint, std::string* error) {
   ShardSupervisor::Options options;
-  options.tool_path = tool_path_;
   options.max_retries = spec_.max_retries;
   options.backoff_ms = spec_.backoff_ms;
   // The per-child deadline: explicit wins; otherwise derive one from the

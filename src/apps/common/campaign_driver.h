@@ -12,11 +12,10 @@
 // always through one loop, the epoch protocol (docs/architecture.md). Per
 // epoch, the orchestrator enumerates the epoch's jobs from a master copy of
 // the spec's source; every shard executes the same deterministic spec with
-// shard=i/N (dealt by scenario fingerprint, core/exploration.h ShardSource),
-// either as spawned `lfi_tool run-spec` child processes (set_tool_path) or
-// in-process; and the shard journals are merged (core/journal.h
-// MergeRecordsInto) into spec.journal_path, a valid, resumable
-// single-process journal. Coverage-guided exploration runs epoch_len
+// shard=i/N (dealt by scenario fingerprint, core/exploration.h ShardSource)
+// in a child process forked from the orchestrator; and the shard journals
+// are merged (core/journal.h MergeRecordsInto) into spec.journal_path, a
+// valid, resumable single-process journal. Coverage-guided exploration runs epoch_len
 // batches per epoch and hands children a frontier snapshot. An open-loop
 // spec (table1 --exhaustive, explore exhaustive|random) is the one-epoch
 // case: its whole stream is one epoch, children write
@@ -86,12 +85,6 @@ class CampaignDriver {
  public:
   explicit CampaignDriver(CampaignSpec spec) : spec_(std::move(spec)) {}
 
-  // Path to the lfi_tool binary (argv[0]): shard orchestration spawns
-  // `<tool_path> run-spec <spec.xml>` child processes, one per shard. Empty
-  // (the default) runs the shards in-process, sequentially -- same results,
-  // no process isolation.
-  void set_tool_path(std::string path) { tool_path_ = std::move(path); }
-
   const CampaignSpec& spec() const { return spec_; }
 
   // True when the last Run() failed with a refusal that running the same
@@ -115,18 +108,16 @@ class CampaignDriver {
   // producing a merged journal byte-identical to the single-process run.
   std::optional<CampaignOutcome> RunEpochOrchestration(std::string* error);
   // Runs one child campaign per spec under the ShardSupervisor
-  // (apps/common/shard_supervisor.h): exec'd `lfi_tool run-spec` processes
-  // when the tool path is known, fork-without-exec child processes
-  // otherwise (threads on non-POSIX). The supervisor applies the spec's
-  // deadline/retry/backoff policy; `jobs_hint` (jobs a child may run, 0 =
-  // unknown) sizes the derived per-child deadline when the spec sets
-  // job_timeout_ms but no child_timeout_ms. False + *error when a child
-  // exhausts its retries.
+  // (apps/common/shard_supervisor.h): each in a child process forked from
+  // this one, running CampaignDriver::Run on its spec (threads on
+  // non-POSIX). The supervisor applies the spec's deadline/retry/backoff
+  // policy; `jobs_hint` (jobs a child may run, 0 = unknown) sizes the
+  // derived per-child deadline when the spec sets job_timeout_ms but no
+  // child_timeout_ms. False + *error when a child exhausts its retries.
   bool RunShardChildren(const std::vector<CampaignSpec>& children, size_t jobs_hint,
                         std::string* error);
 
   CampaignSpec spec_;
-  std::string tool_path_;
   bool refused_ = false;
 };
 

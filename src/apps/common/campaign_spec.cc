@@ -49,9 +49,9 @@ std::optional<Enum> ValueOf(const std::pair<Enum, const char*> (&names)[N],
 }
 
 // --- value codecs -----------------------------------------------------------
-// One strict parser and one printer per value type. The command line, the
-// spec wire and the journal header all go through them, so every value one
-// of them accepts, the others accept too.
+// One strict parser and one printer per value type. The command line and
+// the journal header both go through them, so every value one accepts, the
+// other accepts too.
 
 bool ParseValue(std::string_view text, std::string* out) {
   *out = std::string(text);
@@ -163,26 +163,24 @@ constexpr FieldOps Ops() {
   };
 }
 
-// When a field is written to the wire or the journal header; nullptr means
-// "when its value differs from a default-constructed spec's".
+// When a field is written to the journal header; nullptr means "when its
+// value differs from a default-constructed spec's".
 using Presence = bool (*)(const CampaignSpec&);
 
 bool Always(const CampaignSpec&) { return true; }
-bool InExploreMode(const CampaignSpec& spec) { return spec.mode == CampaignMode::kExplore; }
 // Journal headers know two identities: Table 1 ("campaign") and explore.
 bool Table1Identity(const CampaignSpec& spec) { return spec.mode == CampaignMode::kTable1; }
 bool ExploreIdentity(const CampaignSpec& spec) { return spec.mode != CampaignMode::kTable1; }
 bool Sharded(const CampaignSpec& spec) { return spec.shard_index != CampaignSpec::kNoShard; }
 
 struct SpecField {
-  const char* attr;  // <campaignspec> attribute (and the field's name)
+  const char* name;
   FieldOps ops;
   const char* flag = nullptr;  // command-line flag
   const char* arg = nullptr;   // the flag's value in usage; nullptr = a switch
   const char* help = nullptr;  // usage text; nullptr = undocumented
-  Presence on_wire = nullptr;
   // Journal header: key, presence, and position. The historical key order
-  // is not the wire order ("command" before "system", "epoch-len" before
+  // is not the table order ("command" before "system", "epoch-len" before
   // the shard keys), so each key carries its rank.
   const char* meta = nullptr;
   Presence in_meta = nullptr;
@@ -201,61 +199,58 @@ std::string CommandHeader(const CampaignSpec& spec) {
 
 bool ParseShardFlag(std::string_view text, CampaignSpec* spec);
 
-// Wire order. `format` has one value and lives nowhere.
+// Usage order. A field no flag sets, no header records and no resume adopts
+// has no row: `format` has one value, and the driver and lfi_tool set the
+// resume marker, an epoch child's frontier snapshot and replay's selector.
 const SpecField kFields[] = {
-    {.attr = "system", .ops = Ops<&CampaignSpec::system>(), .on_wire = Always,
-     .meta = "system", .in_meta = Always, .meta_rank = 1, .identity = true},
-    {.attr = "mode", .ops = Ops<&CampaignSpec::mode>(), .on_wire = Always,
-     .meta = "command", .in_meta = Always, .meta_rank = 0, .identity = true,
-     .meta_print = CommandHeader},
-    {.attr = "strategy", .ops = Ops<&CampaignSpec::strategy>(), .flag = "--strategy",
-     .arg = "NAME", .help = "explore: exhaustive | random | coverage",
-     .on_wire = InExploreMode, .meta = "strategy", .in_meta = ExploreIdentity,
-     .meta_rank = 3, .identity = true},
-    {.attr = "exhaustive", .ops = Ops<&CampaignSpec::exhaustive>(), .flag = "--exhaustive",
+    {.name = "system", .ops = Ops<&CampaignSpec::system>(), .meta = "system",
+     .in_meta = Always, .meta_rank = 1, .identity = true},
+    {.name = "mode", .ops = Ops<&CampaignSpec::mode>(), .meta = "command", .in_meta = Always,
+     .meta_rank = 0, .identity = true, .meta_print = CommandHeader},
+    {.name = "strategy", .ops = Ops<&CampaignSpec::strategy>(), .flag = "--strategy",
+     .arg = "NAME", .help = "explore: exhaustive | random | coverage", .meta = "strategy",
+     .in_meta = ExploreIdentity, .meta_rank = 3, .identity = true},
+    {.name = "exhaustive", .ops = Ops<&CampaignSpec::exhaustive>(), .flag = "--exhaustive",
      .help = "campaign: no historical fuzz cutoff (required to shard)", .meta = "exhaustive",
      .in_meta = Table1Identity, .meta_rank = 2, .identity = true},
-    {.attr = "budget", .ops = Ops<&CampaignSpec::budget>(), .flag = "--budget", .arg = "N",
+    {.name = "budget", .ops = Ops<&CampaignSpec::budget>(), .flag = "--budget", .arg = "N",
      .help = "explore: scenarios to run (0 = the strategy's natural size)", .meta = "budget",
      .in_meta = ExploreIdentity, .meta_rank = 4, .identity = true},
-    {.attr = "seed", .ops = Ops<&CampaignSpec::seed, 0, /*kHex=*/true>(), .flag = "--seed",
+    {.name = "seed", .ops = Ops<&CampaignSpec::seed, 0, /*kHex=*/true>(), .flag = "--seed",
      .arg = "S", .help = "explore: random selection and per-job seeds (uint64, 0x.. ok)",
      .meta = "seed", .in_meta = ExploreIdentity, .meta_rank = 5, .identity = true},
-    {.attr = "workers", .ops = Ops<&CampaignSpec::workers>(), .flag = "--workers",
+    {.name = "workers", .ops = Ops<&CampaignSpec::workers>(), .flag = "--workers",
      .arg = "W", .help = "engine workers; <= 0 = one per hardware thread"},
-    {.attr = "journal", .ops = Ops<&CampaignSpec::journal_path>(), .flag = "--journal",
+    {.name = "journal", .ops = Ops<&CampaignSpec::journal_path>(), .flag = "--journal",
      .arg = "PATH", .help = "journal artifact (required to shard)"},
-    {.attr = "resume", .ops = Ops<&CampaignSpec::resume>()},
-    {.attr = "shard", .ops = Ops<&CampaignSpec::shard_index>(), .flag = "--shard",
+    {.name = "shard", .ops = Ops<&CampaignSpec::shard_index>(), .flag = "--shard",
      .arg = "I/N", .help = "explore: run only shard I of N (merge the shards later)",
      .meta = "shard", .meta_rank = 7, .identity = true, .flag_parse = ParseShardFlag},
     // A shard artifact's header records its shard count, but resuming takes
     // the count from the invocation (`resume --shards N`): environment.
-    {.attr = "shards", .ops = Ops<&CampaignSpec::shard_count, 1>(), .flag = "--shards",
+    {.name = "shards", .ops = Ops<&CampaignSpec::shard_count, 1>(), .flag = "--shards",
      .arg = "N", .help = "orchestrate N shard processes, then merge (resume too)",
      .meta = "shards", .in_meta = Sharded, .meta_rank = 8},
-    {.attr = "epoch-len", .ops = Ops<&CampaignSpec::epoch_len, 1>(), .flag = "--epoch-len",
+    {.name = "epoch-len", .ops = Ops<&CampaignSpec::epoch_len, 1>(), .flag = "--epoch-len",
      .arg = "K", .help = "coverage: merged batches per feedback epoch (required to shard)",
      .meta = "epoch-len", .meta_rank = 6, .identity = true},
-    {.attr = "epoch", .ops = Ops<&CampaignSpec::epoch_index>(), .meta = "epoch",
+    {.name = "epoch", .ops = Ops<&CampaignSpec::epoch_index>(), .meta = "epoch",
      .meta_rank = 9, .identity = true},
-    {.attr = "frontier", .ops = Ops<&CampaignSpec::frontier_path>()},
-    {.attr = "child-timeout-ms", .ops = Ops<&CampaignSpec::child_timeout_ms>(),
+    {.name = "child-timeout-ms", .ops = Ops<&CampaignSpec::child_timeout_ms>(),
      .flag = "--child-timeout-ms", .arg = "MS",
      .help = "shard child deadline (0 = derived from --job-timeout-ms)"},
-    {.attr = "max-retries", .ops = Ops<&CampaignSpec::max_retries>(),
+    {.name = "max-retries", .ops = Ops<&CampaignSpec::max_retries>(),
      .flag = "--max-retries", .arg = "R", .help = "respawns per failed shard child"},
-    {.attr = "backoff-ms", .ops = Ops<&CampaignSpec::backoff_ms>(), .flag = "--backoff-ms",
+    {.name = "backoff-ms", .ops = Ops<&CampaignSpec::backoff_ms>(), .flag = "--backoff-ms",
      .arg = "MS", .help = "first respawn delay (doubles per respawn)"},
-    {.attr = "job-timeout-ms", .ops = Ops<&CampaignSpec::job_timeout_ms>(),
+    {.name = "job-timeout-ms", .ops = Ops<&CampaignSpec::job_timeout_ms>(),
      .flag = "--job-timeout-ms", .arg = "MS",
      .help = "per-job hang budget; a job past it is a \"hang\" bug (0 = off)"},
-    {.attr = "cold-start", .ops = Ops<&CampaignSpec::cold_start>(), .flag = "--cold-start",
+    {.name = "cold-start", .ops = Ops<&CampaignSpec::cold_start>(), .flag = "--cold-start",
      .help = "fresh target per job instead of reset-and-reuse (same bytes)"},
-    {.attr = "failpoints", .ops = Ops<&CampaignSpec::failpoints>(), .flag = "--failpoints",
+    {.name = "failpoints", .ops = Ops<&CampaignSpec::failpoints>(), .flag = "--failpoints",
      .arg = "SPEC", .help = "orchestrator fault schedule (src/util/failpoint.h)"},
-    {.attr = "selector", .ops = Ops<&CampaignSpec::replay_selector>()},
-    {.attr = "abort-after", .ops = Ops<&CampaignSpec::abort_after_records>(),
+    {.name = "abort-after", .ops = Ops<&CampaignSpec::abort_after_records>(),
      .flag = "--abort-after", .arg = "N"},
 };
 
@@ -268,7 +263,7 @@ const SpecField* FindField(const char* SpecField::*column, std::string_view name
   return nullptr;
 }
 
-const SpecField& Field(std::string_view attr) { return *FindField(&SpecField::attr, attr); }
+const SpecField& Field(std::string_view name) { return *FindField(&SpecField::name, name); }
 
 bool Holds(Presence presence, const SpecField& field, const CampaignSpec& spec) {
   return presence != nullptr ? presence(spec) : !field.ops.is_default(spec);
@@ -343,7 +338,7 @@ std::string CampaignSpec::Validate() const {
   if (mode == CampaignMode::kExplore && strategy == ExploreStrategy::kCoverage &&
       shard_index != kNoShard && (epoch_index == kNoEpoch || frontier_path.empty())) {
     return "a coverage shard child runs one epoch of an orchestrated campaign: it needs "
-           "the epoch ordinal and frontier snapshot the orchestrator provides (run-spec)";
+           "the epoch ordinal and frontier snapshot the orchestrator provides";
   }
   if (system.empty()) {
     return "no target system named";
@@ -384,38 +379,6 @@ std::string CampaignSpec::Validate() const {
     return "resume needs a journal path";
   }
   return "";
-}
-
-void CampaignSpec::AppendXml(XmlNode* parent) const {
-  XmlNode* node = parent->AddChild("campaignspec");
-  for (const SpecField& field : kFields) {
-    if (Holds(field.on_wire, field, *this)) {
-      node->SetAttr(field.attr, field.ops.print(*this));
-    }
-  }
-}
-
-std::string CampaignSpec::ToXml() const { return ToXmlElement(*this); }
-
-std::optional<CampaignSpec> CampaignSpec::FromNode(const XmlNode& node, std::string* error) {
-  if (node.name() != "campaignspec") {
-    return Fail(error, "campaign spec element must be <campaignspec>");
-  }
-  CampaignSpec spec;
-  for (const auto& [key, value] : node.attrs()) {
-    const SpecField* field = FindField(&SpecField::attr, key);
-    if (field == nullptr) {
-      return Fail(error, "unknown <campaignspec> attribute '" + key + "'");
-    }
-    if (!field->ops.parse(value, &spec)) {
-      return Fail(error, "bad <campaignspec> attribute " + key + "='" + value + "'");
-    }
-  }
-  return spec;
-}
-
-std::optional<CampaignSpec> CampaignSpec::Parse(const std::string& xml, std::string* error) {
-  return ParseXmlElement<CampaignSpec>(xml, error);
 }
 
 JournalMetadata CampaignSpec::ToJournalMeta() const {
@@ -502,8 +465,6 @@ std::string SpecFlagsUsage() {
   }
   return out;
 }
-
-std::string SpecWirePath(const std::string& journal_path) { return journal_path + ".spec"; }
 
 std::string CampaignSpec::ShardJournalPath(size_t shard) const {
   return journal_path + StrFormat(".shard%zu", shard);

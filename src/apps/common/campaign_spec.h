@@ -10,13 +10,13 @@
 // CampaignDriver (campaign_driver.h) executes it.
 //
 // One field table in campaign_spec.cc is the spec's schema. Each entry names
-// a field's CLI flag, its <campaignspec> attribute (the parent->child wire of
-// `lfi_tool shard`: the orchestrator serializes one spec per shard and each
-// child runs `lfi_tool run-spec`), its journal-header key, whether it is
-// campaign identity or execution environment, and the one strict parser and
-// printer for its value. ParseSpecFlags, ToXml/FromNode,
-// ToJournalMeta/FromJournalMeta (how `resume` rebuilds the whole spec from
-// the artifact alone), AdoptEnvironment and SpecFlagsUsage are loops over it.
+// a field's CLI flag, its journal-header key, whether it is campaign
+// identity or execution environment, and the one strict parser and printer
+// for its value. ParseSpecFlags, ToJournalMeta/FromJournalMeta (how
+// `resume` rebuilds the whole spec from the artifact alone),
+// AdoptEnvironment and SpecFlagsUsage are loops over it. Shard children need
+// no serialized spec: each is a fork of the orchestrator and gets its spec
+// as a value (apps/common/shard_supervisor.h).
 //
 // This header also owns the one copy of the name<->enum parse tables
 // (system, mode, strategy) that lfi_tool and the campaign library used to
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "core/campaign_engine.h"
-#include "xml/xml.h"
 
 namespace lfi {
 
@@ -81,8 +80,8 @@ struct CampaignSpec {
   // it stopped (kResume sets this implicitly after reading the header).
   bool resume = false;
   // Multi-process sharding. shard_count > 1 with shard_index unset makes
-  // CampaignDriver orchestrate: run every shard (spawning child processes
-  // when it knows the lfi_tool path), then merge the per-shard journals.
+  // CampaignDriver orchestrate: run every shard in a forked child process,
+  // then merge the per-shard journals.
   // With shard_index set, this process runs only that shard of the
   // deterministic stream into ShardJournalPath-style artifacts.
   size_t shard_index = kNoShard;
@@ -125,17 +124,17 @@ struct CampaignSpec {
   // fresh-process-per-test model) instead of resetting and reusing pooled
   // instances (core/warm_pool.h, WarmPool::Policy). Execution environment,
   // never campaign identity -- warm and cold runs produce byte-identical
-  // journals, so this is not in ToJournalMeta; it IS on the spec wire so
-  // spawned shard children inherit the choice. Replay runs every record in
+  // journals, so this is not in ToJournalMeta; forked shard children
+  // inherit it with their spec. Replay runs every record in
   // a forked child either way (core/fork_server.h): by default the child
   // inherits one target built before the forks; under cold_start each child
   // builds its own.
   bool cold_start = false;
   // Failpoint schedule (util/failpoint.h spec syntax) armed by the driver
-  // and inherited by spawned children over the spec wire format. Chaos
-  // testing only; stripped from supervisor respawns.
+  // and inherited by forked shard children with their spec. Chaos testing
+  // only; stripped from supervisor respawns.
   std::string failpoints = {};
-  // Always kExtent (see JournalFormat); not on the spec wire.
+  // Always kExtent (see JournalFormat).
   JournalFormat format = JournalFormat::kExtent;
   // Replay mode: "record[:injection]" selecting one journaled injection;
   // empty replays every record that injected.
@@ -148,22 +147,11 @@ struct CampaignSpec {
   // what is wrong (unknown system, coverage strategy sharded, ...).
   std::string Validate() const;
 
-  // XML round trip (<campaignspec .../>): canonical -- defaults are omitted
-  // and Parse(ToXml(s)) == s byte-stably. The shard orchestrator's wire
-  // format. The reader refuses unknown attributes and malformed values
-  // (trailing bytes, signs on unsigned fields, overflow).
-  void AppendXml(XmlNode* parent) const;
-  std::string ToXml() const;
-  static std::optional<CampaignSpec> FromNode(const XmlNode& node,
-                                              std::string* error = nullptr);
-  static std::optional<CampaignSpec> Parse(const std::string& xml,
-                                           std::string* error = nullptr);
-
   // Journal identity: the header a journaled run of this spec records
   // (matching the historical key order, so old journals still resume), and
   // the inverse `lfi_tool resume` uses. Environment fields (workers,
   // supervision policy, abort hook) are not part of the identity. The reader
-  // parses every known key as strictly as the wire reader, refuses commands
+  // parses every known key as strictly as ParseSpecFlags, refuses commands
   // other than table1 ("campaign") and explore, and ignores keys it does not
   // know (free-form annotations that merges carry along).
   JournalMetadata ToJournalMeta() const;
@@ -189,16 +177,13 @@ struct CampaignSpec {
 // Parses the command-line flags args[start..] into `spec` through the field
 // table; a bare integer is the worker count (the historical `campaign
 // <system> <workers>` form). Returns false with `error` set on an unknown
-// option, a missing value or a value the field's parser refuses.
+// option, a missing value or a value the field's parser refuses (trailing
+// bytes, a sign on an unsigned field, overflow).
 bool ParseSpecFlags(const std::vector<std::string>& args, size_t start, CampaignSpec* spec,
                     std::string* error);
 
 // One usage line per documented flag, generated from the field table.
 std::string SpecFlagsUsage();
-
-// Where the shard supervisor writes a child's serialized spec before exec'ing
-// `lfi_tool run-spec` on it: "<child journal_path>.spec".
-std::string SpecWirePath(const std::string& journal_path);
 
 }  // namespace lfi
 

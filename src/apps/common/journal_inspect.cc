@@ -78,7 +78,7 @@ std::string WalkEpochs(const CampaignJournal& journal, std::vector<EpochSummary>
 }
 
 // Sibling artifacts a sharded/epoch campaign writes next to its merged
-// journal: the merge's and the supervisor's scratch files, open-loop shard
+// journal: the merge's scratch files, open-loop shard
 // journals, and per-epoch frontier snapshots and shard journals. Once the
 // merged journal is finalized they are dead weight -- the merge consumed
 // them. Scans are contiguous-from-zero, matching how the orchestrator
@@ -96,15 +96,13 @@ std::vector<std::string> FindSiblingArtifacts(const std::string& journal_path) {
     }
     return false;
   };
-  // One shard's journal plus its supervisor spec and merge scratch file.
+  // One shard's journal plus its merge scratch file.
   auto probe_shard = [&](const std::string& base) {
     bool any = probe(base);
-    any |= probe(SpecWirePath(base));
     any |= probe(base + ".tmp");
     return any;
   };
   probe(journal_path + ".tmp");
-  probe(SpecWirePath(journal_path));
   size_t shard = 0;
   while (shard < kScanLimit && probe_shard(spec.ShardJournalPath(shard))) {
     ++shard;

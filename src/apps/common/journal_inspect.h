@@ -9,7 +9,7 @@
 // recognize the target systems a campaign identity may name, and to build
 // the sibling artifact names a sharded or epoch campaign leaves next to its
 // merged journal (CampaignSpec::ShardJournalPath, EpochShardJournalPath,
-// EpochFrontierPath, SpecWirePath).
+// EpochFrontierPath).
 
 #ifndef LFI_APPS_COMMON_JOURNAL_INSPECT_H_
 #define LFI_APPS_COMMON_JOURNAL_INSPECT_H_

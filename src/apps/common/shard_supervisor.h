@@ -1,12 +1,14 @@
 // Fault-tolerant shard child supervision.
 //
 // The orchestration paths in CampaignDriver (plain shard/merge and the epoch
-// protocol) hand their per-shard child specs to this supervisor instead of
-// the old fork-and-block loop. The supervisor owns the child lifecycle:
+// protocol) hand their per-shard child specs to this supervisor. Every child
+// is a fork of the orchestrator (util/child_process.h) that runs
+// `runner(spec)`; the supervisor owns its lifecycle:
 //
-//   spawn -> running -> reaped clean                      (done)
-//                    -> nonzero exit / killed by signal   -> backoff -> respawn
-//                    -> deadline exceeded -> SIGKILL      -> backoff -> respawn
+//   spawn -> running -> exited 0                            (done)
+//                    -> nonzero exit / killed by signal     -> backoff -> respawn
+//                    -> exit kChildRefusedExitStatus        (failed, never retried)
+//                    -> deadline exceeded -> SIGKILL        -> backoff -> respawn
 //   spawn fails      -> kill + reap started children, run every child
 //                       sequentially in-process (degraded, never fatal)
 //
@@ -19,12 +21,9 @@
 // stripped from respawned children: a retry models a fresh replacement host,
 // not a machine that crashes the same way forever.
 //
-// Children run as processes two ways: `<tool_path> run-spec <spec.xml>`
-// (exec; the spec file is the wire format) when the tool path is known, or
-// fork-without-exec running `runner(spec)` in the child when it is not --
-// which gives library embeddings and the test suite real killable,
-// hangable, supervisable processes. Non-POSIX builds fall back to one
-// thread per child, unsupervised (no deadlines, no retries).
+// The caller must be single-threaded (util/child_process.h). Non-POSIX
+// builds fall back to one thread per child, unsupervised (no deadlines, no
+// retries).
 
 #ifndef LFI_APPS_COMMON_SHARD_SUPERVISOR_H_
 #define LFI_APPS_COMMON_SHARD_SUPERVISOR_H_
@@ -67,9 +66,6 @@ const char* ChildExitName(ChildExit exit);
 class ShardSupervisor {
  public:
   struct Options {
-    // Path of the lfi_tool binary to exec (`run-spec`); "" forks without
-    // exec and runs the ChildRunner in the child process.
-    std::string tool_path;
     // Wall-clock deadline per child attempt; 0 = none. An attempt past its
     // deadline is SIGKILLed and classified kTimedOut.
     uint64_t child_timeout_ms = 0;
@@ -77,12 +73,6 @@ class ShardSupervisor {
     size_t max_retries = 2;
     // First respawn delay; doubles per respawn, capped at 10s.
     uint64_t backoff_ms = 50;
-    // Heartbeat cap on the supervision sweep's event wait. The supervisor
-    // sleeps until the nearest deadline/respawn timer or a SIGCHLD (child
-    // exits wake it immediately where sigtimedwait exists), so this is a
-    // safety backstop, not a polling rate -- it only bounds how stale a
-    // sweep can get if an edge is missed.
-    uint64_t poll_interval_ms = 100;
   };
 
   // Per-child accounting, for reporting and tests.
@@ -94,11 +84,10 @@ class ShardSupervisor {
     bool ran_in_process = false;  // spawn-failure fallback executed this child
   };
 
-  // Runs one child campaign in the calling process: the body of a
-  // fork-without-exec child, and the spawn-failure fallback. Must be
-  // self-contained given the spec (CampaignDriver::Run is the one used).
-  // Returns false on a failure worth retrying; throws ChildRefusal on one
-  // that is not.
+  // Runs one child campaign in the calling process: the body of a forked
+  // child, and the spawn-failure fallback. Must be self-contained given the
+  // spec (CampaignDriver::Run is the one used). Returns false on a failure
+  // worth retrying; throws ChildRefusal on one that is not.
   using ChildRunner = std::function<bool(const CampaignSpec&, std::string*)>;
 
   ShardSupervisor(Options options, ChildRunner runner)

@@ -5,11 +5,11 @@
 // layer gives it at the price of one fork() per job, the way AFL's fork
 // server amortizes execve (https://lcamtuf.coredump.cx/afl/
 // technical_details.txt): the parent builds one post-setup target -- the
-// zygote -- and forks one child per job. The child runs its job on the
-// zygote it inherited copy-on-write, sends the JobResult back over a pipe
-// (EncodeJobResult, core/extent_journal.h) and leaves with std::_Exit. The
-// parent never runs a job, so the zygote stays pristine and nothing is ever
-// Reset().
+// zygote -- and forks one child per job (util/child_process.h). The child
+// runs its job on the zygote it inherited copy-on-write and sends the
+// JobResult back over its pipe (EncodeJobResult, core/extent_journal.h).
+// The parent never runs a job, so the zygote stays pristine and nothing is
+// ever Reset().
 //
 // Under WarmPool::Policy::kFresh (cold start) the parent builds no zygote
 // and every child calls the factory itself after the fork: a literal fresh
@@ -21,12 +21,8 @@
 // its job reports the engine's deterministic HangResult. The other jobs
 // still run.
 //
-// Precondition: the calling process is single-threaded. fork() copies only
-// the calling thread, so a lock another thread holds at fork time (the
-// symbol table's, the failpoint registry's, a pool's) would stay held in the
-// child forever. That is why this is not a WarmPool policy: engine workers
-// call pools from threads. The campaign driver forks from its one thread,
-// with no engine workers alive.
+// The caller must be single-threaded (util/child_process.h). That is why
+// this is not a WarmPool policy: engine workers call pools from threads.
 //
 // Without fork() (non-POSIX builds) every job runs in process on a freshly
 // built instance, with no isolation and no timeout.

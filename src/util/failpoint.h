@@ -22,9 +22,9 @@
 //   scope:   only fire in a process whose scope (SetScope) equals this;
 //            scopeless entries fire in any process. The campaign driver
 //            scopes shard children "shard<I>" / "epoch<E>.shard<I>", so one
-//            spec string can script "shard 2 dies in epoch 1" and ride the
-//            spec wire format to every child untouched; replay scopes the
-//            child of its K-th replayed record "replay<K>".
+//            spec string can script "shard 2 dies in epoch 1" and reach
+//            every child untouched in its spec; replay scopes the child of
+//            its K-th replayed record "replay<K>".
 //
 // Arm() replaces the whole armed set (the spec string is the complete
 // schedule), so re-arming an inherited registry in a forked child is

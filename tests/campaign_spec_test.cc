@@ -1,8 +1,6 @@
-// The unified campaign API: CampaignSpec round trips (XML wire format and
-// journal-header identity), the spec schema (pinned wire and header bytes,
-// strict readers, the flag parser), spec validation, the one name-table,
-// ShardSource
-// dealing, and the multi-process acceptance bar -- merging N shard journals
+// The unified campaign API: CampaignSpec's journal-header identity round
+// trip, the spec schema (pinned header bytes, strict readers, the flag
+// parser), spec validation, the one name-table, ShardSource dealing, and the multi-process acceptance bar -- merging N shard journals
 // in any input order yields a bit-identical merged journal (and the same bug
 // list and coverage as the unsharded run at equal total budget) that resumes
 // cleanly.
@@ -75,30 +73,6 @@ CampaignSpec RandomSpec(Rng& rng) {
   return spec;
 }
 
-TEST(CampaignSpec, XmlRoundTripsAndIsCanonical) {
-  Rng rng(2027);
-  for (int iteration = 0; iteration < 200; ++iteration) {
-    CampaignSpec spec = RandomSpec(rng);
-    // Strategy only serializes in explore mode; normalize so == holds.
-    if (spec.mode != CampaignMode::kExplore) {
-      spec.strategy = ExploreStrategy::kExhaustive;
-    }
-    std::string xml = spec.ToXml();
-    std::string error;
-    auto parsed = CampaignSpec::Parse(xml, &error);
-    ASSERT_TRUE(parsed.has_value()) << error << "\n" << xml;
-    EXPECT_TRUE(*parsed == spec) << xml;
-    EXPECT_EQ(parsed->ToXml(), xml);  // canonical: second trip is byte-stable
-  }
-}
-
-TEST(CampaignSpec, DefaultSpecSerializesMinimal) {
-  CampaignSpec spec;
-  spec.system = "pbft";
-  EXPECT_EQ(spec.ToXml(), "<campaignspec system=\"pbft\" mode=\"explore\" "
-                          "strategy=\"exhaustive\" />\n");
-}
-
 TEST(CampaignSpec, JournalMetaRoundTripsTheIdentity) {
   Rng rng(99);
   for (int iteration = 0; iteration < 100; ++iteration) {
@@ -142,7 +116,8 @@ constexpr size_t FieldCount() {
 }
 
 // A new CampaignSpec field fails here until it is in the schema table
-// (campaign_spec.cc) and in EveryFieldOffDefault below.
+// (campaign_spec.cc) or set by hand in EveryFlagSetsItsField, and in
+// EveryFieldOffDefault below.
 static_assert(FieldCount<CampaignSpec>() == 23);
 
 std::string MetaText(const JournalMetadata& meta) {
@@ -183,64 +158,33 @@ std::vector<CampaignSpec> GoldenSpecs() {
   return specs;
 }
 
-// Wire and header bytes of GoldenSpecs(), as the hand-written serializers
-// that preceded the field table wrote them: existing journals must keep
-// resuming, so neither encoding may change.
-TEST(SpecSchema, WireAndHeaderBytesArePinned) {
-  const std::pair<const char*, const char*> kWant[] = {
-    {"<campaignspec system=\"git\" mode=\"table1\" />\n",
-     "command=campaign;system=git;exhaustive=false;"},
-    {"<campaignspec system=\"bfs\" mode=\"table1\" exhaustive=\"true\" "
-     "journal=\"t1.lfij\" shards=\"3\" />\n",
-     "command=campaign;system=bfs;exhaustive=true;"},
-    {"<campaignspec system=\"pbft\" mode=\"explore\" strategy=\"exhaustive\" />\n",
-     "command=explore;system=pbft;strategy=exhaustive;budget=0;seed=0x1;"},
-    {"<campaignspec system=\"git\" mode=\"explore\" strategy=\"random\" "
-     "budget=\"64\" seed=\"0x7\" workers=\"4\" journal=\"git.lfij\" />\n",
-     "command=explore;system=git;strategy=random;budget=64;seed=0x7;"},
-    {"<campaignspec system=\"pbft\" mode=\"explore\" strategy=\"coverage\" "
-     "budget=\"16\" workers=\"0\" />\n",
-     "command=explore;system=pbft;strategy=coverage;budget=16;seed=0x1;"},
-    {"<campaignspec system=\"mysql\" mode=\"explore\" strategy=\"random\" "
-     "budget=\"24\" seed=\"0x5\" workers=\"-2\" journal=\"m.lfij\" shard=\"1\" "
-     "shards=\"4\" />\n",
-     "command=explore;system=mysql;strategy=random;budget=24;seed=0x5;shard=1;"
-     "shards=4;"},
-    {"<campaignspec system=\"pbft\" mode=\"explore\" strategy=\"coverage\" "
-     "budget=\"32\" seed=\"0x7\" journal=\"e.lfij.epoch3.shard1\" resume=\"true\" "
-     "shard=\"1\" shards=\"4\" epoch-len=\"2\" epoch=\"3\" "
-     "frontier=\"e.lfij.epoch3.frontier\" />\n",
-     "command=explore;system=pbft;strategy=coverage;budget=32;seed=0x7;epoch-len=2;"
-     "shard=1;shards=4;epoch=3;"},
-    {"<campaignspec system=\"bfs\" mode=\"explore\" strategy=\"coverage\" "
-     "budget=\"96\" journal=\"b.lfij\" epoch-len=\"4\" />\n",
-     "command=explore;system=bfs;strategy=coverage;budget=96;seed=0x1;epoch-len=4;"},
-    {"<campaignspec system=\"bind\" mode=\"explore\" strategy=\"random\" "
-     "budget=\"10\" journal=\"s.lfij\" shards=\"2\" child-timeout-ms=\"60000\" "
-     "max-retries=\"0\" backoff-ms=\"5\" job-timeout-ms=\"250\" />\n",
-     "command=explore;system=bind;strategy=random;budget=10;seed=0x1;"},
-    {"<campaignspec system=\"\" mode=\"replay\" journal=\"r &amp; &lt;q&gt;.lfij\" "
-     "cold-start=\"true\" failpoints=\"epoch1.shard0:child.start=exit:9\" "
-     "selector=\"14:0\" abort-after=\"5\" />\n",
-     "command=explore;system=;strategy=exhaustive;budget=0;seed=0x1;"},
-    {"<campaignspec system=\"git\" mode=\"explore\" strategy=\"random\" budget=\"8\" "
-     "seed=\"0x8000000000000000\" />\n",
-     "command=explore;system=git;strategy=random;budget=8;seed=0x8000000000000000;"},
+// Header bytes of GoldenSpecs(), as the hand-written serializer that
+// preceded the field table wrote them: existing journals must keep
+// resuming, so the encoding may not change.
+TEST(SpecSchema, JournalHeaderBytesArePinned) {
+  const char* const kWant[] = {
+      "command=campaign;system=git;exhaustive=false;",
+      "command=campaign;system=bfs;exhaustive=true;",
+      "command=explore;system=pbft;strategy=exhaustive;budget=0;seed=0x1;",
+      "command=explore;system=git;strategy=random;budget=64;seed=0x7;",
+      "command=explore;system=pbft;strategy=coverage;budget=16;seed=0x1;",
+      "command=explore;system=mysql;strategy=random;budget=24;seed=0x5;shard=1;shards=4;",
+      "command=explore;system=pbft;strategy=coverage;budget=32;seed=0x7;epoch-len=2;"
+      "shard=1;shards=4;epoch=3;",
+      "command=explore;system=bfs;strategy=coverage;budget=96;seed=0x1;epoch-len=4;",
+      "command=explore;system=bind;strategy=random;budget=10;seed=0x1;",
+      "command=explore;system=;strategy=exhaustive;budget=0;seed=0x1;",
+      "command=explore;system=git;strategy=random;budget=8;seed=0x8000000000000000;",
   };
   std::vector<CampaignSpec> specs = GoldenSpecs();
   ASSERT_EQ(specs.size(), std::size(kWant));
   for (size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(specs[i].ToXml(), kWant[i].first) << "spec " << i;
-    EXPECT_EQ(MetaText(specs[i].ToJournalMeta()), kWant[i].second) << "spec " << i;
-    std::string error;
-    auto back = CampaignSpec::Parse(specs[i].ToXml(), &error);
-    ASSERT_TRUE(back.has_value()) << error;
-    EXPECT_TRUE(*back == specs[i]) << "spec " << i;
+    EXPECT_EQ(MetaText(specs[i].ToJournalMeta()), kWant[i]) << "spec " << i;
   }
 }
 
-// Every field off its default. The mode stays explore, the one mode whose
-// wire carries the strategy; `format` has a single value.
+// Every field off its default (the mode stays explore; `format` has a
+// single value).
 CampaignSpec EveryFieldOffDefault() {
   return {.system = "bfs",
           .strategy = ExploreStrategy::kCoverage,
@@ -265,9 +209,10 @@ CampaignSpec EveryFieldOffDefault() {
           .abort_after_records = 6};
 }
 
-// CLI argv -> spec -> wire -> spec is the identity: a field the table left
-// out would come back at its default and break ==.
-TEST(SpecSchema, EveryFieldRoundTripsThroughFlagsAndWire) {
+// CLI argv -> spec sets every field a flag names: a flag the table mapped
+// to the wrong field, or a field no flag reaches and no one sets by hand,
+// would stay at its default and break ==.
+TEST(SpecSchema, EveryFlagSetsItsField) {
   const CampaignSpec want = EveryFieldOffDefault();
   const std::vector<std::string> argv = {
       "explore",     "bfs",        "--strategy",         "coverage", "--exhaustive",
@@ -280,18 +225,13 @@ TEST(SpecSchema, EveryFieldRoundTripsThroughFlagsAndWire) {
   CampaignSpec parsed{.system = "bfs"};
   std::string error;
   ASSERT_TRUE(ParseSpecFlags(argv, 2, &parsed, &error)) << error;
-  // No flag sets these: replay's positional selector, the resume marker and
-  // the epoch child coordinates only travel on the wire.
+  // No flag sets these: the driver sets the resume marker and an epoch
+  // child's coordinates, lfi_tool replay's positional selector.
   parsed.resume = true;
   parsed.epoch_index = 4;
   parsed.frontier_path = "f.frontier";
   parsed.replay_selector = "3:1";
-  auto wired = CampaignSpec::Parse(parsed.ToXml(), &error);
-  ASSERT_TRUE(wired.has_value()) << error;
-  EXPECT_TRUE(*wired == want) << wired->ToXml();
-
-  CampaignSpec table1{.system = "git", .mode = CampaignMode::kTable1};
-  EXPECT_TRUE(CampaignSpec::Parse(table1.ToXml()) == table1);
+  EXPECT_TRUE(parsed == want) << MetaText(parsed.ToJournalMeta());
 }
 
 // Resume is the journal's identity run under the invocation's environment.
@@ -322,27 +262,7 @@ TEST(SpecSchema, ResumeTakesIdentityFromTheJournalAndEnvironmentFromTheInvocatio
   want.shard_index = recorded.shard_index;
   want.epoch_index = recorded.epoch_index;
   // `exhaustive` is identity too, but only a Table 1 header records it.
-  EXPECT_TRUE(*resumed == want) << resumed->ToXml();
-}
-
-TEST(SpecSchema, WireReaderRefusesMalformedSpecs) {
-  for (const char* attrs :
-       {"budget=\"12abc\"", "shard=\"x\" shards=\"2\"", "shards=\"-1\"", "workers=\"two\"",
-        "bogus=\"1\"", "budget=\"18446744073709551616\"", "budget=\"\"", "seed=\"-1\"",
-        "seed=\"0x\"", "cold-start=\"yes\"", "epoch-len=\"0\"", "shards=\"0\"",
-        "mode=\"bogus\"", "strategy=\"fast\"", "epoch=\"1.5\"", "workers=\"4294967296\""}) {
-    std::string xml = StrFormat("<campaignspec system=\"git\" mode=\"explore\" %s />", attrs);
-    std::string error;
-    EXPECT_FALSE(CampaignSpec::Parse(xml, &error).has_value()) << xml;
-    EXPECT_NE(error, "") << xml;
-  }
-  // The full unsigned range is not malformed.
-  auto top = CampaignSpec::Parse(
-      "<campaignspec system=\"git\" seed=\"0xffffffffffffffff\" "
-      "budget=\"18446744073709551615\" />");
-  ASSERT_TRUE(top.has_value());
-  EXPECT_EQ(top->seed, UINT64_MAX);
-  EXPECT_EQ(top->budget, SIZE_MAX);
+  EXPECT_TRUE(*resumed == want) << MetaText(resumed->ToJournalMeta());
 }
 
 TEST(SpecSchema, HeaderReaderRefusesHostileIdentities) {
@@ -410,12 +330,17 @@ TEST(SpecSchema, FlagParserAcceptsTheHistoricalSpellingsAndRefusesTheRest) {
       {"--bogus"},        {"--json"},           {"--repair"},          {"--budget"},
       {"--budget", "1x"}, {"--budget", "-1"},   {"--shards", "0"},     {"--epoch-len", "0"},
       {"--shard", "1"},   {"--shard", "1/0"},   {"--shard", "a/2"},    {"--seed", "-1"},
-      {"--workers", "two"}, {"--cold-start", "--bogus"}, {"two"}};
+      {"--workers", "two"}, {"--cold-start", "--bogus"}, {"two"},   {"--shards", "-1"},
+      {"--budget", "12abc"}, {"--budget", ""},  {"--budget", "18446744073709551616"},
+      {"--seed", "0x"},   {"--strategy", "fast"}, {"--workers", "4294967296"}};
   for (const std::vector<std::string>& args : kRefused) {
     CampaignSpec refused;
     EXPECT_FALSE(ParseSpecFlags(args, 0, &refused, &error)) << args[0];
     EXPECT_NE(error, "");
   }
+  // The full unsigned range is not malformed.
+  ASSERT_TRUE(ParseSpecFlags({"--budget", "18446744073709551615"}, 0, &spec, &error)) << error;
+  EXPECT_EQ(spec.budget, SIZE_MAX);
   // The range check across fields stays in Validate.
   CampaignSpec out_of_range{.system = "pbft", .journal_path = "j.lfij"};
   ASSERT_TRUE(ParseSpecFlags({"--shard", "4/4"}, 0, &out_of_range, &error)) << error;

@@ -289,8 +289,8 @@ TEST(JournalDoctor, RepairsTornAndUnsealedJournals) {
 }
 
 // The artifacts a sharded or epoch campaign leaves next to its merged
-// journal, laid out with the same CampaignSpec helpers the orchestrator and
-// supervisor name them with, are orphans once the journal is finalized.
+// journal, laid out with the same CampaignSpec helpers the orchestrator
+// names them with, are orphans once the journal is finalized.
 // Scans stop at the first gap, so a stray high-numbered shard and unrelated
 // files are never touched. --repair removes exactly the reported orphans.
 TEST(JournalDoctor, FindsAndRemovesOrphansNamedByTheSpecHelpers) {
@@ -300,10 +300,8 @@ TEST(JournalDoctor, FindsAndRemovesOrphansNamedByTheSpecHelpers) {
                {BugRecord(0, kNoEpoch, "a", "x")});
   const std::vector<std::string> orphans = {
       spec.journal_path + ".tmp",
-      SpecWirePath(spec.journal_path),
       spec.ShardJournalPath(0),
       spec.ShardJournalPath(1),
-      SpecWirePath(spec.ShardJournalPath(1)),
       spec.EpochFrontierPath(0),
       spec.EpochShardJournalPath(0, 0),
       spec.EpochShardJournalPath(0, 1),

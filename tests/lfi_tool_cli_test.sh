@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # lfi_tool's command-line contract: the exit codes of the historical
-# spellings, run-spec refusing malformed spec wire with 78 (which the shard
-# supervisor never retries), the full seed range, and the `resume --json`
-# bytes of a Table 1 journal.
+# spellings, malformed flag values refused before anything runs, the full
+# seed range, and the `resume --json` bytes of a Table 1 journal.
 #
 # Usage: lfi_tool_cli_test.sh path/to/lfi_tool
 set -u
@@ -35,19 +34,17 @@ expect 2 explore pbft --shard 4/4 --journal s.lfij
 expect 0 explore git --strategy random --budget 4 --seed 0x8000000000000000
 expect 0 explore git --strategy random --budget 4 --seed 18446744073709551615
 
-# Each spec names its own journal, so no refusal can come from a journal an
-# earlier case left behind.
+# A malformed value is a usage error that runs nothing: no journal appears.
 case=0
-for attrs in 'budget="12abc"' 'shard="x" shards="2"' 'shards="-1"' 'workers="two"' \
-             'bogus="1"'; do
+for flag in '--budget 12abc' '--shard x/2' '--shards -1' '--workers two' '--bogus'; do
   case=$((case + 1))
-  echo "<campaignspec system=\"git\" mode=\"explore\" strategy=\"random\"" \
-       "journal=\"bad$case.lfij\" $attrs />" > "bad$case.xml"
-  expect 78 run-spec "bad$case.xml"
+  expect 2 explore git --strategy random --journal "bad$case.lfij" $flag
+  if [ -e "bad$case.lfij" ]; then
+    echo "FAIL: explore git $flag created bad$case.lfij"
+    failures=$((failures + 1))
+  fi
 done
-echo '<campaignspec system="git" mode="explore" strategy="random" budget="2" journal="ok.lfij" />' \
-  > good.xml
-expect 0 run-spec good.xml
+expect 0 explore git --strategy random --budget 2 --journal ok.lfij
 
 expect 0 campaign git --journal t1.lfij
 expect 0 resume t1.lfij --json

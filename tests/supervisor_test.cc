@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -255,6 +256,32 @@ TEST(ShardSupervisor, DeadlineKillsHungChild) {
   EXPECT_NE(error.find("timed-out"), std::string::npos) << error;
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].last_exit, ChildExit::kTimedOut);
+}
+
+// The error text says how the last attempt's process ended, in the words
+// replay uses for its children (util/child_process.h).
+TEST(ShardSupervisor, ErrorTextNamesHowTheChildEnded) {
+  ShardSupervisor::Options options;
+  options.child_timeout_ms = 200;
+  options.max_retries = 0;
+  std::vector<CampaignSpec> children(1);
+  children[0].journal_path = TempPath("supervisor_ended.lfij");
+  std::string error;
+  ShardSupervisor killed(options, [](const CampaignSpec&, std::string*) {
+    std::raise(SIGKILL);
+    return true;
+  });
+  EXPECT_FALSE(killed.Run(children, &error));
+  EXPECT_NE(error.find(StrFormat("last attempt signaled (killed by signal %d)", SIGKILL)),
+            std::string::npos)
+      << error;
+  ShardSupervisor hung(options, [](const CampaignSpec&, std::string*) {
+    std::this_thread::sleep_for(std::chrono::seconds(30));
+    return true;
+  });
+  EXPECT_FALSE(hung.Run(children, &error));
+  EXPECT_NE(error.find("last attempt timed-out (timed out after 200 ms)"), std::string::npos)
+      << error;
 }
 
 // --- the chaos acceptance bar -----------------------------------------------
