@@ -3,18 +3,14 @@
 //
 // The bench runs the same coverage-guided pbft exploration as a
 // single-process --epoch-len baseline and as an epoch-synchronized
-// distributed campaign at each shard count (in-process shard children, one
-// thread per shard), then verifies the distributed runs are bit-identical to
+// distributed campaign at each shard count (forked shard children, one
+// process per shard), then verifies the distributed runs are bit-identical to
 // the baseline -- same bug set, same coverage, same merged journal bytes.
 // Determinism is asserted everywhere; the >= 1.5x wall-clock speedup at 4
 // shards is asserted only on hosts with >= 4 hardware threads (a single-core
-// container serializes the shard threads, so the protocol overhead -- epoch
+// container serializes the shard processes, so the protocol overhead -- epoch
 // journaling, frontier snapshots, incremental merge -- is the honest column
 // there).
-//
-// It also measures what the persistent analysis cache saves each spawned
-// shard child at startup: the cold call-site analysis (Algorithm 1) versus
-// reloading the same analysis from the content-keyed disk cache.
 //
 //   bench_distributed_explore [budget] [seed] [epoch_len] [shard counts...]
 //                             [--json [path]]
@@ -33,14 +29,9 @@
 
 #include "apps/common/campaign_driver.h"
 #include "apps/common/campaign_spec.h"
-#include "apps/pbft/pbft.h"
 #include "bench_args.h"
-#include "core/analysis_cache.h"
 #include "core/journal.h"
-#include "profiler/profiler.h"
-#include "profiler/stub_gen.h"
 #include "util/string_util.h"
-#include "vlib/library_profiles.h"
 
 namespace {
 
@@ -94,32 +85,9 @@ int main(int argc, char** argv) {
   }
   unsigned hw_threads = std::thread::hardware_concurrency();
 
-  // --- the analysis cache's per-child startup saving ------------------------
-  // A spawned shard child's first act is the call-site analysis of its
-  // system binary. Cold = Algorithm 1; warm = the content-keyed disk cache
-  // the orchestrator shares with its children.
-  lfi::AnalysisCache& cache = lfi::AnalysisCache::Instance();
-  std::string acache_dir = "BENCH_distexplore.acache";
-  cache.SetPersistDir(acache_dir);
-  cache.Clear();
-  lfi::FaultProfile libc_profile =
-      lfi::LibraryProfiler().Profile(lfi::GenerateLibraryImage(lfi::LibcProfile()));
-  const lfi::Image& pbft_image = lfi::PbftBinary().image();
-  auto start = std::chrono::steady_clock::now();
-  size_t report_count = cache.Reports(pbft_image, libc_profile).size();
-  double analyze_cold_ms = MsSince(start);
-  cache.Clear();  // a "new process": empty memory, warm disk
-  start = std::chrono::steady_clock::now();
-  cache.Reports(pbft_image, libc_profile);
-  double analyze_warm_ms = MsSince(start);
-  bool warm_from_disk = cache.stats().report_disk_hits == 1;
-
   std::printf("epoch-synchronized distributed explore: pbft coverage, budget %zu, seed %llu, "
               "epoch-len %zu (%u hardware thread(s))\n\n",
               budget, (unsigned long long)seed, epoch_len, hw_threads);
-  std::printf("analysis cache: %zu report(s), cold %.1f ms, warm (disk) %.1f ms%s\n\n",
-              report_count, analyze_cold_ms, analyze_warm_ms,
-              warm_from_disk ? "" : "  [WARM MISSED THE DISK CACHE]");
 
   lfi::CampaignSpec spec;
   spec.system = "pbft";
@@ -135,7 +103,7 @@ int main(int argc, char** argv) {
   lfi::CampaignSpec single = spec;
   single.journal_path = single_path;
   std::string error;
-  start = std::chrono::steady_clock::now();
+  auto start = std::chrono::steady_clock::now();
   auto baseline = lfi::CampaignDriver(single).Run(&error);
   double single_ms = MsSince(start);
   if (!baseline) {
@@ -203,19 +171,13 @@ int main(int argc, char** argv) {
     out << lfi::StrFormat(
         "{\"bench\":\"distributed_explore\",\"budget\":%zu,\"seed\":%llu,"
         "\"epoch_len\":%zu,\"hardware_threads\":%u,\"epochs\":%zu,"
-        "\"analyze_cold_ms\":%.1f,\"analyze_warm_ms\":%.1f,\"warm_from_disk\":%s,"
         "\"single_ms\":%.1f,\"single_scenarios_per_s\":%.1f,\"runs\":[%s]}\n",
-        budget, (unsigned long long)seed, epoch_len, hw_threads, single_epochs,
-        analyze_cold_ms, analyze_warm_ms, warm_from_disk ? "true" : "false", single_ms,
+        budget, (unsigned long long)seed, epoch_len, hw_threads, single_epochs, single_ms,
         single_rate, rows_json.c_str());
     std::printf("\nwrote %s\n", args.path.c_str());
   }
   if (!all_identical) {
     std::fprintf(stderr, "FAIL: a distributed campaign diverged from the baseline\n");
-    return 1;
-  }
-  if (!warm_from_disk) {
-    std::fprintf(stderr, "FAIL: the warm analysis pass missed the persistent cache\n");
     return 1;
   }
   // The scaling bar from the issue: >= 1.5x at 4 shards, but only where the

@@ -8,10 +8,6 @@
 #include <memory>
 #include <set>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define LFI_HAVE_FORK 1
-#endif
-
 #include "apps/bfs/bfs.h"
 #include "apps/bind/bind.h"
 #include "apps/common/shard_supervisor.h"
@@ -316,22 +312,6 @@ std::unique_ptr<SpecSource> MakeSpecSource(const CampaignSpec& spec, const Syste
   made->coverage = coverage.get();
   made->source = std::move(coverage);
   return made;
-}
-
-// Points the process-wide AnalysisCache at the campaign's persistent
-// on-disk cache directory (unless the user already chose one via
-// LFI_ANALYSIS_CACHE), and exports the choice so spawned shard children
-// inherit it: every child then loads the binary analysis from disk instead
-// of re-running the analyzer at startup.
-void ConfigureAnalysisCacheDir(const std::string& journal_path) {
-  if (journal_path.empty() || std::getenv("LFI_ANALYSIS_CACHE") != nullptr) {
-    return;
-  }
-  std::string dir = journal_path + ".acache";
-  AnalysisCache::Instance().SetPersistDir(dir);
-#ifdef LFI_HAVE_FORK
-  setenv("LFI_ANALYSIS_CACHE", dir.c_str(), /*overwrite=*/0);
-#endif
 }
 
 // Reports `message` through the optional error out-parameter.
@@ -659,7 +639,6 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
                        " already exists; resume it to continue the campaign, or delete it to "
                        "start fresh");
   }
-  ConfigureAnalysisCacheDir(spec_.journal_path);
 
   // The master enumerates the campaign's stream exactly as the
   // single-process engine would; its jobs never run here.

@@ -109,11 +109,11 @@ class CampaignDriver {
   std::optional<CampaignOutcome> RunEpochOrchestration(std::string* error);
   // Runs one child campaign per spec under the ShardSupervisor
   // (apps/common/shard_supervisor.h): each in a child process forked from
-  // this one, running CampaignDriver::Run on its spec (threads on
-  // non-POSIX). The supervisor applies the spec's deadline/retry/backoff
-  // policy; `jobs_hint` (jobs a child may run, 0 = unknown) sizes the
-  // derived per-child deadline when the spec sets job_timeout_ms but no
-  // child_timeout_ms. False + *error when a child exhausts its retries.
+  // this one, running CampaignDriver::Run on its spec. The supervisor
+  // applies the spec's deadline/retry/backoff policy; `jobs_hint` (jobs a
+  // child may run, 0 = unknown) sizes the derived per-child deadline when
+  // the spec sets job_timeout_ms but no child_timeout_ms. False + *error
+  // when a child exhausts its retries.
   bool RunShardChildren(const std::vector<CampaignSpec>& children, size_t jobs_hint,
                         std::string* error);
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <thread>
 
 #include "util/child_process.h"
 #include "util/failpoint.h"
@@ -57,12 +56,6 @@ bool CallRunner(const ShardSupervisor::ChildRunner& runner, const CampaignSpec& 
     return false;
   }
 }
-
-}  // namespace
-
-#ifdef LFI_HAVE_FORK
-
-namespace {
 
 using Clock = ChildProcesses::Clock;
 
@@ -229,60 +222,6 @@ bool ShardSupervisor::Run(const std::vector<CampaignSpec>& children, std::string
   }
   return true;
 }
-
-#else  // !LFI_HAVE_FORK
-
-bool ShardSupervisor::Run(const std::vector<CampaignSpec>& children, std::string* error,
-                          std::vector<Report>* reports) {
-  // No processes to supervise: one thread per child, unsupervised (no
-  // deadlines, no retries -- deterministic artifacts, no isolation).
-  auto fail = [&](std::string message) {
-    if (error != nullptr) {
-      *error = std::move(message);
-    }
-    return false;
-  };
-  std::vector<std::string> errors(children.size());
-  std::vector<char> ok(children.size(), 1);
-  std::vector<char> refused(children.size(), 0);
-  std::vector<std::thread> threads;
-  threads.reserve(children.size());
-  for (size_t shard = 0; shard < children.size(); ++shard) {
-    threads.emplace_back([&, shard] {
-      bool child_refused = false;
-      if (!CallRunner(runner_, children[shard], &errors[shard], &child_refused)) {
-        ok[shard] = 0;
-        refused[shard] = child_refused ? 1 : 0;
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  if (reports != nullptr) {
-    reports->clear();
-    for (size_t shard = 0; shard < children.size(); ++shard) {
-      Report report;
-      report.shard = shard;
-      report.attempts = 1;
-      report.last_exit = ok[shard]        ? ChildExit::kClean
-                         : refused[shard] ? ChildExit::kRefused
-                                          : ChildExit::kNonZero;
-      report.status = ok[shard] ? 0 : refused[shard] ? kChildRefusedExitStatus : 1;
-      reports->push_back(report);
-    }
-  }
-  for (size_t shard = 0; shard < children.size(); ++shard) {
-    if (!ok[shard]) {
-      return fail(StrFormat("shard %zu failed: %s; its journal (if any) is left for "
-                            "inspection",
-                            shard, errors[shard].c_str()));
-    }
-  }
-  return true;
-}
-
-#endif  // LFI_HAVE_FORK
 
 bool ShardSupervisor::RunFallback(const std::vector<CampaignSpec>& children,
                                   std::string* error, std::vector<Report>* reports) {

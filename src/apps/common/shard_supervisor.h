@@ -21,9 +21,7 @@
 // stripped from respawned children: a retry models a fresh replacement host,
 // not a machine that crashes the same way forever.
 //
-// The caller must be single-threaded (util/child_process.h). Non-POSIX
-// builds fall back to one thread per child, unsupervised (no deadlines, no
-// retries).
+// The caller must be single-threaded (util/child_process.h).
 
 #ifndef LFI_APPS_COMMON_SHARD_SUPERVISOR_H_
 #define LFI_APPS_COMMON_SHARD_SUPERVISOR_H_

@@ -1,21 +1,5 @@
 #include "core/analysis_cache.h"
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/stat.h>
-#include <unistd.h>
-#define LFI_ANALYSIS_CACHE_PERSIST 1
-#endif
-
-#include "util/sha1.h"
-#include "util/string_util.h"
-#include "xml/xml.h"
-
 namespace lfi {
 
 AnalysisCache& AnalysisCache::Instance() {
@@ -68,155 +52,6 @@ uint64_t Fingerprint(const FaultProfile& profile) {
   return h;
 }
 
-std::optional<CheckClass> ParseCheckClass(const std::string& name) {
-  if (name == "checked") {
-    return CheckClass::kFull;
-  }
-  if (name == "partially-checked") {
-    return CheckClass::kPartial;
-  }
-  if (name == "unchecked") {
-    return CheckClass::kNone;
-  }
-  return std::nullopt;
-}
-
-// The on-disk serialization of one cached analysis: a <reports> element with
-// one <report> per call site. The record is self-checking (count attribute);
-// anything that fails to parse is treated as a miss and recomputed.
-std::string ReportsToXml(const std::vector<CallSiteReport>& reports) {
-  XmlDocument doc("reports");
-  doc.root()->SetAttr("count", StrFormat("%zu", reports.size()));
-  for (const CallSiteReport& report : reports) {
-    XmlNode* node = doc.root()->AddChild("report");
-    node->SetAttr("module", report.site.module);
-    node->SetAttr("offset", StrFormat("%u", report.site.offset));
-    node->SetAttr("function", report.site.function);
-    node->SetAttr("enclosing", report.site.enclosing);
-    node->SetAttr("class", CheckClassName(report.check_class));
-    if (report.has_ineq_check) {
-      node->SetAttr("ineq", "true");
-    }
-    for (int64_t value : report.checked_eq) {
-      node->AddChild("eq")->SetAttr("value", StrFormat("%lld", (long long)value));
-    }
-    for (int64_t value : report.checked_ineq) {
-      node->AddChild("ineq")->SetAttr("value", StrFormat("%lld", (long long)value));
-    }
-    for (int64_t value : report.missing_codes) {
-      node->AddChild("missing")->SetAttr("value", StrFormat("%lld", (long long)value));
-    }
-  }
-  return doc.ToString();
-}
-
-bool ReportsFromXml(const std::string& xml, std::vector<CallSiteReport>* out) {
-  auto doc = XmlParse(xml);
-  if (!doc || doc->root() == nullptr || doc->root()->name() != "reports") {
-    return false;
-  }
-  const XmlNode& root = *doc->root();
-  auto count = root.IntAttr("count");
-  std::vector<CallSiteReport> reports;
-  for (const XmlNode* node : root.Children("report")) {
-    CallSiteReport report;
-    report.site.module = node->AttrOr("module", "");
-    auto offset = node->IntAttr("offset");
-    if (!offset || *offset < 0) {
-      return false;
-    }
-    report.site.offset = static_cast<uint32_t>(*offset);
-    report.site.function = node->AttrOr("function", "");
-    report.site.enclosing = node->AttrOr("enclosing", "");
-    auto check_class = ParseCheckClass(node->AttrOr("class", ""));
-    if (!check_class) {
-      return false;
-    }
-    report.check_class = *check_class;
-    report.has_ineq_check = node->AttrOr("ineq", "false") == "true";
-    for (const XmlNode* value : node->Children("eq")) {
-      auto parsed = value->IntAttr("value");
-      if (!parsed) {
-        return false;
-      }
-      report.checked_eq.insert(*parsed);
-    }
-    for (const XmlNode* value : node->Children("ineq")) {
-      auto parsed = value->IntAttr("value");
-      if (!parsed) {
-        return false;
-      }
-      report.checked_ineq.insert(*parsed);
-    }
-    for (const XmlNode* value : node->Children("missing")) {
-      auto parsed = value->IntAttr("value");
-      if (!parsed) {
-        return false;
-      }
-      report.missing_codes.insert(*parsed);
-    }
-    reports.push_back(std::move(report));
-  }
-  if (!count || static_cast<size_t>(*count) != reports.size()) {
-    return false;
-  }
-  *out = std::move(reports);
-  return true;
-}
-
-bool LoadReportsFile(const std::string& path, std::vector<CallSiteReport>* out) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ReportsFromXml(buffer.str(), out);
-}
-
-// Atomic publication: write a uniquely named temp file, then rename it over
-// the final path, so concurrent shard children sharing one cache directory
-// never observe a half-written analysis. Best-effort -- a failed write just
-// means the next process recomputes.
-bool SaveReportsFile(const std::string& dir, const std::string& path,
-                     const std::vector<CallSiteReport>& reports) {
-#ifdef LFI_ANALYSIS_CACHE_PERSIST
-  mkdir(dir.c_str(), 0755);  // EEXIST is the common case
-  static std::atomic<unsigned> counter{0};
-  std::string tmp = StrFormat("%s.%d.%u.tmp", path.c_str(), static_cast<int>(getpid()),
-                              counter.fetch_add(1));
-  {
-    std::ofstream out(tmp);
-    out << ReportsToXml(reports);
-    if (!out.good()) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-#else
-  (void)dir;
-  (void)path;
-  (void)reports;
-  return false;
-#endif
-}
-
-// Content key of one analysis: the SHA-1 of the binary's serialized image
-// (any change to symbols, imports, or code changes the digest) plus the
-// profile's content fingerprint.
-std::string DiskKey(const Image& binary, const FaultProfile& profile) {
-  std::vector<uint8_t> bytes = binary.Serialize();
-  std::string digest = Sha1::HexDigest(
-      std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
-  return StrFormat("%s-%s-%llu", digest.c_str(), profile.library().c_str(),
-                   (unsigned long long)Fingerprint(profile));
-}
-
 }  // namespace
 
 const std::vector<CallSiteReport>& AnalysisCache::Reports(const Image& binary,
@@ -224,7 +59,6 @@ const std::vector<CallSiteReport>& AnalysisCache::Reports(const Image& binary,
   std::pair<std::string, std::string> key(
       binary.module_name(),
       profile.library() + "#" + std::to_string(Fingerprint(profile)));
-  std::string dir;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = reports_.find(key);
@@ -232,55 +66,24 @@ const std::vector<CallSiteReport>& AnalysisCache::Reports(const Image& binary,
       ++stats_.report_hits;
       return *it->second;
     }
-    dir = PersistDirLocked();
   }
-  // In-memory miss: try the persistent cache before paying for Algorithm 1
-  // (compute and file I/O both happen outside the lock so a slow analysis
-  // never serializes the workers).
-  std::string cache_file = dir.empty() ? "" : dir + "/" + DiskKey(binary, profile) + ".xml";
+  // Run Algorithm 1 outside the lock so a slow analysis never serializes the
+  // workers; losing the insertion race discards one identical copy.
   auto computed = std::make_unique<std::vector<CallSiteReport>>();
-  bool from_disk = !cache_file.empty() && LoadReportsFile(cache_file, computed.get());
-  bool persisted = false;
-  if (!from_disk) {
-    CallSiteAnalyzer analyzer;
-    for (const auto& [name, fn] : profile.functions()) {
-      for (CallSiteReport& report : analyzer.Analyze(binary, name, fn.ErrorCodes())) {
-        computed->push_back(std::move(report));
-      }
+  CallSiteAnalyzer analyzer;
+  for (const auto& [name, fn] : profile.functions()) {
+    for (CallSiteReport& report : analyzer.Analyze(binary, name, fn.ErrorCodes())) {
+      computed->push_back(std::move(report));
     }
-    persisted = !cache_file.empty() && SaveReportsFile(dir, cache_file, *computed);
   }
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = reports_.emplace(std::move(key), std::move(computed));
-  if (!inserted) {
-    ++stats_.report_hits;
-  } else if (from_disk) {
-    ++stats_.report_disk_hits;
-  } else {
+  if (inserted) {
     ++stats_.report_misses;
-    stats_.report_disk_writes += persisted ? 1 : 0;
+  } else {
+    ++stats_.report_hits;
   }
   return *it->second;
-}
-
-void AnalysisCache::SetPersistDir(std::string dir) {
-  std::lock_guard<std::mutex> lock(mu_);
-  persist_dir_ = std::move(dir);
-  persist_dir_resolved_ = true;
-}
-
-std::string AnalysisCache::persist_dir() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return PersistDirLocked();
-}
-
-std::string AnalysisCache::PersistDirLocked() const {
-  if (!persist_dir_resolved_) {
-    const char* env = std::getenv("LFI_ANALYSIS_CACHE");
-    persist_dir_ = env != nullptr ? env : "";
-    persist_dir_resolved_ = true;
-  }
-  return persist_dir_;
 }
 
 AnalysisCache::Stats AnalysisCache::stats() const {

@@ -12,15 +12,9 @@
 // makes the returned references safe to hold across threads. Clear() exists
 // for tests only; it invalidates everything previously returned.
 //
-// The cache can additionally persist analyzer reports to disk (SetPersistDir,
-// or the LFI_ANALYSIS_CACHE environment variable): every computed analysis is
-// written to the directory keyed by the *content* of its inputs -- the SHA-1
-// of the binary's serialized image plus the profile fingerprint -- and later
-// processes satisfy their first miss from that file instead of re-running
-// Algorithm 1. Distributed campaigns spawn one process per shard per epoch,
-// so without this every child would pay the full analyzer pass at startup;
-// the orchestrator points children at "<journal>.acache" and only the very
-// first toucher of a binary computes.
+// The cache lives in memory only. Shard and replay children are forks of
+// the orchestrator (util/child_process.h), which analyzes before it forks,
+// so every child inherits the warm cache and runs no analysis of its own.
 
 #ifndef LFI_CORE_ANALYSIS_CACHE_H_
 #define LFI_CORE_ANALYSIS_CACHE_H_
@@ -47,9 +41,7 @@ class AnalysisCache {
     uint64_t profile_hits = 0;
     uint64_t profile_misses = 0;
     uint64_t report_hits = 0;
-    uint64_t report_misses = 0;         // analyses actually computed
-    uint64_t report_disk_hits = 0;      // misses served from the on-disk cache
-    uint64_t report_disk_writes = 0;    // computed analyses persisted to disk
+    uint64_t report_misses = 0;  // analyses actually computed
   };
 
   static AnalysisCache& Instance();
@@ -67,31 +59,18 @@ class AnalysisCache {
 
   Stats stats() const;
 
-  // Directory for the persistent report cache; "" disables persistence.
-  // Defaults to the LFI_ANALYSIS_CACHE environment variable (read once, on
-  // first use). Files are content-keyed, so any number of processes may
-  // share one directory; writes are atomic (temp file + rename).
-  void SetPersistDir(std::string dir);
-  std::string persist_dir() const;
-
   // Test-only: drops every entry, invalidating all previously returned
-  // references. Leaves the persist directory configuration untouched.
+  // references.
   void Clear();
 
  private:
   AnalysisCache() = default;
-
-  // The persist directory under mu_, resolving the environment default on
-  // first use.
-  std::string PersistDirLocked() const;
 
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<FaultProfile>> profiles_;
   std::map<std::pair<std::string, std::string>, std::unique_ptr<std::vector<CallSiteReport>>>
       reports_;
   Stats stats_;
-  mutable bool persist_dir_resolved_ = false;
-  mutable std::string persist_dir_;
 };
 
 }  // namespace lfi

@@ -1,6 +1,9 @@
 #include "core/fork_server.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <map>
 #include <memory>
 #include <optional>
@@ -11,26 +14,7 @@
 #include "util/failpoint.h"
 #include "util/work_queue.h"
 
-#ifdef LFI_HAVE_FORK
-#include <unistd.h>
-
-#include <cerrno>
-#endif
-
 namespace lfi {
-namespace {
-
-// Sets the failpoint scope of job `index` (ForkServerOptions::scope_prefix).
-void ScopeFailpoints(const ForkServerOptions& options, size_t index) {
-  if (!options.scope_prefix.empty()) {
-    Failpoints::Instance().SetScope(options.scope_prefix + std::to_string(index));
-  }
-}
-
-}  // namespace
-
-#ifdef LFI_HAVE_FORK
-
 namespace {
 
 // A job whose child did not deliver a result: one bug whose site names the
@@ -65,7 +49,9 @@ bool WriteAll(int fd, const std::string& bytes) {
 // down `fd`.
 int ServeChild(WarmTarget* zygote, const WarmPool::Factory& factory, const CampaignJob& job,
                size_t index, const ForkServerOptions& options, int fd) {
-  ScopeFailpoints(options, index);
+  if (!options.scope_prefix.empty()) {
+    Failpoints::Instance().SetScope(options.scope_prefix + std::to_string(index));
+  }
   FailpointFired("engine.job.run");  // as CampaignEngine evaluates it per job
   std::unique_ptr<WarmTarget> fresh;
   if (zygote == nullptr) {
@@ -146,26 +132,5 @@ WarmPool::Stats RunForkServer(const WarmPool::Factory& factory, WarmPool::Policy
   }
   return stats;
 }
-
-#else  // !LFI_HAVE_FORK
-
-WarmPool::Stats RunForkServer(const WarmPool::Factory& factory, WarmPool::Policy /*policy*/,
-                              size_t count, const ForkJobMaker& make_job,
-                              const ForkResultSink& deliver, const ForkServerOptions& options) {
-  std::string saved_scope = Failpoints::Instance().scope();
-  for (size_t index = 0; index < count; ++index) {
-    CampaignJob job = make_job(index);
-    ScopeFailpoints(options, index);
-    FailpointFired("engine.job.run");
-    ForkedResult result{factory()->Run(job), ""};
-    Failpoints::Instance().SetScope(saved_scope);
-    deliver(index, std::move(result));
-  }
-  WarmPool::Stats stats;
-  stats.builds = stats.runs = count;
-  return stats;
-}
-
-#endif  // LFI_HAVE_FORK
 
 }  // namespace lfi

@@ -23,9 +23,6 @@
 //
 // The caller must be single-threaded (util/child_process.h). That is why
 // this is not a WarmPool policy: engine workers call pools from threads.
-//
-// Without fork() (non-POSIX builds) every job runs in process on a freshly
-// built instance, with no isolation and no timeout.
 
 #ifndef LFI_CORE_FORK_SERVER_H_
 #define LFI_CORE_FORK_SERVER_H_

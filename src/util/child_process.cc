@@ -1,7 +1,5 @@
 #include "util/child_process.h"
 
-#ifdef LFI_HAVE_FORK
-
 #include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -147,5 +145,3 @@ void ChildProcesses::KillAll() {
 }
 
 }  // namespace lfi
-
-#endif  // LFI_HAVE_FORK

@@ -20,18 +20,9 @@
 // holds at fork time (the symbol table's, the failpoint registry's, a
 // pool's) would stay held in the child forever. The campaign driver calls
 // both runners from its one thread, with no engine workers alive.
-//
-// LFI_HAVE_FORK is defined where fork() exists; without it this header
-// declares nothing, and each runner has its own in-process fallback.
 
 #ifndef LFI_UTIL_CHILD_PROCESS_H_
 #define LFI_UTIL_CHILD_PROCESS_H_
-
-#if defined(__unix__) || defined(__APPLE__)
-#define LFI_HAVE_FORK 1
-#endif
-
-#ifdef LFI_HAVE_FORK
 
 #include <sys/types.h>
 
@@ -100,7 +91,5 @@ class ChildProcesses {
 };
 
 }  // namespace lfi
-
-#endif  // LFI_HAVE_FORK
 
 #endif  // LFI_UTIL_CHILD_PROCESS_H_

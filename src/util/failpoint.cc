@@ -13,13 +13,6 @@ Failpoints& Failpoints::Instance() {
   return *instance;
 }
 
-Failpoints::Failpoints() {
-  const char* env = std::getenv("LFI_FAILPOINTS");
-  if (env != nullptr && env[0] != '\0') {
-    Arm(env);  // a malformed env spec arms nothing; Arm reports via *error
-  }
-}
-
 bool Failpoints::ParseSpec(const std::string& spec, std::vector<Entry>* out,
                            std::string* error) {
   auto fail = [&](std::string message) {

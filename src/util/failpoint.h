@@ -7,8 +7,8 @@
 // Production code evaluates `FailpointFired("name")` at each fallible
 // operation; the call is a cheap atomic check when nothing is armed.
 //
-// Arming is a comma-separated spec string, from the LFI_FAILPOINTS
-// environment variable or CampaignSpec::failpoints:
+// Arming is a comma-separated spec string, CampaignSpec::failpoints (the
+// --failpoints flag):
 //
 //   [scope:]name=action[@hit]
 //
@@ -43,9 +43,8 @@ namespace lfi {
 
 class Failpoints {
  public:
-  // Process-wide registry. First use arms from $LFI_FAILPOINTS (empty or
-  // unset = nothing armed) so exec'd children inherit schedules without
-  // plumbing.
+  // Process-wide registry; nothing is armed until Arm(). Forked children
+  // inherit the parent's armed set.
   static Failpoints& Instance();
 
   // Replaces the armed set with the entries in `spec` ("" disarms
@@ -70,7 +69,7 @@ class Failpoints {
   bool armed() const { return any_armed_.load(std::memory_order_acquire); }
 
  private:
-  Failpoints();
+  Failpoints() = default;
 
   enum class Action { kError, kExit, kHang };
   struct Entry {

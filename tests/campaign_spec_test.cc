@@ -650,8 +650,6 @@ TEST(ShardedCampaign, Table1ExhaustiveAtThreeShardsMatchesSingleProcess) {
   EXPECT_EQ(phase_jobs, 12u);
 }
 
-#if defined(__unix__) || defined(__APPLE__)
-
 // An open-loop orchestration killed after it merged (before the merged
 // journal's tail was sealed) resumes with `resume --shards 4`: the finished
 // shard journals replay from disk and the merged bytes equal the unkilled
@@ -684,8 +682,6 @@ TEST(ShardedCampaign, KilledOpenLoopOrchestrationResumesByteIdentical) {
   ExpectSameBugs(full_outcome.bugs, resumed.bugs);
   EXPECT_EQ(ReadFile(killed_path), ReadFile(full_path));
 }
-
-#endif  // defined(__unix__) || defined(__APPLE__)
 
 // Merging journals from different campaigns must be refused, not silently
 // interleaved.

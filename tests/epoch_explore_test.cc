@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -19,18 +18,13 @@
 #include "analysis/callsite_analyzer.h"
 #include "apps/common/campaign_driver.h"
 #include "apps/common/campaign_spec.h"
-#include "apps/git/git.h"
 #include "campaign_test_util.h"
-#include "core/analysis_cache.h"
 #include "core/campaign_engine.h"
 #include "core/exploration.h"
 #include "core/journal.h"
 #include "core/stock_triggers.h"
 #include "profiler/fault_profile.h"
-#include "profiler/profiler.h"
-#include "profiler/stub_gen.h"
 #include "util/string_util.h"
-#include "vlib/library_profiles.h"
 
 namespace lfi {
 namespace {
@@ -391,72 +385,6 @@ TEST(EpochExplore, MergeRejectsOverlappingStreamIndexes) {
   auto merged = MergeCampaignJournals({a_path, b_path}, out_path, &error);
   EXPECT_FALSE(merged.has_value());
   EXPECT_NE(error.find("stream"), std::string::npos) << error;
-}
-
-// --- the persistent analysis cache ------------------------------------------
-
-TEST(AnalysisCachePersistence, ReportsRoundTripThroughTheDiskCache) {
-  std::string dir = TempPath("epoch_acache");
-  std::filesystem::remove_all(dir);  // stale content-keyed files = disk hits
-  AnalysisCache& cache = AnalysisCache::Instance();
-  cache.SetPersistDir(dir);
-  cache.Clear();
-
-  FaultProfile profile = LibraryProfiler().Profile(GenerateLibraryImage(LibcProfile()));
-  const Image& binary = GitBinary().image();
-  std::vector<CallSiteReport> computed = cache.Reports(binary, profile);
-  AnalysisCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.report_misses, 1u);
-  EXPECT_EQ(stats.report_disk_writes, 1u);
-  EXPECT_EQ(stats.report_disk_hits, 0u);
-
-  // A "new process" (cleared in-memory cache, same persist dir) serves the
-  // analysis from disk instead of re-running Algorithm 1, bit-equal.
-  cache.Clear();
-  const std::vector<CallSiteReport>& reloaded = cache.Reports(binary, profile);
-  stats = cache.stats();
-  EXPECT_EQ(stats.report_disk_hits, 1u);
-  EXPECT_EQ(stats.report_misses, 0u);
-  ASSERT_EQ(reloaded.size(), computed.size());
-  for (size_t i = 0; i < computed.size(); ++i) {
-    EXPECT_EQ(reloaded[i].site.module, computed[i].site.module) << i;
-    EXPECT_EQ(reloaded[i].site.offset, computed[i].site.offset) << i;
-    EXPECT_EQ(reloaded[i].site.function, computed[i].site.function) << i;
-    EXPECT_EQ(reloaded[i].site.enclosing, computed[i].site.enclosing) << i;
-    EXPECT_EQ(reloaded[i].check_class, computed[i].check_class) << i;
-    EXPECT_EQ(reloaded[i].has_ineq_check, computed[i].has_ineq_check) << i;
-    EXPECT_EQ(reloaded[i].checked_eq, computed[i].checked_eq) << i;
-    EXPECT_EQ(reloaded[i].checked_ineq, computed[i].checked_ineq) << i;
-    EXPECT_EQ(reloaded[i].missing_codes, computed[i].missing_codes) << i;
-  }
-
-  cache.SetPersistDir("");
-  cache.Clear();
-}
-
-TEST(AnalysisCachePersistence, CorruptCacheFileFallsBackToRecomputation) {
-  std::string dir = TempPath("epoch_acache_corrupt");
-  std::filesystem::remove_all(dir);
-  AnalysisCache& cache = AnalysisCache::Instance();
-  cache.SetPersistDir(dir);
-  cache.Clear();
-  FaultProfile profile = LibraryProfiler().Profile(GenerateLibraryImage(LibcProfile()));
-  const Image& binary = GitBinary().image();
-  size_t count = cache.Reports(binary, profile).size();
-  // Corrupt every cached file; the next "process" must recompute (a corrupt
-  // entry is a miss, never an error) and rewrite the entry.
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    std::ofstream out(entry.path(), std::ios::trunc);
-    out << "<not-a-reports-file/>";
-  }
-  cache.Clear();
-  EXPECT_EQ(cache.Reports(binary, profile).size(), count);
-  AnalysisCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.report_disk_hits, 0u);
-  EXPECT_EQ(stats.report_misses, 1u);
-  EXPECT_EQ(stats.report_disk_writes, 1u);
-  cache.SetPersistDir("");
-  cache.Clear();
 }
 
 }  // namespace

@@ -311,7 +311,7 @@ TEST(JournalDoctor, FindsAndRemovesOrphansNamedByTheSpecHelpers) {
   const std::vector<std::string> kept = {
       spec.ShardJournalPath(5),           // after a gap in the shard numbering
       spec.EpochShardJournalPath(3, 0),   // after a gap in the epoch numbering
-      spec.journal_path + ".acache",      // not a campaign artifact the merge consumes
+      spec.journal_path + ".bak",         // not a campaign artifact the merge consumes
   };
   for (const std::string& path : orphans) {
     WriteBytes(path, "x");

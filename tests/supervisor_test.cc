@@ -21,6 +21,7 @@
 #include "apps/common/campaign_spec.h"
 #include "apps/common/shard_supervisor.h"
 #include "campaign_test_util.h"
+#include "core/analysis_cache.h"
 #include "core/campaign_engine.h"
 #include "core/exploration.h"
 #include "core/journal.h"
@@ -179,8 +180,6 @@ TEST(ShardSupervisor, RetriesExhaustThenFailLoudly) {
   EXPECT_EQ(reports[0].attempts, 2u);
 }
 
-#if defined(__unix__) || defined(__APPLE__)
-
 TEST(ShardSupervisor, RefusedChildFailsAtItsFirstAttempt) {
   ShardSupervisor::Options options;
   options.max_retries = 2;
@@ -201,6 +200,56 @@ TEST(ShardSupervisor, RefusedChildFailsAtItsFirstAttempt) {
     EXPECT_EQ(report.attempts, 1u);
     EXPECT_EQ(report.last_exit, ChildExit::kRefused);
     EXPECT_EQ(report.status, kChildRefusedExitStatus);
+  }
+}
+
+// A shard child is a fork of the orchestrator, which analyzes before it
+// forks, so the child inherits the warm AnalysisCache and computes no
+// analysis of its own. bind links libc and libxml2: its children need the
+// reports of both profiles.
+TEST(ShardSupervisor, ForkedChildrenRunNoAnalysis) {
+  for (const char* system : {"pbft", "bind"}) {
+    CampaignSpec spec;
+    spec.system = system;
+    spec.mode = CampaignMode::kExplore;
+    spec.strategy = ExploreStrategy::kRandom;
+    spec.budget = 8;
+    RunSpec(spec);  // warms the cache in this, the parent, process
+    const uint64_t warm_misses = AnalysisCache::Instance().stats().report_misses;
+
+    spec.journal_path = TempPath(StrFormat("supervisor_analysis_%s.lfij", system));
+    spec.shard_count = 2;
+    std::vector<CampaignSpec> children;
+    for (size_t shard = 0; shard < spec.shard_count; ++shard) {
+      std::remove(spec.ShardJournalPath(shard).c_str());
+      children.push_back(spec);
+      children.back().shard_index = shard;
+      children.back().journal_path = spec.ShardJournalPath(shard);
+    }
+    ShardSupervisor::Options options;
+    options.max_retries = 0;
+    ShardSupervisor supervisor(
+        options, [warm_misses](const CampaignSpec& child, std::string* error) {
+          if (!CampaignDriver(child).Run(error)) {
+            return false;
+          }
+          uint64_t misses = AnalysisCache::Instance().stats().report_misses;
+          if (misses != warm_misses) {
+            *error = StrFormat("report_misses went from %llu to %llu in the child",
+                               static_cast<unsigned long long>(warm_misses),
+                               static_cast<unsigned long long>(misses));
+            return false;
+          }
+          return true;
+        });
+    std::string error;
+    std::vector<ShardSupervisor::Report> reports;
+    EXPECT_TRUE(supervisor.Run(children, &error, &reports)) << system << ": " << error;
+    ASSERT_EQ(reports.size(), children.size()) << system;
+    for (const ShardSupervisor::Report& report : reports) {
+      EXPECT_EQ(report.last_exit, ChildExit::kClean) << system;
+      EXPECT_FALSE(report.ran_in_process) << system;
+    }
   }
 }
 
@@ -383,8 +432,6 @@ TEST(ChaosRecovery, ForkFailureFallsBackToInProcessExecution) {
     EXPECT_EQ(ReadFile(path), golden) << "schedule=" << schedule;
   }
 }
-
-#endif  // defined(__unix__) || defined(__APPLE__)
 
 // --- crash-atomic merge finalization ----------------------------------------
 
