@@ -1,5 +1,6 @@
 #include "apps/common/campaign_driver.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -25,6 +26,7 @@
 #include "util/errno_codes.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
+#include "util/work_queue.h"
 #include "vlib/library_profiles.h"
 
 namespace lfi {
@@ -411,7 +413,9 @@ std::optional<CampaignOutcome> CampaignDriver::RunCampaign(std::string* error) {
   }
 
   const SystemEntry* entry = FindSystem(spec_.system);
-  ExecutionLayer exec(spec_.system, spec_.mode, spec_.cold_start);
+  std::optional<ExecutionLayer> own;
+  ExecutionLayer& exec =
+      exec_ != nullptr ? *exec_ : own.emplace(spec_.system, spec_.mode, spec_.cold_start);
   std::unique_ptr<SpecSource> source = MakeSpecSource(spec_, *entry, exec, error);
   if (source == nullptr) {
     return std::nullopt;
@@ -586,7 +590,8 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
 }
 
 bool CampaignDriver::RunShardChildren(const std::vector<CampaignSpec>& children,
-                                      size_t jobs_hint, std::string* error) {
+                                      size_t jobs_hint, ExecutionLayer& exec,
+                                      std::string* error) {
   ShardSupervisor::Options options;
   options.max_retries = spec_.max_retries;
   options.backoff_ms = spec_.backoff_ms;
@@ -599,8 +604,8 @@ bool CampaignDriver::RunShardChildren(const std::vector<CampaignSpec>& children,
     options.child_timeout_ms = spec_.job_timeout_ms * static_cast<uint64_t>(jobs + 2);
   }
   ShardSupervisor supervisor(options,
-                             [](const CampaignSpec& child, std::string* child_error) {
-                               CampaignDriver driver(child);
+                             [&exec](const CampaignSpec& child, std::string* child_error) {
+                               CampaignDriver driver(child, &exec);
                                if (driver.Run(child_error).has_value()) {
                                  return true;
                                }
@@ -641,7 +646,11 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
   }
 
   // The master enumerates the campaign's stream exactly as the
-  // single-process engine would; its jobs never run here.
+  // single-process engine would; its jobs never run here. `exec` is the
+  // children's zygote: prewarmed before the first live epoch's fork, and
+  // only the spawn-failure fallback runs jobs on it in this process (its
+  // instances come back reset or are dropped), so every child attempt
+  // inherits post-setup instances.
   const SystemEntry* entry = FindSystem(spec_.system);
   ExecutionLayer exec(spec_.system, spec_.mode, spec_.cold_start);
   std::unique_ptr<SpecSource> master = MakeSpecSource(spec_, *entry, exec, error);
@@ -673,6 +682,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
     shard_stats[shard].shard_index = shard;
   }
   size_t scheduled = 0;  // stream position of the next enumerated job
+  bool prewarmed = false;
 
   for (size_t epoch = 0;; ++epoch) {
     // The epoch's schedule is a pure function of the frontier: snapshot it
@@ -766,7 +776,14 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
         child.resume = std::filesystem::exists(child.journal_path);
         children.push_back(std::move(child));
       }
-      if (!RunShardChildren(children, jobs.size(), error)) {
+      if (!prewarmed) {
+        // One instance per job a child can run at once: its workers, capped
+        // by an even deal of the epoch. A child that needs more builds them.
+        size_t per_child = (jobs.size() + spec_.shard_count - 1) / spec_.shard_count;
+        exec.Prewarm(std::min<size_t>(WorkerPool::ResolveWorkers(spec_.workers), per_child));
+        prewarmed = true;
+      }
+      if (!RunShardChildren(children, jobs.size(), exec, error)) {
         return std::nullopt;
       }
 
@@ -829,6 +846,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
   CampaignOutcome outcome = FromExploration(fold.TakeResult(), spec_.journal_path);
   outcome.metadata = spec_.ToJournalMeta();
   outcome.shards = std::move(shard_stats);
+  outcome.pool = exec.pool_stats();
   return outcome;
 }
 

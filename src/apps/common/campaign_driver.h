@@ -13,9 +13,11 @@
 // epoch, the orchestrator enumerates the epoch's jobs from a master copy of
 // the spec's source; every shard executes the same deterministic spec with
 // shard=i/N (dealt by scenario fingerprint, core/exploration.h ShardSource)
-// in a child process forked from the orchestrator; and the shard journals
-// are merged (core/journal.h MergeRecordsInto) into spec.journal_path, a
-// valid, resumable single-process journal. Coverage-guided exploration runs epoch_len
+// in a child process forked from the orchestrator, on the post-setup target
+// instances the orchestrator brought up once before its first fork (the
+// zygote, core/warm_pool.h); and the shard journals are merged
+// (core/journal.h MergeRecordsInto) into spec.journal_path, a valid,
+// resumable single-process journal. Coverage-guided exploration runs epoch_len
 // batches per epoch and hands children a frontier snapshot. An open-loop
 // spec (table1 --exhaustive, explore exhaustive|random) is the one-epoch
 // case: its whole stream is one epoch, children write
@@ -34,6 +36,8 @@
 #include "core/warm_pool.h"
 
 namespace lfi {
+
+class ExecutionLayer;
 
 // One journaled injection re-run by replay mode.
 struct ReplayOutcome {
@@ -71,7 +75,9 @@ struct CampaignOutcome {
   bool ok = true;
   // Single-process table1/explore: the main pool's counters (builds == runs
   // under cold_start). Replay: the fork server's, builds 1 (the zygote) or
-  // == runs under cold_start. Zero for orchestrated runs.
+  // == runs under cold_start. Orchestrated runs: the orchestrator's pool,
+  // whose builds are the zygote instances it prewarmed for its children (0
+  // under cold_start, or when every epoch replayed from the journal).
   WarmPool::Stats pool;
   // Single-process table1/explore/resume: jobs handed to the runner, and
   // jobs that took the fault-free baseline's result because they provably
@@ -109,15 +115,22 @@ class CampaignDriver {
   std::optional<CampaignOutcome> RunEpochOrchestration(std::string* error);
   // Runs one child campaign per spec under the ShardSupervisor
   // (apps/common/shard_supervisor.h): each in a child process forked from
-  // this one, running CampaignDriver::Run on its spec. The supervisor
+  // this one, running CampaignDriver::Run on its spec over `exec`, the
+  // orchestrator's execution layer it inherits (the spawn-failure fallback
+  // runs the children in this process on the same layer). The supervisor
   // applies the spec's deadline/retry/backoff policy; `jobs_hint` (jobs a
   // child may run, 0 = unknown) sizes the derived per-child deadline when
   // the spec sets job_timeout_ms but no child_timeout_ms. False + *error
   // when a child exhausts its retries.
   bool RunShardChildren(const std::vector<CampaignSpec>& children, size_t jobs_hint,
-                        std::string* error);
+                        ExecutionLayer& exec, std::string* error);
+
+  // A shard child's driver: runs its campaign on `exec` instead of building
+  // an execution layer of its own.
+  CampaignDriver(CampaignSpec spec, ExecutionLayer* exec) : spec_(std::move(spec)), exec_(exec) {}
 
   CampaignSpec spec_;
+  ExecutionLayer* exec_ = nullptr;  // inherited from the orchestrator, or null
   bool refused_ = false;
 };
 

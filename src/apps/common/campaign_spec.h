@@ -125,10 +125,12 @@ struct CampaignSpec {
   // instances (core/warm_pool.h, WarmPool::Policy). Execution environment,
   // never campaign identity -- warm and cold runs produce byte-identical
   // journals, so this is not in ToJournalMeta; forked shard children
-  // inherit it with their spec. Replay runs every record in
-  // a forked child either way (core/fork_server.h): by default the child
-  // inherits one target built before the forks; under cold_start each child
-  // builds its own.
+  // inherit it with their spec. Orchestrated runs prewarm no target under
+  // it, so every shard child job still builds its own instance (by default
+  // children run on instances the orchestrator built before its first
+  // fork). Replay runs every record in a forked child either way
+  // (core/fork_server.h): by default the child inherits one target built
+  // before the forks; under cold_start each child builds its own.
   bool cold_start = false;
   // Failpoint schedule (util/failpoint.h spec syntax) armed by the driver
   // and inherited by forked shard children with their spec. Chaos testing

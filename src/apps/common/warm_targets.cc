@@ -431,6 +431,12 @@ CampaignEngine::ResultRunner ExecutionLayer::phase_runner() const {
   return phase_pool_ != nullptr ? phase_pool_->AsRunner() : nullptr;
 }
 
+void ExecutionLayer::Prewarm(size_t count) {
+  if (pool_ != nullptr) {
+    pool_->Prewarm(count);
+  }
+}
+
 WarmPool::Stats ExecutionLayer::pool_stats() const {
   return pool_ != nullptr ? pool_->stats() : WarmPool::Stats{};
 }

@@ -60,10 +60,13 @@ WarmPool::Factory BfsMuxWarmFactory();
 WarmPool::Factory WorkloadFactory(const std::string& system, CampaignMode mode);
 
 // --- the execution layer -----------------------------------------------------
-// Owns a campaign's pools (lifetime: one engine run -- shard and epoch
-// children each build their own) and hands out the ResultRunners the engine
-// and the Table 1 job builders plug in. `mode` picks the workload size:
-// pbft and bfs run a longer workload under kExplore than under kTable1.
+// Owns a campaign's pools and hands out the ResultRunners the engine and the
+// Table 1 job builders plug in. Lifetime: one single-process campaign, or a
+// whole orchestrated one -- the orchestrator's layer is the zygote every
+// shard and epoch child forks from, and children run their jobs on the
+// instances they inherit instead of building their own. `mode` picks the
+// workload size: pbft and bfs run a longer workload under kExplore than
+// under kTable1.
 // `cold_start` (spec attribute cold-start) builds the same pools under
 // WarmPool::Policy::kFresh, so `lfi_tool --cold-start` byte-compares against
 // the default.
@@ -78,6 +81,10 @@ class ExecutionLayer {
   // dst sweep, pbft's distributed fuzz, bfs's partial transfers); empty for
   // git and mysql.
   CampaignEngine::ResultRunner phase_runner() const;
+
+  // Prewarms the main pool with `count` instances (WarmPool::Prewarm); a
+  // no-op under cold_start.
+  void Prewarm(size_t count);
 
   // Main-pool counters: how much bring-up the pool amortized (builds == runs
   // under cold_start).

@@ -1,5 +1,10 @@
 #include "core/warm_pool.h"
 
+#include <stdexcept>
+
+#include "util/failpoint.h"
+#include "util/work_queue.h"
+
 namespace lfi {
 
 WarmPool::WarmPool(Factory factory, Policy policy)
@@ -11,6 +16,31 @@ WarmPool::WarmPool(Factory factory, Policy policy)
 WarmPool::Stats WarmPool::stats() const {
   std::lock_guard<std::mutex> lock(state_->mu);
   return state_->stats;
+}
+
+void WarmPool::Prewarm(size_t count) {
+  State& state = *state_;
+  if (state.policy == Policy::kFresh || count == 0) {
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(state.mu);
+    state.stats.builds += count;
+  }
+  std::vector<std::unique_ptr<WarmTarget>> built(count);
+  WorkerPool::ParallelFor(static_cast<int>(count), count,
+                          [&](size_t i, int /*worker*/) { built[i] = state.Build(); });
+  std::lock_guard<std::mutex> lock(state.mu);
+  for (std::unique_ptr<WarmTarget>& instance : built) {
+    state.idle.push_back(std::move(instance));
+  }
+}
+
+std::unique_ptr<WarmTarget> WarmPool::State::Build() {
+  if (FailpointFired("pool.build")) {
+    throw std::runtime_error("failpoint pool.build fired");
+  }
+  return factory();
 }
 
 std::unique_ptr<WarmTarget> WarmPool::State::Checkout() {
@@ -25,7 +55,7 @@ std::unique_ptr<WarmTarget> WarmPool::State::Checkout() {
   }
   // Build outside the lock: bring-up is the expensive part this pool exists
   // to amortize, and other workers should not serialize behind it.
-  return factory();
+  return Build();
 }
 
 JobResult WarmPool::State::RunJob(const CampaignJob& job) {

@@ -17,7 +17,10 @@
 // Policy, but forks one child per job from a single post-setup instance
 // (kReuse) or builds in each child (kFresh). It is not a third policy
 // because pools are called from engine worker threads, and fork() is only
-// safe from a single-threaded process.
+// safe from a single-threaded process. Shard children get the same zygote
+// trade through the pool itself: the orchestrator Prewarm()s its pool
+// before its first fork, never runs a job on it, and every shard child runs
+// its jobs on the post-setup instances it inherits copy-on-write.
 //
 // The correctness bar is strict: bugs, coverage, fingerprints, and campaign
 // journal *bytes* must be identical under both policies at any worker or
@@ -96,6 +99,12 @@ class WarmPool {
   // the harness did not absorb.
   JobResult RunJob(const CampaignJob& job) { return state_->RunJob(job); }
 
+  // Builds `count` idle instances concurrently and joins every thread it
+  // started before returning, so a caller that was single-threaded may fork
+  // afterwards. The builds count in Stats::builds. A no-op under kFresh,
+  // where every job builds its own instance anyway.
+  void Prewarm(size_t count);
+
   // Adapts the pool to the engine's runner seam. The runner shares the
   // pool's state, so it stays valid after the pool itself is destroyed.
   CampaignEngine::ResultRunner AsRunner() const {
@@ -114,6 +123,8 @@ class WarmPool {
 
     JobResult RunJob(const CampaignJob& job);
     std::unique_ptr<WarmTarget> Checkout();
+    // One bring-up; the caller has counted it in stats.builds.
+    std::unique_ptr<WarmTarget> Build();
   };
 
   std::shared_ptr<State> state_;

@@ -2,8 +2,9 @@
 //
 // The campaign layer injects faults into *targets*; this registry injects
 // them into the campaign machinery -- fork, journal append/finalize, the
-// merge rename, a child's startup -- so the supervision and recovery paths
-// (apps/common/shard_supervisor.h) can be chaos-tested deterministically.
+// merge rename, a child's startup, a target bring-up -- so the supervision
+// and recovery paths (apps/common/shard_supervisor.h) can be chaos-tested
+// deterministically.
 // Production code evaluates `FailpointFired("name")` at each fallible
 // operation; the call is a cheap atomic check when nothing is armed.
 //

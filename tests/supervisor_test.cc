@@ -433,6 +433,51 @@ TEST(ChaosRecovery, ForkFailureFallsBackToInProcessExecution) {
   }
 }
 
+// --- the zygote: shard children inherit the orchestrator's targets ----------
+
+TEST(ShardZygote, ChildrenRunOnInheritedTargetsAndBuildNone) {
+  // Every child scope arms pool.build=exit:9 and nothing is retried, so a
+  // child that brings up a target of its own kills the run. The run must
+  // instead complete on the instances the orchestrator prewarmed before its
+  // first fork, and write the single-process journal byte for byte.
+  std::string schedule;
+  for (size_t epoch = 0; epoch < 8; ++epoch) {
+    for (size_t shard = 0; shard < 4; ++shard) {
+      schedule += StrFormat("%sepoch%zu.shard%zu:pool.build=exit:9", schedule.empty() ? "" : ",",
+                            epoch, shard);
+    }
+  }
+  for (const char* system : {"pbft", "bfs"}) {
+    SCOPED_TRACE(system);
+    std::string error;
+    std::string single_path = TempPath(StrFormat("supervisor_zygote_%s_single.lfij", system));
+    RemoveArtifacts(single_path, 0);
+    CampaignSpec spec = ChaosSpec(single_path, 1);
+    spec.system = system;
+    spec.workers = 2;
+    ASSERT_TRUE(RunDriver(spec, &error).has_value()) << error;
+    auto single = CampaignJournal::Load(single_path, &error);
+    ASSERT_TRUE(single.has_value()) << error;
+    size_t first_epoch_jobs = std::ranges::count_if(
+        single->records(), [](const JournalRecord& record) { return record.epoch == 0; });
+
+    FailpointGuard guard;
+    std::string path = TempPath(StrFormat("supervisor_zygote_%s.lfij", system));
+    RemoveArtifacts(path, 4);
+    spec.journal_path = path;
+    spec.shard_count = 4;
+    spec.max_retries = 0;
+    spec.failpoints = schedule;
+    auto outcome = RunDriver(spec, &error);
+    ASSERT_TRUE(outcome.has_value()) << error;
+    EXPECT_EQ(ReadFile(path), ReadFile(single_path));
+    // The orchestrator's only bring-ups: one instance per job a child runs
+    // at once -- its 2 workers, capped by an even deal of the first epoch.
+    EXPECT_EQ(outcome->pool.builds, std::min<size_t>(2, (first_epoch_jobs + 3) / 4));
+    EXPECT_EQ(outcome->pool.runs, 0u);
+  }
+}
+
 // --- crash-atomic merge finalization ----------------------------------------
 
 TEST(ChaosRecovery, MergeCrashBeforeRenameLeavesNoTornOutput) {

@@ -399,10 +399,13 @@ TEST(WarmCampaign, Table1MatchesColdStartIncludingSelfContainedJobs) {
 
 TEST(WarmCampaign, EpochShardedExploreMatchesColdStart) {
   // The epoch protocol's 4-shard orchestration (spawn, merge, reseed) on top
-  // of warm pools: every shard child builds its own pools, and the merged
-  // journal still byte-compares against the cold single-process run.
-  auto epoch_spec = [](const std::string& journal, size_t shards, bool cold_start) {
-    return CampaignSpec{.system = "pbft",
+  // of warm pools: shard children run on the target instances they inherit
+  // from the orchestrator's prewarmed pool, and under cold_start nothing is
+  // prewarmed and every child job builds its own. The merged journals of
+  // both still byte-compare against the cold single-process run.
+  auto epoch_spec = [](const char* system, const std::string& journal, size_t shards,
+                       bool cold_start) {
+    return CampaignSpec{.system = system,
                         .strategy = ExploreStrategy::kCoverage,
                         .budget = 32,
                         .seed = 7,
@@ -420,16 +423,27 @@ TEST(WarmCampaign, EpochShardedExploreMatchesColdStart) {
       }
     }
   };
-  std::string cold_path = TempPath("warm_epoch_cold.lfij");
-  remove_artifacts(cold_path, 0);
-  CampaignOutcome cold = RunSpec(epoch_spec(cold_path, 1, /*cold_start=*/true));
-  std::string cold_bytes = ReadFile(cold_path);
+  for (const char* system : {"pbft", "bfs"}) {
+    SCOPED_TRACE(system);
+    std::string cold_path = TempPath(StrFormat("warm_epoch_%s_cold.lfij", system));
+    remove_artifacts(cold_path, 0);
+    CampaignOutcome cold = RunSpec(epoch_spec(system, cold_path, 1, /*cold_start=*/true));
+    std::string cold_bytes = ReadFile(cold_path);
 
-  std::string warm_path = TempPath("warm_epoch_4shard.lfij");
-  remove_artifacts(warm_path, 4);
-  CampaignOutcome warm = RunSpec(epoch_spec(warm_path, 4, /*cold_start=*/false));
-  ExpectSameOutcome(cold, warm);
-  EXPECT_EQ(ReadFile(warm_path), cold_bytes);
+    std::string warm_path = TempPath(StrFormat("warm_epoch_%s_4shard.lfij", system));
+    remove_artifacts(warm_path, 4);
+    CampaignOutcome warm = RunSpec(epoch_spec(system, warm_path, 4, /*cold_start=*/false));
+    ExpectSameOutcome(cold, warm);
+    EXPECT_EQ(ReadFile(warm_path), cold_bytes);
+    EXPECT_GT(warm.pool.builds, 0u);
+
+    std::string cold4_path = TempPath(StrFormat("warm_epoch_%s_4shard_cold.lfij", system));
+    remove_artifacts(cold4_path, 4);
+    CampaignOutcome cold4 = RunSpec(epoch_spec(system, cold4_path, 4, /*cold_start=*/true));
+    ExpectSameOutcome(cold, cold4);
+    EXPECT_EQ(ReadFile(cold4_path), cold_bytes);
+    EXPECT_EQ(cold4.pool.builds, 0u);  // nothing prewarmed: children stay cold
+  }
 }
 
 TEST(WarmCampaign, ColdStartIsEnvironmentNotIdentity) {
