@@ -527,13 +527,13 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
   CampaignOutcome outcome;
   outcome.journal_path = spec_.journal_path;
   outcome.metadata = journal->metadata();
-  bool children_ok = true;
+  bool workers_ok = true;
   auto judge = [&](size_t index, ForkedResult forked) {
     const Target& target = targets[index];
     const JournalRecord& record = records[target.record];
     const InjectionRecord& injection = record.result.log.records()[target.injection];
     const JobResult& replayed = forked.result;
-    children_ok &= forked.failure.empty();
+    workers_ok &= forked.failure.empty();
 
     // A record that exposed bugs must reproduce at least one of its crash
     // sites from disk alone; injection-only records just report what ran.
@@ -570,12 +570,15 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
     outcome.replays.push_back(std::move(replay));
   };
 
-  // Each record is reproduced in a fresh process, as the paper replays a
-  // logged scenario: a child forked from one post-setup target of the
-  // recorded workload (core/fork_server.h), or under --cold-start a child
-  // that builds its own. No replay inherits another's state, and a child
-  // that crashes or outlives job_timeout_ms fails only its own record. This
-  // thread is the process's only one here, as fork() requires.
+  // Each record is reproduced from the recorded workload's post-setup
+  // state, as the paper replays a logged scenario on a target in a known
+  // starting state: persistent workers forked from one post-setup target
+  // (core/fork_server.h) run the records and Reset() the target after each,
+  // or under --cold-start build a target per record. No replay sees state
+  // another left behind, and a record whose worker crashes or outlives
+  // job_timeout_ms fails alone. The workers make their own jobs, so make_job
+  // reads only `targets` and `records`, both loaded before the forks.
+  // This thread is the process's only one here, as fork() requires.
   ForkServerOptions fork_options;
   fork_options.workers = spec_.workers;
   fork_options.job_timeout_ms = spec_.job_timeout_ms;
@@ -585,7 +588,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
       WorkloadFactory(recorded->system, recorded->mode),
       spec_.cold_start ? WarmPool::Policy::kFresh : WarmPool::Policy::kReuse, targets.size(),
       make_job, judge, fork_options);
-  outcome.ok = children_ok && outcome.replays_reproduced == outcome.replays_expected;
+  outcome.ok = workers_ok && outcome.replays_reproduced == outcome.replays_expected;
   return outcome;
 }
 

@@ -128,9 +128,10 @@ struct CampaignSpec {
   // inherit it with their spec. Orchestrated runs prewarm no target under
   // it, so every shard child job still builds its own instance (by default
   // children run on instances the orchestrator built before its first
-  // fork). Replay runs every record in a forked child either way
-  // (core/fork_server.h): by default the child inherits one target built
-  // before the forks; under cold_start each child builds its own.
+  // fork). Replay runs every record on a persistent forked worker either
+  // way (core/fork_server.h): by default the worker runs it on the target it
+  // inherited, built once before the forks, and resets that target after;
+  // under cold_start the worker builds a target per record.
   bool cold_start = false;
   // Failpoint schedule (util/failpoint.h spec syntax) armed by the driver
   // and inherited by forked shard children with their spec. Chaos testing

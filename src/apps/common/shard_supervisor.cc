@@ -196,6 +196,7 @@ bool ShardSupervisor::Run(const std::vector<CampaignSpec>& children, std::string
           state.last_exit = ChildExit::kTimedOut;
           break;
         case ChildEnd::How::kSignaled:
+        case ChildEnd::How::kBadFrame:  // SIGKILLed for it; shard children send none
           state.last_exit = ChildExit::kSignaled;
           break;
         case ChildEnd::How::kExited:

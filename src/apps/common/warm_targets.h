@@ -55,7 +55,7 @@ WarmPool::Factory BfsWarmFactory(int rounds, int max_ticks);
 WarmPool::Factory BfsMuxWarmFactory();
 
 // The factory of `system`'s campaign-wide workload in `mode` (the
-// ExecutionLayer's main pool, and what replay forks its children from);
+// ExecutionLayer's main pool, and the zygote replay forks its workers from);
 // empty for an unknown system.
 WarmPool::Factory WorkloadFactory(const std::string& system, CampaignMode mode);
 

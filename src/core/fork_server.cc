@@ -1,15 +1,14 @@
 #include "core/fork_server.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/extent_journal.h"
+#include "util/binary_io.h"
 #include "util/child_process.h"
 #include "util/failpoint.h"
 #include "util/work_queue.h"
@@ -17,7 +16,7 @@
 namespace lfi {
 namespace {
 
-// A job whose child did not deliver a result: one bug whose site names the
+// A job whose worker did not deliver a result: one bug whose site names the
 // exit, so the record reads as what happened to the process.
 ForkedResult FailedChild(const std::string& label, const ForkServerOptions& options,
                          std::string failure) {
@@ -29,53 +28,70 @@ ForkedResult FailedChild(const std::string& label, const ForkServerOptions& opti
   return failed;
 }
 
-bool WriteAll(int fd, const std::string& bytes) {
-  size_t written = 0;
-  while (written < bytes.size()) {
-    ssize_t n = write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    if (n <= 0) {
-      return false;
-    }
-    written += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-// The child's whole life: run job `index` on the inherited zygote (or on a
-// target it builds itself when there is none) and send the encoded result
-// down `fd`.
-int ServeChild(WarmTarget* zygote, const WarmPool::Factory& factory, const CampaignJob& job,
-               size_t index, const ForkServerOptions& options, int fd) {
-  if (!options.scope_prefix.empty()) {
-    Failpoints::Instance().SetScope(options.scope_prefix + std::to_string(index));
-  }
-  FailpointFired("engine.job.run");  // as CampaignEngine evaluates it per job
-  std::unique_ptr<WarmTarget> fresh;
-  if (zygote == nullptr) {
-    fresh = factory();
-    zygote = fresh.get();
-  }
-  return WriteAll(fd, EncodeJobResult(zygote->Run(job))) ? 0 : 1;
-}
-
-// Turns how job `label`'s child ended, and what it sent, into its result.
+// Turns how job `label`'s worker ended, before it sent the job's result,
+// into the job's result.
 ForkedResult Outcome(const std::string& label, const ForkServerOptions& options,
                      const ChildEnd& end) {
   if (end.how == ChildEnd::How::kTimedOut) {
     return {HangResult(label, options.system), end.Describe()};
   }
-  if (!end.clean()) {
-    return FailedChild(label, options, end.Describe());
+  return FailedChild(label, options, end.Describe());
+}
+
+// A worker's reply: whether it reset its instance, then the job's result.
+std::string EncodeReply(bool reset, const JobResult& result) {
+  ByteWriter reply;
+  reply.PutU8(reset ? 1 : 0);
+  reply.PutBytes(EncodeJobResult(result));
+  return reply.TakeBuffer();
+}
+
+std::optional<JobResult> DecodeReply(std::string_view reply, bool* reset, std::string* error) {
+  if (reply.empty() || static_cast<uint8_t>(reply[0]) > 1) {
+    *error = "bad reset flag";
+    return std::nullopt;
   }
+  *reset = reply[0] == 1;
+  return DecodeJobResult(reply.substr(1), error);
+}
+
+std::string EncodeRequest(size_t index) {
+  ByteWriter request;
+  request.PutU64(index);
+  return request.TakeBuffer();
+}
+
+// A worker's whole life: serve job indices from the parent until it ends
+// the channel, each on the inherited zygote (or on a target built for the
+// job when there is none). Leaves after a failed Reset(): the instance is
+// tainted.
+int ServeWorker(WarmTarget* zygote, const WarmPool::Factory& factory, const ForkJobMaker& make_job,
+                const ForkServerOptions& options, int fd) {
+  const Failpoints::Saved inherited = Failpoints::Instance().Save();
   std::string error;
-  std::optional<JobResult> result = DecodeJobResult(end.output, &error);
-  if (!result) {
-    return FailedChild(label, options, "sent an undecodable result (" + error + ")");
+  while (std::optional<std::string> request = ReceiveFrame(fd, &error)) {
+    ByteReader reader(*request);
+    const size_t index = reader.GetU64();
+    if (!reader.ok() || !reader.AtEnd()) {
+      return 1;
+    }
+    Failpoints::Instance().Restore(inherited);
+    if (!options.scope_prefix.empty()) {
+      Failpoints::Instance().SetScope(options.scope_prefix + std::to_string(index));
+    }
+    FailpointFired("engine.job.run");  // as CampaignEngine evaluates it per job
+    const CampaignJob job = make_job(index);
+    std::unique_ptr<WarmTarget> fresh = zygote == nullptr ? factory() : nullptr;
+    JobResult result = (zygote != nullptr ? zygote : fresh.get())->Run(job);
+    const bool reset = zygote != nullptr && zygote->Reset();
+    if (!SendFrame(fd, EncodeReply(reset, result))) {
+      return 1;
+    }
+    if (zygote != nullptr && !reset) {
+      return 0;
+    }
   }
-  return {std::move(*result), ""};
+  return error.empty() ? 0 : 1;
 }
 
 }  // namespace
@@ -106,29 +122,78 @@ WarmPool::Stats RunForkServer(const WarmPool::Factory& factory, WarmPool::Policy
       deliver(delivered, std::move(it->second));
     }
   };
+  auto fail = [&](size_t index, std::string failure) {
+    finish(index, FailedChild(make_job(index).label, options, std::move(failure)));
+  };
 
+  // Worker K lives in slot K. A slot whose worker is gone gets a new one,
+  // forked from the pristine zygote, when it next takes a job.
   const size_t width =
       std::min<size_t>(std::max(1, WorkerPool::ResolveWorkers(options.workers)), count);
-  ChildProcesses children;  // a throw out of the loop leaves no child behind
-  std::map<size_t, std::string> labels;  // of the jobs in flight
+  ChildProcesses workers;  // a throw out of the loop leaves no worker behind
+  std::vector<std::optional<size_t>> in_flight(width);  // each slot's job
+  const ChildProcesses::Body serve = [&](int fd) {
+    return ServeWorker(zygote.get(), factory, make_job, options, fd);
+  };
+  auto dispatch = [&](size_t slot, size_t index, std::string* error) {
+    return workers.Send(slot, EncodeRequest(index), options.job_timeout_ms, error);
+  };
+
   size_t next = 0;
   while (delivered < count) {
-    for (; next < count && children.running() < width; ++next) {
-      CampaignJob job = make_job(next);
+    for (size_t slot = 0; slot < width && next < count; ++slot) {
+      if (in_flight[slot]) {
+        continue;
+      }
       std::string error;
-      if (children.Start(
-              next, options.job_timeout_ms,
-              [&](int fd) { return ServeChild(zygote.get(), factory, job, next, options, fd); },
-              &error)) {
-        labels.emplace(next, job.label);
-      } else {
-        finish(next, FailedChild(job.label, options, "not started: " + error));
+      if (!dispatch(slot, next, &error)) {
+        // The slot has no worker yet, or one that died while idle. The job
+        // never started, so it is no failure: it goes to a new worker.
+        workers.Kill(slot);
+        if (!workers.Start(slot, 0, serve, &error) || !dispatch(slot, next, &error)) {
+          workers.Kill(slot);
+          fail(next++, "not started: " + error);
+          continue;
+        }
+      }
+      in_flight[slot] = next++;
+    }
+    std::vector<ChildFrame> frames;
+    std::vector<std::pair<size_t, ChildEnd>> ended =
+        workers.Wait(ChildProcesses::Clock::time_point::max(), &frames);
+    for (const ChildFrame& frame : frames) {
+      std::optional<size_t> index = std::exchange(in_flight[frame.id], std::nullopt);
+      bool reset = false;
+      std::string error;
+      std::optional<JobResult> result =
+          index ? DecodeReply(frame.payload, &reset, &error) : std::nullopt;
+      if (!result) {
+        // A reply that does not decode, or answers no job: the worker is
+        // not trusted with another.
+        workers.Kill(frame.id);
+        if (index) {
+          fail(*index, "sent an undecodable result (" + error + ")");
+        }
+        continue;
+      }
+      if (reset) {
+        ++stats.resets;
+      } else if (zygote != nullptr) {
+        ++stats.dropped;  // its instance is tainted; the worker retires
+        workers.Kill(frame.id);
+      }
+      finish(*index, {std::move(*result), ""});
+    }
+    for (const auto& [slot, end] : ended) {
+      if (std::optional<size_t> index = std::exchange(in_flight[slot], std::nullopt)) {
+        finish(*index, Outcome(make_job(*index).label, options, end));
       }
     }
-    for (const auto& [index, end] : children.Wait()) {
-      auto label = labels.extract(index);
-      finish(index, Outcome(label.mapped(), options, end));
-    }
+  }
+  // Every worker is idle: ending its channel ends it.
+  workers.CloseInputs();
+  while (workers.running() > 0) {
+    workers.Wait();
   }
   return stats;
 }

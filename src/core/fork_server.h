@@ -1,25 +1,35 @@
-// Fresh-process job execution from a post-setup zygote.
+// Job execution in persistent workers forked from a post-setup zygote.
 //
-// The paper replays a logged injection in a fresh process. Building a whole
-// new target per job gives that at the price of one bring-up per job; this
-// layer gives it at the price of one fork() per job, the way AFL's fork
-// server amortizes execve (https://lcamtuf.coredump.cx/afl/
-// technical_details.txt): the parent builds one post-setup target -- the
-// zygote -- and forks one child per job (util/child_process.h). The child
-// runs its job on the zygote it inherited copy-on-write and sends the
-// JobResult back over its pipe (EncodeJobResult, core/extent_journal.h).
-// The parent never runs a job, so the zygote stays pristine and nothing is
-// ever Reset().
+// The paper replays a logged injection on a target in a known starting
+// state. Building a whole new target per job gives that at the price of one
+// bring-up per job; this layer gives it at the price of one Reset() per
+// job, the way AFL's persistent-mode fork server amortizes both execve and
+// fork (https://lcamtuf.coredump.cx/afl/technical_details.txt): the parent
+// builds one post-setup target -- the zygote -- and forks one worker per
+// slot from it (util/child_process.h). The parent then sends each worker
+// only a job index. The worker makes the job itself, runs it on the zygote
+// it inherited copy-on-write, Reset()s that instance back to its post-setup
+// state, and sends a frame carrying the JobResult (EncodeJobResult,
+// core/extent_journal.h) and whether the Reset succeeded. Every job thus
+// starts from the post-setup state, as a fresh fork of the zygote would --
+// the warm == cold contract WarmPool's policies share -- and the parent
+// never runs a job, so its zygote stays pristine.
 //
-// Under WarmPool::Policy::kFresh (cold start) the parent builds no zygote
-// and every child calls the factory itself after the fork: a literal fresh
-// process per job, the bring-up the zygote is compared against.
+// A worker is forked again from that pristine zygote when the one in its
+// slot dies, passes the job's deadline, sends a frame that does not decode,
+// or reports a failed Reset() (the instance is tainted; it is retired). Only
+// the job in flight is affected: a dead worker fails it, one past
+// Options::job_timeout_ms (counted from the job's dispatch) is SIGKILLed and
+// the job reports the engine's deterministic HangResult. A worker that died
+// while idle costs nothing: its next job goes to a respawned worker.
 //
-// A child is a process, so it is also a crash boundary. A child that dies
-// from a signal, exits non-zero or sends bytes that do not decode fails only
-// its own job; one that outlives Options::job_timeout_ms is SIGKILLed and
-// its job reports the engine's deterministic HangResult. The other jobs
-// still run.
+// Under WarmPool::Policy::kFresh (cold start) the parent builds no zygote;
+// a worker calls the factory for every job and never resets: a literal
+// fresh target per job, the bring-up the zygote is compared against.
+//
+// Failpoints behave per job as they would in a fresh fork: the worker
+// restores the failpoint state it was forked with before each job, then
+// evaluates `engine.job.run` under scope "<scope_prefix><index>".
 //
 // The caller must be single-threaded (util/child_process.h). That is why
 // this is not a WarmPool policy: engine workers call pools from threads.
@@ -37,14 +47,14 @@
 namespace lfi {
 
 struct ForkServerOptions {
-  // Children in flight at once (WorkerPool::ResolveWorkers: <= 0 = one per
-  // hardware thread).
+  // Workers at once, capped at the job count (WorkerPool::ResolveWorkers:
+  // <= 0 = one per hardware thread).
   int workers = 1;
-  // Wall-clock budget per child; 0 = none.
+  // Wall-clock budget per job, from its dispatch; 0 = none.
   uint64_t job_timeout_ms = 0;
-  // Attributed to the bugs of failed children ("" = "campaign").
+  // Attributed to the bugs of failed jobs ("" = "campaign").
   std::string system;
-  // Child K evaluates failpoints under scope "<scope_prefix><K>"; "" keeps
+  // Job K evaluates failpoints under scope "<scope_prefix><K>"; "" keeps
   // the parent's scope.
   std::string scope_prefix;
 };
@@ -52,23 +62,25 @@ struct ForkServerOptions {
 // One job's outcome.
 struct ForkedResult {
   JobResult result;
-  // "" when the child delivered its result. Otherwise how the child failed
-  // ("exited with status 9", "killed by signal 9", "timed out after 200 ms",
-  // ...); `result` then holds one bug: HangResult for a timeout, else a
-  // "child failure" whose site names the exit.
+  // "" when the worker delivered the job's result. Otherwise how the worker
+  // failed ("exited with status 9", "killed by signal 9", "timed out after
+  // 200 ms", ...); `result` then holds one bug: HangResult for a timeout,
+  // else a "child failure" whose site names the exit.
   std::string failure;
 };
 
-// Makes job `index` just before its child is forked, so the parent holds
-// only the jobs in flight.
+// Makes job `index`. Called in the workers, and in the parent only to
+// label a job whose worker failed, so it must be a pure function of the
+// state that exists when the workers are forked.
 using ForkJobMaker = std::function<CampaignJob(size_t index)>;
 // Receives job `index`'s outcome; called in job order at any width.
 using ForkResultSink = std::function<void(size_t index, ForkedResult result)>;
 
-// Runs jobs 0..count-1, each in its own child forked from one zygote built
-// by `factory` (see the file comment). The returned counters read builds 1
-// (0 without jobs), or one per job under kFresh; runs one per job; resets
-// and dropped 0.
+// Runs jobs 0..count-1 on min(workers, count) persistent workers forked
+// from one zygote built by `factory` (see the file comment). The returned
+// counters read runs one per job; builds 1 (0 without jobs), or one per
+// job under kFresh; resets the successful in-worker Reset()s; dropped the
+// workers retired after a failed Reset().
 WarmPool::Stats RunForkServer(const WarmPool::Factory& factory, WarmPool::Policy policy,
                               size_t count, const ForkJobMaker& make_job,
                               const ForkResultSink& deliver, const ForkServerOptions& options);

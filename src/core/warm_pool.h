@@ -12,12 +12,15 @@
 // decides what happens between jobs: kReuse (the default) resets and
 // re-pools the instance; kFresh builds a fresh instance per job and destroys
 // it after the run without ever resetting it -- the `--cold-start` ablation.
-// The paper's fresh-process-per-test model itself is the fork server
-// (core/fork_server.h), which replay runs on: it takes the same Factory and
-// Policy, but forks one child per job from a single post-setup instance
-// (kReuse) or builds in each child (kFresh). It is not a third policy
-// because pools are called from engine worker threads, and fork() is only
-// safe from a single-threaded process. Shard children get the same zygote
+// Replay runs on the fork server (core/fork_server.h), which takes the same
+// Factory and Policy but runs the jobs in persistent worker processes forked
+// from one post-setup instance: under kReuse each worker runs a job on its
+// inherited copy and Reset()s it, as this pool does in-process; under
+// kFresh it builds per job. Every job thus starts from the post-setup
+// state -- the same contract as here -- and a job that kills its process
+// costs only itself. It is not a third policy because pools are called from
+// engine worker threads, and fork() is only safe from a single-threaded
+// process. Shard children get the same zygote
 // trade through the pool itself: the orchestrator Prewarm()s its pool
 // before its first fork, never runs a job on it, and every shard child runs
 // its jobs on the post-setup instances it inherits copy-on-write.

@@ -94,6 +94,19 @@ void Failpoints::Clear() {
   release_hangs_.store(true, std::memory_order_release);
 }
 
+Failpoints::Saved Failpoints::Save() const {
+  Saved saved;
+  std::lock_guard<std::mutex> lock(mu_);
+  saved.entries_ = entries_;
+  return saved;
+}
+
+void Failpoints::Restore(const Saved& saved) {
+  std::lock_guard<std::mutex> lock(mu_);
+  entries_ = saved.entries_;
+  any_armed_.store(!entries_.empty(), std::memory_order_release);
+}
+
 void Failpoints::SetScope(std::string scope) {
   std::lock_guard<std::mutex> lock(mu_);
   scope_ = std::move(scope);

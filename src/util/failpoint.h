@@ -24,13 +24,16 @@
 //            scopeless entries fire in any process. The campaign driver
 //            scopes shard children "shard<I>" / "epoch<E>.shard<I>", so one
 //            spec string can script "shard 2 dies in epoch 1" and reach
-//            every child untouched in its spec; replay scopes the child of
-//            its K-th replayed record "replay<K>".
+//            every child untouched in its spec; replay scopes its K-th
+//            replayed record "replay<K>" in the worker that runs it.
 //
 // Arm() replaces the whole armed set (the spec string is the complete
 // schedule), so re-arming an inherited registry in a forked child is
 // idempotent. Hit counters are per-entry and one-shot: retried children,
 // which the supervisor respawns with the failpoints stripped, run clean.
+// A process that serves many jobs, as replay's persistent workers do,
+// Save()s the state it was forked with and Restore()s it before each job,
+// so every job counts hits from the parent's counts, as a fresh fork would.
 
 #ifndef LFI_UTIL_FAILPOINT_H_
 #define LFI_UTIL_FAILPOINT_H_
@@ -43,6 +46,8 @@
 namespace lfi {
 
 class Failpoints {
+  struct Entry;
+
  public:
   // Process-wide registry; nothing is armed until Arm(). Forked children
   // inherit the parent's armed set.
@@ -55,6 +60,15 @@ class Failpoints {
 
   // Disarms everything and releases threads parked in a hang action.
   void Clear();
+
+  // The armed set with its hit counters, for Restore().
+  class Saved {
+    friend class Failpoints;
+    std::vector<Entry> entries_;
+  };
+  Saved Save() const;
+  // Puts back the armed set and hit counters Save() took. The scope stays.
+  void Restore(const Saved& saved);
 
   // The process scope matched against entry scope prefixes. "" (the
   // default) matches only scopeless entries.

@@ -475,11 +475,13 @@ TEST(CampaignJournal, ReplayReproducesEveryJournaledCrashSiteFromDisk) {
   EXPECT_GT(bug_records, 0u);
 }
 
-// Replay forks one child per record from a zygote of the recorded workload:
-// one bring-up by default, one per record (built in each child) under
-// cold_start, with identical outcomes either way, and every expected crash
-// reproduced. A journal naming a system this build does not know is refused.
-TEST(CampaignJournal, ReplayForksAFreshProcessPerRecordAndRefusesUnknownSystems) {
+// Replay runs every record on persistent workers forked from a zygote of
+// the recorded workload: one bring-up by default, with each record starting
+// from the post-setup state through a Reset() in its worker; one bring-up
+// per record (built in a worker) and no Reset() under cold_start. Outcomes
+// are identical either way, and every expected crash reproduces. A journal
+// naming a system this build does not know is refused.
+TEST(CampaignJournal, ReplayStartsEveryRecordFromThePostSetupStateAndRefusesUnknownSystems) {
   EnsureStockTriggersRegistered();
   for (const char* system : {"pbft", "bfs"}) {
     SCOPED_TRACE(system);
@@ -491,17 +493,26 @@ TEST(CampaignJournal, ReplayForksAFreshProcessPerRecordAndRefusesUnknownSystems)
              .seed = 1,
              .journal_path = path});
 
-    CampaignSpec replay{.mode = CampaignMode::kReplay, .journal_path = path};
+    CampaignSpec replay{.mode = CampaignMode::kReplay, .workers = 2, .journal_path = path};
     CampaignOutcome plain = RunSpec(replay);
     replay.cold_start = true;
     CampaignOutcome cold = RunSpec(replay);
     EXPECT_GT(plain.replays_expected, 0u);
     EXPECT_EQ(plain.pool.builds, 1u);
     EXPECT_EQ(cold.pool.builds, cold.replays.size());
+    // No worker dies here, so every warm record ends in a Reset() or retires
+    // its worker; cold workers build per record and never reset.
+    EXPECT_EQ(plain.pool.resets + plain.pool.dropped, plain.pool.runs);
+    EXPECT_EQ(cold.pool.resets, 0u);
+    EXPECT_EQ(cold.pool.dropped, 0u);
+    if (std::string(system) == "pbft") {
+      // A worker serves many records: at most one per worker skips its
+      // Reset(). Falling back to one fork per record fails this.
+      EXPECT_GE(plain.pool.resets + 2, plain.pool.runs);
+    }
     for (const CampaignOutcome* outcome : {&plain, &cold}) {
       EXPECT_EQ(outcome->replays_reproduced, outcome->replays_expected);
       EXPECT_EQ(outcome->pool.runs, outcome->replays.size());
-      EXPECT_EQ(outcome->pool.resets, 0u);
     }
     ASSERT_EQ(plain.replays.size(), cold.replays.size());
     for (size_t i = 0; i < plain.replays.size(); ++i) {

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
-# `lfi_tool replay` forks one child per record (core/fork_server.h). Its
-# --json bytes must not depend on how many children run at once, on where
-# the target is built (--cold-start: in each child instead of once before
-# the forks) or on a generous --job-timeout-ms, for pbft and bfs journals.
-# A child killed by a failpoint, or by its deadline, must fail only its own
+# `lfi_tool replay` runs every record on persistent workers forked from one
+# post-setup target (core/fork_server.h); each record starts from the
+# post-setup state through the worker's Reset(). Its --json bytes must not
+# depend on how many workers run at once, on where the target is built
+# (--cold-start: per record, in the workers, instead of once before the
+# forks) or on a generous --job-timeout-ms, for pbft and bfs journals. A
+# failpoint must count its hits per record, as in a fresh fork. A worker
+# killed by a failpoint, or by its record's deadline, must fail only that
 # record, and replay must then exit 1.
 #
 # Usage: replay_cli_test.sh path/to/lfi_tool
@@ -42,8 +45,17 @@ for system in pbft bfs; do
   done
 done
 
-# Child 1 dies at the job failpoint: record 1 reads crashed at the exit,
-# every other entry is unchanged.
+# A scopeless failpoint due on its second hit never fires: every record
+# evaluates engine.job.run once, from the counts its worker was forked with.
+for workers in 1 4; do
+  "$tool" replay pbft.lfij --workers "$workers" --failpoints 'engine.job.run=exit:9@2' --json \
+    > counted.json || fail "replay with engine.job.run=exit:9@2 at --workers $workers exited $?"
+  cmp -s pbft.json counted.json \
+    || fail "engine.job.run=exit:9@2 changed replay --json at --workers $workers"
+done
+
+# Record 1's worker dies at the job failpoint: record 1 reads crashed at
+# the exit, every other entry is unchanged.
 rc=0
 "$tool" replay pbft.lfij --workers 4 --failpoints "replay1:engine.job.run=exit:9" --json \
   > crash.json || rc=$?
@@ -55,9 +67,10 @@ want=$(sed -n 2p clean.txt | sed -e 's/"crashed":[a-z]*,"where":"[^"]*"/"crashed
 [ "$(sed -n 2p crash.txt)" = "$want" ] || fail "dead child's record: $(sed -n 2p crash.txt)"
 [ "$(sed 2d clean.txt)" = "$(sed 2d crash.txt)" ] || fail "a dead child changed other records"
 
-# Child 0 hangs at the job failpoint: past --job-timeout-ms it is killed and
-# record 0 reads the engine's deterministic hang; the rest still run. The
-# deadline leaves the healthy records room to finish under sanitizers.
+# Record 0's worker hangs at the job failpoint: past --job-timeout-ms it is
+# killed and record 0 reads the engine's deterministic hang; the rest still
+# run. The deadline leaves the healthy records room to finish under
+# sanitizers.
 rc=0
 timeout 60 "$tool" replay pbft.lfij --workers 4 --failpoints "replay0:engine.job.run=hang" \
   --job-timeout-ms 5000 --json > hang.json || rc=$?
@@ -73,4 +86,4 @@ if [ "$failures" -ne 0 ]; then
   echo "$failures failure(s)"
   exit 1
 fi
-echo "replay output is independent of width and bring-up; dead children stay isolated"
+echo "replay output is independent of width and bring-up; dead workers stay isolated"
