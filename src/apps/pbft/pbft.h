@@ -147,6 +147,9 @@ class PbftReplica {
   int view_changes_ = 0;
   std::string state_digest_ = "genesis";
   std::string checkpoint_digest_ = "genesis";
+  // Send buffer every outgoing message is built into (pbft_wire::WireMessage);
+  // scratch with no state of its own, so it is not in the snapshot.
+  std::string wire_;
 };
 
 // Out-of-class so it can name the private SeqState (member type has access).
@@ -219,6 +222,9 @@ class PbftClient {
   }
 
  private:
+  // Builds the REQ for the current timestamp into wire_.
+  const std::string& RequestMessage();
+
   VirtualLibc libc_;
   PbftConfig config_;
   int fd_ = -1;
@@ -230,6 +236,7 @@ class PbftClient {
   std::set<int> reply_votes_;
   int completed_ = 0;
   int max_requests_ = 0;
+  std::string wire_;  // send buffer, like PbftReplica's
 };
 
 // Harness: a full cluster plus one client, stepped in lockstep.

@@ -134,11 +134,15 @@ void CallCountTrigger::Init(const XmlNode* init_data) {
 
 bool CallCountTrigger::Eval(VirtualLibc* libc, const std::string& lib_func_name,
                             const ArgSpan& args) {
+  (void)lib_func_name;
   (void)args;
   // "An injection should occur exactly on the n-th call to a function": the
   // boundary count is authoritative, so the trigger is exact even when it is
-  // short-circuited away on some calls.
-  return std::binary_search(targets_.begin(), targets_.end(), libc->CallCount(lib_func_name));
+  // short-circuited away on some calls. One instance can serve several
+  // functions (every association naming its decl shares it), so the count is
+  // read by the intercepted call's id on each evaluation, never cached.
+  return std::binary_search(targets_.begin(), targets_.end(),
+                            libc->CallCount(libc->intercepted_function()));
 }
 
 // --- SingletonTrigger ----------------------------------------------------------------

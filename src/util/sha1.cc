@@ -35,28 +35,27 @@ void Sha1::ProcessBlock(const uint8_t* block) {
   uint32_t d = h_[3];
   uint32_t e = h_[4];
 
-  for (int i = 0; i < 80; ++i) {
-    uint32_t f;
-    uint32_t k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5a827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ed9eba1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8f1bbcdcu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xca62c1d6u;
-    }
-    uint32_t tmp = Rotl(a, 5) + f + e + k + w[i];
+  // Four 20-round stages, one boolean function and constant each, so no
+  // round branches on its index.
+  auto round = [&](uint32_t f, uint32_t k, uint32_t w_i) {
+    uint32_t tmp = Rotl(a, 5) + f + e + k + w_i;
     e = d;
     d = c;
     c = Rotl(b, 30);
     b = a;
     a = tmp;
+  };
+  for (int i = 0; i < 20; ++i) {
+    round((b & c) | (~b & d), 0x5a827999u, w[i]);
+  }
+  for (int i = 20; i < 40; ++i) {
+    round(b ^ c ^ d, 0x6ed9eba1u, w[i]);
+  }
+  for (int i = 40; i < 60; ++i) {
+    round((b & c) | (b & d) | (c & d), 0x8f1bbcdcu, w[i]);
+  }
+  for (int i = 60; i < 80; ++i) {
+    round(b ^ c ^ d, 0xca62c1d6u, w[i]);
   }
 
   h_[0] += a;
@@ -87,12 +86,16 @@ void Sha1::Update(const void* data, size_t len) {
 
 std::array<uint8_t, Sha1::kDigestSize> Sha1::Finish() {
   uint64_t bits = total_bits_;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffered_ != 56) {
-    Update(&zero, 1);
+  // The 0x80 marker, then zeros up to the length field at byte 56 -- of this
+  // block, or of one more when the marker leaves no room for the length.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_ + buffered_, 0, 64 - buffered_);
+    ProcessBlock(buffer_);
+    buffered_ = 0;
   }
+  std::memset(buffer_ + buffered_, 0, 56 - buffered_);
+  buffered_ = 56;
   uint8_t len_be[8];
   for (int i = 0; i < 8; ++i) {
     len_be[i] = static_cast<uint8_t>(bits >> (56 - i * 8));

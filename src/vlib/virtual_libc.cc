@@ -145,6 +145,7 @@ std::optional<int64_t> VirtualLibc::Intercept(FunctionId function,
   }
   ++call_counts_[function];
   in_interposer_ = true;
+  intercepted_function_ = function;
   InjectionDecision decision;
   try {
     decision = interposer_->OnCall(this, function, ArgSpan(args));
@@ -771,7 +772,7 @@ long VirtualLibc::SendTo(int sockfd, const char* buf, unsigned long len, int dst
     errno_ = kEBADF;
     return -1;
   }
-  return net_->Send(f->port, dst_port, std::string(buf, len));
+  return net_->Send(f->port, dst_port, buf, len);
 }
 
 long VirtualLibc::RecvFrom(int sockfd, char* buf, unsigned long len, int* src_port) {
@@ -786,7 +787,9 @@ long VirtualLibc::RecvFrom(int sockfd, char* buf, unsigned long len, int* src_po
     OpenFd* sock = Fd(sockfd);
     if (static_cast<long>(*inj) < 0 && sock != nullptr && sock->is_socket && sock->port >= 0) {
       Datagram dropped;
-      net_->Receive(sock->port, &dropped);
+      if (net_->Receive(sock->port, &dropped)) {
+        net_->Recycle(std::move(dropped.payload));
+      }
     }
     return static_cast<long>(*inj);
   }
@@ -805,6 +808,7 @@ long VirtualLibc::RecvFrom(int sockfd, char* buf, unsigned long len, int* src_po
   if (src_port != nullptr) {
     *src_port = dgram.src_port;
   }
+  net_->Recycle(std::move(dgram.payload));
   return static_cast<long>(n);
 }
 

@@ -214,6 +214,10 @@ class VirtualLibc {
     auto id = SymbolTable::Functions().Find(function);
     return id ? CallCount(*id) : 0;
   }
+  // The function whose interception the interposer is deciding right now
+  // (meaningful only inside an interposer call). A trigger reads its
+  // per-function state by this id, not by resolving the name it was handed.
+  FunctionId intercepted_function() const { return intercepted_function_; }
   // Clears the per-function boundary counts. The test controller calls this
   // at the start of every test, mirroring the paper's fresh process per run.
   void ResetCallCounts() { call_counts_.clear(); }
@@ -263,6 +267,7 @@ class VirtualLibc {
   std::string process_name_;
   Interposer* interposer_ = nullptr;
   bool in_interposer_ = false;
+  FunctionId intercepted_function_ = 0;
   CallStack stack_;
   int errno_ = 0;
   uint64_t intercepted_calls_ = 0;

@@ -41,6 +41,24 @@ long VirtualNet::Send(int src_port, int dst_port, std::string payload) {
   return accepted;
 }
 
+long VirtualNet::Send(int src_port, int dst_port, const char* buf, size_t len) {
+  std::string payload;
+  if (!spare_.empty()) {
+    payload = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  payload.assign(buf, len);
+  return Send(src_port, dst_port, std::move(payload));
+}
+
+void VirtualNet::Recycle(std::string payload) {
+  // An inline (small-string) payload owns no heap buffer worth keeping.
+  if (spare_.size() < kMaxSpareBuffers && payload.capacity() > std::string().capacity() &&
+      payload.capacity() <= kMaxSpareCapacity) {
+    spare_.push_back(std::move(payload));
+  }
+}
+
 void VirtualNet::AdvanceTick() {
   for (auto& [port, dgram] : staged_) {
     auto it = queues_.find(port);

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "apps/pbft/pbft.h"
+#include "apps/pbft/wire.h"
 #include "core/controller.h"
 #include "core/distributed.h"
 #include "core/runtime.h"
@@ -371,6 +375,109 @@ TEST_F(PbftHostileDatagrams, WholeMessagesAreActedOn) {
   Deliver(kR0, kPbftClientPort, "REPLY|0|1|0|" + d);
   Deliver(kR1, kPbftClientPort, "REPLY|0|1|1|" + d);
   EXPECT_EQ(cluster_.client().completed(), 1);
+}
+
+// --- wire codec ----------------------------------------------------------------
+
+TEST(PbftWire, EveryMessageShapeIsByteEqualToItsPrintfForm) {
+  using pbft_wire::AppendJoined;
+  using pbft_wire::WireMessage;
+  const std::vector<int> ints = {0, 1, INT_MAX, -1, INT_MIN};
+  const std::vector<int64_t> seqs = {0, 1, INT64_MAX, INT64_MIN};
+  // %s of a c_str() and %.*s of a view both stop at the first NUL.
+  const std::vector<std::string> texts = {"", "abcdef0123456789", std::string("ab\0cd", 5),
+                                          std::string(300, 'z'), "7#8999#op"};
+  std::string out = std::string(500, '!');  // a used buffer: rebuilt from empty
+  for (int v : ints) {
+    for (int64_t seq : seqs) {
+      const long long lseq = seq;
+      for (const std::string& t : texts) {
+        const std::string_view view = t;
+        const int len = static_cast<int>(view.size());
+        EXPECT_EQ(WireMessage(&out, "C", v, seq, t, v),
+                  StrFormat("C|%d|%lld|%s|%d", v, lseq, t.c_str(), v));
+        EXPECT_EQ(WireMessage(&out, "C", v, seq, view, v),
+                  StrFormat("C|%d|%lld|%.*s|%d", v, lseq, len, view.data(), v));
+        EXPECT_EQ(WireMessage(&out, "P", v, seq, t, v),
+                  StrFormat("P|%d|%lld|%s|%d", v, lseq, t.c_str(), v));
+        EXPECT_EQ(WireMessage(&out, "P", v, seq, view, v),
+                  StrFormat("P|%d|%lld|%.*s|%d", v, lseq, len, view.data(), v));
+        EXPECT_EQ(WireMessage(&out, "PP", v, seq, t, t),
+                  StrFormat("PP|%d|%lld|%s|%s", v, lseq, t.c_str(), t.c_str()));
+        EXPECT_EQ(WireMessage(&out, "REPLY", v, view, v, t),
+                  StrFormat("REPLY|%d|%.*s|%d|%s", v, len, view.data(), v, t.c_str()));
+        EXPECT_EQ(WireMessage(&out, "REQ", 0, view, v, 1),
+                  StrFormat("REQ|0|%.*s|%d|1", len, view.data(), v));
+        EXPECT_EQ(WireMessage(&out, "REQ", 0, t, v, 0), StrFormat("REQ|0|%s|%d|0", t.c_str(), v));
+        EXPECT_EQ(WireMessage(&out, "STATE", seq, t, v),
+                  StrFormat("STATE|%lld|%s|%d", lseq, t.c_str(), v));
+        EXPECT_EQ(WireMessage(&out, "NV", v, t), StrFormat("NV|%d|%s", v, t.c_str()));
+        std::string carried = "1:x:y;";
+        AppendJoined(&carried, ':', seq, t, t);
+        carried.push_back(';');
+        EXPECT_EQ(carried, "1:x:y;" + StrFormat("%lld:%s:%s;", lseq, t.c_str(), t.c_str()));
+      }
+      EXPECT_EQ(WireMessage(&out, "FETCH", seq, v), StrFormat("FETCH|%lld|%d", lseq, v));
+      std::string payload;
+      AppendJoined(&payload, '#', seq, v, "op");
+      EXPECT_EQ(payload, StrFormat("%lld#%d#op", lseq, v));
+    }
+    for (int w : ints) {
+      EXPECT_EQ(WireMessage(&out, "VC", v, w), StrFormat("VC|%d|%d", v, w));
+      EXPECT_EQ(WireMessage(&out, "pbft-session-key", v, w),
+                StrFormat("pbft-session-key|%d|%d", v, w));
+    }
+  }
+}
+
+// What WireNumber accepted before it had a fast path: ParseInt within the cap.
+std::optional<int64_t> ParseIntWireNumber(std::string_view field) {
+  std::optional<int64_t> v = ParseInt(field);
+  if (!v || *v < 0 || *v > pbft_wire::kMaxWireNumber) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+TEST(PbftWire, WireNumberFastPathAgreesWithParseInt) {
+  using pbft_wire::WireNumber;
+  const std::vector<std::pair<std::string, std::optional<int64_t>>> hostile = {
+      {"", std::nullopt},
+      {"0", 0},
+      {"007", 7},
+      {"1073741824", 1073741824},
+      {"1073741825", std::nullopt},
+      {"9999999999", std::nullopt},
+      {"12345678901", std::nullopt},
+      {"0x10", 16},
+      {" 7", 7},
+      {"7 ", 7},
+      {"+3", 3},
+      {"-0", 0},
+      {std::string("1\0", 2), 1},
+      {"-1", std::nullopt},
+      {"1x", std::nullopt},
+  };
+  for (const auto& [field, want] : hostile) {
+    EXPECT_EQ(WireNumber(field), want) << "field \"" << field << "\"";
+    EXPECT_EQ(WireNumber(field), ParseIntWireNumber(field)) << "field \"" << field << "\"";
+  }
+  // Every field of up to three characters over an alphabet of digits, signs,
+  // blanks, hex markers and NUL.
+  const std::string alphabet("019x +-a\0", 9);
+  std::vector<std::string> fields = {""};
+  for (size_t begin = 0, length = 0; length < 3; ++length) {
+    size_t end = fields.size();
+    for (size_t i = begin; i < end; ++i) {
+      for (char c : alphabet) {
+        fields.push_back(fields[i] + c);
+      }
+    }
+    begin = end;
+  }
+  for (const std::string& field : fields) {
+    EXPECT_EQ(WireNumber(field), ParseIntWireNumber(field)) << "field \"" << field << "\"";
+  }
 }
 
 }  // namespace

@@ -54,6 +54,45 @@ TEST_F(RuntimeExtraTest, OneInstanceSharedAcrossAssociationsKeepsOneState) {
   EXPECT_EQ(runtime.injections(), 1u);
 }
 
+TEST_F(RuntimeExtraTest, SharedCallCountTriggerCountsEachFunctionOnItsOwn) {
+  // One CallCountTrigger decl serves lseek and read, which reach their third
+  // call at different points: each must fire on its own third call, in every
+  // lookup mode. A count cached per trigger instance (say, the id of the
+  // first function it saw) would fire read on lseek's count instead.
+  Scenario s = MustParse(R"(
+<scenario>
+  <trigger id="third" class="CallCountTrigger"><args><count>3</count></args></trigger>
+  <function name="lseek" return="-1" errno="EIO"><reftrigger ref="third"/></function>
+  <function name="read" return="-1" errno="EIO"><reftrigger ref="third"/></function>
+</scenario>)");
+  for (int mode = 0; mode < 3; ++mode) {
+    SCOPED_TRACE(mode);
+    Runtime::Options options;
+    options.linear_lookup = mode == 1;
+    options.string_keyed_reference = mode == 2;
+    Runtime runtime(s, options);
+    VirtualLibc libc(&fs_, &net_, "proc");
+    int fd = libc.Open("/d/f", kORdOnly);
+    ASSERT_GE(fd, 0);
+    libc.set_interposer(&runtime);
+    char buf[1];
+    EXPECT_EQ(libc.Lseek(fd, 0, kSeekSet), 0);   // lseek #1
+    EXPECT_EQ(libc.Lseek(fd, 0, kSeekSet), 0);   // lseek #2
+    EXPECT_EQ(libc.Read(fd, buf, 1), 1);         // read #1
+    EXPECT_EQ(libc.Lseek(fd, 0, kSeekSet), -1);  // lseek #3: fires
+    EXPECT_EQ(libc.Read(fd, buf, 1), 1);         // read #2, lseek already at 3
+    EXPECT_EQ(libc.Read(fd, buf, 1), -1);        // read #3: fires
+    EXPECT_EQ(libc.Read(fd, buf, 1), 1);         // read #4
+    EXPECT_EQ(libc.Lseek(fd, 0, kSeekSet), 0);   // lseek #4
+    libc.set_interposer(nullptr);
+    ASSERT_EQ(runtime.log().records().size(), 2u);
+    EXPECT_EQ(runtime.log().records()[0].function, "lseek");
+    EXPECT_EQ(runtime.log().records()[0].call_number, 3u);
+    EXPECT_EQ(runtime.log().records()[1].function, "read");
+    EXPECT_EQ(runtime.log().records()[1].call_number, 3u);
+  }
+}
+
 TEST_F(RuntimeExtraTest, TwoInstancesOfSameClassAreIndependent) {
   Scenario s = MustParse(R"(
 <scenario>
