@@ -19,8 +19,10 @@ uint32_t Site() {
 
 // Lease-key derivation: server and client independently stretch the client's
 // port identity into a shared request token by iterated hashing. Like pbft's
-// session keys, this is deliberately expensive so bring-up dominates a single
-// workload -- the cost the warm-instance snapshot amortizes. Pure
+// session keys, this is deliberately expensive so bring-up costs more than a
+// single workload -- the cost the warm-instance snapshot amortizes. On a
+// 4-vCPU VM a cluster builds in ~0.3 ms on the SHA-extension SHA-1 kernel
+// (~1 ms on the portable one) and a fault-free job runs in ~0.1 ms. Pure
 // computation, no library calls, so it is never an injection site.
 constexpr int kLeaseStretchRounds = 512;
 

@@ -1,15 +1,164 @@
 #include "util/sha1.h"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define LFI_SHA1_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace lfi {
 namespace {
 
 inline uint32_t Rotl(uint32_t x, int n) { return (x << n) | (x >> (32 - n)); }
 
+void CompressPortable(uint32_t state[5], const uint8_t* blocks, size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    uint32_t w[80];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(blocks[i * 4]) << 24) |
+             (static_cast<uint32_t>(blocks[i * 4 + 1]) << 16) |
+             (static_cast<uint32_t>(blocks[i * 4 + 2]) << 8) |
+             static_cast<uint32_t>(blocks[i * 4 + 3]);
+    }
+    for (int i = 16; i < 80; ++i) {
+      w[i] = Rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
+    }
+
+    uint32_t a = state[0];
+    uint32_t b = state[1];
+    uint32_t c = state[2];
+    uint32_t d = state[3];
+    uint32_t e = state[4];
+
+    // Four 20-round stages, one boolean function and constant each, so no
+    // round branches on its index.
+    auto round = [&](uint32_t f, uint32_t k, uint32_t w_i) {
+      uint32_t tmp = Rotl(a, 5) + f + e + k + w_i;
+      e = d;
+      d = c;
+      c = Rotl(b, 30);
+      b = a;
+      a = tmp;
+    };
+    for (int i = 0; i < 20; ++i) {
+      round((b & c) | (~b & d), 0x5a827999u, w[i]);
+    }
+    for (int i = 20; i < 40; ++i) {
+      round(b ^ c ^ d, 0x6ed9eba1u, w[i]);
+    }
+    for (int i = 40; i < 60; ++i) {
+      round((b & c) | (b & d) | (c & d), 0x8f1bbcdcu, w[i]);
+    }
+    for (int i = 60; i < 80; ++i) {
+      round(b ^ c ^ d, 0xca62c1d6u, w[i]);
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+  }
+}
+
+constexpr Sha1Kernel kPortable{"portable", CompressPortable};
+
+#ifdef LFI_SHA1_X86
+
+// The SHA-extension kernel is compiled for those instructions function by
+// function, so the rest of the build keeps its baseline target and this code
+// runs only after CPUID has vouched for it.
+#define LFI_SHA_TARGET __attribute__((target("sha,sse4.1,ssse3")))
+
+// Message words sit in a vector most significant lane first (W[t] in lane 3),
+// the layout sha1rnds4 wants; this shuffle turns 16 big-endian input bytes
+// into it.
+#define LFI_SHA_BSWAP_MASK _mm_set_epi64x(0x0001020304050607ll, 0x08090a0b0c0d0e0fll)
+
+// Rounds 4G..4G+3. msg[] is a ring of the last four message vectors: group
+// G < 4 loads W[4G..4G+3], and a later group derives its words in place of
+// group G-4's from groups G-4..G-1 (sha1msg1, xor, sha1msg2). `e` carries
+// the E input: state[4] before group 0, and after that the A of the group
+// before, which sha1nexte rotates and adds to the message words.
+template <int G>
+LFI_SHA_TARGET __attribute__((always_inline)) inline void ShaExtGroups(
+    const uint8_t* block, __m128i* msg, __m128i* abcd, __m128i* e) {
+  __m128i& m = msg[G & 3];
+  if constexpr (G < 4) {
+    m = _mm_shuffle_epi8(_mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * G)),
+                         LFI_SHA_BSWAP_MASK);
+  } else {
+    m = _mm_sha1msg2_epu32(
+        _mm_xor_si128(_mm_sha1msg1_epu32(m, msg[(G + 1) & 3]), msg[(G + 2) & 3]),
+        msg[(G + 3) & 3]);
+  }
+  __m128i e_plus_w = G == 0 ? _mm_add_epi32(*e, m) : _mm_sha1nexte_epu32(*e, m);
+  *e = *abcd;
+  *abcd = _mm_sha1rnds4_epu32(*abcd, e_plus_w, G / 5);
+  if constexpr (G < 19) {
+    ShaExtGroups<G + 1>(block, msg, abcd, e);
+  }
+}
+
+LFI_SHA_TARGET void CompressShaExt(uint32_t state[5], const uint8_t* blocks, size_t count) {
+  // ABCD with A in lane 3; E alone in lane 3.
+  __m128i abcd =
+      _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0x1b);
+  __m128i e = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abcd_in = abcd;
+    const __m128i e_in = e;
+    __m128i msg[4];
+    ShaExtGroups<0>(blocks, msg, &abcd, &e);
+    // The final E is the last group's input A, rotated, plus the block's E.
+    e = _mm_sha1nexte_epu32(e, e_in);
+    abcd = _mm_add_epi32(abcd, abcd_in);
+  }
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_shuffle_epi32(abcd, 0x1b));
+  state[4] = static_cast<uint32_t>(_mm_extract_epi32(e, 3));
+}
+
+constexpr Sha1Kernel kShaExt{"sha-ext", CompressShaExt};
+
+bool CpuHasShaExtensions() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) {
+    return false;
+  }
+  bool ssse3 = (ecx & bit_SSSE3) != 0;
+  bool sse41 = (ecx & bit_SSE4_1) != 0;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
+    return false;
+  }
+  bool sha = (ebx & (1u << 29)) != 0;
+  return sha && ssse3 && sse41;
+}
+
+#endif  // LFI_SHA1_X86
+
 }  // namespace
 
-Sha1::Sha1() {
+const Sha1Kernel& Sha1::PortableKernel() { return kPortable; }
+
+const Sha1Kernel* Sha1::ShaExtensionsKernel() {
+#ifdef LFI_SHA1_X86
+  static const bool supported = CpuHasShaExtensions();
+  return supported ? &kShaExt : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+const Sha1Kernel& Sha1::ActiveKernel() {
+  static const Sha1Kernel& active =
+      ShaExtensionsKernel() != nullptr ? *ShaExtensionsKernel() : kPortable;
+  return active;
+}
+
+Sha1::Sha1(const Sha1Kernel& kernel) : compress_(kernel.compress) {
   h_[0] = 0x67452301u;
   h_[1] = 0xefcdab89u;
   h_[2] = 0x98badcfeu;
@@ -17,70 +166,35 @@ Sha1::Sha1() {
   h_[4] = 0xc3d2e1f0u;
 }
 
-void Sha1::ProcessBlock(const uint8_t* block) {
-  uint32_t w[80];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
-           (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = Rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
-
-  uint32_t a = h_[0];
-  uint32_t b = h_[1];
-  uint32_t c = h_[2];
-  uint32_t d = h_[3];
-  uint32_t e = h_[4];
-
-  // Four 20-round stages, one boolean function and constant each, so no
-  // round branches on its index.
-  auto round = [&](uint32_t f, uint32_t k, uint32_t w_i) {
-    uint32_t tmp = Rotl(a, 5) + f + e + k + w_i;
-    e = d;
-    d = c;
-    c = Rotl(b, 30);
-    b = a;
-    a = tmp;
-  };
-  for (int i = 0; i < 20; ++i) {
-    round((b & c) | (~b & d), 0x5a827999u, w[i]);
-  }
-  for (int i = 20; i < 40; ++i) {
-    round(b ^ c ^ d, 0x6ed9eba1u, w[i]);
-  }
-  for (int i = 40; i < 60; ++i) {
-    round((b & c) | (b & d) | (c & d), 0x8f1bbcdcu, w[i]);
-  }
-  for (int i = 60; i < 80; ++i) {
-    round(b ^ c ^ d, 0xca62c1d6u, w[i]);
-  }
-
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-}
-
 void Sha1::Update(const void* data, size_t len) {
+  if (len == 0) {
+    return;
+  }
   const uint8_t* p = static_cast<const uint8_t*>(data);
   total_bits_ += static_cast<uint64_t>(len) * 8;
-  while (len > 0) {
-    size_t take = 64 - buffered_;
-    if (take > len) {
-      take = len;
-    }
+  if (buffered_ > 0) {
+    size_t take = std::min(64 - buffered_, len);
     std::memcpy(buffer_ + buffered_, p, take);
     buffered_ += take;
     p += take;
     len -= take;
-    if (buffered_ == 64) {
-      ProcessBlock(buffer_);
-      buffered_ = 0;
+    if (buffered_ < 64) {
+      return;
     }
+    compress_(h_, buffer_, 1);
+    buffered_ = 0;
+  }
+  // Whole blocks go to the kernel straight from the caller's bytes; only the
+  // tail is buffered.
+  size_t blocks = len / 64;
+  if (blocks > 0) {
+    compress_(h_, p, blocks);
+    p += blocks * 64;
+    len -= blocks * 64;
+  }
+  if (len > 0) {
+    std::memcpy(buffer_, p, len);
+    buffered_ = len;
   }
 }
 
@@ -91,18 +205,14 @@ std::array<uint8_t, Sha1::kDigestSize> Sha1::Finish() {
   buffer_[buffered_++] = 0x80;
   if (buffered_ > 56) {
     std::memset(buffer_ + buffered_, 0, 64 - buffered_);
-    ProcessBlock(buffer_);
+    compress_(h_, buffer_, 1);
     buffered_ = 0;
   }
   std::memset(buffer_ + buffered_, 0, 56 - buffered_);
-  buffered_ = 56;
-  uint8_t len_be[8];
   for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bits >> (56 - i * 8));
+    buffer_[56 + i] = static_cast<uint8_t>(bits >> (56 - i * 8));
   }
-  // Bypass Update so total_bits_ is not disturbed by the length field itself.
-  std::memcpy(buffer_ + buffered_, len_be, 8);
-  ProcessBlock(buffer_);
+  compress_(h_, buffer_, 1);
 
   std::array<uint8_t, kDigestSize> out;
   for (int i = 0; i < 5; ++i) {
@@ -122,11 +232,10 @@ std::string Sha1::HexDigest(std::string_view data) {
 
 std::string Sha1::ToHex(const std::array<uint8_t, kDigestSize>& digest) {
   static const char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(kDigestSize * 2);
-  for (uint8_t byte : digest) {
-    out.push_back(kHex[byte >> 4]);
-    out.push_back(kHex[byte & 0xf]);
+  std::string out(kDigestSize * 2, '\0');
+  for (size_t i = 0; i < kDigestSize; ++i) {
+    out[i * 2] = kHex[digest[i] >> 4];
+    out[i * 2 + 1] = kHex[digest[i] & 0xf];
   }
   return out;
 }

@@ -63,7 +63,7 @@ std::vector<std::string> VirtualFs::ListDir(const std::string& path) const {
 bool VirtualFs::FileExists(const std::string& path) const { return files_.count(path) != 0; }
 
 void VirtualFs::WriteFile(const std::string& path, std::string data, bool is_fifo) {
-  files_[path] = VfsFile{std::move(data), is_fifo};
+  files_.insert_or_assign(path, VfsFile{std::move(data), is_fifo, {}});
 }
 
 const VfsFile* VirtualFs::GetFile(const std::string& path) const {

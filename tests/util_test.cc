@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/errno_codes.h"
@@ -242,40 +245,140 @@ TEST(Rng, NextInRangeInclusive) {
   EXPECT_EQ(seen.size(), 4u);
 }
 
-// FIPS 180-1 test vectors.
-TEST(Sha1, KnownVectors) {
-  EXPECT_EQ(Sha1::HexDigest("abc"), "a9993e364706816aba3e25717850c26c9cd0d89d");
-  EXPECT_EQ(Sha1::HexDigest(""), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
-  EXPECT_EQ(Sha1::HexDigest("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
-}
+// SHA-1 (FIPS 180-1) through both compression kernels, called directly. The
+// SHA-extension half skips only where CPUID reports no SHA extensions (or
+// the build is not for x86).
+class Sha1KernelTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == "portable") {
+      kernel_ = &Sha1::PortableKernel();
+    } else if ((kernel_ = Sha1::ShaExtensionsKernel()) == nullptr) {
+      GTEST_SKIP() << "CPUID reports no SHA extensions; only the portable kernel runs here";
+    }
+  }
 
-TEST(Sha1, MillionA) {
-  Sha1 h;
+  // One Update call with the whole input.
+  std::string OneShot(std::string_view data) const {
+    Sha1 h(*kernel_);
+    h.Update(data);
+    return Sha1::ToHex(h.Finish());
+  }
+
+  // One Update call per byte.
+  std::string ByteAtATime(std::string_view data) const {
+    Sha1 h(*kernel_);
+    for (char c : data) {
+      h.Update(&c, 1);
+    }
+    return Sha1::ToHex(h.Finish());
+  }
+
+  const Sha1Kernel* kernel_ = nullptr;
+};
+
+INSTANTIATE_TEST_SUITE_P(Kernels, Sha1KernelTest, ::testing::Values("portable", "sha-ext"),
+                         [](const auto& info) {
+                           return info.param == "portable" ? std::string("Portable")
+                                                           : std::string("ShaExtensions");
+                         });
+
+TEST_P(Sha1KernelTest, FipsVectorsAndMillionA) {
+  EXPECT_EQ(OneShot("abc"), "a9993e364706816aba3e25717850c26c9cd0d89d");
+  EXPECT_EQ(OneShot(""), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+  EXPECT_EQ(OneShot("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "84983e441c3bd26ebaae4aa1f95129e5e54670f1");
+  EXPECT_EQ(OneShot(std::string(1000000, 'a')), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+  Sha1 h(*kernel_);
   std::string chunk(1000, 'a');
   for (int i = 0; i < 1000; ++i) {
     h.Update(chunk);
   }
-  auto digest = h.Finish();
-  static const char kHex[] = "0123456789abcdef";
-  std::string hex;
-  for (uint8_t b : digest) {
-    hex.push_back(kHex[b >> 4]);
-    hex.push_back(kHex[b & 0xf]);
-  }
-  EXPECT_EQ(hex, "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+  EXPECT_EQ(Sha1::ToHex(h.Finish()), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
 }
 
-TEST(Sha1, StreamingMatchesOneShot) {
-  std::string data = "the quick brown fox jumps over the lazy dog repeatedly";
-  Sha1 h;
-  for (char c : data) {
-    h.Update(&c, 1);
+// Lengths either side of the padding boundaries: 55 leaves room for the
+// length field in the last block, 56..63 push it into one more block, and 64
+// and 119/120 repeat that one block later. Digests from an independent
+// SHA-1 (Python's hashlib).
+TEST_P(Sha1KernelTest, PaddingBoundariesOneShotAndStreaming) {
+  const std::pair<size_t, const char*> kCases[] = {
+      {55, "cda3fdcbfa59a0b696ac16a99de921d18d8ab155"},
+      {56, "e18b39812763253eee4fec6381ecf5c8728b7d45"},
+      {63, "054e0c87b490fd51e26a290b829d4ff401ca63f4"},
+      {64, "b1051859636f18b49713fd1d1eba052b66757471"},
+      {119, "7bcaabf97d0418a3a047aa4eaecb0be47a38d2c2"},
+      {120, "2a50b712c9677fba22679901d38dd2789fd3e6c0"},
+  };
+  for (const auto& [len, hex] : kCases) {
+    std::string data;
+    for (size_t i = 0; i < len; ++i) {
+      data.push_back(static_cast<char>('A' + (i * 7) % 53));
+    }
+    EXPECT_EQ(OneShot(data), hex) << "length " << len;
+    EXPECT_EQ(ByteAtATime(data), hex) << "length " << len;
   }
-  auto digest = h.Finish();
-  Sha1 h2;
-  h2.Update(data);
-  EXPECT_EQ(digest, h2.Finish());
+}
+
+// Session keys reach no journal byte, so a kernel that stretched a pbft pair
+// identity differently would fail no golden: pin one stretch
+// (kKeyStretchRounds = 1536 rounds, src/apps/pbft/pbft.cc) to the value the
+// portable kernel computes, which Python's hashlib agrees with.
+TEST_P(Sha1KernelTest, PbftSessionKeyStretchIsPinned) {
+  std::string key = "pbft-session-key|9000|9001";
+  for (int round = 0; round < 1536; ++round) {
+    key = OneShot(key);
+  }
+  EXPECT_EQ(key, "3c19ff42b36d477622bca9ceb6a3c0c185f6a9ef");
+}
+
+TEST(Sha1Kernels, AgreeOnEveryLengthAndChunking) {
+  const Sha1Kernel* ext = Sha1::ShaExtensionsKernel();
+  if (ext == nullptr) {
+    GTEST_SKIP() << "CPUID reports no SHA extensions; only the portable kernel runs here";
+  }
+  Rng rng(0x5a1);
+  auto digest = [](const Sha1Kernel& kernel, const std::string& data,
+                   const std::vector<size_t>& chunks) {
+    Sha1 h(kernel);
+    size_t at = 0;
+    for (size_t chunk : chunks) {
+      h.Update(data.data() + at, chunk);
+      at += chunk;
+    }
+    return h.Finish();
+  };
+  for (size_t len = 0; len <= 200; ++len) {
+    std::string data;
+    for (size_t i = 0; i < len; ++i) {
+      data.push_back(static_cast<char>(rng.Next()));
+    }
+    EXPECT_EQ(digest(*ext, data, {len}), digest(Sha1::PortableKernel(), data, {len}))
+        << "length " << len;
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string data(rng.NextBelow(4097), '\0');
+    for (char& c : data) {
+      c = static_cast<char>(rng.Next());
+    }
+    std::vector<size_t> chunks;
+    for (size_t left = data.size(); left > 0;) {
+      size_t chunk = std::min<size_t>(left, rng.NextBelow(200));
+      chunks.push_back(chunk);
+      left -= chunk;
+    }
+    EXPECT_EQ(digest(*ext, data, chunks), digest(Sha1::PortableKernel(), data, {data.size()}))
+        << "trial " << trial << ", length " << data.size();
+  }
+}
+
+// CI runs this test before its benches to name the kernel they run on.
+TEST(Sha1Kernels, ActiveKernelIsTheFastestTheCpuRuns) {
+  std::printf("active SHA-1 kernel: %s\n", Sha1::KernelName());
+  const Sha1Kernel* ext = Sha1::ShaExtensionsKernel();
+  EXPECT_EQ(&Sha1::ActiveKernel(), ext != nullptr ? ext : &Sha1::PortableKernel());
+  EXPECT_STREQ(Sha1::KernelName(), ext != nullptr ? "sha-ext" : "portable");
+  EXPECT_EQ(Sha1::HexDigest("abc"), "a9993e364706816aba3e25717850c26c9cd0d89d");
 }
 
 TEST(ErrnoCodes, RoundTripNames) {

@@ -53,6 +53,21 @@ void ExpectSameResult(const JobResult& warm, const JobResult& cold) {
   EXPECT_EQ(sw.covered_recovery_blocks, sc.covered_recovery_blocks);
 }
 
+// --- the process's first SHA-1 use, from several threads --------------------
+
+// Must stay the first test in this file: the process's first SHA-1 hashes
+// are the session-key stretches of four pbft bring-ups that Prewarm runs at
+// once, so under TSan (CI's tsan job) this is what checks that picking the
+// SHA-1 kernel on first use is race-free.
+TEST(WarmPoolPrewarm, ConcurrentFirstBuildsMatchASerialBuild) {
+  WarmPool pool(PbftWarmFactory(20, 3000));
+  pool.Prewarm(4);
+  EXPECT_EQ(pool.stats().builds, 4u);
+  JobResult serial = PbftWarmFactory(20, 3000)()->Run(CampaignJob{});
+  ExpectSameResult(pool.RunJob(CampaignJob{}), serial);
+  EXPECT_EQ(pool.stats().builds, 4u);
+}
+
 // --- virtual-environment snapshots ------------------------------------------
 
 TEST(VfsSnapshot, RestoreRollsEveryMutationBack) {
