@@ -28,7 +28,7 @@ Scenario RandomCloseScenario(uint64_t seed) {
   auto args = std::make_unique<XmlNode>("args");
   args->AddChild("probability")->set_text("0.1");
   args->AddChild("seed")->set_text(StrFormat("%llu", (unsigned long long)seed));
-  decl.args = std::shared_ptr<XmlNode>(args.release());
+  decl.set_args(std::move(args));
   s.AddTrigger(std::move(decl));
   FunctionAssoc assoc;
   assoc.function = "close";
@@ -50,7 +50,7 @@ Scenario FileScopedScenario(uint64_t seed) {
   XmlNode* frame = args->AddChild("frame");
   frame->AddChild("module")->set_text(MiniMysql::kModule);
   frame->AddChild("function")->set_text("mi_create");
-  stack.args = std::shared_ptr<XmlNode>(args.release());
+  stack.set_args(std::move(args));
   s.AddTrigger(std::move(stack));
   // Evaluation order matters for precision, not semantics: scope first.
   s.functions()[0].triggers.insert(s.functions()[0].triggers.begin(),
@@ -65,7 +65,7 @@ Scenario CloseAfterUnlockScenario() {
   decl.class_name = "CloseAfterMutexUnlock";
   auto args = std::make_unique<XmlNode>("args");
   args->AddChild("distance")->set_text("2");
-  decl.args = std::shared_ptr<XmlNode>(args.release());
+  decl.set_args(std::move(args));
   s.AddTrigger(std::move(decl));
   FunctionAssoc close_assoc;
   close_assoc.function = "close";

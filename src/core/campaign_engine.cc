@@ -105,18 +105,10 @@ class JournalHook {
   // campaign produced the record.
   void Append(const CampaignJob& job, bool gated, const JobResult& result,
               const RunFeedback& feedback, size_t merge_index, size_t epoch) {
-    JournalRecord record;
-    record.label = job.label;
-    record.seed = job.seed;
-    record.gated = gated;
-    record.stream_index =
+    const size_t stream_index =
         job.stream_index != CampaignJob::kNoStreamIndex ? job.stream_index : merge_index;
-    record.epoch = epoch;
-    record.scenario = job.scenario;
-    if (!gated) {
-      record.result = result;
-      record.feedback = feedback;
-    }
+    const JournalRecordRef record{job.label, job.seed,     gated,  stream_index,
+                                  epoch,     job.scenario, result, feedback};
     if (FailpointFired("engine.record")) {
       throw std::runtime_error("failpoint engine.record fired before record " +
                                std::to_string(replay_count() + appended_));
@@ -505,7 +497,7 @@ Scenario MakeRandomScenario(const std::string& function, int64_t retval, int err
   auto args = std::make_unique<XmlNode>("args");
   args->AddChild("probability")->set_text(StrFormat("%g", probability));
   args->AddChild("seed")->set_text(StrFormat("%llu", (unsigned long long)seed));
-  decl.args = std::shared_ptr<XmlNode>(args.release());
+  decl.set_args(std::move(args));
   s.AddTrigger(std::move(decl));
   FunctionAssoc assoc;
   assoc.function = function;
@@ -534,8 +526,8 @@ Scenario MakeCallCountScenario(const std::string& function, uint64_t count, int6
   decl.id = "nth";
   decl.class_name = "CallCountTrigger";
   auto args = std::make_unique<XmlNode>("args");
-  args->AddChild("count")->set_text(StrFormat("%llu", (unsigned long long)count));
-  decl.args = std::shared_ptr<XmlNode>(args.release());
+  args->AddChild("count")->set_text(std::to_string(count));
+  decl.set_args(std::move(args));
   s.AddTrigger(std::move(decl));
   FunctionAssoc assoc;
   assoc.function = function;

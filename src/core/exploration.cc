@@ -186,7 +186,8 @@ std::vector<CampaignJob> RandomSweepSource::NextBatch(size_t max_jobs) {
     // rather than spin -- deterministically, since the Rng drives both.
     bool produced = false;
     for (int attempt = 0; attempt < 64 && !produced; ++attempt) {
-      const std::string& function = functions_[rng_.NextBelow(functions_.size())];
+      const size_t function_index = rng_.NextBelow(functions_.size());
+      const std::string& function = functions_[function_index];
       const FunctionProfile* fn = profile_->Find(function);
       if (fn == nullptr || fn->errors.empty()) {
         continue;
@@ -196,17 +197,13 @@ std::vector<CampaignJob> RandomSweepSource::NextBatch(size_t max_jobs) {
           mode.errnos.empty() ? 0
                               : mode.errnos[rng_.NextBelow(mode.errnos.size())];
       uint64_t count = 1 + rng_.NextBelow(8);
-      std::string key = StrFormat("%s:%lld:%d:%llu", function.c_str(),
-                                  static_cast<long long>(mode.retval), errno_value,
-                                  (unsigned long long)count);
-      if (!seen_keys_.insert(key).second) {
+      if (!seen_keys_.emplace(function_index, mode.retval, errno_value, count).second) {
         continue;
       }
       CampaignJob job;
       job.scenario = MakeCallCountScenario(function, count, mode.retval, errno_value);
-      job.label = StrFormat("random-sweep %s#%llu=%lld errno=%d", function.c_str(),
-                            (unsigned long long)count, static_cast<long long>(mode.retval),
-                            errno_value);
+      job.label = "random-sweep " + function + "#" + std::to_string(count) + "=" +
+                  std::to_string(mode.retval) + " errno=" + std::to_string(errno_value);
       job.seed = rng_.Next() | 1;
       out.push_back(std::move(job));
       ++emitted_;

@@ -34,6 +34,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/callsite_analyzer.h"
@@ -132,7 +133,9 @@ class RandomSweepSource : public ScenarioSource {
   size_t budget_;
   size_t emitted_ = 0;
   Rng rng_;
-  std::set<std::string> seen_keys_;  // (function, retval, errno, count) dedup
+  // (function index, retval, errno, count) dedup; functions_ is sorted and
+  // unique, so the index stands for the name.
+  std::set<std::tuple<size_t, int64_t, int, uint64_t>> seen_keys_;
 };
 
 // Deals an open-loop source's deterministic job stream across shards for

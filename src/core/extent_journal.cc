@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 
 #include "coverage/coverage.h"
 #include "util/string_util.h"
 
 namespace lfi {
-namespace {
 
 // --- per-extent string pool -------------------------------------------------
 //
@@ -15,18 +15,37 @@ namespace {
 // new pool entry (varint length + bytes, id = current pool size), tag >= 1
 // references pool entry tag-1. The pool starts empty at every extent.
 
-void PutPooled(const std::string& s, ByteWriter* w,
-               std::unordered_map<std::string, uint64_t>* pool) {
-  auto it = pool->find(s);
-  if (it != pool->end()) {
+uint64_t ExtentStringPool::Put(std::string_view s, ByteWriter* w) {
+  auto it = entries_.find(s);
+  if (it != entries_.end()) {
     w->PutVarint(it->second + 1);
-    return;
+    return it->second;
   }
+  uint64_t index = entries_.size();
   w->PutVarint(0);
   w->PutVarint(s.size());
   w->PutBytes(s);
-  pool->emplace(s, pool->size());
+  entries_.emplace(s, index);
+  return index;
 }
+
+void ExtentStringPool::PutBlock(CoverageMap::BlockId id, ByteWriter* w) {
+  if (id >= block_tags_.size()) {
+    block_tags_.resize(id + 1, 0);
+  }
+  if (block_tags_[id] != 0) {
+    w->PutVarint(block_tags_[id]);
+    return;
+  }
+  block_tags_[id] = Put(SymbolTable::Blocks().Name(id), w) + 1;
+}
+
+void ExtentStringPool::Clear() {
+  entries_.clear();
+  block_tags_.clear();
+}
+
+namespace {
 
 class PoolReader {
  public:
@@ -57,6 +76,29 @@ class PoolReader {
     return true;
   }
 
+  // Get() for a trigger's <args> payload, as a decl that carries the parsed
+  // element and its spelling: parsed once per pool entry per extent, and
+  // every decl that references the entry shares the immutable element.
+  // `*args` is null when the payload does not parse.
+  bool GetArgs(const TriggerDecl** args) {
+    size_t index;
+    if (!Next(&index)) {
+      return false;
+    }
+    std::unique_ptr<TriggerDecl>& parsed = args_[index];
+    if (parsed == nullptr) {
+      auto doc = XmlParse(pool_[index]);
+      if (!doc || doc->root() == nullptr) {
+        *args = nullptr;
+        return true;
+      }
+      parsed = std::make_unique<TriggerDecl>();
+      parsed->set_args(doc->take_root());
+    }
+    *args = parsed.get();
+    return true;
+  }
+
  private:
   static constexpr CoverageMap::BlockId kUninterned =
       static_cast<CoverageMap::BlockId>(-1);
@@ -76,6 +118,7 @@ class PoolReader {
       }
       pool_.emplace_back(bytes);
       block_ids_.push_back(kUninterned);
+      args_.emplace_back();
       *index = pool_.size() - 1;
       return true;
     }
@@ -88,37 +131,36 @@ class PoolReader {
 
   ByteReader* reader_;
   std::vector<std::string> pool_;
-  std::vector<CoverageMap::BlockId> block_ids_;  // in lockstep with pool_
+  std::vector<CoverageMap::BlockId> block_ids_;      // in lockstep with pool_
+  std::vector<std::unique_ptr<TriggerDecl>> args_;  // in lockstep with pool_
 };
 
 // --- record codec -----------------------------------------------------------
 
-using StringPool = std::unordered_map<std::string, uint64_t>;
-
-void EncodeScenario(const Scenario& scenario, ByteWriter* w, StringPool* pool) {
+void EncodeScenario(const Scenario& scenario, ByteWriter* w, ExtentStringPool* pool) {
   w->PutVarint(scenario.triggers().size());
   for (const TriggerDecl& trigger : scenario.triggers()) {
-    PutPooled(trigger.id, w, pool);
-    PutPooled(trigger.class_name, w, pool);
-    if (trigger.args != nullptr) {
+    pool->Put(trigger.id, w);
+    pool->Put(trigger.class_name, w);
+    if (trigger.args() != nullptr) {
       w->PutU8(1);
       // The <args> subtree rides as its serialized XML form -- the same
       // canonical spelling TriggerDecl equality compares by.
-      PutPooled(trigger.args->ToString(0), w, pool);
+      pool->Put(trigger.args_xml(), w);
     } else {
       w->PutU8(0);
     }
   }
   w->PutVarint(scenario.functions().size());
   for (const FunctionAssoc& fn : scenario.functions()) {
-    PutPooled(fn.function, w, pool);
+    pool->Put(fn.function, w);
     w->PutSigned(fn.argc);
     w->PutU8(fn.unused ? 1 : 0);
     w->PutSigned(fn.retval);
     w->PutSigned(fn.errno_value);
     w->PutVarint(fn.triggers.size());
     for (const TriggerRef& ref : fn.triggers) {
-      PutPooled(ref.ref, w, pool);
+      pool->Put(ref.ref, w);
       w->PutU8(ref.negate ? 1 : 0);
     }
   }
@@ -133,21 +175,24 @@ bool DecodeScenario(ByteReader* r, PoolReader* pool, Scenario* out, std::string*
   };
   uint64_t triggers = r->GetVarint();
   for (uint64_t i = 0; r->ok() && i < triggers; ++i) {
-    TriggerDecl decl;
-    if (!pool->Get(&decl.id) || !pool->Get(&decl.class_name)) {
+    std::string id;
+    std::string class_name;
+    if (!pool->Get(&id) || !pool->Get(&class_name)) {
       return fail("bad trigger string");
     }
+    TriggerDecl decl;
     if (r->GetU8() != 0) {
-      std::string args_xml;
-      if (!pool->Get(&args_xml)) {
+      const TriggerDecl* args = nullptr;
+      if (!pool->GetArgs(&args)) {
         return fail("bad trigger args string");
       }
-      auto doc = XmlParse(args_xml);
-      if (!doc || doc->root() == nullptr) {
+      if (args == nullptr) {
         return fail("unparseable trigger <args> payload");
       }
-      decl.args = std::shared_ptr<XmlNode>(doc->take_root().release());
+      decl = *args;  // shares the parsed element and its spelling
     }
+    decl.id = std::move(id);
+    decl.class_name = std::move(class_name);
     out->AddTrigger(std::move(decl));
   }
   uint64_t functions = r->GetVarint();
@@ -174,45 +219,47 @@ bool DecodeScenario(ByteReader* r, PoolReader* pool, Scenario* out, std::string*
   return r->ok() || fail("truncated scenario");
 }
 
-void EncodeResult(const JobResult& result, ByteWriter* w, StringPool* pool) {
-  PutPooled(result.fingerprint, w, pool);
+void EncodeResult(const JobResult& result, ByteWriter* w, ExtentStringPool* pool) {
+  pool->Put(result.fingerprint, w);
   w->PutVarint(result.injections);
   w->PutVarint(result.bugs.size());
   for (const FoundBug& bug : result.bugs) {
-    PutPooled(bug.system, w, pool);
-    PutPooled(bug.kind, w, pool);
-    PutPooled(bug.where, w, pool);
-    PutPooled(bug.injected, w, pool);
+    pool->Put(bug.system, w);
+    pool->Put(bug.kind, w);
+    pool->Put(bug.where, w);
+    pool->Put(bug.injected, w);
   }
   w->PutVarint(result.log.records().size());
   for (const InjectionRecord& record : result.log.records()) {
     w->PutVarint(record.sequence);
-    PutPooled(record.function, w, pool);
+    pool->Put(record.function, w);
     w->PutSigned(record.retval);
     w->PutSigned(record.errno_value);
     w->PutVarint(record.trigger_ids.size());
     for (const std::string& id : record.trigger_ids) {
-      PutPooled(id, w, pool);
+      pool->Put(id, w);
     }
     w->PutVarint(record.call_number);
     w->PutVarint(record.stack.size());
     for (const StackFrame& frame : record.stack) {
-      PutPooled(frame.module, w, pool);
-      PutPooled(frame.function, w, pool);
+      pool->Put(frame.module, w);
+      pool->Put(frame.function, w);
       w->PutVarint(frame.offset);
     }
-    PutPooled(record.process, w, pool);
+    pool->Put(record.process, w);
   }
   // Coverage: the record's own map in name-sorted order (the same
   // determinism rule as the XML rendering). Block names repeat across an
   // extent's records, so after the first record they are back-references --
   // the coverage-delta encoding that makes extents small.
-  std::vector<CoverageMap::BlockInfo> blocks = result.coverage.SortedBlocks();
+  const CoverageMap& coverage = result.coverage;
+  std::vector<CoverageMap::BlockId> blocks = coverage.KnownBlocksByName();
   w->PutVarint(blocks.size());
-  for (const CoverageMap::BlockInfo& block : blocks) {
-    PutPooled(block.name, w, pool);
-    w->PutVarint((static_cast<uint64_t>(block.lines) << 1) | (block.recovery ? 1 : 0));
-    w->PutVarint(block.hits);
+  for (CoverageMap::BlockId block : blocks) {
+    pool->PutBlock(block, w);
+    w->PutVarint((static_cast<uint64_t>(coverage.Lines(block)) << 1) |
+                 (coverage.IsRecovery(block) ? 1 : 0));
+    w->PutVarint(coverage.HitCount(block));
   }
 }
 
@@ -282,13 +329,13 @@ bool DecodeResult(ByteReader* r, PoolReader* pool, JobResult* out, std::string* 
   return r->ok() || fail("truncated result");
 }
 
-void EncodeFeedback(const RunFeedback& feedback, ByteWriter* w, StringPool* pool) {
+void EncodeFeedback(const RunFeedback& feedback, ByteWriter* w, ExtentStringPool* pool) {
   w->PutU8(feedback.new_bug ? 1 : 0);
   w->PutVarint(feedback.injections);
-  PutPooled(feedback.fingerprint, w, pool);
+  pool->Put(feedback.fingerprint, w);
   w->PutVarint(feedback.new_blocks.size());
   for (const std::string& block : feedback.new_blocks) {
-    PutPooled(block, w, pool);
+    pool->Put(block, w);
   }
 }
 
@@ -315,9 +362,9 @@ bool DecodeFeedback(ByteReader* r, PoolReader* pool, RunFeedback* out, std::stri
   return r->ok() || fail("truncated feedback");
 }
 
-void EncodeRecord(const JournalRecord& record, ByteWriter* w, StringPool* pool) {
+void EncodeRecord(const JournalRecordRef& record, ByteWriter* w, ExtentStringPool* pool) {
   w->PutU8(record.gated ? 1 : 0);
-  PutPooled(record.label, w, pool);
+  pool->Put(record.label, w);
   w->PutVarint(record.seed);
   w->PutVarint(record.stream_index == JournalRecord::kNoStreamIndex
                    ? 0
@@ -468,7 +515,7 @@ std::optional<ExtentHeader> DecodeExtentHeader(std::string_view bytes, uint64_t 
 
 std::string EncodeJobResult(const JobResult& result) {
   ByteWriter w;
-  StringPool pool;
+  ExtentStringPool pool;
   EncodeResult(result, &w, &pool);
   w.PutU32(Crc32(w.buffer()));
   return w.TakeBuffer();
@@ -714,14 +761,14 @@ bool ExtentJournalWriter::OpenAppend(const std::string& path, const ExtentJourna
   return true;
 }
 
-bool ExtentJournalWriter::Append(const JournalRecord& record, std::string* error) {
+bool ExtentJournalWriter::Append(const JournalRecordRef& record, std::string* error) {
   if (out_ == nullptr) {
     if (error != nullptr) {
       *error = "journal is not open for writing";
     }
     return false;
   }
-  EncodeRecord(record, &payload_, &pool_ids_);
+  EncodeRecord(record, &payload_, &pool_);
   if (record.stream_index != JournalRecord::kNoStreamIndex) {
     uint64_t index = record.stream_index;
     open_first_ = open_first_ == ExtentInfo::kNoIndex ? index : std::min(open_first_, index);
@@ -738,9 +785,8 @@ bool ExtentJournalWriter::SealExtent(std::string* error) {
   if (open_records_ == 0) {
     return true;
   }
-  std::string raw = payload_.TakeBuffer();
-  payload_.Clear();
-  std::string compressed = LzCompress(raw);
+  const std::string& raw = payload_.buffer();
+  std::string compressed = lz_.Compress(raw);
   uint8_t codec = kExtentCodecRaw;
   std::string_view stored = raw;
   if (compressed.size() < raw.size()) {
@@ -770,7 +816,8 @@ bool ExtentJournalWriter::SealExtent(std::string* error) {
 
   // Reset the open-extent state before the write so a failed seal cannot be
   // retried into a double-append.
-  pool_ids_.clear();
+  payload_.Clear();
+  pool_.Clear();
   open_records_ = 0;
   open_first_ = ExtentInfo::kNoIndex;
   open_last_ = ExtentInfo::kNoIndex;

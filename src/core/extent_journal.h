@@ -37,6 +37,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -45,6 +46,7 @@
 #include <vector>
 
 #include "core/journal.h"
+#include "coverage/coverage.h"
 #include "util/binary_io.h"
 
 namespace lfi {
@@ -104,6 +106,32 @@ std::string EncodeJobResult(const JobResult& result);
 // trailing bytes. Never allocates more than the input can describe.
 std::optional<JobResult> DecodeJobResult(std::string_view bytes, std::string* error = nullptr);
 
+// The encoder's half of an extent's string pool (journal-format.md
+// "Strings"; the decoder's half lives in extent_journal.cc): each distinct
+// string gets the next entry on first use, every repeat a back-reference.
+// Coverage blocks come by BlockId, and the tag of each id is cached, so a
+// block's name is hashed into the pool once per extent instead of once per
+// record -- the mirror of the decoder's per-entry BlockId cache. An uncached
+// block goes through Put(), so a block name equal to a string already pooled
+// (a label, a function name) back-references that entry. Clear() starts the
+// next extent's pool.
+class ExtentStringPool {
+ public:
+  // Writes the pstring for `s`; returns its pool entry.
+  uint64_t Put(std::string_view s, ByteWriter* w);
+  // Put() of the block's interned name.
+  void PutBlock(CoverageMap::BlockId id, ByteWriter* w);
+  void Clear();
+
+ private:
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const { return std::hash<std::string_view>{}(s); }
+  };
+  std::unordered_map<std::string, uint64_t, Hash, std::equal_to<>> entries_;
+  std::vector<uint64_t> block_tags_;  // by BlockId: entry + 1; 0 = not pooled yet
+};
+
 // The append-side writer. CampaignJournal owns one per writable extent
 // journal; Create/OpenAppend/Append/Finalize mirror its lifecycle.
 class ExtentJournalWriter {
@@ -132,7 +160,7 @@ class ExtentJournalWriter {
   // Buffers one record into the open extent, sealing (and flushing) the
   // extent when it reaches kRecordsPerExtent records or kMaxOpenPayload
   // encoded bytes.
-  bool Append(const JournalRecord& record, std::string* error);
+  bool Append(const JournalRecordRef& record, std::string* error);
 
   // Seals the open extent, writes the footer index and trailer, flushes,
   // and closes. The writer is done afterwards.
@@ -154,7 +182,8 @@ class ExtentJournalWriter {
 
   // Open (unsealed) extent state. The string pool resets with it.
   ByteWriter payload_;
-  std::unordered_map<std::string, uint64_t> pool_ids_;
+  ExtentStringPool pool_;
+  LzCompressor lz_;  // its match table outlives the extents it compresses
   uint32_t open_records_ = 0;
   uint64_t open_first_ = ExtentInfo::kNoIndex;
   uint64_t open_last_ = ExtentInfo::kNoIndex;

@@ -61,7 +61,7 @@ Scenario InjectionLog::ReplayScenario(size_t index) const {
   auto args = std::make_unique<XmlNode>("args");
   args->AddChild("count")->set_text(
       StrFormat("%llu", static_cast<unsigned long long>(r.call_number)));
-  decl.args = std::shared_ptr<XmlNode>(args.release());
+  decl.set_args(std::move(args));
 
   FunctionAssoc assoc;
   assoc.function = r.function;
@@ -82,9 +82,12 @@ Scenario InjectionLog::FullReplayScenario() const {
   // capped livelock record (Runtime::kMaxInjectionsPerRun injections of one
   // call) replays with one set lookup per call. A (function, call) logged
   // twice -- only a multi-process log can -- keeps its first outcome.
+  // Each group's <args> collects all of its counts before it is attached to
+  // the trigger, which takes the args' spelling once, complete.
   Scenario scenario;
   std::map<std::tuple<std::string, int64_t, int>, size_t> group_of;  // -> trigger index
   std::vector<TriggerDecl> triggers;
+  std::vector<std::unique_ptr<XmlNode>> args;
   std::vector<FunctionAssoc> assocs;
   std::set<std::pair<std::string, uint64_t>> claimed;
   for (const InjectionRecord& r : records_) {
@@ -97,8 +100,8 @@ Scenario InjectionLog::FullReplayScenario() const {
       TriggerDecl decl;
       decl.id = StrFormat("replay-%llu", static_cast<unsigned long long>(r.sequence));
       decl.class_name = "CallCountTrigger";
-      decl.args = std::make_shared<XmlNode>("args");
       triggers.push_back(std::move(decl));
+      args.push_back(std::make_unique<XmlNode>("args"));
       FunctionAssoc assoc;
       assoc.function = r.function;
       assoc.retval = r.retval;
@@ -106,10 +109,11 @@ Scenario InjectionLog::FullReplayScenario() const {
       assoc.triggers.push_back(TriggerRef{triggers.back().id, false});
       assocs.push_back(std::move(assoc));
     }
-    triggers[it->second].args->AddChild("count")->set_text(
+    args[it->second]->AddChild("count")->set_text(
         StrFormat("%llu", static_cast<unsigned long long>(r.call_number)));
   }
   for (size_t i = 0; i < triggers.size(); ++i) {
+    triggers[i].set_args(std::move(args[i]));
     scenario.AddTrigger(std::move(triggers[i]));
     scenario.AddFunction(std::move(assocs[i]));
   }

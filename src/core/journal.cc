@@ -123,7 +123,7 @@ bool CampaignJournal::OpenAppend(const std::string& path, std::string* error) {
   return out_->OpenAppend(path, loaded, error);
 }
 
-bool CampaignJournal::Append(const JournalRecord& record) {
+bool CampaignJournal::Append(const JournalRecordRef& record) {
   if (FailpointFired("journal.append")) {
     return false;  // scripted I/O failure: the caller's disk-full path runs
   }
@@ -256,18 +256,18 @@ bool MergeRecordsInto(CampaignJournal& output, const std::vector<CampaignJournal
   // against the cumulative coverage (each input recorded feedback against
   // its shard-local state, which is stale in the merged stream).
   for (const Keyed& entry : keyed) {
-    JournalRecord record = *entry.record;
-    record.stream_index = entry.stream_index;
-    if (!record.gated) {
-      record.feedback = fold->Add(record.result);
-    }
-    if (!output.Append(record)) {
+    const JournalRecord& in = *entry.record;
+    RunFeedback feedback = in.gated ? in.feedback : fold->Add(in.result);
+    if (!output.Append(JournalRecordRef{in.label, in.seed, in.gated, entry.stream_index,
+                                        in.epoch, in.scenario, in.result, feedback})) {
       return fail("merge append failed: disk full or I/O error");
     }
     ++fold->records;
     fold->next_stream_index = entry.stream_index + 1;
     if (merged_records != nullptr) {
-      merged_records->push_back(std::move(record));
+      JournalRecord& record = merged_records->emplace_back(in);
+      record.stream_index = entry.stream_index;
+      record.feedback = std::move(feedback);
     }
   }
   return true;

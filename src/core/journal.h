@@ -92,6 +92,21 @@ struct JournalRecord {
   std::string ToXml() const;
 };
 
+// One record's fields by reference: what the journal encodes. The engine's
+// merge point journals a job through this without copying its scenario and
+// result into a JournalRecord. `result` and `feedback` are not read when
+// `gated`.
+struct JournalRecordRef {
+  const std::string& label;
+  uint64_t seed;
+  bool gated;
+  size_t stream_index;
+  size_t epoch;
+  const Scenario& scenario;
+  const JobResult& result;
+  const RunFeedback& feedback;
+};
+
 // One extent's entry in an extent journal's footer index: where its bytes
 // live, how many records it holds, and the stream-index range they span --
 // enough to seek to and decode any extent without touching the rest of the
@@ -166,7 +181,14 @@ class CampaignJournal {
   // Serializes and appends one record. Records are buffered and flushed per
   // sealed extent (every ExtentJournalWriter::kRecordsPerExtent records), so
   // a kill loses at most the open extent. Requires Create()/OpenAppend().
-  bool Append(const JournalRecord& record);
+  bool Append(const JournalRecordRef& record);
+  // The same for a whole record (merges, tools, re-encoding a loaded
+  // journal).
+  bool Append(const JournalRecord& record) {
+    return Append(JournalRecordRef{record.label, record.seed, record.gated, record.stream_index,
+                                   record.epoch, record.scenario, record.result,
+                                   record.feedback});
+  }
 
   // Completes a writable journal: seals the open extent, writes the footer
   // index, flushes, and closes the write stream. Called by the destructor as

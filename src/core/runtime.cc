@@ -90,7 +90,7 @@ bool Runtime::EvalConjunction(Assoc& assoc, VirtualLibc* libc, const std::string
     }
     if (!instance->initialized) {
       // Lazy initialization: first evaluation, not program startup (§4.3).
-      instance->trigger->Init(instance->decl.args.get());
+      instance->trigger->Init(instance->decl.args().get());
       if (options_.seed != 0) {
         // Golden-ratio stride decorrelates the per-instance streams; the
         // trigger's own Rng scrambles the raw value again.

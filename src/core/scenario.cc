@@ -21,14 +21,15 @@ std::unique_ptr<XmlNode> CloneXml(const XmlNode& node) {
   return copy;
 }
 
-bool TriggerDecl::operator==(const TriggerDecl& o) const {
-  if (id != o.id || class_name != o.class_name) {
-    return false;
-  }
-  if ((args == nullptr) != (o.args == nullptr)) {
-    return false;
-  }
-  return args == nullptr || args->ToString() == o.args->ToString();
+TriggerDecl::TriggerDecl(std::string id, std::string class_name,
+                         std::shared_ptr<const XmlNode> args)
+    : id(std::move(id)), class_name(std::move(class_name)) {
+  set_args(std::move(args));
+}
+
+void TriggerDecl::set_args(std::shared_ptr<const XmlNode> args) {
+  args_ = std::move(args);
+  args_xml_ = args_ == nullptr ? std::string() : args_->ToString();
 }
 
 const TriggerDecl* Scenario::FindTrigger(const std::string& id) const {
@@ -55,8 +56,8 @@ void Scenario::WriteXmlInto(XmlNode* root) const {
     XmlNode* node = root->AddChild("trigger");
     node->SetAttr("id", t.id);
     node->SetAttr("class", t.class_name);
-    if (t.args) {
-      node->children_ref().push_back(CloneXml(*t.args));
+    if (t.args() != nullptr) {
+      node->children_ref().push_back(CloneXml(*t.args()));
     }
   }
   for (const auto& f : functions_) {
@@ -126,7 +127,7 @@ std::optional<Scenario> Scenario::FromNode(const XmlNode& node, std::string* err
         return fail("duplicate trigger id '" + decl.id + "'");
       }
       if (const XmlNode* args = child->Child("args")) {
-        decl.args = std::shared_ptr<XmlNode>(CloneXml(*args).release());
+        decl.set_args(CloneXml(*args));
       }
       scenario.AddTrigger(std::move(decl));
     } else if (child->name() == "function") {

@@ -28,13 +28,31 @@
 
 namespace lfi {
 
-struct TriggerDecl {
+class TriggerDecl {
+ public:
+  TriggerDecl() = default;
+  // `args` must be complete: its canonical spelling is taken here, once.
+  TriggerDecl(std::string id, std::string class_name,
+              std::shared_ptr<const XmlNode> args = nullptr);
+
   std::string id;
   std::string class_name;
-  std::shared_ptr<XmlNode> args;  // deep copy of the <args> element, if any
+
+  // The <args> element, if any. It is immutable once attached, so its
+  // canonical serialized spelling (args_xml(); empty without args) never
+  // goes stale: the journal encodes that spelling and equality compares it.
+  const std::shared_ptr<const XmlNode>& args() const { return args_; }
+  const std::string& args_xml() const { return args_xml_; }
+  void set_args(std::shared_ptr<const XmlNode> args);
 
   // Structural equality; <args> subtrees compare by serialized form.
-  bool operator==(const TriggerDecl& o) const;
+  bool operator==(const TriggerDecl& o) const {
+    return id == o.id && class_name == o.class_name && args_xml_ == o.args_xml_;
+  }
+
+ private:
+  std::shared_ptr<const XmlNode> args_;
+  std::string args_xml_;
 };
 
 struct TriggerRef {

@@ -17,7 +17,7 @@ void AppendSiteVariant(Scenario* scenario, const CallSiteReport& report, int64_t
   XmlNode* frame = args->AddChild("frame");
   frame->AddChild("module")->set_text(report.site.module);
   frame->AddChild("offset")->set_text(StrFormat("%x", report.site.offset));
-  decl.args = std::shared_ptr<XmlNode>(args.release());
+  decl.set_args(std::move(args));
 
   FunctionAssoc assoc;
   assoc.function = report.site.function;
@@ -36,7 +36,7 @@ void AppendSiteVariant(Scenario* scenario, const CallSiteReport& report, int64_t
     auto nth_args = std::make_unique<XmlNode>("args");
     nth_args->AddChild("count")->set_text(
         StrFormat("%llu", (unsigned long long)call_count));
-    nth.args = std::shared_ptr<XmlNode>(nth_args.release());
+    nth.set_args(std::move(nth_args));
     assoc.triggers.push_back(TriggerRef{nth.id, false});
     scenario->AddTrigger(std::move(nth));
   }

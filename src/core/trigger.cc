@@ -62,7 +62,7 @@ bool ScenarioCannotInject(const Scenario& scenario, const CallCounts& counts) {
     if (trigger == nullptr) {
       return false;
     }
-    trigger->Init(decl->args.get());
+    trigger->Init(decl->args().get());
     return trigger->CannotFire(bound(id));
   };
   for (const FunctionAssoc& assoc : scenario.functions()) {

@@ -111,21 +111,17 @@ std::map<std::string, uint64_t> CoverageMap::hits() const {
   return out;
 }
 
-std::vector<CoverageMap::BlockInfo> CoverageMap::SortedBlocks() const {
-  std::vector<BlockInfo> out;
+std::vector<CoverageMap::BlockId> CoverageMap::KnownBlocksByName() const {
+  std::vector<BlockId> out;
   for (BlockId id = 0; id < blocks_.size(); ++id) {
     if (blocks_[id].known) {
-      out.push_back({SymbolTable::Blocks().Name(id), blocks_[id].recovery, blocks_[id].lines,
-                     hits_[id]});
+      out.push_back(id);
     }
   }
+  const SymbolTable& names = SymbolTable::Blocks();
   std::sort(out.begin(), out.end(),
-            [](const BlockInfo& a, const BlockInfo& b) { return a.name < b.name; });
+            [&names](BlockId a, BlockId b) { return names.Name(a) < names.Name(b); });
   return out;
-}
-
-void CoverageMap::RestoreBlock(const BlockInfo& block) {
-  RestoreBlock(InternBlock(block.name), block.recovery, block.lines, block.hits);
 }
 
 void CoverageMap::RestoreBlock(BlockId id, bool recovery, int lines, uint64_t hits) {
@@ -137,19 +133,10 @@ void CoverageMap::RestoreBlock(BlockId id, bool recovery, int lines, uint64_t hi
 }
 
 void CoverageMap::AppendXml(XmlNode* parent) const {
-  // Name order, like every other string-facing surface of this class: block
-  // ids depend on process-wide interning order, serialized journals must not.
-  std::vector<std::pair<std::string, BlockId>> known;
-  for (BlockId id = 0; id < blocks_.size(); ++id) {
-    if (blocks_[id].known) {
-      known.emplace_back(SymbolTable::Blocks().Name(id), id);
-    }
-  }
-  std::sort(known.begin(), known.end());
   XmlNode* coverage = parent->AddChild("coverage");
-  for (const auto& [name, id] : known) {
+  for (BlockId id : KnownBlocksByName()) {
     XmlNode* block = coverage->AddChild("block");
-    block->SetAttr("id", name);
+    block->SetAttr("id", SymbolTable::Blocks().Name(id));
     if (blocks_[id].recovery) {
       block->SetAttr("recovery", "true");
     }

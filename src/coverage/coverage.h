@@ -107,26 +107,22 @@ class CoverageMap {
   // worker counts); materialized on demand -- the live counters are dense.
   std::map<std::string, uint64_t> hits() const;
 
-  // One known block's registration metadata and hit count, keyed by name:
-  // the format-neutral snapshot serializers other than the XML one (the
-  // binary extent journal, core/extent_journal.cc) read and restore.
-  struct BlockInfo {
-    std::string name;
-    bool recovery = false;
-    int lines = 1;
-    uint64_t hits = 0;
-  };
+  // Every known block's id, in block-name order -- the same determinism rule
+  // as AppendXml (ids depend on process-wide interning order; serialized
+  // journals must not). Sorting compares the interned spellings in place;
+  // no name is copied. The binary extent journal (core/extent_journal.cc)
+  // writes a record's coverage in this order.
+  std::vector<BlockId> KnownBlocksByName() const;
 
-  // Every known block, sorted by name -- the same determinism rule as
-  // AppendXml (ids depend on process-wide interning order; serialized
-  // journals must not).
-  std::vector<BlockInfo> SortedBlocks() const;
+  // A known block's registration metadata and hit count.
+  bool IsRecovery(BlockId id) const { return blocks_[id].recovery; }
+  int Lines(BlockId id) const { return blocks_[id].lines; }
+  uint64_t HitCount(BlockId id) const { return hits_[id]; }
 
   // RegisterBlock plus an exact hit count: the deserialization inverse of
-  // SortedBlocks, so RestoreBlock-ing a snapshot rebuilds an equal map. The
-  // BlockId overload is the bulk-restore hot path (core/extent_journal.cc):
-  // the caller interned the name once and restores it into many maps.
-  void RestoreBlock(const BlockInfo& block);
+  // KnownBlocksByName + IsRecovery/Lines/HitCount, so restoring a snapshot
+  // rebuilds an equal map. The caller (core/extent_journal.cc) interned the
+  // name once and restores it into many maps.
   void RestoreBlock(BlockId id, bool recovery, int lines, uint64_t hits);
 
   // Serializes every known block (registration metadata + hit count) as a

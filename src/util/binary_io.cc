@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -58,65 +59,109 @@ constexpr size_t kMaxMatch = 0x7F + kMinMatch;  // 131
 constexpr size_t kMaxLiteralRun = 128;
 constexpr int kHashBits = 15;
 
-uint32_t Hash4(std::string_view data, size_t pos) {
-  uint32_t v = static_cast<uint8_t>(data[pos]) |
-               (static_cast<uint32_t>(static_cast<uint8_t>(data[pos + 1])) << 8) |
-               (static_cast<uint32_t>(static_cast<uint8_t>(data[pos + 2])) << 16) |
-               (static_cast<uint32_t>(static_cast<uint8_t>(data[pos + 3])) << 24);
-  return (v * 2654435761u) >> (32 - kHashBits);
+// The four bytes at `p` as a little-endian word, on any host.
+uint32_t Load32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
 }
 
-void EmitLiterals(std::string_view data, size_t begin, size_t end, std::string* out) {
-  while (begin < end) {
-    size_t run = std::min(kMaxLiteralRun, end - begin);
-    out->push_back(static_cast<char>(run - 1));
-    out->append(data.substr(begin, run));
-    begin += run;
-  }
-}
+// LzCompressor's output: tokens go straight into a pre-sized buffer, which
+// doubles whenever fewer bytes than the largest token (a full literal run)
+// remain, so a token's bytes are written without per-byte size checks.
+class TokenSink {
+ public:
+  static constexpr size_t kMaxToken = 1 + kMaxLiteralRun;
 
-void EmitVarint(uint64_t v, std::string* out) {
-  while (v >= 0x80) {
-    out->push_back(static_cast<char>(v | 0x80));
-    v >>= 7;
+  explicit TokenSink(size_t input_size) { out_.resize(input_size + input_size / 64 + kMaxToken); }
+
+  void Literals(const unsigned char* bytes, size_t count) {
+    while (count != 0) {
+      size_t run = std::min(kMaxLiteralRun, count);
+      char* o = Room();
+      o[0] = static_cast<char>(run - 1);
+      std::memcpy(o + 1, bytes, run);
+      w_ += 1 + run;
+      bytes += run;
+      count -= run;
+    }
   }
-  out->push_back(static_cast<char>(v));
-}
+
+  void Match(size_t len, uint64_t distance) {
+    char* o = Room();
+    size_t n = 0;
+    o[n++] = static_cast<char>(0x80 | (len - kMinMatch));
+    while (distance >= 0x80) {
+      o[n++] = static_cast<char>(distance | 0x80);
+      distance >>= 7;
+    }
+    o[n++] = static_cast<char>(distance);
+    w_ += n;
+  }
+
+  std::string Take() {
+    out_.resize(w_);
+    return std::move(out_);
+  }
+
+ private:
+  char* Room() {
+    if (out_.size() - w_ < kMaxToken) {
+      out_.resize(2 * out_.size());
+    }
+    return out_.data() + w_;
+  }
+
+  std::string out_;
+  size_t w_ = 0;
+};
 
 }  // namespace
 
-std::string LzCompress(std::string_view data) {
-  std::string out;
+std::string LzCompress(std::string_view data) { return LzCompressor().Compress(data); }
+
+std::string LzCompressor::Compress(std::string_view data) {
   if (data.empty()) {
-    return out;
+    return {};
   }
-  out.reserve(data.size() / 2);
+  if (table_.empty() || data.size() > UINT32_MAX - base_) {
+    // First call, or the base would wrap: start over from an empty table.
+    table_.assign(size_t{1} << kHashBits, 0);
+    base_ = 1;
+  }
   // Last-occurrence hash chain of length one: greedy, fast, deterministic.
-  std::vector<uint32_t> table(size_t{1} << kHashBits, 0xFFFFFFFFu);
+  const unsigned char* p = reinterpret_cast<const unsigned char*>(data.data());
+  const size_t size = data.size();
+  uint32_t* table = table_.data();
+  const uint32_t base = base_;
+  TokenSink out(size);
   size_t literal_start = 0;
   size_t pos = 0;
-  while (pos + kMinMatch <= data.size()) {
-    uint32_t slot = Hash4(data, pos);
-    uint32_t candidate = table[slot];
-    table[slot] = static_cast<uint32_t>(pos);
-    if (candidate != 0xFFFFFFFFu &&
-        data.compare(candidate, kMinMatch, data.substr(pos, kMinMatch)) == 0) {
-      size_t limit = std::min(kMaxMatch, data.size() - pos);
+  while (pos + kMinMatch <= size) {
+    uint32_t word = Load32(p + pos);
+    uint32_t slot = (word * 2654435761u) >> (32 - kHashBits);
+    uint32_t entry = table[slot];
+    table[slot] = base + static_cast<uint32_t>(pos);
+    size_t candidate = entry - base;
+    if (entry >= base && Load32(p + candidate) == word) {
+      size_t limit = std::min(kMaxMatch, size - pos);
       size_t len = kMinMatch;
-      while (len < limit && data[candidate + len] == data[pos + len]) {
+      while (len + 8 <= limit && std::memcmp(p + candidate + len, p + pos + len, 8) == 0) {
+        len += 8;
+      }
+      while (len < limit && p[candidate + len] == p[pos + len]) {
         ++len;
       }
-      EmitLiterals(data, literal_start, pos, &out);
-      out.push_back(static_cast<char>(0x80 | (len - kMinMatch)));
-      EmitVarint(pos - candidate, &out);
+      out.Literals(p + literal_start, pos - literal_start);
+      out.Match(len, pos - candidate);
       pos += len;
       literal_start = pos;
     } else {
       ++pos;
     }
   }
-  EmitLiterals(data, literal_start, data.size(), &out);
-  return out;
+  out.Literals(p + literal_start, size - literal_start);
+  base_ += static_cast<uint32_t>(size);
+  return out.Take();
 }
 
 std::optional<std::string> LzDecompress(std::string_view data, size_t raw_size) {

@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace lfi {
 
@@ -43,13 +44,21 @@ class ByteWriter {
       PutU8(static_cast<uint8_t>(v >> (8 * i)));
     }
   }
-  // Unsigned LEB128: 7 value bits per byte, high bit = continuation.
+  // Unsigned LEB128: 7 value bits per byte, high bit = continuation. Built
+  // on the stack and appended once: record encoding writes dozens per record.
   void PutVarint(uint64_t v) {
+    if (v < 0x80) {
+      PutU8(static_cast<uint8_t>(v));
+      return;
+    }
+    char bytes[10];
+    size_t n = 0;
     while (v >= 0x80) {
-      PutU8(static_cast<uint8_t>(v) | 0x80);
+      bytes[n++] = static_cast<char>(v | 0x80);
       v >>= 7;
     }
-    PutU8(static_cast<uint8_t>(v));
+    bytes[n++] = static_cast<char>(v);
+    buffer_.append(bytes, n);
   }
   void PutSigned(int64_t v) { PutVarint(ZigZagEncode(v)); }
   void PutBytes(std::string_view bytes) { buffer_.append(bytes); }
@@ -132,6 +141,20 @@ class ByteReader {
 // on malformed input or when the output does not come to exactly raw_size.
 std::string LzCompress(std::string_view data);
 std::optional<std::string> LzDecompress(std::string_view data, size_t raw_size);
+
+// LzCompress with a match table kept across calls: the table (128 KiB) is
+// allocated once, and each call invalidates the previous calls' entries by
+// moving a base offset past them instead of refilling it. Output is
+// byte-identical to LzCompress. One per journal writer; not thread-safe.
+class LzCompressor {
+ public:
+  std::string Compress(std::string_view data);
+
+ private:
+  // Entry = base_ + position; entries below base_ belong to earlier calls.
+  std::vector<uint32_t> table_;
+  uint32_t base_ = 1;
+};
 
 }  // namespace lfi
 

@@ -26,7 +26,7 @@ Scenario SiteScenarioFor(const AppBinary& binary, const char* site_name, int64_t
   XmlNode* frame = args->AddChild("frame");
   frame->AddChild("module")->set_text(binary.image().module_name());
   frame->AddChild("offset")->set_text(StrFormat("%x", binary.SiteOffset(site_name)));
-  decl.args = std::shared_ptr<XmlNode>(args.release());
+  decl.set_args(std::move(args));
   s.AddTrigger(std::move(decl));
   FunctionAssoc assoc;
   assoc.function = spec->function;
@@ -351,7 +351,7 @@ TEST_F(BindTest, DstRecoveryFromFailedMallocAborts) {
   decl.class_name = "CallCountTrigger";
   auto args = std::make_unique<XmlNode>("args");
   args->AddChild("count")->set_text("5");
-  decl.args = std::shared_ptr<XmlNode>(args.release());
+  decl.set_args(std::move(args));
   s.AddTrigger(std::move(decl));
   FunctionAssoc assoc;
   assoc.function = "malloc";
@@ -426,7 +426,7 @@ TEST_F(HttpdTest, PostOnlyInjectionViaStateTrigger) {
   args->AddChild("var")->set_text("request.method_number");
   args->AddChild("op")->set_text("eq");
   args->AddChild("value")->set_text("1");
-  decl.args = std::shared_ptr<XmlNode>(args.release());
+  decl.set_args(std::move(args));
   s.AddTrigger(std::move(decl));
   FunctionAssoc assoc;
   assoc.function = "apr_file_read";

@@ -48,7 +48,7 @@ Scenario SiteScenario(const char* site, const char* function, int64_t retval,
   XmlNode* frame = args->AddChild("frame");
   frame->AddChild("module")->set_text(binary.image().module_name());
   frame->AddChild("offset")->set_text(StrFormat("%x", binary.SiteOffset(site)));
-  decl.args = std::shared_ptr<XmlNode>(args.release());
+  decl.set_args(std::move(args));
   s.AddTrigger(std::move(decl));
   if (once) {
     TriggerDecl one;

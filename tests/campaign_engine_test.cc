@@ -150,7 +150,7 @@ Scenario RandomScenarioWithoutDeclaredSeed() {
   decl.class_name = "RandomTrigger";
   auto args = std::make_unique<XmlNode>("args");
   args->AddChild("probability")->set_text("0.5");
-  decl.args = std::shared_ptr<XmlNode>(args.release());
+  decl.set_args(std::move(args));
   s.AddTrigger(std::move(decl));
   FunctionAssoc assoc;
   assoc.function = "read";

@@ -58,7 +58,7 @@ TEST_F(CoreTest, ParsePaperExample) {
 </scenario>)");
   ASSERT_EQ(s.triggers().size(), 2u);
   EXPECT_EQ(s.triggers()[0].class_name, "ReadPipe");
-  ASSERT_NE(s.triggers()[0].args, nullptr);
+  ASSERT_NE(s.triggers()[0].args(), nullptr);
   ASSERT_EQ(s.functions().size(), 3u);
   EXPECT_EQ(s.functions()[0].function, "read");
   EXPECT_EQ(s.functions()[0].argc, 3);
@@ -118,7 +118,42 @@ TEST_F(CoreTest, ScenarioXmlRoundTrip) {
   EXPECT_EQ(reparsed.functions()[0].errno_value, kEIO);
   ASSERT_EQ(reparsed.functions()[0].triggers.size(), 2u);
   EXPECT_TRUE(reparsed.functions()[0].triggers[1].negate);
-  EXPECT_EQ(reparsed.triggers()[0].args->ChildText("probability"), "0.5");
+  EXPECT_EQ(reparsed.triggers()[0].args()->ChildText("probability"), "0.5");
+}
+
+// A decl's <args> spelling is taken once, when the complete element is
+// attached: equality and the journal encoder read it, never the live tree.
+TEST_F(CoreTest, TriggerArgsSpelledOnceComplete) {
+  Scenario s = MustParse(R"(
+<scenario>
+  <trigger id="a" class="RandomTrigger"><args><probability>0.5</probability></args></trigger>
+  <trigger id="b" class="SingletonTrigger"/>
+</scenario>)");
+  const TriggerDecl& a = s.triggers()[0];
+  EXPECT_EQ(a.args_xml(), a.args()->ToString());
+  EXPECT_EQ(a.args_xml(), "<args>\n  <probability>0.5</probability>\n</args>\n");
+  EXPECT_EQ(s.triggers()[1].args(), nullptr);
+  EXPECT_EQ(s.triggers()[1].args_xml(), "");
+  EXPECT_TRUE(a == TriggerDecl("a", "RandomTrigger", a.args()));
+  EXPECT_FALSE(a == TriggerDecl("a", "RandomTrigger"));
+
+  // The full replay of one (function, retval, errno) group collects every
+  // logged call into one trigger's <args>; the spelling lists them all.
+  InjectionLog log;
+  for (uint64_t call : {3, 7}) {
+    InjectionRecord record;
+    record.sequence = call;
+    record.function = "read";
+    record.retval = -1;
+    record.errno_value = kEIO;
+    record.call_number = call;
+    log.Record(std::move(record));
+  }
+  Scenario replay = log.FullReplayScenario();
+  ASSERT_EQ(replay.triggers().size(), 1u);
+  EXPECT_EQ(replay.triggers()[0].args_xml(),
+            "<args>\n  <count>3</count>\n  <count>7</count>\n</args>\n");
+  EXPECT_EQ(replay.triggers()[0].args_xml(), replay.triggers()[0].args()->ToString());
 }
 
 // --- registry -------------------------------------------------------------------

@@ -27,6 +27,7 @@
 #include "util/binary_io.h"
 #include "util/errno_codes.h"
 #include "util/rng.h"
+#include "util/sha1.h"
 #include "util/string_util.h"
 
 namespace lfi {
@@ -57,7 +58,7 @@ Scenario RandomScenario(Rng& rng) {
       auto args = std::make_unique<XmlNode>("args");
       args->AddChild("count")->set_text(StrFormat("%llu", (unsigned long long)rng.NextBelow(9)));
       args->AddChild("extra")->SetAttr("value", NastyString(rng));
-      decl.args = std::shared_ptr<XmlNode>(args.release());
+      decl.set_args(std::move(args));
     }
     scenario.AddTrigger(std::move(decl));
   }
@@ -341,6 +342,102 @@ TEST(ExtentJournal, FooterIndexRandomAccessEqualsFullScan) {
   EXPECT_NE(error.find("checksum"), std::string::npos) << error;
 }
 
+// --- encoder pins -------------------------------------------------------------
+
+// A record's coverage encodes in block-name order, never in the process-wide
+// block-id order, and a string is spelled once per extent whichever section
+// (label, scenario, log, coverage, feedback) first uses it. The digests pin
+// the bytes of journals built to stress both rules.
+
+// Writes `records` and returns the SHA-1 of the journal bytes, after checking
+// that loading and re-encoding reproduces them.
+std::string PinnedJournalDigest(const std::string& name,
+                                const std::vector<JournalRecord>& records) {
+  JournalMetadata meta = {{"command", "explore"}, {"system", "git"}};
+  std::string path = TempPath(name);
+  WriteJournal(path, meta, records);
+  std::string bytes = ReadFile(path);
+  std::string error;
+  auto loaded = CampaignJournal::Load(path, &error);
+  EXPECT_TRUE(loaded.has_value()) << error;
+  if (loaded) {
+    ExpectRecordsEqual(loaded->records(), records);
+    std::string again = TempPath("again_" + name);
+    WriteJournal(again, loaded->metadata(), loaded->records());
+    EXPECT_EQ(ReadFile(again), bytes);
+    std::remove(again.c_str());
+  }
+  std::remove(path.c_str());
+  return Sha1::HexDigest(bytes);
+}
+
+TEST(ExtentJournalPins, CoverageIdsInternedOutOfNameOrder) {
+  // Names no other test interns, interned in reverse name order.
+  for (const char* name : {"pin.order.zeta", "pin.order.mid", "pin.order.alpha"}) {
+    CoverageMap::InternBlock(name);
+  }
+  ASSERT_LT(CoverageMap::InternBlock("pin.order.zeta"),
+            CoverageMap::InternBlock("pin.order.alpha"));
+  std::vector<JournalRecord> records;
+  for (size_t i = 0; i < 3; ++i) {
+    JournalRecord record;
+    record.label = StrFormat("order-%zu", i);
+    record.seed = 11 + i;
+    record.stream_index = i;
+    record.scenario = MakeCallCountScenario("read", i + 1, -1, kEIO);
+    CoverageMap& coverage = record.result.coverage;
+    coverage.RegisterBlock("pin.order.zeta", /*recovery=*/true, /*lines=*/3);
+    coverage.RegisterBlock("pin.order.alpha", /*recovery=*/false, /*lines=*/1);
+    coverage.Hit("pin.order.zeta");
+    coverage.Hit("pin.order.zeta");
+    for (size_t hit = 0; hit < i; ++hit) {
+      coverage.Hit("pin.order.mid");  // auto-registers from the second record on
+    }
+    if (i == 2) {
+      // Interned last, so its id is the largest; its name sorts second.
+      coverage.RegisterBlock("pin.order.beta", /*recovery=*/true, /*lines=*/7);
+    }
+    record.feedback.new_blocks = {"pin.order.mid"};
+    records.push_back(std::move(record));
+  }
+  EXPECT_EQ(PinnedJournalDigest("pin_order.lfij", records),
+            "4499837fae345b659a22602e623ff7c815f4a6c2");
+}
+
+TEST(ExtentJournalPins, BlockNamesEqualToPooledStrings) {
+  std::vector<JournalRecord> records;
+  for (size_t i = 0; i < 2; ++i) {
+    JournalRecord record;
+    // The label, the scenario's function, a stack frame and the fingerprint
+    // are pooled before the coverage section spells block names equal to
+    // them; the second record's label is the first record's block name.
+    record.label = i == 0 ? "pin.shared.label" : "pin.shared.block";
+    record.seed = 5;
+    record.stream_index = i;
+    record.scenario = MakeCallCountScenario("pin.shared.fn", 2, 0, 0);
+    record.result.fingerprint = "pin.shared.fingerprint";
+    record.result.injections = 1;
+    InjectionRecord injection;
+    injection.sequence = 1;
+    injection.function = "pin.shared.fn";
+    injection.call_number = 2;
+    injection.trigger_ids.push_back("nth");
+    injection.stack.push_back(StackFrame{"pin.shared.module", "pin.shared.frame", 0x40});
+    record.result.log.Record(std::move(injection));
+    for (const char* name : {"pin.shared.label", "pin.shared.fn", "pin.shared.frame",
+                             "pin.shared.fingerprint", "nth", "pin.shared.block"}) {
+      record.result.coverage.RegisterBlock(name, /*recovery=*/i == 1, /*lines=*/2);
+      record.result.coverage.Hit(name);
+    }
+    record.feedback.fingerprint = record.result.fingerprint;
+    record.feedback.injections = 1;
+    record.feedback.new_blocks = {"pin.shared.block", "pin.shared.label"};
+    records.push_back(std::move(record));
+  }
+  EXPECT_EQ(PinnedJournalDigest("pin_shared.lfij", records),
+            "4071e32301e141b31b0382819a3fe917cfeb8fda");
+}
+
 // --- kill-and-resume in extent mode ------------------------------------------
 
 // The driver-level determinism bar, rerun against the binary encoding: kill
@@ -429,15 +526,8 @@ TEST(JobResultCodec, EveryFieldRoundTrips) {
     EXPECT_EQ(got->injections, want.injections);
     EXPECT_TRUE(got->bugs == want.bugs);
     EXPECT_TRUE(got->log == want.log);
-    std::vector<CoverageMap::BlockInfo> got_blocks = got->coverage.SortedBlocks();
-    std::vector<CoverageMap::BlockInfo> want_blocks = want.coverage.SortedBlocks();
-    ASSERT_EQ(got_blocks.size(), want_blocks.size());
-    for (size_t b = 0; b < want_blocks.size(); ++b) {
-      EXPECT_EQ(std::tie(got_blocks[b].name, got_blocks[b].recovery, got_blocks[b].lines,
-                         got_blocks[b].hits),
-                std::tie(want_blocks[b].name, want_blocks[b].recovery, want_blocks[b].lines,
-                         want_blocks[b].hits));
-    }
+    // Every known block with its registration metadata and hit count.
+    EXPECT_EQ(got->coverage.ToXml(), want.coverage.ToXml());
     EXPECT_FALSE(got->call_counts.has_value());  // out of band, never encoded
     EXPECT_EQ(EncodeJobResult(*got), bytes);
   }
@@ -573,6 +663,61 @@ TEST(BinaryIo, LzRoundTripsRandomBuffers) {
     if (!buffer.empty()) {
       EXPECT_FALSE(LzDecompress(packed, buffer.size() - 1).has_value());
     }
+  }
+}
+
+// LZ output is part of the journal format (extents are stored compressed):
+// a fixed corpus -- random bytes, runs, and repeats of earlier slices, from
+// empty to 64 KiB -- must compress to the same bytes on every build.
+std::vector<std::string> LzCorpus() {
+  Rng rng(4242);
+  std::vector<std::string> corpus = {"", "a", "abcd", "abcdabcdabcdabcdabcd",
+                                     std::string(1000, 'x')};
+  for (int i = 0; i < 60; ++i) {
+    std::string buffer;
+    size_t length = i % 10 == 0 ? rng.NextBelow(size_t{1} << 16) : rng.NextBelow(2048);
+    while (buffer.size() < length) {
+      if (rng.Chance(0.6) && !buffer.empty()) {
+        size_t start = rng.NextBelow(buffer.size());
+        buffer.append(buffer.substr(start, 1 + rng.NextBelow(200)));
+      } else if (rng.Chance(0.2)) {
+        buffer.append(1 + rng.NextBelow(40), static_cast<char>(rng.NextBelow(4)));
+      } else {
+        buffer.push_back(static_cast<char>(rng.NextBelow(256)));
+      }
+    }
+    buffer.resize(length);
+    corpus.push_back(std::move(buffer));
+  }
+  return corpus;
+}
+
+constexpr const char* kLzCorpusDigest = "f0be961f7a1c2665fd331fea5408f867bf523846";
+
+TEST(BinaryIo, LzCompressOutputIsPinned) {
+  Sha1 sha;
+  for (const std::string& buffer : LzCorpus()) {
+    std::string packed = LzCompress(buffer);
+    sha.Update(StrFormat("%zu:", packed.size()));
+    sha.Update(packed);
+  }
+  EXPECT_EQ(Sha1::ToHex(sha.Finish()), kLzCorpusDigest);
+}
+
+// A journal writer compresses every extent through one LzCompressor, whose
+// match table keeps the earlier calls' entries: they must never match. Two
+// passes over the corpus on one compressor give the pinned bytes both times.
+TEST(BinaryIo, ReusedLzCompressorMatchesFreshTables) {
+  std::vector<std::string> corpus = LzCorpus();
+  LzCompressor compressor;
+  for (int pass = 0; pass < 2; ++pass) {
+    Sha1 sha;
+    for (const std::string& buffer : corpus) {
+      std::string packed = compressor.Compress(buffer);
+      sha.Update(StrFormat("%zu:", packed.size()));
+      sha.Update(packed);
+    }
+    EXPECT_EQ(Sha1::ToHex(sha.Finish()), kLzCorpusDigest) << "pass " << pass;
   }
 }
 

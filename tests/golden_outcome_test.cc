@@ -4,6 +4,9 @@
 // correct if it leaves every outcome unchanged, and a journal digest pins all
 // of it at once: which injections ran, where, what each run found, and the
 // coverage it reached. The digests do not depend on the worker count.
+// Budget 64 pins all five targets; budget 400 (campaign_bench small-sweep's
+// budget) pins the cheap targets, whose journals the merge point encodes
+// fastest and whose inert-job share is largest.
 
 #include <gtest/gtest.h>
 
@@ -19,22 +22,24 @@ namespace {
 
 struct Golden {
   const char* system;
+  size_t budget;
   const char* journal_sha1;
 };
 
 class GoldenOutcome : public ::testing::TestWithParam<Golden> {};
 
-// explore <system> --strategy random --budget 64 --seed 7
+// explore <system> --strategy random --budget <budget> --seed 7
 TEST_P(GoldenOutcome, RandomExploreJournalBytes) {
   const Golden& golden = GetParam();
   for (int workers : {1, 4}) {
-    std::string path = TempPath(std::string("golden_") + golden.system + ".lfij");
+    std::string path = TempPath(std::string("golden_") + golden.system + "_" +
+                                std::to_string(golden.budget) + ".lfij");
     std::remove(path.c_str());
     CampaignSpec spec;
     spec.system = golden.system;
     spec.mode = CampaignMode::kExplore;
     spec.strategy = ExploreStrategy::kRandom;
-    spec.budget = 64;
+    spec.budget = golden.budget;
     spec.seed = 7;
     spec.workers = workers;
     spec.journal_path = path;
@@ -46,11 +51,18 @@ TEST_P(GoldenOutcome, RandomExploreJournalBytes) {
 
 INSTANTIATE_TEST_SUITE_P(
     Targets, GoldenOutcome,
-    ::testing::Values(Golden{"pbft", "88024fa34fb2c358c46d98f81d49173b699e6ec5"},
-                      Golden{"bfs", "436b48f524042ca5f3ef82a4a74b23526d80aaca"},
-                      Golden{"git", "dd003c109a61a2a848e9335319ac1e625a33a402"},
-                      Golden{"mysql", "88dabaf5780e2900760277ffcbbd5abd45e1f287"},
-                      Golden{"bind", "aa2036698a889aed8cc7ef97ecd5ee11d36075fe"}),
+    ::testing::Values(Golden{"pbft", 64, "88024fa34fb2c358c46d98f81d49173b699e6ec5"},
+                      Golden{"bfs", 64, "436b48f524042ca5f3ef82a4a74b23526d80aaca"},
+                      Golden{"git", 64, "dd003c109a61a2a848e9335319ac1e625a33a402"},
+                      Golden{"mysql", 64, "88dabaf5780e2900760277ffcbbd5abd45e1f287"},
+                      Golden{"bind", 64, "aa2036698a889aed8cc7ef97ecd5ee11d36075fe"}),
+    [](const ::testing::TestParamInfo<Golden>& info) { return std::string(info.param.system); });
+
+INSTANTIATE_TEST_SUITE_P(
+    SmallSweepBudget, GoldenOutcome,
+    ::testing::Values(Golden{"git", 400, "cb9fd2727ca4912525034134c29be13adf3e63b6"},
+                      Golden{"mysql", 400, "9f968e04d21717da18a0bda79c83120200bf9eaa"},
+                      Golden{"bind", 400, "b35d91d90332e918955da3033733a3002039010e"}),
     [](const ::testing::TestParamInfo<Golden>& info) { return std::string(info.param.system); });
 
 }  // namespace

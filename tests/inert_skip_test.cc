@@ -43,7 +43,7 @@ TriggerDecl Decl(const std::string& id, const std::string& class_name,
     for (const auto& [name, text] : args) {
       node->AddChild(name)->set_text(text);
     }
-    decl.args = node;
+    decl.set_args(std::move(node));
   }
   return decl;
 }
@@ -62,7 +62,7 @@ FunctionAssoc Assoc(const std::string& function, std::vector<TriggerRef> trigger
 std::unique_ptr<Trigger> Instance(const TriggerDecl& decl) {
   EnsureStockTriggersRegistered();
   std::unique_ptr<Trigger> trigger = TriggerRegistry::Instance().Create(decl.class_name);
-  trigger->Init(decl.args.get());
+  trigger->Init(decl.args().get());
   return trigger;
 }
 

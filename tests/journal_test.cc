@@ -69,7 +69,7 @@ Scenario RandomScenario(Rng& rng) {
       auto args = std::make_unique<XmlNode>("args");
       args->AddChild("count")->set_text(StrFormat("%llu", (unsigned long long)rng.NextBelow(9)));
       args->AddChild("extra")->SetAttr("value", NastyString(rng));
-      decl.args = std::shared_ptr<XmlNode>(args.release());
+      decl.set_args(std::move(args));
     }
     scenario.AddTrigger(std::move(decl));
   }

@@ -115,7 +115,7 @@ TEST_F(PbftTest, ShutdownFopenBugCrashes) {
   XmlNode* frame = args->AddChild("frame");
   frame->AddChild("module")->set_text(binary.image().module_name());
   frame->AddChild("offset")->set_text(StrFormat("%x", binary.SiteOffset("pbft.shutdown.fopen")));
-  decl.args = std::shared_ptr<XmlNode>(args.release());
+  decl.set_args(std::move(args));
   s.AddTrigger(std::move(decl));
   FunctionAssoc assoc;
   assoc.function = "fopen";

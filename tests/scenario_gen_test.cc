@@ -70,8 +70,8 @@ TEST_F(ScenarioGenTest, UncheckedSiteGetsScenario) {
 
   const TriggerDecl& decl = scenarios.unchecked.triggers()[0];
   EXPECT_EQ(decl.class_name, "CallStackTrigger");
-  ASSERT_NE(decl.args, nullptr);
-  const XmlNode* frame = decl.args->Child("frame");
+  ASSERT_NE(decl.args(), nullptr);
+  const XmlNode* frame = decl.args()->Child("frame");
   ASSERT_NE(frame, nullptr);
   EXPECT_EQ(frame->ChildText("module"), "demo-app");
 
