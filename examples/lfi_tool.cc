@@ -130,19 +130,20 @@ std::string CoverageJson(const lfi::CoverageMap& coverage) {
       stats.covered_blocks, stats.covered_lines);
 }
 
-std::string ShardsJson(const std::vector<lfi::MergeInputStats>& shards) {
-  return JsonList(shards, [](const lfi::MergeInputStats& shard) {
+std::string ShardsJson(const std::vector<lfi::ShardOutcome>& shards) {
+  return JsonList(shards, [](const lfi::ShardOutcome& shard) {
     return lfi::StrFormat(
         "{\"shard\":%lld,\"journal\":\"%s\",\"records\":%zu,"
-        "\"scenarios_run\":%zu,\"bugs\":%zu}",
+        "\"scenarios_run\":%zu,\"bugs\":%zu,\"workers\":%zu}",
         shard.shard_index == static_cast<size_t>(-1) ? -1LL
                                                       : static_cast<long long>(shard.shard_index),
-        lfi::JsonEscape(shard.path).c_str(), shard.records, shard.scenarios_run, shard.bugs);
+        lfi::JsonEscape(shard.path).c_str(), shard.records, shard.scenarios_run, shard.bugs,
+        shard.workers);
   });
 }
 
-void PrintShardTable(const std::vector<lfi::MergeInputStats>& shards) {
-  for (const lfi::MergeInputStats& shard : shards) {
+void PrintShardTable(const std::vector<lfi::ShardOutcome>& shards) {
+  for (const lfi::ShardOutcome& shard : shards) {
     std::printf("shard %s: %zu record(s), %zu scenario(s) run, %zu bug(s)  [%s]\n",
                 shard.shard_index == static_cast<size_t>(-1)
                     ? "?"

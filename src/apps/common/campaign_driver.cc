@@ -21,8 +21,10 @@
 #include "core/custom_triggers.h"
 #include "core/distributed.h"
 #include "core/exploration.h"
+#include "core/extent_journal.h"
 #include "core/fork_server.h"
 #include "core/stock_triggers.h"
+#include "util/binary_io.h"
 #include "util/errno_codes.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
@@ -206,10 +208,10 @@ CampaignEngine::Options EngineOptions(const CampaignSpec& spec, const SystemEntr
   options.journal_path = spec.journal_path;
   options.resume = spec.resume;
   options.abort_after_records = spec.abort_after_records;
-  // An epoch shard child's whole run lies inside one already-scheduled epoch
-  // (the frontier snapshot fixed the schedule), so the engine runs it
-  // open-loop with a fixed epoch stamp; the single-process epoch campaign
-  // instead lets the engine drive the epoch boundaries itself.
+  // An epoch shard child's whole run lies inside one epoch the orchestrator
+  // already scheduled and dealt, so the engine runs it open-loop with a
+  // fixed epoch stamp; the single-process epoch campaign instead lets the
+  // engine drive the epoch boundaries itself.
   options.epoch_len = spec.epoch_index != kNoEpoch ? 0 : spec.epoch_len;
   options.epoch = spec.epoch_index;
   // Hang detection: never part of the identity, so journals recorded under
@@ -239,12 +241,9 @@ struct SpecSource {
 };
 
 // The one place a spec becomes a scenario source: the Table 1 job list or an
-// exploration strategy. An epoch shard child's coverage source reseeds the
-// frontier the orchestrator exported at the epoch boundary and re-derives
-// the epoch's job stream open-loop. nullptr + *error on an unreadable
-// frontier snapshot.
+// exploration strategy.
 std::unique_ptr<SpecSource> MakeSpecSource(const CampaignSpec& spec, const SystemEntry& entry,
-                                           const ExecutionLayer& exec, std::string* error) {
+                                           const ExecutionLayer& exec) {
   auto made = std::make_unique<SpecSource>();
   if (spec.mode == CampaignMode::kTable1) {
     made->source = std::make_unique<ExhaustiveSource>(entry.table1_jobs(spec.exhaustive, exec));
@@ -285,35 +284,94 @@ std::unique_ptr<SpecSource> MakeSpecSource(const CampaignSpec& spec, const Syste
   CoverageGuidedSource::Options options;
   options.budget = budget;
   options.seed = spec.seed;
-  std::optional<FrontierState> frontier;
-  if (spec.epoch_index != kNoEpoch) {
-    // The schedule limit is where the epoch ends in the unsharded stream; a
-    // frontier that runs dry earlier stops earlier, exactly like the
-    // single-process run's early epoch flush.
-    std::ifstream in(spec.frontier_path);
-    std::string xml((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    std::string parse_error;
-    if (!xml.empty()) {
-      frontier = FrontierState::Parse(xml, &parse_error);
-    }
-    if (!frontier) {
-      if (error != nullptr) {
-        *error = xml.empty() ? "cannot read frontier snapshot " + spec.frontier_path
-                             : "bad frontier snapshot " + spec.frontier_path + ": " + parse_error;
-      }
-      return nullptr;
-    }
-    options.open_loop = true;
-    options.schedule_limit =
-        frontier->scheduled + spec.epoch_len * CampaignEngine::Options::kDefaultBatchSize;
-  }
   auto coverage = std::make_unique<CoverageGuidedSource>(made->reports, made->lookup(), options);
-  if (frontier) {
-    coverage->ImportFrontier(*frontier);
-  }
   made->coverage = coverage.get();
   made->source = std::move(coverage);
   return made;
+}
+
+// --- shard work on the wire ---------------------------------------------------
+// What the orchestrator sends a shard's worker for one epoch: the jobs it
+// dealt that shard, in stream order. A job's `run` is code and cannot cross
+// the process boundary (EncodeCampaignJobs refuses it); every self-contained
+// job this driver builds runs on the ExecutionLayer's phase runner, so the
+// payload flags those jobs and the worker re-attaches that runner.
+
+std::string EncodeShardWork(std::vector<CampaignJob> jobs) {
+  ByteWriter w;
+  w.PutVarint(jobs.size());
+  for (CampaignJob& job : jobs) {
+    w.PutU8(job.run ? 1 : 0);
+    job.run = nullptr;
+  }
+  w.PutBytes(*EncodeCampaignJobs(jobs));  // no job has a runner left to refuse
+  return w.TakeBuffer();
+}
+
+std::optional<std::vector<CampaignJob>> DecodeShardWork(std::string_view work,
+                                                        const ExecutionLayer& exec,
+                                                        std::string* error) {
+  ByteReader r(work);
+  const uint64_t count = r.GetVarint();
+  const std::string_view self_contained = r.GetBytes(static_cast<size_t>(count));
+  if (!r.ok()) {
+    *error = "truncated shard work";
+    return std::nullopt;
+  }
+  std::optional<std::vector<CampaignJob>> jobs =
+      DecodeCampaignJobs(work.substr(r.pos()), error);
+  if (!jobs) {
+    return std::nullopt;
+  }
+  if (jobs->size() != count) {
+    *error = StrFormat("shard work flags %zu jobs but carries %zu", static_cast<size_t>(count),
+                       jobs->size());
+    return std::nullopt;
+  }
+  for (size_t i = 0; i < jobs->size(); ++i) {
+    if (self_contained[i] == 1) {
+      (*jobs)[i].run = exec.phase_runner();
+    } else if (self_contained[i] != 0) {
+      *error = StrFormat("bad runner flag on dealt job %zu", i);
+      return std::nullopt;
+    }
+  }
+  return jobs;
+}
+
+// The supervision policy of an orchestrated `spec` whose epochs hold at
+// most `epoch_jobs` jobs. The per-attempt deadline: explicit wins;
+// otherwise derive one from the per-job budget (a worker runs at most the
+// epoch's jobs, plus startup/merge slack). No budget at all = no deadline --
+// hang detection is opt-in.
+ShardSupervisor::Options SupervisorOptions(const CampaignSpec& spec, size_t epoch_jobs) {
+  ShardSupervisor::Options options;
+  options.max_retries = spec.max_retries;
+  options.backoff_ms = spec.backoff_ms;
+  options.child_timeout_ms = spec.child_timeout_ms;
+  if (options.child_timeout_ms == 0 && spec.job_timeout_ms != 0) {
+    options.child_timeout_ms = spec.job_timeout_ms * static_cast<uint64_t>(epoch_jobs + 2);
+  }
+  return options;
+}
+
+// Writes the epoch's frontier snapshot: tmp+rename like every artifact a
+// resumed orchestrator or a reader may open, so a crash mid-write never
+// leaves a half-written snapshot where a complete one is expected.
+bool WriteFrontier(const FrontierState& frontier, const std::string& path, std::string* error) {
+  std::string tmp_path = path + ".tmp";
+  std::ofstream out(tmp_path);
+  out << frontier.ToXml();
+  bool ok = out.good();
+  out.close();
+  if (FailpointFired("frontier.write")) {
+    ok = false;
+  }
+  if (!ok || std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    *error = "cannot write frontier snapshot " + path;
+    return false;
+  }
+  return true;
 }
 
 // Reports `message` through the optional error out-parameter.
@@ -416,18 +474,21 @@ std::optional<CampaignOutcome> CampaignDriver::RunCampaign(std::string* error) {
   std::optional<ExecutionLayer> own;
   ExecutionLayer& exec =
       exec_ != nullptr ? *exec_ : own.emplace(spec_.system, spec_.mode, spec_.cold_start);
-  std::unique_ptr<SpecSource> source = MakeSpecSource(spec_, *entry, exec, error);
-  if (source == nullptr) {
-    return std::nullopt;
-  }
   CampaignEngine engine(EngineOptions(spec_, *entry));
   ExplorationResult result;
-  if (spec_.shard_index != CampaignSpec::kNoShard) {
-    // A shard child runs only its deal of the stream.
-    ShardSource sharded(*source->source, spec_.shard_index, spec_.shard_count);
-    result = engine.Run(sharded, exec.runner());
+  if (exec_ != nullptr) {
+    // A shard worker runs exactly the jobs its orchestrator dealt it.
+    ExhaustiveSource dealt(std::move(dealt_));
+    result = engine.Run(dealt, exec.runner());
   } else {
-    result = engine.Run(*source->source, exec.runner());
+    std::unique_ptr<SpecSource> source = MakeSpecSource(spec_, *entry, exec);
+    if (spec_.shard_index != CampaignSpec::kNoShard) {
+      // A static shard (`--shard I/N`) runs only its deal of the stream.
+      ShardSource sharded(*source->source, spec_.shard_index, spec_.shard_count);
+      result = engine.Run(sharded, exec.runner());
+    } else {
+      result = engine.Run(*source->source, exec.runner());
+    }
   }
   CampaignOutcome outcome = FromExploration(std::move(result), spec_.journal_path);
   outcome.pool = exec.pool_stats();
@@ -592,34 +653,6 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
   return outcome;
 }
 
-bool CampaignDriver::RunShardChildren(const std::vector<CampaignSpec>& children,
-                                      size_t jobs_hint, ExecutionLayer& exec,
-                                      std::string* error) {
-  ShardSupervisor::Options options;
-  options.max_retries = spec_.max_retries;
-  options.backoff_ms = spec_.backoff_ms;
-  // The per-child deadline: explicit wins; otherwise derive one from the
-  // per-job budget (a child runs at most jobs_hint jobs plus startup/merge
-  // slack). No budget at all = no deadline -- hang detection is opt-in.
-  options.child_timeout_ms = spec_.child_timeout_ms;
-  if (options.child_timeout_ms == 0 && spec_.job_timeout_ms != 0) {
-    size_t jobs = jobs_hint != 0 ? jobs_hint : 64;
-    options.child_timeout_ms = spec_.job_timeout_ms * static_cast<uint64_t>(jobs + 2);
-  }
-  ShardSupervisor supervisor(options,
-                             [&exec](const CampaignSpec& child, std::string* child_error) {
-                               CampaignDriver driver(child, &exec);
-                               if (driver.Run(child_error).has_value()) {
-                                 return true;
-                               }
-                               if (driver.refused()) {
-                                 throw ChildRefusal(*child_error);
-                               }
-                               return false;
-                             });
-  return supervisor.Run(children, error);
-}
-
 std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string* error) {
   const size_t batch_size = CampaignEngine::Options::kDefaultBatchSize;
 
@@ -650,19 +683,36 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
 
   // The master enumerates the campaign's stream exactly as the
   // single-process engine would; its jobs never run here. `exec` is the
-  // children's zygote: prewarmed before the first live epoch's fork, and
-  // only the spawn-failure fallback runs jobs on it in this process (its
-  // instances come back reset or are dropped), so every child attempt
-  // inherits post-setup instances.
+  // workers' zygote: prewarmed before the first live epoch's fork, and only
+  // the spawn-failure fallback runs jobs on it in this process (its
+  // instances come back reset or are dropped), so every worker inherits
+  // post-setup instances.
   const SystemEntry* entry = FindSystem(spec_.system);
   ExecutionLayer exec(spec_.system, spec_.mode, spec_.cold_start);
-  std::unique_ptr<SpecSource> master = MakeSpecSource(spec_, *entry, exec, error);
-  if (master == nullptr) {
-    return std::nullopt;
-  }
-  // Without epoch_len the whole stream is one epoch: no frontier hand-off,
+  std::unique_ptr<SpecSource> master = MakeSpecSource(spec_, *entry, exec);
+  // Without epoch_len the whole stream is one epoch: no frontier snapshot,
   // and records stay unstamped like the single-process run's.
   const bool epochs = spec_.epoch_len != 0;
+  // One persistent worker per shard (apps/common/shard_supervisor.h),
+  // created with the first live epoch. A worker runs each epoch's dealt
+  // jobs through a CampaignDriver over the `exec` it inherited.
+  std::optional<ShardSupervisor> supervisor;
+  const ShardSupervisor::WorkRunner run_dealt = [&exec](const CampaignSpec& child,
+                                                        std::string_view work,
+                                                        std::string* child_error) {
+    std::optional<std::vector<CampaignJob>> dealt = DecodeShardWork(work, exec, child_error);
+    if (!dealt) {
+      return false;
+    }
+    CampaignDriver driver(child, &exec, std::move(*dealt));
+    if (driver.Run(child_error).has_value()) {
+      return true;
+    }
+    if (driver.refused()) {
+      throw ChildRefusal(*child_error);
+    }
+    return false;
+  };
 
   // The merged journal is written exactly the way the single-process
   // --epoch-len run writes its own: the same header (no shard keys), records
@@ -677,7 +727,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
   MergeFoldState fold;
   std::deque<JournalRecord> replay(loaded.begin(), loaded.end());
   size_t appended_live = 0;
-  std::vector<MergeInputStats> shard_stats(spec_.shard_count);
+  std::vector<ShardOutcome> shard_stats(spec_.shard_count);
   std::vector<std::set<FoundBug>> shard_bugs(spec_.shard_count);
   for (size_t shard = 0; shard < spec_.shard_count; ++shard) {
     shard_stats[shard].path = epochs ? spec_.journal_path + StrFormat(".epoch*.shard%zu", shard)
@@ -685,7 +735,6 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
     shard_stats[shard].shard_index = shard;
   }
   size_t scheduled = 0;  // stream position of the next enumerated job
-  bool prewarmed = false;
 
   for (size_t epoch = 0;; ++epoch) {
     // The epoch's schedule is a pure function of the frontier: snapshot it
@@ -704,7 +753,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
         break;
       }
       for (CampaignJob& job : next) {
-        // ShardSource stamps the same drain position in every child.
+        // The drain position ShardSource stamps on a static shard's copy.
         if (job.stream_index == CampaignJob::kNoStreamIndex) {
           job.stream_index = scheduled;
         }
@@ -746,25 +795,6 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
       // re-executing anything.
       replay.clear();
 
-      // The frontier export is tmp+rename like every artifact a child (or a
-      // resumed orchestrator) may read: a crash mid-write must never leave a
-      // half-written snapshot where a complete one is expected.
-      std::string frontier_path;
-      if (epochs) {
-        frontier_path = spec_.EpochFrontierPath(epoch);
-        std::string tmp_path = frontier_path + ".tmp";
-        std::ofstream out(tmp_path);
-        out << frontier->ToXml();
-        bool ok = out.good();
-        out.close();
-        if (FailpointFired("frontier.write")) {
-          ok = false;
-        }
-        if (!ok || std::rename(tmp_path.c_str(), frontier_path.c_str()) != 0) {
-          return Fail(error, "cannot write frontier snapshot " + frontier_path);
-        }
-      }
-
       std::vector<CampaignSpec> children;
       for (size_t shard = 0; shard < spec_.shard_count; ++shard) {
         CampaignSpec child = spec_;
@@ -772,31 +802,53 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
         child.epoch_index = epoch_stamp;
         child.journal_path =
             epochs ? spec_.EpochShardJournalPath(epoch, shard) : spec_.ShardJournalPath(shard);
-        child.frontier_path = frontier_path;
         child.abort_after_records = 0;
         // A leftover shard journal is a killed orchestration's completed
         // work: resume it (a complete one replays wholly from disk).
         child.resume = std::filesystem::exists(child.journal_path);
         children.push_back(std::move(child));
       }
-      if (!prewarmed) {
-        // One instance per job a child can run at once: its workers, capped
-        // by an even deal of the epoch. A child that needs more builds them.
+      // The deal ShardSource makes: every job goes to the shard its
+      // scenario fingerprint names, in stream order.
+      std::vector<std::vector<CampaignJob>> dealt(spec_.shard_count);
+      for (const CampaignJob& job : jobs) {
+        dealt[ScenarioShard(job.scenario, spec_.shard_count)].push_back(job);
+      }
+      std::vector<std::string> work;
+      for (std::vector<CampaignJob>& shard_jobs : dealt) {
+        work.push_back(EncodeShardWork(std::move(shard_jobs)));
+      }
+      if (!supervisor) {
+        // One instance per job a worker can run at once: its engine
+        // workers, capped by an even deal of the epoch. A worker that needs
+        // more builds them.
         size_t per_child = (jobs.size() + spec_.shard_count - 1) / spec_.shard_count;
         exec.Prewarm(std::min<size_t>(WorkerPool::ResolveWorkers(spec_.workers), per_child));
-        prewarmed = true;
-      }
-      if (!RunShardChildren(children, jobs.size(), exec, error)) {
-        return std::nullopt;
+        supervisor.emplace(SupervisorOptions(spec_, epochs ? spec_.epoch_len * batch_size
+                                                           : jobs.size()),
+                           run_dealt);
       }
 
+      // While the workers run, this process writes the epoch's frontier
+      // snapshot (no worker reads it; `journal doctor` and offline tools
+      // do) and loads each shard journal as its worker replies.
+      std::vector<std::optional<CampaignJournal>> replied(spec_.shard_count);
+      ShardSupervisor::Events events;
+      events.dispatched = [&](std::string* event_error) {
+        return !epochs || WriteFrontier(*frontier, spec_.EpochFrontierPath(epoch), event_error);
+      };
+      events.finished = [&](size_t shard, std::string* event_error) {
+        replied[shard] = CampaignJournal::Load(children[shard].journal_path, event_error);
+        return replied[shard].has_value();
+      };
+      std::vector<ShardSupervisor::Report> reports;
+      if (!supervisor->Run(children, work, events, error, &reports)) {
+        return std::nullopt;
+      }
       std::vector<CampaignJournal> shard_journals;
-      for (const CampaignSpec& child : children) {
-        auto journal = CampaignJournal::Load(child.journal_path, error);
-        if (!journal) {
-          return std::nullopt;
-        }
-        shard_journals.push_back(std::move(*journal));
+      for (size_t shard = 0; shard < spec_.shard_count; ++shard) {
+        shard_stats[shard].workers += reports[shard].forks;
+        shard_journals.push_back(std::move(*replied[shard]));
       }
       if (!MergeRecordsInto(merged, shard_journals, &fold, error, &merged_records)) {
         return std::nullopt;
@@ -864,7 +916,9 @@ std::optional<CampaignOutcome> MergeCampaignJournals(const std::vector<std::stri
   }
   CampaignOutcome outcome = FromExploration(std::move(*merged), output_path);
   outcome.metadata = std::move(metadata);
-  outcome.shards = std::move(stats);
+  for (MergeInputStats& input : stats) {
+    outcome.shards.push_back({std::move(input)});
+  }
   return outcome;
 }
 

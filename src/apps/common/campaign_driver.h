@@ -10,18 +10,20 @@
 // Multi-process campaigns are a property of the spec, not separate wiring:
 // a spec with shard_count > 1 and no shard_index makes Run() orchestrate,
 // always through one loop, the epoch protocol (docs/architecture.md). Per
-// epoch, the orchestrator enumerates the epoch's jobs from a master copy of
-// the spec's source; every shard executes the same deterministic spec with
-// shard=i/N (dealt by scenario fingerprint, core/exploration.h ShardSource)
-// in a child process forked from the orchestrator, on the post-setup target
-// instances the orchestrator brought up once before its first fork (the
-// zygote, core/warm_pool.h); and the shard journals are merged
-// (core/journal.h MergeRecordsInto) into spec.journal_path, a valid,
-// resumable single-process journal. Coverage-guided exploration runs epoch_len
-// batches per epoch and hands children a frontier snapshot. An open-loop
-// spec (table1 --exhaustive, explore exhaustive|random) is the one-epoch
-// case: its whole stream is one epoch, children write
-// spec.ShardJournalPath(i), and records carry no epoch stamp.
+// epoch, the orchestrator enumerates the epoch's jobs from its one copy of
+// the spec's source and deals them by scenario fingerprint (the deal
+// core/exploration.h's ShardSource makes). Each shard has one persistent
+// worker, forked from the orchestrator once per campaign on the post-setup
+// target instances it brought up before its first fork (the zygote,
+// core/warm_pool.h); every epoch the worker runs exactly the jobs dealt to
+// it into a sealed per-shard journal (apps/common/shard_supervisor.h), and
+// the shard journals are merged (core/journal.h MergeRecordsInto) into
+// spec.journal_path, a valid, resumable single-process journal.
+// Coverage-guided exploration runs epoch_len batches per epoch; the
+// orchestrator also snapshots each epoch's frontier to disk for offline
+// tools. An open-loop spec (table1 --exhaustive, explore
+// exhaustive|random) is the one-epoch case: its whole stream is one epoch,
+// workers write spec.ShardJournalPath(i), and records carry no epoch stamp.
 
 #ifndef LFI_APPS_COMMON_CAMPAIGN_DRIVER_H_
 #define LFI_APPS_COMMON_CAMPAIGN_DRIVER_H_
@@ -54,6 +56,14 @@ struct ReplayOutcome {
   bool reproduced = false;  // a recorded crash site was matched
 };
 
+// One shard of an orchestrated run (or one input of a merge): its merge
+// accounting, and the worker processes it took.
+struct ShardOutcome : MergeInputStats {
+  // Workers forked for the shard over the campaign, respawns included: one
+  // for a clean run, 0 for a merge or when every epoch replayed from disk.
+  size_t workers = 0;
+};
+
 // What a driven campaign yields, whatever the mode.
 struct CampaignOutcome {
   std::vector<FoundBug> bugs;
@@ -64,8 +74,8 @@ struct CampaignOutcome {
   std::string journal_path;
   // The journal header (resume/replay/shard: what the artifact records).
   JournalMetadata metadata;
-  // Shard orchestration: one entry per shard, from its merged journal.
-  std::vector<MergeInputStats> shards;
+  // Shard orchestration and merges: one entry per shard or input.
+  std::vector<ShardOutcome> shards;
   // Replay mode: per-injection detail plus the pass/fail summary.
   std::vector<ReplayOutcome> replays;
   size_t replays_expected = 0;
@@ -115,24 +125,15 @@ class CampaignDriver {
   // loop docs/architecture.md specifies, one epoch per loop iteration,
   // producing a merged journal byte-identical to the single-process run.
   std::optional<CampaignOutcome> RunEpochOrchestration(std::string* error);
-  // Runs one child campaign per spec under the ShardSupervisor
-  // (apps/common/shard_supervisor.h): each in a child process forked from
-  // this one, running CampaignDriver::Run on its spec over `exec`, the
-  // orchestrator's execution layer it inherits (the spawn-failure fallback
-  // runs the children in this process on the same layer). The supervisor
-  // applies the spec's deadline/retry/backoff policy; `jobs_hint` (jobs a
-  // child may run, 0 = unknown) sizes the derived per-child deadline when
-  // the spec sets job_timeout_ms but no child_timeout_ms. False + *error
-  // when a child exhausts its retries.
-  bool RunShardChildren(const std::vector<CampaignSpec>& children, size_t jobs_hint,
-                        ExecutionLayer& exec, std::string* error);
-
-  // A shard child's driver: runs its campaign on `exec` instead of building
-  // an execution layer of its own.
-  CampaignDriver(CampaignSpec spec, ExecutionLayer* exec) : spec_(std::move(spec)), exec_(exec) {}
+  // A shard worker's driver for one epoch: runs exactly the `dealt` jobs on
+  // `exec`, the orchestrator's execution layer it inherited, instead of
+  // building a source and an execution layer of its own.
+  CampaignDriver(CampaignSpec spec, ExecutionLayer* exec, std::vector<CampaignJob> dealt)
+      : spec_(std::move(spec)), exec_(exec), dealt_(std::move(dealt)) {}
 
   CampaignSpec spec_;
   ExecutionLayer* exec_ = nullptr;  // inherited from the orchestrator, or null
+  std::vector<CampaignJob> dealt_;  // with exec_: the worker's jobs
   bool refused_ = false;
 };
 

@@ -201,7 +201,7 @@ bool ParseShardFlag(std::string_view text, CampaignSpec* spec);
 
 // Usage order. A field no flag sets, no header records and no resume adopts
 // has no row: `format` has one value, and the driver and lfi_tool set the
-// resume marker, an epoch child's frontier snapshot and replay's selector.
+// resume marker and replay's selector.
 const SpecField kFields[] = {
     {.name = "system", .ops = Ops<&CampaignSpec::system>(), .meta = "system",
      .in_meta = Always, .meta_rank = 1, .identity = true},
@@ -332,13 +332,10 @@ std::string CampaignSpec::Validate() const {
   if (epoch_index != kNoEpoch && epoch_len == 0) {
     return "an epoch index only makes sense inside an epoch-len campaign";
   }
-  if (!frontier_path.empty() && epoch_len == 0) {
-    return "a frontier snapshot only makes sense inside an epoch-len campaign";
-  }
   if (mode == CampaignMode::kExplore && strategy == ExploreStrategy::kCoverage &&
-      shard_index != kNoShard && (epoch_index == kNoEpoch || frontier_path.empty())) {
-    return "a coverage shard child runs one epoch of an orchestrated campaign: it needs "
-           "the epoch ordinal and frontier snapshot the orchestrator provides";
+      shard_index != kNoShard && epoch_index == kNoEpoch) {
+    return "a coverage shard runs one epoch of an orchestrated campaign, on the jobs the "
+           "orchestrator deals it";
   }
   if (system.empty()) {
     return "no target system named";

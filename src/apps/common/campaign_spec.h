@@ -14,9 +14,10 @@
 // identity or execution environment, and the one strict parser and printer
 // for its value. ParseSpecFlags, ToJournalMeta/FromJournalMeta (how
 // `resume` rebuilds the whole spec from the artifact alone),
-// AdoptEnvironment and SpecFlagsUsage are loops over it. Shard children need
+// AdoptEnvironment and SpecFlagsUsage are loops over it. Shard workers need
 // no serialized spec: each is a fork of the orchestrator and gets its spec
-// as a value (apps/common/shard_supervisor.h).
+// as a value, and each epoch's request carries only the fields that change
+// between epochs (apps/common/shard_supervisor.h).
 //
 // This header also owns the one copy of the name<->enum parse tables
 // (system, mode, strategy) that lfi_tool and the campaign library used to
@@ -80,8 +81,8 @@ struct CampaignSpec {
   // it stopped (kResume sets this implicitly after reading the header).
   bool resume = false;
   // Multi-process sharding. shard_count > 1 with shard_index unset makes
-  // CampaignDriver orchestrate: run every shard in a forked child process,
-  // then merge the per-shard journals.
+  // CampaignDriver orchestrate: deal every epoch's jobs to one persistent
+  // forked worker per shard, then merge the per-shard journals.
   // With shard_index set, this process runs only that shard of the
   // deterministic stream into ShardJournalPath-style artifacts.
   size_t shard_index = kNoShard;
@@ -90,18 +91,16 @@ struct CampaignSpec {
   // frontier runs open-loop for epoch_len merged batches, then all feedback
   // for the epoch folds in at once. This makes the feedback schedule a pure
   // function of the spec -- the property that lets shard_count > 1 combine
-  // with the coverage strategy (shards run whole epochs blind, the
-  // orchestrator merges and reseeds between epochs) while staying
-  // bit-identical to the single-process run. Part of the campaign identity
+  // with the coverage strategy (the orchestrator schedules an epoch, its
+  // shard workers run it blind, it merges the results and feeds them back)
+  // while staying bit-identical to the single-process run. Part of the campaign identity
   // (journal key "epoch-len") whenever nonzero.
   size_t epoch_len = 0;
-  // Shard-child runs of one epoch carry the epoch ordinal so their journal
-  // records are stamped (and their artifacts labelled) correctly. Never part
-  // of the merged identity -- MergeJournals strips it with the shard keys.
+  // A shard worker's run of one epoch carries the epoch ordinal so its
+  // journal records are stamped (and its artifact labelled) correctly. Never
+  // part of the merged identity -- MergeJournals strips it with the shard
+  // keys.
   size_t epoch_index = kNoEpoch;
-  // Epoch children: path of the frontier snapshot (FrontierState XML) the
-  // child reseeds its source from before running. Never journaled.
-  std::string frontier_path = {};
   // --- supervision policy (apps/common/shard_supervisor.h) -----------------
   // Execution environment, never campaign identity: none of these enter
   // ToJournalMeta, so a journal recorded under any timeout/retry/failpoint
@@ -171,8 +170,9 @@ struct CampaignSpec {
   std::string ShardJournalPath(size_t shard) const;
 
   // Epoch-protocol artifact paths: the sealed per-epoch shard journal
-  // "<journal_path>.epoch<e>.shard<i>" and the frontier snapshot
-  // "<journal_path>.epoch<e>.frontier" the epoch's children reseed from.
+  // "<journal_path>.epoch<e>.shard<i>" and the snapshot of the frontier
+  // epoch e was scheduled from, "<journal_path>.epoch<e>.frontier" (read
+  // by offline tools, never by a worker).
   std::string EpochShardJournalPath(size_t epoch, size_t shard) const;
   std::string EpochFrontierPath(size_t epoch) const;
 };

@@ -1,25 +1,36 @@
-// Fault-tolerant shard child supervision.
+// Fault-tolerant shard supervision on persistent workers.
 //
-// The orchestration paths in CampaignDriver (plain shard/merge and the epoch
-// protocol) hand their per-shard child specs to this supervisor. Every child
-// is a fork of the orchestrator (util/child_process.h) that runs
-// `runner(spec)`; the supervisor owns its lifecycle:
+// The orchestration loop in CampaignDriver (the epoch protocol, open-loop
+// specs included) hands each epoch's per-shard child specs to this
+// supervisor, with the work it dealt each shard. Every shard has one
+// worker: a fork of the orchestrator (util/child_process.h) that stays alive
+// across Run() calls, so a clean campaign forks each worker once. A Run()
+// sends each worker one request frame -- the fields of the attempt's spec
+// that change between attempts (epoch, journal, resume, failpoints) plus
+// the caller's work payload -- and the worker restores the failpoint state
+// it was forked with, runs `runner(spec, work)` and answers with a status
+// frame. The supervisor owns each attempt's lifecycle:
 //
-//   spawn -> running -> exited 0                            (done)
-//                    -> nonzero exit / killed by signal     -> backoff -> respawn
-//                    -> exit kChildRefusedExitStatus        (failed, never retried)
-//                    -> deadline exceeded -> SIGKILL        -> backoff -> respawn
-//   spawn fails      -> kill + reap started children, run every child
-//                       sequentially in-process (degraded, never fatal)
+//   request -> running -> replied                           (done)
+//                      -> nonzero exit / killed by signal   -> backoff -> fresh fork
+//                      -> bad reply                         -> kill -> backoff -> fresh fork
+//                      -> exit kChildRefusedExitStatus      (failed, never retried)
+//                      -> deadline exceeded -> SIGKILL      -> backoff -> fresh fork
+//   fork fails         -> kill + reap every worker, run every child
+//                         sequentially in-process (degraded, never fatal)
 //
-// Respawns are capped exponential backoff up to Options::max_retries; a
-// respawned child re-checks its journal on disk and resumes it, so the
-// crashed attempt's sealed prefix is salvaged and only unfinished work
-// re-executes -- every record is seeded and dealt deterministically, which is
-// why the final merged journal stays byte-identical to an unfailed run under
-// any failure schedule. Failpoint schedules (CampaignSpec::failpoints) are
-// stripped from respawned children: a retry models a fresh replacement host,
-// not a machine that crashes the same way forever.
+// Respawns are capped exponential backoff up to Options::max_retries, each
+// on a freshly forked worker; a respawned attempt re-checks its journal on
+// disk and resumes it, so the crashed attempt's sealed prefix is salvaged
+// and only unfinished work re-executes -- every record is seeded and dealt
+// deterministically, which is why the final merged journal stays
+// byte-identical to an unfailed run under any failure schedule. Failpoint
+// schedules (CampaignSpec::failpoints) are stripped from respawned attempts:
+// a retry models a fresh replacement host, not a machine that crashes the
+// same way forever. A worker serves a later Run()'s first attempt only when
+// that spec differs from the one it was forked with in the request's
+// fields alone; otherwise, or when it died while idle, a new one is forked.
+// Destroying the supervisor SIGKILLs and reaps its idle workers.
 //
 // The caller must be single-threaded (util/child_process.h).
 
@@ -28,19 +39,22 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/common/campaign_spec.h"
+#include "util/child_process.h"
 
 namespace lfi {
 
 // How a supervised child attempt ended.
 enum class ChildExit {
-  kClean,        // exit(0)
-  kNonZero,      // exited with a nonzero status
-  kSignaled,     // killed by a signal (a crash)
+  kClean,        // the worker replied: the attempt succeeded
+  kNonZero,      // the worker exited before replying
+  kSignaled,     // killed by a signal (a crash), or SIGKILLed for a bad reply
   kTimedOut,     // exceeded its deadline; the supervisor SIGKILLed it
   kSpawnFailed,  // fork itself failed
   kRefused,      // refused its spec deterministically; never retried
@@ -52,8 +66,8 @@ enum class ChildExit {
 // child at its first attempt instead of backing off and respawning.
 inline constexpr int kChildRefusedExitStatus = 78;  // sysexits' EX_CONFIG
 
-// What a ChildRunner throws to report such a refusal (the child process
-// then exits with kChildRefusedExitStatus).
+// What a runner throws to report such a refusal (the worker process then
+// exits with kChildRefusedExitStatus).
 class ChildRefusal : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -76,34 +90,62 @@ class ShardSupervisor {
   // Per-child accounting, for reporting and tests.
   struct Report {
     size_t shard = 0;
-    size_t attempts = 0;  // spawns, including the first
+    size_t attempts = 0;  // attempts in this Run, including the first
     ChildExit last_exit = ChildExit::kClean;
     int status = 0;  // exit code (kNonZero) or signal number (kSignaled/kTimedOut)
     bool ran_in_process = false;  // spawn-failure fallback executed this child
+    // Workers forked for this child in this Run, respawns included; 0 when
+    // its attempt ran on the worker an earlier Run left idle.
+    size_t forks = 0;
   };
 
-  // Runs one child campaign in the calling process: the body of a forked
-  // child, and the spawn-failure fallback. Must be self-contained given the
-  // spec (CampaignDriver::Run is the one used). Returns false on a failure
-  // worth retrying; throws ChildRefusal on one that is not.
+  // Runs one child attempt in the calling process: in the child's worker,
+  // and as the spawn-failure fallback. `work` is the payload Run() was given
+  // for the child ("" when none). Must be self-contained given its inputs
+  // (CampaignDriver's is the one used). Returns false on a failure worth
+  // retrying; throws ChildRefusal on one that is not.
+  using WorkRunner = std::function<bool(const CampaignSpec&, std::string_view work, std::string*)>;
+  // A runner that takes no work payload.
   using ChildRunner = std::function<bool(const CampaignSpec&, std::string*)>;
 
-  ShardSupervisor(Options options, ChildRunner runner)
-      : options_(std::move(options)), runner_(std::move(runner)) {}
+  // Called in this process while the children run: `dispatched` once every
+  // child's first attempt is under way, `finished(i)` as child i's attempt
+  // succeeds, in completion order. Either returning false (with *error)
+  // kills the workers and fails the Run with that error.
+  struct Events {
+    std::function<bool(std::string*)> dispatched;
+    std::function<bool(size_t child, std::string*)> finished;
+  };
 
-  // Supervises one child per spec to completion. False + *error when a child
-  // exhausted its retries (other children still run to completion first, so
-  // their sealed journals survive for resume) or the in-process fallback
-  // failed. `reports`, when given, receives one entry per child.
+  ShardSupervisor(Options options, WorkRunner runner)
+      : options_(std::move(options)), runner_(std::move(runner)) {}
+  ShardSupervisor(Options options, ChildRunner runner);
+
+  // Supervises one attempt per spec to completion, child i on worker i.
+  // False + *error when a child exhausted its retries (other children still
+  // run to completion first, so their sealed journals survive for resume),
+  // the in-process fallback failed, or an event said so. `work`, when not
+  // empty, holds one payload per child. `reports`, when given, receives one
+  // entry per child.
+  bool Run(const std::vector<CampaignSpec>& children, const std::vector<std::string>& work,
+           const Events& events, std::string* error, std::vector<Report>* reports = nullptr);
   bool Run(const std::vector<CampaignSpec>& children, std::string* error,
-           std::vector<Report>* reports = nullptr);
+           std::vector<Report>* reports = nullptr) {
+    return Run(children, {}, {}, error, reports);
+  }
 
  private:
-  bool RunFallback(const std::vector<CampaignSpec>& children, std::string* error,
-                   std::vector<Report>* reports);
+  bool RunFallback(const std::vector<CampaignSpec>& children,
+                   const std::vector<std::string>& work, const Events& events,
+                   std::string* error, std::vector<Report>* reports);
+  // Kills and reaps every worker.
+  void EndWorkers();
 
   Options options_;
-  ChildRunner runner_;
+  WorkRunner runner_;
+  ChildProcesses workers_;  // worker i runs child i
+  // Per worker slot: the spec its live worker was forked with.
+  std::vector<std::optional<CampaignSpec>> forked_with_;
 };
 
 }  // namespace lfi

@@ -235,12 +235,7 @@ ShardSource::ShardSource(ScenarioSource& inner, size_t shard_index, size_t shard
       break;
     }
     for (CampaignJob& job : batch) {
-      size_t index = stream_size_++;
-      if (job.stream_index == CampaignJob::kNoStreamIndex) {
-        // An epoch-mode inner source stamps its own (epoch-global) stream
-        // positions; anything else gets its drain position here.
-        job.stream_index = index;
-      }
+      job.stream_index = stream_size_++;
       if (ScenarioShard(job.scenario, shard_count) != shard_index) {
         continue;
       }
@@ -339,12 +334,10 @@ bool CoverageGuidedSource::Schedule(const Plan& plan, std::vector<CampaignJob>* 
   job.seed = seed | 1;
   // Stamp the job's position in the schedule stream. In a single process the
   // engine's merge index equals this position, so stamping changes nothing;
-  // in an epoch shard child it is what lets MergeJournals restore exact
-  // single-process order (scheduled_ continues from the imported frontier).
+  // in an epoch shard worker's journal it is what lets MergeJournals restore
+  // exact single-process order.
   job.stream_index = scheduled_;
-  if (!options_.open_loop) {
-    in_flight_[job.label] = plan;
-  }
+  in_flight_[job.label] = plan;
   out->push_back(std::move(job));
   ++scheduled_;
   return true;
@@ -352,8 +345,7 @@ bool CoverageGuidedSource::Schedule(const Plan& plan, std::vector<CampaignJob>* 
 
 std::vector<CampaignJob> CoverageGuidedSource::NextBatch(size_t max_jobs) {
   std::vector<CampaignJob> out;
-  while (out.size() < max_jobs && scheduled_ < options_.budget &&
-         (options_.schedule_limit == 0 || scheduled_ < options_.schedule_limit)) {
+  while (out.size() < max_jobs && scheduled_ < options_.budget) {
     Plan plan;
     if (!explore_.empty()) {
       plan = explore_.front();

@@ -139,15 +139,15 @@ class RandomSweepSource : public ScenarioSource {
 };
 
 // Deals an open-loop source's deterministic job stream across shards for
-// multi-process campaigns: drains `inner` up front, keeps only the jobs whose
-// scenario fingerprint (ScenarioShard) lands on `shard_index`, and stamps
-// every kept job's CampaignJob::stream_index with its position in the
-// unsharded stream (a job the inner source already stamped — e.g. an
-// epoch-mode CoverageGuidedSource, whose stream positions continue across
-// epochs — keeps its stamp). Content-keyed dealing means N processes seeded
-// with the same spec compute the same partition with no coordinator, and the
-// recorded stream positions let MergeJournals interleave the per-shard
-// journals back into exact single-process merge order.
+// static multi-process campaigns (`--shard I/N` + merge): drains `inner` up
+// front, keeps only the jobs whose scenario fingerprint (ScenarioShard)
+// lands on `shard_index`, and stamps every kept job's
+// CampaignJob::stream_index with its position in the unsharded stream.
+// Content-keyed dealing means N processes seeded with the same spec compute
+// the same partition with no coordinator, and the recorded stream positions
+// let MergeJournals interleave the per-shard journals back into exact
+// single-process merge order. The orchestrator deals its epochs to its
+// workers the same way.
 //
 // Feedback-driven sources (needs_feedback()) cannot be dealt this way --
 // their schedule depends on results the other shards hold -- so the
@@ -176,12 +176,13 @@ class ShardSource : public ScenarioSource {
 // processes because the analyzer (and the report concatenation order the
 // campaign driver uses) is deterministic for a given binary + profiles.
 //
-// This is the unit of frontier hand-off in epoch-synchronized distributed
-// exploration: the orchestrator exports its master source's state at an
-// epoch boundary, each shard child imports it and re-derives the epoch's job
-// stream open-loop, and a source rebuilt this way is indistinguishable from
-// one that absorbed the merged feedback prefix live (ImportFrontier after
-// ExportFrontier round-trips exactly; operator== is the test hook).
+// The orchestrator of an epoch-synchronized distributed campaign exports
+// its master source's state at every epoch boundary and snapshots it to
+// disk, where `lfi_tool journal doctor` and offline tools find it (its
+// workers get the epoch's jobs, not the frontier). A source rebuilt from a snapshot
+// is indistinguishable from one that absorbed the merged feedback prefix
+// live (ImportFrontier after ExportFrontier round-trips exactly;
+// operator== is the test hook).
 struct FrontierState {
   // Mirrors CoverageGuidedSource's internal plan: a site plus the
   // (retval, errno, call-count) variant to inject there. call_count == 0 =
@@ -203,8 +204,7 @@ struct FrontierState {
 
   bool operator==(const FrontierState& o) const = default;
 
-  // XML round trip (<frontier>), the wire format the orchestrator hands to
-  // epoch shard children.
+  // XML round trip (<frontier>), the on-disk snapshot format.
   void AppendXml(XmlNode* parent) const;
   std::string ToXml() const;
   static std::optional<FrontierState> FromNode(const XmlNode& node,
@@ -226,13 +226,6 @@ class CoverageGuidedSource : public ScenarioSource {
     bool include_checked_sites = true;
     int max_mutations_per_run = 3;  // mutations enqueued per fruitful run
     uint64_t max_call_count = 3;    // call-ordinal mutations try 2..this
-    // Epoch mode (one shard child's slice of a distributed campaign): the
-    // source runs open-loop -- needs_feedback() turns false so ShardSource
-    // accepts it and the engine drains it in one pass -- and stops
-    // scheduling at `schedule_limit` total jobs (0 = no limit), i.e. at the
-    // end of the epoch whose frontier was imported.
-    bool open_loop = false;
-    size_t schedule_limit = 0;
   };
 
   CoverageGuidedSource(std::vector<CallSiteReport> reports, const FaultProfile& profile,
@@ -240,13 +233,12 @@ class CoverageGuidedSource : public ScenarioSource {
 
   std::vector<CampaignJob> NextBatch(size_t max_jobs) override;
   void OnFeedback(const CampaignJob& job, const RunFeedback& feedback) override;
-  bool needs_feedback() const override { return !options_.open_loop; }
+  bool needs_feedback() const override { return true; }
 
   size_t scheduled() const { return scheduled_; }
 
   // Snapshots / replaces the source's mutable state. Export requires
-  // quiescence -- every scheduled job's feedback delivered (or the source
-  // running open-loop, where nothing is ever in flight) -- and throws
+  // quiescence -- every scheduled job's feedback delivered -- and throws
   // std::logic_error otherwise: an in-flight plan is not representable and
   // silently dropping it would fork the schedule.
   FrontierState ExportFrontier() const;

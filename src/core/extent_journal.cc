@@ -513,12 +513,38 @@ std::optional<ExtentHeader> DecodeExtentHeader(std::string_view bytes, uint64_t 
 
 // --- standalone job results -------------------------------------------------
 
+namespace {
+
+// Appends the CRC-32 trailer of a standalone encoding.
+std::string Seal(ByteWriter w) {
+  w.PutU32(Crc32(w.buffer()));
+  return w.TakeBuffer();
+}
+
+// The payload of Seal()'s bytes, or nullopt with *error naming `what`.
+std::optional<std::string_view> Unseal(std::string_view bytes, const char* what,
+                                       std::string* error) {
+  std::string_view payload = bytes.substr(0, bytes.size() < 4 ? 0 : bytes.size() - 4);
+  if (bytes.size() < 4 || Crc32(payload) != ByteReader(bytes.substr(payload.size())).GetU32()) {
+    if (error != nullptr) {
+      *error = bytes.size() < 4 ? std::string("truncated ") + what
+                                : std::string(what) + " checksum mismatch";
+    }
+    return std::nullopt;
+  }
+  return payload;
+}
+
+constexpr uint8_t kJobSkipWhenSaturated = 1;
+constexpr uint8_t kJobCountCalls = 2;
+
+}  // namespace
+
 std::string EncodeJobResult(const JobResult& result) {
   ByteWriter w;
   ExtentStringPool pool;
   EncodeResult(result, &w, &pool);
-  w.PutU32(Crc32(w.buffer()));
-  return w.TakeBuffer();
+  return Seal(std::move(w));
 }
 
 std::optional<JobResult> DecodeJobResult(std::string_view bytes, std::string* error) {
@@ -528,15 +554,11 @@ std::optional<JobResult> DecodeJobResult(std::string_view bytes, std::string* er
     }
     return std::nullopt;
   };
-  if (bytes.size() < 4) {
-    return fail("truncated job result");
+  std::optional<std::string_view> payload = Unseal(bytes, "job result", error);
+  if (!payload) {
+    return std::nullopt;
   }
-  std::string_view payload = bytes.substr(0, bytes.size() - 4);
-  ByteReader trailer(bytes.substr(payload.size()));
-  if (Crc32(payload) != trailer.GetU32()) {
-    return fail("job result checksum mismatch");
-  }
-  ByteReader reader(payload);
+  ByteReader reader(*payload);
   PoolReader pool(&reader);
   JobResult result;
   std::string decode_error;
@@ -547,6 +569,74 @@ std::optional<JobResult> DecodeJobResult(std::string_view bytes, std::string* er
     return fail("trailing bytes after job result");
   }
   return result;
+}
+
+std::optional<std::string> EncodeCampaignJobs(const std::vector<CampaignJob>& jobs,
+                                              std::string* error) {
+  ByteWriter w;
+  ExtentStringPool pool;
+  w.PutVarint(jobs.size());
+  for (const CampaignJob& job : jobs) {
+    if (job.run) {
+      if (error != nullptr) {
+        *error = "job '" + job.label + "' brings its own runner, which cannot be encoded";
+      }
+      return std::nullopt;
+    }
+    pool.Put(job.label, &w);
+    w.PutVarint(job.seed);
+    w.PutVarint(job.stream_index + 1);  // kNoStreamIndex wraps to 0
+    w.PutU8((job.skip_when_saturated ? kJobSkipWhenSaturated : 0) |
+            (job.count_calls ? kJobCountCalls : 0));
+    EncodeScenario(job.scenario, &w, &pool);
+  }
+  return Seal(std::move(w));
+}
+
+std::optional<std::vector<CampaignJob>> DecodeCampaignJobs(std::string_view bytes,
+                                                           std::string* error) {
+  auto fail = [&](std::string what) -> std::optional<std::vector<CampaignJob>> {
+    if (error != nullptr) {
+      *error = std::move(what);
+    }
+    return std::nullopt;
+  };
+  std::optional<std::string_view> payload = Unseal(bytes, "job list", error);
+  if (!payload) {
+    return std::nullopt;
+  }
+  ByteReader reader(*payload);
+  PoolReader pool(&reader);
+  // No reserve: the count is claimed, not known, and every job spends at
+  // least four bytes, so a forged count runs out of input instead.
+  const uint64_t count = reader.GetVarint();
+  std::vector<CampaignJob> jobs;
+  while (reader.ok() && jobs.size() < count) {
+    CampaignJob& job = jobs.emplace_back();
+    if (!pool.Get(&job.label)) {
+      return fail(StrFormat("bad label of job %zu", jobs.size() - 1));
+    }
+    job.seed = reader.GetVarint();
+    job.stream_index = static_cast<size_t>(reader.GetVarint() - 1);
+    const uint8_t flags = reader.GetU8();
+    if ((flags & ~(kJobSkipWhenSaturated | kJobCountCalls)) != 0) {
+      return fail(StrFormat("unknown flags 0x%x on job %zu", flags, jobs.size() - 1));
+    }
+    job.skip_when_saturated = (flags & kJobSkipWhenSaturated) != 0;
+    job.count_calls = (flags & kJobCountCalls) != 0;
+    std::string scenario_error;
+    if (!DecodeScenario(&reader, &pool, &job.scenario, &scenario_error)) {
+      return fail(StrFormat("bad scenario of job %zu: %s", jobs.size() - 1,
+                            scenario_error.c_str()));
+    }
+  }
+  if (!reader.ok()) {
+    return fail("truncated job list");
+  }
+  if (!reader.AtEnd()) {
+    return fail("trailing bytes after job list");
+  }
+  return jobs;
 }
 
 // --- reading ----------------------------------------------------------------

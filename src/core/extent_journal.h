@@ -106,6 +106,22 @@ std::string EncodeJobResult(const JobResult& result);
 // trailing bytes. Never allocates more than the input can describe.
 std::optional<JobResult> DecodeJobResult(std::string_view bytes, std::string* error = nullptr);
 
+// A job list on its own, outside any journal: per job its label, seed,
+// stream_index, skip_when_saturated, count_calls and scenario (the record
+// codec's scenario section), all over one fresh string pool, followed by a
+// CRC-32 of those bytes (the shard supervisor's parent-to-worker wire,
+// apps/common/shard_supervisor.h). A job's `run` is code, not data: nullopt
+// with *error when any job sets one.
+std::optional<std::string> EncodeCampaignJobs(const std::vector<CampaignJob>& jobs,
+                                              std::string* error = nullptr);
+
+// Decodes EncodeCampaignJobs's bytes, treating them as hostile like
+// DecodeJobResult: nullopt with *error on a checksum mismatch, a malformed
+// or truncated job, unknown flag bits, or trailing bytes. Never allocates
+// more than the input can describe.
+std::optional<std::vector<CampaignJob>> DecodeCampaignJobs(std::string_view bytes,
+                                                           std::string* error = nullptr);
+
 // The encoder's half of an extent's string pool (journal-format.md
 // "Strings"; the decoder's half lives in extent_journal.cc): each distinct
 // string gets the next entry on first use, every repeat a back-reference.

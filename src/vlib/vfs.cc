@@ -5,9 +5,9 @@
 namespace lfi {
 namespace {
 
-std::string ParentOf(const std::string& path) {
+std::string_view ParentOf(std::string_view path) {
   size_t pos = path.find_last_of('/');
-  if (pos == std::string::npos || pos == 0) {
+  if (pos == std::string_view::npos || pos == 0) {
     return "/";
   }
   return path.substr(0, pos);
@@ -36,7 +36,7 @@ bool VirtualFs::RmDir(const std::string& path) {
   return true;
 }
 
-bool VirtualFs::DirExists(const std::string& path) const { return dirs_.count(path) != 0; }
+bool VirtualFs::DirExists(std::string_view path) const { return dirs_.contains(path); }
 
 std::vector<std::string> VirtualFs::ListDir(const std::string& path) const {
   std::vector<std::string> out;
@@ -88,7 +88,7 @@ bool VirtualFs::Rename(const std::string& from, const std::string& to) {
   return true;
 }
 
-bool VirtualFs::ParentExists(const std::string& path) const {
+bool VirtualFs::ParentExists(std::string_view path) const {
   return DirExists(ParentOf(path));
 }
 

@@ -13,6 +13,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace lfi {
@@ -31,7 +32,7 @@ class VirtualFs {
   // the caller (no "." / ".." handling -- applications use clean paths).
   bool MkDir(const std::string& path);
   bool RmDir(const std::string& path);          // fails when non-empty
-  bool DirExists(const std::string& path) const;
+  bool DirExists(std::string_view path) const;
   // Names of immediate children (files and dirs) of `path`.
   std::vector<std::string> ListDir(const std::string& path) const;
 
@@ -45,7 +46,7 @@ class VirtualFs {
   bool Rename(const std::string& from, const std::string& to);
 
   // Parent directory must exist for creation to succeed.
-  bool ParentExists(const std::string& path) const;
+  bool ParentExists(std::string_view path) const;
 
   size_t file_count() const { return files_.size(); }
 
@@ -55,7 +56,7 @@ class VirtualFs {
   // target bring-up and restores between jobs.
   struct Snapshot {
     std::map<std::string, VfsFile> files;
-    std::set<std::string> dirs;
+    std::set<std::string, std::less<>> dirs;
   };
   Snapshot TakeSnapshot() const { return {files_, dirs_}; }
   void Restore(const Snapshot& snapshot) {
@@ -65,7 +66,9 @@ class VirtualFs {
 
  private:
   std::map<std::string, VfsFile> files_;
-  std::set<std::string> dirs_;
+  // Transparent comparison: existence checks look up views, never building
+  // a temporary string.
+  std::set<std::string, std::less<>> dirs_;
 };
 
 }  // namespace lfi

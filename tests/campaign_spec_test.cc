@@ -118,7 +118,7 @@ constexpr size_t FieldCount() {
 // A new CampaignSpec field fails here until it is in the schema table
 // (campaign_spec.cc) or set by hand in EveryFlagSetsItsField, and in
 // EveryFieldOffDefault below.
-static_assert(FieldCount<CampaignSpec>() == 23);
+static_assert(FieldCount<CampaignSpec>() == 22);
 
 std::string MetaText(const JournalMetadata& meta) {
   std::string text;
@@ -143,8 +143,7 @@ std::vector<CampaignSpec> GoldenSpecs() {
                    .shard_count = 4});
   specs.push_back({.system = "pbft", .strategy = ExploreStrategy::kCoverage, .budget = 32,
                    .seed = 7, .journal_path = "e.lfij.epoch3.shard1", .resume = true,
-                   .shard_index = 1, .shard_count = 4, .epoch_len = 2, .epoch_index = 3,
-                   .frontier_path = "e.lfij.epoch3.frontier"});
+                   .shard_index = 1, .shard_count = 4, .epoch_len = 2, .epoch_index = 3});
   specs.push_back({.system = "bfs", .strategy = ExploreStrategy::kCoverage, .budget = 96,
                    .journal_path = "b.lfij", .epoch_len = 4});
   specs.push_back({.system = "bind", .strategy = ExploreStrategy::kRandom, .budget = 10,
@@ -198,7 +197,6 @@ CampaignSpec EveryFieldOffDefault() {
           .shard_count = 3,
           .epoch_len = 2,
           .epoch_index = 4,
-          .frontier_path = "f.frontier",
           .child_timeout_ms = 9000,
           .max_retries = 0,
           .backoff_ms = 7,
@@ -229,7 +227,6 @@ TEST(SpecSchema, EveryFlagSetsItsField) {
   // child's coordinates, lfi_tool replay's positional selector.
   parsed.resume = true;
   parsed.epoch_index = 4;
-  parsed.frontier_path = "f.frontier";
   parsed.replay_selector = "3:1";
   EXPECT_TRUE(parsed == want) << MetaText(parsed.ToJournalMeta());
 }

@@ -1,11 +1,11 @@
 // Epoch-synchronized distributed coverage-guided exploration (the epoch
 // protocol in docs/architecture.md): FrontierState round trips exactly, a
 // source reseeded from an exported frontier is indistinguishable from the
-// live-fed one, shard children re-derive the master's epoch enumeration
-// open-loop, and the distributed spawn -> merge -> reseed campaign writes a
-// merged journal byte-identical to the single-process --epoch-len run --
-// at any worker count, under any merge input order, and after killing the
-// orchestrator and resuming from the sealed per-epoch shard journals.
+// live-fed one, and the distributed deal -> run -> merge -> feedback
+// campaign on persistent shard workers writes a merged journal
+// byte-identical to the single-process --epoch-len run -- at any worker
+// count, under any merge input order, and after killing the orchestrator
+// and resuming from the sealed per-epoch shard journals.
 
 #include <gtest/gtest.h>
 
@@ -77,7 +77,7 @@ void ExpectSameOutcome(const CampaignOutcome& a, const CampaignOutcome& b) {
   EXPECT_EQ(a.scenarios_run, b.scenarios_run);
 }
 
-// --- FrontierState: the unit of frontier hand-off ---------------------------
+// --- FrontierState: the epoch-boundary snapshot ------------------------------
 
 // A synthetic analysis small enough to reason about: two profiled functions,
 // four call sites across two enclosing functions and all three check classes.
@@ -191,57 +191,6 @@ TEST(FrontierState, ReseededSourceContinuesExactlyLikeTheLiveOne) {
   EXPECT_TRUE(live.ExportFrontier() == reseeded.ExportFrontier());
 }
 
-TEST(FrontierState, OpenLoopChildReDerivesTheMastersEpochEnumeration) {
-  FaultProfile profile = SyntheticProfile();
-  CoverageGuidedSource::Options options;
-  options.budget = 32;
-  options.seed = 5;
-  CoverageGuidedSource master(SyntheticReports(), profile, options);
-  // Warm up one fed batch so the boundary frontier carries exploit plans and
-  // dedup state, then snapshot it.
-  for (const CampaignJob& job : master.NextBatch(8)) {
-    master.OnFeedback(job, SyntheticFeedback(job));
-  }
-  FrontierState boundary = master.ExportFrontier();
-
-  // The master enumerates one epoch: epoch_len batches with feedback
-  // deferred past the epoch, exactly like the engine's epoch mode.
-  constexpr size_t kEpochLen = 2;
-  constexpr size_t kBatch = CampaignEngine::Options::kDefaultBatchSize;
-  std::vector<CampaignJob> epoch_jobs;
-  for (size_t batch = 0; batch < kEpochLen; ++batch) {
-    std::vector<CampaignJob> jobs = master.NextBatch(kBatch);
-    if (jobs.empty()) {
-      break;
-    }
-    epoch_jobs.insert(epoch_jobs.end(), jobs.begin(), jobs.end());
-  }
-  ASSERT_FALSE(epoch_jobs.empty());
-
-  // A shard child reseeded from the boundary re-derives the same enumeration
-  // open-loop, stopping at the schedule limit without any feedback.
-  CoverageGuidedSource::Options child_options = options;
-  child_options.open_loop = true;
-  child_options.schedule_limit = boundary.scheduled + kEpochLen * kBatch;
-  CoverageGuidedSource child(SyntheticReports(), profile, child_options);
-  EXPECT_FALSE(child.needs_feedback());
-  child.ImportFrontier(boundary);
-  std::vector<CampaignJob> child_jobs;
-  while (true) {
-    std::vector<CampaignJob> jobs = child.NextBatch(kBatch);
-    if (jobs.empty()) {
-      break;
-    }
-    child_jobs.insert(child_jobs.end(), jobs.begin(), jobs.end());
-  }
-  ASSERT_EQ(child_jobs.size(), epoch_jobs.size());
-  for (size_t i = 0; i < epoch_jobs.size(); ++i) {
-    EXPECT_EQ(child_jobs[i].label, epoch_jobs[i].label) << i;
-    EXPECT_EQ(child_jobs[i].seed, epoch_jobs[i].seed) << i;
-    EXPECT_EQ(child_jobs[i].stream_index, epoch_jobs[i].stream_index) << i;
-  }
-}
-
 TEST(FrontierState, ExportRefusesWithFeedbackOutstanding) {
   FaultProfile profile = SyntheticProfile();
   CoverageGuidedSource::Options options;
@@ -289,6 +238,10 @@ TEST(EpochExplore, DistributedRunIsByteIdenticalToSingleProcess) {
     ExpectSameOutcome(*single, *distributed);
     EXPECT_EQ(distributed->shards.size(), shards);
     EXPECT_EQ(ReadFile(path), single_bytes) << "shards=" << shards;
+    // One persistent worker per shard ran every epoch.
+    for (const ShardOutcome& shard : distributed->shards) {
+      EXPECT_EQ(shard.workers, 1u) << "shards=" << shards;
+    }
   }
 }
 

@@ -607,6 +607,159 @@ TEST(JobResultCodec, ForgedHugeVarintsAreRejectedWithoutAllocating) {
   }
 }
 
+// --- standalone job lists (the shard supervisor's pipe) ---------------------
+
+std::vector<CampaignJob> SampleJobs(Rng& rng, size_t count) {
+  std::vector<CampaignJob> jobs;
+  for (size_t i = 0; i < count; ++i) {
+    CampaignJob job;
+    job.scenario = RandomScenario(rng);
+    job.label = StrFormat("job-%zu ", i) + NastyString(rng);
+    job.seed = rng.Next();
+    job.stream_index = rng.Chance(0.8) ? rng.NextBelow(1000) : CampaignJob::kNoStreamIndex;
+    job.skip_when_saturated = rng.Chance(0.5);
+    job.count_calls = rng.Chance(0.5);
+    jobs.push_back(std::move(job));
+  }
+  return jobs;
+}
+
+TEST(CampaignJobsCodec, EveryFieldRoundTrips) {
+  Rng rng(41);
+  for (size_t count : {size_t{0}, size_t{1}, size_t{9}}) {
+    SCOPED_TRACE(count);
+    std::vector<CampaignJob> jobs = SampleJobs(rng, count);
+    std::string error;
+    std::optional<std::string> bytes = EncodeCampaignJobs(jobs, &error);
+    ASSERT_TRUE(bytes.has_value()) << error;
+    std::optional<std::vector<CampaignJob>> got = DecodeCampaignJobs(*bytes, &error);
+    ASSERT_TRUE(got.has_value()) << error;
+    ASSERT_EQ(got->size(), jobs.size());
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      const CampaignJob& want = jobs[i];
+      const CampaignJob& job = (*got)[i];
+      EXPECT_EQ(job.label, want.label) << i;
+      EXPECT_EQ(job.seed, want.seed) << i;
+      EXPECT_EQ(job.stream_index, want.stream_index) << i;
+      EXPECT_EQ(job.skip_when_saturated, want.skip_when_saturated) << i;
+      EXPECT_EQ(job.count_calls, want.count_calls) << i;
+      EXPECT_EQ(job.scenario.ToXml(), want.scenario.ToXml()) << i;
+      EXPECT_FALSE(job.run) << i;
+    }
+    EXPECT_EQ(EncodeCampaignJobs(*got), bytes);
+  }
+}
+
+TEST(CampaignJobsCodec, RefusesAJobThatBringsItsOwnRunner) {
+  Rng rng(42);
+  std::vector<CampaignJob> jobs = SampleJobs(rng, 3);
+  jobs[1].run = [](const CampaignJob&) { return JobResult{}; };
+  std::string error;
+  EXPECT_FALSE(EncodeCampaignJobs(jobs, &error).has_value());
+  EXPECT_NE(error.find("runner"), std::string::npos) << error;
+}
+
+// Hostile input, seeded: every prefix, every single-bit flip, then random
+// mutations resealed with a valid checksum (so they reach the decoder
+// itself) and forged huge counts and lengths. Each ends in a clean error or
+// a well-formed list -- never a crash -- and no input makes the decoder
+// allocate 1 MiB.
+TEST(CampaignJobsCodec, HostileInputEndsInACleanError) {
+  Rng rng(43);
+  const std::string bytes = *EncodeCampaignJobs(SampleJobs(rng, 5));
+  auto expect_refused = [](const std::string& input, const std::string& what) {
+    largest_allocation = 0;
+    std::string error;
+    EXPECT_FALSE(DecodeCampaignJobs(input, &error).has_value()) << what;
+    EXPECT_FALSE(error.empty()) << what;
+    EXPECT_LT(largest_allocation.load(), size_t{1} << 20) << what;
+  };
+  for (size_t length = 0; length < bytes.size(); ++length) {
+    expect_refused(bytes.substr(0, length), StrFormat("truncated at %zu", length));
+  }
+  expect_refused(bytes + '\0', "extended");
+  for (size_t offset = 0; offset < bytes.size(); ++offset) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[offset] = static_cast<char>(flipped[offset] ^ (1 << bit));
+      expect_refused(flipped, StrFormat("bit %d of byte %zu", bit, offset));
+    }
+  }
+
+  auto seal = [](std::string_view payload) {
+    ByteWriter sealed;
+    sealed.PutBytes(payload);
+    sealed.PutU32(Crc32(payload));
+    return sealed.TakeBuffer();
+  };
+  const std::string payload = bytes.substr(0, bytes.size() - 4);
+  for (int round = 0; round < 4000; ++round) {
+    std::string mutated = payload;
+    size_t at = rng.NextBelow(mutated.size());
+    switch (rng.NextBelow(4)) {
+      case 0:  // overwrite a byte
+        mutated[at] = static_cast<char>(rng.NextBelow(256));
+        break;
+      case 1:  // cut the tail
+        mutated.resize(at);
+        break;
+      case 2: {  // a forged varint, up to 2^63, spliced in
+        ByteWriter forged;
+        forged.PutVarint(rng.Next() >> rng.NextBelow(64));
+        mutated.insert(at, forged.buffer());
+        break;
+      }
+      default: {  // duplicate a slice
+        size_t length = rng.NextBelow(mutated.size() - at + 1);
+        mutated.insert(at, mutated.substr(at, length));
+        break;
+      }
+    }
+    largest_allocation = 0;
+    std::string error;
+    std::optional<std::vector<CampaignJob>> got = DecodeCampaignJobs(seal(mutated), &error);
+    EXPECT_TRUE(got.has_value() || !error.empty()) << round;
+    EXPECT_LT(largest_allocation.load(), size_t{1} << 20) << round << ": " << error;
+  }
+
+  const uint64_t huge = uint64_t{1} << 62;
+  {
+    ByteWriter w;  // 2^62 jobs, none present
+    w.PutVarint(huge);
+    expect_refused(seal(w.buffer()), "forged job count");
+  }
+  {
+    ByteWriter w;  // one job whose label claims 2^62 bytes
+    w.PutVarint(1);
+    w.PutVarint(0);
+    w.PutVarint(huge);
+    expect_refused(seal(w.buffer()), "forged label length");
+  }
+  {
+    ByteWriter w;  // one job whose scenario claims 2^62 triggers
+    w.PutVarint(1);
+    w.PutVarint(0);
+    w.PutVarint(0);  // "" label
+    w.PutVarint(1);  // seed
+    w.PutVarint(0);  // no stream index
+    w.PutU8(0);
+    w.PutVarint(huge);
+    expect_refused(seal(w.buffer()), "forged trigger count");
+  }
+  {
+    ByteWriter w;  // unknown flag bits
+    w.PutVarint(1);
+    w.PutVarint(0);
+    w.PutVarint(0);
+    w.PutVarint(1);
+    w.PutVarint(0);
+    w.PutU8(0x80);
+    w.PutVarint(0);
+    w.PutVarint(0);
+    expect_refused(seal(w.buffer()), "unknown flags");
+  }
+}
+
 // --- the primitives ----------------------------------------------------------
 
 TEST(BinaryIo, VarintAndZigZagRoundTrip) {

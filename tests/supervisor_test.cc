@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -200,6 +201,76 @@ TEST(ShardSupervisor, RefusedChildFailsAtItsFirstAttempt) {
     EXPECT_EQ(report.attempts, 1u);
     EXPECT_EQ(report.last_exit, ChildExit::kRefused);
     EXPECT_EQ(report.status, kChildRefusedExitStatus);
+  }
+}
+
+// Workers outlive a Run(): the next Run() whose specs differ only in the
+// request's fields (epoch, journal, resume, failpoints) runs on the same
+// workers, each attempt on its child's work payload.
+TEST(ShardSupervisor, WorkersPersistAcrossRuns) {
+  ShardSupervisor::Options options;
+  options.max_retries = 0;
+  ShardSupervisor supervisor(
+      options, [](const CampaignSpec& spec, std::string_view work, std::string* error) {
+        if (work != spec.journal_path + "#work") {
+          *error = "attempt got the wrong work: " + std::string(work);
+          return false;
+        }
+        return true;
+      });
+  std::vector<CampaignSpec> children(2);
+  for (size_t epoch = 0; epoch < 3; ++epoch) {
+    std::vector<std::string> work;
+    for (size_t shard = 0; shard < children.size(); ++shard) {
+      children[shard].shard_index = shard;
+      children[shard].epoch_index = epoch;
+      children[shard].journal_path = TempPath(StrFormat("supervisor_persist_e%zu_s%zu", epoch,
+                                                        shard));
+      work.push_back(children[shard].journal_path + "#work");
+    }
+    std::string error;
+    std::vector<ShardSupervisor::Report> reports;
+    ASSERT_TRUE(supervisor.Run(children, work, {}, &error, &reports)) << error;
+    for (const ShardSupervisor::Report& report : reports) {
+      EXPECT_EQ(report.attempts, 1u);
+      EXPECT_EQ(report.forks, epoch == 0 ? 1u : 0u) << "epoch " << epoch;
+    }
+  }
+  // A spec that differs in more than the request carries gets a new worker.
+  children[0].seed = 99;
+  std::vector<ShardSupervisor::Report> reports;
+  std::string error;
+  ASSERT_TRUE(supervisor.Run(children, {children[0].journal_path + "#work",
+                                        children[1].journal_path + "#work"},
+                             {}, &error, &reports))
+      << error;
+  EXPECT_EQ(reports[0].forks, 1u);
+  EXPECT_EQ(reports[1].forks, 0u);
+}
+
+// Every attempt starts from the failpoint state its worker was forked
+// with, as a fresh fork would: a one-shot failpoint consumed in epoch 0
+// fires again in epoch 1 on the same worker.
+TEST(ShardSupervisor, FailpointConsumedInOneEpochDoesNotCarryIntoTheNext) {
+  FailpointGuard guard;
+  std::string error;
+  ASSERT_TRUE(Failpoints::Instance().Arm("probe=error", &error)) << error;
+  ShardSupervisor::Options options;
+  options.max_retries = 0;
+  ShardSupervisor supervisor(options, [](const CampaignSpec&, std::string* error) {
+    if (!Failpoints::Instance().Fire("probe")) {
+      *error = "the one-shot failpoint did not fire";
+      return false;
+    }
+    return true;
+  });
+  std::vector<CampaignSpec> children(1);
+  children[0].failpoints = "probe=error";  // non-empty: the attempt keeps its registry
+  for (size_t epoch = 0; epoch < 2; ++epoch) {
+    children[0].epoch_index = epoch;
+    std::vector<ShardSupervisor::Report> reports;
+    ASSERT_TRUE(supervisor.Run(children, &error, &reports)) << "epoch " << epoch << ": " << error;
+    EXPECT_EQ(reports[0].forks, epoch == 0 ? 1u : 0u);
   }
 }
 
@@ -414,6 +485,35 @@ TEST(ChaosRecovery, RetryExhaustionFailsLoudlyAndResumeSalvagesTheRun) {
   auto resumed = RunDriver(resume, &error);
   ASSERT_TRUE(resumed.has_value()) << error;
   EXPECT_EQ(ReadFile(path), golden);
+}
+
+// A clean 4-shard campaign forks one worker per shard for all its epochs,
+// and CI's chaos schedule -- two workers killed at the start of their
+// epoch, one after its first record -- costs exactly one more fork per
+// killed attempt and still merges to the unfailed single-process bytes.
+TEST(ChaosRecovery, CiScheduleOnPersistentWorkersMatchesSingleProcess) {
+  const std::string& golden = GoldenBytes();
+  for (bool chaos : {false, true}) {
+    SCOPED_TRACE(chaos ? "chaos" : "clean");
+    FailpointGuard guard;
+    std::string path = TempPath("supervisor_ci_chaos.lfij");
+    RemoveArtifacts(path, 4);
+    CampaignSpec spec = ChaosSpec(path, 4);
+    if (chaos) {
+      spec.failpoints =
+          "epoch0.shard1:child.start=exit:9,epoch1.shard3:child.start=exit:9,"
+          "epoch1.shard0:engine.record=exit:9@1";
+    }
+    std::string error;
+    auto outcome = RunDriver(spec, &error);
+    ASSERT_TRUE(outcome.has_value()) << error;
+    EXPECT_EQ(ReadFile(path), golden);
+    ASSERT_EQ(outcome->shards.size(), 4u);
+    for (size_t shard = 0; shard < 4; ++shard) {
+      bool killed = chaos && shard != 2;
+      EXPECT_EQ(outcome->shards[shard].workers, killed ? 2u : 1u) << "shard " << shard;
+    }
+  }
 }
 
 TEST(ChaosRecovery, ForkFailureFallsBackToInProcessExecution) {
