@@ -4,9 +4,12 @@
 // correct if it leaves every outcome unchanged, and a journal digest pins all
 // of it at once: which injections ran, where, what each run found, and the
 // coverage it reached. The digests do not depend on the worker count.
-// Budget 64 pins all five targets; budget 400 (campaign_bench small-sweep's
-// budget) pins the cheap targets, whose journals the merge point encodes
-// fastest and whose inert-job share is largest.
+// Budget 64 pins all five targets. Budget 400 pins all five too: for git,
+// mysql and bind it is campaign_bench small-sweep's spec, whose journals the
+// merge point encodes fastest and whose inert-job share is largest; for pbft
+// and bfs it is the pbft-random workload's spec and the recording replay
+// replays, so every datagram those workloads push through the pbft wire
+// codec and the virtual fabric is pinned by its outcome.
 
 #include <gtest/gtest.h>
 
@@ -63,6 +66,12 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Golden{"git", 400, "cb9fd2727ca4912525034134c29be13adf3e63b6"},
                       Golden{"mysql", 400, "9f968e04d21717da18a0bda79c83120200bf9eaa"},
                       Golden{"bind", 400, "b35d91d90332e918955da3033733a3002039010e"}),
+    [](const ::testing::TestParamInfo<Golden>& info) { return std::string(info.param.system); });
+
+INSTANTIATE_TEST_SUITE_P(
+    NetworkBudget, GoldenOutcome,
+    ::testing::Values(Golden{"pbft", 400, "1cb65a5842e8b68d87085bd84c7158a0921c227a"},
+                      Golden{"bfs", 400, "f374f76208a0664555f9f4d31fd8690a60668f25"}),
     [](const ::testing::TestParamInfo<Golden>& info) { return std::string(info.param.system); });
 
 }  // namespace
