@@ -1,5 +1,6 @@
 #include "apps/pbft/pbft.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "apps/pbft/wire.h"
@@ -12,8 +13,11 @@ namespace lfi {
 namespace {
 
 using pbft_wire::AppendJoined;
-using pbft_wire::WireMessage;
+using pbft_wire::DecodeWire;
+using pbft_wire::Wire;
+using pbft_wire::WireFields;
 using pbft_wire::WireNumber;
+using pbft_wire::WireType;
 
 template <SiteName kName>
 uint32_t Site() {
@@ -38,9 +42,8 @@ std::string Digest(std::string_view payload) { return Sha1::HexDigest(payload).s
 constexpr int kKeyStretchRounds = 1536;
 
 std::string DeriveSessionKey(int port_a, int port_b) {
-  std::string key;
-  WireMessage(&key, "pbft-session-key", port_a < port_b ? port_a : port_b,
-              port_a < port_b ? port_b : port_a);
+  const Wire pair("pbft-session-key", std::min(port_a, port_b), std::max(port_a, port_b));
+  std::string key(pair.view());
   for (int round = 0; round < kKeyStretchRounds; ++round) {
     key = Sha1::HexDigest(key);
   }
@@ -147,14 +150,14 @@ bool PbftReplica::Start() {
   return true;
 }
 
-void PbftReplica::SendTo(int port, const std::string& msg) {
+void PbftReplica::SendTo(int port, std::string_view msg) {
   ScopedFrame frame(&libc_.stack(), kModule, "send_message");
   frame.set_offset(Site<"pbft.replica.sendto">());
   // Fire-and-forget (release build): result intentionally unchecked.
   libc_.SendTo(fd_, msg.data(), msg.size(), port);
 }
 
-void PbftReplica::Multicast(const std::string& msg) {
+void PbftReplica::Multicast(std::string_view msg) {
   for (int i = 0; i < config_.n; ++i) {
     if (i != id_) {
       SendTo(kPbftBasePort + i, msg);
@@ -230,66 +233,47 @@ void PbftReplica::Step() {
 }
 
 void PbftReplica::HandleMessage(std::string_view msg, int src_port) {
-  // The fields are views into the receive buffer; no message is copied
-  // before it is understood.
-  std::string_view parts[5];
-  size_t count = SplitViews(msg, '|', parts);
-  std::string_view type = parts[0];
-  if (type == "REQ" && count >= 4) {
-    auto client_port = WireNumber(parts[3]);
-    if (client_port) {
-      bool forwarded = count >= 5 && parts[4] == "1";
-      OnRequest(parts[2], static_cast<int>(*client_port), forwarded);
-    }
-  } else if (type == "PP" && count >= 5) {
-    auto view = WireNumber(parts[1]);
-    auto seq = WireNumber(parts[2]);
-    if (view && seq) {
-      OnPrePrepare(static_cast<int>(*view), *seq, parts[3], parts[4]);
-    }
-  } else if ((type == "P" || type == "C") && count >= 5) {
-    auto view = WireNumber(parts[1]);
-    auto seq = WireNumber(parts[2]);
-    auto replica = WireNumber(parts[4]);
-    if (view && seq && replica) {
-      auto phase = type == "P" ? &PbftReplica::OnPrepare : &PbftReplica::OnCommit;
-      (this->*phase)(static_cast<int>(*view), *seq, parts[3], static_cast<int>(*replica),
-                     src_port);
-    }
-  } else if (type == "FETCH" && count >= 3) {
-    // Missing-message retrieval (PBFT's message/state-transfer mechanism):
-    // answer with the pre-prepare if we hold the payload.
-    auto seq = WireNumber(parts[1]);
-    auto requester = WireNumber(parts[2]);
-    if (seq && requester) {
-      if (*seq <= low_watermark_) {
-        SendStateTo(kPbftBasePort + static_cast<int>(*requester));
+  // One pass over the datagram; the text fields are views into the receive
+  // buffer, so no message is copied before it is understood.
+  const WireFields m = DecodeWire(msg);
+  switch (m.type) {
+    case WireType::kRequest:
+      OnRequest(m.payload, static_cast<int>(m.port), m.forwarded);
+      break;
+    case WireType::kPrePrepare:
+      OnPrePrepare(static_cast<int>(m.view), m.seq, m.digest, m.payload);
+      break;
+    case WireType::kPrepare:
+      OnPrepare(static_cast<int>(m.view), m.seq, m.digest, static_cast<int>(m.replica), src_port);
+      break;
+    case WireType::kCommit:
+      OnCommit(static_cast<int>(m.view), m.seq, m.digest, static_cast<int>(m.replica), src_port);
+      break;
+    case WireType::kFetch:
+      // Missing-message retrieval (PBFT's message/state-transfer mechanism):
+      // answer with the pre-prepare if we hold the payload.
+      if (m.seq <= low_watermark_) {
+        SendStateTo(kPbftBasePort + static_cast<int>(m.replica));
       } else {
-        auto it = log_.find(*seq);
+        auto it = log_.find(m.seq);
         if (it != log_.end() && it->second.request != nullptr) {
-          SendTo(kPbftBasePort + static_cast<int>(*requester),
-                 WireMessage(&wire_, "PP", view_, *seq, it->second.digest,
-                             *it->second.request));
+          SendTo(kPbftBasePort + static_cast<int>(m.replica),
+                 Wire("PP", view_, m.seq, it->second.digest, *it->second.request));
         }
       }
-    }
-  } else if (type == "STATE" && count >= 4) {
-    auto executed = WireNumber(parts[1]);
-    auto view = WireNumber(parts[3]);
-    if (executed && view) {
-      OnStateTransfer(*executed, parts[2], static_cast<int>(*view));
-    }
-  } else if (type == "VC" && count >= 3) {
-    auto view = WireNumber(parts[1]);
-    auto replica = WireNumber(parts[2]);
-    if (view && replica) {
-      OnViewChange(static_cast<int>(*view), static_cast<int>(*replica));
-    }
-  } else if (type == "NV" && count >= 3) {
-    auto view = WireNumber(parts[1]);
-    if (view) {
-      OnNewView(static_cast<int>(*view), parts[2]);
-    }
+      break;
+    case WireType::kState:
+      OnStateTransfer(m.seq, m.digest, static_cast<int>(m.view));
+      break;
+    case WireType::kViewChange:
+      OnViewChange(static_cast<int>(m.view), static_cast<int>(m.replica));
+      break;
+    case WireType::kNewView:
+      OnNewView(static_cast<int>(m.view), m.payload);
+      break;
+    case WireType::kReply:  // the client's, not a replica's
+    case WireType::kDrop:   // truncated or garbled: dropped whole
+      break;
   }
 }
 
@@ -308,7 +292,7 @@ void PbftReplica::OnRequest(std::string_view payload, int client_port, bool forw
     if (!forwarded) {
       // Client broadcast: relay to the primary and start suspecting it.
       SendTo(kPbftBasePort + (view_ % config_.n),
-             WireMessage(&wire_, "REQ", 0, payload, client_port, 1));
+             Wire("REQ", 0, payload, client_port, 1));
     }
     return;
   }
@@ -316,7 +300,7 @@ void PbftReplica::OnRequest(std::string_view payload, int client_port, bool forw
   for (auto& [seq, st] : log_) {
     if (st.digest == digest) {
       if (st.request != nullptr) {
-        Multicast(WireMessage(&wire_, "PP", view_, seq, digest, *st.request));
+        Multicast(Wire("PP", view_, seq, digest, *st.request));
       }
       return;
     }
@@ -327,7 +311,7 @@ void PbftReplica::OnRequest(std::string_view payload, int client_port, bool forw
   st.request = std::make_unique<std::string>(payload);
   st.pre_prepared = true;
   st.prepares.insert(id_);
-  Multicast(WireMessage(&wire_, "PP", view_, seq, digest, *st.request));
+  Multicast(Wire("PP", view_, seq, digest, *st.request));
 }
 
 void PbftReplica::CatchUpView(int view) {
@@ -347,7 +331,7 @@ void PbftReplica::SendStateTo(int port) {
   if (port < 0) {
     return;
   }
-  SendTo(port, WireMessage(&wire_, "STATE", low_watermark_, checkpoint_digest_, view_));
+  SendTo(port, Wire("STATE", low_watermark_, checkpoint_digest_, view_));
 }
 
 void PbftReplica::OnStateTransfer(int64_t executed, std::string_view digest, int view) {
@@ -392,7 +376,7 @@ void PbftReplica::OnPrePrepare(int view, int64_t seq, std::string_view digest,
   if (seq > next_seq_) {
     next_seq_ = seq;
   }
-  Multicast(WireMessage(&wire_, "P", view_, seq, digest, id_));
+  Multicast(Wire("P", view_, seq, digest, id_));
   OnPrepare(view_, seq, digest, id_, -1);
 }
 
@@ -413,7 +397,7 @@ void PbftReplica::OnPrepare(int view, int64_t seq, std::string_view digest, int 
   if (st.executed && src_port >= 0) {
     // The sender lags behind on a sequence we already executed: gossip our
     // commit back so it can assemble its certificate.
-    SendTo(src_port, WireMessage(&wire_, "C", view_, seq, st.digest, id_));
+    SendTo(src_port, Wire("C", view_, seq, st.digest, id_));
     return;
   }
   st.digest = digest;
@@ -421,7 +405,7 @@ void PbftReplica::OnPrepare(int view, int64_t seq, std::string_view digest, int 
   // prepared(m, v, n): 2f prepares matching the pre-prepare.
   if (static_cast<int>(st.prepares.size()) >= 2 * config_.f && st.commits.count(id_) == 0) {
     st.commits.insert(id_);
-    Multicast(WireMessage(&wire_, "C", view_, seq, digest, id_));
+    Multicast(Wire("C", view_, seq, digest, id_));
     OnCommit(view, seq, digest, id_, -1);
   }
 }
@@ -441,7 +425,7 @@ void PbftReplica::OnCommit(int view, int64_t seq, std::string_view digest, int r
     return;
   }
   if (st.executed && src_port >= 0) {
-    SendTo(src_port, WireMessage(&wire_, "C", view_, seq, st.digest, id_));
+    SendTo(src_port, Wire("C", view_, seq, st.digest, id_));
     return;
   }
   st.digest = digest;
@@ -475,9 +459,9 @@ void PbftReplica::TryExecute() {
     if (SplitViews(*st.request, '#', fields) >= 2) {
       auto port = WireNumber(fields[1]);
       if (port) {
-        SendTo(static_cast<int>(*port),
-               WireMessage(&wire_, "REPLY", view_, fields[0], id_, state_digest_));
-        reply_cache_[st.digest] = {static_cast<int>(*port), wire_};
+        const Wire reply("REPLY", view_, fields[0], id_, state_digest_);
+        SendTo(static_cast<int>(*port), reply);
+        reply_cache_[st.digest] = {static_cast<int>(*port), std::string(reply.view())};
       }
     }
     pending_client_.erase(st.digest);
@@ -523,7 +507,7 @@ void PbftReplica::StartViewChange() {
   coverage_.Hit(kBlkPbftViewchangeStart);
   view_change_sent_ = true;
   view_change_votes_.insert(id_);
-  Multicast(WireMessage(&wire_, "VC", view_ + 1, id_));
+  Multicast(Wire("VC", view_ + 1, id_));
   OnViewChange(view_ + 1, id_);
 }
 
@@ -574,11 +558,11 @@ void PbftReplica::BecomePrimaryOfNewView() {
     carried.push_back(';');
     st.prepares.insert(id_);
   }
-  Multicast(WireMessage(&wire_, "NV", view_, carried));
+  Multicast(Wire("NV", view_, carried));
   // Re-propose the carried requests under the new view.
   for (auto& [seq, st] : log_) {
     if (!st.executed && st.request != nullptr) {
-      Multicast(WireMessage(&wire_, "PP", view_, seq, st.digest, *st.request));
+      Multicast(Wire("PP", view_, seq, st.digest, *st.request));
     }
   }
 }
@@ -614,7 +598,7 @@ void PbftReplica::Retransmit() {
   if (view_change_sent_) {
     // Keep announcing the vote until the view change completes; lost VC
     // messages must not wedge the protocol.
-    Multicast(WireMessage(&wire_, "VC", view_ + 1, id_));
+    Multicast(Wire("VC", view_ + 1, id_));
   }
   // Re-multicast the highest-phase message for every incomplete sequence, so
   // the protocol makes progress under heavy message loss.
@@ -627,16 +611,16 @@ void PbftReplica::Retransmit() {
       // fetch it from the peers (PBFT message retrieval).
       static const CoverageMap::BlockId kBlkPbftFetchMissingPayload = CoverageMap::InternBlock("pbft.fetch.missing_payload");
       coverage_.Hit(kBlkPbftFetchMissingPayload);
-      Multicast(WireMessage(&wire_, "FETCH", seq, id_));
+      Multicast(Wire("FETCH", seq, id_));
       continue;
     }
     if (st.commits.count(id_) != 0) {
-      Multicast(WireMessage(&wire_, "C", view_, seq, st.digest, id_));
+      Multicast(Wire("C", view_, seq, st.digest, id_));
     } else if (st.pre_prepared) {
       if (is_primary() && st.request != nullptr) {
-        Multicast(WireMessage(&wire_, "PP", view_, seq, st.digest, *st.request));
+        Multicast(Wire("PP", view_, seq, st.digest, *st.request));
       } else {
-        Multicast(WireMessage(&wire_, "P", view_, seq, st.digest, id_));
+        Multicast(Wire("P", view_, seq, st.digest, id_));
       }
     }
   }
@@ -759,18 +743,13 @@ void PbftClient::Step() {
     if (session_keys_.find(src_port) == session_keys_.end()) {
       continue;
     }
-    std::string_view parts[4];
-    size_t count = SplitViews(std::string_view(buf, static_cast<size_t>(n)), '|', parts);
-    if (count >= 4 && parts[0] == "REPLY") {
-      auto ts = WireNumber(parts[2]);
-      auto replica = WireNumber(parts[3]);
-      if (ts && replica && *ts == timestamp_) {
-        reply_votes_.insert(static_cast<int>(*replica));
-        if (static_cast<int>(reply_votes_.size()) >= config_.f + 1) {
-          ++completed_;
-          outstanding_ = false;
-          reply_votes_.clear();
-        }
+    const WireFields m = DecodeWire(std::string_view(buf, static_cast<size_t>(n)));
+    if (m.type == WireType::kReply && m.seq == timestamp_) {
+      reply_votes_.insert(static_cast<int>(m.replica));
+      if (static_cast<int>(reply_votes_.size()) >= config_.f + 1) {
+        ++completed_;
+        outstanding_ = false;
+        reply_votes_.clear();
       }
     }
   }
@@ -784,8 +763,8 @@ void PbftClient::Step() {
     outstanding_ = true;
     broadcast_mode_ = false;
     ticks_since_send_ = 0;
-    const std::string& msg = RequestMessage();
-    libc_.SendTo(fd_, msg.data(), msg.size(), kPbftBasePort);  // view-0 primary
+    const Wire msg = RequestMessage();
+    libc_.SendTo(fd_, msg.view().data(), msg.view().size(), kPbftBasePort);  // view-0 primary
     return;
   }
 
@@ -794,18 +773,18 @@ void PbftClient::Step() {
   if (++ticks_since_send_ >= 4) {
     ticks_since_send_ = 0;
     broadcast_mode_ = true;
-    const std::string& msg = RequestMessage();
+    const Wire msg = RequestMessage();
     for (int i = 0; i < config_.n; ++i) {
-      libc_.SendTo(fd_, msg.data(), msg.size(), kPbftBasePort + i);
+      libc_.SendTo(fd_, msg.view().data(), msg.view().size(), kPbftBasePort + i);
     }
   }
 }
 
-const std::string& PbftClient::RequestMessage() {
+Wire PbftClient::RequestMessage() const {
   // Request payload "<timestamp>#<client_port>#op", carried in "REQ|0|...|<port>|0".
   std::string payload;
   AppendJoined(&payload, '#', timestamp_, kPbftClientPort, "op");
-  return WireMessage(&wire_, "REQ", 0, payload, kPbftClientPort, 0);
+  return Wire("REQ", 0, payload, kPbftClientPort, 0);
 }
 
 // --- PbftCluster -----------------------------------------------------------------

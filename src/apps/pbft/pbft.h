@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "apps/common/app_binary.h"
+#include "apps/pbft/wire.h"
 #include "coverage/coverage.h"
 #include "vlib/sim_crash.h"
 #include "vlib/virtual_libc.h"
@@ -97,8 +98,8 @@ class PbftReplica {
     bool executed = false;
   };
 
-  void Multicast(const std::string& msg);
-  void SendTo(int port, const std::string& msg);
+  void Multicast(std::string_view msg);
+  void SendTo(int port, std::string_view msg);
   // Parses one datagram in place (string_views into the receive buffer) and
   // dispatches it; truncated or garbled messages are dropped.
   void HandleMessage(std::string_view msg, int src_port);
@@ -147,9 +148,6 @@ class PbftReplica {
   int view_changes_ = 0;
   std::string state_digest_ = "genesis";
   std::string checkpoint_digest_ = "genesis";
-  // Send buffer every outgoing message is built into (pbft_wire::WireMessage);
-  // scratch with no state of its own, so it is not in the snapshot.
-  std::string wire_;
 };
 
 // Out-of-class so it can name the private SeqState (member type has access).
@@ -222,8 +220,8 @@ class PbftClient {
   }
 
  private:
-  // Builds the REQ for the current timestamp into wire_.
-  const std::string& RequestMessage();
+  // The REQ for the current timestamp.
+  pbft_wire::Wire RequestMessage() const;
 
   VirtualLibc libc_;
   PbftConfig config_;
@@ -236,7 +234,6 @@ class PbftClient {
   std::set<int> reply_votes_;
   int completed_ = 0;
   int max_requests_ = 0;
-  std::string wire_;  // send buffer, like PbftReplica's
 };
 
 // Harness: a full cluster plus one client, stepped in lockstep.

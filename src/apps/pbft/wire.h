@@ -1,11 +1,14 @@
 // PBFT's wire codec.
 //
 // Every protocol message is one '|'-joined datagram, "TYPE|field|field|...".
-// The builders below print an integer in decimal and a text field up to its
+// The send side writes a message once, left to right, into its final
+// storage: Wire prints an integer in decimal and a text field up to its
 // first NUL -- byte for byte what the printf forms "%d", "%lld", "%s" and
-// "%.*s" printed, without the format parse or a heap string per message:
-// WireMessage rebuilds into a caller-owned buffer that keeps its capacity.
-// WireNumber is the receive side's parser for numeric fields.
+// "%.*s" printed, without the format parse or a heap string per message.
+// The receive side, DecodeWire, reads a datagram in one left-to-right pass:
+// a switch on the type tag picks the message's fields, numbers accumulate
+// as the scan passes their digits, and text fields are views into the
+// receive buffer.
 
 #ifndef LFI_APPS_PBFT_WIRE_H_
 #define LFI_APPS_PBFT_WIRE_H_
@@ -13,6 +16,8 @@
 #include <charconv>
 #include <concepts>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -54,14 +59,135 @@ inline std::optional<int64_t> WireNumber(std::string_view field) {
   return v;
 }
 
-// Appends one field: text up to its first NUL, an integer in decimal.
+// --- receive side ----------------------------------------------------------------
+
+enum class WireType : uint8_t {
+  kDrop,  // unknown type, a missing field, or an unusable number
+  kRequest,
+  kPrePrepare,
+  kPrepare,
+  kCommit,
+  kFetch,
+  kState,
+  kViewChange,
+  kNewView,
+  kReply,
+};
+
+// One decoded datagram. The fields each type fills, in wire order:
+//   REQ|-|payload|port[|forwarded]   forwarded: the fifth field is "1"
+//   PP|view|seq|digest|payload
+//   P|view|seq|digest|replica        C: the same
+//   FETCH|seq|replica
+//   STATE|seq|digest|view            seq: the sender's stable checkpoint
+//   VC|view|replica
+//   NV|view|payload                  payload: the carried entries
+//   REPLY|-|seq|replica              seq: the request's timestamp
+// A "-" field must be present but is not read, and fields after the last
+// one a type reads are ignored.
+struct WireFields {
+  WireType type = WireType::kDrop;
+  int64_t view = 0;
+  int64_t seq = 0;
+  int64_t replica = 0;
+  int64_t port = 0;
+  std::string_view digest;
+  std::string_view payload;
+  bool forwarded = false;
+};
+
+// Decodes `msg` in one left-to-right pass. A message is dropped (kDrop)
+// exactly when splitting it at every '|' and parsing each numeric field
+// with WireNumber would drop it.
+WireFields DecodeWire(std::string_view msg);
+
+// --- send side -------------------------------------------------------------------
+
+// A text field's bytes: a string literal's are known without a strlen.
+template <size_t N>
+std::string_view FieldText(const char (&text)[N]) {
+  return {text, N - 1};
+}
+inline std::string_view FieldText(std::string_view text) { return text; }
+
+// The most bytes a field can print as: a text field's length (its first NUL
+// can only cut it short), an integer's widest decimal form.
+inline size_t FieldBound(const std::integral auto&) { return 20; }
+inline size_t FieldBound(const auto& text) { return FieldText(text).size(); }
+
+// Writes one field at `out` and returns its end: text up to its first NUL,
+// copied in one pass, eight bytes at a time until a word holds the NUL or
+// the text runs short; an integer in decimal.
+inline char* PutField(char* out, std::string_view text) {
+  constexpr uint64_t kOnes = 0x0101010101010101ULL;
+  constexpr uint64_t kHighs = 0x8080808080808080ULL;
+  const char* in = text.data();
+  size_t i = 0;
+  for (; i + 8 <= text.size(); i += 8) {
+    uint64_t word;
+    std::memcpy(&word, in + i, 8);
+    if (((word - kOnes) & ~word & kHighs) != 0) {
+      break;  // a NUL among these eight
+    }
+    std::memcpy(out + i, &word, 8);
+  }
+  for (; i < text.size() && in[i] != '\0'; ++i) {
+    out[i] = in[i];
+  }
+  return out + i;
+}
+inline char* PutField(char* out, const std::integral auto& value) {
+  if (static_cast<uint64_t>(value) < 10) {
+    *out = static_cast<char>('0' + value);  // views, replica ids, early sequence numbers
+    return out + 1;
+  }
+  return std::to_chars(out, out + 20, value).ptr;
+}
+inline char* PutField(char* out, const auto& text) { return PutField(out, FieldText(text)); }
+
+// One outgoing message "fields[0]|fields[1]|..." (the first field is the
+// message type), written once, left to right, straight into its storage:
+// the inline array for every message an honest replica sends in normal
+// operation, a heap block sized up front for a longer one (a NEW-VIEW that
+// carries many requests). Lives on the caller's stack for one send.
+class Wire {
+ public:
+  template <typename... Fields>
+  explicit Wire(const Fields&... fields) {
+    size_t bound = (FieldBound(fields) + ...) + sizeof...(fields) - 1;
+    char* out = inline_;
+    if (bound > sizeof inline_) {
+      heap_ = std::make_unique_for_overwrite<char[]>(bound);
+      out = heap_.get();
+    }
+    size_ = static_cast<size_t>(PutJoined(out, fields...) - out);
+  }
+
+  std::string_view view() const { return {heap_ ? heap_.get() : inline_, size_}; }
+  operator std::string_view() const { return view(); }
+
+ private:
+  template <typename First, typename... Rest>
+  static char* PutJoined(char* out, const First& first, const Rest&... rest) {
+    out = PutField(out, first);
+    ((*out++ = '|', out = PutField(out, rest)), ...);
+    return out;
+  }
+
+  char inline_[128];
+  std::unique_ptr<char[]> heap_;
+  size_t size_ = 0;
+};
+
+// Appends one field to a text sub-format that travels inside a message
+// field (a request's "#"-joined payload, a NEW-VIEW's carried entries):
+// text up to its first NUL, an integer in decimal.
 inline void AppendField(std::string* out, std::string_view text) {
   out->append(text.substr(0, text.find('\0')));
 }
 inline void AppendField(std::string* out, std::integral auto value) {
   char digits[24];
-  char* end = std::to_chars(digits, digits + sizeof digits, value).ptr;
-  out->append(digits, end);
+  out->append(digits, PutField(digits, value));
 }
 
 // Appends `fields` to *out with `sep` between each two.
@@ -69,15 +195,6 @@ template <typename First, typename... Rest>
 void AppendJoined(std::string* out, char sep, const First& first, const Rest&... rest) {
   AppendField(out, first);
   ((out->push_back(sep), AppendField(out, rest)), ...);
-}
-
-// Rebuilds *out as the message "fields[0]|fields[1]|..." (the first field is
-// the message type) and returns it.
-template <typename... Fields>
-const std::string& WireMessage(std::string* out, const Fields&... fields) {
-  out->clear();
-  AppendJoined(out, '|', fields...);
-  return *out;
 }
 
 }  // namespace lfi::pbft_wire

@@ -786,10 +786,7 @@ long VirtualLibc::RecvFrom(int sockfd, char* buf, unsigned long len, int* src_po
     // conditions".
     OpenFd* sock = Fd(sockfd);
     if (static_cast<long>(*inj) < 0 && sock != nullptr && sock->is_socket && sock->port >= 0) {
-      Datagram dropped;
-      if (net_->Receive(sock->port, &dropped)) {
-        net_->Recycle(std::move(dropped.payload));
-      }
+      net_->Receive(sock->port, nullptr, 0, nullptr);
     }
     return static_cast<long>(*inj);
   }
@@ -798,18 +795,11 @@ long VirtualLibc::RecvFrom(int sockfd, char* buf, unsigned long len, int* src_po
     errno_ = kEBADF;
     return -1;
   }
-  Datagram dgram;
-  if (!net_->Receive(f->port, &dgram)) {
+  long n = net_->Receive(f->port, buf, len, src_port);
+  if (n < 0) {
     errno_ = kEAGAIN;
-    return -1;
   }
-  size_t n = std::min<size_t>(len, dgram.payload.size());
-  std::memcpy(buf, dgram.payload.data(), n);
-  if (src_port != nullptr) {
-    *src_port = dgram.src_port;
-  }
-  net_->Recycle(std::move(dgram.payload));
-  return static_cast<long>(n);
+  return n;
 }
 
 // --- libxml ---------------------------------------------------------------------------------

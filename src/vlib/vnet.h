@@ -11,8 +11,6 @@
 #define LFI_VLIB_VNET_H_
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -40,17 +38,18 @@ class VirtualNet {
   // value so a caller that built it can move it onto the wire uncopied.
   long Send(int src_port, int dst_port, std::string payload);
   // The same datagram as Send(src_port, dst_port, std::string(buf, len)),
-  // copied into a recycled payload buffer instead of a fresh allocation.
+  // copied straight into a queue slot that keeps its buffer between uses.
   long Send(int src_port, int dst_port, const char* buf, size_t len);
 
   // Pops the next datagram for `port`; false when the queue is empty.
   bool Receive(int port, Datagram* out);
-
-  // Takes back a received payload once the receiver has copied it out, for
-  // a later Send(const char*, size_t) to reuse its capacity. The free list
-  // is bounded and holds capacity only: it is not part of the snapshot and
-  // never changes a delivered byte or a counter.
-  void Recycle(std::string payload);
+  // The same datagram as Receive(port, &d), copied straight out of its queue
+  // slot: up to `len` bytes go to `buf` and the sender to *src_port (when
+  // not null). Returns the bytes copied, or -1 when the queue is empty. The
+  // slot keeps its buffer for a later Send, so a datagram is copied in once
+  // and out once and never moved in between. Receive(port, nullptr, 0,
+  // nullptr) discards the head datagram.
+  long Receive(int port, char* buf, size_t len, int* src_port);
 
   size_t QueueDepth(int port) const;
 
@@ -82,14 +81,25 @@ class VirtualNet {
   uint64_t delivered_count() const { return delivered_; }
   uint64_t dropped_count() const { return dropped_; }
 
-  // Deep copy of the whole fabric state: bound ports (queue-map keys *are*
-  // the bindings), queued and staged datagrams, delivery mode, loss RNG
-  // state, and the counters. Restore() rolls all of it back bit-exactly, so
-  // a restored warm instance's message timing and physical-loss stream are
-  // indistinguishable from a fresh bring-up.
+  // One port of the snapshot: its datagrams in arrival order, the first
+  // `ready` receivable and the rest staged for the next AdvanceTick. An
+  // unbound port appears only while datagrams staged for it are pending (a
+  // re-Bind before the tick still receives them, as with UDP's in-flight
+  // packets); a bound port always appears, queue empty or not.
+  struct PortState {
+    int port = 0;
+    bool bound = false;
+    size_t ready = 0;
+    std::vector<Datagram> datagrams;
+  };
+  // Deep copy of the whole fabric state: the port table with every queued
+  // and staged datagram, delivery mode, loss RNG state, and the counters.
+  // Restore() rolls all of it back bit-exactly, so a restored warm
+  // instance's message timing and physical-loss stream are
+  // indistinguishable from a fresh bring-up. Spare slot capacity is not
+  // state and is not copied.
   struct Snapshot {
-    std::map<int, std::deque<Datagram>> queues;
-    std::vector<std::pair<int, Datagram>> staged;
+    std::vector<PortState> ports;  // sorted by port
     bool tick_delivery = false;
     Rng rng;
     double loss_probability = 0.0;
@@ -100,36 +110,52 @@ class VirtualNet {
     uint64_t partial_sends = 0;
     uint64_t partial_recvs = 0;
   };
-  Snapshot TakeSnapshot() const {
-    return {queues_,  staged_,  tick_delivery_,  rng_,           loss_probability_,
-            partial_send_probability_, partial_recv_probability_, delivered_,
-            dropped_, partial_sends_, partial_recvs_};
-  }
-  void Restore(const Snapshot& snapshot) {
-    queues_ = snapshot.queues;
-    staged_ = snapshot.staged;
-    tick_delivery_ = snapshot.tick_delivery;
-    rng_ = snapshot.rng;
-    loss_probability_ = snapshot.loss_probability;
-    partial_send_probability_ = snapshot.partial_send_probability;
-    partial_recv_probability_ = snapshot.partial_recv_probability;
-    delivered_ = snapshot.delivered;
-    dropped_ = snapshot.dropped;
-    partial_sends_ = snapshot.partial_sends;
-    partial_recvs_ = snapshot.partial_recvs;
-  }
+  Snapshot TakeSnapshot() const;
+  void Restore(const Snapshot& snapshot);
 
  private:
-  // Free-list bounds. They are caps on the memory kept, not a sizing of the
-  // traffic: in pbft random explore (budget 400, seeds 1-8, one worker) a
-  // cluster peaks at 168 datagrams in flight (mean 73 per send), the list
-  // fills to 64, and 98.1% of sends still reuse a buffer. No pbft buffer was
-  // refused for exceeding the capacity cap.
-  static constexpr size_t kMaxSpareBuffers = 64;
-  static constexpr size_t kMaxSpareCapacity = 4096;
+  // The port table is a vector sorted by port number: a campaign's targets
+  // bind a handful of ports, so a lookup is a short forward scan over a
+  // cache line or two, not a tree walk. Each port owns a ring of
+  // datagram slots holding `ready` receivable datagrams from `head`, then
+  // `staged` ones that the next AdvanceTick makes receivable. Slots are
+  // reused in place: a Send assigns into the tail slot's buffer and a
+  // Receive copies out of the head slot's, so the buffers left in free
+  // slots are the fabric's only free list. The ring grows on demand to
+  // a power of two and never shrinks while the port lives.
+  struct Port {
+    int port = 0;
+    bool bound = false;
+    std::vector<Datagram> ring;  // empty, or a power-of-two size
+    size_t head = 0;
+    size_t ready = 0;
+    size_t staged = 0;
 
-  std::map<int, std::deque<Datagram>> queues_;
-  std::vector<std::pair<int, Datagram>> staged_;
+    Datagram& At(size_t i) { return ring[(head + i) & (ring.size() - 1)]; }
+    const Datagram& At(size_t i) const { return ring[(head + i) & (ring.size() - 1)]; }
+  };
+
+  // A slot whose buffer grew past this is given back after its datagram is
+  // received: a cap on the memory kept, not a sizing of the traffic (no
+  // pbft datagram comes near it).
+  static constexpr size_t kMaxSlotCapacity = 4096;
+
+  Port* Find(int port);
+  const Port* Find(int port) const;
+  // Admission of one datagram for `dst_port`: the bound destination's table
+  // entry, or null after counting the drop (unbound, or physical loss).
+  Port* Admit(int dst_port);
+  // Appends a slot for the next datagram to `p` -- receivable now, or
+  // staged in tick-delivery mode -- and returns it for the caller to fill.
+  Datagram& Enqueue(Port& p);
+  // Strict-prefix length a partial fault cuts `size` bytes to, or `size`
+  // when the fault does not fire (or the payload cannot be split).
+  size_t PartialCut(double probability, size_t size, uint64_t* count);
+  // Pops the head receivable datagram of `port`, or null when none; the
+  // slot stays valid until the next Send to that port.
+  Datagram* PopReady(int port);
+
+  std::vector<Port> ports_;  // sorted by port
   bool tick_delivery_ = false;
   Rng rng_;
   double loss_probability_ = 0.0;
@@ -139,7 +165,6 @@ class VirtualNet {
   uint64_t dropped_ = 0;
   uint64_t partial_sends_ = 0;
   uint64_t partial_recvs_ = 0;
-  std::vector<std::string> spare_;  // recycled payload buffers, capacity only
 };
 
 }  // namespace lfi

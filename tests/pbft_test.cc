@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
 #include <cstdint>
 #include <optional>
@@ -15,6 +16,7 @@
 #include "core/runtime.h"
 #include "core/stock_triggers.h"
 #include "util/errno_codes.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 
 namespace lfi {
@@ -379,52 +381,56 @@ TEST_F(PbftHostileDatagrams, WholeMessagesAreActedOn) {
 
 // --- wire codec ----------------------------------------------------------------
 
+// The bytes of one outgoing message.
+template <typename... Fields>
+std::string WireBytes(const Fields&... fields) {
+  return std::string(pbft_wire::Wire(fields...).view());
+}
+
 TEST(PbftWire, EveryMessageShapeIsByteEqualToItsPrintfForm) {
   using pbft_wire::AppendJoined;
-  using pbft_wire::WireMessage;
   const std::vector<int> ints = {0, 1, INT_MAX, -1, INT_MIN};
   const std::vector<int64_t> seqs = {0, 1, INT64_MAX, INT64_MIN};
   // %s of a c_str() and %.*s of a view both stop at the first NUL.
   const std::vector<std::string> texts = {"", "abcdef0123456789", std::string("ab\0cd", 5),
                                           std::string(300, 'z'), "7#8999#op"};
-  std::string out = std::string(500, '!');  // a used buffer: rebuilt from empty
   for (int v : ints) {
     for (int64_t seq : seqs) {
       const long long lseq = seq;
       for (const std::string& t : texts) {
         const std::string_view view = t;
         const int len = static_cast<int>(view.size());
-        EXPECT_EQ(WireMessage(&out, "C", v, seq, t, v),
+        EXPECT_EQ(WireBytes("C", v, seq, t, v),
                   StrFormat("C|%d|%lld|%s|%d", v, lseq, t.c_str(), v));
-        EXPECT_EQ(WireMessage(&out, "C", v, seq, view, v),
+        EXPECT_EQ(WireBytes("C", v, seq, view, v),
                   StrFormat("C|%d|%lld|%.*s|%d", v, lseq, len, view.data(), v));
-        EXPECT_EQ(WireMessage(&out, "P", v, seq, t, v),
+        EXPECT_EQ(WireBytes("P", v, seq, t, v),
                   StrFormat("P|%d|%lld|%s|%d", v, lseq, t.c_str(), v));
-        EXPECT_EQ(WireMessage(&out, "P", v, seq, view, v),
+        EXPECT_EQ(WireBytes("P", v, seq, view, v),
                   StrFormat("P|%d|%lld|%.*s|%d", v, lseq, len, view.data(), v));
-        EXPECT_EQ(WireMessage(&out, "PP", v, seq, t, t),
+        EXPECT_EQ(WireBytes("PP", v, seq, t, t),
                   StrFormat("PP|%d|%lld|%s|%s", v, lseq, t.c_str(), t.c_str()));
-        EXPECT_EQ(WireMessage(&out, "REPLY", v, view, v, t),
+        EXPECT_EQ(WireBytes("REPLY", v, view, v, t),
                   StrFormat("REPLY|%d|%.*s|%d|%s", v, len, view.data(), v, t.c_str()));
-        EXPECT_EQ(WireMessage(&out, "REQ", 0, view, v, 1),
+        EXPECT_EQ(WireBytes("REQ", 0, view, v, 1),
                   StrFormat("REQ|0|%.*s|%d|1", len, view.data(), v));
-        EXPECT_EQ(WireMessage(&out, "REQ", 0, t, v, 0), StrFormat("REQ|0|%s|%d|0", t.c_str(), v));
-        EXPECT_EQ(WireMessage(&out, "STATE", seq, t, v),
+        EXPECT_EQ(WireBytes("REQ", 0, t, v, 0), StrFormat("REQ|0|%s|%d|0", t.c_str(), v));
+        EXPECT_EQ(WireBytes("STATE", seq, t, v),
                   StrFormat("STATE|%lld|%s|%d", lseq, t.c_str(), v));
-        EXPECT_EQ(WireMessage(&out, "NV", v, t), StrFormat("NV|%d|%s", v, t.c_str()));
+        EXPECT_EQ(WireBytes("NV", v, t), StrFormat("NV|%d|%s", v, t.c_str()));
         std::string carried = "1:x:y;";
         AppendJoined(&carried, ':', seq, t, t);
         carried.push_back(';');
         EXPECT_EQ(carried, "1:x:y;" + StrFormat("%lld:%s:%s;", lseq, t.c_str(), t.c_str()));
       }
-      EXPECT_EQ(WireMessage(&out, "FETCH", seq, v), StrFormat("FETCH|%lld|%d", lseq, v));
+      EXPECT_EQ(WireBytes("FETCH", seq, v), StrFormat("FETCH|%lld|%d", lseq, v));
       std::string payload;
       AppendJoined(&payload, '#', seq, v, "op");
       EXPECT_EQ(payload, StrFormat("%lld#%d#op", lseq, v));
     }
     for (int w : ints) {
-      EXPECT_EQ(WireMessage(&out, "VC", v, w), StrFormat("VC|%d|%d", v, w));
-      EXPECT_EQ(WireMessage(&out, "pbft-session-key", v, w),
+      EXPECT_EQ(WireBytes("VC", v, w), StrFormat("VC|%d|%d", v, w));
+      EXPECT_EQ(WireBytes("pbft-session-key", v, w),
                 StrFormat("pbft-session-key|%d|%d", v, w));
     }
   }
@@ -478,6 +484,219 @@ TEST(PbftWire, WireNumberFastPathAgreesWithParseInt) {
   for (const std::string& field : fields) {
     EXPECT_EQ(WireNumber(field), ParseIntWireNumber(field)) << "field \"" << field << "\"";
   }
+}
+
+// --- one-pass decode against the split decode ----------------------------------
+
+// The decode DecodeWire replaced, kept as its oracle: split the datagram at
+// every '|', compare the type against each tag in turn, and parse each
+// numeric field with WireNumber -- what PbftReplica::HandleMessage and
+// PbftClient::Step did, mapped onto the fields DecodeWire reports.
+pbft_wire::WireFields SplitDecode(std::string_view msg) {
+  using pbft_wire::WireNumber;
+  using pbft_wire::WireType;
+  std::string_view parts[5];
+  size_t count = SplitViews(msg, '|', parts);
+  std::string_view type = parts[0];
+  pbft_wire::WireFields m;
+  if (type == "REQ" && count >= 4) {
+    auto client_port = WireNumber(parts[3]);
+    if (client_port) {
+      m.type = WireType::kRequest;
+      m.payload = parts[2];
+      m.port = *client_port;
+      m.forwarded = count >= 5 && parts[4] == "1";
+    }
+  } else if (type == "PP" && count >= 5) {
+    auto view = WireNumber(parts[1]);
+    auto seq = WireNumber(parts[2]);
+    if (view && seq) {
+      m.type = WireType::kPrePrepare;
+      m.view = *view;
+      m.seq = *seq;
+      m.digest = parts[3];
+      m.payload = parts[4];
+    }
+  } else if ((type == "P" || type == "C") && count >= 5) {
+    auto view = WireNumber(parts[1]);
+    auto seq = WireNumber(parts[2]);
+    auto replica = WireNumber(parts[4]);
+    if (view && seq && replica) {
+      m.type = type == "P" ? WireType::kPrepare : WireType::kCommit;
+      m.view = *view;
+      m.seq = *seq;
+      m.digest = parts[3];
+      m.replica = *replica;
+    }
+  } else if (type == "FETCH" && count >= 3) {
+    auto seq = WireNumber(parts[1]);
+    auto requester = WireNumber(parts[2]);
+    if (seq && requester) {
+      m.type = WireType::kFetch;
+      m.seq = *seq;
+      m.replica = *requester;
+    }
+  } else if (type == "STATE" && count >= 4) {
+    auto executed = WireNumber(parts[1]);
+    auto view = WireNumber(parts[3]);
+    if (executed && view) {
+      m.type = WireType::kState;
+      m.seq = *executed;
+      m.digest = parts[2];
+      m.view = *view;
+    }
+  } else if (type == "VC" && count >= 3) {
+    auto view = WireNumber(parts[1]);
+    auto replica = WireNumber(parts[2]);
+    if (view && replica) {
+      m.type = WireType::kViewChange;
+      m.view = *view;
+      m.replica = *replica;
+    }
+  } else if (type == "NV" && count >= 3) {
+    auto view = WireNumber(parts[1]);
+    if (view) {
+      m.type = WireType::kNewView;
+      m.view = *view;
+      m.payload = parts[2];
+    }
+  } else if (type == "REPLY" && count >= 4) {  // the client's check
+    auto ts = WireNumber(parts[2]);
+    auto replica = WireNumber(parts[3]);
+    if (ts && replica) {
+      m.type = WireType::kReply;
+      m.seq = *ts;
+      m.replica = *replica;
+    }
+  }
+  return m;
+}
+
+// Every decoded field, text fields as the exact bytes they view: the same
+// offset into the datagram and the same length.
+std::string Describe(const pbft_wire::WireFields& m, std::string_view msg) {
+  auto text = [&](std::string_view field) {
+    if (field.data() == nullptr || field.empty()) {
+      return std::string("-");
+    }
+    return StrFormat("@%td+%zu", field.data() - msg.data(), field.size());
+  };
+  return StrFormat("type=%d view=%lld seq=%lld replica=%lld port=%lld forwarded=%d digest=%s "
+                   "payload=%s",
+                   static_cast<int>(m.type), static_cast<long long>(m.view),
+                   static_cast<long long>(m.seq), static_cast<long long>(m.replica),
+                   static_cast<long long>(m.port), m.forwarded ? 1 : 0, text(m.digest).c_str(),
+                   text(m.payload).c_str());
+}
+
+// Hex form of a datagram for failure messages (the corpus holds NULs).
+std::string Hex(std::string_view msg) {
+  std::string out;
+  for (unsigned char c : msg) {
+    out += StrFormat("%02x", c);
+  }
+  return out;
+}
+
+TEST(PbftWire, OnePassDecodeAgreesWithSplitDecode) {
+  using pbft_wire::WireType;
+  const std::string d = "abcdef0123456789";
+  const std::string nul("ab\0cd", 5);
+  // Every message shape the replicas and the client send, with honest and
+  // out-of-range numbers and texts holding a NUL, plus their honest forms.
+  std::vector<std::string> seeds = {
+      "REQ|0|1#8999#op|8999|0", "REQ|0|1#8999#op|8999|1", "PP|0|1|" + d + "|1#8999#op",
+      "P|0|3|" + d + "|2",      "C|1|12|" + d + "|3",     "FETCH|4|2",
+      "STATE|16|" + d + "|0",   "VC|1|2",                 "NV|1|1:" + d + ":1#8999#op;",
+      "REPLY|0|1|0|" + d};
+  const std::vector<std::string> honest = seeds;
+  for (int v : {0, 7, INT_MAX, -1, INT_MIN}) {
+    for (int64_t seq : {int64_t{0}, int64_t{12}, INT64_MAX, INT64_MIN}) {
+      for (const std::string& t : {std::string(), d, nul, std::string("7#8999#op")}) {
+        for (const std::string& m :
+             {WireBytes("C", v, seq, t, v), WireBytes("P", v, seq, t, v),
+              WireBytes("PP", v, seq, t, t), WireBytes("REPLY", v, t, v, t),
+              WireBytes("REQ", 0, t, v, 1), WireBytes("REQ", 0, t, v, 0),
+              WireBytes("STATE", seq, t, v), WireBytes("NV", v, t), WireBytes("FETCH", seq, v),
+              WireBytes("VC", v, seq)}) {
+          seeds.push_back(m);
+        }
+      }
+    }
+  }
+  std::sort(seeds.begin(), seeds.end());
+  seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
+
+  std::vector<std::string> corpus = seeds;
+  corpus.push_back(WireBytes("PP", 0, 1, std::string(300, 'z'), std::string(300, 'z')));
+  for (const std::string& seed : seeds) {
+    for (size_t i = 0; i <= seed.size(); ++i) {
+      corpus.push_back(seed.substr(0, i));                                        // cut
+      corpus.push_back(seed.substr(0, i) + std::string(1, '\0') + seed.substr(i));  // a NUL
+      if (i < seed.size()) {
+        for (int bit = 0; bit < 8; ++bit) {
+          std::string flipped = seed;
+          flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+          corpus.push_back(flipped);
+        }
+        if (seed[i] == '|') {
+          corpus.push_back(seed.substr(0, i) + seed.substr(i + 1));         // a missing '|'
+          corpus.push_back(seed.substr(0, i) + "||" + seed.substr(i + 1));  // a doubled one
+        }
+      }
+    }
+    // Each field replaced by a number WireNumber judges on its general path,
+    // or by a run of fields.
+    std::vector<std::string> fields = Split(seed, '|');
+    for (size_t i = 0; i < fields.size(); ++i) {
+      for (const std::string& junk :
+           {std::string("12345678901"), std::string("00000000001"), std::string("99999999999"),
+            std::string("1073741824"), std::string("1073741825"), std::string("4294967296"),
+            std::string("+5"), std::string("-5"), std::string("-0"), std::string(" 5"),
+            std::string("5 "), std::string("\t5\n"), std::string("0x10"), std::string("0X1f"),
+            std::string("0x"), std::string("5\0"), std::string("\0"), std::string(""),
+            std::string("1|2"), std::string("||")}) {
+        std::vector<std::string> garbled = fields;
+        garbled[i] = junk;
+        corpus.push_back(Join(garbled, "|"));
+      }
+    }
+    // More fields than any type reads.
+    for (const char* extra : {"|", "|1", "|x|y", "|1|2|3|4|5"}) {
+      corpus.push_back(seed + extra);
+    }
+  }
+  // Seeded noise over the bytes a message is made of.
+  const std::string alphabet("CPREQFTSVNYAL|0123456789x+- \0#:", 31);
+  Rng rng(27);
+  for (int i = 0; i < 20000; ++i) {
+    std::string msg;
+    size_t len = rng.NextBelow(40);
+    if (rng.Chance(0.5)) {
+      msg = honest[rng.NextBelow(honest.size())].substr(0, rng.NextBelow(8));
+    }
+    for (size_t k = 0; k < len; ++k) {
+      msg.push_back(alphabet[rng.NextBelow(alphabet.size())]);
+    }
+    corpus.push_back(msg);
+  }
+
+  size_t acted = 0;
+  std::set<WireType> types;
+  for (const std::string& msg : corpus) {
+    pbft_wire::WireFields want = SplitDecode(msg);
+    pbft_wire::WireFields got = pbft_wire::DecodeWire(msg);
+    ASSERT_EQ(Describe(got, msg), Describe(want, msg)) << "datagram " << Hex(msg);
+    if (got.type != WireType::kDrop) {
+      ++acted;
+      types.insert(got.type);
+    }
+  }
+  // The corpus exercises both decisions, every message type included.
+  EXPECT_GT(corpus.size(), 150000u);
+  EXPECT_GT(acted, 1000u);
+  EXPECT_LT(acted, corpus.size() / 2);
+  EXPECT_EQ(types.size(), 9u);
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <deque>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "util/errno_codes.h"
+#include "util/rng.h"
 #include "util/string_util.h"
 #include "vlib/sim_crash.h"
 #include "vlib/virtual_libc.h"
@@ -510,9 +515,9 @@ TEST_F(VlibTest, VnetSnapshotRestoreReplaysThePartialFaultStream) {
   EXPECT_EQ(net.partial_recv_count(), recvs);
 }
 
-// --- recycled payload buffers ------------------------------------------------
+// --- reused queue slots --------------------------------------------------------
 
-TEST_F(VlibTest, VnetRecycledBufferDeliversAShortPayloadExactly) {
+TEST_F(VlibTest, VnetReusedSlotDeliversAShortPayloadExactly) {
   VirtualLibc peer(&fs_, &net_, "peer");
   int s1 = libc_.Socket();
   int s2 = peer.Socket();
@@ -522,8 +527,12 @@ TEST_F(VlibTest, VnetRecycledBufferDeliversAShortPayloadExactly) {
   std::string short_payload = "short-after-a-long-one";  // heap-sized, reuses the long buffer
   char buf[2048];
   int src = -1;
-  ASSERT_EQ(libc_.SendTo(s1, long_payload.data(), long_payload.size(), 200), 1500);
-  ASSERT_EQ(peer.RecvFrom(s2, buf, sizeof buf, &src), 1500);
+  // Enough long datagrams that every slot of the port's ring holds a long
+  // buffer when the short ones are written into them.
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_EQ(libc_.SendTo(s1, long_payload.data(), long_payload.size(), 200), 1500);
+    ASSERT_EQ(peer.RecvFrom(s2, buf, sizeof buf, &src), 1500);
+  }
   for (const std::string& payload : {short_payload, std::string("tiny")}) {
     std::memset(buf, '#', sizeof buf);
     ASSERT_EQ(libc_.SendTo(s1, payload.data(), payload.size(), 200),
@@ -533,27 +542,30 @@ TEST_F(VlibTest, VnetRecycledBufferDeliversAShortPayloadExactly) {
     EXPECT_EQ(buf[payload.size()], '#');  // nothing of the long payload leaks past it
     EXPECT_EQ(src, 100);
   }
-  EXPECT_EQ(net_.delivered_count(), 3u);
+  EXPECT_EQ(net_.delivered_count(), 18u);
 }
 
 // Sends and receives varied payloads -- long and short, to a bound and an
-// unbound port -- and records everything observable. With `recycle` the net
-// takes the recycled-buffer path both ways; without it, it never recycles.
-std::vector<std::string> DriveNet(VirtualNet& net, bool recycle) {
+// unbound port -- and records everything observable. With `copy` the net
+// takes the buffer overloads both ways (the virtual libc's path); without
+// it, the std::string Send and the Datagram Receive.
+std::vector<std::string> DriveNet(VirtualNet& net, bool copy) {
   std::vector<std::string> trace;
   for (int i = 0; i < 48; ++i) {
     size_t filler = i % 3 == 0 ? 700 : static_cast<size_t>(i % 7);
     std::string payload = StrFormat("%02d-", i) + std::string(filler, static_cast<char>('a' + i % 26));
     int dst = i % 11 == 0 ? 3 : 2;  // port 3 is unbound: dropped
-    long sent = recycle ? net.Send(1, dst, payload.data(), payload.size())
-                        : net.Send(1, dst, payload);
-    Datagram d;
+    long sent = copy ? net.Send(1, dst, payload.data(), payload.size()) : net.Send(1, dst, payload);
     std::string received = "<empty>";
-    if (net.Receive(2, &d)) {
-      received = StrFormat("%d:", d.src_port) + d.payload;
-      if (recycle) {
-        net.Recycle(std::move(d.payload));
+    if (copy) {
+      char buf[1024];
+      int src = -1;
+      long n = net.Receive(2, buf, sizeof buf, &src);
+      if (n >= 0) {
+        received = StrFormat("%d:", src) + std::string(buf, static_cast<size_t>(n));
       }
+    } else if (Datagram d; net.Receive(2, &d)) {
+      received = StrFormat("%d:", d.src_port) + d.payload;
     }
     trace.push_back(StrFormat("%ld ", sent) + received);
   }
@@ -575,30 +587,300 @@ VirtualNet FaultyNet() {
   return net;
 }
 
-TEST_F(VlibTest, VnetRecyclingChangesNoByteOrCounter) {
-  VirtualNet recycled = FaultyNet();
+TEST_F(VlibTest, VnetBufferOverloadsChangeNoByteOrCounter) {
+  VirtualNet copied = FaultyNet();
   VirtualNet plain = FaultyNet();
-  std::vector<std::string> trace = DriveNet(recycled, /*recycle=*/true);
-  EXPECT_EQ(trace, DriveNet(plain, /*recycle=*/false));
-  EXPECT_GT(recycled.partial_send_count(), 0u);
-  EXPECT_GT(recycled.partial_recv_count(), 0u);
-  EXPECT_GT(recycled.dropped_count(), 0u);
-  // Again, now with the free list full from the first pass.
-  EXPECT_EQ(DriveNet(recycled, true), DriveNet(plain, false));
+  std::vector<std::string> trace = DriveNet(copied, /*copy=*/true);
+  EXPECT_EQ(trace, DriveNet(plain, /*copy=*/false));
+  EXPECT_GT(copied.partial_send_count(), 0u);
+  EXPECT_GT(copied.partial_recv_count(), 0u);
+  EXPECT_GT(copied.dropped_count(), 0u);
+  // Again, now with every slot holding a buffer from the first pass.
+  EXPECT_EQ(DriveNet(copied, true), DriveNet(plain, false));
 }
 
-TEST_F(VlibTest, VnetRestoreAfterRecyclingReplaysTheSnapshot) {
+TEST_F(VlibTest, VnetRestoreAfterSlotReuseReplaysTheSnapshot) {
   VirtualNet net = FaultyNet();
   net.Send(1, 2, std::string(300, 'q'));  // one datagram queued in the snapshot
   VirtualNet::Snapshot snapshot = net.TakeSnapshot();
-  std::vector<std::string> first = DriveNet(net, /*recycle=*/true);
+  std::vector<std::string> first = DriveNet(net, /*copy=*/true);
   net.Restore(snapshot);
   EXPECT_EQ(DriveNet(net, true), first);
-  // A net that never recycled, restored from the same snapshot, replays the
-  // same datagrams.
+  // A net that never held a slot buffer, restored from the same snapshot,
+  // replays the same datagrams.
   VirtualNet fresh;
   fresh.Restore(snapshot);
   EXPECT_EQ(DriveNet(fresh, false), first);
+}
+
+// --- VirtualNet against a model --------------------------------------------------
+
+// The fabric's reference model: one std::deque per bound port in a std::map
+// (the keys are the bindings), staged datagrams in send order, and the same
+// fault draws from the same Rng in the same order. Straightforward enough to
+// be right by inspection; VirtualNet must be indistinguishable from it.
+class ModelNet {
+ public:
+  explicit ModelNet(uint64_t seed) : rng_(seed) {}
+
+  bool Bind(int port) { return queues_.try_emplace(port).second; }
+  void Unbind(int port) { queues_.erase(port); }
+  bool IsBound(int port) const { return queues_.count(port) != 0; }
+
+  long Send(int src_port, int dst_port, std::string payload) {
+    auto it = queues_.find(dst_port);
+    if (it == queues_.end() || (loss_ > 0.0 && rng_.Chance(loss_))) {
+      ++dropped_;
+      return static_cast<long>(payload.size());
+    }
+    if (partial_send_ > 0.0 && payload.size() >= 2 && rng_.Chance(partial_send_)) {
+      payload.resize(1 + static_cast<size_t>(rng_.NextBelow(payload.size() - 1)));
+      ++partial_sends_;
+    }
+    long accepted = static_cast<long>(payload.size());
+    if (tick_delivery_) {
+      staged_.emplace_back(dst_port, Datagram{src_port, std::move(payload)});
+    } else {
+      it->second.push_back(Datagram{src_port, std::move(payload)});
+    }
+    ++delivered_;
+    return accepted;
+  }
+  long Send(int src_port, int dst_port, const char* buf, size_t len) {
+    return Send(src_port, dst_port, std::string(buf, len));
+  }
+
+  bool Receive(int port, Datagram* out) {
+    auto it = queues_.find(port);
+    if (it == queues_.end() || it->second.empty()) {
+      return false;
+    }
+    *out = std::move(it->second.front());
+    it->second.pop_front();
+    if (partial_recv_ > 0.0 && out->payload.size() >= 2 && rng_.Chance(partial_recv_)) {
+      out->payload.resize(1 + static_cast<size_t>(rng_.NextBelow(out->payload.size() - 1)));
+      ++partial_recvs_;
+    }
+    return true;
+  }
+  long Receive(int port, char* buf, size_t len, int* src_port) {
+    Datagram d;
+    if (!Receive(port, &d)) {
+      return -1;
+    }
+    size_t n = std::min(len, d.payload.size());
+    std::memcpy(buf, d.payload.data(), n);
+    if (src_port != nullptr) {
+      *src_port = d.src_port;
+    }
+    return static_cast<long>(n);
+  }
+
+  void AdvanceTick() {
+    for (auto& [port, dgram] : staged_) {
+      auto it = queues_.find(port);
+      if (it != queues_.end()) {
+        it->second.push_back(std::move(dgram));
+      }
+    }
+    staged_.clear();
+  }
+
+  size_t QueueDepth(int port) const {
+    auto it = queues_.find(port);
+    return it == queues_.end() ? 0 : it->second.size();
+  }
+  void set_tick_delivery(bool enabled) { tick_delivery_ = enabled; }
+  void set_loss_probability(double p) { loss_ = p; }
+  void set_partial_send_probability(double p) { partial_send_ = p; }
+  void set_partial_recv_probability(double p) { partial_recv_ = p; }
+  uint64_t delivered_count() const { return delivered_; }
+  uint64_t dropped_count() const { return dropped_; }
+  uint64_t partial_send_count() const { return partial_sends_; }
+  uint64_t partial_recv_count() const { return partial_recvs_; }
+
+ private:
+  std::map<int, std::deque<Datagram>> queues_;
+  std::vector<std::pair<int, Datagram>> staged_;
+  bool tick_delivery_ = false;
+  Rng rng_;
+  double loss_ = 0.0;
+  double partial_send_ = 0.0;
+  double partial_recv_ = 0.0;
+  uint64_t delivered_ = 0;
+  uint64_t dropped_ = 0;
+  uint64_t partial_sends_ = 0;
+  uint64_t partial_recvs_ = 0;
+};
+
+struct NetOp {
+  enum Kind { kBind, kUnbind, kSendString, kSendBuffer, kReceiveDatagram, kReceiveBuffer,
+              kAdvanceTick, kSetTickDelivery } kind = kBind;
+  int port = 0;  // destination, or the port (un)bound or received from
+  int src = 0;
+  const std::string* payload = nullptr;
+  size_t len = 0;  // receive buffer size
+  bool flag = false;
+};
+
+constexpr int kModelPorts = 4;  // ports 1..4; port 5 is never bound
+
+// Payloads the sequences draw from: mostly message-sized, some empty or one
+// byte (never split), a few past the slot buffer cap.
+const std::vector<std::string>& ModelPayloads() {
+  static const std::vector<std::string> payloads = [] {
+    std::vector<std::string> out;
+    for (size_t size = 0; size < 48; ++size) {
+      std::string payload;
+      for (size_t k = 0; k < size; ++k) {
+        payload.push_back(static_cast<char>('a' + (size * 7 + k) % 26));
+      }
+      out.push_back(payload);
+    }
+    out.push_back(std::string(4097, 'L'));
+    out.push_back(std::string(5000, 'M'));
+    return out;
+  }();
+  return payloads;
+}
+
+std::vector<NetOp> RandomOps(Rng& rng, size_t count) {
+  const std::vector<std::string>& payloads = ModelPayloads();
+  std::vector<NetOp> ops;
+  for (size_t i = 0; i < count; ++i) {
+    NetOp op;
+    uint64_t pick = rng.NextBelow(20);
+    op.kind = pick < 2    ? NetOp::kBind
+              : pick < 3  ? NetOp::kUnbind
+              : pick < 7  ? NetOp::kSendString
+              : pick < 11 ? NetOp::kSendBuffer
+              : pick < 14 ? NetOp::kReceiveDatagram
+              : pick < 17 ? NetOp::kReceiveBuffer
+              : pick < 19 ? NetOp::kAdvanceTick
+                          : NetOp::kSetTickDelivery;
+    op.port = 1 + static_cast<int>(rng.NextBelow(kModelPorts + 1));
+    op.src = 1 + static_cast<int>(rng.NextBelow(kModelPorts));
+    op.payload = &payloads[rng.NextBelow(payloads.size())];
+    // Receive buffers: mostly roomy, sometimes shorter than the datagram.
+    op.len = rng.Chance(0.2) ? rng.NextBelow(8) : rng.Chance(0.05) ? 8192 : 64;
+    op.flag = rng.Chance(0.5);
+    ops.push_back(std::move(op));
+  }
+  return ops;
+}
+
+// What an operation left observable: its return value, the delivered bytes
+// and sender, and the state every accessor reports after it.
+struct NetSeen {
+  long ret = 0;
+  int src = 0;
+  std::string bytes;
+  // Bound and queue depth of each port, then the four counters.
+  std::array<uint64_t, 2 * (kModelPorts + 1) + 4> state{};
+  bool operator==(const NetSeen&) const = default;
+};
+
+template <typename Net>
+NetSeen ApplyOp(Net& net, const NetOp& op) {
+  NetSeen seen;
+  switch (op.kind) {
+    case NetOp::kBind:
+      seen.ret = net.Bind(op.port) ? 1 : 0;
+      break;
+    case NetOp::kUnbind:
+      net.Unbind(op.port);
+      break;
+    case NetOp::kSendString:
+      seen.ret = net.Send(op.src, op.port, *op.payload);
+      break;
+    case NetOp::kSendBuffer:
+      seen.ret = net.Send(op.src, op.port, op.payload->data(), op.payload->size());
+      break;
+    case NetOp::kReceiveDatagram: {
+      Datagram d;
+      seen.ret = net.Receive(op.port, &d) ? 1 : 0;
+      seen.src = d.src_port;
+      seen.bytes = std::move(d.payload);
+      break;
+    }
+    case NetOp::kReceiveBuffer: {
+      seen.bytes.assign(op.len, '#');
+      seen.ret = net.Receive(op.port, seen.bytes.data(), seen.bytes.size(), &seen.src);
+      seen.bytes.resize(seen.ret < 0 ? 0 : static_cast<size_t>(seen.ret));
+      break;
+    }
+    case NetOp::kAdvanceTick:
+      net.AdvanceTick();
+      break;
+    case NetOp::kSetTickDelivery:
+      net.set_tick_delivery(op.flag);
+      break;
+  }
+  size_t i = 0;
+  for (int port = 1; port <= kModelPorts + 1; ++port) {
+    seen.state[i++] = net.IsBound(port) ? 1 : 0;
+    seen.state[i++] = net.QueueDepth(port);
+  }
+  seen.state[i++] = net.delivered_count();
+  seen.state[i++] = net.dropped_count();
+  seen.state[i++] = net.partial_send_count();
+  seen.state[i++] = net.partial_recv_count();
+  return seen;
+}
+
+template <typename Net>
+std::vector<NetSeen> ApplyOps(Net& net, const std::vector<NetOp>& ops) {
+  std::vector<NetSeen> trace;
+  for (const NetOp& op : ops) {
+    trace.push_back(ApplyOp(net, op));
+  }
+  return trace;
+}
+
+// 10,000 seeded sequences P;S of every VirtualNet operation, with tick
+// delivery on or off (and switched mid-sequence), physical loss and partial
+// send/recv faults set or not. VirtualNet and the model run P;S in lockstep
+// and must agree on every observation. Then the snapshot contract: the net
+// restored to its snapshot after P, and a fresh net restored to it, both
+// replay S exactly as the lockstep run did.
+TEST(VnetModel, LockstepWithTheModelAndTheSnapshotContract) {
+  Rng rng(2027);
+  size_t staged_runs = 0;
+  for (int sequence = 0; sequence < 10000; ++sequence) {
+    uint64_t seed = rng.Next();
+    bool tick = rng.Chance(0.5);
+    double loss = rng.Chance(0.3) ? 0.15 : 0.0;
+    double partial_send = rng.Chance(0.4) ? 0.3 : 0.0;
+    double partial_recv = rng.Chance(0.4) ? 0.3 : 0.0;
+    std::vector<NetOp> prefix = RandomOps(rng, rng.NextBelow(12));
+    std::vector<NetOp> suffix = RandomOps(rng, 1 + rng.NextBelow(12));
+    staged_runs += tick ? 1 : 0;
+
+    VirtualNet net(seed);
+    ModelNet model(seed);
+    auto configure = [&](auto& n) {
+      n.set_tick_delivery(tick);
+      n.set_loss_probability(loss);
+      n.set_partial_send_probability(partial_send);
+      n.set_partial_recv_probability(partial_recv);
+      for (int port = 1; port <= 2; ++port) {
+        n.Bind(port);
+      }
+    };
+    configure(net);
+    configure(model);
+    ASSERT_EQ(ApplyOps(net, prefix), ApplyOps(model, prefix)) << "sequence " << sequence;
+    VirtualNet::Snapshot snapshot = net.TakeSnapshot();
+    std::vector<NetSeen> want = ApplyOps(model, suffix);
+    ASSERT_EQ(ApplyOps(net, suffix), want) << "sequence " << sequence;
+
+    net.Restore(snapshot);
+    ASSERT_EQ(ApplyOps(net, suffix), want) << "sequence " << sequence << ", restored";
+    VirtualNet fresh(seed + 1);
+    fresh.Restore(snapshot);
+    ASSERT_EQ(ApplyOps(fresh, suffix), want) << "sequence " << sequence << ", fresh restore";
+  }
+  EXPECT_GT(staged_runs, 4000u);
 }
 
 }  // namespace

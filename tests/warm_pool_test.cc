@@ -12,7 +12,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -287,6 +289,34 @@ class StubTarget : public WarmTarget {
   int run_ms_;
   std::atomic<int>* destroyed_;
 };
+
+// Prewarm(count) runs its bring-ups at once: each build blocks until all
+// `count` builds have started, which only overlapping builds can reach. A
+// Prewarm that built one at a time would leave its first build waiting
+// alone, so the wait is bounded and a build that times out fails the test
+// instead of hanging it. (Four pbft bring-ups once read 14-19 ms of
+// Prewarm wall against ~5 ms for one; that was the host granting the
+// process about one CPU, not the builds running in turn.)
+TEST(WarmPoolDiscipline, PrewarmOverlapsItsBuilds) {
+  constexpr size_t kCount = 4;
+  std::mutex mu;
+  std::condition_variable started_cv;
+  size_t started = 0;
+  size_t overlapped = 0;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  WarmPool pool([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    int id = static_cast<int>(started++);
+    started_cv.notify_all();
+    if (started_cv.wait_until(lock, deadline, [&] { return started == kCount; })) {
+      ++overlapped;
+    }
+    return std::make_unique<StubTarget>(id, /*reset_ok=*/true);
+  });
+  pool.Prewarm(kCount);
+  EXPECT_EQ(overlapped, kCount);
+  EXPECT_EQ(pool.stats().builds, kCount);
+}
 
 TEST(WarmPoolDiscipline, SequentialJobsReuseOneInstance) {
   int built = 0;
