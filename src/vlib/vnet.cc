@@ -178,7 +178,8 @@ long VirtualNet::Receive(int port, char* buf, size_t len, int* src_port) {
   if (d == nullptr) {
     return -1;
   }
-  size_t n = std::min(len, PartialCut(partial_recv_probability_, d->payload.size(), &partial_recvs_));
+  size_t size = PartialCut(partial_recv_probability_, d->payload.size(), &partial_recvs_);
+  size_t n = std::min(len, size);
   if (n > 0) {
     std::memcpy(buf, d->payload.data(), n);
   }
