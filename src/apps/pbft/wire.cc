@@ -7,60 +7,26 @@ namespace {
 // right, each ending at the next '|' or at the end of the message.
 class WireCursor {
  public:
-  explicit WireCursor(std::string_view msg) : cur_(msg.data()), end_(msg.data() + msg.size()) {}
+  explicit WireCursor(std::string_view msg) : rest_(msg) {}
 
   // The next field as text; false when the message has no more fields.
   bool Text(std::string_view* field) {
     if (!more_) {
       return false;
     }
-    const char* q = cur_;
-    // Whole words first, while one holds no '|' (a digest is two of them).
-    while (end_ - q >= 8 && !HasBar(q)) {
-      q += 8;
-    }
-    while (q != end_ && *q != '|') {
-      ++q;
-    }
-    *field = std::string_view(cur_, static_cast<size_t>(q - cur_));
-    Advance(q);
+    size_t bar = rest_.find('|');
+    *field = rest_.substr(0, bar);
+    more_ = bar != std::string_view::npos;
+    rest_.remove_prefix(more_ ? bar + 1 : rest_.size());
     return true;
   }
 
   // The next field as a WireNumber; false when it is missing or not one.
-  // The digits of a plain decimal field are accumulated as the scan passes
-  // them; anything else -- a sign, blanks, a 0x prefix, an embedded NUL,
-  // more than ten digits, an empty field -- is WireNumber's to judge, whole.
   bool Number(int64_t* value) {
-    if (!more_) {
+    std::string_view field;
+    if (!Text(&field)) {
       return false;
     }
-    const char* q = cur_;
-    const char* stop = end_ - q > 10 ? q + 10 : end_;
-    int64_t v = 0;
-    for (; q != stop; ++q) {
-      unsigned digit = static_cast<unsigned char>(*q) - unsigned{'0'};
-      if (digit > 9) {
-        break;
-      }
-      v = v * 10 + digit;
-    }
-    if (q != cur_ && (q == end_ || *q == '|')) {
-      if (v > kMaxWireNumber) {
-        return false;
-      }
-      *value = v;
-      Advance(q);
-      return true;
-    }
-    return OddNumber(value);
-  }
-
- private:
-  // Number()'s general path, kept out of line: no honest sender takes it.
-  [[gnu::cold]] [[gnu::noinline]] bool OddNumber(int64_t* value) {
-    std::string_view field;
-    Text(&field);
     std::optional<int64_t> parsed = WireNumber(field);
     if (parsed) {
       *value = *parsed;
@@ -68,23 +34,8 @@ class WireCursor {
     return parsed.has_value();
   }
 
-  // Whether the eight bytes at `p` hold a '|'.
-  static bool HasBar(const char* p) {
-    constexpr uint64_t kOnes = 0x0101010101010101ULL;
-    uint64_t word;
-    std::memcpy(&word, p, 8);
-    word ^= kOnes * '|';
-    return ((word - kOnes) & ~word & (kOnes * 0x80)) != 0;
-  }
-
-  // Moves past the field ending at `q` (a '|' or the end).
-  void Advance(const char* q) {
-    more_ = q != end_;
-    cur_ = more_ ? q + 1 : q;
-  }
-
-  const char* cur_;
-  const char* end_;
+ private:
+  std::string_view rest_;
   bool more_ = true;
 };
 

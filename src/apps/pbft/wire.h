@@ -6,9 +6,9 @@
 // first NUL -- byte for byte what the printf forms "%d", "%lld", "%s" and
 // "%.*s" printed, without the format parse or a heap string per message.
 // The receive side, DecodeWire, reads a datagram in one left-to-right pass:
-// a switch on the type tag picks the message's fields, numbers accumulate
-// as the scan passes their digits, and text fields are views into the
-// receive buffer.
+// a switch on the type tag picks the message's fields, each field ends at
+// the next '|', numeric fields go through WireNumber, and text fields are
+// views into the receive buffer.
 
 #ifndef LFI_APPS_PBFT_WIRE_H_
 #define LFI_APPS_PBFT_WIRE_H_
@@ -16,7 +16,6 @@
 #include <charconv>
 #include <concepts>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -116,31 +115,11 @@ inline size_t FieldBound(const std::integral auto&) { return 20; }
 inline size_t FieldBound(const auto& text) { return FieldText(text).size(); }
 
 // Writes one field at `out` and returns its end: text up to its first NUL,
-// copied in one pass, eight bytes at a time until a word holds the NUL or
-// the text runs short; an integer in decimal.
+// an integer in decimal.
 inline char* PutField(char* out, std::string_view text) {
-  constexpr uint64_t kOnes = 0x0101010101010101ULL;
-  constexpr uint64_t kHighs = 0x8080808080808080ULL;
-  const char* in = text.data();
-  size_t i = 0;
-  for (; i + 8 <= text.size(); i += 8) {
-    uint64_t word;
-    std::memcpy(&word, in + i, 8);
-    if (((word - kOnes) & ~word & kHighs) != 0) {
-      break;  // a NUL among these eight
-    }
-    std::memcpy(out + i, &word, 8);
-  }
-  for (; i < text.size() && in[i] != '\0'; ++i) {
-    out[i] = in[i];
-  }
-  return out + i;
+  return out + text.copy(out, text.find('\0'));
 }
 inline char* PutField(char* out, const std::integral auto& value) {
-  if (static_cast<uint64_t>(value) < 10) {
-    *out = static_cast<char>('0' + value);  // views, replica ids, early sequence numbers
-    return out + 1;
-  }
   return std::to_chars(out, out + 20, value).ptr;
 }
 inline char* PutField(char* out, const auto& text) { return PutField(out, FieldText(text)); }

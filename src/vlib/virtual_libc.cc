@@ -772,7 +772,7 @@ long VirtualLibc::SendTo(int sockfd, const char* buf, unsigned long len, int dst
     errno_ = kEBADF;
     return -1;
   }
-  return net_->Send(f->port, dst_port, buf, len);
+  return net_->Send(f->port, dst_port, std::string_view(buf, len));
 }
 
 long VirtualLibc::RecvFrom(int sockfd, char* buf, unsigned long len, int* src_port) {

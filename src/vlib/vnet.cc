@@ -54,6 +54,9 @@ void VirtualNet::Unbind(int port) {
     return;
   }
   // Queued datagrams die with the binding; staged ones wait for the tick.
+  for (size_t i = 0; i < it->ready; ++i) {
+    Recycle(it->At(i));
+  }
   it->bound = false;
   it->head = (it->head + it->ready) & (it->ring.size() - 1);
   it->ready = 0;
@@ -109,29 +112,33 @@ Datagram& VirtualNet::Enqueue(Port& p) {
   return p.At(p.ready++);
 }
 
-long VirtualNet::Send(int src_port, int dst_port, std::string payload) {
+void VirtualNet::Fill(Datagram& slot, int src_port, std::string_view payload) {
+  slot.src_port = src_port;
+  if (!spare_.empty()) {
+    slot.payload = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  slot.payload.assign(payload);
+}
+
+void VirtualNet::Recycle(Datagram& slot) {
+  std::string buffer = std::move(slot.payload);
+  // An inline (small-string) payload owns no heap buffer worth keeping.
+  if (spare_.size() < kMaxSpareBuffers && buffer.capacity() > std::string().capacity() &&
+      buffer.capacity() <= kMaxSpareCapacity) {
+    spare_.push_back(std::move(buffer));
+  }
+}
+
+long VirtualNet::Send(int src_port, int dst_port, std::string_view payload) {
   Port* p = Admit(dst_port);
   if (p == nullptr) {
     return static_cast<long>(payload.size());
   }
   // Strict prefix: the wire accepted k bytes, the rest never left the host.
-  payload.resize(PartialCut(partial_send_probability_, payload.size(), &partial_sends_));
-  Datagram& slot = Enqueue(*p);
-  slot.src_port = src_port;
-  slot.payload = std::move(payload);
-  return static_cast<long>(slot.payload.size());
-}
-
-long VirtualNet::Send(int src_port, int dst_port, const char* buf, size_t len) {
-  Port* p = Admit(dst_port);
-  if (p == nullptr) {
-    return static_cast<long>(len);
-  }
-  len = PartialCut(partial_send_probability_, len, &partial_sends_);
-  Datagram& slot = Enqueue(*p);
-  slot.src_port = src_port;
-  slot.payload.assign(buf, len);
-  return static_cast<long>(len);
+  payload = payload.substr(0, PartialCut(partial_send_probability_, payload.size(), &partial_sends_));
+  Fill(Enqueue(*p), src_port, payload);
+  return static_cast<long>(payload.size());
 }
 
 void VirtualNet::AdvanceTick() {
@@ -149,46 +156,24 @@ void VirtualNet::AdvanceTick() {
   }
 }
 
-Datagram* VirtualNet::PopReady(int port) {
+long VirtualNet::Receive(int port, char* buf, size_t len, int* src_port) {
   Port* p = Find(port);
   if (p == nullptr || p->ready == 0) {
-    return nullptr;
-  }
-  Datagram* d = &p->At(0);
-  p->head = (p->head + 1) & (p->ring.size() - 1);
-  --p->ready;
-  return d;
-}
-
-bool VirtualNet::Receive(int port, Datagram* out) {
-  Datagram* d = PopReady(port);
-  if (d == nullptr) {
-    return false;
-  }
-  out->src_port = d->src_port;
-  out->payload = std::move(d->payload);
-  // Strict prefix: the caller gets an honest short read; the tail of this
-  // datagram is gone for good, exactly like a truncating recvfrom.
-  out->payload.resize(PartialCut(partial_recv_probability_, out->payload.size(), &partial_recvs_));
-  return true;
-}
-
-long VirtualNet::Receive(int port, char* buf, size_t len, int* src_port) {
-  Datagram* d = PopReady(port);
-  if (d == nullptr) {
     return -1;
   }
-  size_t size = PartialCut(partial_recv_probability_, d->payload.size(), &partial_recvs_);
-  size_t n = std::min(len, size);
+  Datagram& d = p->At(0);
+  p->head = (p->head + 1) & (p->ring.size() - 1);
+  --p->ready;
+  // Strict prefix: the caller gets an honest short read; the tail of this
+  // datagram is gone for good, exactly like a truncating recvfrom.
+  size_t n = std::min(len, PartialCut(partial_recv_probability_, d.payload.size(), &partial_recvs_));
   if (n > 0) {
-    std::memcpy(buf, d->payload.data(), n);
+    std::memcpy(buf, d.payload.data(), n);
   }
   if (src_port != nullptr) {
-    *src_port = d->src_port;
+    *src_port = d.src_port;
   }
-  if (d->payload.capacity() > kMaxSlotCapacity) {
-    std::string().swap(d->payload);
-  }
+  Recycle(d);
   return static_cast<long>(n);
 }
 
@@ -216,9 +201,14 @@ VirtualNet::Snapshot VirtualNet::TakeSnapshot() const {
 }
 
 void VirtualNet::Restore(const Snapshot& snapshot) {
-  // Rebuild the table from the snapshot, keeping the rings (and the slot
-  // buffers in them) of ports that both hold: a warm target's ports are the
-  // same every job, so a reset allocates no slot.
+  // Rebuild the table from the snapshot, keeping the rings of ports that
+  // both hold: a warm target's ports are the same every job, so a reset
+  // allocates no ring. What the job left queued goes to the free list first.
+  for (Port& p : ports_) {
+    for (size_t i = 0; i < p.ready + p.staged; ++i) {
+      Recycle(p.At(i));
+    }
+  }
   std::vector<Port> ports(snapshot.ports.size());
   for (size_t i = 0; i < ports.size(); ++i) {
     const PortState& state = snapshot.ports[i];
@@ -235,8 +225,7 @@ void VirtualNet::Restore(const Snapshot& snapshot) {
     p.ready = state.ready;
     p.staged = live - state.ready;
     for (size_t k = 0; k < live; ++k) {
-      p.ring[k].src_port = state.datagrams[k].src_port;
-      p.ring[k].payload.assign(state.datagrams[k].payload);
+      Fill(p.ring[k], state.datagrams[k].src_port, state.datagrams[k].payload);
     }
   }
   ports_ = std::move(ports);

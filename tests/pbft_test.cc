@@ -261,7 +261,7 @@ class PbftHostileDatagrams : public ::testing::Test {
   // Delivers `payload` from `src` (an authenticated peer port) to `dst`,
   // steps the destination once, and makes whatever it sent receivable.
   void Deliver(int src, int dst, std::string_view payload) {
-    net_.Send(src, dst, std::string(payload));
+    net_.Send(src, dst, payload);
     net_.AdvanceTick();
     if (dst == kPbftClientPort) {
       cluster_.client().Step();

@@ -5,7 +5,9 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -404,6 +406,19 @@ TEST_F(VlibTest, VnetLossDropsMessages) {
   EXPECT_EQ(lossy.dropped_count(), 1u);
 }
 
+// The head datagram of `port`, received whole (no test payload comes near
+// the buffer), or nothing when the queue is empty.
+std::optional<Datagram> ReceiveDatagram(VirtualNet& net, int port) {
+  std::string buf(8192, '\0');
+  Datagram d;
+  long n = net.Receive(port, buf.data(), buf.size(), &d.src_port);
+  if (n < 0) {
+    return std::nullopt;
+  }
+  d.payload = buf.substr(0, static_cast<size_t>(n));
+  return d;
+}
+
 TEST_F(VlibTest, VnetPartialSendDeliversHonestPrefix) {
   VirtualNet net(9);
   ASSERT_TRUE(net.Bind(1));
@@ -414,9 +429,9 @@ TEST_F(VlibTest, VnetPartialSendDeliversHonestPrefix) {
   // A strict prefix: the sender sees exactly what a short write() reports.
   ASSERT_GE(n, 1);
   ASSERT_LT(static_cast<size_t>(n), payload.size());
-  Datagram d;
-  ASSERT_TRUE(net.Receive(2, &d));
-  EXPECT_EQ(d.payload, payload.substr(0, static_cast<size_t>(n)));
+  std::optional<Datagram> d = ReceiveDatagram(net, 2);
+  ASSERT_TRUE(d);
+  EXPECT_EQ(d->payload, payload.substr(0, static_cast<size_t>(n)));
   EXPECT_EQ(net.partial_send_count(), 1u);
   EXPECT_EQ(net.partial_recv_count(), 0u);
 }
@@ -428,13 +443,13 @@ TEST_F(VlibTest, VnetPartialRecvTruncatesTheHeadDatagram) {
   const std::string payload = "abcdef";
   ASSERT_EQ(net.Send(1, 2, payload), static_cast<long>(payload.size()));
   net.set_partial_recv_probability(1.0);
-  Datagram d;
-  ASSERT_TRUE(net.Receive(2, &d));
+  std::optional<Datagram> d = ReceiveDatagram(net, 2);
+  ASSERT_TRUE(d);
   // The receiver gets a strict prefix and the remainder is gone -- an honest
   // short read the frame layer must detect (length prefix / CRC).
-  ASSERT_GE(d.payload.size(), 1u);
-  ASSERT_LT(d.payload.size(), payload.size());
-  EXPECT_EQ(d.payload, payload.substr(0, d.payload.size()));
+  ASSERT_GE(d->payload.size(), 1u);
+  ASSERT_LT(d->payload.size(), payload.size());
+  EXPECT_EQ(d->payload, payload.substr(0, d->payload.size()));
   EXPECT_EQ(net.QueueDepth(2), 0u);
   EXPECT_EQ(net.partial_recv_count(), 1u);
 }
@@ -446,9 +461,9 @@ TEST_F(VlibTest, VnetTinyPayloadsCannotBeSplit) {
   net.set_partial_send_probability(1.0);
   net.set_partial_recv_probability(1.0);
   ASSERT_EQ(net.Send(1, 2, "a"), 1);
-  Datagram d;
-  ASSERT_TRUE(net.Receive(2, &d));
-  EXPECT_EQ(d.payload, "a");
+  std::optional<Datagram> d = ReceiveDatagram(net, 2);
+  ASSERT_TRUE(d);
+  EXPECT_EQ(d->payload, "a");
   EXPECT_EQ(net.partial_send_count(), 0u);
   EXPECT_EQ(net.partial_recv_count(), 0u);
 }
@@ -473,9 +488,8 @@ TEST_F(VlibTest, VnetPartialSendRoundTripRecoversByResending) {
   ASSERT_EQ(off, payload.size());
   EXPECT_GT(rounds, 1);  // at least one send actually split
   std::string reassembled;
-  Datagram d;
-  while (net.Receive(2, &d)) {
-    reassembled += d.payload;
+  while (std::optional<Datagram> d = ReceiveDatagram(net, 2)) {
+    reassembled += d->payload;
   }
   EXPECT_EQ(reassembled, payload);
   EXPECT_GE(net.partial_send_count(), 1u);
@@ -493,8 +507,8 @@ TEST_F(VlibTest, VnetSnapshotRestoreReplaysThePartialFaultStream) {
     std::vector<std::pair<long, std::string>> trace;
     for (int i = 0; i < 24; ++i) {
       long sent = n.Send(1, 2, StrFormat("payload-%02d", i));
-      Datagram d;
-      std::string received = n.Receive(2, &d) ? d.payload : "<empty>";
+      std::optional<Datagram> d = ReceiveDatagram(n, 2);
+      std::string received = d ? d->payload : "<empty>";
       trace.emplace_back(sent, received);
     }
     return trace;
@@ -515,9 +529,9 @@ TEST_F(VlibTest, VnetSnapshotRestoreReplaysThePartialFaultStream) {
   EXPECT_EQ(net.partial_recv_count(), recvs);
 }
 
-// --- reused queue slots --------------------------------------------------------
+// --- recycled payload buffers ------------------------------------------------
 
-TEST_F(VlibTest, VnetReusedSlotDeliversAShortPayloadExactly) {
+TEST_F(VlibTest, VnetRecycledBufferDeliversAShortPayloadExactly) {
   VirtualLibc peer(&fs_, &net_, "peer");
   int s1 = libc_.Socket();
   int s2 = peer.Socket();
@@ -527,12 +541,8 @@ TEST_F(VlibTest, VnetReusedSlotDeliversAShortPayloadExactly) {
   std::string short_payload = "short-after-a-long-one";  // heap-sized, reuses the long buffer
   char buf[2048];
   int src = -1;
-  // Enough long datagrams that every slot of the port's ring holds a long
-  // buffer when the short ones are written into them.
-  for (int i = 0; i < 16; ++i) {
-    ASSERT_EQ(libc_.SendTo(s1, long_payload.data(), long_payload.size(), 200), 1500);
-    ASSERT_EQ(peer.RecvFrom(s2, buf, sizeof buf, &src), 1500);
-  }
+  ASSERT_EQ(libc_.SendTo(s1, long_payload.data(), long_payload.size(), 200), 1500);
+  ASSERT_EQ(peer.RecvFrom(s2, buf, sizeof buf, &src), 1500);
   for (const std::string& payload : {short_payload, std::string("tiny")}) {
     std::memset(buf, '#', sizeof buf);
     ASSERT_EQ(libc_.SendTo(s1, payload.data(), payload.size(), 200),
@@ -542,30 +552,21 @@ TEST_F(VlibTest, VnetReusedSlotDeliversAShortPayloadExactly) {
     EXPECT_EQ(buf[payload.size()], '#');  // nothing of the long payload leaks past it
     EXPECT_EQ(src, 100);
   }
-  EXPECT_EQ(net_.delivered_count(), 18u);
+  EXPECT_EQ(net_.delivered_count(), 3u);
 }
 
 // Sends and receives varied payloads -- long and short, to a bound and an
-// unbound port -- and records everything observable. With `copy` the net
-// takes the buffer overloads both ways (the virtual libc's path); without
-// it, the std::string Send and the Datagram Receive.
-std::vector<std::string> DriveNet(VirtualNet& net, bool copy) {
+// unbound port -- and records everything observable.
+std::vector<std::string> DriveNet(VirtualNet& net) {
   std::vector<std::string> trace;
   for (int i = 0; i < 48; ++i) {
     size_t filler = i % 3 == 0 ? 700 : static_cast<size_t>(i % 7);
     std::string payload = StrFormat("%02d-", i) + std::string(filler, static_cast<char>('a' + i % 26));
     int dst = i % 11 == 0 ? 3 : 2;  // port 3 is unbound: dropped
-    long sent = copy ? net.Send(1, dst, payload.data(), payload.size()) : net.Send(1, dst, payload);
+    long sent = net.Send(1, dst, payload);
     std::string received = "<empty>";
-    if (copy) {
-      char buf[1024];
-      int src = -1;
-      long n = net.Receive(2, buf, sizeof buf, &src);
-      if (n >= 0) {
-        received = StrFormat("%d:", src) + std::string(buf, static_cast<size_t>(n));
-      }
-    } else if (Datagram d; net.Receive(2, &d)) {
-      received = StrFormat("%d:", d.src_port) + d.payload;
+    if (std::optional<Datagram> d = ReceiveDatagram(net, 2)) {
+      received = StrFormat("%d:", d->src_port) + d->payload;
     }
     trace.push_back(StrFormat("%ld ", sent) + received);
   }
@@ -587,30 +588,47 @@ VirtualNet FaultyNet() {
   return net;
 }
 
-TEST_F(VlibTest, VnetBufferOverloadsChangeNoByteOrCounter) {
-  VirtualNet copied = FaultyNet();
-  VirtualNet plain = FaultyNet();
-  std::vector<std::string> trace = DriveNet(copied, /*copy=*/true);
-  EXPECT_EQ(trace, DriveNet(plain, /*copy=*/false));
-  EXPECT_GT(copied.partial_send_count(), 0u);
-  EXPECT_GT(copied.partial_recv_count(), 0u);
-  EXPECT_GT(copied.dropped_count(), 0u);
-  // Again, now with every slot holding a buffer from the first pass.
-  EXPECT_EQ(DriveNet(copied, true), DriveNet(plain, false));
+// Fills the free list past its bound: 100 long datagrams queued on port 2
+// (a Send of each, none lost), then all received.
+void FillFreeList(VirtualNet& net) {
+  VirtualNet::Snapshot faults = net.TakeSnapshot();
+  net.set_loss_probability(0.0);
+  net.set_partial_send_probability(0.0);
+  net.set_partial_recv_probability(0.0);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(net.Send(1, 2, std::string(200 + i, 'f')), 200 + i);
+  }
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(ReceiveDatagram(net, 2));
+  }
+  net.Restore(faults);
 }
 
-TEST_F(VlibTest, VnetRestoreAfterSlotReuseReplaysTheSnapshot) {
+TEST_F(VlibTest, VnetRecyclingChangesNoByteOrCounter) {
+  VirtualNet recycled = FaultyNet();
+  VirtualNet plain = FaultyNet();
+  FillFreeList(recycled);
+  std::vector<std::string> trace = DriveNet(recycled);
+  EXPECT_EQ(trace, DriveNet(plain));
+  EXPECT_GT(recycled.partial_send_count(), 0u);
+  EXPECT_GT(recycled.partial_recv_count(), 0u);
+  EXPECT_GT(recycled.dropped_count(), 0u);
+  // Again, now with both free lists holding the first pass's buffers.
+  EXPECT_EQ(DriveNet(recycled), DriveNet(plain));
+}
+
+TEST_F(VlibTest, VnetRestoreAfterRecyclingReplaysTheSnapshot) {
   VirtualNet net = FaultyNet();
   net.Send(1, 2, std::string(300, 'q'));  // one datagram queued in the snapshot
   VirtualNet::Snapshot snapshot = net.TakeSnapshot();
-  std::vector<std::string> first = DriveNet(net, /*copy=*/true);
+  std::vector<std::string> first = DriveNet(net);
   net.Restore(snapshot);
-  EXPECT_EQ(DriveNet(net, true), first);
-  // A net that never held a slot buffer, restored from the same snapshot,
-  // replays the same datagrams.
+  EXPECT_EQ(DriveNet(net), first);
+  // A net that never recycled, restored from the same snapshot, replays the
+  // same datagrams.
   VirtualNet fresh;
   fresh.Restore(snapshot);
-  EXPECT_EQ(DriveNet(fresh, false), first);
+  EXPECT_EQ(DriveNet(fresh), first);
 }
 
 // --- VirtualNet against a model --------------------------------------------------
@@ -627,7 +645,8 @@ class ModelNet {
   void Unbind(int port) { queues_.erase(port); }
   bool IsBound(int port) const { return queues_.count(port) != 0; }
 
-  long Send(int src_port, int dst_port, std::string payload) {
+  long Send(int src_port, int dst_port, std::string_view bytes) {
+    std::string payload(bytes);
     auto it = queues_.find(dst_port);
     if (it == queues_.end() || (loss_ > 0.0 && rng_.Chance(loss_))) {
       ++dropped_;
@@ -646,27 +665,17 @@ class ModelNet {
     ++delivered_;
     return accepted;
   }
-  long Send(int src_port, int dst_port, const char* buf, size_t len) {
-    return Send(src_port, dst_port, std::string(buf, len));
-  }
 
-  bool Receive(int port, Datagram* out) {
+  long Receive(int port, char* buf, size_t len, int* src_port) {
     auto it = queues_.find(port);
     if (it == queues_.end() || it->second.empty()) {
-      return false;
-    }
-    *out = std::move(it->second.front());
-    it->second.pop_front();
-    if (partial_recv_ > 0.0 && out->payload.size() >= 2 && rng_.Chance(partial_recv_)) {
-      out->payload.resize(1 + static_cast<size_t>(rng_.NextBelow(out->payload.size() - 1)));
-      ++partial_recvs_;
-    }
-    return true;
-  }
-  long Receive(int port, char* buf, size_t len, int* src_port) {
-    Datagram d;
-    if (!Receive(port, &d)) {
       return -1;
+    }
+    Datagram d = std::move(it->second.front());
+    it->second.pop_front();
+    if (partial_recv_ > 0.0 && d.payload.size() >= 2 && rng_.Chance(partial_recv_)) {
+      d.payload.resize(1 + static_cast<size_t>(rng_.NextBelow(d.payload.size() - 1)));
+      ++partial_recvs_;
     }
     size_t n = std::min(len, d.payload.size());
     std::memcpy(buf, d.payload.data(), n);
@@ -714,8 +723,7 @@ class ModelNet {
 };
 
 struct NetOp {
-  enum Kind { kBind, kUnbind, kSendString, kSendBuffer, kReceiveDatagram, kReceiveBuffer,
-              kAdvanceTick, kSetTickDelivery } kind = kBind;
+  enum Kind { kBind, kUnbind, kSend, kReceive, kAdvanceTick, kSetTickDelivery } kind = kBind;
   int port = 0;  // destination, or the port (un)bound or received from
   int src = 0;
   const std::string* payload = nullptr;
@@ -726,7 +734,7 @@ struct NetOp {
 constexpr int kModelPorts = 4;  // ports 1..4; port 5 is never bound
 
 // Payloads the sequences draw from: mostly message-sized, some empty or one
-// byte (never split), a few past the slot buffer cap.
+// byte (never split), a few past the free list's capacity cap.
 const std::vector<std::string>& ModelPayloads() {
   static const std::vector<std::string> payloads = [] {
     std::vector<std::string> out;
@@ -752,10 +760,8 @@ std::vector<NetOp> RandomOps(Rng& rng, size_t count) {
     uint64_t pick = rng.NextBelow(20);
     op.kind = pick < 2    ? NetOp::kBind
               : pick < 3  ? NetOp::kUnbind
-              : pick < 7  ? NetOp::kSendString
-              : pick < 11 ? NetOp::kSendBuffer
-              : pick < 14 ? NetOp::kReceiveDatagram
-              : pick < 17 ? NetOp::kReceiveBuffer
+              : pick < 11 ? NetOp::kSend
+              : pick < 17 ? NetOp::kReceive
               : pick < 19 ? NetOp::kAdvanceTick
                           : NetOp::kSetTickDelivery;
     op.port = 1 + static_cast<int>(rng.NextBelow(kModelPorts + 1));
@@ -790,20 +796,10 @@ NetSeen ApplyOp(Net& net, const NetOp& op) {
     case NetOp::kUnbind:
       net.Unbind(op.port);
       break;
-    case NetOp::kSendString:
+    case NetOp::kSend:
       seen.ret = net.Send(op.src, op.port, *op.payload);
       break;
-    case NetOp::kSendBuffer:
-      seen.ret = net.Send(op.src, op.port, op.payload->data(), op.payload->size());
-      break;
-    case NetOp::kReceiveDatagram: {
-      Datagram d;
-      seen.ret = net.Receive(op.port, &d) ? 1 : 0;
-      seen.src = d.src_port;
-      seen.bytes = std::move(d.payload);
-      break;
-    }
-    case NetOp::kReceiveBuffer: {
+    case NetOp::kReceive: {
       seen.bytes.assign(op.len, '#');
       seen.ret = net.Receive(op.port, seen.bytes.data(), seen.bytes.size(), &seen.src);
       seen.bytes.resize(seen.ret < 0 ? 0 : static_cast<size_t>(seen.ret));
@@ -852,8 +848,10 @@ TEST(VnetModel, LockstepWithTheModelAndTheSnapshotContract) {
     double loss = rng.Chance(0.3) ? 0.15 : 0.0;
     double partial_send = rng.Chance(0.4) ? 0.3 : 0.0;
     double partial_recv = rng.Chance(0.4) ? 0.3 : 0.0;
-    std::vector<NetOp> prefix = RandomOps(rng, rng.NextBelow(12));
-    std::vector<NetOp> suffix = RandomOps(rng, 1 + rng.NextBelow(12));
+    // One sequence in 500 is long enough to fill the free list past its bound.
+    uint64_t length = sequence % 500 == 0 ? 400 : 12;
+    std::vector<NetOp> prefix = RandomOps(rng, rng.NextBelow(length));
+    std::vector<NetOp> suffix = RandomOps(rng, 1 + rng.NextBelow(length));
     staged_runs += tick ? 1 : 0;
 
     VirtualNet net(seed);
