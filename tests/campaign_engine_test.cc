@@ -136,7 +136,10 @@ TEST(CampaignEngine, PbftCampaignIdenticalAcrossWorkerCounts) {
 TEST(CampaignEngine, FullCampaignIdenticalAcrossWorkerCounts) {
   std::vector<FoundBug> serial = Table1Bugs("all", 1);
   EXPECT_EQ(serial.size(), 12u);
-  ExpectSameBugs(serial, Table1Bugs("all", 4));
+  for (int workers : {2, 4, 8}) {
+    SCOPED_TRACE(workers);
+    ExpectSameBugs(serial, Table1Bugs("all", workers));
+  }
 }
 
 // --- per-scenario seed reproducibility ------------------------------------

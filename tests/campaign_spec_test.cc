@@ -56,7 +56,7 @@ CampaignSpec RandomSpec(Rng& rng) {
   spec.seed = rng.Next();  // full-range: exercises the hex encoding
   spec.workers = static_cast<int>(rng.NextBelow(9));
   if (rng.Chance(0.5)) {
-    spec.journal_path = StrFormat("journal with \"quotes\" & <angles> %zu.xml",
+    spec.journal_path = StrFormat("journal with \"quotes\" & <angles> %zu.lfij",
                                   rng.NextBelow(100));
   }
   spec.resume = rng.Chance(0.3);
@@ -380,7 +380,7 @@ TEST(CampaignSpec, ValidateRejectsUnrunnableSpecs) {
     CampaignSpec s;
     s.system = "pbft";
     s.mode = CampaignMode::kExplore;
-    s.journal_path = "j.xml";
+    s.journal_path = "j.lfij";
     return s;
   };
   EXPECT_EQ(spec().Validate(), "");
@@ -416,14 +416,14 @@ TEST(CampaignSpec, ValidateRejectsUnrunnableSpecs) {
   s = CampaignSpec();  // resume/replay operate on a journal
   s.mode = CampaignMode::kResume;
   EXPECT_NE(s.Validate(), "");
-  s.journal_path = "j.xml";
+  s.journal_path = "j.lfij";
   EXPECT_EQ(s.Validate(), "");
 
   s = CampaignSpec();  // "all" only in table1 mode, never journaled
   s.system = "all";
   s.mode = CampaignMode::kTable1;
   EXPECT_EQ(s.Validate(), "");
-  s.journal_path = "j.xml";
+  s.journal_path = "j.lfij";
   EXPECT_NE(s.Validate(), "");
   s.journal_path.clear();
   s.mode = CampaignMode::kExplore;
@@ -478,17 +478,15 @@ TEST(ShardSource, DealsByFingerprintIntoADisjointCover) {
 
 // --- the multi-process acceptance bar ---------------------------------------
 
-// Runs the pbft exploration single-process and as 4 in-process shards, then
-// checks the satellite property: merging the shard journals in ANY input
-// order yields a bit-identical merged journal -- which is also byte-identical
-// to the single-process journal -- with the same bug list and coverage at
-// equal total budget, and the merged journal resumes cleanly.
+// Runs the pbft exploration single-process and as 2 and 4 forked shards,
+// then checks the satellite property: merging the shard journals in ANY
+// input order yields a bit-identical merged journal -- which is also
+// byte-identical to the single-process journal -- with the same bug list and
+// coverage at equal total budget, and the merged journal resumes cleanly.
 TEST(ShardedCampaign, MergeIsOrderInvariantAndMatchesSingleProcess) {
   EnsureStockTriggersRegistered();
-  std::string single_path = TempPath("spec_single.xml");
-  std::string merged_path = TempPath("spec_merged.xml");
+  std::string single_path = TempPath("spec_single.lfij");
   RemoveCampaignArtifacts(single_path);
-  RemoveCampaignArtifacts(merged_path, /*shards=*/4);
 
   CampaignSpec spec;
   spec.system = "pbft";
@@ -502,60 +500,65 @@ TEST(ShardedCampaign, MergeIsOrderInvariantAndMatchesSingleProcess) {
   std::string error;
   auto single_outcome = CampaignDriver(single).Run(&error);
   ASSERT_TRUE(single_outcome.has_value()) << error;
-
-  constexpr size_t kShards = 4;
-  CampaignSpec sharded = spec;
-  sharded.journal_path = merged_path;
-  sharded.shard_count = kShards;
-  auto sharded_outcome = CampaignDriver(sharded).Run(&error);  // in-process shards
-  ASSERT_TRUE(sharded_outcome.has_value()) << error;
-  ASSERT_EQ(sharded_outcome->shards.size(), kShards);
-
-  // Equal total budget, same bugs, same coverage, byte-identical journal.
-  EXPECT_EQ(sharded_outcome->scenarios_run, single_outcome->scenarios_run);
-  EXPECT_EQ(sharded_outcome->bugs, single_outcome->bugs);
-  EXPECT_EQ(sharded_outcome->coverage.hits(), single_outcome->coverage.hits());
   std::string single_bytes = ReadFile(single_path);
-  EXPECT_EQ(ReadFile(merged_path), single_bytes);
 
-  // Every input permutation merges to the same bytes.
-  std::vector<std::string> inputs;
-  size_t shard_records = 0;
-  for (const MergeInputStats& shard : sharded_outcome->shards) {
-    inputs.push_back(shard.path);
-    shard_records += shard.records;
+  for (size_t shards : {2u, 4u}) {
+    SCOPED_TRACE(shards);
+    std::string merged_path = TempPath(StrFormat("spec_merged_%zu.lfij", shards));
+    RemoveCampaignArtifacts(merged_path, shards);
+    CampaignSpec sharded = spec;
+    sharded.journal_path = merged_path;
+    sharded.shard_count = shards;
+    auto sharded_outcome = CampaignDriver(sharded).Run(&error);
+    ASSERT_TRUE(sharded_outcome.has_value()) << error;
+    ASSERT_EQ(sharded_outcome->shards.size(), shards);
+
+    // Equal total budget, same bugs, same coverage, byte-identical journal.
+    EXPECT_EQ(sharded_outcome->scenarios_run, single_outcome->scenarios_run);
+    EXPECT_EQ(sharded_outcome->bugs, single_outcome->bugs);
+    EXPECT_EQ(sharded_outcome->coverage.hits(), single_outcome->coverage.hits());
+    EXPECT_EQ(ReadFile(merged_path), single_bytes);
+
+    // Every input permutation merges to the same bytes.
+    std::vector<std::string> inputs;
+    size_t shard_records = 0;
+    for (const MergeInputStats& shard : sharded_outcome->shards) {
+      inputs.push_back(shard.path);
+      shard_records += shard.records;
+    }
+    EXPECT_EQ(shard_records, single_outcome->scenarios_run);
+    std::sort(inputs.begin(), inputs.end());
+    int permutation = 0;
+    do {
+      std::string out_path = TempPath(StrFormat("spec_perm_%d.lfij", permutation));
+      std::remove(out_path.c_str());
+      auto merged = MergeJournals(inputs, out_path, &error);
+      ASSERT_TRUE(merged.has_value()) << error;
+      EXPECT_EQ(merged->bugs, single_outcome->bugs);
+      EXPECT_EQ(ReadFile(out_path), single_bytes) << "permutation " << permutation;
+      ++permutation;
+    } while (std::next_permutation(inputs.begin(), inputs.end()) && permutation < 6);
+    EXPECT_GE(permutation, 2);
+
+    // The merged journal is a valid resumable campaign: resume replays it to
+    // the same result without re-executing (and without touching the bytes).
+    CampaignOutcome resumed =
+        RunSpec({.mode = CampaignMode::kResume, .workers = 2, .journal_path = merged_path});
+    EXPECT_EQ(resumed.bugs, single_outcome->bugs);
+    EXPECT_EQ(resumed.coverage.hits(), single_outcome->coverage.hits());
+    EXPECT_EQ(resumed.scenarios_run, single_outcome->scenarios_run);
+    EXPECT_EQ(ReadFile(merged_path), single_bytes);
+
+    // A killed orchestration leaves finished shard journals behind;
+    // re-running the same spec resumes them from disk (completed shards
+    // replay entirely) instead of demanding their deletion, and still merges
+    // byte-identically.
+    std::remove(merged_path.c_str());
+    auto rerun_outcome = CampaignDriver(sharded).Run(&error);
+    ASSERT_TRUE(rerun_outcome.has_value()) << error;
+    EXPECT_EQ(rerun_outcome->bugs, single_outcome->bugs);
+    EXPECT_EQ(ReadFile(merged_path), single_bytes);
   }
-  EXPECT_EQ(shard_records, single_outcome->scenarios_run);
-  std::sort(inputs.begin(), inputs.end());
-  int permutation = 0;
-  do {
-    std::string out_path = TempPath(StrFormat("spec_perm_%d.xml", permutation).c_str());
-    std::remove(out_path.c_str());
-    auto merged = MergeJournals(inputs, out_path, &error);
-    ASSERT_TRUE(merged.has_value()) << error;
-    EXPECT_EQ(merged->bugs, single_outcome->bugs);
-    EXPECT_EQ(ReadFile(out_path), single_bytes) << "permutation " << permutation;
-    ++permutation;
-  } while (std::next_permutation(inputs.begin(), inputs.end()) && permutation < 6);
-  EXPECT_GE(permutation, 2);
-
-  // The merged journal is a valid resumable campaign: resume replays it to
-  // the same result without re-executing (and without touching the bytes).
-  CampaignOutcome resumed =
-      RunSpec({.mode = CampaignMode::kResume, .workers = 2, .journal_path = merged_path});
-  EXPECT_EQ(resumed.bugs, single_outcome->bugs);
-  EXPECT_EQ(resumed.coverage.hits(), single_outcome->coverage.hits());
-  EXPECT_EQ(resumed.scenarios_run, single_outcome->scenarios_run);
-  EXPECT_EQ(ReadFile(merged_path), single_bytes);
-
-  // A killed orchestration leaves finished shard journals behind; re-running
-  // the same spec resumes them from disk (completed shards replay entirely)
-  // instead of demanding their deletion, and still merges byte-identically.
-  std::remove(merged_path.c_str());
-  auto rerun_outcome = CampaignDriver(sharded).Run(&error);
-  ASSERT_TRUE(rerun_outcome.has_value()) << error;
-  EXPECT_EQ(rerun_outcome->bugs, single_outcome->bugs);
-  EXPECT_EQ(ReadFile(merged_path), single_bytes);
 }
 
 // shards > scenarios: the empty shards still write valid header-only
@@ -563,8 +566,8 @@ TEST(ShardedCampaign, MergeIsOrderInvariantAndMatchesSingleProcess) {
 // single-process campaign.
 TEST(ShardedCampaign, MoreShardsThanScenariosLeavesValidEmptyShardJournals) {
   EnsureStockTriggersRegistered();
-  std::string single_path = TempPath("spec_tiny_single.xml");
-  std::string merged_path = TempPath("spec_tiny_merged.xml");
+  std::string single_path = TempPath("spec_tiny_single.lfij");
+  std::string merged_path = TempPath("spec_tiny_merged.lfij");
   RemoveCampaignArtifacts(single_path);
   RemoveCampaignArtifacts(merged_path, /*shards=*/8);
 
@@ -684,9 +687,9 @@ TEST(ShardedCampaign, KilledOpenLoopOrchestrationResumesByteIdentical) {
 // interleaved.
 TEST(ShardedCampaign, MergeRejectsMismatchedCampaignIdentity) {
   EnsureStockTriggersRegistered();
-  std::string a_path = TempPath("spec_merge_a.xml");
-  std::string b_path = TempPath("spec_merge_b.xml");
-  std::string out_path = TempPath("spec_merge_out.xml");
+  std::string a_path = TempPath("spec_merge_a.lfij");
+  std::string b_path = TempPath("spec_merge_b.lfij");
+  std::string out_path = TempPath("spec_merge_out.lfij");
   std::remove(a_path.c_str());
   std::remove(b_path.c_str());
   std::remove(out_path.c_str());
@@ -720,7 +723,7 @@ TEST(ShardedCampaign, MergeRejectsMismatchedCampaignIdentity) {
 
 TEST(CampaignDriver, ReplayModeReproducesJournaledCrashes) {
   EnsureStockTriggersRegistered();
-  std::string path = TempPath("spec_replay.xml");
+  std::string path = TempPath("spec_replay.lfij");
   std::remove(path.c_str());
 
   CampaignSpec record;

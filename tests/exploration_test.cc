@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/common/campaign_spec.h"
 #include "apps/git/git.h"
 #include "campaign_test_util.h"
 #include "core/campaign_engine.h"
@@ -144,29 +145,38 @@ TEST(Exploration, CoverageGuidedReproducibleAcrossWorkerCounts) {
 
 // --- the acceptance bar: coverage-guided >= exhaustive on pbft -------------
 
-TEST(Exploration, CoverageGuidedCoversAtLeastExhaustiveOnPbft) {
-  CampaignOutcome exhaustive = RunSpec({.system = "pbft"});
-  ASSERT_GT(exhaustive.scenarios_run, 0u);
+TEST(Exploration, CoverageGuidedCoversAtLeastExhaustiveOnEverySystem) {
+  for (const std::string& system : CampaignSystemNames()) {
+    SCOPED_TRACE(system);
+    // The analyzer's list is shorter than 16 on every target, so budget 16
+    // runs all of it.
+    CampaignOutcome exhaustive = RunSpec({.system = system, .budget = 16});
+    ASSERT_GT(exhaustive.scenarios_run, 0u);
+    size_t exhaustive_blocks = exhaustive.coverage.ComputeStats().covered_recovery_blocks;
 
-  // Same budget as the exhaustive list: the guided strategy must never do
-  // worse than the paper's one-shot generation.
-  CampaignSpec guided_spec{.system = "pbft", .strategy = ExploreStrategy::kCoverage,
-                           .budget = exhaustive.scenarios_run};
-  CampaignOutcome guided = RunSpec(guided_spec);
-  EXPECT_GE(guided.coverage.ComputeStats().covered_recovery_blocks,
-            exhaustive.coverage.ComputeStats().covered_recovery_blocks);
+    // At the same seed and budget the guided strategy must never do worse
+    // than the paper's one-shot generation.
+    CampaignSpec guided_spec{.system = system, .strategy = ExploreStrategy::kCoverage,
+                             .budget = 16};
+    CampaignOutcome guided = RunSpec(guided_spec);
+    EXPECT_GE(guided.coverage.ComputeStats().covered_recovery_blocks, exhaustive_blocks);
+    if (system != "pbft") {
+      continue;
+    }
 
-  // With headroom the feedback loop pushes past the analyzer's list: checked
-  // sites (whose recovery paths the static classification never flags) and
-  // mutations of fruitful scenarios reach recovery blocks the exhaustive
-  // strategy cannot, at any budget.
-  guided_spec.budget = 16;
-  CampaignOutcome wider = RunSpec(guided_spec);
-  EXPECT_GT(wider.coverage.ComputeStats().covered_recovery_blocks,
-            exhaustive.coverage.ComputeStats().covered_recovery_blocks);
-  // 16 > the number of distinct sites, so the exploit (mutation) queue must
-  // have produced the overflow scenarios.
-  EXPECT_EQ(wider.scenarios_run, 16u);
+    // On pbft, the guided strategy matches the list at the list's own budget.
+    guided_spec.budget = exhaustive.scenarios_run;
+    EXPECT_GE(RunSpec(guided_spec).coverage.ComputeStats().covered_recovery_blocks,
+              exhaustive_blocks);
+    // With headroom the feedback loop pushes past the analyzer's list:
+    // checked sites (whose recovery paths the static classification never
+    // flags) and mutations of fruitful scenarios reach recovery blocks the
+    // exhaustive strategy cannot, at any budget.
+    EXPECT_GT(guided.coverage.ComputeStats().covered_recovery_blocks, exhaustive_blocks);
+    // 16 > the number of distinct sites, so the exploit (mutation) queue
+    // must have produced the overflow scenarios.
+    EXPECT_EQ(guided.scenarios_run, 16u);
+  }
 }
 
 // --- persistent-EINTR livelock ---------------------------------------------

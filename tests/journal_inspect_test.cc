@@ -1,5 +1,6 @@
 // Journal inspection (apps/common/journal_inspect.h): the `journal dump`
-// rendering pinned byte for byte, the `journal info` totals and per-epoch
+// rendering pinned byte for byte and the extent encoding's size against it
+// (at least 5x smaller), the `journal info` totals and per-epoch
 // breakdown with its stream-index/epoch invariant walk, and `journal doctor`
 // on torn and unsealed journals, invariant violations, unknown systems, and
 // orphaned sibling artifacts laid out with the CampaignSpec path helpers.
@@ -132,6 +133,40 @@ TEST(JournalDump, RendersHeaderAndRecordsAsXml) {
             "    </function>\n"
             "  </scenario>\n"
             "</record>\n");
+}
+
+// The extent encoding's size bar: a real pbft random explore's records,
+// tiled and renumbered into a 1,000-record journal (the random scenario
+// space saturates at a few hundred uniques; bigger campaigns are this shape
+// repeated), take at least 5x fewer bytes per record than the dump's XML,
+// and the journal loads back whole.
+TEST(JournalDump, ExtentJournalIsFiveTimesSmallerThanItsXmlDump) {
+  constexpr size_t kRecords = 1000;
+  std::string campaign_path = TempPath("inspect_size_campaign.lfij");
+  std::string tiled_path = TempPath("inspect_size_tiled.lfij");
+  std::remove(campaign_path.c_str());
+  RunSpec({.system = "pbft", .strategy = ExploreStrategy::kRandom, .budget = kRecords,
+           .seed = 5, .journal_path = campaign_path});
+  std::string error;
+  auto campaign = CampaignJournal::Load(campaign_path, &error);
+  ASSERT_TRUE(campaign.has_value()) << error;
+  ASSERT_FALSE(campaign->records().empty());
+
+  std::vector<JournalRecord> tiled;
+  for (size_t i = 0; i < kRecords; ++i) {
+    tiled.push_back(campaign->records()[i % campaign->records().size()]);
+    tiled.back().stream_index = i;
+  }
+  WriteJournal(tiled_path, campaign->metadata(), tiled);
+  auto dump = DumpJournal(tiled_path, &error);
+  ASSERT_TRUE(dump.has_value()) << error;
+  size_t extent_bytes = ReadFile(tiled_path).size();
+  EXPECT_GE(dump->size(), 5 * extent_bytes) << "extent " << extent_bytes << " B, dump "
+                                            << dump->size() << " B";
+
+  auto loaded = CampaignJournal::Load(tiled_path, &error);
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(loaded->records().size(), kRecords);
 }
 
 // --- journal info -----------------------------------------------------------
