@@ -122,8 +122,12 @@ TEST(CampaignEngine, MaxBugsGatesSaturableJobsDeterministically) {
 
 // --- campaign equivalence: parallel == serial baseline --------------------
 
-std::vector<FoundBug> Table1Bugs(const char* system, int workers) {
-  return RunSpec({.system = system, .mode = CampaignMode::kTable1, .workers = workers}).bugs;
+std::vector<FoundBug> Table1Bugs(const char* system, int workers, bool exhaustive = false) {
+  return RunSpec({.system = system,
+                  .mode = CampaignMode::kTable1,
+                  .exhaustive = exhaustive,
+                  .workers = workers})
+      .bugs;
 }
 
 TEST(CampaignEngine, PbftCampaignIdenticalAcrossWorkerCounts) {
@@ -136,9 +140,14 @@ TEST(CampaignEngine, PbftCampaignIdenticalAcrossWorkerCounts) {
 TEST(CampaignEngine, FullCampaignIdenticalAcrossWorkerCounts) {
   std::vector<FoundBug> serial = Table1Bugs("all", 1);
   EXPECT_EQ(serial.size(), 12u);
+  ExpectSameBugs(serial, Table1Bugs("all", 4));
+  // Exhaustive mode drops the historical fuzz cutoff, so every fuzz job past
+  // saturation runs too and every worker count executes the same job set.
+  std::vector<FoundBug> exhaustive = Table1Bugs("all", 1, /*exhaustive=*/true);
+  EXPECT_EQ(exhaustive.size(), 12u);
   for (int workers : {2, 4, 8}) {
     SCOPED_TRACE(workers);
-    ExpectSameBugs(serial, Table1Bugs("all", workers));
+    ExpectSameBugs(exhaustive, Table1Bugs("all", workers, /*exhaustive=*/true));
   }
 }
 
