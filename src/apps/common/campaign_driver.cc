@@ -24,7 +24,6 @@
 #include "core/extent_journal.h"
 #include "core/fork_server.h"
 #include "core/stock_triggers.h"
-#include "util/binary_io.h"
 #include "util/errno_codes.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
@@ -46,15 +45,15 @@ const FaultProfile& CachedLibxmlProfile() {
 }
 
 // --- Table 1 job lists ------------------------------------------------------
-// The job runners themselves live in apps/common/warm_targets.cc. Builders
-// receive the campaign's ExecutionLayer so self-contained jobs (job.run) plug
-// into its pools too.
+// The job runners themselves live in apps/common/warm_targets.cc. A job of a
+// second-phase workload says so in CampaignJob::second_phase, and the
+// ExecutionLayer's runner sends it to that workload's pool.
 
-std::vector<CampaignJob> GitTable1Jobs(bool /*exhaustive*/, const ExecutionLayer& /*exec*/) {
+std::vector<CampaignJob> GitTable1Jobs(bool /*exhaustive*/) {
   return AnalyzerJobs(GitBinary().image(), CachedLibcProfile());
 }
 
-std::vector<CampaignJob> MysqlTable1Jobs(bool /*exhaustive*/, const ExecutionLayer& /*exec*/) {
+std::vector<CampaignJob> MysqlTable1Jobs(bool /*exhaustive*/) {
   const FaultProfile& profile = CachedLibcProfile();
 
   // Phase 1: analyzer-generated scenarios.
@@ -78,7 +77,7 @@ std::vector<CampaignJob> MysqlTable1Jobs(bool /*exhaustive*/, const ExecutionLay
   return jobs;
 }
 
-std::vector<CampaignJob> BindTable1Jobs(bool /*exhaustive*/, const ExecutionLayer& exec) {
+std::vector<CampaignJob> BindTable1Jobs(bool /*exhaustive*/) {
   // Analyzer scenarios against both library profiles.
   std::vector<CampaignJob> jobs = AnalyzerJobs(BindBinary().image(), CachedLibcProfile());
   for (CampaignJob& job : AnalyzerJobs(BindBinary().image(), CachedLibxmlProfile())) {
@@ -87,19 +86,19 @@ std::vector<CampaignJob> BindTable1Jobs(bool /*exhaustive*/, const ExecutionLaye
 
   // Exhaustive malloc sweep over dst_lib_init: the call *is* checked (so the
   // analyzer reports it fully checked), but the recovery path is broken.
-  // These run a different workload, so they carry their own runner.
+  // These run a different workload: the second phase's.
   for (uint64_t k = 1; k <= MiniBind::kDstAllocations; ++k) {
     CampaignJob job;
     job.scenario = MakeCallCountScenario("malloc", k, 0, kENOMEM);
     job.label = StrFormat("malloc #%llu = NULL in dst_lib_init", (unsigned long long)k);
     job.seed = k;
-    job.run = exec.phase_runner();
+    job.second_phase = true;
     jobs.push_back(std::move(job));
   }
   return jobs;
 }
 
-std::vector<CampaignJob> PbftTable1Jobs(bool exhaustive, const ExecutionLayer& exec) {
+std::vector<CampaignJob> PbftTable1Jobs(bool exhaustive) {
   // Phase 1: analyzer scenarios against replica 0 (shutdown checkpoint bug).
   std::vector<CampaignJob> jobs = AnalyzerJobs(PbftBinary().image(), CachedLibcProfile());
 
@@ -130,26 +129,27 @@ std::vector<CampaignJob> PbftTable1Jobs(bool exhaustive, const ExecutionLayer& e
         StrFormat("random sendto/recvfrom faults, seed %llu", (unsigned long long)seed);
     job.seed = seed;
     job.skip_when_saturated = !exhaustive;
-    job.run = exec.phase_runner();
+    job.second_phase = true;
     jobs.push_back(std::move(job));
   }
   return jobs;
 }
 
-std::vector<CampaignJob> BfsTable1Jobs(bool exhaustive, const ExecutionLayer& exec) {
+std::vector<CampaignJob> BfsTable1Jobs(bool exhaustive) {
   // Phase 1: analyzer scenarios against the server's libc call sites (the
   // unchecked durability-barrier fopen surfaces here).
   std::vector<CampaignJob> jobs = AnalyzerJobs(BfsBinary().image(), CachedLibcProfile());
 
   // Phase 2: partial-transfer faults on the vnet fabric itself. These are not
   // library faults -- the runner arms the network's short-write/short-read
-  // sites directly -- so they carry their own runner, like bind's dst sweep.
+  // sites directly -- so they run the second phase's workload, like bind's
+  // dst sweep.
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     CampaignJob job;
     job.label = StrFormat("partial send/recv over vnet, seed %llu", (unsigned long long)seed);
     job.seed = seed;
     job.skip_when_saturated = !exhaustive;
-    job.run = exec.phase_runner();
+    job.second_phase = true;
     jobs.push_back(std::move(job));
   }
   return jobs;
@@ -163,7 +163,7 @@ struct SystemEntry {
   const char* name;
   const AppBinary& (*binary)();
   std::vector<const FaultProfile*> (*profiles)();
-  std::vector<CampaignJob> (*table1_jobs)(bool exhaustive, const ExecutionLayer& exec);
+  std::vector<CampaignJob> (*table1_jobs)(bool exhaustive);
   size_t table1_max_bugs;  // historical fuzz cutoff; 0 = run everything
 };
 
@@ -242,11 +242,10 @@ struct SpecSource {
 
 // The one place a spec becomes a scenario source: the Table 1 job list or an
 // exploration strategy.
-std::unique_ptr<SpecSource> MakeSpecSource(const CampaignSpec& spec, const SystemEntry& entry,
-                                           const ExecutionLayer& exec) {
+std::unique_ptr<SpecSource> MakeSpecSource(const CampaignSpec& spec, const SystemEntry& entry) {
   auto made = std::make_unique<SpecSource>();
   if (spec.mode == CampaignMode::kTable1) {
-    made->source = std::make_unique<ExhaustiveSource>(entry.table1_jobs(spec.exhaustive, exec));
+    made->source = std::make_unique<ExhaustiveSource>(entry.table1_jobs(spec.exhaustive));
     return made;
   }
   made->profiles = entry.profiles();
@@ -288,55 +287,6 @@ std::unique_ptr<SpecSource> MakeSpecSource(const CampaignSpec& spec, const Syste
   made->coverage = coverage.get();
   made->source = std::move(coverage);
   return made;
-}
-
-// --- shard work on the wire ---------------------------------------------------
-// What the orchestrator sends a shard's worker for one epoch: the jobs it
-// dealt that shard, in stream order. A job's `run` is code and cannot cross
-// the process boundary (EncodeCampaignJobs refuses it); every self-contained
-// job this driver builds runs on the ExecutionLayer's phase runner, so the
-// payload flags those jobs and the worker re-attaches that runner.
-
-std::string EncodeShardWork(std::vector<CampaignJob> jobs) {
-  ByteWriter w;
-  w.PutVarint(jobs.size());
-  for (CampaignJob& job : jobs) {
-    w.PutU8(job.run ? 1 : 0);
-    job.run = nullptr;
-  }
-  w.PutBytes(*EncodeCampaignJobs(jobs));  // no job has a runner left to refuse
-  return w.TakeBuffer();
-}
-
-std::optional<std::vector<CampaignJob>> DecodeShardWork(std::string_view work,
-                                                        const ExecutionLayer& exec,
-                                                        std::string* error) {
-  ByteReader r(work);
-  const uint64_t count = r.GetVarint();
-  const std::string_view self_contained = r.GetBytes(static_cast<size_t>(count));
-  if (!r.ok()) {
-    *error = "truncated shard work";
-    return std::nullopt;
-  }
-  std::optional<std::vector<CampaignJob>> jobs =
-      DecodeCampaignJobs(work.substr(r.pos()), error);
-  if (!jobs) {
-    return std::nullopt;
-  }
-  if (jobs->size() != count) {
-    *error = StrFormat("shard work flags %zu jobs but carries %zu", static_cast<size_t>(count),
-                       jobs->size());
-    return std::nullopt;
-  }
-  for (size_t i = 0; i < jobs->size(); ++i) {
-    if (self_contained[i] == 1) {
-      (*jobs)[i].run = exec.phase_runner();
-    } else if (self_contained[i] != 0) {
-      *error = StrFormat("bad runner flag on dealt job %zu", i);
-      return std::nullopt;
-    }
-  }
-  return jobs;
 }
 
 // The supervision policy of an orchestrated `spec` whose epochs hold at
@@ -481,7 +431,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunCampaign(std::string* error) {
     ExhaustiveSource dealt(std::move(dealt_));
     result = engine.Run(dealt, exec.runner());
   } else {
-    std::unique_ptr<SpecSource> source = MakeSpecSource(spec_, *entry, exec);
+    std::unique_ptr<SpecSource> source = MakeSpecSource(spec_, *entry);
     if (spec_.shard_index != CampaignSpec::kNoShard) {
       // A static shard (`--shard I/N`) runs only its deal of the stream.
       ShardSource sharded(*source->source, spec_.shard_index, spec_.shard_count);
@@ -683,13 +633,11 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
 
   // The master enumerates the campaign's stream exactly as the
   // single-process engine would; its jobs never run here. `exec` is the
-  // workers' zygote: prewarmed before the first live epoch's fork, and only
-  // the spawn-failure fallback runs jobs on it in this process (its
-  // instances come back reset or are dropped), so every worker inherits
-  // post-setup instances.
+  // workers' zygote: prewarmed before the first live epoch's fork and never
+  // run on in this process, so every worker inherits post-setup instances.
   const SystemEntry* entry = FindSystem(spec_.system);
   ExecutionLayer exec(spec_.system, spec_.mode, spec_.cold_start);
-  std::unique_ptr<SpecSource> master = MakeSpecSource(spec_, *entry, exec);
+  std::unique_ptr<SpecSource> master = MakeSpecSource(spec_, *entry);
   // Without epoch_len the whole stream is one epoch: no frontier snapshot,
   // and records stay unstamped like the single-process run's.
   const bool epochs = spec_.epoch_len != 0;
@@ -700,7 +648,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
   const ShardSupervisor::WorkRunner run_dealt = [&exec](const CampaignSpec& child,
                                                         std::string_view work,
                                                         std::string* child_error) {
-    std::optional<std::vector<CampaignJob>> dealt = DecodeShardWork(work, exec, child_error);
+    std::optional<std::vector<CampaignJob>> dealt = DecodeCampaignJobs(work, child_error);
     if (!dealt) {
       return false;
     }
@@ -815,8 +763,8 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
         dealt[ScenarioShard(job.scenario, spec_.shard_count)].push_back(job);
       }
       std::vector<std::string> work;
-      for (std::vector<CampaignJob>& shard_jobs : dealt) {
-        work.push_back(EncodeShardWork(std::move(shard_jobs)));
+      for (const std::vector<CampaignJob>& shard_jobs : dealt) {
+        work.push_back(EncodeCampaignJobs(shard_jobs));
       }
       if (!supervisor) {
         // One instance per job a worker can run at once: its engine

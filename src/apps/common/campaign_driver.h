@@ -89,7 +89,8 @@ struct CampaignOutcome {
   // target after it, dropped one per worker retired by a failed Reset().
   // Orchestrated runs: the orchestrator's pool, whose builds are the zygote
   // instances it prewarmed for its children (0 under cold_start, or when
-  // every epoch replayed from the journal).
+  // every epoch replayed from the journal), and whose runs and resets read
+  // 0 under any failure schedule: the orchestrator runs no job.
   WarmPool::Stats pool;
   // Single-process table1/explore/resume: jobs handed to the runner, and
   // jobs that took the fault-free baseline's result because they provably

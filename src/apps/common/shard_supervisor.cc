@@ -82,20 +82,6 @@ bool Serves(const CampaignSpec& forked, const CampaignSpec& next) {
 // The status frame a worker answers a request it ran with.
 constexpr std::string_view kDone = "done";
 
-// Calls `runner` in this process; a ChildRefusal becomes false with
-// *refused set and the refusal as the error.
-bool CallRunner(const ShardSupervisor::WorkRunner& runner, const CampaignSpec& spec,
-                std::string_view work, std::string* error, bool* refused) {
-  *refused = false;
-  try {
-    return runner && runner(spec, work, error);
-  } catch (const ChildRefusal& refusal) {
-    *refused = true;
-    *error = refusal.what();
-    return false;
-  }
-}
-
 using Clock = ChildProcesses::Clock;
 
 struct Supervised {
@@ -114,49 +100,40 @@ struct Supervised {
 
 constexpr uint64_t kBackoffCapMs = 10000;
 
-// One attempt of shard `shard` in this process: the exit status its worker
-// leaves with when it fails (0 = it succeeded).
-int RunAttempt(const ShardSupervisor::WorkRunner& runner, const CampaignSpec& spec,
-               std::string_view work, size_t shard) {
-  // The forked image inherited the parent's armed failpoints; the spec is
-  // authoritative (the driver re-arms a non-empty schedule, replacing the
-  // set), so an empty one must explicitly disarm or a stripped respawn
-  // would re-fire the fault that killed attempt one.
-  if (spec.failpoints.empty()) {
-    Failpoints::Instance().Clear();
-  }
-  std::string error;
-  bool refused = false;
-  if (CallRunner(runner, spec, work, &error, &refused)) {
-    return 0;
-  }
-  std::fprintf(stderr, "shard %zu: %s\n", shard, runner ? error.c_str() : "no in-process runner");
-  return refused ? kChildRefusedExitStatus : 1;
-}
-
-// A worker's whole life: run each request from the parent as an attempt of
-// `spec` until the parent ends the channel. Every attempt starts from the
-// failpoint state the worker was forked with, as a fresh fork would, and a
-// failed attempt ends the worker with its status.
+// A worker's whole life: the one worker loop (util/child_process.h), each
+// request an attempt of `spec` with the request's fields applied. A failed
+// attempt ends the worker with its status; a successful one is answered
+// with kDone.
 int ServeWorker(const ShardSupervisor::WorkRunner& runner, CampaignSpec spec, size_t shard,
                 int fd) {
-  const Failpoints::Saved inherited = Failpoints::Instance().Save();
-  std::string error;
-  while (std::optional<std::string> request = ReceiveFrame(fd, &error)) {
+  return ServeRequests(fd, [&](std::string_view request,
+                               int* exit_status) -> std::optional<std::string> {
     std::string_view work;
-    if (!DecodeRequest(*request, &spec, &work)) {
+    if (!DecodeRequest(request, &spec, &work)) {
       std::fprintf(stderr, "shard %zu: undecodable request\n", shard);
-      return 1;
+      *exit_status = 1;
+      return std::nullopt;
     }
-    Failpoints::Instance().Restore(inherited);
-    if (int status = RunAttempt(runner, spec, work, shard); status != 0) {
-      return status;
+    // The loop restored the failpoints the worker was forked with; the
+    // spec is authoritative (the driver re-arms a non-empty schedule,
+    // replacing the set), so an empty one must explicitly disarm or a
+    // stripped respawn would re-fire the fault that killed attempt one.
+    if (spec.failpoints.empty()) {
+      Failpoints::Instance().Clear();
     }
-    if (!SendFrame(fd, kDone, &error)) {
-      return 1;
+    std::string error = "no runner";
+    try {
+      if (runner && runner(spec, work, &error)) {
+        return std::string(kDone);
+      }
+      *exit_status = 1;
+    } catch (const ChildRefusal& refusal) {
+      error = refusal.what();
+      *exit_status = kChildRefusedExitStatus;
     }
-  }
-  return error.empty() ? 0 : 1;
+    std::fprintf(stderr, "shard %zu: %s\n", shard, error.c_str());
+    return std::nullopt;
+  });
 }
 
 }  // namespace
@@ -167,11 +144,6 @@ ShardSupervisor::ShardSupervisor(Options options, ChildRunner runner)
     runner_ = [runner = std::move(runner)](const CampaignSpec& spec, std::string_view,
                                            std::string* error) { return runner(spec, error); };
   }
-}
-
-void ShardSupervisor::EndWorkers() {
-  workers_.KillAll();
-  forked_with_.assign(forked_with_.size(), std::nullopt);
 }
 
 bool ShardSupervisor::Run(const std::vector<CampaignSpec>& children,
@@ -185,44 +157,6 @@ bool ShardSupervisor::Run(const std::vector<CampaignSpec>& children,
   forked_with_.resize(std::max(forked_with_.size(), children.size()));
   auto work_of = [&](size_t shard) {
     return work.empty() ? std::string_view() : std::string_view(work[shard]);
-  };
-
-  // Starts one attempt: on the child's idle worker when it may serve the
-  // attempt, else on a freshly forked one. False only when it could not
-  // fork -- the signal to abandon process supervision and fall back
-  // in-process.
-  auto spawn = [&](size_t shard) {
-    Supervised& state = states[shard];
-    ++state.attempts;
-    state.awaiting_restart = false;
-    state.in_flight = true;
-    CampaignSpec spec = state.attempts == 1 ? state.spec : RespawnSpec(state.spec);
-    const std::string request = EncodeRequest(spec, work_of(shard));
-    std::string why;
-    if (state.attempts == 1 && forked_with_[shard] && Serves(*forked_with_[shard], spec) &&
-        workers_.Send(shard, request, options_.child_timeout_ms, &why)) {
-      return true;
-    }
-    // A retry gets a fresh worker, as does a spec the idle worker cannot
-    // serve or a first attempt whose worker died while idle.
-    workers_.Kill(shard);
-    forked_with_[shard].reset();
-    why = "supervisor.fork failpoint";
-    if (FailpointFired("supervisor.fork") ||
-        !workers_.Start(
-            shard, options_.child_timeout_ms,
-            [&](int fd) { return ServeWorker(runner_, spec, shard, fd); }, &why)) {
-      state.in_flight = false;
-      state.last_exit = ChildExit::kSpawnFailed;
-      state.ended = "not started: " + why;
-      return false;
-    }
-    forked_with_[shard] = spec;
-    ++state.forks;
-    // A worker that dies before it reads the request ends like any other
-    // attempt: Wait() reports how.
-    workers_.Send(shard, request, options_.child_timeout_ms, &why);
-    return true;
   };
 
   // A failed attempt either schedules a respawn (capped exponential
@@ -252,28 +186,50 @@ bool ShardSupervisor::Run(const std::vector<CampaignSpec>& children,
           shard, state.attempts, last.c_str());
     }
   };
+
+  // Starts one attempt: on the child's idle worker when it may serve the
+  // attempt, else on a freshly forked one. A retry gets a fresh worker, as
+  // does a spec the idle worker cannot serve. A fork that fails is a failed
+  // attempt like any other.
+  auto spawn = [&](size_t shard) {
+    Supervised& state = states[shard];
+    ++state.attempts;
+    state.awaiting_restart = false;
+    CampaignSpec spec = state.attempts == 1 ? state.spec : RespawnSpec(state.spec);
+    const bool reuse =
+        state.attempts == 1 && forked_with_[shard] && Serves(*forked_with_[shard], spec);
+    std::string why;
+    switch (workers_.Dispatch(
+        shard, EncodeRequest(spec, work_of(shard)), reuse, options_.child_timeout_ms,
+        [&](int fd) { return ServeWorker(runner_, spec, shard, fd); }, &why)) {
+      case ChildProcesses::Dispatched::kSent:
+        break;
+      case ChildProcesses::Dispatched::kForked:
+        forked_with_[shard] = spec;
+        ++state.forks;
+        break;
+      case ChildProcesses::Dispatched::kNotStarted:
+        forked_with_[shard].reset();
+        state.last_exit = ChildExit::kSpawnFailed;
+        state.ended = "not started: " + why;
+        on_failure(shard);
+        return;
+    }
+    state.in_flight = true;
+  };
   auto fail = [&](std::string message) {
-    EndWorkers();
+    workers_.KillAll();
+    forked_with_.assign(forked_with_.size(), std::nullopt);
     if (error != nullptr) {
       *error = std::move(message);
     }
     return false;
   };
 
-  // First wave. A fork failure here (real or failpoint) degrades the whole
-  // run to sequential in-process execution -- a slower campaign beats a dead
-  // one. Every worker is killed first, so none races the fallback for a
-  // journal file, and the fallback's resume re-check salvages their
-  // journals.
+  // The first wave: every child's first attempt, a child whose fork failed
+  // then waiting for its respawn like any other failed attempt.
   for (size_t shard = 0; shard < states.size(); ++shard) {
-    if (!spawn(shard)) {
-      EndWorkers();
-      std::fprintf(stderr,
-                   "supervisor: spawn failed (%s); running all %zu shard(s) "
-                   "sequentially in-process\n",
-                   states[shard].ended.c_str(), states.size());
-      return RunFallback(children, work, events, error, reports);
-    }
+    spawn(shard);
   }
   std::string event_error;
   if (events.dispatched && !events.dispatched(&event_error)) {
@@ -288,8 +244,8 @@ bool ShardSupervisor::Run(const std::vector<CampaignSpec>& children,
     Clock::time_point wake = Clock::time_point::max();
     for (size_t shard = 0; shard < states.size(); ++shard) {
       Supervised& state = states[shard];
-      if (state.awaiting_restart && Clock::now() >= state.restart_at && !spawn(shard)) {
-        on_failure(shard);  // a respawn that cannot fork is one more failed attempt
+      if (state.awaiting_restart && Clock::now() >= state.restart_at) {
+        spawn(shard);
       }
       if (state.awaiting_restart) {
         wake = std::min(wake, state.restart_at);
@@ -352,8 +308,7 @@ bool ShardSupervisor::Run(const std::vector<CampaignSpec>& children,
     reports->clear();
     for (size_t shard = 0; shard < states.size(); ++shard) {
       const Supervised& state = states[shard];
-      reports->push_back({shard, state.attempts, state.last_exit, state.status,
-                          /*ran_in_process=*/false, state.forks});
+      reports->push_back({shard, state.attempts, state.last_exit, state.status, state.forks});
     }
   }
   if (!first_error.empty()) {
@@ -361,67 +316,6 @@ bool ShardSupervisor::Run(const std::vector<CampaignSpec>& children,
       *error = std::move(first_error);
     }
     return false;
-  }
-  return true;
-}
-
-bool ShardSupervisor::RunFallback(const std::vector<CampaignSpec>& children,
-                                  const std::vector<std::string>& work, const Events& events,
-                                  std::string* error, std::vector<Report>* reports) {
-  auto fail = [&](std::string message) {
-    if (error != nullptr) {
-      *error = std::move(message);
-    }
-    return false;
-  };
-  if (!runner_) {
-    return fail("spawn failed and no in-process runner is available");
-  }
-  std::string event_error;
-  if (events.dispatched && !events.dispatched(&event_error)) {
-    return fail(std::move(event_error));
-  }
-  std::string saved_scope = Failpoints::Instance().scope();
-  if (reports != nullptr) {
-    reports->clear();
-  }
-  bool all_ok = true;
-  std::string first_error;
-  for (size_t shard = 0; shard < children.size(); ++shard) {
-    // Sequential, stripped of failpoints, resume re-checked: a child killed
-    // by the degraded switch-over picks its sealed journal back up.
-    CampaignSpec spec = RespawnSpec(children[shard]);
-    std::string child_error;
-    bool refused = false;
-    bool ok = CallRunner(runner_, spec, work.empty() ? "" : work[shard], &child_error, &refused);
-    // The runner scopes the registry to the child it just ran; undo that so
-    // the orchestrator's own (scopeless) evaluations stay unaffected.
-    Failpoints::Instance().SetScope(saved_scope);
-    if (reports != nullptr) {
-      Report report;
-      report.shard = shard;
-      report.attempts = 1;
-      report.last_exit = ok        ? ChildExit::kClean
-                         : refused ? ChildExit::kRefused
-                                   : ChildExit::kNonZero;
-      report.status = ok ? 0 : refused ? kChildRefusedExitStatus : 1;
-      report.ran_in_process = true;
-      reports->push_back(report);
-    }
-    if (ok && events.finished && !events.finished(shard, &event_error)) {
-      return fail(std::move(event_error));
-    }
-    if (!ok) {
-      all_ok = false;
-      if (first_error.empty()) {
-        first_error = StrFormat("shard %zu failed in-process after spawn failure: %s; its "
-                                "journal (if any) is left for inspection",
-                                shard, child_error.c_str());
-      }
-    }
-  }
-  if (!all_ok) {
-    return fail(std::move(first_error));
   }
   return true;
 }

@@ -7,18 +7,23 @@
 // across Run() calls, so a clean campaign forks each worker once. A Run()
 // sends each worker one request frame -- the fields of the attempt's spec
 // that change between attempts (epoch, journal, resume, failpoints) plus
-// the caller's work payload -- and the worker restores the failpoint state
-// it was forked with, runs `runner(spec, work)` and answers with a status
-// frame. The supervisor owns each attempt's lifecycle:
+// the caller's work payload -- and the worker, in the one worker loop of
+// util/child_process.h that replay's workers run too, restores the
+// failpoint state it was forked with, runs `runner(spec, work)` and
+// answers with a status frame. The supervisor owns each attempt's
+// lifecycle:
 //
 //   request -> running -> replied                           (done)
 //                      -> nonzero exit / killed by signal   -> backoff -> fresh fork
 //                      -> bad reply                         -> kill -> backoff -> fresh fork
 //                      -> exit kChildRefusedExitStatus      (failed, never retried)
 //                      -> deadline exceeded -> SIGKILL      -> backoff -> fresh fork
-//   fork fails         -> kill + reap every worker, run every child
-//                         sequentially in-process (degraded, never fatal)
+//   fork fails                                              -> backoff -> fresh fork
 //
+// A fork that fails is a failed attempt, in the first wave as in a
+// respawn, as replay's fork server treats it (core/fork_server.h); the
+// `supervisor.fork` failpoint fails one. No attempt ever runs in the
+// supervising process, so the orchestrator's zygote stays pristine.
 // Respawns are capped exponential backoff up to Options::max_retries, each
 // on a freshly forked worker; a respawned attempt re-checks its journal on
 // disk and resumes it, so the crashed attempt's sealed prefix is salvaged
@@ -93,25 +98,25 @@ class ShardSupervisor {
     size_t attempts = 0;  // attempts in this Run, including the first
     ChildExit last_exit = ChildExit::kClean;
     int status = 0;  // exit code (kNonZero) or signal number (kSignaled/kTimedOut)
-    bool ran_in_process = false;  // spawn-failure fallback executed this child
-    // Workers forked for this child in this Run, respawns included; 0 when
-    // its attempt ran on the worker an earlier Run left idle.
+    // Workers forked for this child in this Run, respawns included, failed
+    // forks not; 0 when its attempt ran on the worker an earlier Run left
+    // idle.
     size_t forks = 0;
   };
 
-  // Runs one child attempt in the calling process: in the child's worker,
-  // and as the spawn-failure fallback. `work` is the payload Run() was given
-  // for the child ("" when none). Must be self-contained given its inputs
-  // (CampaignDriver's is the one used). Returns false on a failure worth
-  // retrying; throws ChildRefusal on one that is not.
+  // Runs one child attempt in the child's worker. `work` is the payload
+  // Run() was given for the child ("" when none). Must be self-contained
+  // given its inputs (CampaignDriver's is the one used). Returns false on a
+  // failure worth retrying; throws ChildRefusal on one that is not.
   using WorkRunner = std::function<bool(const CampaignSpec&, std::string_view work, std::string*)>;
   // A runner that takes no work payload.
   using ChildRunner = std::function<bool(const CampaignSpec&, std::string*)>;
 
   // Called in this process while the children run: `dispatched` once every
-  // child's first attempt is under way, `finished(i)` as child i's attempt
-  // succeeds, in completion order. Either returning false (with *error)
-  // kills the workers and fails the Run with that error.
+  // child's first attempt was dispatched (or failed to fork), `finished(i)`
+  // as child i's attempt succeeds, in completion order. Either returning
+  // false (with *error) kills the workers and fails the Run with that
+  // error.
   struct Events {
     std::function<bool(std::string*)> dispatched;
     std::function<bool(size_t child, std::string*)> finished;
@@ -123,10 +128,9 @@ class ShardSupervisor {
 
   // Supervises one attempt per spec to completion, child i on worker i.
   // False + *error when a child exhausted its retries (other children still
-  // run to completion first, so their sealed journals survive for resume),
-  // the in-process fallback failed, or an event said so. `work`, when not
-  // empty, holds one payload per child. `reports`, when given, receives one
-  // entry per child.
+  // run to completion first, so their sealed journals survive for resume)
+  // or an event said so. `work`, when not empty, holds one payload per
+  // child. `reports`, when given, receives one entry per child.
   bool Run(const std::vector<CampaignSpec>& children, const std::vector<std::string>& work,
            const Events& events, std::string* error, std::vector<Report>* reports = nullptr);
   bool Run(const std::vector<CampaignSpec>& children, std::string* error,
@@ -135,15 +139,9 @@ class ShardSupervisor {
   }
 
  private:
-  bool RunFallback(const std::vector<CampaignSpec>& children,
-                   const std::vector<std::string>& work, const Events& events,
-                   std::string* error, std::vector<Report>* reports);
-  // Kills and reaps every worker.
-  void EndWorkers();
-
   Options options_;
   WorkRunner runner_;
-  ChildProcesses workers_;  // worker i runs child i
+  ChildProcesses workers_{"supervisor.fork"};  // worker i runs child i
   // Per worker slot: the spec its live worker was forked with.
   std::vector<std::optional<CampaignSpec>> forked_with_;
 };

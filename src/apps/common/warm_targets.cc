@@ -424,11 +424,12 @@ ExecutionLayer::ExecutionLayer(const std::string& system, CampaignMode mode, boo
 }
 
 CampaignEngine::ResultRunner ExecutionLayer::runner() const {
-  return pool_ != nullptr ? pool_->AsRunner() : nullptr;
-}
-
-CampaignEngine::ResultRunner ExecutionLayer::phase_runner() const {
-  return phase_pool_ != nullptr ? phase_pool_->AsRunner() : nullptr;
+  if (phase_pool_ == nullptr) {
+    return pool_ != nullptr ? pool_->AsRunner() : nullptr;
+  }
+  return [main = pool_->AsRunner(), phase = phase_pool_->AsRunner()](const CampaignJob& job) {
+    return job.second_phase ? phase(job) : main(job);
+  };
 }
 
 void ExecutionLayer::Prewarm(size_t count) {

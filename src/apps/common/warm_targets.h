@@ -60,11 +60,12 @@ WarmPool::Factory BfsMuxWarmFactory();
 WarmPool::Factory WorkloadFactory(const std::string& system, CampaignMode mode);
 
 // --- the execution layer -----------------------------------------------------
-// Owns a campaign's pools and hands out the ResultRunners the engine and the
-// Table 1 job builders plug in. Lifetime: one single-process campaign, or a
-// whole orchestrated one -- the orchestrator's layer is the zygote every
-// shard and epoch child forks from, and children run their jobs on the
-// instances they inherit instead of building their own. `mode` picks the
+// Owns a campaign's pools and hands out the one ResultRunner the engine
+// plugs in. Lifetime: one single-process campaign, or a whole orchestrated
+// one -- the orchestrator's layer is the zygote every shard worker forks
+// from. The orchestrator runs no job on it, so it stays pristine, and the
+// workers run their jobs on the post-setup instances they inherit instead
+// of building their own. `mode` picks the
 // workload size: pbft and bfs run a longer workload under kExplore than
 // under kTable1.
 // `cold_start` (spec attribute cold-start) builds the same pools under
@@ -74,13 +75,11 @@ class ExecutionLayer {
  public:
   ExecutionLayer(const std::string& system, CampaignMode mode, bool cold_start);
 
-  // The campaign-wide runner for `system`'s workload in `mode`; empty for an
-  // unknown system.
+  // The campaign's one runner: a job runs on the pool of `system`'s
+  // workload in `mode`, or, when it is a second_phase job (bind's dst
+  // sweep, pbft's distributed fuzz, bfs's partial transfers), on the pool
+  // of that second-phase workload. Empty for an unknown system.
   CampaignEngine::ResultRunner runner() const;
-  // The runner of `system`'s self-contained Table 1 second-phase jobs (bind's
-  // dst sweep, pbft's distributed fuzz, bfs's partial transfers); empty for
-  // git and mysql.
-  CampaignEngine::ResultRunner phase_runner() const;
 
   // Prewarms the main pool with `count` instances (WarmPool::Prewarm); a
   // no-op under cold_start.

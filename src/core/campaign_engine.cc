@@ -164,7 +164,7 @@ JobResult ExecuteJob(const CampaignJob& job, const CampaignEngine::ResultRunner&
     if (job_failpoint) {
       FailpointFired("engine.job.run");  // hang-action failpoints park here
     }
-    return job.run ? job.run(job) : runner(job);
+    return runner(job);
   }
   struct Watch {
     std::mutex mu;
@@ -187,7 +187,7 @@ JobResult ExecuteJob(const CampaignJob& job, const CampaignEngine::ResultRunner&
         return;
       }
     }
-    JobResult result = job.run ? job.run(job) : runner(job);
+    JobResult result = runner(job);
     std::lock_guard<std::mutex> lock(watch->mu);
     watch->result = std::move(result);
     watch->done = true;
@@ -213,10 +213,10 @@ JobResult ExecuteJob(const CampaignJob& job, const CampaignEngine::ResultRunner&
 class InertJobs {
  public:
   // Marks the jobs of `batch` from `first_live` on (past the journal replay
-  // prefix) that could be inert: not self-contained, and inert at zero
-  // calls. Only the first batch holding at least two of them is marked --
-  // two is break-even, since the baseline costs one run -- and the baseline
-  // counts every function they name.
+  // prefix) that could be inert: of the default workload, and inert at
+  // zero calls. Only the first batch holding at least two of them is
+  // marked -- two is break-even, since the baseline costs one run -- and
+  // the baseline counts every function they name.
   void Plan(const std::vector<CampaignJob>& batch, size_t first_live) {
     static const CallCounts kNoCalls;
     candidates_.assign(batch.size(), false);
@@ -227,7 +227,7 @@ class InertJobs {
     size_t count = 0;
     for (size_t index = first_live; index < batch.size(); ++index) {
       const CampaignJob& job = batch[index];
-      if (job.run || !ScenarioCannotInject(job.scenario, kNoCalls)) {
+      if (job.second_phase || !ScenarioCannotInject(job.scenario, kNoCalls)) {
         continue;
       }
       candidates_[index] = true;

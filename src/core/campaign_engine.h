@@ -114,9 +114,12 @@ struct CampaignJob {
   // records back into single-process merge order. kNoStreamIndex makes the
   // journal fall back to the engine's own merge index.
   size_t stream_index = kNoStreamIndex;
-  // Self-contained jobs (different workload or harness than the campaign
-  // default) override the campaign-wide runner.
-  std::function<JobResult(const CampaignJob&)> run;
+  // Runs the system's second-phase workload instead of the campaign
+  // default: Table 1's bind dst sweep, pbft distributed fuzz and bfs
+  // partial transfers. The campaign's runner dispatches on it (the
+  // ExecutionLayer's, apps/common/warm_targets.h), so a job is data
+  // wherever it runs, a shard worker included.
+  bool second_phase = false;
   // Subject to CampaignEngine::Options::max_bugs: the job is skipped once
   // the bugs merged so far (in job order) reach the cap. Models the serial
   // campaigns' "keep fuzzing until N bugs" loops deterministically.
@@ -219,15 +222,15 @@ class CampaignEngine {
 
   // Pulls batches of Options::batch_size jobs from `source` until it is
   // exhausted -- an open-loop source (needs_feedback() false) is drained
-  // into one batch -- and runs each batch on the worker pool (job.run when
-  // set, `runner` otherwise). Results merge eagerly in job order as the
-  // completion cursor advances, and each merged job's RunFeedback reaches
-  // the source at once (or at the epoch boundary, with epoch_len). The
-  // merge decides dedup winners -- which scenario gets the `injected`
-  // attribution for a shared crash site -- and the max_bugs gate, whose
-  // saturation skips take effect mid-batch. Deterministic for any worker
-  // count: batch boundaries, merge order, and feedback order depend only on
-  // the source and the batch size.
+  // into one batch -- and runs each batch's jobs through `runner` on the
+  // worker pool. Results merge eagerly in job order as the completion
+  // cursor advances, and each merged job's RunFeedback reaches the source
+  // at once (or at the epoch boundary, with epoch_len). The merge decides
+  // dedup winners -- which scenario gets the `injected` attribution for a
+  // shared crash site -- and the max_bugs gate, whose saturation skips take
+  // effect mid-batch. Deterministic for any worker count: batch boundaries,
+  // merge order, and feedback order depend only on the source and the
+  // batch size.
   //
   // An open-loop batch with at least two jobs that could be inert (their
   // scenarios inject nothing at zero calls, ScenarioCannotInject) runs a
@@ -237,9 +240,9 @@ class CampaignEngine {
   // baseline's result instead of running; its merge, feedback and journal
   // record are unchanged, because that copy is byte for byte what it would
   // have produced. A baseline that hangs, throws, injects, finds a bug or
-  // reports no counts turns the skip off. Self-contained jobs (job.run),
-  // feedback-driven batches (epoch shard children's included) and journal
-  // replay never skip.
+  // reports no counts turns the skip off. Second-phase jobs (whose workload
+  // is not the one the baseline counts), feedback-driven batches (epoch
+  // shard children's included) and journal replay never skip.
   ExplorationResult Run(ScenarioSource& source, const ResultRunner& runner) const;
 
   const Options& options() const { return options_; }

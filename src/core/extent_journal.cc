@@ -537,6 +537,7 @@ std::optional<std::string_view> Unseal(std::string_view bytes, const char* what,
 
 constexpr uint8_t kJobSkipWhenSaturated = 1;
 constexpr uint8_t kJobCountCalls = 2;
+constexpr uint8_t kJobSecondPhase = 4;
 
 }  // namespace
 
@@ -571,23 +572,16 @@ std::optional<JobResult> DecodeJobResult(std::string_view bytes, std::string* er
   return result;
 }
 
-std::optional<std::string> EncodeCampaignJobs(const std::vector<CampaignJob>& jobs,
-                                              std::string* error) {
+std::string EncodeCampaignJobs(const std::vector<CampaignJob>& jobs) {
   ByteWriter w;
   ExtentStringPool pool;
   w.PutVarint(jobs.size());
   for (const CampaignJob& job : jobs) {
-    if (job.run) {
-      if (error != nullptr) {
-        *error = "job '" + job.label + "' brings its own runner, which cannot be encoded";
-      }
-      return std::nullopt;
-    }
     pool.Put(job.label, &w);
     w.PutVarint(job.seed);
     w.PutVarint(job.stream_index + 1);  // kNoStreamIndex wraps to 0
     w.PutU8((job.skip_when_saturated ? kJobSkipWhenSaturated : 0) |
-            (job.count_calls ? kJobCountCalls : 0));
+            (job.count_calls ? kJobCountCalls : 0) | (job.second_phase ? kJobSecondPhase : 0));
     EncodeScenario(job.scenario, &w, &pool);
   }
   return Seal(std::move(w));
@@ -619,11 +613,12 @@ std::optional<std::vector<CampaignJob>> DecodeCampaignJobs(std::string_view byte
     job.seed = reader.GetVarint();
     job.stream_index = static_cast<size_t>(reader.GetVarint() - 1);
     const uint8_t flags = reader.GetU8();
-    if ((flags & ~(kJobSkipWhenSaturated | kJobCountCalls)) != 0) {
+    if ((flags & ~(kJobSkipWhenSaturated | kJobCountCalls | kJobSecondPhase)) != 0) {
       return fail(StrFormat("unknown flags 0x%x on job %zu", flags, jobs.size() - 1));
     }
     job.skip_when_saturated = (flags & kJobSkipWhenSaturated) != 0;
     job.count_calls = (flags & kJobCountCalls) != 0;
+    job.second_phase = (flags & kJobSecondPhase) != 0;
     std::string scenario_error;
     if (!DecodeScenario(&reader, &pool, &job.scenario, &scenario_error)) {
       return fail(StrFormat("bad scenario of job %zu: %s", jobs.size() - 1,

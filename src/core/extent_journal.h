@@ -107,13 +107,12 @@ std::string EncodeJobResult(const JobResult& result);
 std::optional<JobResult> DecodeJobResult(std::string_view bytes, std::string* error = nullptr);
 
 // A job list on its own, outside any journal: per job its label, seed,
-// stream_index, skip_when_saturated, count_calls and scenario (the record
-// codec's scenario section), all over one fresh string pool, followed by a
-// CRC-32 of those bytes (the shard supervisor's parent-to-worker wire,
-// apps/common/shard_supervisor.h). A job's `run` is code, not data: nullopt
-// with *error when any job sets one.
-std::optional<std::string> EncodeCampaignJobs(const std::vector<CampaignJob>& jobs,
-                                              std::string* error = nullptr);
+// stream_index, the skip_when_saturated, count_calls and second_phase
+// flags, and scenario (the record codec's scenario section), all over one
+// fresh string pool, followed by a CRC-32 of those bytes (the shard
+// supervisor's parent-to-worker wire, apps/common/shard_supervisor.h).
+// Every field of a job is data, so every list encodes.
+std::string EncodeCampaignJobs(const std::vector<CampaignJob>& jobs);
 
 // Decodes EncodeCampaignJobs's bytes, treating them as hostile like
 // DecodeJobResult: nullopt with *error on a checksum mismatch, a malformed

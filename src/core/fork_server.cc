@@ -61,37 +61,29 @@ std::string EncodeRequest(size_t index) {
   return request.TakeBuffer();
 }
 
-// A worker's whole life: serve job indices from the parent until it ends
-// the channel, each on the inherited zygote (or on a target built for the
-// job when there is none). Leaves after a failed Reset(): the instance is
-// tainted.
-int ServeWorker(WarmTarget* zygote, const WarmPool::Factory& factory, const ForkJobMaker& make_job,
-                const ForkServerOptions& options, int fd) {
-  const Failpoints::Saved inherited = Failpoints::Instance().Save();
-  std::string error;
-  while (std::optional<std::string> request = ReceiveFrame(fd, &error)) {
-    ByteReader reader(*request);
-    const size_t index = reader.GetU64();
-    if (!reader.ok() || !reader.AtEnd()) {
-      return 1;
-    }
-    Failpoints::Instance().Restore(inherited);
-    if (!options.scope_prefix.empty()) {
-      Failpoints::Instance().SetScope(options.scope_prefix + std::to_string(index));
-    }
-    FailpointFired("engine.job.run");  // as CampaignEngine evaluates it per job
-    const CampaignJob job = make_job(index);
-    std::unique_ptr<WarmTarget> fresh = zygote == nullptr ? factory() : nullptr;
-    JobResult result = (zygote != nullptr ? zygote : fresh.get())->Run(job);
-    const bool reset = zygote != nullptr && zygote->Reset();
-    if (!SendFrame(fd, EncodeReply(reset, result))) {
-      return 1;
-    }
-    if (zygote != nullptr && !reset) {
-      return 0;
-    }
+// A worker's answer to one job index: the job run on the inherited zygote
+// (or on a target built for the job when there is none), which it then
+// Reset()s. A failed Reset() is in the reply; the parent retires the
+// worker, whose instance is tainted.
+std::optional<std::string> ServeJob(WarmTarget* zygote, const WarmPool::Factory& factory,
+                                    const ForkJobMaker& make_job,
+                                    const ForkServerOptions& options, std::string_view request,
+                                    int* exit_status) {
+  ByteReader reader(request);
+  const size_t index = reader.GetU64();
+  if (!reader.ok() || !reader.AtEnd()) {
+    *exit_status = 1;
+    return std::nullopt;
   }
-  return error.empty() ? 0 : 1;
+  if (!options.scope_prefix.empty()) {
+    Failpoints::Instance().SetScope(options.scope_prefix + std::to_string(index));
+  }
+  FailpointFired("engine.job.run");  // as CampaignEngine evaluates it per job
+  const CampaignJob job = make_job(index);
+  std::unique_ptr<WarmTarget> fresh = zygote == nullptr ? factory() : nullptr;
+  JobResult result = (zygote != nullptr ? zygote : fresh.get())->Run(job);
+  const bool reset = zygote != nullptr && zygote->Reset();
+  return EncodeReply(reset, result);
 }
 
 }  // namespace
@@ -133,10 +125,9 @@ WarmPool::Stats RunForkServer(const WarmPool::Factory& factory, WarmPool::Policy
   ChildProcesses workers;  // a throw out of the loop leaves no worker behind
   std::vector<std::optional<size_t>> in_flight(width);  // each slot's job
   const ChildProcesses::Body serve = [&](int fd) {
-    return ServeWorker(zygote.get(), factory, make_job, options, fd);
-  };
-  auto dispatch = [&](size_t slot, size_t index, std::string* error) {
-    return workers.Send(slot, EncodeRequest(index), options.job_timeout_ms, error);
+    return ServeRequests(fd, [&](std::string_view request, int* exit_status) {
+      return ServeJob(zygote.get(), factory, make_job, options, request, exit_status);
+    });
   };
 
   size_t next = 0;
@@ -145,16 +136,14 @@ WarmPool::Stats RunForkServer(const WarmPool::Factory& factory, WarmPool::Policy
       if (in_flight[slot]) {
         continue;
       }
+      // A slot with no worker yet, or one that died while idle, forks a new
+      // one: the job never started, so that is no failure. A fork that
+      // fails fails the job.
       std::string error;
-      if (!dispatch(slot, next, &error)) {
-        // The slot has no worker yet, or one that died while idle. The job
-        // never started, so it is no failure: it goes to a new worker.
-        workers.Kill(slot);
-        if (!workers.Start(slot, 0, serve, &error) || !dispatch(slot, next, &error)) {
-          workers.Kill(slot);
-          fail(next++, "not started: " + error);
-          continue;
-        }
+      if (workers.Dispatch(slot, EncodeRequest(next), /*reuse=*/true, options.job_timeout_ms,
+                           serve, &error) == ChildProcesses::Dispatched::kNotStarted) {
+        fail(next++, "not started: " + error);
+        continue;
       }
       in_flight[slot] = next++;
     }

@@ -21,15 +21,20 @@
 // the job in flight is affected: a dead worker fails it, one past
 // Options::job_timeout_ms (counted from the job's dispatch) is SIGKILLed and
 // the job reports the engine's deterministic HangResult. A worker that died
-// while idle costs nothing: its next job goes to a respawned worker.
+// while idle costs nothing: its next job goes to a respawned worker. A fork
+// that fails is a failed attempt too: it fails the job it was for, and the
+// slot forks afresh for its next job, as the shard supervisor retries a
+// failed fork (apps/common/shard_supervisor.h).
 //
 // Under WarmPool::Policy::kFresh (cold start) the parent builds no zygote;
 // a worker calls the factory for every job and never resets: a literal
 // fresh target per job, the bring-up the zygote is compared against.
 //
-// Failpoints behave per job as they would in a fresh fork: the worker
-// restores the failpoint state it was forked with before each job, then
-// evaluates `engine.job.run` under scope "<scope_prefix><index>".
+// A worker runs util/child_process.h's one worker loop (ServeRequests), as
+// shard workers do, so failpoints behave per job as they would in a fresh
+// fork: the loop restores the failpoint state the worker was forked with
+// before each job, which then evaluates `engine.job.run` under scope
+// "<scope_prefix><index>".
 //
 // The caller must be single-threaded (util/child_process.h). That is why
 // this is not a WarmPool policy: engine workers call pools from threads.

@@ -20,10 +20,12 @@
 // state -- the same contract as here -- and a job that kills its process
 // costs only itself. It is not a third policy because pools are called from
 // engine worker threads, and fork() is only safe from a single-threaded
-// process. Shard children get the same zygote
-// trade through the pool itself: the orchestrator Prewarm()s its pool
-// before its first fork, never runs a job on it, and every shard child runs
-// its jobs on the post-setup instances it inherits copy-on-write.
+// process. Shard workers get the same zygote trade through the pool
+// itself: the orchestrator Prewarm()s its pool before its first fork and
+// never runs a job on it -- a fork that fails is an attempt retried on a
+// fresh fork (apps/common/shard_supervisor.h), not work the orchestrator
+// takes over -- so every shard worker runs its jobs on pristine post-setup
+// instances it inherits copy-on-write.
 //
 // The correctness bar is strict: bugs, coverage, fingerprints, and campaign
 // journal *bytes* must be identical under both policies at any worker or

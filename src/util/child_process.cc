@@ -15,6 +15,7 @@
 #include <stdexcept>
 
 #include "util/binary_io.h"
+#include "util/failpoint.h"
 #include "util/string_util.h"
 
 namespace lfi {
@@ -164,7 +165,45 @@ std::string ChildEnd::Describe() const {
   return "?";
 }
 
-bool ChildProcesses::Start(size_t id, uint64_t timeout_ms, const Body& body, std::string* error) {
+int ServeRequests(int fd, const RequestHandler& handle) {
+  const Failpoints::Saved inherited = Failpoints::Instance().Save();
+  std::string error;
+  while (std::optional<std::string> request = ReceiveFrame(fd, &error)) {
+    Failpoints::Instance().Restore(inherited);
+    int status = 1;
+    std::optional<std::string> reply = handle(*request, &status);
+    if (!reply) {
+      return status;
+    }
+    if (!SendFrame(fd, *reply)) {
+      return 1;
+    }
+  }
+  return error.empty() ? 0 : 1;
+}
+
+ChildProcesses::Dispatched ChildProcesses::Dispatch(size_t id, std::string_view request,
+                                                    bool reuse, uint64_t timeout_ms,
+                                                    const Body& body, std::string* error) {
+  std::string gone;
+  if (reuse && Send(id, request, timeout_ms, &gone)) {
+    return Dispatched::kSent;
+  }
+  // The slot has no worker, one the caller will not reuse, or one that died
+  // while idle: the request goes to a fresh fork.
+  Kill(id);
+  if (fork_failpoint_ != nullptr && FailpointFired(fork_failpoint_)) {
+    *error = std::string(fork_failpoint_) + " failpoint";
+    return Dispatched::kNotStarted;
+  }
+  if (!Start(id, body, error) || !Send(id, request, timeout_ms, error)) {
+    Kill(id);
+    return Dispatched::kNotStarted;
+  }
+  return Dispatched::kForked;
+}
+
+bool ChildProcesses::Start(size_t id, const Body& body, std::string* error) {
   int fds[2];
   if (socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
     *error = StrFormat("socketpair: %s", std::strerror(errno));
@@ -193,7 +232,7 @@ bool ChildProcesses::Start(size_t id, uint64_t timeout_ms, const Body& body, std
     close(fds[0]);
     return false;
   }
-  children_.push_back({id, pid, fds[0], timeout_ms, DeadlineAfter(timeout_ms), {}});
+  children_.push_back({id, pid, fds[0], 0, Clock::time_point::max(), {}});
   return true;
 }
 

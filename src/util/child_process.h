@@ -10,34 +10,41 @@
 //
 // Parent and child talk over a channel, one end of a socketpair each, in
 // frames: a little-endian u32 payload length, the payload's CRC-32, then
-// the payload. Either side may send any number of frames, so one child can
-// serve many requests (the fork server's persistent workers), or send none
-// and just run (a shard child). A child closes the channel ends of its
-// siblings it inherited, so the only holders of its parent's end are the
-// parent itself: when the parent dies or ends the child's input
-// (CloseInputs), the child reads EOF. The channel's EOF is also how the
-// parent learns the child is gone. Wait() therefore sleeps in poll() until
-// a channel has bytes or EOF, the nearest child deadline, or the caller's
-// own wake-up time -- event-driven, with no fixed-interval wake-up and no
-// signal handling. Frames are sent with MSG_NOSIGNAL, so writing to a dead
-// peer is an error return (EPIPE), never a SIGPIPE.
+// the payload. Every child is a persistent worker with one loop
+// (ServeRequests): it answers each request frame the parent sends it until
+// the parent ends its input. The parent has one way to hand a slot work
+// (Dispatch): to the worker already up in that slot, or to a fresh fork.
+// A fork that fails is reported to the caller as a failed dispatch, and
+// the caller's policy decides what follows, as it does for a worker that
+// dies. Replay's fork server and the shard supervisor differ only in what
+// a request carries and in that policy.
+//
+// A child closes the channel ends of its siblings it inherited, so the only
+// holders of its parent's end are the parent itself: when the parent dies
+// or ends the child's input (CloseInputs), the child reads EOF. The
+// channel's EOF is also how the parent learns the child is gone. Wait()
+// therefore sleeps in poll() until a channel has bytes or EOF, the nearest
+// child deadline, or the caller's own wake-up time -- event-driven, with no
+// fixed-interval wake-up and no signal handling. Frames are sent with
+// MSG_NOSIGNAL, so writing to a dead peer is an error return (EPIPE), never
+// a SIGPIPE.
 //
 // Frames from a child are hostile: a length above kMaxFrameBytes or a CRC
 // mismatch ends the child (ChildEnd::How::kBadFrame), and the parent holds
 // only the bytes it has received, whatever length a header claims.
 //
-// A child has a deadline: Start() arms it timeout_ms after the fork, Send()
-// re-arms it timeout_ms after the send, and a frame from the child disarms
-// it. So it bounds how long the parent waits for a child's next frame or its
-// exit. A child past its deadline is SIGKILLed and reaped. Destroying a
-// ChildProcesses kills and reaps every child it still has, so a caller
-// that unwinds leaves no process behind.
+// A child has a deadline: Dispatch() arms it timeout_ms after the request
+// is sent, and a frame from the child disarms it. So it bounds how long the
+// parent waits for a child's reply or its exit. A child past its deadline
+// is SIGKILLed and reaped. Destroying a ChildProcesses kills and reaps
+// every child it still has, so a caller that unwinds leaves no process
+// behind.
 //
 // Precondition: the calling process is single-threaded when it calls
-// Start(). fork() copies only the calling thread, so a lock another thread
-// holds at fork time (the symbol table's, the failpoint registry's, a
-// pool's) would stay held in the child forever. The campaign driver calls
-// both runners from its one thread, with no engine workers alive.
+// Dispatch(). fork() copies only the calling thread, so a lock another
+// thread holds at fork time (the symbol table's, the failpoint registry's,
+// a pool's) would stay held in the child forever. The campaign driver
+// calls both runners from its one thread, with no engine workers alive.
 
 #ifndef LFI_UTIL_CHILD_PROCESS_H_
 #define LFI_UTIL_CHILD_PROCESS_H_
@@ -77,7 +84,6 @@ struct ChildEnd {
   uint64_t timeout_ms = 0;  // kTimedOut: the deadline the child outlived
   std::string bad_frame;    // kBadFrame: what was wrong with the frame
 
-  bool clean() const { return how == How::kExited && status == 0; }
   // "exited with status N", "killed by signal N", "timed out after N ms" or
   // "sent an undecodable frame (...)".
   std::string Describe() const;
@@ -89,6 +95,20 @@ struct ChildFrame {
   std::string payload;
 };
 
+// A persistent worker's answer to one request: the reply frame, or
+// nullopt to end the worker with *exit_status instead.
+using RequestHandler =
+    std::function<std::optional<std::string>(std::string_view request, int* exit_status)>;
+
+// A persistent worker's whole life, run in the child on its channel end
+// `fd`: serves request frames until the parent ends the channel. Before
+// each request it restores the failpoint registry (util/failpoint.h) to
+// the state the worker was forked with, so every request counts hits as a
+// fresh fork of the parent would. Returns the worker's exit status: 0 at
+// EOF, the handler's status when it ends the worker, 1 on a bad frame or a
+// reply that cannot be sent.
+int ServeRequests(int fd, const RequestHandler& handle);
+
 class ChildProcesses {
  public:
   using Clock = std::chrono::steady_clock;
@@ -96,20 +116,29 @@ class ChildProcesses {
   // exit status. An exception it throws ends the child with status 1.
   using Body = std::function<int(int fd)>;
 
-  ChildProcesses() = default;
+  // How Dispatch() delivered a request.
+  enum class Dispatched {
+    kSent,        // to the worker already up in the slot
+    kForked,      // to a freshly forked worker
+    kNotStarted,  // nowhere: the fork failed, or the fresh worker did not take it
+  };
+
+  // `fork_failpoint`, when given, names a failpoint (util/failpoint.h)
+  // evaluated before every fork; when it fires, the fork fails as a real
+  // one would, so callers can chaos-test their fork-failure policy.
+  explicit ChildProcesses(const char* fork_failpoint = nullptr)
+      : fork_failpoint_(fork_failpoint) {}
   ChildProcesses(const ChildProcesses&) = delete;
   ChildProcesses& operator=(const ChildProcesses&) = delete;
   ~ChildProcesses() { KillAll(); }
 
-  // Forks child `id` running `body`, with its deadline `timeout_ms` from
-  // now (0 = none). `id` must not name a running child. False with *error
-  // ("socketpair: ...", "fork: ...") when no child started.
-  bool Start(size_t id, uint64_t timeout_ms, const Body& body, std::string* error);
-
-  // Sends child `id` one frame and re-arms its deadline `timeout_ms` from
-  // now (0 = none). False with *error when the child is gone; the caller
-  // then Kill()s it.
-  bool Send(size_t id, std::string_view payload, uint64_t timeout_ms, std::string* error);
+  // Hands slot `id` one request frame and arms its deadline `timeout_ms`
+  // from the send (0 = none). With `reuse`, the worker already up in the
+  // slot gets it if it takes the frame; otherwise any worker the slot has
+  // is killed and a fresh fork running `body` gets it. kNotStarted, with
+  // *error ("fork: ...", "send: ..."), leaves the slot empty.
+  Dispatched Dispatch(size_t id, std::string_view request, bool reuse, uint64_t timeout_ms,
+                      const Body& body, std::string* error);
 
   // Sleeps until a child's channel has bytes or EOF, a deadline passes, or
   // `wake`. Appends the whole frames that arrived meanwhile to *frames (in
@@ -140,6 +169,14 @@ class ChildProcesses {
     std::string inbox;  // received bytes not yet a whole frame
   };
 
+  // Forks child `id` running `body`, with no deadline yet. False with
+  // *error when no child started.
+  bool Start(size_t id, const Body& body, std::string* error);
+  // Sends child `id` one frame and arms its deadline. False with *error
+  // when the child is gone.
+  bool Send(size_t id, std::string_view payload, uint64_t timeout_ms, std::string* error);
+
+  const char* fork_failpoint_;
   std::vector<Child> children_;
 };
 

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/bind/bind.h"
 #include "apps/common/campaign_driver.h"
 #include "apps/common/campaign_spec.h"
 #include "campaign_test_util.h"
@@ -610,44 +611,57 @@ TEST(ShardedCampaign, MoreShardsThanScenariosLeavesValidEmptyShardJournals) {
   EXPECT_EQ(ReadFile(merged_path), ReadFile(single_path));
 }
 
-// Sharded Table 1 is the same one-epoch orchestration: bfs's exhaustive job
-// list, including the self-contained partial-transfer phase, merges to the
-// single-process journal's bytes.
+// Sharded Table 1 is the same one-epoch orchestration: bfs's and bind's
+// exhaustive job lists, second-phase jobs included, merge to the
+// single-process journal's bytes. The phase jobs cross to the shard workers
+// as data and run there on the second-phase workload.
 TEST(ShardedCampaign, Table1ExhaustiveAtThreeShardsMatchesSingleProcess) {
   EnsureStockTriggersRegistered();
-  std::string single_path = TempPath("spec_t1_single.lfij");
-  std::string merged_path = TempPath("spec_t1_merged.lfij");
-  RemoveCampaignArtifacts(single_path);
-  RemoveCampaignArtifacts(merged_path, /*shards=*/3);
+  for (const char* system : {"bfs", "bind"}) {
+    SCOPED_TRACE(system);
+    std::string single_path = TempPath(StrFormat("spec_t1_%s_single.lfij", system));
+    std::string merged_path = TempPath(StrFormat("spec_t1_%s_merged.lfij", system));
+    RemoveCampaignArtifacts(single_path);
+    RemoveCampaignArtifacts(merged_path, /*shards=*/3);
 
-  CampaignSpec spec{.system = "bfs", .mode = CampaignMode::kTable1, .exhaustive = true};
-  CampaignSpec single = spec;
-  single.journal_path = single_path;
-  CampaignOutcome single_outcome = RunSpec(single);
-  CampaignSpec sharded = spec;
-  sharded.journal_path = merged_path;
-  sharded.shard_count = 3;
-  CampaignOutcome sharded_outcome = RunSpec(sharded);
+    CampaignSpec spec{.system = system, .mode = CampaignMode::kTable1, .exhaustive = true};
+    CampaignSpec single = spec;
+    single.journal_path = single_path;
+    CampaignOutcome single_outcome = RunSpec(single);
+    CampaignSpec sharded = spec;
+    sharded.journal_path = merged_path;
+    sharded.shard_count = 3;
+    CampaignOutcome sharded_outcome = RunSpec(sharded);
 
-  ExpectSameBugs(single_outcome.bugs, sharded_outcome.bugs);
-  EXPECT_EQ(ReadFile(merged_path), ReadFile(single_path));
-  ASSERT_EQ(sharded_outcome.shards.size(), 3u);
-  EXPECT_EQ(sharded_outcome.shards[1].path, sharded.ShardJournalPath(1));
+    ExpectSameBugs(single_outcome.bugs, sharded_outcome.bugs);
+    EXPECT_EQ(ReadFile(merged_path), ReadFile(single_path));
+    ASSERT_EQ(sharded_outcome.shards.size(), 3u);
+    EXPECT_EQ(sharded_outcome.shards[1].path, sharded.ShardJournalPath(1));
 
-  // The phase jobs ran through the phase runner (the vnet partial-transfer
-  // harness fingerprints its runs "mux:<faults>"), not the main workload.
-  std::string error;
-  auto journal = CampaignJournal::Load(merged_path, &error);
-  ASSERT_TRUE(journal.has_value()) << error;
-  size_t phase_jobs = 0;
-  for (const JournalRecord& record : journal->records()) {
-    EXPECT_EQ(record.epoch, kNoEpoch);
-    if (StartsWith(record.label, "partial send/recv over vnet")) {
-      ++phase_jobs;
-      EXPECT_TRUE(StartsWith(record.result.fingerprint, "mux:")) << record.label;
+    // The phase jobs ran on the phase workload, not the main one: the vnet
+    // partial-transfer harness fingerprints its runs "mux:<faults>", and
+    // only bind's dst_lib_init sweep trips dst_lib_destroy's assertion.
+    std::string error;
+    auto journal = CampaignJournal::Load(merged_path, &error);
+    ASSERT_TRUE(journal.has_value()) << error;
+    size_t phase_jobs = 0;
+    bool dst_bug = false;
+    for (const JournalRecord& record : journal->records()) {
+      EXPECT_EQ(record.epoch, kNoEpoch);
+      if (StartsWith(record.label, "partial send/recv over vnet")) {
+        ++phase_jobs;
+        EXPECT_TRUE(StartsWith(record.result.fingerprint, "mux:")) << record.label;
+      } else if (record.label.ends_with("= NULL in dst_lib_init")) {
+        ++phase_jobs;
+        for (const FoundBug& bug : record.result.bugs) {
+          dst_bug |= bug.where == "dst_lib_destroy: REQUIRE(dst_initialized)";
+        }
+      }
     }
+    const bool bind = std::string(system) == "bind";
+    EXPECT_EQ(phase_jobs, bind ? static_cast<size_t>(MiniBind::kDstAllocations) : size_t{12});
+    EXPECT_EQ(dst_bug, bind);
   }
-  EXPECT_EQ(phase_jobs, 12u);
 }
 
 // An open-loop orchestration killed after it merged (before the merged

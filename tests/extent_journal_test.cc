@@ -619,6 +619,7 @@ std::vector<CampaignJob> SampleJobs(Rng& rng, size_t count) {
     job.stream_index = rng.Chance(0.8) ? rng.NextBelow(1000) : CampaignJob::kNoStreamIndex;
     job.skip_when_saturated = rng.Chance(0.5);
     job.count_calls = rng.Chance(0.5);
+    job.second_phase = rng.Chance(0.5);
     jobs.push_back(std::move(job));
   }
   return jobs;
@@ -629,10 +630,9 @@ TEST(CampaignJobsCodec, EveryFieldRoundTrips) {
   for (size_t count : {size_t{0}, size_t{1}, size_t{9}}) {
     SCOPED_TRACE(count);
     std::vector<CampaignJob> jobs = SampleJobs(rng, count);
+    const std::string bytes = EncodeCampaignJobs(jobs);
     std::string error;
-    std::optional<std::string> bytes = EncodeCampaignJobs(jobs, &error);
-    ASSERT_TRUE(bytes.has_value()) << error;
-    std::optional<std::vector<CampaignJob>> got = DecodeCampaignJobs(*bytes, &error);
+    std::optional<std::vector<CampaignJob>> got = DecodeCampaignJobs(bytes, &error);
     ASSERT_TRUE(got.has_value()) << error;
     ASSERT_EQ(got->size(), jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
@@ -643,20 +643,38 @@ TEST(CampaignJobsCodec, EveryFieldRoundTrips) {
       EXPECT_EQ(job.stream_index, want.stream_index) << i;
       EXPECT_EQ(job.skip_when_saturated, want.skip_when_saturated) << i;
       EXPECT_EQ(job.count_calls, want.count_calls) << i;
+      EXPECT_EQ(job.second_phase, want.second_phase) << i;
       EXPECT_EQ(job.scenario.ToXml(), want.scenario.ToXml()) << i;
-      EXPECT_FALSE(job.run) << i;
     }
     EXPECT_EQ(EncodeCampaignJobs(*got), bytes);
   }
 }
 
-TEST(CampaignJobsCodec, RefusesAJobThatBringsItsOwnRunner) {
+// A second-phase job is data like any other: its flag crosses the wire
+// beside every other field set, and each flag keeps its own bit.
+TEST(CampaignJobsCodec, SecondPhaseFlagRoundTripsBesideEveryField) {
   Rng rng(42);
-  std::vector<CampaignJob> jobs = SampleJobs(rng, 3);
-  jobs[1].run = [](const CampaignJob&) { return JobResult{}; };
-  std::string error;
-  EXPECT_FALSE(EncodeCampaignJobs(jobs, &error).has_value());
-  EXPECT_NE(error.find("runner"), std::string::npos) << error;
+  for (bool second_phase : {false, true}) {
+    SCOPED_TRACE(second_phase);
+    CampaignJob job = SampleJobs(rng, 1).front();
+    job.stream_index = 17;
+    job.skip_when_saturated = true;
+    job.count_calls = true;
+    job.second_phase = second_phase;
+    std::string error;
+    std::optional<std::vector<CampaignJob>> got =
+        DecodeCampaignJobs(EncodeCampaignJobs({job}), &error);
+    ASSERT_TRUE(got.has_value()) << error;
+    ASSERT_EQ(got->size(), 1u);
+    const CampaignJob& decoded = got->front();
+    EXPECT_EQ(decoded.label, job.label);
+    EXPECT_EQ(decoded.seed, job.seed);
+    EXPECT_EQ(decoded.stream_index, 17u);
+    EXPECT_TRUE(decoded.skip_when_saturated);
+    EXPECT_TRUE(decoded.count_calls);
+    EXPECT_EQ(decoded.second_phase, second_phase);
+    EXPECT_EQ(decoded.scenario.ToXml(), job.scenario.ToXml());
+  }
 }
 
 // Hostile input, seeded: every prefix, every single-bit flip, then random
@@ -666,7 +684,7 @@ TEST(CampaignJobsCodec, RefusesAJobThatBringsItsOwnRunner) {
 // allocate 1 MiB.
 TEST(CampaignJobsCodec, HostileInputEndsInACleanError) {
   Rng rng(43);
-  const std::string bytes = *EncodeCampaignJobs(SampleJobs(rng, 5));
+  const std::string bytes = EncodeCampaignJobs(SampleJobs(rng, 5));
   auto expect_refused = [](const std::string& input, const std::string& what) {
     largest_allocation = 0;
     std::string error;

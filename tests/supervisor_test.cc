@@ -87,6 +87,13 @@ std::optional<CampaignOutcome> RunDriver(CampaignSpec spec, std::string* error) 
   return driver.Run(error);
 }
 
+// The orchestrator runs no job on its zygote, whatever fails: its pool's
+// counters read no run and no reset.
+void ExpectOrchestratorRanNoJob(const CampaignOutcome& outcome) {
+  EXPECT_EQ(outcome.pool.runs, 0u);
+  EXPECT_EQ(outcome.pool.resets, 0u);
+}
+
 // The unfailed run's merged journal bytes: every chaos schedule below must
 // converge to exactly these.
 const std::string& GoldenBytes() {
@@ -319,7 +326,7 @@ TEST(ShardSupervisor, ForkedChildrenRunNoAnalysis) {
     ASSERT_EQ(reports.size(), children.size()) << system;
     for (const ShardSupervisor::Report& report : reports) {
       EXPECT_EQ(report.last_exit, ChildExit::kClean) << system;
-      EXPECT_FALSE(report.ran_in_process) << system;
+      EXPECT_EQ(report.forks, 1u) << system;
     }
   }
 }
@@ -508,6 +515,7 @@ TEST(ChaosRecovery, CiScheduleOnPersistentWorkersMatchesSingleProcess) {
     auto outcome = RunDriver(spec, &error);
     ASSERT_TRUE(outcome.has_value()) << error;
     EXPECT_EQ(ReadFile(path), golden);
+    ExpectOrchestratorRanNoJob(*outcome);
     ASSERT_EQ(outcome->shards.size(), 4u);
     for (size_t shard = 0; shard < 4; ++shard) {
       bool killed = chaos && shard != 2;
@@ -516,11 +524,14 @@ TEST(ChaosRecovery, CiScheduleOnPersistentWorkersMatchesSingleProcess) {
   }
 }
 
-TEST(ChaosRecovery, ForkFailureFallsBackToInProcessExecution) {
+// A fork that fails is a failed attempt: the run's first fork (shard 0's)
+// or a later one (shard 1's, with shard 0's worker already up) backs off
+// and respawns on a fresh fork. The failed fork counts as no worker, and
+// no shard runs in the orchestrator.
+TEST(ChaosRecovery, ForkFailureIsAFailedAttemptThatRespawns) {
   const std::string& golden = GoldenBytes();
-  // Total failure (no child ever spawns) and partial failure (one child is
-  // up and must be killed and re-run in-process) both converge.
   for (const char* schedule : {"supervisor.fork=error", "supervisor.fork=error@2"}) {
+    SCOPED_TRACE(schedule);
     FailpointGuard guard;
     std::string path = TempPath("supervisor_forkfail.lfij");
     RemoveArtifacts(path, 2);
@@ -528,9 +539,62 @@ TEST(ChaosRecovery, ForkFailureFallsBackToInProcessExecution) {
     spec.failpoints = schedule;
     std::string error;
     auto outcome = RunDriver(spec, &error);
-    ASSERT_TRUE(outcome.has_value()) << error << " schedule=" << schedule;
-    EXPECT_EQ(ReadFile(path), golden) << "schedule=" << schedule;
+    ASSERT_TRUE(outcome.has_value()) << error;
+    EXPECT_EQ(ReadFile(path), golden);
+    ExpectOrchestratorRanNoJob(*outcome);
+    ASSERT_EQ(outcome->shards.size(), 2u);
+    for (size_t shard = 0; shard < 2; ++shard) {
+      EXPECT_EQ(outcome->shards[shard].workers, 1u) << "shard " << shard;
+    }
   }
+}
+
+// Without retries the same schedules fail the campaign, naming the failed
+// fork, and a clean resume finishes it byte for byte.
+TEST(ChaosRecovery, ForkFailureWithoutRetriesFailsAndResumeFinishes) {
+  const std::string& golden = GoldenBytes();
+  for (const char* schedule : {"supervisor.fork=error", "supervisor.fork=error@2"}) {
+    SCOPED_TRACE(schedule);
+    std::string path = TempPath("supervisor_forkfail_exhaust.lfij");
+    std::string error;
+    {
+      FailpointGuard guard;
+      RemoveArtifacts(path, 2);
+      CampaignSpec spec = ChaosSpec(path, 2);
+      spec.max_retries = 0;
+      spec.failpoints = schedule;
+      EXPECT_FALSE(RunDriver(spec, &error).has_value());
+      EXPECT_NE(error.find("last attempt spawn-failed"), std::string::npos) << error;
+    }
+    FailpointGuard guard;
+    CampaignSpec resume;
+    resume.mode = CampaignMode::kResume;
+    resume.journal_path = path;
+    resume.shard_count = 2;
+    auto resumed = RunDriver(resume, &error);
+    ASSERT_TRUE(resumed.has_value()) << error;
+    EXPECT_EQ(ReadFile(path), golden);
+  }
+}
+
+// Report::forks counts the forks that happened: a failed one is an attempt
+// but no worker.
+TEST(ShardSupervisor, FailedForkIsAnAttemptButNoWorker) {
+  FailpointGuard guard;
+  ASSERT_TRUE(Failpoints::Instance().Arm("supervisor.fork=error@2"));
+  ShardSupervisor::Options options;
+  options.backoff_ms = 1;
+  ShardSupervisor supervisor(options, [](const CampaignSpec&, std::string*) { return true; });
+  std::vector<CampaignSpec> children(2);
+  std::string error;
+  std::vector<ShardSupervisor::Report> reports;
+  ASSERT_TRUE(supervisor.Run(children, &error, &reports)) << error;
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].attempts, 1u);
+  EXPECT_EQ(reports[0].forks, 1u);
+  EXPECT_EQ(reports[1].attempts, 2u);
+  EXPECT_EQ(reports[1].forks, 1u);
+  EXPECT_EQ(reports[1].last_exit, ChildExit::kClean);
 }
 
 // --- the zygote: shard children inherit the orchestrator's targets ----------

@@ -418,10 +418,10 @@ TEST(WarmCampaign, ExploreMatchesColdStartByteForByteOnAllSystems) {
   }
 }
 
-TEST(WarmCampaign, Table1MatchesColdStartIncludingSelfContainedJobs) {
-  // bind and pbft exercise the self-contained job.run runners (the
-  // dst_lib_init malloc sweep and the distributed fuzz phase), which plug
-  // into their own pools.
+TEST(WarmCampaign, Table1MatchesColdStartIncludingSecondPhaseJobs) {
+  // bind and pbft exercise the second-phase jobs (the dst_lib_init malloc
+  // sweep and the distributed fuzz phase), which the ExecutionLayer's runner
+  // sends to their own pools.
   for (const char* system : {"bind", "pbft"}) {
     SCOPED_TRACE(system);
     std::string cold_path = TempPath(StrFormat("warm_t1_%s_cold.lfij", system));
