@@ -47,7 +47,7 @@ const FaultProfile& CachedLibxmlProfile() {
 // --- Table 1 job lists ------------------------------------------------------
 // The job runners themselves live in apps/common/warm_targets.cc. A job of a
 // second-phase workload says so in CampaignJob::second_phase, and the
-// ExecutionLayer's runner sends it to that workload's pool.
+// system's runner core runs that workload on the campaign's one pool.
 
 std::vector<CampaignJob> GitTable1Jobs(bool /*exhaustive*/) {
   return AnalyzerJobs(GitBinary().image(), CachedLibcProfile());
@@ -157,8 +157,8 @@ std::vector<CampaignJob> BfsTable1Jobs(bool exhaustive) {
 
 // --- the system table -------------------------------------------------------
 
-// Everything system-specific the driver needs beyond the ExecutionLayer's
-// pools, in one row per target.
+// Everything system-specific the driver needs beyond its workload factory
+// (apps/common/warm_targets.h), in one row per target.
 struct SystemEntry {
   const char* name;
   const AppBinary& (*binary)();
@@ -324,6 +324,13 @@ bool WriteFrontier(const FrontierState& frontier, const std::string& path, std::
   return true;
 }
 
+// The campaign's one pool: warm instances reset between jobs, or under
+// cold_start (spec attribute cold-start) a fresh instance per job, so
+// `lfi_tool --cold-start` byte-compares against the default.
+WarmPool::Policy PoolPolicy(const CampaignSpec& spec) {
+  return spec.cold_start ? WarmPool::Policy::kFresh : WarmPool::Policy::kReuse;
+}
+
 // Reports `message` through the optional error out-parameter.
 std::optional<CampaignOutcome> Fail(std::string* error, std::string message) {
   if (error != nullptr) {
@@ -421,27 +428,28 @@ std::optional<CampaignOutcome> CampaignDriver::RunCampaign(std::string* error) {
   }
 
   const SystemEntry* entry = FindSystem(spec_.system);
-  std::optional<ExecutionLayer> own;
-  ExecutionLayer& exec =
-      exec_ != nullptr ? *exec_ : own.emplace(spec_.system, spec_.mode, spec_.cold_start);
+  std::optional<WarmPool> own;
+  WarmPool& pool = pool_ != nullptr
+                       ? *pool_
+                       : own.emplace(WorkloadFactory(spec_.system, spec_.mode), PoolPolicy(spec_));
   CampaignEngine engine(EngineOptions(spec_, *entry));
   ExplorationResult result;
-  if (exec_ != nullptr) {
+  if (pool_ != nullptr) {
     // A shard worker runs exactly the jobs its orchestrator dealt it.
     ExhaustiveSource dealt(std::move(dealt_));
-    result = engine.Run(dealt, exec.runner());
+    result = engine.Run(dealt, pool.AsRunner());
   } else {
     std::unique_ptr<SpecSource> source = MakeSpecSource(spec_, *entry);
     if (spec_.shard_index != CampaignSpec::kNoShard) {
       // A static shard (`--shard I/N`) runs only its deal of the stream.
       ShardSource sharded(*source->source, spec_.shard_index, spec_.shard_count);
-      result = engine.Run(sharded, exec.runner());
+      result = engine.Run(sharded, pool.AsRunner());
     } else {
-      result = engine.Run(*source->source, exec.runner());
+      result = engine.Run(*source->source, pool.AsRunner());
     }
   }
   CampaignOutcome outcome = FromExploration(std::move(result), spec_.journal_path);
-  outcome.pool = exec.pool_stats();
+  outcome.pool = pool.stats();
   return outcome;
 }
 
@@ -596,8 +604,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunReplay(std::string* error) {
   fork_options.system = recorded->system;
   fork_options.scope_prefix = "replay";
   outcome.pool = RunForkServer(
-      WorkloadFactory(recorded->system, recorded->mode),
-      spec_.cold_start ? WarmPool::Policy::kFresh : WarmPool::Policy::kReuse, targets.size(),
+      WorkloadFactory(recorded->system, recorded->mode), PoolPolicy(spec_), targets.size(),
       make_job, judge, fork_options);
   outcome.ok = workers_ok && outcome.replays_reproduced == outcome.replays_expected;
   return outcome;
@@ -632,27 +639,27 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
   }
 
   // The master enumerates the campaign's stream exactly as the
-  // single-process engine would; its jobs never run here. `exec` is the
+  // single-process engine would; its jobs never run here. `pool` is the
   // workers' zygote: prewarmed before the first live epoch's fork and never
   // run on in this process, so every worker inherits post-setup instances.
   const SystemEntry* entry = FindSystem(spec_.system);
-  ExecutionLayer exec(spec_.system, spec_.mode, spec_.cold_start);
+  WarmPool pool(WorkloadFactory(spec_.system, spec_.mode), PoolPolicy(spec_));
   std::unique_ptr<SpecSource> master = MakeSpecSource(spec_, *entry);
   // Without epoch_len the whole stream is one epoch: no frontier snapshot,
   // and records stay unstamped like the single-process run's.
   const bool epochs = spec_.epoch_len != 0;
   // One persistent worker per shard (apps/common/shard_supervisor.h),
   // created with the first live epoch. A worker runs each epoch's dealt
-  // jobs through a CampaignDriver over the `exec` it inherited.
+  // jobs through a CampaignDriver over the `pool` it inherited.
   std::optional<ShardSupervisor> supervisor;
-  const ShardSupervisor::WorkRunner run_dealt = [&exec](const CampaignSpec& child,
+  const ShardSupervisor::WorkRunner run_dealt = [&pool](const CampaignSpec& child,
                                                         std::string_view work,
                                                         std::string* child_error) {
     std::optional<std::vector<CampaignJob>> dealt = DecodeCampaignJobs(work, child_error);
     if (!dealt) {
       return false;
     }
-    CampaignDriver driver(child, &exec, std::move(*dealt));
+    CampaignDriver driver(child, &pool, std::move(*dealt));
     if (driver.Run(child_error).has_value()) {
       return true;
     }
@@ -771,7 +778,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
         // workers, capped by an even deal of the epoch. A worker that needs
         // more builds them.
         size_t per_child = (jobs.size() + spec_.shard_count - 1) / spec_.shard_count;
-        exec.Prewarm(std::min<size_t>(WorkerPool::ResolveWorkers(spec_.workers), per_child));
+        pool.Prewarm(std::min<size_t>(WorkerPool::ResolveWorkers(spec_.workers), per_child));
         supervisor.emplace(SupervisorOptions(spec_, epochs ? spec_.epoch_len * batch_size
                                                            : jobs.size()),
                            run_dealt);
@@ -849,7 +856,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
   CampaignOutcome outcome = FromExploration(fold.TakeResult(), spec_.journal_path);
   outcome.metadata = spec_.ToJournalMeta();
   outcome.shards = std::move(shard_stats);
-  outcome.pool = exec.pool_stats();
+  outcome.pool = pool.stats();
   return outcome;
 }
 

@@ -14,8 +14,9 @@
 // the spec's source and deals them by scenario fingerprint (the deal
 // core/exploration.h's ShardSource makes). Each shard has one persistent
 // worker, forked from the orchestrator once per campaign on the post-setup
-// target instances it brought up before its first fork (the zygote,
-// core/warm_pool.h); every epoch the worker runs exactly the jobs dealt to
+// target instances its one pool brought up before its first fork (the
+// zygote, core/warm_pool.h; Table 1's second-phase jobs run on the same
+// instances); every epoch the worker runs exactly the jobs dealt to
 // it into a sealed per-shard journal (apps/common/shard_supervisor.h), and
 // the shard journals are merged (core/journal.h MergeRecordsInto) into
 // spec.journal_path, a valid, resumable single-process journal.
@@ -38,8 +39,6 @@
 #include "core/warm_pool.h"
 
 namespace lfi {
-
-class ExecutionLayer;
 
 // One journaled injection re-run by replay mode.
 struct ReplayOutcome {
@@ -83,7 +82,8 @@ struct CampaignOutcome {
   // False only when replay mode failed to reproduce an expected crash site
   // or a replay worker died, hung or sent an undecodable result.
   bool ok = true;
-  // Single-process table1/explore: the main pool's counters (builds == runs
+  // Single-process table1/explore: the counters of the campaign's one pool,
+  // which runs every job, Table 1's second phases included (builds == runs
   // under cold_start). Replay: the fork server's, builds 1 (the zygote) or
   // == runs under cold_start, resets one per record whose worker reset its
   // target after it, dropped one per worker retired by a failed Reset().
@@ -127,14 +127,14 @@ class CampaignDriver {
   // producing a merged journal byte-identical to the single-process run.
   std::optional<CampaignOutcome> RunEpochOrchestration(std::string* error);
   // A shard worker's driver for one epoch: runs exactly the `dealt` jobs on
-  // `exec`, the orchestrator's execution layer it inherited, instead of
-  // building a source and an execution layer of its own.
-  CampaignDriver(CampaignSpec spec, ExecutionLayer* exec, std::vector<CampaignJob> dealt)
-      : spec_(std::move(spec)), exec_(exec), dealt_(std::move(dealt)) {}
+  // `pool`, the orchestrator's pool it inherited, instead of building a
+  // source and a pool of its own.
+  CampaignDriver(CampaignSpec spec, WarmPool* pool, std::vector<CampaignJob> dealt)
+      : spec_(std::move(spec)), pool_(pool), dealt_(std::move(dealt)) {}
 
   CampaignSpec spec_;
-  ExecutionLayer* exec_ = nullptr;  // inherited from the orchestrator, or null
-  std::vector<CampaignJob> dealt_;  // with exec_: the worker's jobs
+  WarmPool* pool_ = nullptr;        // inherited from the orchestrator, or null
+  std::vector<CampaignJob> dealt_;  // with pool_: the worker's jobs
   bool refused_ = false;
 };
 

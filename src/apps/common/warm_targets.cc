@@ -93,23 +93,11 @@ JobResult RunMysqlJobOn(MiniMysql& mysql, const CampaignJob& job) {
 JobResult RunBindJobOn(MiniBind& bind, const CampaignJob& job) {
   JobResult result;
   TestController controller(job.scenario, SeededOptions(job.seed));
-  TestOutcome outcome =
-      controller.RunTest(&bind.libc(), [&] { return bind.RunDefaultTestSuite(); });
-  if (outcome.crashed()) {
-    result.bugs.push_back(
-        {"bind", CrashKindName(outcome.crash_kind), outcome.crash_where, job.label});
-  }
-  result.coverage = std::move(bind.coverage());
-  result.fingerprint = OutcomeFingerprint(controller, outcome);
-  result.injections = outcome.injections;
-  TakeRuntimeInto(&result, controller, job);
-  return result;
-}
-
-JobResult RunBindDstJobOn(MiniBind& bind, const CampaignJob& job) {
-  JobResult result;
-  TestController controller(job.scenario, SeededOptions(job.seed));
-  TestOutcome outcome = controller.RunTest(&bind.libc(), [&] { return bind.DstLibInit(); });
+  // The second phase (Table 1's dst_lib_init malloc sweep) runs the library
+  // initializer instead of the test suite.
+  TestOutcome outcome = controller.RunTest(&bind.libc(), [&] {
+    return job.second_phase ? bind.DstLibInit() : bind.RunDefaultTestSuite();
+  });
   if (outcome.crashed()) {
     result.bugs.push_back(
         {"bind", CrashKindName(outcome.crash_kind), outcome.crash_where, job.label});
@@ -333,30 +321,14 @@ WarmPool::Factory BindWarmFactory() {
   };
 }
 
-WarmPool::Factory BindDstWarmFactory() {
-  return [] {
-    return std::make_unique<SnapshotWarmTarget<MiniBind>>(
-        [](VirtualFs* fs, VirtualNet* net) {
-          return std::make_unique<MiniBind>(fs, net, "/etc/bind");
-        },
-        RunBindDstJobOn);
-  };
-}
-
 WarmPool::Factory PbftWarmFactory(int requests, int max_ticks) {
   return [requests, max_ticks] {
     return std::make_unique<SnapshotWarmTarget<PbftCluster>>(
         BuildStartedCluster,
         [requests, max_ticks](PbftCluster& cluster, const CampaignJob& job) {
-          return RunPbftJobOn(cluster, job, requests, max_ticks);
+          return job.second_phase ? RunPbftDistributedJobOn(cluster, job)
+                                  : RunPbftJobOn(cluster, job, requests, max_ticks);
         });
-  };
-}
-
-WarmPool::Factory PbftDistributedWarmFactory() {
-  return [] {
-    return std::make_unique<SnapshotWarmTarget<PbftCluster>>(BuildStartedCluster,
-                                                             RunPbftDistributedJobOn);
   };
 }
 
@@ -367,18 +339,9 @@ WarmPool::Factory BfsWarmFactory(int rounds, int max_ticks) {
           return BuildStartedBfsCluster(fs, net, rounds);
         },
         [max_ticks](BfsCluster& cluster, const CampaignJob& job) {
-          return RunBfsJobOn(cluster, job, max_ticks);
+          return job.second_phase ? RunBfsMuxJobOn(cluster, job)
+                                  : RunBfsJobOn(cluster, job, max_ticks);
         });
-  };
-}
-
-WarmPool::Factory BfsMuxWarmFactory() {
-  return [] {
-    return std::make_unique<SnapshotWarmTarget<BfsCluster>>(
-        [](VirtualFs* fs, VirtualNet* net) {
-          return BuildStartedBfsCluster(fs, net, /*rounds=*/2);
-        },
-        RunBfsMuxJobOn);
   };
 }
 
@@ -400,46 +363,6 @@ WarmPool::Factory WorkloadFactory(const std::string& system, CampaignMode mode) 
     return explore ? BfsWarmFactory(3, 900) : BfsWarmFactory(2, 600);
   }
   return nullptr;
-}
-
-// --- ExecutionLayer ----------------------------------------------------------
-
-ExecutionLayer::ExecutionLayer(const std::string& system, CampaignMode mode, bool cold_start) {
-  WarmPool::Factory main = WorkloadFactory(system, mode);
-  WarmPool::Factory phase;
-  if (system == "bind") {
-    phase = BindDstWarmFactory();
-  } else if (system == "pbft") {
-    phase = PbftDistributedWarmFactory();
-  } else if (system == "bfs") {
-    phase = BfsMuxWarmFactory();
-  }
-  WarmPool::Policy policy = cold_start ? WarmPool::Policy::kFresh : WarmPool::Policy::kReuse;
-  if (main) {
-    pool_ = std::make_unique<WarmPool>(std::move(main), policy);
-  }
-  if (phase) {
-    phase_pool_ = std::make_unique<WarmPool>(std::move(phase), policy);
-  }
-}
-
-CampaignEngine::ResultRunner ExecutionLayer::runner() const {
-  if (phase_pool_ == nullptr) {
-    return pool_ != nullptr ? pool_->AsRunner() : nullptr;
-  }
-  return [main = pool_->AsRunner(), phase = phase_pool_->AsRunner()](const CampaignJob& job) {
-    return job.second_phase ? phase(job) : main(job);
-  };
-}
-
-void ExecutionLayer::Prewarm(size_t count) {
-  if (pool_ != nullptr) {
-    pool_->Prewarm(count);
-  }
-}
-
-WarmPool::Stats ExecutionLayer::pool_stats() const {
-  return pool_ != nullptr ? pool_->stats() : WarmPool::Stats{};
 }
 
 }  // namespace lfi

@@ -116,8 +116,8 @@ struct CampaignJob {
   size_t stream_index = kNoStreamIndex;
   // Runs the system's second-phase workload instead of the campaign
   // default: Table 1's bind dst sweep, pbft distributed fuzz and bfs
-  // partial transfers. The campaign's runner dispatches on it (the
-  // ExecutionLayer's, apps/common/warm_targets.h), so a job is data
+  // partial transfers. The system's runner core dispatches on it, on the
+  // campaign's one pool (apps/common/warm_targets.h), so a job is data
   // wherever it runs, a shard worker included.
   bool second_phase = false;
   // Subject to CampaignEngine::Options::max_bugs: the job is skipped once

@@ -8,10 +8,13 @@
 // network fabric, libc-visible process state, application fields, coverage),
 // and Reset() rolls everything back bit-exactly between jobs.
 //
-// The pool is the only way an engine job reaches a target. Its policy
-// decides what happens between jobs: kReuse (the default) resets and
-// re-pools the instance; kFresh builds a fresh instance per job and destroys
-// it after the run without ever resetting it -- the `--cold-start` ablation.
+// The pool is the only way an engine job reaches a target, and a campaign
+// has one: every job runs on it, Table 1's second-phase jobs included (a
+// target's runner core picks their workload, apps/common/warm_targets.h),
+// so its Stats count the whole campaign. Its policy decides what happens
+// between jobs: kReuse (the default) resets and re-pools the instance;
+// kFresh builds a fresh instance per job and destroys it after the run
+// without ever resetting it -- the `--cold-start` ablation.
 // Replay runs on the fork server (core/fork_server.h), which takes the same
 // Factory and Policy but runs the jobs in persistent worker processes forked
 // from one post-setup instance: under kReuse each worker runs a job on its

@@ -433,8 +433,8 @@ size_t ProveInertJobsOn(const std::string& system, ExploreStrategy strategy, uin
       functions.insert(assoc.function);
     }
   }
-  ExecutionLayer exec(system, CampaignMode::kExplore, /*cold_start=*/false);
-  CampaignEngine::ResultRunner runner = exec.runner();
+  WarmPool pool(WorkloadFactory(system, CampaignMode::kExplore));
+  CampaignEngine::ResultRunner runner = pool.AsRunner();
   CampaignJob baseline_job;
   baseline_job.scenario = MakeObserveScenario({functions.begin(), functions.end()});
   baseline_job.label = "fault-free baseline";

@@ -625,12 +625,12 @@ TEST(CampaignJournal, DoctorIdentitySurfaceRecognizesBfsAndRefusesUnknown) {
   EXPECT_EQ(parsed->system, "bfs");
   EXPECT_EQ(parsed->Validate(), "");
   EXPECT_TRUE(IsCampaignSystem("bfs"));
-  EXPECT_TRUE(ExecutionLayer("bfs", CampaignMode::kExplore, false).runner() != nullptr);
+  EXPECT_TRUE(WorkloadFactory("bfs", CampaignMode::kExplore) != nullptr);
 
   // An identity naming a system this build does not know: not a member, no
   // runner, and a spec parsed from it does not validate as runnable.
   EXPECT_FALSE(IsCampaignSystem("zfs"));
-  EXPECT_TRUE(ExecutionLayer("zfs", CampaignMode::kExplore, false).runner() == nullptr);
+  EXPECT_TRUE(WorkloadFactory("zfs", CampaignMode::kExplore) == nullptr);
   JournalMetadata unknown = spec.ToJournalMeta();
   for (auto& [key, value] : unknown) {
     if (key == "system") {

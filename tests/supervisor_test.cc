@@ -642,6 +642,40 @@ TEST(ShardZygote, ChildrenRunOnInheritedTargetsAndBuildNone) {
   }
 }
 
+TEST(ShardZygote, Table1WorkersRunSecondPhaseJobsOnInheritedTargets) {
+  // The same bar for Table 1's two phases: a shard worker runs the
+  // second-phase jobs it is dealt (bind's dst sweep, pbft's distributed
+  // fuzz, bfs's partial transfers) on the instances it inherited, so with
+  // pool.build=exit:9 armed in every shard scope the run still completes
+  // and writes the single-process journal byte for byte.
+  for (const char* system : {"bind", "pbft", "bfs"}) {
+    SCOPED_TRACE(system);
+    std::string error;
+    std::string single_path = TempPath(StrFormat("supervisor_zygote_t1_%s_single.lfij", system));
+    RemoveArtifacts(single_path, 0);
+    CampaignSpec spec{.system = system,
+                      .mode = CampaignMode::kTable1,
+                      .exhaustive = true,
+                      .workers = 2,
+                      .journal_path = single_path};
+    ASSERT_TRUE(RunDriver(spec, &error).has_value()) << error;
+
+    FailpointGuard guard;
+    std::string path = TempPath(StrFormat("supervisor_zygote_t1_%s.lfij", system));
+    RemoveArtifacts(path, 3);
+    spec.journal_path = path;
+    spec.shard_count = 3;
+    spec.max_retries = 0;
+    spec.backoff_ms = 10;
+    spec.failpoints =
+        "shard0:pool.build=exit:9,shard1:pool.build=exit:9,shard2:pool.build=exit:9";
+    auto outcome = RunDriver(spec, &error);
+    ASSERT_TRUE(outcome.has_value()) << error;
+    EXPECT_EQ(ReadFile(path), ReadFile(single_path));
+    EXPECT_EQ(outcome->pool.runs, 0u);
+  }
+}
+
 // --- crash-atomic merge finalization ----------------------------------------
 
 TEST(ChaosRecovery, MergeCrashBeforeRenameLeavesNoTornOutput) {

@@ -26,7 +26,9 @@
 #include "core/campaign_engine.h"
 #include "core/exploration.h"
 #include "core/scenario.h"
+#include "core/stock_triggers.h"
 #include "core/warm_pool.h"
+#include "util/errno_codes.h"
 #include "util/sha1.h"
 #include "util/string_util.h"
 #include "vlib/vfs.h"
@@ -239,27 +241,79 @@ TEST(WarmTarget, AllSystemsRoundTripACleanJob) {
   CampaignJob job;
   job.label = "clean run";
   job.seed = 5;
+  CampaignJob second_phase = job;
+  second_phase.second_phase = true;
   struct Case {
     const char* name;
     WarmPool::Factory factory;
+    const CampaignJob& job;
   };
   std::vector<Case> cases;
-  cases.push_back({"git", GitWarmFactory()});
-  cases.push_back({"mysql", MysqlWarmFactory()});
-  cases.push_back({"bind", BindWarmFactory()});
-  cases.push_back({"bind-dst", BindDstWarmFactory()});
-  cases.push_back({"pbft", PbftWarmFactory(8, 2000)});
-  cases.push_back({"pbft-dist", PbftDistributedWarmFactory()});
-  cases.push_back({"bfs", BfsWarmFactory(2, 600)});
-  cases.push_back({"bfs-mux", BfsMuxWarmFactory()});
+  cases.push_back({"git", GitWarmFactory(), job});
+  cases.push_back({"mysql", MysqlWarmFactory(), job});
+  cases.push_back({"bind", BindWarmFactory(), job});
+  cases.push_back({"pbft", PbftWarmFactory(8, 2000), job});
+  cases.push_back({"bfs", BfsWarmFactory(2, 600), job});
+  // Table 1's second phases, on each system's own Table 1 target.
+  for (const char* system : {"bind", "pbft", "bfs"}) {
+    cases.push_back({system, WorkloadFactory(system, CampaignMode::kTable1), second_phase});
+  }
   for (Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    JobResult cold = RunFresh(c.factory, job);
+    SCOPED_TRACE(StrFormat("%s%s", c.name, c.job.second_phase ? " second phase" : ""));
+    JobResult cold = RunFresh(c.factory, c.job);
     auto target = c.factory();
-    ExpectSameResult(target->Run(job), cold);
+    ExpectSameResult(target->Run(c.job), cold);
     ASSERT_TRUE(target->Reset());
-    ExpectSameResult(target->Run(job), cold);
+    ExpectSameResult(target->Run(c.job), cold);
     ASSERT_TRUE(target->Reset());
+  }
+}
+
+// One Table 1 instance serves both phases, so nothing a second-phase core
+// leaves behind may escape Reset(): bind's dst sweep fails an allocation
+// inside dst_lib_init, pbft's core installs a DistributedController service
+// and one interposer per replica, and bfs's arms partial-transfer
+// probabilities on the fabric. Alternating the phases on one instance must
+// give every job a fresh instance's result.
+TEST(WarmTarget, TableOnePhasesShareAnInstanceThroughReset) {
+  EnsureStockTriggersRegistered();
+  CampaignJob main;
+  main.label = "clean run";
+  main.seed = 5;
+  struct Case {
+    const char* system;
+    Scenario scenario;  // of the second-phase job
+  };
+  const Case cases[] = {
+      {"bind", MakeCallCountScenario("malloc", 1, 0, kENOMEM)},
+      {"pbft", *Scenario::Parse(R"(
+<scenario>
+  <trigger id="dist" class="DistributedTrigger"/>
+  <function name="sendto" return="-1" errno="EIO"><reftrigger ref="dist"/></function>
+  <function name="recvfrom" return="-1" errno="EIO"><reftrigger ref="dist"/></function>
+</scenario>)")},
+      {"bfs", Scenario()},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.system);
+    WarmPool::Factory factory = WorkloadFactory(c.system, CampaignMode::kTable1);
+    CampaignJob second;
+    second.scenario = c.scenario;
+    second.label = "second phase";
+    second.seed = 3;
+    second.second_phase = true;
+    JobResult cold_main = RunFresh(factory, main);
+    JobResult cold_second = RunFresh(factory, second);
+    // The second phase must actually fault, or it leaves nothing to reset.
+    ASSERT_GT(cold_second.injections, 0u);
+
+    auto target = factory();
+    for (int round = 0; round < 2; ++round) {
+      ExpectSameResult(target->Run(main), cold_main);
+      ASSERT_TRUE(target->Reset()) << "round " << round;
+      ExpectSameResult(target->Run(second), cold_second);
+      ASSERT_TRUE(target->Reset()) << "round " << round;
+    }
   }
 }
 
@@ -419,10 +473,10 @@ TEST(WarmCampaign, ExploreMatchesColdStartByteForByteOnAllSystems) {
 }
 
 TEST(WarmCampaign, Table1MatchesColdStartIncludingSecondPhaseJobs) {
-  // bind and pbft exercise the second-phase jobs (the dst_lib_init malloc
-  // sweep and the distributed fuzz phase), which the ExecutionLayer's runner
-  // sends to their own pools.
-  for (const char* system : {"bind", "pbft"}) {
+  // bind, pbft and bfs exercise the second-phase jobs (the dst_lib_init
+  // malloc sweep, the distributed fuzz phase, the partial transfers), which
+  // run on the campaign's one pool: its counters cover every job.
+  for (const char* system : {"bind", "pbft", "bfs"}) {
     SCOPED_TRACE(system);
     std::string cold_path = TempPath(StrFormat("warm_t1_%s_cold.lfij", system));
     std::string warm_path = TempPath(StrFormat("warm_t1_%s_warm.lfij", system));
@@ -433,12 +487,22 @@ TEST(WarmCampaign, Table1MatchesColdStartIncludingSecondPhaseJobs) {
                       .journal_path = cold_path,
                       .cold_start = true};
     CampaignOutcome cold = RunSpec(spec);
+    EXPECT_EQ(cold.pool.builds, cold.pool.runs);
+    EXPECT_EQ(cold.pool.runs, cold.scenarios_run);
     spec.journal_path = warm_path;
     spec.cold_start = false;
     spec.workers = 4;
     CampaignOutcome warm = RunSpec(spec);
     ExpectSameOutcome(cold, warm);
     EXPECT_EQ(ReadFile(warm_path), ReadFile(cold_path));
+    // Every job the engine ran went through the pool. At 4 workers pbft's
+    // max_bugs cutoff lets jobs run that the ordered merge then gates, so
+    // runs can exceed scenarios_run there; bind and bfs have no cutoff and
+    // read equal.
+    EXPECT_EQ(warm.pool.runs, warm.jobs_executed);
+    EXPECT_GE(warm.pool.runs, warm.scenarios_run);
+    EXPECT_EQ(warm.pool.dropped, 0u);
+    EXPECT_LE(warm.pool.builds, 4u);
   }
 }
 
