@@ -3,7 +3,15 @@
 #include "analysis/callsite_analyzer.h"
 #include "analysis/cfg.h"
 #include "analysis/dataflow.h"
+#include "apps/bfs/bfs.h"
+#include "apps/bind/bind.h"
+#include "apps/git/git.h"
+#include "apps/mysql/mysql.h"
+#include "apps/pbft/pbft.h"
 #include "image/assembler.h"
+#include "util/sha1.h"
+#include "util/string_util.h"
+#include "vlib/library_profiles.h"
 
 namespace lfi {
 namespace {
@@ -454,6 +462,58 @@ end
 )");
   auto report = AnalyzeOne(image, "read", {-1});
   EXPECT_EQ(report.check_class, CheckClass::kFull);
+}
+
+// --- Reports of the real targets ----------------------------------------------
+
+struct Target {
+  const char* name;
+  const AppBinary& (*binary)();
+};
+
+const Target kTargets[] = {
+    {"git", GitBinary}, {"mysql", MysqlBinary}, {"bind", BindBinary},
+    {"pbft", PbftBinary}, {"bfs", BfsBinary},
+};
+
+std::string Literals(const std::set<int64_t>& set) {
+  std::string out;
+  for (int64_t v : set) {
+    out += StrFormat("%lld,", static_cast<long long>(v));
+  }
+  return out;
+}
+
+// Every field of `report` that the campaigns read, as one line.
+std::string ReportLine(const CallSiteReport& r) {
+  return StrFormat("%s|%u|%s|%s|%s|eq=%s|ineq=%s|%d|missing=%s\n", r.site.module.c_str(),
+                   r.site.offset, r.site.function.c_str(), r.site.enclosing.c_str(),
+                   CheckClassName(r.check_class), Literals(r.checked_eq).c_str(),
+                   Literals(r.checked_ineq).c_str(), r.has_ineq_check ? 1 : 0,
+                   Literals(r.missing_codes).c_str());
+}
+
+// The analysis's output contract: every report of every target under the
+// libc and libxml2 profiles, in the order AnalysisCache::Reports builds them,
+// hashed. A CFG or dataflow change that moves any report (a site, its class,
+// a checked literal or a missing code) changes the digest.
+TEST(TargetReports, DigestOfEveryReportIsPinned) {
+  CallSiteAnalyzer analyzer;
+  Sha1 sha;
+  size_t reports = 0;
+  for (const Target& target : kTargets) {
+    for (const FaultProfile& profile : {LibcProfile(), LibxmlProfile()}) {
+      for (const auto& [name, fn] : profile.functions()) {
+        for (const CallSiteReport& r :
+             analyzer.Analyze(target.binary().image(), name, fn.ErrorCodes())) {
+          sha.Update(ReportLine(r));
+          ++reports;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(reports, 303u);
+  EXPECT_EQ(Sha1::ToHex(sha.Finish()), "1e9352a96ac18b3759db53b7742f8eb7de0c0284");
 }
 
 }  // namespace
