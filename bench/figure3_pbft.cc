@@ -97,7 +97,7 @@ int main() {
               last_slowdown);
   std::printf("(Absolute factors diverge: this simulation is latency-bound, while the\n"
               " paper's testbed ran all four replicas on one 4-core machine and was\n"
-              " CPU-bound; see EXPERIMENTS.md. The low-loss region matches closely.)\n");
+              " CPU-bound. The low-loss region matches closely.)\n");
   std::printf("Monotonic degradation: %s\n", monotone ? "reproduced" : "NOT reproduced");
   return monotone ? 0 : 1;
 }

@@ -2,8 +2,12 @@
 //
 // Runs the full automated campaign -- library profiling, call-site analysis,
 // scenario generation, fault injection against the default workloads, plus
-// the random-injection follow-up -- against all four systems and prints the
-// discovered bug list. The paper reports 11 previously unknown bugs.
+// the random-injection follow-up -- against every system and prints the
+// discovered bug list. The paper reports 11 previously unknown bugs in its
+// four systems (git, mysql, bind, pbft); the table counts those. bfs is this
+// reproduction's fifth target, not in the paper: its one bug (the
+// flush_super crash) is printed on its own line. Exits 0 when both counts
+// hold.
 
 #include <cstdio>
 
@@ -21,11 +25,25 @@ int main() {
     std::fprintf(stderr, "campaign failed: %s\n", error.c_str());
     return 1;
   }
-  const std::vector<lfi::FoundBug>& bugs = outcome->bugs;
-  for (const auto& bug : bugs) {
-    std::printf("%-8s %-22s %-55s %s\n", bug.system.c_str(), bug.kind.c_str(),
-                bug.where.c_str(), bug.injected.c_str());
+  auto print_row = [](const lfi::FoundBug& bug) {
+    std::printf("%-8s %-22s %-55s %s\n", bug.system.c_str(), bug.kind.c_str(), bug.where.c_str(),
+                bug.injected.c_str());
+  };
+  size_t paper_bugs = 0;
+  for (const auto& bug : outcome->bugs) {
+    if (bug.system != "bfs") {
+      print_row(bug);
+      ++paper_bugs;
+    }
   }
-  std::printf("\nTotal distinct bugs: %zu   (paper: 11)\n", bugs.size());
-  return bugs.size() == 11 ? 0 : 1;
+  std::printf("\nDistinct bugs in the paper's four systems: %zu   (paper: 11)\n", paper_bugs);
+  size_t extension_bugs = 0;
+  std::printf("\nThis reproduction's extension (bfs, not in the paper):\n");
+  for (const auto& bug : outcome->bugs) {
+    if (bug.system == "bfs") {
+      print_row(bug);
+      ++extension_bugs;
+    }
+  }
+  return paper_bugs == 11 && extension_bugs == 1 ? 0 : 1;
 }

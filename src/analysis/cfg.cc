@@ -1,25 +1,27 @@
 #include "analysis/cfg.h"
 
-#include <deque>
-#include <set>
+#include <algorithm>
 
 namespace lfi {
 
+size_t PartialCfg::index(size_t offset) const {
+  auto it = std::lower_bound(nodes_.begin(), nodes_.end(), offset,
+                             [](const CfgNode& n, size_t off) { return n.offset < off; });
+  return it != nodes_.end() && it->offset == offset ? static_cast<size_t>(it - nodes_.begin())
+                                                    : kNoNode;
+}
+
 PartialCfg BuildPartialCfg(const Image& image, size_t start_offset, size_t max_instructions) {
   PartialCfg cfg;
-  cfg.set_entry(start_offset);
-  std::deque<size_t> worklist;
-  std::set<size_t> seen;
-  worklist.push_back(start_offset);
+  cfg.entry_ = start_offset;
+  std::vector<CfgNode>& nodes = cfg.nodes_;
+  // Breadth-first from the entry. Every offset is queued once, on discovery;
+  // `discovered` keeps them sorted for lookup.
+  std::vector<size_t> worklist = {start_offset};
+  std::vector<size_t> discovered = {start_offset};
 
-  while (!worklist.empty() && cfg.nodes().size() < max_instructions) {
-    size_t off = worklist.front();
-    worklist.pop_front();
-    if (seen.count(off) != 0) {
-      continue;
-    }
-    seen.insert(off);
-
+  for (size_t head = 0; head < worklist.size() && nodes.size() < max_instructions; ++head) {
+    size_t off = worklist[head];
     Instruction instr;
     if (!image.Decode(off, &instr)) {
       continue;  // ran off the section or hit garbage: end the path
@@ -54,23 +56,29 @@ PartialCfg BuildPartialCfg(const Image& image, size_t start_offset, size_t max_i
       }
     }
     for (size_t succ : node.succs) {
-      if (seen.count(succ) == 0) {
+      auto it = std::lower_bound(discovered.begin(), discovered.end(), succ);
+      if (it == discovered.end() || *it != succ) {
+        discovered.insert(it, succ);
         worklist.push_back(succ);
       }
     }
-    cfg.mutable_nodes()[off] = std::move(node);
+    nodes.push_back(std::move(node));
   }
 
-  // Drop successor edges that point at instructions we never materialized
-  // (window limit), so downstream traversals stay within the node set.
-  for (auto& [off, node] : cfg.mutable_nodes()) {
-    std::vector<size_t> kept;
+  // Sort by offset, then turn successor offsets into node indices, dropping
+  // edges to instructions never materialized (window limit) so downstream
+  // traversals stay within the node set.
+  std::sort(nodes.begin(), nodes.end(),
+            [](const CfgNode& a, const CfgNode& b) { return a.offset < b.offset; });
+  for (CfgNode& node : nodes) {
+    size_t kept = 0;
     for (size_t succ : node.succs) {
-      if (cfg.nodes().count(succ) != 0) {
-        kept.push_back(succ);
+      size_t i = cfg.index(succ);
+      if (i != PartialCfg::kNoNode) {
+        node.succs[kept++] = i;
       }
     }
-    node.succs = std::move(kept);
+    node.succs.resize(kept);
   }
   return cfg;
 }

@@ -11,7 +11,6 @@
 #define LFI_ANALYSIS_CFG_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "image/image.h"
@@ -21,23 +20,29 @@ namespace lfi {
 struct CfgNode {
   size_t offset = 0;  // byte offset of the instruction in the module text
   Instruction instr;
-  std::vector<size_t> succs;  // successor offsets
+  std::vector<size_t> succs;  // successors, as indices into PartialCfg::nodes()
 };
 
 class PartialCfg {
  public:
-  const std::map<size_t, CfgNode>& nodes() const { return nodes_; }
-  std::map<size_t, CfgNode>& mutable_nodes() { return nodes_; }
+  static constexpr size_t kNoNode = static_cast<size_t>(-1);
+
+  // The materialized instructions, sorted by offset.
+  const std::vector<CfgNode>& nodes() const { return nodes_; }
   size_t entry() const { return entry_; }
-  void set_entry(size_t entry) { entry_ = entry; }
   bool empty() const { return nodes_.empty(); }
+  // Index into nodes() of the instruction at `offset`, or kNoNode.
+  size_t index(size_t offset) const;
   const CfgNode* node(size_t offset) const {
-    auto it = nodes_.find(offset);
-    return it == nodes_.end() ? nullptr : &it->second;
+    size_t i = index(offset);
+    return i == kNoNode ? nullptr : &nodes_[i];
   }
 
  private:
-  std::map<size_t, CfgNode> nodes_;
+  friend PartialCfg BuildPartialCfg(const Image& image, size_t start_offset,
+                                    size_t max_instructions);
+
+  std::vector<CfgNode> nodes_;
   size_t entry_ = 0;
 };
 

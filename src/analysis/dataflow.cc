@@ -1,54 +1,91 @@
 #include "analysis/dataflow.h"
 
-#include <deque>
-#include <map>
+#include <algorithm>
 
 namespace lfi {
 namespace {
 
-bool Contains(const LocationSet& set, Location loc) { return set.count(loc) != 0; }
+// The locations that may hold a copy of the tracked value: a register mask,
+// and the stack slots (sp-relative byte offsets), sorted.
+class LocationSet {
+ public:
+  bool HasReg(int reg) const { return (regs_ >> reg & 1u) != 0; }
+  void SetReg(int reg, bool on) { regs_ = on ? regs_ | 1u << reg : regs_ & ~(1u << reg); }
+  // Keeps only the registers in `mask`.
+  void MaskRegs(uint32_t mask) { regs_ &= mask; }
 
-Location Reg(int r) { return Location{Location::Kind::kReg, r}; }
-Location Slot(int32_t off) { return Location{Location::Kind::kStack, off}; }
-
-// Applies the transfer function of `instr` to the copy set, and records any
-// comparison of a copy against a literal. `next_is_*` describe the
-// conditional jump(s) that consume the flags this instruction sets.
-struct Transfer {
-  const CfgNode* node;
-  const PartialCfg* cfg;
-
-  // Collects the conditional jumps immediately consuming this node's flags.
-  // Flags in this ISA are consumed by the very next instruction(s) in control
-  // flow; a chain of conditional jumps (je .a; jl .b) all read the same
-  // flags, so we walk successive conditional jumps.
-  void CollectFlagConsumers(std::vector<Op>* out) const {
-    const CfgNode* cur = node;
-    while (true) {
-      if (cur->succs.empty()) {
-        return;
-      }
-      // Fall-through successor is the one right after the instruction; for a
-      // conditional jump node both successors lead on, but only the textual
-      // fall-through can be another flag consumer.
-      const CfgNode* next = cfg->node(cur->offset + kInstrSize);
-      bool advanced = false;
-      for (size_t succ : cur->succs) {
-        const CfgNode* s = cfg->node(succ);
-        if (s != nullptr && s->instr.IsConditionalJump()) {
-          out->push_back(s->instr.op);
-        }
-      }
-      if (next != nullptr && next->instr.IsConditionalJump()) {
-        cur = next;
-        advanced = true;
-      }
-      if (!advanced) {
-        return;
-      }
+  bool HasSlot(int32_t off) const { return std::binary_search(slots_.begin(), slots_.end(), off); }
+  // Returns true when the slot was not in the set.
+  bool AddSlot(int32_t off) {
+    auto it = std::lower_bound(slots_.begin(), slots_.end(), off);
+    if (it != slots_.end() && *it == off) {
+      return false;
+    }
+    slots_.insert(it, off);
+    return true;
+  }
+  void EraseSlot(int32_t off) {
+    auto it = std::lower_bound(slots_.begin(), slots_.end(), off);
+    if (it != slots_.end() && *it == off) {
+      slots_.erase(it);
     }
   }
+
+  // Adds every location of `other`; returns true when the set grew.
+  bool UnionWith(const LocationSet& other) {
+    bool grew = (other.regs_ & ~regs_) != 0;
+    regs_ |= other.regs_;
+    for (int32_t off : other.slots_) {
+      grew |= AddSlot(off);
+    }
+    return grew;
+  }
+
+ private:
+  static_assert(kNumRegisters <= 32, "register mask is 32 bits");
+  uint32_t regs_ = 0;  // decoded instructions name registers < kNumRegisters
+  std::vector<int32_t> slots_;
 };
+
+// Records in `result` the checks of a copy against `literal` made by the
+// conditional jumps that read the flags node `i` sets. Flags in this ISA are
+// consumed by the very next instruction(s) in control flow; a chain of
+// conditional jumps (je .a; jl .b) all read the same flags, so we walk
+// successive conditional jumps along the textual fall-through.
+void RecordCompare(const PartialCfg& cfg, size_t i, int64_t literal, DataflowResult* result) {
+  const std::vector<CfgNode>& nodes = cfg.nodes();
+  while (!nodes[i].succs.empty()) {
+    for (size_t succ : nodes[i].succs) {
+      switch (nodes[succ].instr.op) {
+        case Op::kJe:
+        case Op::kJne:
+          result->chk_eq.insert(literal);
+          break;
+        case Op::kJl:
+        case Op::kJle:
+        case Op::kJg:
+        case Op::kJge:
+          result->chk_ineq.insert(literal);
+          result->has_ineq_check = true;
+          break;
+        case Op::kJs:
+        case Op::kJns:
+          // Sign test: an inequality check against zero.
+          result->chk_ineq.insert(0);
+          result->has_ineq_check = true;
+          break;
+        default:
+          break;
+      }
+    }
+    size_t next = i + 1;  // nodes are sorted by offset
+    if (next == nodes.size() || nodes[next].offset != nodes[i].offset + kInstrSize ||
+        !nodes[next].instr.IsConditionalJump()) {
+      return;
+    }
+    i = next;
+  }
+}
 
 }  // namespace
 
@@ -60,86 +97,68 @@ bool IsCallerSaved(int reg) {
 
 DataflowResult AnalyzeReturnValueFlow(const PartialCfg& cfg) {
   DataflowResult result;
-  if (cfg.empty() || cfg.node(cfg.entry()) == nullptr) {
+  const size_t entry = cfg.index(cfg.entry());
+  if (entry == PartialCfg::kNoNode) {
     return result;
   }
+  const std::vector<CfgNode>& nodes = cfg.nodes();
+  const size_t n = nodes.size();
 
-  // IN sets per node offset.
-  std::map<size_t, LocationSet> in;
-  std::set<size_t> visited;
-  in[cfg.entry()].insert(Reg(kRetReg));
+  uint32_t survives_calls = 0;
+  for (int r = 0; r < kNumRegisters; ++r) {
+    if (!IsCallerSaved(r)) {
+      survives_calls |= 1u << r;
+    }
+  }
 
-  std::deque<size_t> worklist;
-  worklist.push_back(cfg.entry());
-
-  auto record_compare = [&](const CfgNode& node, int64_t literal) {
-    Transfer t{&node, &cfg};
-    std::vector<Op> consumers;
-    t.CollectFlagConsumers(&consumers);
-    for (Op op : consumers) {
-      switch (op) {
-        case Op::kJe:
-        case Op::kJne:
-          result.chk_eq.insert(literal);
-          break;
-        case Op::kJl:
-        case Op::kJle:
-        case Op::kJg:
-        case Op::kJge:
-          result.chk_ineq.insert(literal);
-          result.has_ineq_check = true;
-          break;
-        case Op::kJs:
-        case Op::kJns:
-          // Sign test: an inequality check against zero.
-          result.chk_ineq.insert(0);
-          result.has_ineq_check = true;
-          break;
-        default:
-          break;
-      }
+  // Per-node IN sets and flags, and a FIFO ring of queued nodes: a node is
+  // queued at most once at a time, so n slots suffice.
+  std::vector<LocationSet> in(n);
+  std::vector<uint8_t> visited(n, 0);
+  std::vector<uint8_t> queued(n, 0);
+  std::vector<size_t> ring(n);
+  size_t head = 0;
+  size_t count = 0;
+  auto enqueue = [&](size_t i) {
+    if (queued[i] == 0) {
+      queued[i] = 1;
+      ring[(head + count) % n] = i;
+      ++count;
     }
   };
 
-  while (!worklist.empty()) {
+  in[entry].SetReg(kRetReg, true);
+  enqueue(entry);
+  LocationSet set;
+  while (count > 0) {
     ++result.iterations;
     if (result.iterations > 100000) {
-      break;  // safety valve; partial CFGs are <= a few hundred nodes
+      break;  // guard only: the bound above keeps real CFGs far below it
     }
-    size_t off = worklist.front();
-    worklist.pop_front();
-    const CfgNode* node = cfg.node(off);
-    if (node == nullptr) {
-      continue;
-    }
-    LocationSet set = in[off];
-    const Instruction& i = node->instr;
+    const size_t idx = ring[head];
+    head = (head + 1) % n;
+    --count;
+    queued[idx] = 0;
+    set = in[idx];
+    const Instruction& i = nodes[idx].instr;
 
     switch (i.op) {
       case Op::kMovRR:
-        if (Contains(set, Reg(i.rs))) {
-          set.insert(Reg(i.rd));
-        } else {
-          set.erase(Reg(i.rd));
-        }
+        set.SetReg(i.rd, set.HasReg(i.rs));
         break;
       case Op::kMovRI:
       case Op::kPop:
-        set.erase(Reg(i.rd));
+        set.SetReg(i.rd, false);
         break;
       case Op::kLoad:
-        if (i.rs == kSpReg && Contains(set, Slot(i.imm))) {
-          set.insert(Reg(i.rd));
-        } else {
-          set.erase(Reg(i.rd));
-        }
+        set.SetReg(i.rd, i.rs == kSpReg && set.HasSlot(i.imm));
         break;
       case Op::kStore:
         if (i.rd == kSpReg) {
-          if (Contains(set, Reg(i.rs))) {
-            set.insert(Slot(i.imm));
+          if (set.HasReg(i.rs)) {
+            set.AddSlot(i.imm);
           } else {
-            set.erase(Slot(i.imm));
+            set.EraseSlot(i.imm);
           }
         }
         break;
@@ -151,28 +170,18 @@ DataflowResult AnalyzeReturnValueFlow(const PartialCfg& cfg) {
       case Op::kXor:
       case Op::kAddI:
         // Arithmetic destroys the value for error-code comparison purposes.
-        set.erase(Reg(i.rd));
+        set.SetReg(i.rd, false);
         break;
       case Op::kCmpRI:
-        if (Contains(set, Reg(i.rd))) {
-          record_compare(*node, i.imm);
+        if (set.HasReg(i.rd)) {
+          RecordCompare(cfg, idx, i.imm, &result);
         }
         break;
       case Op::kTest:
-        if (i.rd == i.rs && Contains(set, Reg(i.rd))) {
-          // test rX, rX followed by a conditional jump is a zero/sign check.
-          Transfer t{node, &cfg};
-          std::vector<Op> consumers;
-          t.CollectFlagConsumers(&consumers);
-          for (Op op : consumers) {
-            if (op == Op::kJe || op == Op::kJne) {
-              result.chk_eq.insert(0);
-            } else if (op == Op::kJs || op == Op::kJns || op == Op::kJl || op == Op::kJle ||
-                       op == Op::kJg || op == Op::kJge) {
-              result.chk_ineq.insert(0);
-              result.has_ineq_check = true;
-            }
-          }
+        // test rX, rX followed by a conditional jump is a zero/sign check,
+        // i.e. a compare against the literal 0.
+        if (i.rd == i.rs && set.HasReg(i.rd)) {
+          RecordCompare(cfg, idx, 0, &result);
         }
         break;
       case Op::kCmpRR:
@@ -180,28 +189,18 @@ DataflowResult AnalyzeReturnValueFlow(const PartialCfg& cfg) {
         // compares do not contribute checks but also do not kill copies.
         break;
       case Op::kCall:
-      case Op::kCallR: {
+      case Op::kCallR:
         // Calls clobber caller-saved registers; copies on the stack survive.
-        LocationSet kept;
-        for (const Location& loc : set) {
-          if (loc.kind == Location::Kind::kStack || !IsCallerSaved(loc.id)) {
-            kept.insert(loc);
-          }
-        }
-        set = std::move(kept);
+        set.MaskRegs(survives_calls);
         break;
-      }
       default:
         break;
     }
 
-    visited.insert(off);
-    for (size_t succ : node->succs) {
-      LocationSet& succ_in = in[succ];
-      size_t before = succ_in.size();
-      succ_in.insert(set.begin(), set.end());
-      if (visited.count(succ) == 0 || succ_in.size() > before) {
-        worklist.push_back(succ);
+    visited[idx] = 1;
+    for (size_t succ : nodes[idx].succs) {
+      if (in[succ].UnionWith(set) || visited[succ] == 0) {
+        enqueue(succ);
       }
     }
   }

@@ -4,6 +4,7 @@
 #include "analysis/cfg.h"
 #include "analysis/dataflow.h"
 #include "apps/bfs/bfs.h"
+#include "apps/common/app_binary.h"
 #include "apps/bind/bind.h"
 #include "apps/git/git.h"
 #include "apps/mysql/mysql.h"
@@ -317,6 +318,39 @@ end
   EXPECT_TRUE(flow.chk_eq.count(0));
 }
 
+TEST(Dataflow, LoopRequeuesANodeOnlyWhenItsInSetGrows) {
+  // The back edge carries a new copy (r1) into the loop head, whose IN set
+  // grows from {r0} to {r0, r1}. The growth reaches every node but the
+  // back-edge jmp, which already saw r1 from the join's mov, so the 9 nodes
+  // take 9 + 8 = 17 iterations. Both arms of the inner diamond reach the
+  // join before it is processed; a worklist that queued it twice would
+  // count 19.
+  Image image = Asm(R"(
+module m
+func f
+  call read
+.loop:
+  cmpi r1, -1
+  je .out
+  test r2, r2
+  js .x
+  jmp .join
+.x:
+  movi r3, 0
+.join:
+  mov r1, r0
+  jmp .loop
+.out:
+  ret
+end
+)");
+  PartialCfg cfg = BuildPartialCfg(image, kInstrSize);
+  ASSERT_EQ(cfg.nodes().size(), 9u);
+  DataflowResult flow = AnalyzeReturnValueFlow(cfg);
+  EXPECT_EQ(flow.chk_eq, std::set<int64_t>{-1});
+  EXPECT_EQ(flow.iterations, 17);
+}
+
 // --- Algorithm 1 classification ------------------------------------------------
 
 TEST(CallSiteAnalyzer, FindsAllSites) {
@@ -444,6 +478,34 @@ end
   EXPECT_GT(stats.dataflow_iterations, 0);
 }
 
+TEST(CallSiteAnalyzer, IterationsGrowLinearlyWithSiteCount) {
+  // §7.2: analysis cost scales with the number of call sites. Synthetic
+  // binaries of 16 to 1,024 sites (checked by equality, by inequality, or
+  // not at all; ten to a function) cost the same number of dataflow
+  // iterations per site, at most two per CFG node.
+  std::vector<double> per_site;
+  for (int sites : {16, 64, 256, 1024}) {
+    AppBinaryBuilder b(StrFormat("synthetic-%d", sites));
+    for (int i = 0; i < sites; ++i) {
+      const CheckPattern patterns[] = {CheckPattern::kCheckEqAll, CheckPattern::kCheckIneq,
+                                       CheckPattern::kNoCheck};
+      b.AddSite({StrFormat("s%05d", i), StrFormat("fn_%d", i / 10), "read", patterns[i % 3],
+                 {-1}});
+    }
+    AppBinary binary = b.Build();
+    AnalyzerStats stats;
+    CallSiteAnalyzer().Analyze(binary.image(), "read", {-1}, &stats);
+    ASSERT_EQ(stats.call_sites, static_cast<size_t>(sites));
+    EXPECT_LE(static_cast<size_t>(stats.dataflow_iterations), 2 * stats.instructions_visited)
+        << sites << " sites";
+    per_site.push_back(static_cast<double>(stats.dataflow_iterations) / sites);
+  }
+  for (double cost : per_site) {
+    EXPECT_GE(cost, 0.8 * per_site.back());
+    EXPECT_LE(cost, 1.25 * per_site.back());
+  }
+}
+
 TEST(CallSiteAnalyzer, IndirectCallsIgnored) {
   // An indirect call between the site and the check is treated as opaque
   // (clobbers caller-saved registers) but does not break the CFG.
@@ -514,6 +576,23 @@ TEST(TargetReports, DigestOfEveryReportIsPinned) {
   }
   EXPECT_EQ(reports, 303u);
   EXPECT_EQ(Sha1::ToHex(sha.Finish()), "1e9352a96ac18b3759db53b7742f8eb7de0c0284");
+}
+
+// §7.2: the analysis is cheap because the worklist processes each post-call
+// node once, and again only when the node's IN set grows. On every target it
+// takes at most two dataflow iterations per CFG node.
+TEST(TargetReports, DataflowIterationsAtMostTwicePerNode) {
+  CallSiteAnalyzer analyzer;
+  for (const Target& target : kTargets) {
+    for (const FaultProfile& profile : {LibcProfile(), LibxmlProfile()}) {
+      AnalyzerStats stats;
+      for (const auto& [name, fn] : profile.functions()) {
+        analyzer.Analyze(target.binary().image(), name, fn.ErrorCodes(), &stats);
+      }
+      EXPECT_LE(static_cast<size_t>(stats.dataflow_iterations), 2 * stats.instructions_visited)
+          << target.name << " under " << profile.library();
+    }
+  }
 }
 
 }  // namespace
