@@ -30,7 +30,6 @@ class PartialCfg {
   // The materialized instructions, sorted by offset.
   const std::vector<CfgNode>& nodes() const { return nodes_; }
   size_t entry() const { return entry_; }
-  bool empty() const { return nodes_.empty(); }
   // Index into nodes() of the instruction at `offset`, or kNoNode.
   size_t index(size_t offset) const;
   const CfgNode* node(size_t offset) const {

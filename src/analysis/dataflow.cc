@@ -1,6 +1,7 @@
 #include "analysis/dataflow.h"
 
 #include <algorithm>
+#include <deque>
 
 namespace lfi {
 namespace {
@@ -11,8 +12,6 @@ class LocationSet {
  public:
   bool HasReg(int reg) const { return (regs_ >> reg & 1u) != 0; }
   void SetReg(int reg, bool on) { regs_ = on ? regs_ | 1u << reg : regs_ & ~(1u << reg); }
-  // Keeps only the registers in `mask`.
-  void MaskRegs(uint32_t mask) { regs_ &= mask; }
 
   bool HasSlot(int32_t off) const { return std::binary_search(slots_.begin(), slots_.end(), off); }
   // Returns true when the slot was not in the set.
@@ -104,40 +103,28 @@ DataflowResult AnalyzeReturnValueFlow(const PartialCfg& cfg) {
   const std::vector<CfgNode>& nodes = cfg.nodes();
   const size_t n = nodes.size();
 
-  uint32_t survives_calls = 0;
-  for (int r = 0; r < kNumRegisters; ++r) {
-    if (!IsCallerSaved(r)) {
-      survives_calls |= 1u << r;
-    }
-  }
-
-  // Per-node IN sets and flags, and a FIFO ring of queued nodes: a node is
-  // queued at most once at a time, so n slots suffice.
+  // Per-node IN sets and flags. A node is in the worklist at most once.
   std::vector<LocationSet> in(n);
   std::vector<uint8_t> visited(n, 0);
   std::vector<uint8_t> queued(n, 0);
-  std::vector<size_t> ring(n);
-  size_t head = 0;
-  size_t count = 0;
+  std::deque<size_t> worklist;
   auto enqueue = [&](size_t i) {
     if (queued[i] == 0) {
       queued[i] = 1;
-      ring[(head + count) % n] = i;
-      ++count;
+      worklist.push_back(i);
     }
   };
 
   in[entry].SetReg(kRetReg, true);
   enqueue(entry);
   LocationSet set;
-  while (count > 0) {
+  while (!worklist.empty()) {
     ++result.iterations;
     if (result.iterations > 100000) {
-      break;  // guard only: the bound above keeps real CFGs far below it
+      break;  // guard only: the per-node bound (dataflow.h) keeps CFGs far below it
     }
-    const size_t idx = ring[head];
-    head = (head + 1) % n;
-    --count;
+    const size_t idx = worklist.front();
+    worklist.pop_front();
     queued[idx] = 0;
     set = in[idx];
     const Instruction& i = nodes[idx].instr;
@@ -191,7 +178,11 @@ DataflowResult AnalyzeReturnValueFlow(const PartialCfg& cfg) {
       case Op::kCall:
       case Op::kCallR:
         // Calls clobber caller-saved registers; copies on the stack survive.
-        set.MaskRegs(survives_calls);
+        for (int r = 0; r < kNumRegisters; ++r) {
+          if (IsCallerSaved(r)) {
+            set.SetReg(r, false);
+          }
+        }
         break;
       default:
         break;
