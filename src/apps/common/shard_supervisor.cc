@@ -149,6 +149,7 @@ ShardSupervisor::ShardSupervisor(Options options, ChildRunner runner)
 bool ShardSupervisor::Run(const std::vector<CampaignSpec>& children,
                           const std::vector<std::string>& work, const Events& events,
                           std::string* error, std::vector<Report>* reports) {
+  wakeups_ = 0;
   std::vector<Supervised> states(children.size());
   for (size_t shard = 0; shard < children.size(); ++shard) {
     states[shard].spec = children[shard];
@@ -253,6 +254,7 @@ bool ShardSupervisor::Run(const std::vector<CampaignSpec>& children,
     }
     std::vector<ChildFrame> frames;
     std::vector<std::pair<size_t, ChildEnd>> ended = workers_.Wait(wake, &frames);
+    ++wakeups_;
     for (const ChildFrame& frame : frames) {
       bool expected = frame.id < states.size() && states[frame.id].in_flight;
       if (expected && frame.payload == kDone) {

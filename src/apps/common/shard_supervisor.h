@@ -22,7 +22,10 @@
 //
 // A fork that fails is a failed attempt, in the first wave as in a
 // respawn, as replay's fork server treats it (core/fork_server.h); the
-// `supervisor.fork` failpoint fails one. No attempt ever runs in the
+// `supervisor.fork` failpoint fails one. The `supervisor.deadline`
+// failpoint expires an attempt's deadline as it is armed (the K-th arming
+// with `@K`; only with Options::child_timeout_ms set), so a test of the
+// deadline policy waits out no clock. No attempt ever runs in the
 // supervising process, so the orchestrator's zygote stays pristine.
 // Respawns are capped exponential backoff up to Options::max_retries, each
 // on a freshly forked worker; a respawned attempt re-checks its journal on
@@ -138,12 +141,19 @@ class ShardSupervisor {
     return Run(children, {}, {}, error, reports);
   }
 
+  // Times the last Run() returned from ChildProcesses::Wait. Wait sleeps
+  // until a worker replies or ends, a deadline passes or a respawn is due,
+  // so a clean Run of N children wakes at most N times.
+  size_t wakeups() const { return wakeups_; }
+
  private:
   Options options_;
   WorkRunner runner_;
-  ChildProcesses workers_{"supervisor.fork"};  // worker i runs child i
+  // Worker i runs child i.
+  ChildProcesses workers_{"supervisor.fork", "supervisor.deadline"};
   // Per worker slot: the spec its live worker was forked with.
   std::vector<std::optional<CampaignSpec>> forked_with_;
+  size_t wakeups_ = 0;
 };
 
 }  // namespace lfi

@@ -81,7 +81,6 @@ uint64_t Runtime::call_count(std::string_view function) const {
 
 bool Runtime::EvalConjunction(Assoc& assoc, VirtualLibc* libc, const std::string& function,
                               const ArgSpan& args) {
-  bool verdict = true;
   fired_scratch_.clear();
   for (size_t i = 0; i < assoc.triggers.size(); ++i) {
     TriggerInstance* instance = assoc.triggers[i];
@@ -104,16 +103,12 @@ bool Runtime::EvalConjunction(Assoc& assoc, VirtualLibc* libc, const std::string
     if (assoc.negate[i]) {
       vote = !vote;
     }
-    if (vote) {
-      fired_scratch_.push_back(instance);
-    } else {
-      verdict = false;
-      if (!options_.disable_short_circuit) {
-        return false;  // short-circuit: skip the remaining triggers
-      }
+    if (!vote) {
+      return false;  // short-circuit: skip the remaining triggers
     }
+    fired_scratch_.push_back(instance);
   }
-  return verdict && !assoc.triggers.empty();
+  return !assoc.triggers.empty();
 }
 
 InjectionDecision Runtime::Dispatch(VirtualLibc* libc, const std::string& function,

@@ -48,10 +48,6 @@ class Runtime : public Interposer {
   static constexpr uint64_t kMaxInjectionsPerRun = 65536;
 
   struct Options {
-    // Disables short-circuit evaluation (every trigger of a conjunction is
-    // evaluated even after one returns false). Exists for the ablation
-    // benchmark only; semantics are unchanged for stateless triggers.
-    bool disable_short_circuit = false;
     // Uses a linear scan over all associations instead of the id-indexed
     // vector, to quantify the O(1)-lookup design decision.
     bool linear_lookup = false;

@@ -248,6 +248,9 @@ bool ChildProcesses::Send(size_t id, std::string_view payload, uint64_t timeout_
   }
   child->timeout_ms = timeout_ms;
   child->deadline = DeadlineAfter(timeout_ms);
+  if (timeout_ms != 0 && deadline_failpoint_ != nullptr && FailpointFired(deadline_failpoint_)) {
+    child->deadline = Clock::now();
+  }
   return true;
 }
 

@@ -126,8 +126,12 @@ class ChildProcesses {
   // `fork_failpoint`, when given, names a failpoint (util/failpoint.h)
   // evaluated before every fork; when it fires, the fork fails as a real
   // one would, so callers can chaos-test their fork-failure policy.
-  explicit ChildProcesses(const char* fork_failpoint = nullptr)
-      : fork_failpoint_(fork_failpoint) {}
+  // `deadline_failpoint`, when given, is evaluated each time a deadline is
+  // armed; when it fires, that deadline has already passed, so a test of
+  // the deadline policy need not wait it out.
+  explicit ChildProcesses(const char* fork_failpoint = nullptr,
+                          const char* deadline_failpoint = nullptr)
+      : fork_failpoint_(fork_failpoint), deadline_failpoint_(deadline_failpoint) {}
   ChildProcesses(const ChildProcesses&) = delete;
   ChildProcesses& operator=(const ChildProcesses&) = delete;
   ~ChildProcesses() { KillAll(); }
@@ -177,6 +181,7 @@ class ChildProcesses {
   bool Send(size_t id, std::string_view payload, uint64_t timeout_ms, std::string* error);
 
   const char* fork_failpoint_;
+  const char* deadline_failpoint_;
   std::vector<Child> children_;
 };
 

@@ -318,6 +318,49 @@ end
   EXPECT_TRUE(flow.chk_eq.count(0));
 }
 
+TEST(Dataflow, CheckReachedOnlyThroughAChainOfConditionalJumps) {
+  // One compare sets the flags that three successive conditional jumps
+  // read. The jl is two jumps past the compare, so only a walk along the
+  // chain sees that the value is also compared by inequality.
+  Image image = Asm(R"(
+module m
+func f
+  call read
+  cmpi r0, 5
+  je .a
+  jne .b
+  jl .c
+  ret
+.a:
+  ret
+.b:
+  ret
+.c:
+  ret
+end
+)");
+  DataflowResult flow = AnalyzeReturnValueFlow(BuildPartialCfg(image, kInstrSize));
+  EXPECT_EQ(flow.chk_eq, std::set<int64_t>{5});
+  EXPECT_EQ(flow.chk_ineq, std::set<int64_t>{5});
+  EXPECT_TRUE(flow.has_ineq_check);
+}
+
+TEST(Dataflow, CheckNearTheEdgeOfThePostCallWindow) {
+  // The window holds the paper's 100 post-call instructions. A check whose
+  // jump is the window's last instruction is seen; the same check one
+  // instruction later is not.
+  auto check_after = [](size_t padding) {
+    std::string body = "module m\nfunc f\n  call read\n";
+    for (size_t i = 0; i < padding; ++i) {
+      body += "  nop\n";
+    }
+    body += "  cmpi r0, -1\n  je .err\n  ret\n.err:\n  ret\nend\n";
+    return AnalyzeReturnValueFlow(BuildPartialCfg(Asm(body), kInstrSize));
+  };
+  EXPECT_EQ(check_after(98).chk_eq, std::set<int64_t>{-1});
+  EXPECT_TRUE(check_after(99).chk_eq.empty());
+}
+
 TEST(Dataflow, LoopRequeuesANodeOnlyWhenItsInSetGrows) {
   // The back edge carries a new copy (r1) into the loop head, whose IN set
   // grows from {r0} to {r0, r1}. The growth reaches every node but the

@@ -302,15 +302,6 @@ TEST_F(CoreTest, ShortCircuitSkipsLaterTriggers) {
   libc_.set_interposer(nullptr);
   // Only the first trigger was evaluated.
   EXPECT_EQ(runtime.trigger_evaluations(), 1u);
-
-  Runtime::Options no_sc;
-  no_sc.disable_short_circuit = true;
-  Runtime runtime2(s, no_sc);
-  libc_.set_interposer(&runtime2);
-  fd = libc_.Open("/d/f", kORdOnly);
-  EXPECT_EQ(libc_.Close(fd), 0);
-  libc_.set_interposer(nullptr);
-  EXPECT_EQ(runtime2.trigger_evaluations(), 2u);
 }
 
 TEST_F(CoreTest, UnusedAssociationNeverInjects) {

@@ -168,6 +168,35 @@ TEST(ShardSupervisor, CleanChildrenRunOnce) {
   }
 }
 
+// Wait() sleeps until a worker replies or ends (util/child_process.h), with
+// no fixed-interval wake-up even while deadlines are armed: a clean Run of N
+// children, whose workers reply at staggered times, returns from it at most
+// N times, in a first Run that forks the workers and in a second that reuses
+// them.
+TEST(ShardSupervisor, CleanRunWakesOncePerChild) {
+  ShardSupervisor::Options options;
+  options.child_timeout_ms = 60000;  // deadlines armed: the watchdog is live
+  ShardSupervisor supervisor(options, [](const CampaignSpec& spec, std::string*) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20 + 10 * spec.shard_index));
+    return true;
+  });
+  std::vector<CampaignSpec> children(4);
+  for (size_t shard = 0; shard < children.size(); ++shard) {
+    children[shard].shard_index = shard;
+    children[shard].journal_path = TempPath(StrFormat("supervisor_wakeups%zu.lfij", shard));
+  }
+  for (size_t run = 0; run < 2; ++run) {
+    std::string error;
+    std::vector<ShardSupervisor::Report> reports;
+    ASSERT_TRUE(supervisor.Run(children, &error, &reports)) << error;
+    EXPECT_GE(supervisor.wakeups(), 1u);
+    EXPECT_LE(supervisor.wakeups(), children.size()) << "run " << run;
+    for (const ShardSupervisor::Report& report : reports) {
+      EXPECT_EQ(report.forks, run == 0 ? 1u : 0u);
+    }
+  }
+}
+
 TEST(ShardSupervisor, RetriesExhaustThenFailLoudly) {
   ShardSupervisor::Options options;
   options.max_retries = 1;
@@ -365,7 +394,7 @@ TEST(ShardSupervisor, StaleShardArtifactsOfAnotherSeedAreNotRetried) {
 
 TEST(ShardSupervisor, DeadlineKillsHungChild) {
   ShardSupervisor::Options options;
-  options.child_timeout_ms = 200;
+  options.child_timeout_ms = 50;
   options.max_retries = 0;
   options.backoff_ms = 1;
   ShardSupervisor supervisor(options, [](const CampaignSpec&, std::string*) {
@@ -406,6 +435,10 @@ TEST(ShardSupervisor, ErrorTextNamesHowTheChildEnded) {
     std::this_thread::sleep_for(std::chrono::seconds(30));
     return true;
   });
+  // The deadline has passed as it is armed (DeadlineKillsHungChild waits
+  // one out on the clock).
+  FailpointGuard guard;
+  ASSERT_TRUE(Failpoints::Instance().Arm("supervisor.deadline=error"));
   EXPECT_FALSE(hung.Run(children, &error));
   EXPECT_NE(error.find("last attempt timed-out (timed out after 200 ms)"), std::string::npos)
       << error;
@@ -457,14 +490,28 @@ TEST(ChaosRecovery, HungChildIsKilledAtDeadlineAndRespawned) {
   std::string path = TempPath("supervisor_hang_child.lfij");
   RemoveArtifacts(path, 2);
   CampaignSpec spec = ChaosSpec(path, 2);
-  spec.failpoints = "epoch0.shard0:child.start=hang";
-  // Generous enough that a healthy (even sanitizer-instrumented) respawn
-  // finishes its epoch inside the deadline; only the parked attempt dies.
+  // Shard 0's first attempt parks at its start, and the first deadline the
+  // supervisor arms -- that attempt's -- has passed as it is armed, so the
+  // test waits out no clock. Generous enough that a healthy (even
+  // sanitizer-instrumented) attempt finishes its epoch inside the deadline.
+  spec.failpoints = "epoch0.shard0:child.start=hang,supervisor.deadline=error";
   spec.child_timeout_ms = 8000;
   std::string error;
+  testing::internal::CaptureStderr();
+  auto start = std::chrono::steady_clock::now();
   auto outcome = RunDriver(spec, &error);
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  std::string log = testing::internal::GetCapturedStderr();
   ASSERT_TRUE(outcome.has_value()) << error;
   EXPECT_EQ(ReadFile(path), golden);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(8000)) << "the deadline was waited out";
+  // SIGKILLed at its deadline, classified timed-out, respawned once.
+  EXPECT_NE(log.find("supervisor: shard 0 attempt 1 timed out after 8000 ms; respawning"),
+            std::string::npos)
+      << log;
+  ASSERT_EQ(outcome->shards.size(), 2u);
+  EXPECT_EQ(outcome->shards[0].workers, 2u);
+  EXPECT_EQ(outcome->shards[1].workers, 1u);
 }
 
 TEST(ChaosRecovery, RetryExhaustionFailsLoudlyAndResumeSalvagesTheRun) {
