@@ -231,6 +231,51 @@ TEST_F(PbftTest, ViewChangeReplacesPrimary) {
   EXPECT_GT(cluster.replica(1).view(), 0);  // a view change happened
 }
 
+// Only replica 0 is interposed in a campaign, so no journal sees how
+// replicas 1-3 and the client behave: their traffic reaches a journal only
+// through replica 0's call counts. Pin that traffic directly -- the ticks a
+// seeded 20-request workload takes, every datagram the fabric carried or
+// lost, and each process's progress -- at three physical-loss rates.
+TEST(PbftTraffic, SeededWorkloadsMoveExactlyThePinnedTraffic) {
+  struct Pin {
+    double loss;
+    uint64_t seed;
+    const char* traffic;  // ticks delivered dropped completed | view changes | executions
+  };
+  const Pin kPins[] = {
+      {0.0, 1, "101 4767 0 20 | 0 0 0 0 | 20 20 20 20"},
+      {0.0, 2, "101 4767 0 20 | 0 0 0 0 | 20 20 20 20"},
+      {0.0, 3, "101 4767 0 20 | 0 0 0 0 | 20 20 20 20"},
+      {0.2, 1, "133 1127 293 20 | 0 0 0 0 | 20 20 20 20"},
+      {0.2, 2, "150 1587 364 20 | 0 0 0 0 | 20 20 20 20"},
+      {0.2, 3, "142 1283 314 20 | 0 0 0 0 | 20 20 20 20"},
+      {0.5, 1, "331 1023 1105 20 | 2 2 2 2 | 21 21 21 21"},
+      {0.5, 2, "338 1054 1017 20 | 1 1 1 1 | 20 20 20 20"},
+      {0.5, 3, "304 1022 987 20 | 1 1 1 1 | 20 20 20 20"},
+  };
+  for (const Pin& pin : kPins) {
+    VirtualFs fs;
+    VirtualNet net(pin.seed);
+    net.set_loss_probability(pin.loss);
+    PbftCluster cluster(&fs, &net, PbftConfig());
+    ASSERT_TRUE(cluster.Start());
+    int ticks = cluster.RunWorkload(20, 3000);
+    std::string traffic = StrFormat("%d %llu %llu %d |", ticks,
+                                    static_cast<unsigned long long>(net.delivered_count()),
+                                    static_cast<unsigned long long>(net.dropped_count()),
+                                    cluster.client().completed());
+    for (int i = 0; i < cluster.n(); ++i) {
+      traffic += StrFormat(" %d", cluster.replica(i).view_changes());
+    }
+    traffic += " |";
+    for (int i = 0; i < cluster.n(); ++i) {
+      traffic += StrFormat(" %lld", static_cast<long long>(cluster.replica(i).executed()));
+    }
+    EXPECT_FALSE(cluster.crashed());
+    EXPECT_EQ(traffic, pin.traffic) << "loss " << pin.loss << ", seed " << pin.seed;
+  }
+}
+
 
 // --- hostile datagrams ---------------------------------------------------------
 
@@ -377,6 +422,140 @@ TEST_F(PbftHostileDatagrams, WholeMessagesAreActedOn) {
   Deliver(kR0, kPbftClientPort, "REPLY|0|1|0|" + d);
   Deliver(kR1, kPbftClientPort, "REPLY|0|1|1|" + d);
   EXPECT_EQ(cluster_.client().completed(), 1);
+}
+
+// A replica id is a wire number like any other, so an authenticated peer may
+// name any id up to kMaxWireNumber. Each distinct id is one vote, however
+// large, and a repeated id is not a second one.
+TEST_F(PbftHostileDatagrams, VotesNamingLargeReplicaIdsCountOnce) {
+  const std::string d = "abcdef0123456789";
+  const int64_t kHuge = pbft_wire::kMaxWireNumber;
+  const std::vector<std::vector<int64_t>> kIdSets = {
+      {63, 64, 1000}, {64, 1000, kHuge}, {1000, kHuge, 63}};
+  for (const std::vector<int64_t>& ids : kIdSets) {
+    SCOPED_TRACE(StrFormat("ids %lld %lld %lld", static_cast<long long>(ids[0]),
+                           static_cast<long long>(ids[1]), static_cast<long long>(ids[2])));
+    auto vote = [&](const char* type, int64_t id) {
+      return StrFormat("%s|0|1|%s|%lld", type, d.c_str(), static_cast<long long>(id));
+    };
+    // Prepares: the second distinct id makes 2f and the replica commits.
+    Reset(false);
+    Deliver(kR2, kR1, vote("P", ids[0]));
+    Deliver(kR3, kR1, vote("P", ids[0]));
+    EXPECT_EQ(Traffic(), 0u);
+    Deliver(kR3, kR1, vote("P", ids[1]));
+    EXPECT_EQ(net_.QueueDepth(kR2), 1u);  // its COMMIT
+    // Commits: the replica's own plus two distinct ids make 2f+1.
+    Reset(false);
+    Deliver(kR0, kR1, "PP|0|1|" + d + "|1#8999#op");
+    Deliver(kR2, kR1, vote("C", ids[0]));
+    Deliver(kR3, kR1, vote("C", ids[0]));
+    EXPECT_EQ(cluster_.replica(1).executed(), 0);
+    Deliver(kR3, kR1, vote("C", ids[1]));
+    EXPECT_EQ(cluster_.replica(1).executed(), 1);
+    // View-change votes: three distinct ids make 2f+1.
+    Reset(false);
+    Deliver(kR0, kR1, StrFormat("VC|1|%lld", static_cast<long long>(ids[0])));
+    Deliver(kR2, kR1, StrFormat("VC|1|%lld", static_cast<long long>(ids[0])));
+    Deliver(kR2, kR1, StrFormat("VC|1|%lld", static_cast<long long>(ids[1])));
+    EXPECT_EQ(cluster_.replica(1).view(), 0);
+    Deliver(kR3, kR1, StrFormat("VC|1|%lld", static_cast<long long>(ids[2])));
+    EXPECT_EQ(cluster_.replica(1).view(), 1);
+    // Replies: two distinct ids make f+1.
+    Reset(true);
+    auto reply = [&](int64_t id) {
+      return StrFormat("REPLY|0|1|%lld|%s", static_cast<long long>(id), d.c_str());
+    };
+    Deliver(kR0, kPbftClientPort, reply(ids[0]));
+    Deliver(kR1, kPbftClientPort, reply(ids[0]));
+    EXPECT_EQ(cluster_.client().completed(), 0);
+    Deliver(kR2, kPbftClientPort, reply(ids[1]));
+    EXPECT_EQ(cluster_.client().completed(), 1);
+  }
+}
+
+// Sequence numbers are wire numbers too: a message naming the largest one
+// adds one log entry for it, whatever else the log holds.
+TEST_F(PbftHostileDatagrams, FarSequenceAddsOneLogEntry) {
+  const std::string d = "abcdef0123456789";
+  auto log_size = [&](int replica) {
+    return cluster_.TakeSnapshot().replicas[static_cast<size_t>(replica)].log.size();
+  };
+  const std::string kFar = std::to_string(pbft_wire::kMaxWireNumber);
+  const std::vector<std::pair<int, std::string>> kMessages = {
+      {kR0, "PP|0|" + kFar + "|" + d + "|1#8999#op"},
+      {kR2, "P|0|" + kFar + "|" + d + "|2"},
+      {kR2, "C|0|" + kFar + "|" + d + "|2"},
+  };
+  for (const auto& [src, msg] : kMessages) {
+    Reset(false);
+    EXPECT_EQ(log_size(1), 0u);
+    Deliver(src, kR1, msg);
+    EXPECT_EQ(log_size(1), 1u) << msg;
+    Deliver(src, kR1, msg);
+    EXPECT_EQ(log_size(1), 1u) << msg;
+    // Next to a near sequence, on either side of it in arrival order.
+    Deliver(kR0, kR1, "PP|0|1|" + d + "|1#8999#op");
+    EXPECT_EQ(log_size(1), 2u) << msg;
+    Deliver(kR0, kR1, "PP|0|2|" + d + "|2#8999#op");
+    EXPECT_EQ(log_size(1), 3u) << msg;
+  }
+}
+
+// A stable checkpoint drops every entry at or below it and keeps every entry
+// above it, near or far, with its payload: a FETCH for a kept sequence is
+// still answered with its PRE-PREPARE, one below it with a state transfer.
+TEST_F(PbftHostileDatagrams, CheckpointTruncatesTheLogAtTheStableSequence) {
+  Reset(false);
+  auto log_size = [&] { return cluster_.TakeSnapshot().replicas[1].log.size(); };
+  auto digest = [](int64_t seq) { return StrFormat("%016lld", static_cast<long long>(seq)); };
+  auto pre_prepare = [&](int64_t seq) {
+    return StrFormat("PP|0|%lld|%s|%lld#8999#op", static_cast<long long>(seq),
+                     digest(seq).c_str(), static_cast<long long>(seq));
+  };
+  const int64_t kKept[] = {17, 18, 40, pbft_wire::kMaxWireNumber};
+  for (int64_t seq : kKept) {
+    Deliver(kR0, kR1, pre_prepare(seq));
+  }
+  // Sequences 1-16, each committed by two more replicas and executed; the
+  // 16th execution is the first checkpoint.
+  for (int64_t seq = 1; seq <= 16; ++seq) {
+    Deliver(kR0, kR1, pre_prepare(seq));
+    for (int voter : {2, 3}) {
+      Deliver(kPbftBasePort + voter, kR1,
+              StrFormat("C|0|%lld|%s|%d", static_cast<long long>(seq), digest(seq).c_str(),
+                        voter));
+    }
+    ASSERT_EQ(cluster_.replica(1).executed(), seq);
+    EXPECT_EQ(log_size(), seq < 16 ? 4u + static_cast<size_t>(seq) : 4u) << "seq " << seq;
+  }
+  auto answers = [&](const std::string& fetch) {
+    std::vector<std::string> received;
+    char buf[2048];
+    while (net_.Receive(kR2, buf, sizeof buf, nullptr) >= 0) {
+    }
+    Deliver(kR2, kR1, fetch);
+    long n;
+    while ((n = net_.Receive(kR2, buf, sizeof buf, nullptr)) >= 0) {
+      received.emplace_back(buf, static_cast<size_t>(n));
+    }
+    return received;
+  };
+  auto holds_prefix = [](const std::vector<std::string>& msgs, const std::string& prefix) {
+    return std::any_of(msgs.begin(), msgs.end(),
+                       [&](const std::string& m) { return m.rfind(prefix, 0) == 0; });
+  };
+  for (int64_t seq : kKept) {
+    std::string prefix = StrFormat("PP|0|%lld|", static_cast<long long>(seq));
+    EXPECT_TRUE(holds_prefix(answers(StrFormat("FETCH|%lld|2", static_cast<long long>(seq))),
+                             prefix))
+        << prefix;
+  }
+  for (int64_t seq : {1, 16}) {
+    std::vector<std::string> got = answers(StrFormat("FETCH|%d|2", static_cast<int>(seq)));
+    EXPECT_TRUE(holds_prefix(got, "STATE|16|")) << "seq " << seq;
+    EXPECT_FALSE(holds_prefix(got, "PP|")) << "seq " << seq;
+  }
 }
 
 // --- wire codec ----------------------------------------------------------------
