@@ -18,6 +18,34 @@ const char* CheckClassName(CheckClass cls) {
   return "?";
 }
 
+namespace {
+
+// Calls `visit(offset, import_index)` for every import call in `image`'s
+// text, in text order.
+template <typename Visit>
+void ForEachImportCall(const Image& image, Visit visit) {
+  for (size_t off = 0; off + kInstrSize <= image.text().size(); off += kInstrSize) {
+    Instruction instr;
+    if (image.Decode(off, &instr) && instr.op == Op::kCall && instr.flags == kCallImport) {
+      visit(static_cast<uint32_t>(off), instr.imm);
+    }
+  }
+}
+
+CallSite MakeCallSite(const Image& image, uint32_t offset, const std::string& function) {
+  CallSite site;
+  site.module = image.module_name();
+  site.offset = offset;
+  site.function = function;
+  const ImageSymbol* sym = image.SymbolContaining(offset);
+  if (sym != nullptr) {
+    site.enclosing = sym->name;
+  }
+  return site;
+}
+
+}  // namespace
+
 std::vector<CallSite> CallSiteAnalyzer::FindCallSites(const Image& image,
                                                       const std::string& function) {
   std::vector<CallSite> sites;
@@ -25,32 +53,32 @@ std::vector<CallSite> CallSiteAnalyzer::FindCallSites(const Image& image,
   if (import_index < 0) {
     return sites;
   }
-  for (size_t off = 0; off + kInstrSize <= image.text().size(); off += kInstrSize) {
-    Instruction instr;
-    if (!image.Decode(off, &instr)) {
-      continue;
+  ForEachImportCall(image, [&](uint32_t offset, int64_t callee) {
+    if (callee == import_index) {
+      sites.push_back(MakeCallSite(image, offset, function));
     }
-    if (instr.op == Op::kCall && instr.flags == kCallImport && instr.imm == import_index) {
-      CallSite site;
-      site.module = image.module_name();
-      site.offset = static_cast<uint32_t>(off);
-      site.function = function;
-      const ImageSymbol* sym = image.SymbolContaining(site.offset);
-      if (sym != nullptr) {
-        site.enclosing = sym->name;
-      }
-      sites.push_back(std::move(site));
-    }
-  }
+  });
   return sites;
 }
 
-std::vector<CallSiteReport> CallSiteAnalyzer::Analyze(const Image& image,
-                                                      const std::string& function,
-                                                      const std::set<int64_t>& error_codes,
-                                                      AnalyzerStats* stats) const {
+std::vector<std::vector<CallSite>> CallSiteAnalyzer::FindImportCallSites(const Image& image) {
+  const std::vector<std::string>& imports = image.imports();
+  std::vector<std::vector<CallSite>> sites(imports.size());
+  ForEachImportCall(image, [&](uint32_t offset, int64_t callee) {
+    if (callee >= 0 && static_cast<size_t>(callee) < imports.size()) {
+      sites[static_cast<size_t>(callee)].push_back(
+          MakeCallSite(image, offset, imports[static_cast<size_t>(callee)]));
+    }
+  });
+  return sites;
+}
+
+std::vector<CallSiteReport> CallSiteAnalyzer::AnalyzeSites(const Image& image,
+                                                           const std::vector<CallSite>& sites,
+                                                           const std::set<int64_t>& error_codes,
+                                                           AnalyzerStats* stats) const {
   std::vector<CallSiteReport> reports;
-  for (const CallSite& site : FindCallSites(image, function)) {
+  for (const CallSite& site : sites) {
     PartialCfg cfg =
         BuildPartialCfg(image, site.offset + kInstrSize, options_.max_postcall_instructions);
     DataflowResult flow = AnalyzeReturnValueFlow(cfg);

@@ -64,11 +64,21 @@ class CallSiteAnalyzer {
 
   // All call sites of import `function` in `image`.
   static std::vector<CallSite> FindCallSites(const Image& image, const std::string& function);
+  // The call sites of every import in one pass over `image`'s text: entry i
+  // holds those of image.imports()[i], each in text order. What a caller
+  // analyzing many functions of one image scans instead of FindCallSites.
+  static std::vector<std::vector<CallSite>> FindImportCallSites(const Image& image);
 
   // Runs Algorithm 1 for `function` with error-code set `error_codes`.
   std::vector<CallSiteReport> Analyze(const Image& image, const std::string& function,
                                       const std::set<int64_t>& error_codes,
-                                      AnalyzerStats* stats = nullptr) const;
+                                      AnalyzerStats* stats = nullptr) const {
+    return AnalyzeSites(image, FindCallSites(image, function), error_codes, stats);
+  }
+  // Runs Algorithm 1 over `sites`, the call sites of one function in `image`.
+  std::vector<CallSiteReport> AnalyzeSites(const Image& image, const std::vector<CallSite>& sites,
+                                           const std::set<int64_t>& error_codes,
+                                           AnalyzerStats* stats = nullptr) const;
 
  private:
   Options options_;

@@ -27,11 +27,7 @@ uint32_t Site() {
 constexpr int kLeaseStretchRounds = 512;
 
 std::string DeriveLeaseKey(int client_port) {
-  std::string key = StrFormat("bfs-lease|%d", client_port);
-  for (int round = 0; round < kLeaseStretchRounds; ++round) {
-    key = Sha1::HexDigest(key);
-  }
-  return key;
+  return Sha1::StretchHex(StrFormat("bfs-lease|%d", client_port), kLeaseStretchRounds);
 }
 
 // Deterministic '|'-free payload bytes for scripted writes.

@@ -43,11 +43,27 @@ constexpr int kKeyStretchRounds = 1536;
 
 std::string DeriveSessionKey(int port_a, int port_b) {
   const Wire pair("pbft-session-key", std::min(port_a, port_b), std::max(port_a, port_b));
-  std::string key(pair.view());
-  for (int round = 0; round < kKeyStretchRounds; ++round) {
-    key = Sha1::HexDigest(key);
+  return Sha1::StretchHex(pair.view(), kKeyStretchRounds);
+}
+
+// The session keys of the process at `own_port` with every other process of
+// an `n`-replica cluster: the client and each replica.
+std::shared_ptr<const pbft_state::SessionKeyTable> DeriveSessionKeys(int own_port, int n) {
+  auto table = std::make_shared<pbft_state::SessionKeyTable>();
+  table->first_port = kPbftClientPort;
+  table->keys.resize(static_cast<size_t>(kPbftBasePort + n - kPbftClientPort));
+  for (int port = kPbftClientPort; port < kPbftBasePort + n; ++port) {
+    if (port != own_port) {
+      table->keys[static_cast<size_t>(port - kPbftClientPort)] = DeriveSessionKey(own_port, port);
+    }
   }
-  return key;
+  return table;
+}
+
+// Whether a datagram from `port` authenticates against `keys` (null before
+// Start()).
+bool Authenticates(const std::shared_ptr<const pbft_state::SessionKeyTable>& keys, int port) {
+  return keys != nullptr && keys->Holds(port);
 }
 
 }  // namespace
@@ -126,8 +142,6 @@ void PbftReplica::RegisterCoverageBlocks() {
   }
 }
 
-PbftReplica::SeqState& PbftReplica::Seq(int64_t seq) { return log_[seq]; }
-
 bool PbftReplica::Start() {
   ScopedFrame frame(&libc_.stack(), kModule, "replica_init");
   frame.set_offset(Site<"pbft.replica.socket">());
@@ -140,13 +154,7 @@ bool PbftReplica::Start() {
     return false;
   }
   // Establish the pairwise session keys with every peer and the client.
-  for (int peer = 0; peer < config_.n; ++peer) {
-    if (peer != id_) {
-      session_keys_[kPbftBasePort + peer] =
-          DeriveSessionKey(kPbftBasePort + id_, kPbftBasePort + peer);
-    }
-  }
-  session_keys_[kPbftClientPort] = DeriveSessionKey(kPbftBasePort + id_, kPbftClientPort);
+  session_keys_ = DeriveSessionKeys(kPbftBasePort + id_, config_.n);
   return true;
 }
 
@@ -201,7 +209,7 @@ void PbftReplica::Step() {
       coverage_.Hit(kBlkPbftRecvBody);
       // Authenticate the sender: a datagram from a port we hold no session
       // key for fails the MAC check and is discarded.
-      if (session_keys_.find(src_port) == session_keys_.end()) {
+      if (!Authenticates(session_keys_, src_port)) {
         continue;
       }
       HandleMessage(std::string_view(buf, static_cast<size_t>(n)), src_port);
@@ -213,7 +221,7 @@ void PbftReplica::Step() {
 
   // View-change timer: pending work without progress.
   bool pending = !pending_client_.empty();
-  for (const auto& [seq, st] : log_) {
+  for (const SeqState& st : log_) {
     if (!st.executed && (st.pre_prepared || !st.prepares.empty() || !st.commits.empty())) {
       pending = true;
       break;
@@ -255,10 +263,10 @@ void PbftReplica::HandleMessage(std::string_view msg, int src_port) {
       if (m.seq <= low_watermark_) {
         SendStateTo(kPbftBasePort + static_cast<int>(m.replica));
       } else {
-        auto it = log_.find(m.seq);
-        if (it != log_.end() && it->second.request != nullptr) {
+        const SeqState* st = log_.Find(m.seq);
+        if (st != nullptr && st->request) {
           SendTo(kPbftBasePort + static_cast<int>(m.replica),
-                 Wire("PP", view_, m.seq, it->second.digest, *it->second.request));
+                 Wire("PP", view_, m.seq, st->digest, *st->request));
         }
       }
       break;
@@ -297,20 +305,20 @@ void PbftReplica::OnRequest(std::string_view payload, int client_port, bool forw
     return;
   }
   // Already ordered? Re-announce the assignment.
-  for (auto& [seq, st] : log_) {
+  for (const SeqState& st : log_) {
     if (st.digest == digest) {
-      if (st.request != nullptr) {
-        Multicast(Wire("PP", view_, seq, digest, *st.request));
+      if (st.request) {
+        Multicast(Wire("PP", view_, st.seq, digest, *st.request));
       }
       return;
     }
   }
   int64_t seq = ++next_seq_;
-  SeqState& st = Seq(seq);
+  SeqState& st = log_.Get(seq);
   st.digest = digest;
-  st.request = std::make_unique<std::string>(payload);
+  st.request.emplace(payload);
   st.pre_prepared = true;
-  st.prepares.insert(id_);
+  st.prepares.Insert(id_);
   Multicast(Wire("PP", view_, seq, digest, *st.request));
 }
 
@@ -347,7 +355,7 @@ void PbftReplica::OnStateTransfer(int64_t executed, std::string_view digest, int
   executed_count_ = executed;
   state_digest_ = digest;
   low_watermark_ = executed;
-  log_.erase(log_.begin(), log_.upper_bound(low_watermark_));
+  log_.EraseThrough(low_watermark_);
   pending_client_.clear();  // anything executed elsewhere was answered there
   checkpoint_digest_ = digest;
   idle_ticks_ = 0;
@@ -359,7 +367,7 @@ void PbftReplica::OnPrePrepare(int view, int64_t seq, std::string_view digest,
   if (view != view_ || seq <= low_watermark_) {
     return;
   }
-  SeqState& st = Seq(seq);
+  SeqState& st = log_.Get(seq);
   if (st.executed) {
     return;  // stale retransmission
   }
@@ -367,12 +375,12 @@ void PbftReplica::OnPrePrepare(int view, int64_t seq, std::string_view digest,
     return;  // conflicting assignment from a faulty primary: ignore
   }
   st.digest = digest;
-  if (st.request == nullptr) {
-    st.request = std::make_unique<std::string>(payload);
+  if (!st.request) {
+    st.request.emplace(payload);
   }
   st.pre_prepared = true;
-  st.prepares.insert(view_ % config_.n);  // the primary's implicit prepare
-  st.prepares.insert(id_);
+  st.prepares.Insert(view_ % config_.n);  // the primary's implicit prepare
+  st.prepares.Insert(id_);
   if (seq > next_seq_) {
     next_seq_ = seq;
   }
@@ -390,7 +398,7 @@ void PbftReplica::OnPrepare(int view, int64_t seq, std::string_view digest, int 
   if (view != view_) {
     return;
   }
-  SeqState& st = Seq(seq);
+  SeqState& st = log_.Get(seq);
   if (!st.digest.empty() && st.digest != digest) {
     return;
   }
@@ -401,10 +409,10 @@ void PbftReplica::OnPrepare(int view, int64_t seq, std::string_view digest, int 
     return;
   }
   st.digest = digest;
-  st.prepares.insert(replica);
+  st.prepares.Insert(replica);
   // prepared(m, v, n): 2f prepares matching the pre-prepare.
-  if (static_cast<int>(st.prepares.size()) >= 2 * config_.f && st.commits.count(id_) == 0) {
-    st.commits.insert(id_);
+  if (st.prepares.size() >= 2 * config_.f && !st.commits.Contains(id_)) {
+    st.commits.Insert(id_);
     Multicast(Wire("C", view_, seq, digest, id_));
     OnCommit(view, seq, digest, id_, -1);
   }
@@ -420,7 +428,7 @@ void PbftReplica::OnCommit(int view, int64_t seq, std::string_view digest, int r
   if (view != view_) {
     return;
   }
-  SeqState& st = Seq(seq);
+  SeqState& st = log_.Get(seq);
   if (!st.digest.empty() && st.digest != digest) {
     return;
   }
@@ -429,22 +437,23 @@ void PbftReplica::OnCommit(int view, int64_t seq, std::string_view digest, int r
     return;
   }
   st.digest = digest;
-  st.commits.insert(replica);
+  st.commits.Insert(replica);
   // committed-local: 2f+1 commits.
-  if (static_cast<int>(st.commits.size()) >= 2 * config_.f + 1) {
+  if (st.commits.size() >= 2 * config_.f + 1) {
     st.committed = true;
-    TryExecute();
+    TryExecute();  // may truncate the log: `st` is not used past here
   }
 }
 
 void PbftReplica::TryExecute() {
   while (true) {
-    auto it = log_.find(executed_count_ + 1);
-    if (it == log_.end() || !it->second.committed || it->second.executed) {
+    // Looked up afresh each round: MaybeCheckpoint below truncates the log.
+    SeqState* next = log_.Find(executed_count_ + 1);
+    if (next == nullptr || !next->committed || next->executed) {
       break;
     }
-    SeqState& st = it->second;
-    if (st.request == nullptr) {
+    SeqState& st = *next;
+    if (!st.request) {
       break;  // payload never arrived; wait for retransmission or view change
     }
     st.executed = true;
@@ -494,7 +503,7 @@ void PbftReplica::MaybeCheckpoint() {
   if (written == record.size()) {
     low_watermark_ = executed_count_;
     checkpoint_digest_ = state_digest_;
-    log_.erase(log_.begin(), log_.upper_bound(low_watermark_));
+    log_.EraseThrough(low_watermark_);
   } else {
     // Short write: keep the previous stable checkpoint and the full log.
     static const CoverageMap::BlockId kBlkPbftCheckpointErrShort = CoverageMap::InternBlock("pbft.checkpoint.err_short");
@@ -506,7 +515,7 @@ void PbftReplica::StartViewChange() {
   static const CoverageMap::BlockId kBlkPbftViewchangeStart = CoverageMap::InternBlock("pbft.viewchange.start");
   coverage_.Hit(kBlkPbftViewchangeStart);
   view_change_sent_ = true;
-  view_change_votes_.insert(id_);
+  view_change_votes_.Insert(id_);
   Multicast(Wire("VC", view_ + 1, id_));
   OnViewChange(view_ + 1, id_);
 }
@@ -515,8 +524,8 @@ void PbftReplica::OnViewChange(int view, int replica) {
   if (view != view_ + 1) {
     return;
   }
-  view_change_votes_.insert(replica);
-  if (static_cast<int>(view_change_votes_.size()) >= 2 * config_.f + 1) {
+  view_change_votes_.Insert(replica);
+  if (view_change_votes_.size() >= 2 * config_.f + 1) {
     int new_primary = view % config_.n;
     ++view_changes_;
     view_ = view;
@@ -536,7 +545,7 @@ void PbftReplica::BecomePrimaryOfNewView() {
   // protocol. The prepare/commit certificates may reference messages this
   // replica never received (their PRE-PREPAREs were lost to network faults).
   std::string carried;
-  for (auto& [seq, st] : log_) {
+  for (SeqState& st : log_) {
     if (st.executed || (st.prepares.empty() && st.commits.empty())) {
       continue;
     }
@@ -544,7 +553,7 @@ void PbftReplica::BecomePrimaryOfNewView() {
       // Debug build: the message log is validated first; on a gap the
       // replica halts with an error exit code (the paper's observation that
       // the bug does not manifest in the debug build).
-      if (st.request == nullptr) {
+      if (!st.request) {
         static const CoverageMap::BlockId kBlkPbftViewchangeHalt = CoverageMap::InternBlock("pbft.viewchange.halt");
         coverage_.Hit(kBlkPbftViewchangeHalt);
         halted_ = true;
@@ -553,16 +562,17 @@ void PbftReplica::BecomePrimaryOfNewView() {
     }
     // BUG (Table 1, release build): the committed message is accessed
     // without checking that it was ever received.
-    std::string* request = MustDeref(st.request.get(), "view change: committed message access");
-    AppendJoined(&carried, ':', seq, st.digest, *request);
+    std::string* request = MustDeref(st.request ? &*st.request : nullptr,
+                                     "view change: committed message access");
+    AppendJoined(&carried, ':', st.seq, st.digest, *request);
     carried.push_back(';');
-    st.prepares.insert(id_);
+    st.prepares.Insert(id_);
   }
   Multicast(Wire("NV", view_, carried));
   // Re-propose the carried requests under the new view.
-  for (auto& [seq, st] : log_) {
-    if (!st.executed && st.request != nullptr) {
-      Multicast(Wire("PP", view_, seq, st.digest, *st.request));
+  for (const SeqState& st : log_) {
+    if (!st.executed && st.request) {
+      Multicast(Wire("PP", view_, st.seq, st.digest, *st.request));
     }
   }
 }
@@ -602,25 +612,25 @@ void PbftReplica::Retransmit() {
   }
   // Re-multicast the highest-phase message for every incomplete sequence, so
   // the protocol makes progress under heavy message loss.
-  for (auto& [seq, st] : log_) {
+  for (const SeqState& st : log_) {
     if (st.executed || st.digest.empty()) {
       continue;
     }
-    if (st.request == nullptr) {
+    if (!st.request) {
       // We have evidence for this sequence but never received the payload:
       // fetch it from the peers (PBFT message retrieval).
       static const CoverageMap::BlockId kBlkPbftFetchMissingPayload = CoverageMap::InternBlock("pbft.fetch.missing_payload");
       coverage_.Hit(kBlkPbftFetchMissingPayload);
-      Multicast(Wire("FETCH", seq, id_));
+      Multicast(Wire("FETCH", st.seq, id_));
       continue;
     }
-    if (st.commits.count(id_) != 0) {
-      Multicast(Wire("C", view_, seq, st.digest, id_));
+    if (st.commits.Contains(id_)) {
+      Multicast(Wire("C", view_, st.seq, st.digest, id_));
     } else if (st.pre_prepared) {
-      if (is_primary() && st.request != nullptr) {
-        Multicast(Wire("PP", view_, seq, st.digest, *st.request));
+      if (is_primary()) {
+        Multicast(Wire("PP", view_, st.seq, st.digest, *st.request));
       } else {
-        Multicast(Wire("P", view_, seq, st.digest, id_));
+        Multicast(Wire("P", view_, st.seq, st.digest, id_));
       }
     }
   }
@@ -643,24 +653,6 @@ void PbftReplica::Shutdown() {
   libc_.FClose(f);
 }
 
-std::map<int64_t, PbftReplica::SeqState> PbftReplica::CloneLog(
-    const std::map<int64_t, SeqState>& log) {
-  std::map<int64_t, SeqState> copy;
-  for (const auto& [seq, state] : log) {
-    SeqState& s = copy[seq];
-    s.digest = state.digest;
-    if (state.request != nullptr) {
-      s.request = std::make_unique<std::string>(*state.request);
-    }
-    s.prepares = state.prepares;
-    s.commits = state.commits;
-    s.pre_prepared = state.pre_prepared;
-    s.committed = state.committed;
-    s.executed = state.executed;
-  }
-  return copy;
-}
-
 PbftReplica::Snapshot PbftReplica::TakeSnapshot() const {
   Snapshot snapshot;
   snapshot.libc = libc_.TakeSnapshot();
@@ -671,7 +663,7 @@ PbftReplica::Snapshot PbftReplica::TakeSnapshot() const {
   snapshot.next_seq = next_seq_;
   snapshot.executed_count = executed_count_;
   snapshot.low_watermark = low_watermark_;
-  snapshot.log = CloneLog(log_);
+  snapshot.log = log_;
   snapshot.pending_client = pending_client_;
   snapshot.executed_digests = executed_digests_;
   snapshot.reply_cache = reply_cache_;
@@ -694,7 +686,7 @@ bool PbftReplica::Restore(const Snapshot& snapshot) {
   next_seq_ = snapshot.next_seq;
   executed_count_ = snapshot.executed_count;
   low_watermark_ = snapshot.low_watermark;
-  log_ = CloneLog(snapshot.log);
+  log_ = snapshot.log;
   pending_client_ = snapshot.pending_client;
   executed_digests_ = snapshot.executed_digests;
   reply_cache_ = snapshot.reply_cache;
@@ -723,10 +715,7 @@ bool PbftClient::Start() {
     return false;
   }
   // Establish the session keys with every replica (see PbftReplica::Start).
-  for (int peer = 0; peer < config_.n; ++peer) {
-    session_keys_[kPbftBasePort + peer] =
-        DeriveSessionKey(kPbftClientPort, kPbftBasePort + peer);
-  }
+  session_keys_ = DeriveSessionKeys(kPbftClientPort, config_.n);
   return true;
 }
 
@@ -740,13 +729,13 @@ void PbftClient::Step() {
       break;
     }
     // Authenticate the replying replica (same MAC check as the replicas).
-    if (session_keys_.find(src_port) == session_keys_.end()) {
+    if (!Authenticates(session_keys_, src_port)) {
       continue;
     }
     const WireFields m = DecodeWire(std::string_view(buf, static_cast<size_t>(n)));
     if (m.type == WireType::kReply && m.seq == timestamp_) {
-      reply_votes_.insert(static_cast<int>(m.replica));
-      if (static_cast<int>(reply_votes_.size()) >= config_.f + 1) {
+      reply_votes_.Insert(static_cast<int>(m.replica));
+      if (reply_votes_.size() >= config_.f + 1) {
         ++completed_;
         outstanding_ = false;
         reply_votes_.clear();

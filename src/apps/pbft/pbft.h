@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "apps/common/app_binary.h"
+#include "apps/pbft/replica_state.h"
 #include "apps/pbft/wire.h"
 #include "coverage/coverage.h"
 #include "vlib/sim_crash.h"
@@ -72,7 +73,7 @@ class PbftReplica {
   // MAC key, derived here by iterated hashing. That derivation is the
   // expensive part of replica bring-up -- the cost the fresh-process-per-test
   // model pays on every single test, and what the warm-instance snapshot
-  // (TakeSnapshot/Restore below) amortizes to one copy of the key table.
+  // (TakeSnapshot/Restore below) amortizes: a snapshot shares the key table.
   bool Start();
   // One simulation tick: drain the socket, run timers, retransmit.
   void Step();
@@ -80,19 +81,19 @@ class PbftReplica {
   void Shutdown();
 
   // --- warm-instance snapshot --------------------------------------------
-  // Move-only (the message log owns request payloads through unique_ptr);
-  // defined after the class so it can name the private SeqState. Restore()
-  // deep-copies out of the snapshot, so one snapshot serves many restores.
+  // Defined after the class so it can name the private SeqState. Restore()
+  // copies out of the snapshot, so one snapshot serves many restores.
   struct Snapshot;
   Snapshot TakeSnapshot() const;
   bool Restore(const Snapshot& snapshot);
 
  private:
   struct SeqState {
+    int64_t seq = 0;
     std::string digest;
-    std::unique_ptr<std::string> request;  // payload; null when never received
-    std::set<int> prepares;
-    std::set<int> commits;
+    std::optional<std::string> request;  // payload; empty when never received
+    pbft_state::VoteSet prepares;
+    pbft_state::VoteSet commits;
     bool pre_prepared = false;
     bool committed = false;
     bool executed = false;
@@ -117,30 +118,27 @@ class PbftReplica {
   void StartViewChange();
   void BecomePrimaryOfNewView();
   void Retransmit();
-  SeqState& Seq(int64_t seq);
   void RegisterCoverageBlocks();
-  // Deep copy of the message log (SeqState owns its payload).
-  static std::map<int64_t, SeqState> CloneLog(const std::map<int64_t, SeqState>& log);
 
   VirtualLibc libc_;
   CoverageMap coverage_;
   PbftConfig config_;
   int id_;
   int fd_ = -1;
-  // Established by Start(): peer port -> shared MAC key. Datagrams from
-  // ports without a session key are discarded on receipt.
-  std::map<int, std::string> session_keys_;
+  // Established by Start(): the shared MAC key of every peer port. Datagrams
+  // from ports without a session key are discarded on receipt.
+  std::shared_ptr<const pbft_state::SessionKeyTable> session_keys_;
   int view_ = 0;
   int64_t next_seq_ = 0;       // primary: last assigned sequence
   int64_t executed_count_ = 0;
   int64_t low_watermark_ = 0;
-  std::map<int64_t, SeqState> log_;
+  pbft_state::SeqLog<SeqState> log_;
   std::map<std::string, int> pending_client_;  // digest -> client port
   std::set<std::string> executed_digests_;
   // Reply cache (digest -> client port, reply), re-sent on duplicates, as in
   // PBFT's last-reply cache.
   std::map<std::string, std::pair<int, std::string>> reply_cache_;
-  std::set<int> view_change_votes_;            // for view_+1
+  pbft_state::VoteSet view_change_votes_;      // for view_+1
   bool view_change_sent_ = false;
   int idle_ticks_ = 0;
   int ticks_ = 0;
@@ -155,16 +153,16 @@ struct PbftReplica::Snapshot {
   VirtualLibc::Snapshot libc;
   CoverageMap coverage;
   int fd = -1;
-  std::map<int, std::string> session_keys;
+  std::shared_ptr<const pbft_state::SessionKeyTable> session_keys;
   int view = 0;
   int64_t next_seq = 0;
   int64_t executed_count = 0;
   int64_t low_watermark = 0;
-  std::map<int64_t, SeqState> log;
+  pbft_state::SeqLog<SeqState> log;
   std::map<std::string, int> pending_client;
   std::set<std::string> executed_digests;
   std::map<std::string, std::pair<int, std::string>> reply_cache;
-  std::set<int> view_change_votes;
+  pbft_state::VoteSet view_change_votes;
   bool view_change_sent = false;
   int idle_ticks = 0;
   int ticks = 0;
@@ -192,12 +190,12 @@ class PbftClient {
   struct Snapshot {
     VirtualLibc::Snapshot libc;
     int fd = -1;
-    std::map<int, std::string> session_keys;
+    std::shared_ptr<const pbft_state::SessionKeyTable> session_keys;
     int64_t timestamp = 0;
     bool outstanding = false;
     int ticks_since_send = 0;
     bool broadcast_mode = false;
-    std::set<int> reply_votes;
+    pbft_state::VoteSet reply_votes;
     int completed = 0;
     int max_requests = 0;
   };
@@ -226,12 +224,12 @@ class PbftClient {
   VirtualLibc libc_;
   PbftConfig config_;
   int fd_ = -1;
-  std::map<int, std::string> session_keys_;  // replica port -> shared MAC key
+  std::shared_ptr<const pbft_state::SessionKeyTable> session_keys_;  // per replica port
   int64_t timestamp_ = 0;
   bool outstanding_ = false;
   int ticks_since_send_ = 0;
   bool broadcast_mode_ = false;
-  std::set<int> reply_votes_;
+  pbft_state::VoteSet reply_votes_;
   int completed_ = 0;
   int max_requests_ = 0;
 };

@@ -4,29 +4,55 @@ namespace lfi::pbft_wire {
 namespace {
 
 // The read position of DecodeWire's one pass: fields are taken left to
-// right, each ending at the next '|' or at the end of the message.
+// right, each ending at the next '|' or at the end of the message. Every
+// byte is looked at once: a numeric field's digits are collected while its
+// end is found.
 class WireCursor {
  public:
-  explicit WireCursor(std::string_view msg) : rest_(msg) {}
+  explicit WireCursor(std::string_view msg) : at_(msg.data()), end_(msg.data() + msg.size()) {}
 
   // The next field as text; false when the message has no more fields.
   bool Text(std::string_view* field) {
     if (!more_) {
       return false;
     }
-    size_t bar = rest_.find('|');
-    *field = rest_.substr(0, bar);
-    more_ = bar != std::string_view::npos;
-    rest_.remove_prefix(more_ ? bar + 1 : rest_.size());
+    const char* start = at_;
+    while (at_ != end_ && *at_ != '|') {
+      ++at_;
+    }
+    *field = std::string_view(start, static_cast<size_t>(at_ - start));
+    Skip();
     return true;
   }
 
   // The next field as a WireNumber; false when it is missing or not one.
   bool Number(int64_t* value) {
-    std::string_view field;
-    if (!Text(&field)) {
+    if (!more_) {
       return false;
     }
+    // 1-10 plain decimal digits, what every honest sender writes, are read
+    // here; anything else is judged by WireNumber over the whole field.
+    const char* start = at_;
+    int64_t v = 0;
+    while (at_ != end_ && at_ - start < 10) {
+      unsigned digit = static_cast<unsigned char>(*at_) - unsigned{'0'};
+      if (digit > 9) {
+        break;
+      }
+      v = v * 10 + digit;
+      ++at_;
+    }
+    if (at_ != start && (at_ == end_ || *at_ == '|')) {
+      Skip();
+      if (v > kMaxWireNumber) {
+        return false;
+      }
+      *value = v;
+      return true;
+    }
+    std::string_view field;
+    at_ = start;
+    Text(&field);
     std::optional<int64_t> parsed = WireNumber(field);
     if (parsed) {
       *value = *parsed;
@@ -35,7 +61,14 @@ class WireCursor {
   }
 
  private:
-  std::string_view rest_;
+  // Steps over the '|' ending a field; past the last field, there is none.
+  void Skip() {
+    more_ = at_ != end_;
+    at_ += more_ ? 1 : 0;
+  }
+
+  const char* at_;
+  const char* end_;
   bool more_ = true;
 };
 

@@ -69,10 +69,17 @@ const std::vector<CallSiteReport>& AnalysisCache::Reports(const Image& binary,
   }
   // Run Algorithm 1 outside the lock so a slow analysis never serializes the
   // workers; losing the insertion race discards one identical copy.
+  // One pass over the text finds the call sites of every profiled function.
   auto computed = std::make_unique<std::vector<CallSiteReport>>();
   CallSiteAnalyzer analyzer;
+  const std::vector<std::vector<CallSite>> sites = CallSiteAnalyzer::FindImportCallSites(binary);
   for (const auto& [name, fn] : profile.functions()) {
-    for (CallSiteReport& report : analyzer.Analyze(binary, name, fn.ErrorCodes())) {
+    int import_index = binary.ImportIndex(name);
+    if (import_index < 0) {
+      continue;
+    }
+    for (CallSiteReport& report :
+         analyzer.AnalyzeSites(binary, sites[static_cast<size_t>(import_index)], fn.ErrorCodes())) {
       computed->push_back(std::move(report));
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
 #define LFI_SHA1_X86 1
@@ -12,7 +13,29 @@
 namespace lfi {
 namespace {
 
+constexpr uint32_t kInitialState[5] = {0x67452301u, 0xefcdab89u, 0x98badcfeu, 0x10325476u,
+                                       0xc3d2e1f0u};
+
 inline uint32_t Rotl(uint32_t x, int n) { return (x << n) | (x >> (32 - n)); }
+
+// The five state words as the 20 digest bytes.
+void WriteBigEndian(const uint32_t h[5], uint8_t* out) {
+  for (int i = 0; i < 5; ++i) {
+    out[i * 4] = static_cast<uint8_t>(h[i] >> 24);
+    out[i * 4 + 1] = static_cast<uint8_t>(h[i] >> 16);
+    out[i * 4 + 2] = static_cast<uint8_t>(h[i] >> 8);
+    out[i * 4 + 3] = static_cast<uint8_t>(h[i]);
+  }
+}
+
+// A digest as 40 lowercase hex characters at `out`.
+void WriteHex(const std::array<uint8_t, Sha1::kDigestSize>& digest, uint8_t* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (size_t i = 0; i < digest.size(); ++i) {
+    out[i * 2] = static_cast<uint8_t>(kHex[digest[i] >> 4]);
+    out[i * 2 + 1] = static_cast<uint8_t>(kHex[digest[i] & 0xf]);
+  }
+}
 
 void CompressPortable(uint32_t state[5], const uint8_t* blocks, size_t count) {
   for (; count > 0; --count, blocks += 64) {
@@ -159,11 +182,7 @@ const Sha1Kernel& Sha1::ActiveKernel() {
 }
 
 Sha1::Sha1(const Sha1Kernel& kernel) : compress_(kernel.compress) {
-  h_[0] = 0x67452301u;
-  h_[1] = 0xefcdab89u;
-  h_[2] = 0x98badcfeu;
-  h_[3] = 0x10325476u;
-  h_[4] = 0xc3d2e1f0u;
+  std::copy(std::begin(kInitialState), std::end(kInitialState), h_);
 }
 
 void Sha1::Update(const void* data, size_t len) {
@@ -215,13 +234,31 @@ std::array<uint8_t, Sha1::kDigestSize> Sha1::Finish() {
   compress_(h_, buffer_, 1);
 
   std::array<uint8_t, kDigestSize> out;
-  for (int i = 0; i < 5; ++i) {
-    out[i * 4] = static_cast<uint8_t>(h_[i] >> 24);
-    out[i * 4 + 1] = static_cast<uint8_t>(h_[i] >> 16);
-    out[i * 4 + 2] = static_cast<uint8_t>(h_[i] >> 8);
-    out[i * 4 + 3] = static_cast<uint8_t>(h_[i]);
-  }
+  WriteBigEndian(h_, out.data());
   return out;
+}
+
+std::string Sha1::StretchHex(std::string_view seed, int rounds, const Sha1Kernel& kernel) {
+  if (rounds <= 0) {
+    return std::string(seed);
+  }
+  Sha1 first(kernel);
+  first.Update(seed);
+  std::array<uint8_t, kDigestSize> digest = first.Finish();
+  // The one block a 40-byte message pads to: the message, the 0x80 marker,
+  // zeros, and the bit length 320 in the last two bytes.
+  uint8_t block[64] = {};
+  block[40] = 0x80;
+  block[62] = 320 >> 8;
+  block[63] = 320 & 0xff;
+  for (int round = 1; round < rounds; ++round) {
+    WriteHex(digest, block);
+    uint32_t h[5];
+    std::copy(std::begin(kInitialState), std::end(kInitialState), h);
+    kernel.compress(h, block, 1);
+    WriteBigEndian(h, digest.data());
+  }
+  return ToHex(digest);
 }
 
 std::string Sha1::HexDigest(std::string_view data) {
@@ -231,12 +268,8 @@ std::string Sha1::HexDigest(std::string_view data) {
 }
 
 std::string Sha1::ToHex(const std::array<uint8_t, kDigestSize>& digest) {
-  static const char kHex[] = "0123456789abcdef";
   std::string out(kDigestSize * 2, '\0');
-  for (size_t i = 0; i < kDigestSize; ++i) {
-    out[i * 2] = kHex[digest[i] >> 4];
-    out[i * 2 + 1] = kHex[digest[i] & 0xf];
-  }
+  WriteHex(digest, reinterpret_cast<uint8_t*>(out.data()));
   return out;
 }
 

@@ -51,6 +51,16 @@ class Sha1 {
   // input string).
   static std::string ToHex(const std::array<uint8_t, kDigestSize>& digest);
 
+  // The iterated key stretch of pbft's session keys and bfs's lease keys:
+  // `seed` hashed `rounds` times, each round hashing the previous round's
+  // 40-character lowercase hex digest (`seed` itself when `rounds` is 0).
+  // Every round after the first hashes exactly 40 bytes, one padded block,
+  // so it is one compression on a stack block: no heap string per round.
+  static std::string StretchHex(std::string_view seed, int rounds) {
+    return StretchHex(seed, rounds, ActiveKernel());
+  }
+  static std::string StretchHex(std::string_view seed, int rounds, const Sha1Kernel& kernel);
+
   // The portable kernel: plain C++, the only kernel on non-x86 builds.
   static const Sha1Kernel& PortableKernel();
   // The kernel on the x86 SHA extensions (sha1rnds4, sha1nexte, sha1msg1,

@@ -26,6 +26,15 @@ VirtualNet::Port* VirtualNet::Find(int port) {
 }
 
 const VirtualNet::Port* VirtualNet::Find(int port) const {
+  // A target binds a run of consecutive ports (pbft's client and replicas,
+  // bfs's server and clients), so a port usually sits at its offset from
+  // the first entry: one index, no scan.
+  if (!ports_.empty()) {
+    size_t at = static_cast<unsigned>(port) - static_cast<unsigned>(ports_.front().port);
+    if (at < ports_.size() && ports_[at].port == port) {
+      return &ports_[at];
+    }
+  }
   auto it = LowerBound(ports_, port);
   return it != ports_.end() && it->port == port ? &*it : nullptr;
 }

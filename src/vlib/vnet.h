@@ -109,8 +109,9 @@ class VirtualNet {
 
  private:
   // The port table is a vector sorted by port number: a campaign's targets
-  // bind a handful of ports, so a lookup is a short forward scan over a
-  // cache line or two, not a tree walk. Each port owns a ring of
+  // bind a handful of consecutive ports, so a lookup is one index (or, off
+  // the run, a short forward scan over a cache line or two), not a tree
+  // walk. Each port owns a ring of
   // datagram slots holding `ready` receivable datagrams from `head`, then
   // `staged` ones that the next AdvanceTick makes receivable, so a tick
   // moves no datagram. The ring grows on demand to a power of two and

@@ -9,6 +9,7 @@
 #include "apps/git/git.h"
 #include "apps/mysql/mysql.h"
 #include "apps/pbft/pbft.h"
+#include "core/analysis_cache.h"
 #include "image/assembler.h"
 #include "util/sha1.h"
 #include "util/string_util.h"
@@ -619,6 +620,40 @@ TEST(TargetReports, DigestOfEveryReportIsPinned) {
   }
   EXPECT_EQ(reports, 303u);
   EXPECT_EQ(Sha1::ToHex(sha.Finish()), "1e9352a96ac18b3759db53b7742f8eb7de0c0284");
+}
+
+// AnalysisCache finds every profiled function's call sites in one pass over
+// the text; its reports are the per-function analyses, in profile order.
+TEST(TargetReports, OnePassSiteScanAgreesWithPerFunctionScan) {
+  CallSiteAnalyzer analyzer;
+  for (const Target& target : kTargets) {
+    const Image& image = target.binary().image();
+    std::vector<std::vector<CallSite>> by_import = CallSiteAnalyzer::FindImportCallSites(image);
+    ASSERT_EQ(by_import.size(), image.imports().size()) << target.name;
+    for (size_t i = 0; i < by_import.size(); ++i) {
+      std::vector<CallSite> want = CallSiteAnalyzer::FindCallSites(image, image.imports()[i]);
+      ASSERT_EQ(by_import[i].size(), want.size()) << target.name << " " << image.imports()[i];
+      for (size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(by_import[i][k].offset, want[k].offset);
+        EXPECT_EQ(by_import[i][k].function, want[k].function);
+        EXPECT_EQ(by_import[i][k].enclosing, want[k].enclosing);
+        EXPECT_EQ(by_import[i][k].module, want[k].module);
+      }
+    }
+    for (const FaultProfile& profile : {LibcProfile(), LibxmlProfile()}) {
+      std::string want;
+      for (const auto& [name, fn] : profile.functions()) {
+        for (const CallSiteReport& r : analyzer.Analyze(image, name, fn.ErrorCodes())) {
+          want += ReportLine(r);
+        }
+      }
+      std::string got;
+      for (const CallSiteReport& r : AnalysisCache::Instance().Reports(image, profile)) {
+        got += ReportLine(r);
+      }
+      EXPECT_EQ(got, want) << target.name << " under " << profile.library();
+    }
+  }
 }
 
 // §7.2: the analysis is cheap because the worklist processes each post-call

@@ -320,16 +320,38 @@ TEST_P(Sha1KernelTest, PaddingBoundariesOneShotAndStreaming) {
   }
 }
 
-// Session keys reach no journal byte, so a kernel that stretched a pbft pair
-// identity differently would fail no golden: pin one stretch
-// (kKeyStretchRounds = 1536 rounds, src/apps/pbft/pbft.cc) to the value the
-// portable kernel computes, which Python's hashlib agrees with.
+// Session keys reach no journal byte, so a kernel or a stretch routine that
+// stretched a pbft pair identity differently would fail no golden: pin one
+// stretch (kKeyStretchRounds = 1536 rounds, src/apps/pbft/pbft.cc) to the
+// value Python's hashlib computes.
 TEST_P(Sha1KernelTest, PbftSessionKeyStretchIsPinned) {
-  std::string key = "pbft-session-key|9000|9001";
-  for (int round = 0; round < 1536; ++round) {
+  EXPECT_EQ(Sha1::StretchHex("pbft-session-key|9000|9001", 1536, *kernel_),
+            "3c19ff42b36d477622bca9ceb6a3c0c185f6a9ef");
+}
+
+// bfs's lease key (kLeaseStretchRounds = 512 rounds, src/apps/bfs/bfs.cc):
+// its first 8 characters are the client's request token, which every request
+// carries on the wire. Values from Python's hashlib.
+TEST_P(Sha1KernelTest, BfsLeaseKeyStretchIsPinned) {
+  EXPECT_EQ(Sha1::StretchHex("bfs-lease|7101", 512, *kernel_),
+            "338d1ef554318b627fa006d79610e49fb2b418c6");
+  EXPECT_EQ(Sha1::StretchHex("bfs-lease|7102", 512, *kernel_),
+            "133974aa09c41d614884807b04a6c102e440df77");
+}
+
+// The stretch is the one-shot hex digest iterated: zero rounds return the
+// seed, one round is HexDigest, and a seed longer than one block is hashed
+// whole.
+TEST_P(Sha1KernelTest, StretchIsTheIteratedHexDigest) {
+  EXPECT_EQ(Sha1::StretchHex("abc", 0, *kernel_), "abc");
+  EXPECT_EQ(Sha1::StretchHex("", 1, *kernel_), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
+  EXPECT_EQ(Sha1::StretchHex(std::string(100, 'x'), 3, *kernel_),
+            "ac5ac5eed13fc8192af80e47e53e1f2bcae803ba");
+  std::string key = "seed";
+  for (int rounds = 1; rounds <= 5; ++rounds) {
     key = OneShot(key);
+    EXPECT_EQ(Sha1::StretchHex("seed", rounds, *kernel_), key) << rounds << " rounds";
   }
-  EXPECT_EQ(key, "3c19ff42b36d477622bca9ceb6a3c0c185f6a9ef");
 }
 
 TEST(Sha1Kernels, AgreeOnEveryLengthAndChunking) {
