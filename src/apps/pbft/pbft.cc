@@ -32,12 +32,14 @@ std::string Digest(std::string_view payload) { return Sha1::HexDigest(payload).s
 // keys are established with public-key signatures, so key establishment
 // dominates replica bring-up; the round count here is sized to keep that
 // true for this model. A cluster's 30,720 hashes are most of its bring-up,
-// and bring-up costs more than one workload: on a 4-vCPU VM a cluster builds
-// in ~5 ms on the SHA-extension SHA-1 kernel (~20 ms on the portable one),
-// while a pbft-random job takes ~2 ms at the median and ~3 ms at p95.
-// The hash count is the model and the kernel is the machine, so a faster
-// kernel leaves the count alone. This is exactly the per-test cost the
-// paper's fresh-process model pays and the warm-instance snapshot amortizes.
+// and bring-up costs more than one workload: on a 4-vCPU VM with SHA
+// extensions the hashes take ~1.4 ms (~7.4 ms on the portable kernel) and a
+// cluster builds in ~1.45 ms at the median, while a pbft-random job takes
+// ~0.29 ms at the median and ~0.49 ms at p95 (campaign_bench, traced).
+// The hash count is the model and the kernel or the stretch loop is the
+// machine, so making either faster leaves the count alone. This is exactly
+// the per-test cost the paper's fresh-process model pays and the
+// warm-instance snapshot amortizes.
 // Pure computation, no library calls, so it is never an injection site.
 constexpr int kKeyStretchRounds = 1536;
 

@@ -5,8 +5,8 @@ namespace {
 
 // The read position of DecodeWire's one pass: fields are taken left to
 // right, each ending at the next '|' or at the end of the message. Every
-// byte is looked at once: a numeric field's digits are collected while its
-// end is found.
+// byte of an honest message is looked at once: a numeric field's digits
+// are collected while its end is found.
 class WireCursor {
  public:
   explicit WireCursor(std::string_view msg) : at_(msg.data()), end_(msg.data() + msg.size()) {}
