@@ -90,7 +90,6 @@ class SeqLog {
   }
 
   size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
   iterator begin() { return entries_.begin(); }
   iterator end() { return entries_.end(); }
   const_iterator begin() const { return entries_.begin(); }
