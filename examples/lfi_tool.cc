@@ -70,7 +70,6 @@ int Usage() {
                "  lfi_tool shard {git|mysql|bind|pbft|bfs} --shards N --journal PATH [options]\n"
                "  lfi_tool resume <journal> [options]\n"
                "  lfi_tool replay <journal> [record[:injection]] [options]\n"
-               "  lfi_tool merge <out> <in...> [--json]\n"
                "  lfi_tool journal info <path> [--json]\n"
                "  lfi_tool journal dump <path>\n"
                "  lfi_tool journal doctor <path> [--repair] [--json]\n"
@@ -133,29 +132,25 @@ std::string CoverageJson(const lfi::CoverageMap& coverage) {
 std::string ShardsJson(const std::vector<lfi::ShardOutcome>& shards) {
   return JsonList(shards, [](const lfi::ShardOutcome& shard) {
     return lfi::StrFormat(
-        "{\"shard\":%lld,\"journal\":\"%s\",\"records\":%zu,"
+        "{\"shard\":%zu,\"journal\":\"%s\",\"records\":%zu,"
         "\"scenarios_run\":%zu,\"bugs\":%zu,\"workers\":%zu}",
-        shard.shard_index == static_cast<size_t>(-1) ? -1LL
-                                                      : static_cast<long long>(shard.shard_index),
-        lfi::JsonEscape(shard.path).c_str(), shard.records, shard.scenarios_run, shard.bugs,
-        shard.workers);
+        shard.shard_index, lfi::JsonEscape(shard.path).c_str(), shard.records,
+        shard.scenarios_run, shard.bugs, shard.workers);
   });
 }
 
 void PrintShardTable(const std::vector<lfi::ShardOutcome>& shards) {
   for (const lfi::ShardOutcome& shard : shards) {
-    std::printf("shard %s: %zu record(s), %zu scenario(s) run, %zu bug(s)  [%s]\n",
-                shard.shard_index == static_cast<size_t>(-1)
-                    ? "?"
-                    : lfi::StrFormat("%zu", shard.shard_index).c_str(),
-                shard.records, shard.scenarios_run, shard.bugs, shard.path.c_str());
+    std::printf("shard %zu: %zu record(s), %zu scenario(s) run, %zu bug(s)  [%s]\n",
+                shard.shard_index, shard.records, shard.scenarios_run, shard.bugs,
+                shard.path.c_str());
   }
 }
 
 void PrintExplorationSummary(const char* command, const lfi::CampaignSpec& spec,
                              const lfi::CampaignOutcome& outcome, bool json) {
-  // Table 1 journals record no strategy or seed; resume and merge have
-  // always summarized them as strategy "campaign", seed 0.
+  // Table 1 journals record no strategy or seed; resume has always
+  // summarized them as strategy "campaign", seed 0.
   bool table1 = spec.mode == lfi::CampaignMode::kTable1;
   const char* strategy = table1 ? "campaign" : lfi::ExploreStrategyName(spec.strategy);
   unsigned long long seed = table1 ? 0 : spec.seed;
@@ -227,7 +222,7 @@ int PrintReplayOutcome(const lfi::CampaignOutcome& outcome, bool json) {
   return outcome.ok ? 0 : 1;
 }
 
-// resume and merge summarize the campaign their journal header records.
+// resume summarizes the campaign its journal header records.
 int PrintJournalSummary(const char* command, const lfi::CampaignOutcome& outcome, bool json) {
   std::string error;
   auto identity = lfi::CampaignSpec::FromJournalMeta(outcome.metadata, &error);
@@ -491,14 +486,6 @@ int main(int argc, char** argv) {
     }
     spec.system = args[1];
     spec.mode = cmd == "campaign" ? lfi::CampaignMode::kTable1 : lfi::CampaignMode::kExplore;
-    if (cmd == "shard" && spec.shard_index != lfi::CampaignSpec::kNoShard) {
-      // Accepting --shard here would silently run one shard's fraction of
-      // the campaign into the merged-journal path and exit 0.
-      std::fprintf(stderr,
-                   "shard orchestrates every shard; use --shards N (run a single shard "
-                   "by hand with `explore --shard I/N`)\n");
-      return Usage();
-    }
     if (cmd == "shard" && spec.shard_count < 2) {
       std::fprintf(stderr, "shard needs --shards N (N >= 2)\n");
       return Usage();
@@ -517,27 +504,6 @@ int main(int argc, char** argv) {
     spec.mode = cmd == "resume" ? lfi::CampaignMode::kResume : lfi::CampaignMode::kReplay;
     spec.journal_path = args[1];
     return RunSpec(cmd.c_str(), std::move(spec), json);
-  }
-  if (cmd == "merge" && args.size() >= 3) {
-    size_t start = 2;
-    while (start < args.size() && !lfi::StartsWith(args[start], "--")) {
-      ++start;
-    }
-    if (!parse_flags(start)) {
-      return Usage();
-    }
-    if (start == 2) {
-      std::fprintf(stderr, "merge needs at least one input journal\n");
-      return Usage();
-    }
-    std::string error;
-    auto outcome =
-        lfi::MergeCampaignJournals({args.begin() + 2, args.begin() + start}, args[1], &error);
-    if (!outcome) {
-      std::fprintf(stderr, "merge failed: %s\n", error.c_str());
-      return 1;
-    }
-    return PrintJournalSummary("merge", *outcome, json);
   }
   if (cmd == "journal" && args.size() >= 3 && (args[1] == "info" || doctor)) {
     if (!parse_flags(3)) {

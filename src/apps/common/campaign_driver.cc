@@ -354,6 +354,15 @@ CampaignOutcome FromExploration(ExplorationResult result, std::string journal_pa
 
 std::optional<CampaignOutcome> CampaignDriver::Run(std::string* error) {
   refused_ = false;
+  if (spec_.shard_index != CampaignSpec::kNoShard && pool_ == nullptr) {
+    // Only an orchestrator's worker runs one shard: a shard artifact's
+    // header names its shard, but its jobs are the orchestrator's deal.
+    refused_ = true;
+    return Fail(error, StrFormat("%s is shard %zu's journal of an orchestrated campaign, not a "
+                                 "campaign of its own; resume the merged journal instead "
+                                 "(lfi_tool resume MERGED --shards N)",
+                                 spec_.journal_path.c_str(), spec_.shard_index));
+  }
   std::string invalid = spec_.Validate();
   if (!invalid.empty()) {
     refused_ = true;
@@ -384,10 +393,9 @@ std::optional<CampaignOutcome> CampaignDriver::Run(std::string* error) {
     switch (spec_.mode) {
       case CampaignMode::kTable1:
       case CampaignMode::kExplore:
-        // Several shards and none of them named: this process orchestrates.
-        return spec_.shard_count > 1 && spec_.shard_index == CampaignSpec::kNoShard
-                   ? RunEpochOrchestration(error)
-                   : RunCampaign(error);
+        // Several shards and this is not one of their workers: orchestrate.
+        return spec_.shard_count > 1 && pool_ == nullptr ? RunEpochOrchestration(error)
+                                                         : RunCampaign(error);
       case CampaignMode::kResume:
         return RunResume(error);
       case CampaignMode::kReplay:
@@ -439,14 +447,7 @@ std::optional<CampaignOutcome> CampaignDriver::RunCampaign(std::string* error) {
     ExhaustiveSource dealt(std::move(dealt_));
     result = engine.Run(dealt, pool.AsRunner());
   } else {
-    std::unique_ptr<SpecSource> source = MakeSpecSource(spec_, *entry);
-    if (spec_.shard_index != CampaignSpec::kNoShard) {
-      // A static shard (`--shard I/N`) runs only its deal of the stream.
-      ShardSource sharded(*source->source, spec_.shard_index, spec_.shard_count);
-      result = engine.Run(sharded, pool.AsRunner());
-    } else {
-      result = engine.Run(*source->source, pool.AsRunner());
-    }
+    result = engine.Run(*MakeSpecSource(spec_, *entry)->source, pool.AsRunner());
   }
   CampaignOutcome outcome = FromExploration(std::move(result), spec_.journal_path);
   outcome.pool = pool.stats();
@@ -708,7 +709,8 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
         break;
       }
       for (CampaignJob& job : next) {
-        // The drain position ShardSource stamps on a static shard's copy.
+        // Its position in the stream, which the single-process engine
+        // records as its merge index (the coverage source stamps it too).
         if (job.stream_index == CampaignJob::kNoStreamIndex) {
           job.stream_index = scheduled;
         }
@@ -763,8 +765,8 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
         child.resume = std::filesystem::exists(child.journal_path);
         children.push_back(std::move(child));
       }
-      // The deal ShardSource makes: every job goes to the shard its
-      // scenario fingerprint names, in stream order.
+      // The deal: every job goes to the shard its scenario fingerprint
+      // names, in stream order.
       std::vector<std::vector<CampaignJob>> dealt(spec_.shard_count);
       for (const CampaignJob& job : jobs) {
         dealt[ScenarioShard(job.scenario, spec_.shard_count)].push_back(job);
@@ -808,8 +810,17 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
       if (!MergeRecordsInto(merged, shard_journals, &fold, error, &merged_records)) {
         return std::nullopt;
       }
+      // Per-shard accounting; a shard's bugs dedup across its epochs.
       for (size_t shard = 0; shard < shard_journals.size(); ++shard) {
-        AccountMergeInput(shard_journals[shard], &shard_bugs[shard], &shard_stats[shard]);
+        ShardOutcome& stats = shard_stats[shard];
+        for (const JournalRecord& record : shard_journals[shard].records()) {
+          ++stats.records;
+          if (!record.gated) {
+            ++stats.scenarios_run;
+            shard_bugs[shard].insert(record.result.bugs.begin(), record.result.bugs.end());
+          }
+        }
+        stats.bugs = shard_bugs[shard].size();
       }
     }
 
@@ -857,23 +868,6 @@ std::optional<CampaignOutcome> CampaignDriver::RunEpochOrchestration(std::string
   outcome.metadata = spec_.ToJournalMeta();
   outcome.shards = std::move(shard_stats);
   outcome.pool = pool.stats();
-  return outcome;
-}
-
-std::optional<CampaignOutcome> MergeCampaignJournals(const std::vector<std::string>& inputs,
-                                                     const std::string& output_path,
-                                                     std::string* error) {
-  JournalMetadata metadata;
-  std::vector<MergeInputStats> stats;
-  auto merged = MergeJournals(inputs, output_path, error, &metadata, &stats);
-  if (!merged) {
-    return std::nullopt;
-  }
-  CampaignOutcome outcome = FromExploration(std::move(*merged), output_path);
-  outcome.metadata = std::move(metadata);
-  for (MergeInputStats& input : stats) {
-    outcome.shards.push_back({std::move(input)});
-  }
   return outcome;
 }
 

@@ -8,11 +8,11 @@
 // per-shard/per-replay accounting -- whatever the mode.
 //
 // Multi-process campaigns are a property of the spec, not separate wiring:
-// a spec with shard_count > 1 and no shard_index makes Run() orchestrate,
-// always through one loop, the epoch protocol (docs/architecture.md). Per
-// epoch, the orchestrator enumerates the epoch's jobs from its one copy of
-// the spec's source and deals them by scenario fingerprint (the deal
-// core/exploration.h's ShardSource makes). Each shard has one persistent
+// a spec with shard_count > 1 makes Run() orchestrate, always through one
+// loop, the epoch protocol (docs/architecture.md), and this is the only way
+// a campaign spans processes. Per epoch, the orchestrator enumerates the
+// epoch's jobs from its one copy of the spec's source and deals them by
+// scenario fingerprint (ScenarioShard). Each shard has one persistent
 // worker, forked from the orchestrator once per campaign on the post-setup
 // target instances its one pool brought up before its first fork (the
 // zygote, core/warm_pool.h; Table 1's second-phase jobs run on the same
@@ -25,6 +25,8 @@
 // tools. An open-loop spec (table1 --exhaustive, explore
 // exhaustive|random) is the one-epoch case: its whole stream is one epoch,
 // workers write spec.ShardJournalPath(i), and records carry no epoch stamp.
+// shard_index is set only on the specs the orchestrator hands its workers:
+// Run() refuses any other spec that sets it (`resume` of a shard artifact).
 
 #ifndef LFI_APPS_COMMON_CAMPAIGN_DRIVER_H_
 #define LFI_APPS_COMMON_CAMPAIGN_DRIVER_H_
@@ -55,11 +57,16 @@ struct ReplayOutcome {
   bool reproduced = false;  // a recorded crash site was matched
 };
 
-// One shard of an orchestrated run (or one input of a merge): its merge
-// accounting, and the worker processes it took.
-struct ShardOutcome : MergeInputStats {
+// One shard of an orchestrated run: what its journals contributed to the
+// merge, and the worker processes it took.
+struct ShardOutcome {
+  std::string path;  // its journal, or the epoch journals' pattern
+  size_t shard_index = 0;
+  size_t records = 0;
+  size_t scenarios_run = 0;  // non-gated records
+  size_t bugs = 0;           // crash sites deduplicated within this shard
   // Workers forked for the shard over the campaign, respawns included: one
-  // for a clean run, 0 for a merge or when every epoch replayed from disk.
+  // for a clean run, 0 when every epoch replayed from disk.
   size_t workers = 0;
 };
 
@@ -73,7 +80,7 @@ struct CampaignOutcome {
   std::string journal_path;
   // The journal header (resume/replay/shard: what the artifact records).
   JournalMetadata metadata;
-  // Shard orchestration and merges: one entry per shard or input.
+  // Shard orchestration: one entry per shard.
   std::vector<ShardOutcome> shards;
   // Replay mode: per-injection detail plus the pass/fail summary.
   std::vector<ReplayOutcome> replays;
@@ -137,12 +144,6 @@ class CampaignDriver {
   std::vector<CampaignJob> dealt_;  // with pool_: the worker's jobs
   bool refused_ = false;
 };
-
-// Merges journals through MergeJournals and reports the result as a
-// CampaignOutcome (`lfi_tool merge`).
-std::optional<CampaignOutcome> MergeCampaignJournals(const std::vector<std::string>& inputs,
-                                                     const std::string& output_path,
-                                                     std::string* error = nullptr);
 
 }  // namespace lfi
 

@@ -189,7 +189,6 @@ struct SpecField {
   // environment) from the resuming invocation.
   bool identity = false;
   Printer meta_print = nullptr;  // overrides ops.print in the header
-  Parser flag_parse = nullptr;   // overrides ops.parse on the command line
 };
 
 // The header spells table1 mode "campaign" and every other mode "explore".
@@ -197,11 +196,10 @@ std::string CommandHeader(const CampaignSpec& spec) {
   return spec.mode == CampaignMode::kTable1 ? "campaign" : "explore";
 }
 
-bool ParseShardFlag(std::string_view text, CampaignSpec* spec);
-
 // Usage order. A field no flag sets, no header records and no resume adopts
 // has no row: `format` has one value, and the driver and lfi_tool set the
-// resume marker and replay's selector.
+// resume marker and replay's selector. The orchestrator sets its workers'
+// shard and epoch coordinates, which only their journal headers record.
 const SpecField kFields[] = {
     {.name = "system", .ops = Ops<&CampaignSpec::system>(), .meta = "system",
      .in_meta = Always, .meta_rank = 1, .identity = true},
@@ -223,9 +221,8 @@ const SpecField kFields[] = {
      .arg = "W", .help = "engine workers; <= 0 = one per hardware thread"},
     {.name = "journal", .ops = Ops<&CampaignSpec::journal_path>(), .flag = "--journal",
      .arg = "PATH", .help = "journal artifact (required to shard)"},
-    {.name = "shard", .ops = Ops<&CampaignSpec::shard_index>(), .flag = "--shard",
-     .arg = "I/N", .help = "explore: run only shard I of N (merge the shards later)",
-     .meta = "shard", .meta_rank = 7, .identity = true, .flag_parse = ParseShardFlag},
+    {.name = "shard", .ops = Ops<&CampaignSpec::shard_index>(), .meta = "shard",
+     .meta_rank = 7, .identity = true},
     // A shard artifact's header records its shard count, but resuming takes
     // the count from the invocation (`resume --shards N`): environment.
     {.name = "shards", .ops = Ops<&CampaignSpec::shard_count, 1>(), .flag = "--shards",
@@ -269,14 +266,6 @@ bool Holds(Presence presence, const SpecField& field, const CampaignSpec& spec) 
   return presence != nullptr ? presence(spec) : !field.ops.is_default(spec);
 }
 
-// --shard I/N names the shard index and the shard count at once.
-bool ParseShardFlag(std::string_view text, CampaignSpec* spec) {
-  size_t slash = text.find('/');
-  return slash != std::string_view::npos &&
-         Field("shard").ops.parse(text.substr(0, slash), spec) &&
-         Field("shards").ops.parse(text.substr(slash + 1), spec);
-}
-
 std::nullopt_t Fail(std::string* error, std::string message) {
   if (error != nullptr) {
     *error = std::move(message);
@@ -315,12 +304,10 @@ std::string CampaignSpec::Validate() const {
     if (journal_path.empty()) {
       return std::string(CampaignModeName(mode)) + " needs the journal path to operate on";
     }
-    // A shard journal carries its own shard coordinates in the header;
-    // resume re-derives them from the artifact (its --shards N is how many
-    // processes continue the campaign).
-    if (shard_index != kNoShard || (shard_count > 1 && mode == CampaignMode::kReplay)) {
-      return std::string(CampaignModeName(mode)) +
-             " takes its shard coordinates from the journal header, not the spec";
+    // Resume's --shards N is how many processes continue the campaign;
+    // replay forks its own workers from one target.
+    if (shard_count > 1 && mode == CampaignMode::kReplay) {
+      return "replay runs in one process with forked workers; it takes no --shards";
     }
     return "";
   }
@@ -331,11 +318,6 @@ std::string CampaignSpec::Validate() const {
   }
   if (epoch_index != kNoEpoch && epoch_len == 0) {
     return "an epoch index only makes sense inside an epoch-len campaign";
-  }
-  if (mode == CampaignMode::kExplore && strategy == ExploreStrategy::kCoverage &&
-      shard_index != kNoShard && epoch_index == kNoEpoch) {
-    return "a coverage shard runs one epoch of an orchestrated campaign, on the jobs the "
-           "orchestrator deals it";
   }
   if (system.empty()) {
     return "no target system named";
@@ -364,8 +346,8 @@ std::string CampaignSpec::Validate() const {
     if (mode == CampaignMode::kExplore && strategy == ExploreStrategy::kCoverage &&
         epoch_len == 0) {
       return "coverage-guided exploration closes a global feedback loop no shard can see; "
-             "run it with --epoch-len K (epoch-synchronized feedback), single-process, or "
-             "shard its recorded journal / the exhaustive|random strategies";
+             "run it with --epoch-len K (epoch-synchronized feedback) or single-process, or "
+             "shard the exhaustive|random strategies instead";
     }
     if (mode == CampaignMode::kTable1 && !exhaustive) {
       return "sharded table1 campaigns need exhaustive=true: the historical fuzz cutoff "
@@ -442,7 +424,7 @@ bool ParseSpecFlags(const std::vector<std::string>& args, size_t start, Campaign
       }
       value = args[++i];
     }
-    if (!(field->flag_parse != nullptr ? field->flag_parse : field->ops.parse)(value, spec)) {
+    if (!field->ops.parse(value, spec)) {
       return fail(StrFormat("bad %s value '%s'", field->flag, value.c_str()));
     }
   }

@@ -4,7 +4,7 @@
 // campaign: which system, which mode (the paper's Table 1 list, feedback
 // exploration, resuming or replaying a journal), which strategy/budget/seed,
 // how parallel, where the journal lives, and -- for multi-process campaigns
-// -- which shard of the work this process owns. Everything that used to be
+// -- how many shard processes run it. Everything that used to be
 // spread across CampaignConfig, ExploreConfig, CampaignEngine::Options
 // wiring, and lfi_tool's per-subcommand parsing collapses into this struct;
 // CampaignDriver (campaign_driver.h) executes it.
@@ -80,11 +80,11 @@ struct CampaignSpec {
   // With journal_path: replay an existing journal first and continue where
   // it stopped (kResume sets this implicitly after reading the header).
   bool resume = false;
-  // Multi-process sharding. shard_count > 1 with shard_index unset makes
-  // CampaignDriver orchestrate: deal every epoch's jobs to one persistent
-  // forked worker per shard, then merge the per-shard journals.
-  // With shard_index set, this process runs only that shard of the
-  // deterministic stream into ShardJournalPath-style artifacts.
+  // Multi-process sharding. shard_count > 1 makes CampaignDriver
+  // orchestrate: deal every epoch's jobs to one persistent forked worker per
+  // shard, then merge the per-shard journals. Only the orchestrator sets
+  // shard_index, on the spec it hands shard I's worker: it scopes the
+  // worker's failpoints and is recorded in its journal's header.
   size_t shard_index = kNoShard;
   size_t shard_count = 1;
   // Epoch-synchronized exploration: with epoch_len != 0 the coverage-guided
@@ -98,8 +98,8 @@ struct CampaignSpec {
   size_t epoch_len = 0;
   // A shard worker's run of one epoch carries the epoch ordinal so its
   // journal records are stamped (and its artifact labelled) correctly. Never
-  // part of the merged identity -- MergeJournals strips it with the shard
-  // keys.
+  // part of the merged identity: the merged journal's header is the
+  // orchestrator's own spec, which sets no shard or epoch coordinates.
   size_t epoch_index = kNoEpoch;
   // --- supervision policy (apps/common/shard_supervisor.h) -----------------
   // Execution environment, never campaign identity: none of these enter

@@ -78,11 +78,11 @@ std::string WalkEpochs(const CampaignJournal& journal, std::vector<EpochSummary>
 }
 
 // Sibling artifacts a sharded/epoch campaign writes next to its merged
-// journal: the merge's scratch files, open-loop shard
-// journals, and per-epoch frontier snapshots and shard journals. Once the
-// merged journal is finalized they are dead weight -- the merge consumed
-// them. Scans are contiguous-from-zero, matching how the orchestrator
-// numbers shards and epochs.
+// journal: open-loop shard journals, per-epoch shard journals, and
+// per-epoch frontier snapshots with their scratch files. Once the merged
+// journal is finalized they are dead weight -- the merge consumed them.
+// Scans are contiguous-from-zero, matching how the orchestrator numbers
+// shards and epochs.
 std::vector<std::string> FindSiblingArtifacts(const std::string& journal_path) {
   constexpr size_t kScanLimit = 256;  // shards or epochs; far above any real run
   CampaignSpec spec;
@@ -96,21 +96,14 @@ std::vector<std::string> FindSiblingArtifacts(const std::string& journal_path) {
     }
     return false;
   };
-  // One shard's journal plus its merge scratch file.
-  auto probe_shard = [&](const std::string& base) {
-    bool any = probe(base);
-    any |= probe(base + ".tmp");
-    return any;
-  };
-  probe(journal_path + ".tmp");
   size_t shard = 0;
-  while (shard < kScanLimit && probe_shard(spec.ShardJournalPath(shard))) {
+  while (shard < kScanLimit && probe(spec.ShardJournalPath(shard))) {
     ++shard;
   }
   for (size_t epoch = 0; epoch < kScanLimit; ++epoch) {
     bool any = probe(spec.EpochFrontierPath(epoch));
     any |= probe(spec.EpochFrontierPath(epoch) + ".tmp");
-    for (shard = 0; shard < kScanLimit && probe_shard(spec.EpochShardJournalPath(epoch, shard));
+    for (shard = 0; shard < kScanLimit && probe(spec.EpochShardJournalPath(epoch, shard));
          ++shard) {
       any = true;
     }

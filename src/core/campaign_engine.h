@@ -108,11 +108,12 @@ struct CampaignJob {
   Scenario scenario;
   std::string label;  // FoundBug::injected for bugs this job exposes
   uint64_t seed = 0;  // Runtime::Options::seed; 0 = scenario's own seeds
-  // Global position in the campaign's deterministic scenario stream. Sharded
-  // sources (ShardSource) stamp it so a shard's journal remembers where each
-  // job sat in the unsharded stream and MergeJournals can interleave shard
-  // records back into single-process merge order. kNoStreamIndex makes the
-  // journal fall back to the engine's own merge index.
+  // Global position in the campaign's deterministic scenario stream. The
+  // orchestrator stamps the jobs it deals its shard workers so a shard's
+  // journal remembers where each job sat in the unsharded stream and
+  // MergeRecordsInto can interleave shard records back into single-process
+  // merge order. kNoStreamIndex makes the journal fall back to the engine's
+  // own merge index.
   size_t stream_index = kNoStreamIndex;
   // Runs the system's second-phase workload instead of the campaign
   // default: Table 1's bind dst sweep, pbft distributed fuzz and bfs

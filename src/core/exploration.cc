@@ -217,41 +217,6 @@ std::vector<CampaignJob> RandomSweepSource::NextBatch(size_t max_jobs) {
   return out;
 }
 
-// --- ShardSource ------------------------------------------------------------
-
-ShardSource::ShardSource(ScenarioSource& inner, size_t shard_index, size_t shard_count) {
-  if (shard_count == 0 || shard_index >= shard_count) {
-    throw std::invalid_argument("ShardSource: shard_index must be < shard_count");
-  }
-  if (inner.needs_feedback()) {
-    throw std::invalid_argument(
-        "ShardSource: feedback-driven sources cannot be dealt across processes (their "
-        "schedule depends on results the other shards hold); shard a recorded journal "
-        "instead");
-  }
-  while (true) {
-    std::vector<CampaignJob> batch = inner.NextBatch(64);
-    if (batch.empty()) {
-      break;
-    }
-    for (CampaignJob& job : batch) {
-      job.stream_index = stream_size_++;
-      if (ScenarioShard(job.scenario, shard_count) != shard_index) {
-        continue;
-      }
-      jobs_.push_back(std::move(job));
-    }
-  }
-}
-
-std::vector<CampaignJob> ShardSource::NextBatch(size_t max_jobs) {
-  std::vector<CampaignJob> out;
-  while (next_ < jobs_.size() && out.size() < max_jobs) {
-    out.push_back(jobs_[next_++]);
-  }
-  return out;
-}
-
 // --- CoverageGuidedSource ---------------------------------------------------
 
 CoverageGuidedSource::CoverageGuidedSource(std::vector<CallSiteReport> reports,
@@ -334,7 +299,7 @@ bool CoverageGuidedSource::Schedule(const Plan& plan, std::vector<CampaignJob>* 
   job.seed = seed | 1;
   // Stamp the job's position in the schedule stream. In a single process the
   // engine's merge index equals this position, so stamping changes nothing;
-  // in an epoch shard worker's journal it is what lets MergeJournals restore
+  // in an epoch shard worker's journal it is what lets MergeRecordsInto restore
   // exact single-process order.
   job.stream_index = scheduled_;
   in_flight_[job.label] = plan;

@@ -138,37 +138,6 @@ class RandomSweepSource : public ScenarioSource {
   std::set<std::tuple<size_t, int64_t, int, uint64_t>> seen_keys_;
 };
 
-// Deals an open-loop source's deterministic job stream across shards for
-// static multi-process campaigns (`--shard I/N` + merge): drains `inner` up
-// front, keeps only the jobs whose scenario fingerprint (ScenarioShard)
-// lands on `shard_index`, and stamps every kept job's
-// CampaignJob::stream_index with its position in the unsharded stream.
-// Content-keyed dealing means N processes seeded with the same spec compute
-// the same partition with no coordinator, and the recorded stream positions
-// let MergeJournals interleave the per-shard journals back into exact
-// single-process merge order. The orchestrator deals its epochs to its
-// workers the same way.
-//
-// Feedback-driven sources (needs_feedback()) cannot be dealt this way --
-// their schedule depends on results the other shards hold -- so the
-// constructor rejects them (std::invalid_argument), as it does out-of-range
-// shard coordinates.
-class ShardSource : public ScenarioSource {
- public:
-  ShardSource(ScenarioSource& inner, size_t shard_index, size_t shard_count);
-
-  std::vector<CampaignJob> NextBatch(size_t max_jobs) override;
-
-  size_t size() const { return jobs_.size(); }
-  // How long the unsharded stream was (every shard sees the same value).
-  size_t stream_size() const { return stream_size_; }
-
- private:
-  std::vector<CampaignJob> jobs_;
-  size_t stream_size_ = 0;
-  size_t next_ = 0;
-};
-
 // The complete mutable state of a CoverageGuidedSource at a quiescent point
 // (no feedback outstanding): the pending explore/exploit queues, the scenario
 // and fingerprint dedup sets, and how many jobs have been scheduled so far.

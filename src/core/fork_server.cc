@@ -122,7 +122,8 @@ WarmPool::Stats RunForkServer(const WarmPool::Factory& factory, WarmPool::Policy
   // forked from the pristine zygote, when it next takes a job.
   const size_t width =
       std::min<size_t>(std::max(1, WorkerPool::ResolveWorkers(options.workers)), count);
-  ChildProcesses workers;  // a throw out of the loop leaves no worker behind
+  // A throw out of the loop leaves no worker behind.
+  ChildProcesses workers(/*fork_failpoint=*/nullptr, "replay.deadline");
   std::vector<std::optional<size_t>> in_flight(width);  // each slot's job
   const ChildProcesses::Body serve = [&](int fd) {
     return ServeRequests(fd, [&](std::string_view request, int* exit_status) {

@@ -20,7 +20,9 @@
 // or reports a failed Reset() (the instance is tainted; it is retired). Only
 // the job in flight is affected: a dead worker fails it, one past
 // Options::job_timeout_ms (counted from the job's dispatch) is SIGKILLed and
-// the job reports the engine's deterministic HangResult. A worker that died
+// the job reports the engine's deterministic HangResult. The
+// `replay.deadline` failpoint expires the K-th armed job deadline at once,
+// as `supervisor.deadline` does an attempt's. A worker that died
 // while idle costs nothing: its next job goes to a respawned worker. A fork
 // that fails is a failed attempt too: it fails the job it was for, and the
 // slot forks afresh for its next job, as the shard supervisor retries a

@@ -19,9 +19,9 @@
 //            scenario (InjectionLog::ReplayScenario) that reproduces the
 //            crash from disk alone, in the spirit of the R2-style replay
 //            the paper cites (lfi_tool replay).
-//   merge    The shard journals of a multi-process campaign interleave by
-//            recorded stream index back into the single-process journal
-//            (MergeRecordsInto / MergeJournals).
+//   merge    The orchestrator of a multi-process campaign interleaves its
+//            workers' shard journals by recorded stream index back into
+//            the single-process journal (MergeRecordsInto).
 //
 // There is one on-disk encoding: a binary stream of CRC-checked, optionally
 // compressed extents of up to 16 records each, closed by a footer index
@@ -37,7 +37,6 @@
 
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,10 +70,10 @@ struct JournalRecord {
   // index-aligned with the source's deterministic job stream.
   bool gated = false;
   // The job's position in the campaign's global scenario stream (the engine's
-  // merge index, or CampaignJob::stream_index for dealt shards of a larger
-  // stream). MergeJournals sorts on it to interleave shard journals back
-  // into single-process merge order. kNoStreamIndex on records written
-  // before the attribute existed.
+  // merge index, or CampaignJob::stream_index for the jobs an orchestrator
+  // dealt a shard worker). MergeRecordsInto sorts on it to interleave shard
+  // journals back into single-process merge order. kNoStreamIndex on records
+  // written before the attribute existed.
   size_t stream_index = kNoStreamIndex;
   // Which epoch of an epoch-synchronized campaign (docs/architecture.md)
   // merged this record: feedback from epoch e reached the scenario source
@@ -211,73 +210,31 @@ class CampaignJournal {
 
 // --- merging ----------------------------------------------------------------
 
-// What one input journal contributed to a merge (per-shard stats).
-struct MergeInputStats {
-  std::string path;
-  size_t shard_index = static_cast<size_t>(-1);  // the header's "shard" key, if any
-  size_t records = 0;
-  size_t scenarios_run = 0;  // non-gated records
-  size_t bugs = 0;           // crash sites deduplicated within this input
-};
-
-// The one per-input merge accounting: adds `input`'s records to `stats` and
-// its crash sites to `seen_bugs`, the input's distinct-bug set, which the
-// caller keeps across calls when one input arrives in several journals (a
-// shard's per-epoch artifacts).
-void AccountMergeInput(const CampaignJournal& input, std::set<FoundBug>* seen_bugs,
-                       MergeInputStats* stats);
-
 // The engine-fold state an incremental merge carries between calls: the
 // campaign fold (crash-site dedup set, cumulative coverage) plus how far the
 // merged stream has grown. A distributed coverage-guided campaign merges one
 // epoch's shard journals per call, so folding from this state -- instead of
-// re-folding from record zero like one-shot MergeJournals -- keeps the
-// per-epoch cost proportional to the epoch, not the campaign so far.
+// re-folding from record zero -- keeps the per-epoch cost proportional to
+// the epoch, not the campaign so far.
 struct MergeFoldState : CampaignFold {
   size_t records = 0;            // records merged so far
   size_t next_stream_index = 0;  // smallest stream index a new record may claim
 };
 
 // The incremental merge step: interleaves `inputs`' records by recorded
-// stream index (ties broken by each input's "shard" header key, then local
-// position -- input order never matters), rejects overlaps both within the
-// batch and against everything `fold` already merged, folds each record
-// through the engine's dedup/feedback fold continuing from `fold`, and
-// appends the folded records to the writable `output` journal. `fold` is
-// advanced in place; `merged_records` (when non-null) receives the folded
-// records in merge order, which is how the orchestrator delivers the
-// epoch's feedback to its master source. One-shot MergeJournals is exactly
-// this with a fresh fold and a fresh output file.
+// stream index (input order never matters), rejects records without one and
+// overlaps both within the batch and against everything `fold` already
+// merged, folds each record through the engine's dedup/feedback fold
+// continuing from `fold`, and appends the folded records to the writable
+// `output` journal. `fold` is advanced in place; `merged_records` (when
+// non-null) receives the folded records in merge order, which is how the
+// orchestrator delivers the epoch's feedback to its master source. The
+// inputs are its shard workers' journals, whose every record carries the
+// stream index the orchestrator dealt it with; a fresh fold over one
+// engine-written journal refolds it unchanged.
 bool MergeRecordsInto(CampaignJournal& output, const std::vector<CampaignJournal>& inputs,
                       MergeFoldState* fold, std::string* error = nullptr,
                       std::vector<JournalRecord>* merged_records = nullptr);
-
-// Merges N journals (typically the per-shard artifacts of one sharded
-// campaign) into a single journal at `output_path`:
-//
-//   1. every input's campaign identity (command, system, strategy, budget,
-//      seed, epoch-len, exhaustive) must agree; the output header carries
-//      the agreed identity with the shard keys (shard, shards, epoch)
-//      dropped, so the merged journal reads as the single-process
-//      campaign's own journal;
-//   2. records are interleaved deterministically -- sorted by their recorded
-//      global stream index (shard header index, then input position, break
-//      ties) -- so any input order yields a bit-identical output; and
-//   3. the merge re-runs the engine's deterministic fold over the sorted
-//      records: crash-site dedup in stream order and per-record feedback
-//      recomputed against the rebuilt cumulative coverage, replacing the
-//      shard-local feedback each input recorded.
-//
-// The result is byte-identical to the journal the equivalent single-process
-// run writes, and therefore resumable. Refuses to overwrite an existing
-// output file. Returns the merged campaign result (bugs, cumulative
-// coverage, scenarios run); `metadata`/`stats` receive the output header and
-// per-input accounting when non-null.
-std::optional<ExplorationResult> MergeJournals(const std::vector<std::string>& inputs,
-                                               const std::string& output_path,
-                                               std::string* error = nullptr,
-                                               JournalMetadata* metadata = nullptr,
-                                               std::vector<MergeInputStats>* stats = nullptr);
 
 }  // namespace lfi
 

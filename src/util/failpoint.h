@@ -1,8 +1,8 @@
 // Deterministic failpoints: scripted faults in the orchestrator itself.
 //
 // The campaign layer injects faults into *targets*; this registry injects
-// them into the campaign machinery -- fork, journal append/finalize, the
-// merge rename, a child's startup, a target bring-up -- so the supervision
+// them into the campaign machinery -- fork, a worker's deadline, journal
+// append/finalize, a child's startup, a target bring-up -- so the supervision
 // and recovery paths (apps/common/shard_supervisor.h) can be chaos-tested
 // deterministically.
 // Production code evaluates `FailpointFired("name")` at each fallible

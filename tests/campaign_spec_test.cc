@@ -1,9 +1,10 @@
 // The unified campaign API: CampaignSpec's journal-header identity round
 // trip, the spec schema (pinned header bytes, strict readers, the flag
-// parser), spec validation, the one name-table, ShardSource dealing, and the multi-process acceptance bar -- merging N shard journals
-// in any input order yields a bit-identical merged journal (and the same bug
-// list and coverage as the unsharded run at equal total budget) that resumes
-// cleanly.
+// parser), spec validation, the one name-table, and the multi-process
+// acceptance bar -- an orchestrated run deals each job to the shard its
+// scenario names, and merging the N shard journals in any input order
+// yields a bit-identical merged journal (and the same bug list and coverage
+// as the unsharded run at equal total budget) that resumes cleanly.
 
 #include <gtest/gtest.h>
 
@@ -217,16 +218,17 @@ TEST(SpecSchema, EveryFlagSetsItsField) {
       "explore",     "bfs",        "--strategy",         "coverage", "--exhaustive",
       "--budget",    "12",         "--seed",             "0x8000000000000001",
       "--workers",   "-3",         "--journal",          "a b&<c>.lfij",
-      "--shard",     "1/3",        "--epoch-len",        "2",
+      "--shards",    "3",          "--epoch-len",        "2",
       "--child-timeout-ms",        "9000",               "--max-retries",    "0",
       "--backoff-ms", "7",         "--job-timeout-ms",   "250",      "--cold-start",
       "--failpoints", "engine.record=error@3",           "--abort-after",    "6"};
   CampaignSpec parsed{.system = "bfs"};
   std::string error;
   ASSERT_TRUE(ParseSpecFlags(argv, 2, &parsed, &error)) << error;
-  // No flag sets these: the driver sets the resume marker and an epoch
-  // child's coordinates, lfi_tool replay's positional selector.
+  // No flag sets these: the driver sets the resume marker and a shard
+  // worker's coordinates, lfi_tool replay's positional selector.
   parsed.resume = true;
+  parsed.shard_index = 1;
   parsed.epoch_index = 4;
   parsed.replay_selector = "3:1";
   EXPECT_TRUE(parsed == want) << MetaText(parsed.ToJournalMeta());
@@ -317,11 +319,8 @@ TEST(SpecSchema, FlagParserAcceptsTheHistoricalSpellingsAndRefusesTheRest) {
   std::string error;
   ASSERT_TRUE(ParseSpecFlags({"4"}, 0, &spec, &error)) << error;  // `campaign git 4`
   EXPECT_EQ(spec.workers, 4);
-  ASSERT_TRUE(ParseSpecFlags({"--workers", "0", "--shard", "0/1", "--shards", "1"}, 0, &spec,
-                             &error))
-      << error;
+  ASSERT_TRUE(ParseSpecFlags({"--workers", "0", "--shards", "1"}, 0, &spec, &error)) << error;
   EXPECT_EQ(spec.workers, 0);
-  EXPECT_EQ(spec.shard_index, 0u);
   EXPECT_EQ(spec.shard_count, 1u);
 
   const std::vector<std::vector<std::string>> kRefused = {
@@ -339,21 +338,18 @@ TEST(SpecSchema, FlagParserAcceptsTheHistoricalSpellingsAndRefusesTheRest) {
   // The full unsigned range is not malformed.
   ASSERT_TRUE(ParseSpecFlags({"--budget", "18446744073709551615"}, 0, &spec, &error)) << error;
   EXPECT_EQ(spec.budget, SIZE_MAX);
-  // The range check across fields stays in Validate.
-  CampaignSpec out_of_range{.system = "pbft", .journal_path = "j.lfij"};
-  ASSERT_TRUE(ParseSpecFlags({"--shard", "4/4"}, 0, &out_of_range, &error)) << error;
-  EXPECT_NE(out_of_range.Validate(), "");
 }
 
 TEST(SpecSchema, UsageListsEveryDocumentedFlag) {
   std::string usage = SpecFlagsUsage();
   for (const char* flag : {"--strategy", "--exhaustive", "--budget", "--seed", "--workers",
-                           "--journal", "--shard I/N", "--shards", "--epoch-len",
+                           "--journal", "--shards", "--epoch-len",
                            "--child-timeout-ms", "--max-retries", "--backoff-ms",
                            "--job-timeout-ms", "--cold-start", "--failpoints"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
   }
   EXPECT_EQ(usage.find("--abort-after"), std::string::npos);  // a test hook
+  EXPECT_EQ(usage.find("--shard "), std::string::npos);       // no single-shard runs
 }
 
 TEST(CampaignSpec, NameTablesRoundTrip) {
@@ -431,57 +427,12 @@ TEST(CampaignSpec, ValidateRejectsUnrunnableSpecs) {
   EXPECT_NE(s.Validate(), "");
 }
 
-// --- ShardSource dealing ----------------------------------------------------
-
-TEST(ShardSource, DealsByFingerprintIntoADisjointCover) {
-  EnsureStockTriggersRegistered();
-  std::vector<CampaignJob> jobs;
-  for (uint64_t i = 1; i <= 40; ++i) {
-    CampaignJob job;
-    job.scenario = MakeCallCountScenario("read", i, -1, 5);
-    job.label = StrFormat("job-%llu", (unsigned long long)i);
-    job.seed = i;
-    jobs.push_back(std::move(job));
-  }
-
-  constexpr size_t kShards = 4;
-  std::vector<size_t> stream_indices;
-  size_t total = 0;
-  for (size_t shard = 0; shard < kShards; ++shard) {
-    ExhaustiveSource inner(jobs);
-    ShardSource source(inner, shard, kShards);
-    EXPECT_EQ(source.stream_size(), jobs.size());
-    std::vector<CampaignJob> dealt = source.NextBatch(jobs.size());
-    EXPECT_EQ(dealt.size(), source.size());
-    total += dealt.size();
-    for (const CampaignJob& job : dealt) {
-      ASSERT_NE(job.stream_index, CampaignJob::kNoStreamIndex);
-      // The stamped position refers back to the unsharded stream.
-      EXPECT_TRUE(job.scenario == jobs[job.stream_index].scenario);
-      EXPECT_EQ(job.label, jobs[job.stream_index].label);
-      // Dealing is content-keyed: the assignment recomputes from the
-      // scenario alone.
-      EXPECT_EQ(ScenarioShard(job.scenario, kShards), shard);
-      stream_indices.push_back(job.stream_index);
-    }
-  }
-  // Union of the shards is exactly the stream, each job exactly once.
-  EXPECT_EQ(total, jobs.size());
-  std::sort(stream_indices.begin(), stream_indices.end());
-  for (size_t i = 0; i < stream_indices.size(); ++i) {
-    EXPECT_EQ(stream_indices[i], i);
-  }
-
-  // Feedback-driven sources cannot be dealt; out-of-range coordinates throw.
-  ExhaustiveSource inner(jobs);
-  EXPECT_THROW(ShardSource(inner, 4, 4), std::invalid_argument);
-}
-
 // --- the multi-process acceptance bar ---------------------------------------
 
 // Runs the pbft exploration single-process and as 2 and 4 forked shards,
-// then checks the satellite property: merging the shard journals in ANY
-// input order yields a bit-identical merged journal -- which is also
+// then checks the satellite property: every shard journal holds exactly the
+// jobs whose scenario deals to that shard, and merging the shard journals
+// in ANY input order yields a bit-identical merged journal -- which is also
 // byte-identical to the single-process journal -- with the same bug list and
 // coverage at equal total budget, and the merged journal resumes cleanly.
 TEST(ShardedCampaign, MergeIsOrderInvariantAndMatchesSingleProcess) {
@@ -520,22 +471,28 @@ TEST(ShardedCampaign, MergeIsOrderInvariantAndMatchesSingleProcess) {
     EXPECT_EQ(sharded_outcome->coverage.hits(), single_outcome->coverage.hits());
     EXPECT_EQ(ReadFile(merged_path), single_bytes);
 
-    // Every input permutation merges to the same bytes.
+    // The deal is content-keyed: a shard's journal holds exactly the jobs
+    // whose scenario names it.
     std::vector<std::string> inputs;
     size_t shard_records = 0;
-    for (const MergeInputStats& shard : sharded_outcome->shards) {
+    for (const ShardOutcome& shard : sharded_outcome->shards) {
       inputs.push_back(shard.path);
       shard_records += shard.records;
+      auto journal = CampaignJournal::Load(shard.path, &error);
+      ASSERT_TRUE(journal.has_value()) << shard.path << ": " << error;
+      EXPECT_EQ(journal->records().size(), shard.records);
+      for (const JournalRecord& record : journal->records()) {
+        EXPECT_EQ(ScenarioShard(record.scenario, shards), shard.shard_index) << record.label;
+      }
     }
     EXPECT_EQ(shard_records, single_outcome->scenarios_run);
+
+    // Every input permutation merges to the same bytes.
     std::sort(inputs.begin(), inputs.end());
     int permutation = 0;
     do {
       std::string out_path = TempPath(StrFormat("spec_perm_%d.lfij", permutation));
-      std::remove(out_path.c_str());
-      auto merged = MergeJournals(inputs, out_path, &error);
-      ASSERT_TRUE(merged.has_value()) << error;
-      EXPECT_EQ(merged->bugs, single_outcome->bugs);
+      EXPECT_EQ(MergeJournalFiles(inputs, out_path, sharded.ToJournalMeta()), "");
       EXPECT_EQ(ReadFile(out_path), single_bytes) << "permutation " << permutation;
       ++permutation;
     } while (std::next_permutation(inputs.begin(), inputs.end()) && permutation < 6);
@@ -549,6 +506,11 @@ TEST(ShardedCampaign, MergeIsOrderInvariantAndMatchesSingleProcess) {
     EXPECT_EQ(resumed.coverage.hits(), single_outcome->coverage.hits());
     EXPECT_EQ(resumed.scenarios_run, single_outcome->scenarios_run);
     EXPECT_EQ(ReadFile(merged_path), single_bytes);
+    // A shard's artifact is not a campaign of its own: resuming it is
+    // refused, and the refusal names the merged journal's resume.
+    CampaignSpec resume_shard{.mode = CampaignMode::kResume, .journal_path = inputs[0]};
+    EXPECT_FALSE(CampaignDriver(resume_shard).Run(&error).has_value());
+    EXPECT_NE(error.find("resume MERGED --shards N"), std::string::npos) << error;
 
     // A killed orchestration leaves finished shard journals behind;
     // re-running the same spec resumes them from disk (completed shards
@@ -593,7 +555,7 @@ TEST(ShardedCampaign, MoreShardsThanScenariosLeavesValidEmptyShardJournals) {
   ASSERT_TRUE(sharded_outcome.has_value()) << error;
 
   size_t empty_shards = 0;
-  for (const MergeInputStats& shard : sharded_outcome->shards) {
+  for (const ShardOutcome& shard : sharded_outcome->shards) {
     if (shard.records != 0) {
       continue;
     }
@@ -695,42 +657,6 @@ TEST(ShardedCampaign, KilledOpenLoopOrchestrationResumesByteIdentical) {
       {.mode = CampaignMode::kResume, .journal_path = killed_path, .shard_count = 4});
   ExpectSameBugs(full_outcome.bugs, resumed.bugs);
   EXPECT_EQ(ReadFile(killed_path), ReadFile(full_path));
-}
-
-// Merging journals from different campaigns must be refused, not silently
-// interleaved.
-TEST(ShardedCampaign, MergeRejectsMismatchedCampaignIdentity) {
-  EnsureStockTriggersRegistered();
-  std::string a_path = TempPath("spec_merge_a.lfij");
-  std::string b_path = TempPath("spec_merge_b.lfij");
-  std::string out_path = TempPath("spec_merge_out.lfij");
-  std::remove(a_path.c_str());
-  std::remove(b_path.c_str());
-  std::remove(out_path.c_str());
-
-  CampaignSpec spec;
-  spec.system = "git";
-  spec.mode = CampaignMode::kExplore;
-  spec.strategy = ExploreStrategy::kRandom;
-  spec.budget = 2;
-  spec.seed = 1;
-  spec.journal_path = a_path;
-  std::string error;
-  ASSERT_TRUE(CampaignDriver(spec).Run(&error).has_value()) << error;
-  spec.seed = 2;  // a different campaign
-  spec.journal_path = b_path;
-  ASSERT_TRUE(CampaignDriver(spec).Run(&error).has_value()) << error;
-
-  EXPECT_FALSE(MergeJournals({a_path, b_path}, out_path, &error).has_value());
-  EXPECT_NE(error.find("different campaigns"), std::string::npos) << error;
-
-  // Overlapping inputs (the same journal twice) would double-count results
-  // into a journal no resume could align; refused too.
-  EXPECT_FALSE(MergeJournals({a_path, a_path}, out_path, &error).has_value());
-  EXPECT_NE(error.find("overlap"), std::string::npos) << error;
-
-  // And an existing output is never clobbered.
-  EXPECT_FALSE(MergeJournals({a_path}, a_path, &error).has_value());
 }
 
 // --- driver modes beyond explore --------------------------------------------

@@ -1,6 +1,6 @@
 // Helpers the campaign test suites share: scratch paths, whole-file reads,
-// finalized journal writes, bug-list comparison, and running a CampaignSpec
-// through the driver.
+// finalized journal writes and merges, bug-list comparison, and running a
+// CampaignSpec through the driver.
 
 #ifndef LFI_TESTS_CAMPAIGN_TEST_UTIL_H_
 #define LFI_TESTS_CAMPAIGN_TEST_UTIL_H_
@@ -40,6 +40,30 @@ inline void WriteJournal(const std::string& path, const JournalMetadata& meta,
     ASSERT_TRUE(journal.Append(record));
   }
   ASSERT_TRUE(journal.Finalize(&error)) << error;
+}
+
+// Merges the journals at `inputs`, in the order given, through the
+// orchestrator's merge step (MergeRecordsInto) into a fresh journal at `out`
+// headed by `meta`. Returns the error, "" when the merge succeeded.
+inline std::string MergeJournalFiles(const std::vector<std::string>& inputs,
+                                     const std::string& out, const JournalMetadata& meta) {
+  std::vector<CampaignJournal> journals;
+  std::string error;
+  for (const std::string& input : inputs) {
+    auto journal = CampaignJournal::Load(input, &error);
+    if (!journal) {
+      return error;
+    }
+    journals.push_back(std::move(*journal));
+  }
+  std::remove(out.c_str());
+  CampaignJournal merged;
+  MergeFoldState fold;
+  if (!merged.Create(out, meta, &error) || !MergeRecordsInto(merged, journals, &fold, &error) ||
+      !merged.Finalize(&error)) {
+    return error;
+  }
+  return "";
 }
 
 // Same bugs in the same order, attribution included.

@@ -254,8 +254,9 @@ TEST(EpochExplore, MergeOfEpochShardJournalsIsInputOrderInvariant) {
   ASSERT_TRUE(distributed.has_value()) << error;
   std::string merged_bytes = ReadFile(dist_path);
 
-  // Every per-epoch shard journal the run left behind, one-shot merged in
-  // shuffled input orders, reproduces the orchestrator's merged bytes.
+  // Every per-epoch shard journal the run left behind, merged in one step
+  // through the orchestrator's merge in shuffled input orders, reproduces
+  // the orchestrator's merged bytes.
   std::vector<std::string> inputs;
   for (size_t epoch = 0; epoch < 8; ++epoch) {
     for (size_t shard = 0; shard < 2; ++shard) {
@@ -269,9 +270,7 @@ TEST(EpochExplore, MergeOfEpochShardJournalsIsInputOrderInvariant) {
   for (int permutation = 0; permutation < 3; ++permutation) {
     std::string out_path =
         TempPath(StrFormat("epoch_shuffle_out_%d.lfij", permutation).c_str());
-    std::remove(out_path.c_str());
-    auto merged = MergeCampaignJournals(inputs, out_path, &error);
-    ASSERT_TRUE(merged.has_value()) << error;
+    EXPECT_EQ(MergeJournalFiles(inputs, out_path, spec.ToJournalMeta()), "");
     EXPECT_EQ(ReadFile(out_path), merged_bytes) << "permutation " << permutation;
     std::next_permutation(inputs.begin(), inputs.end());
   }
@@ -305,39 +304,51 @@ TEST(EpochExplore, ResumeAfterKillRebuildsIdenticalBytesFromShardJournals) {
   }
 }
 
+// A shard journal written by hand with one record per stream index in
+// `stream_indexes` (kNoStreamIndex = a record that carries none).
+std::string ShardJournal(const char* name, const char* shard,
+                         const std::vector<size_t>& stream_indexes) {
+  std::string path = TempPath(name);
+  std::vector<JournalRecord> records;
+  for (size_t index : stream_indexes) {
+    JournalRecord& record = records.emplace_back();
+    record.label = StrFormat("%s-%zu", shard, index);
+    record.seed = 1;
+    record.stream_index = index;
+    record.epoch = 0;
+  }
+  WriteJournal(path,
+               {{"command", "explore"}, {"system", "pbft"}, {"strategy", "coverage"},
+                {"budget", "8"}, {"seed", "0x1"}, {"epoch-len", "1"}, {"shard", shard},
+                {"shards", "2"}, {"epoch", "0"}},
+               records);
+  return path;
+}
+
+const JournalMetadata kMergedMeta = {{"command", "explore"}, {"system", "pbft"},
+                                     {"strategy", "coverage"}, {"budget", "8"},
+                                     {"seed", "0x1"}, {"epoch-len", "1"}};
+
 TEST(EpochExplore, MergeRejectsOverlappingStreamIndexes) {
-  std::string a_path = TempPath("epoch_overlap_a.lfij");
-  std::string b_path = TempPath("epoch_overlap_b.lfij");
-  std::string out_path = TempPath("epoch_overlap_out.lfij");
-  std::remove(a_path.c_str());
-  std::remove(b_path.c_str());
-  std::remove(out_path.c_str());
-  auto write_journal = [](const std::string& path, const char* shard,
-                          std::vector<size_t> stream_indexes) {
-    JournalMetadata meta = {{"command", "explore"}, {"system", "pbft"},
-                            {"strategy", "coverage"}, {"budget", "8"},
-                            {"seed", "0x1"},         {"epoch-len", "1"},
-                            {"shard", shard},        {"shards", "2"},
-                            {"epoch", "0"}};
-    CampaignJournal journal;
-    std::string error;
-    ASSERT_TRUE(journal.Create(path, meta, &error)) << error;
-    for (size_t index : stream_indexes) {
-      JournalRecord record;
-      record.label = StrFormat("%s-%zu", shard, index);
-      record.seed = 1;
-      record.stream_index = index;
-      record.epoch = 0;
-      ASSERT_TRUE(journal.Append(record));
-    }
-    ASSERT_TRUE(journal.Finalize(&error)) << error;
-  };
-  write_journal(a_path, "0", {0, 2});
-  write_journal(b_path, "1", {2, 3});  // stream index 2 collides with a
-  std::string error;
-  auto merged = MergeCampaignJournals({a_path, b_path}, out_path, &error);
-  EXPECT_FALSE(merged.has_value());
-  EXPECT_NE(error.find("stream"), std::string::npos) << error;
+  std::string a = ShardJournal("epoch_overlap_a.lfij", "0", {0, 2});
+  std::string b = ShardJournal("epoch_overlap_b.lfij", "1", {2, 3});  // 2 collides with a
+  std::string error =
+      MergeJournalFiles({a, b}, TempPath("epoch_overlap_out.lfij"), kMergedMeta);
+  EXPECT_NE(error.find("stream index 2"), std::string::npos) << error;
+  // The same shard journal listed twice overlaps itself.
+  error = MergeJournalFiles({a, a}, TempPath("epoch_overlap_out.lfij"), kMergedMeta);
+  EXPECT_NE(error.find("overlap"), std::string::npos) << error;
+}
+
+// Every merge input is a shard worker's journal, whose records all carry
+// their stream index: a record without one cannot be placed and is refused.
+TEST(EpochExplore, MergeRefusesARecordWithoutAStreamIndex) {
+  std::string a = ShardJournal("epoch_unindexed_a.lfij", "0", {0, 2});
+  std::string b =
+      ShardJournal("epoch_unindexed_b.lfij", "1", {1, JournalRecord::kNoStreamIndex});
+  std::string error =
+      MergeJournalFiles({a, b}, TempPath("epoch_unindexed_out.lfij"), kMergedMeta);
+  EXPECT_NE(error.find("has no stream index"), std::string::npos) << error;
 }
 
 }  // namespace

@@ -334,19 +334,19 @@ TEST(JournalDoctor, FindsAndRemovesOrphansNamedByTheSpecHelpers) {
   WriteJournal(spec.journal_path, {{"command", "explore"}, {"system", "pbft"}},
                {BugRecord(0, kNoEpoch, "a", "x")});
   const std::vector<std::string> orphans = {
-      spec.journal_path + ".tmp",
       spec.ShardJournalPath(0),
       spec.ShardJournalPath(1),
       spec.EpochFrontierPath(0),
       spec.EpochShardJournalPath(0, 0),
       spec.EpochShardJournalPath(0, 1),
       spec.EpochFrontierPath(1) + ".tmp",
-      spec.EpochShardJournalPath(1, 0) + ".tmp",
   };
   const std::vector<std::string> kept = {
       spec.ShardJournalPath(5),           // after a gap in the shard numbering
       spec.EpochShardJournalPath(3, 0),   // after a gap in the epoch numbering
       spec.journal_path + ".bak",         // not a campaign artifact the merge consumes
+      spec.journal_path + ".tmp",         // no campaign writes a journal through a tmp file
+      spec.EpochShardJournalPath(1, 0) + ".tmp",
   };
   for (const std::string& path : orphans) {
     WriteBytes(path, "x");

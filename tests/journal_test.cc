@@ -570,7 +570,9 @@ TEST(CampaignJournal, ReplayIsolatesACrashedOrHungChildToItsOwnRecord) {
                              std::to_string(clean.replays[0].injection) + " of " + path;
   for (const Case& c : {Case{"replay1:engine.job.run=exit:9", 0, 1,
                              "child process exited with status 9"},
-                        Case{"replay0:engine.job.run=hang", 5000, 0,
+                        // Record 0's deadline, the first armed, expires at
+                        // once: the test waits out no clock.
+                        Case{"replay0:engine.job.run=hang,replay.deadline=error", 5000, 0,
                              "unresponsive under injected fault: " + label0}}) {
     SCOPED_TRACE(c.failpoints);
     replay.failpoints = c.failpoints;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # lfi_tool's command-line contract: the exit codes of the historical
 # spellings, malformed flag values refused before anything runs, the full
-# seed range, and the `resume --json` bytes of a Table 1 journal.
+# seed range, the refusal to resume a shard artifact, and the `resume
+# --json` bytes of a Table 1 journal.
 #
 # Usage: lfi_tool_cli_test.sh path/to/lfi_tool
 set -u
@@ -30,7 +31,9 @@ expect 2 explore pbft --budget 12abc
 expect 2 explore pbft --repair             # doctor-only
 expect 2 shard pbft --shard 1/4 --journal s.lfij
 expect 2 shard pbft --shards 1 --journal s.lfij
+expect 2 explore pbft --shard 1/4 --journal s.lfij   # --shards N is the one way to shard
 expect 2 explore pbft --shard 4/4 --journal s.lfij
+expect 2 merge m.lfij s.lfij.shard0 s.lfij.shard1     # no merge subcommand
 expect 0 explore git --strategy random --budget 4 --seed 0x8000000000000000
 expect 0 explore git --strategy random --budget 4 --seed 18446744073709551615
 
@@ -45,6 +48,15 @@ for flag in '--budget 12abc' '--shard x/2' '--shards -1' '--workers two' '--bogu
   fi
 done
 expect 0 explore git --strategy random --budget 2 --journal ok.lfij
+
+# A shard's artifact is not a campaign of its own: resuming it is refused,
+# naming the merged journal's resume.
+expect 0 shard git --strategy random --budget 4 --shards 2 --journal sh.lfij
+expect 1 resume sh.lfij.shard0
+grep -q 'resume MERGED --shards N' err.txt || {
+  echo "FAIL: resume of a shard artifact: $(cat err.txt)"
+  failures=$((failures + 1))
+}
 
 expect 0 campaign git --journal t1.lfij
 expect 0 resume t1.lfij --json

@@ -69,10 +69,12 @@ want=$(sed -n 2p clean.txt | sed -e 's/"crashed":[a-z]*,"where":"[^"]*"/"crashed
 
 # Record 0's worker hangs at the job failpoint: past --job-timeout-ms it is
 # killed and record 0 reads the engine's deterministic hang; the rest still
-# run. The deadline leaves the healthy records room to finish under
-# sanitizers.
+# run. replay.deadline expires the first armed deadline, record 0's, at once,
+# so no clock is waited out; the generous deadline leaves the healthy
+# records room to finish under sanitizers.
 rc=0
-timeout 60 "$tool" replay pbft.lfij --workers 4 --failpoints "replay0:engine.job.run=hang" \
+timeout 60 "$tool" replay pbft.lfij --workers 4 \
+  --failpoints "replay0:engine.job.run=hang,replay.deadline=error" \
   --job-timeout-ms 5000 --json > hang.json || rc=$?
 [ "$rc" -eq 1 ] || fail "replay with a hung child exited $rc, want 1"
 entries hang.json > hang.txt
